@@ -21,7 +21,8 @@ from .errors import ConstructionError, DecompositionRangeError, \
 from .grid import Cube, GridFunction
 from .maximal import grand_maximal
 from .reports import Report
-from .slice_norms import SliceParams, cube_indicator_slice_norm, slice_norm
+from .slice_norms import SliceParams, cube_indicator_norms, \
+    cube_indicator_slice_norm, slice_norm
 
 WHITNEY_DILATION = 9.0 / 8.0
 
@@ -363,7 +364,7 @@ def _moment_slack(g, cube, d):
     return worst
 
 
-def _package_atom(A_vals, grid, Q_star, j, index, params, norms):
+def _package_atom(A_vals, grid, Q_star, j, index, params, norm_1q):
     """Wrap one assembled piece as a scaled atom on an enlarged cube."""
     piece = _crop(A_vals, grid.origin, grid.h)
     if piece is None:
@@ -378,13 +379,9 @@ def _package_atom(A_vals, grid, Q_star, j, index, params, norms):
                 > params.tol_moment:
             side = max(1.0, side_needed)
     cube = Cube(Q_star.center, side)
-    key = round(side / grid.h)
-    if key not in norms:
-        norms[key] = cube_indicator_slice_norm(
-            params.slice_params, side, grid.h, grid.n)
     sup = piece.max_abs()
     c_jk = max(params.c0, sup / 2.0 ** j)
-    lam = c_jk * 2.0 ** j * norms[key]
+    lam = c_jk * 2.0 ** j * norm_1q(side)
     return Atom(cube=cube, values=piece / lam, r=params.r, degree=params.d,
                 level=j, index=index, lam=lam)
 
@@ -420,7 +417,7 @@ def cz_decompose(f, params):
 
     fb = f.embed(m.origin, m.extents)
     entries = []
-    norms = {}
+    norm_1q = cube_indicator_norms(params.slice_params, fb.h, fb.n)
     nxt = None
     b_lo = None
     for j in range(j_hi, j_lo - 1, -1):
@@ -428,13 +425,13 @@ def cz_decompose(f, params):
         pieces = _assemble_level(fb, level, nxt, params)
         for k, A_vals in enumerate(pieces):
             atom = _package_atom(A_vals, fb, level["cubes"][k], j, k,
-                                 params, norms)
+                                 params, norm_1q)
             if atom is not None:
                 entries.append(atom)
         nxt = level
         b_lo = np.sum(level["b"], axis=0) if level["b"] else 0.0
     g_res = fb.values - b_lo
-    entries.extend(_residual_atoms(g_res, fb, j_lo, params, norms))
+    entries.extend(_residual_atoms(g_res, fb, j_lo, params, norm_1q))
     K = max((a.lam * a.values.max_abs() / 2.0 ** a.level for a in entries),
             default=0.0)
     return Decomposition(entries, j_lo, j_hi, zero, params,
@@ -461,16 +458,12 @@ def _unit_dilated_support_mask(f, m):
     return mask
 
 
-def _residual_atoms(values, grid, j_lo, params, norms):
+def _residual_atoms(values, grid, j_lo, params, norm_1q):
     """Package the sub-threshold remainder as unit-cube atoms."""
     piece_all = _crop(values, grid.origin, grid.h)
     if piece_all is None:
         return []
     lo, hi = piece_all.support_bounds()
-    key = round(1.0 / grid.h)
-    if key not in norms:
-        norms[key] = cube_indicator_slice_norm(
-            params.slice_params, 1.0, grid.h, grid.n)
     out = []
     index = 0
     corners = [range(int(np.floor(a)), int(np.ceil(b)) + 1)
@@ -481,7 +474,7 @@ def _residual_atoms(values, grid, j_lo, params, norms):
         piece = _crop(full.restrict(cube).values, grid.origin, grid.h)
         if piece is None:
             continue
-        lam = piece.max_abs() * norms[key]
+        lam = piece.max_abs() * norm_1q(1.0)
         out.append(Atom(cube=cube, values=piece / lam, r=params.r,
                         degree=params.d, level=j_lo, index=index, lam=lam))
         index += 1
@@ -549,14 +542,10 @@ def atomic_quasinorm(dec, s, tol=1e-10):
     origin = np.floor(lo / h) * h
     ext = tuple(int(np.ceil((b - a) / h)) + 1 for a, b in zip(origin, hi))
     acc = GridFunction(origin, h, np.zeros(ext), check=False)
-    norms = {}
+    norm_1q = cube_indicator_norms(sp, h, acc.n)
     for atom in dec.entries:
-        key = round(atom.cube.side / h)
-        if key not in norms:
-            norms[key] = cube_indicator_slice_norm(sp, atom.cube.side, h,
-                                                   acc.n)
         mask = acc.cell_mask(atom.cube)
-        acc.values[mask] += (atom.lam / norms[key]) ** s
+        acc.values[mask] += (atom.lam / norm_1q(atom.cube.side)) ** s
     env = GridFunction(origin, h, acc.values ** (1.0 / s), check=False)
     return slice_norm(env, sp, tol)
 

@@ -16,7 +16,7 @@ from .atomic import minimizing_polynomial
 from .errors import PreconditionError
 from .grid import Cube, GridFunction
 from .reports import Report
-from .slice_norms import SliceParams, cube_indicator_slice_norm
+from .slice_norms import SliceParams, cube_indicator_norms
 
 
 @dataclass
@@ -68,21 +68,20 @@ def campanato_local_norm(g, p):
 
     Small cubes (side < 1) measure normalized mean oscillation against
     the minimizing polynomial; large cubes measure normalized mean size.
-    The normalization |Q| / ||1_Q|| uses the slice norm of the cube
-    indicator, cached by side.
+    The normalization |Q| / ||1_Q|| uses the closed-form slice norm of
+    the cube indicator, memoized by side for this call only.
     """
     if not p.sweep:
         return 0.0
     ge = _extend_over(g, p.sweep)
+    norm_1q = cube_indicator_norms(p.slice_params, ge.h, ge.n)
     small = 0.0
     large = 0.0
     for Q in p.sweep:
         mask = ge.cell_mask(Q)
         if not mask.any():
             continue
-        norm_1q = cube_indicator_slice_norm(p.slice_params, Q.side, ge.h,
-                                            ge.n)
-        weight = Q.volume / norm_1q
+        weight = Q.volume / norm_1q(Q.side)
         if Q.side < 1.0:
             poly = minimizing_polynomial(ge, Q, p.d)
             osc = ge.values[mask] - poly(ge.centers()[mask])

@@ -146,8 +146,11 @@ def _peetre_sweep(absc, s, b, h, n, eps_cut):
             np.maximum(out[d:], absc[:-d] * w, out=out[d:])
             np.maximum(out[:-d], absc[d:] * w, out=out[:-d])
         return out
-    for dx in range(-kmax, kmax + 1):
-        for dy in range(-kmax, kmax + 1):
+    # an offset as long as an axis shifts nothing into the array
+    kx = min(kmax, absc.shape[0] - 1)
+    ky = min(kmax, absc.shape[1] - 1)
+    for dx in range(-kx, kx + 1):
+        for dy in range(-ky, ky + 1):
             if dx == 0 and dy == 0:
                 continue
             w = (1.0 + np.hypot(dx, dy) * h / s) ** (-b)
@@ -204,30 +207,23 @@ def hardy_quasinorm(f, space_tag, params):
     """Peetre maximal function composed with the tagged outer norm."""
     tag = parse_space_tag(space_tag) if isinstance(space_tag, str) \
         else space_tag
-    phi_kernel = params.dictionary.phi
-    if tag[0] == "slice":
-        _, phi, q, t = tag
-        params.require_hardy(f.n, phi.p_minus, q)
-        m = peetre_maximal(f, phi_kernel, params.b, params.ladder,
-                           params.eps_cut)
-        return slice_norm(m, SliceParams(t, q, phi))
-    if tag[0] == "star":
+    kind = tag[0]
+    if kind == "slice":
+        params.require_hardy(f.n, tag[1].p_minus, tag[2])
+    elif kind in ("star", "muslog"):
         if params.b <= 2 * f.n:
-            raise PreconditionError("star tag requires b > 2n")
-        m = peetre_maximal(f, phi_kernel, params.b, params.ladder,
-                           params.eps_cut)
+            raise PreconditionError(f"{kind} tag requires b > 2n")
+    elif kind != "l1":
+        raise ValueError(f"unknown space tag {tag!r}")
+    m = peetre_maximal(f, params.dictionary.phi, params.b, params.ladder,
+                       params.eps_cut)
+    if kind == "slice":
+        return slice_norm(m, SliceParams(tag[3], tag[2], tag[1]))
+    if kind == "star":
         return star_norm(m, tag[1])
-    if tag[0] == "muslog":
-        if params.b <= 2 * f.n:
-            raise PreconditionError("muslog tag requires b > 2n")
-        m = peetre_maximal(f, phi_kernel, params.b, params.ladder,
-                           params.eps_cut)
+    if kind == "muslog":
         return orlicz.musielak_norm(tag[1], m)
-    if tag[0] == "l1":
-        m = peetre_maximal(f, phi_kernel, params.b, params.ladder,
-                           params.eps_cut)
-        return m.lp_norm(1)
-    raise ValueError(f"unknown space tag {tag!r}")
+    return m.lp_norm(1)
 
 
 _FIVE = ("radial", "nontangential", "grand", "peetre", "grand_peetre")

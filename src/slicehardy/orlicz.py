@@ -1,9 +1,11 @@
 """Orlicz and Musielak-Orlicz functionals, modulars and Luxemburg norms.
 
-The Luxemburg gauge inf{lambda > 0 : modular(f / lambda) <= 1} is found by
-bracketing and bisection; the modular is monotone in lambda, so bisection
-is robust.  Power functionals take a closed-form shortcut (the gauge is
-the plain L^p quadrature norm).
+The Luxemburg gauge inf{lambda > 0 : modular(f / lambda) <= 1} is the root
+of log modular = 0 in log lambda.  One vectorized solver finds it for
+many rows at once: it brackets by doubling, then runs safeguarded Illinois
+regula falsi on the rows not yet converged.  The gauges, the Musielak
+gauge and the inverse of Phi all call that solver.  Power functionals take
+a closed-form shortcut (the gauge is the plain L^p quadrature norm).
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ from .errors import InvalidDataError, NumericFailure
 
 DEFAULT_TOL = 1e-10
 _MAX_DOUBLINGS = 200
+_MAX_ITERATIONS = 200
+_LOG2 = np.log(2.0)
+_LOG_LAM_MIN = np.log(1e-300)  # gauges below this scale are taken as 0
 
 
 class OrliczFunction:
@@ -44,28 +49,22 @@ class OrliczFunction:
         return self._evaluate(np.asarray(tau, dtype=float))
 
     def inverse(self, y, tol=1e-14):
-        """Solve Phi(u) = y for u >= 0 by bracketing + bisection."""
-        y = float(y)
-        if y <= 0:
-            return 0.0
+        """Solve Phi(u) = y for u >= 0, elementwise over an array y.
+
+        u = 0 where y <= 0.  Otherwise u is the root of the nonincreasing
+        map v -> y / Phi(v) = 1, found by the gauge solver of this module;
+        a scalar y gives a float.
+        """
+        y = np.asarray(y, dtype=float)
+        u = np.zeros(y.shape)
+        pos = y > 0
+        yp = y[pos]
         if self.power_exponent is not None:
-            return y ** (1.0 / self.power_exponent)
-        lo, hi = 0.0, 1.0
-        for _ in range(_MAX_DOUBLINGS):
-            if self(hi) >= y:
-                break
-            hi *= 2.0
-        else:
-            raise NumericFailure("could not bracket Phi inverse")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= tol * max(hi, 1.0):
-                break
-        return 0.5 * (lo + hi)
+            u[pos] = yp ** (1.0 / self.power_exponent)
+        elif yp.size:
+            u[pos] = _solve_gauge(lambda v, idx: np.log(yp[idx] / self(v)),
+                                  yp, tol)
+        return float(u) if u.ndim == 0 else u
 
     def __repr__(self):
         return f"OrliczFunction({self.name})"
@@ -158,48 +157,72 @@ def musielak_modular(theta, f, lam):
     return float(theta(x, np.abs(f.values) / lam).sum() * f.cell_volume)
 
 
-def _gauge_bisect(modular_at, start, tol):
-    """Gauge from a monotone nonincreasing lambda -> modular map."""
-    lam = max(start, np.finfo(float).tiny)
-    if modular_at(lam) <= 1.0:
-        hi = lam
-        lo = lam
-        for _ in range(_MAX_DOUBLINGS):
-            lo = lo / 2.0
-            if modular_at(lo) > 1.0:
-                break
-        else:
-            return 0.0  # modular stays <= 1 down to ~0: gauge is 0
-    else:
-        lo = lam
-        hi = lam
-        for _ in range(_MAX_DOUBLINGS):
-            hi = hi * 2.0
-            if modular_at(hi) <= 1.0:
-                break
-        else:
-            raise NumericFailure("failed to bracket the Luxemburg gauge")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if modular_at(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= tol * hi:
+def _solve_gauge(log_modular, start, tol):
+    """Gauges of many rows at once by safeguarded Illinois regula falsi.
+
+    log_modular(lam, idx) is the log of the modular of rows idx at scales
+    lam; it is nonincreasing in lam, and its root is sought in log lam.
+    Each row is bracketed by doubling or halving lam from start, then
+    refined by regula falsi with the Illinois down-weighting of a retained
+    end (Dowell & Jarratt 1971); only rows not yet converged are evaluated.
+    A row stops at the secant point once |log modular| <= tol or its
+    bracket is narrower than tol in log lam.  A row whose modular stays
+    <= 1 as lam shrinks to 1e-300 has gauge 0.
+    """
+    x = np.maximum(np.log(np.asarray(start, dtype=float)), _LOG_LAM_MIN)
+    out = np.zeros(x.shape)
+    g = log_modular(np.exp(x), np.arange(x.size))
+    a, ga = x.copy(), g.copy()  # modular > 1 at a
+    b, gb = x.copy(), g.copy()  # modular <= 1 at b
+    up = g > 0
+    step = np.where(up, _LOG2, -_LOG2)
+    pend = np.arange(x.size)
+    for _ in range(_MAX_DOUBLINGS):
+        x[pend] += step[pend]
+        pend = pend[x[pend] >= _LOG_LAM_MIN]
+        gp = log_modular(np.exp(x[pend]), pend)
+        above = gp > 0
+        a[pend[above]], ga[pend[above]] = x[pend[above]], gp[above]
+        b[pend[~above]], gb[pend[~above]] = x[pend[~above]], gp[~above]
+        pend = pend[above == up[pend]]
+        if not pend.size:
             break
-    return hi
+    else:
+        if up[pend].any():
+            raise NumericFailure("failed to bracket the Luxemburg gauge")
+    # rows whose modular stayed <= 1 down to a tiny lam have gauge 0
+    idx = np.setdiff1d(np.nonzero(x >= _LOG_LAM_MIN)[0], pend,
+                       assume_unique=True)
+    a, ga, b, gb = a[idx], ga[idx], b[idx], gb[idx]
+    side = np.zeros(idx.size, dtype=int)  # end replaced last: a 1, b -1
+    for _ in range(_MAX_ITERATIONS):
+        x = b - gb * (b - a) / (gb - ga)
+        bad = ~((x > a) & (x < b))
+        x[bad] = 0.5 * (a[bad] + b[bad])
+        gx = log_modular(np.exp(x), idx)
+        done = (np.abs(gx) <= tol) | (b - a <= tol) | (x <= a) | (x >= b)
+        out[idx[done]] = np.exp(x[done])
+        above = gx > 0
+        gb = np.where(above & (side == 1), 0.5 * gb, gb)
+        ga = np.where(~above & (side == -1), 0.5 * ga, ga)
+        a, ga = np.where(above, x, a), np.where(above, gx, ga)
+        b, gb = np.where(above, b, x), np.where(above, gb, gx)
+        keep = ~done
+        side = np.where(above, 1, -1)[keep]
+        idx, a, ga, b, gb = idx[keep], a[keep], ga[keep], b[keep], gb[keep]
+        if not idx.size:
+            return out
+    raise NumericFailure("Luxemburg gauge iteration did not converge")
 
 
 def luxemburg_norm(phi, f, tol=DEFAULT_TOL):
     """Luxemburg gauge of f in the Orlicz space of phi."""
     if not np.all(np.isfinite(f.values)):
         raise InvalidDataError("non-finite sample in f")
-    m = f.max_abs()
-    if m == 0.0:
-        return 0.0
     if phi.power_exponent is not None:
         return f.lp_norm(phi.power_exponent)
-    return _gauge_bisect(lambda lam: modular(phi, f, lam), m, tol)
+    return float(luxemburg_norm_rows(phi, f.values.reshape(1, -1),
+                                     f.cell_volume, tol)[0])
 
 
 def musielak_norm(theta, f, tol=DEFAULT_TOL):
@@ -209,7 +232,11 @@ def musielak_norm(theta, f, tol=DEFAULT_TOL):
     m = f.max_abs()
     if m == 0.0:
         return 0.0
-    return _gauge_bisect(lambda lam: musielak_modular(theta, f, lam), m, tol)
+    x, vals = f.center_radii().ravel(), np.abs(f.values).ravel()
+    return float(_solve_gauge(
+        lambda lam, idx: np.log(theta(x, vals / lam[:, None]).sum(axis=1)
+                                * f.cell_volume),
+        [m], tol)[0])
 
 
 def luxemburg_norm_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
@@ -231,36 +258,12 @@ def luxemburg_norm_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
             * cell_volume ** (1.0 / p)
         return out
     sub = rows[active]
-    start = m[active]
 
-    def mods(lam):
-        return phi(sub / lam[:, None]).sum(axis=1) * cell_volume
+    def log_modular(lam, idx):
+        s = sub if idx.size == sub.shape[0] else sub[idx]
+        return np.log(phi(s / lam[:, None]).sum(axis=1) * cell_volume)
 
-    lo = start.copy()
-    hi = start.copy()
-    ok = mods(start) <= 1.0
-    # bracket: double hi where modular > 1, halve lo where modular <= 1
-    for _ in range(_MAX_DOUBLINGS):
-        grow = ~ok & (mods(hi) > 1.0)
-        if not grow.any():
-            break
-        hi[grow] *= 2.0
-    else:
-        raise NumericFailure("failed to bracket the Luxemburg gauge (rows)")
-    for _ in range(_MAX_DOUBLINGS):
-        shrink = ok & (mods(np.maximum(lo, np.finfo(float).tiny)) <= 1.0) \
-            & (lo > 1e-300)
-        if not shrink.any():
-            break
-        lo[shrink] /= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        le = mods(mid) <= 1.0
-        hi = np.where(le, mid, hi)
-        lo = np.where(le, lo, mid)
-        if np.all(hi - lo <= tol * hi):
-            break
-    out[active] = hi
+    out[active] = _solve_gauge(log_modular, m[active], tol)
     return out
 
 

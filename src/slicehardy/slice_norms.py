@@ -10,9 +10,11 @@ the indicator normalization is exact and identical for every x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.signal import convolve2d
 
 from . import orlicz
 from .errors import PreconditionError, ResolutionError
@@ -35,15 +37,24 @@ class SliceParams:
             raise ValueError("t and q must be positive")
 
 
+def _half_width(r, h):
+    """Largest k such that the cell k steps away has its center within r."""
+    return int(np.ceil(r / h - 1e-12)) - 1
+
+
+def _disk(r, h):
+    """Mask of the cell offsets whose centers lie within r, on the square
+    of offsets -k..k per axis, k = _half_width(r, h)."""
+    k = _half_width(r, h)
+    ax = np.arange(-k, k + 1)
+    return (ax[:, None] ** 2 + ax[None, :] ** 2) * h ** 2 \
+        < r ** 2 * (1 - 1e-12)
+
+
 def ball_offset_count(n, t, h):
     """Number of grid cells whose centers fall in a ball of radius t."""
-    k = int(np.ceil(t / h - 1e-12)) - 1
-    if n == 1:
-        return 2 * k + 1, k
-    ax = np.arange(-k, k + 1)
-    xx, yy = np.meshgrid(ax, ax, indexing="ij")
-    mask = (xx ** 2 + yy ** 2) * h ** 2 < t ** 2 * (1 - 1e-12)
-    return int(mask.sum()), k
+    k = _half_width(t, h)
+    return (2 * k + 1 if n == 1 else int(_disk(t, h).sum())), k
 
 
 def ball_indicator_gauge(phi, n_cells, cell_volume):
@@ -76,38 +87,49 @@ def slice_norm(f, p, tol=orlicz.DEFAULT_TOL):
 
 
 def _rows_2d(values, t, h, k):
-    ax = np.arange(-k, k + 1)
-    xx, yy = np.meshgrid(ax, ax, indexing="ij")
-    mask = (xx ** 2 + yy ** 2) * h ** 2 < t ** 2 * (1 - 1e-12)
-    dx = xx[mask]
-    dy = yy[mask]
+    dx, dy = np.nonzero(_disk(t, h))
     padded = np.pad(values, 2 * k)
     mx = values.shape[0] + 2 * k
     my = values.shape[1] + 2 * k
     ix, iy = np.meshgrid(np.arange(mx), np.arange(my), indexing="ij")
-    ix = ix.ravel()[:, None] + (dx[None, :] + k)
-    iy = iy.ravel()[:, None] + (dy[None, :] + k)
+    ix = ix.ravel()[:, None] + dx[None, :]
+    iy = iy.ravel()[:, None] + dy[None, :]
     return padded[ix, iy]
 
 
-_INDICATOR_CACHE = {}
-
-
 def cube_indicator_slice_norm(p, side, h, n=1):
-    """Slice norm of a grid-aligned cube indicator; cached by side.
+    """Slice norm of a grid-aligned cube indicator, in closed form.
 
-    Translation invariance makes the value identical for all cubes of
-    equal side, which dominates the cost of atomic norms and sweeps.
+    A window that holds c cells of the cube has the gauge
+    ball_indicator_gauge(phi, c, h^n), so the norm needs only how many
+    outer points see each count: a trapezoid in 1-D, the integer
+    convolution of the cube with the disk mask in 2-D.  One vectorized
+    Phi inverse covers the distinct counts and the full ball.  The value
+    is the same for every cube of equal side (translation invariance).
     """
+    if h * 2 > p.t:
+        raise ResolutionError(f"slice radius {p.t} below 2h = {2 * h}")
     cells = max(int(np.round(side / h)), 1)
-    key = (id(p.phi), p.q, p.t, n, cells, round(h, 14))
-    if key not in _INDICATOR_CACHE:
-        if n == 1:
-            g = GridFunction((0.0,), h, np.ones(cells))
-        else:
-            g = GridFunction((0.0, 0.0), h, np.ones((cells, cells)))
-        _INDICATOR_CACHE[key] = slice_norm(g, p)
-    return _INDICATOR_CACHE[key]
+    w, _ = ball_offset_count(n, p.t, h)
+    if n == 1:
+        counts = np.arange(1, min(w, cells) + 1)
+        mult = np.append(np.full(counts.size - 1, 2), abs(w - cells) + 1)
+    else:
+        windows = convolve2d(np.ones((cells, cells), dtype=np.int64),
+                             _disk(p.t, h).astype(np.int64))
+        counts, mult = np.unique(windows[windows > 0], return_counts=True)
+    vol = h ** n
+    gauges = 1.0 / p.phi.inverse(1.0 / (np.append(counts, w) * vol))
+    ratio = gauges[:-1] / gauges[-1]
+    return float((mult * ratio ** p.q).sum() * vol) ** (1.0 / p.q)
+
+
+def cube_indicator_norms(p, h, n=1):
+    """side -> cube_indicator_slice_norm(p, side, h, n), memoized by the
+    side in cells for as long as the returned function lives."""
+    of_cells = cache(lambda cells: cube_indicator_slice_norm(p, cells * h,
+                                                             h, n))
+    return lambda side: of_cells(max(int(np.round(side / h)), 1))
 
 
 def star_norm(f, phi, tol=orlicz.DEFAULT_TOL):
@@ -169,11 +191,7 @@ def hl_maximal(f, pad_cells=0):
     else:
         from scipy.signal import fftconvolve
         while r <= diam:
-            k = int(np.ceil(r / g.h - 1e-12)) - 1
-            ax = np.arange(-k, k + 1)
-            xx, yy = np.meshgrid(ax, ax, indexing="ij")
-            mask = ((xx ** 2 + yy ** 2) * g.h ** 2
-                    < r ** 2 * (1 - 1e-12)).astype(float)
+            mask = _disk(r, g.h).astype(float)
             means = fftconvolve(vals, mask, mode="same") / mask.sum()
             np.maximum(out, np.maximum(means, 0.0), out=out)
             r *= 2
@@ -249,17 +267,11 @@ def ball_indicator_ratio(radii, h, n=1, phi=None):
 
 
 def _ball_indicator(rad, h, n):
-    k = int(np.ceil(rad / h - 1e-12)) - 1
+    k = _half_width(rad, h)
+    origin = (-(k + 0.5) * h,) * n
     if n == 1:
-        m = 2 * k + 1
-        origin = (-(m / 2) * h,)
-        return GridFunction(origin, h, np.ones(m))
-    ax = np.arange(-k, k + 1)
-    xx, yy = np.meshgrid(ax, ax, indexing="ij")
-    mask = ((xx ** 2 + yy ** 2) * h ** 2 < rad ** 2 * (1 - 1e-12))
-    m = 2 * k + 1
-    origin = (-(m / 2) * h, -(m / 2) * h)
-    return GridFunction(origin, h, mask.astype(float))
+        return GridFunction(origin, h, np.ones(2 * k + 1))
+    return GridFunction(origin, h, _disk(rad, h).astype(float))
 
 
 def reverse_superadditivity_check(family, p):

@@ -6,9 +6,11 @@ import pytest
 from slicehardy import orlicz
 from slicehardy.errors import PreconditionError
 from slicehardy.grid import GridFunction
+from slicehardy.kernels import build_dictionary, convolve
 from slicehardy.maximal import MaximalParams, grand_maximal, hardy_quasinorm, \
     maximal_fields, nontangential_maximal, parse_space_tag, peetre_maximal, \
-    pointwise_chain_ok, radial_maximal
+    peetre_reach, pointwise_chain_ok, radial_maximal
+from slicehardy.slice_norms import SliceParams, slice_norm
 
 
 @pytest.fixture
@@ -89,6 +91,28 @@ def test_peetre_needs_positive_exponent(bump, dictionary_1d):
         peetre_maximal(bump, dictionary_1d.phi, -1.0, [0.5])
 
 
+def test_peetre_two_dimensional_matches_enumeration():
+    """Peetre weights reach past the padded box: offsets longer than an
+    axis must be skipped, not shifted with a negative slice stop."""
+    h = 2.0 ** -3
+    d = build_dictionary(N=2, M=1, h=h, count=1, n=2)
+    vals = np.zeros((4, 5))
+    vals[1, 2] = 2.0
+    vals[3, 0] = -1.0
+    f = GridFunction((0.0, 0.0), h, vals)
+    b, s, eps = 3.0, 0.5, 1e-6
+    assert peetre_reach(b, s, eps) / h > 4 + 2 * 2
+    m = peetre_maximal(f, d.phi, b, [s], eps, pad_cells=2)
+    absc = np.abs(convolve(f.pad(2), d.phi, s).values)
+    ix, iy = np.indices(absc.shape)
+    expected = np.zeros_like(absc)
+    for x, y in zip(ix.ravel(), iy.ravel()):
+        w = (1.0 + np.hypot(ix - x, iy - y) * h / s) ** (-b)
+        expected[x, y] = (absc * np.where(w >= eps, w, 0.0)).max()
+    assert m.extents == absc.shape
+    assert np.allclose(m.values, expected, rtol=1e-12, atol=0.0)
+
+
 def test_zero_input_gives_zero(maximal_params, dictionary_1d):
     h = dictionary_1d.h
     z = GridFunction.constant(0.0, (0.0,), h, (32,))
@@ -131,6 +155,18 @@ def test_hardy_quasinorm_hypothesis_guard(bump, dictionary_1d):
         hardy_quasinorm(bump, "slice:power:2:2:1", weak)
     with pytest.raises(PreconditionError):
         hardy_quasinorm(bump, "star:log_damped", weak)
+
+
+def test_hardy_quasinorm_tags_share_one_maximal_function(bump,
+                                                        maximal_params):
+    m = peetre_maximal(bump, maximal_params.dictionary.phi,
+                       maximal_params.b, maximal_params.ladder,
+                       maximal_params.eps_cut)
+    assert hardy_quasinorm(bump, "l1", maximal_params) == m.lp_norm(1)
+    assert hardy_quasinorm(bump, "slice:power:2:2:1", maximal_params) == \
+        slice_norm(m, SliceParams(1.0, 2.0, orlicz.power(2.0)))
+    with pytest.raises(ValueError, match="unknown space tag"):
+        hardy_quasinorm(bump, ("banana",), maximal_params)
 
 
 def test_hardy_quasinorm_monotone_on_indicator_ladder(maximal_params):

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
 from slicehardy import orlicz
@@ -135,3 +138,76 @@ def test_nonfinite_rejected():
 def test_log_damped_declared_range():
     with pytest.raises(ValueError):
         orlicz.log_damped(p_minus=1.0)
+
+
+# -- property tests of the gauge solver ------------------------------------
+
+_TAGS = ("log_damped", "musielak_log")
+
+
+def _gauge(tag, f):
+    if tag == "musielak_log":
+        return orlicz.musielak_norm(orlicz.musielak_log(), f)
+    return orlicz.luxemburg_norm(orlicz.log_damped(), f)
+
+
+def _modular(tag, f, lam):
+    if tag == "musielak_log":
+        return orlicz.musielak_modular(orlicz.musielak_log(), f, lam)
+    return orlicz.modular(orlicz.log_damped(), f, lam)
+
+
+_samples = arrays(float, st.integers(1, 40),
+                  elements=st.floats(-50.0, 50.0, allow_subnormal=False)
+                  ).filter(lambda a: np.abs(a).max() > 1e-6)
+_origins = st.floats(-20.0, 20.0, allow_subnormal=False)
+_property = settings(max_examples=60, deadline=None)
+
+
+@_property
+@given(st.sampled_from(_TAGS), _samples, _origins, st.floats(1e-3, 1e3))
+def test_gauge_is_homogeneous(tag, vals, origin, c):
+    f = GridFunction((origin,), 2.0 ** -4, vals)
+    assert _gauge(tag, c * f) == pytest.approx(c * _gauge(tag, f),
+                                               rel=1e-8)
+
+
+@_property
+@given(st.sampled_from(_TAGS), _samples, _origins, st.data())
+def test_gauge_is_monotone(tag, vals, origin, data):
+    extra = data.draw(arrays(float, vals.shape,
+                             elements=st.floats(0.0, 10.0,
+                                                allow_subnormal=False)))
+    f = GridFunction((origin,), 2.0 ** -4, vals)
+    g = GridFunction((origin,), 2.0 ** -4,
+                     np.where(vals < 0, -1.0, 1.0) * (np.abs(vals) + extra))
+    assert _gauge(tag, f) <= _gauge(tag, g) * (1 + 1e-9)
+
+
+@_property
+@given(st.sampled_from(_TAGS), _samples, _origins)
+def test_modular_at_the_gauge_is_one(tag, vals, origin):
+    f = GridFunction((origin,), 2.0 ** -4, vals)
+    assert _modular(tag, f, _gauge(tag, f)) == pytest.approx(1.0, abs=1e-8)
+
+
+@_property
+@given(st.sampled_from(_TAGS), _samples, _origins)
+def test_gauge_matches_brentq_reference(tag, vals, origin):
+    """The solver against an independent bracketing root finder."""
+    f = GridFunction((origin,), 2.0 ** -4, vals)
+    m = f.max_abs()
+    x_ref = brentq(lambda x: np.log(_modular(tag, f, np.exp(x))),
+                   np.log(m) - 60.0, np.log(m) + 60.0, xtol=1e-14,
+                   rtol=1e-14)
+    assert _gauge(tag, f) == pytest.approx(np.exp(x_ref), rel=1e-9)
+
+
+def test_inverse_accepts_an_array():
+    phi = orlicz.log_damped()
+    y = np.array([-1.0, 0.0, 1e-4, 0.3, 1.0, 50.0])
+    u = phi.inverse(y)
+    assert u.shape == y.shape
+    assert np.array_equal(u[:2], [0.0, 0.0])
+    assert phi(u[2:]) == pytest.approx(y[2:], rel=1e-12)
+    assert u[3] == phi.inverse(0.3)

@@ -57,6 +57,49 @@ def test_cube_indicator_norm_cached_and_translation_invariant():
     assert slice_norm(f, p) == pytest.approx(v1, rel=1e-10)
 
 
+@pytest.mark.parametrize("tag", ["power:2", "log_damped"])
+@pytest.mark.parametrize("n,h,sides", [
+    (1, 2.0 ** -6, [2.0 ** -6, 0.1, 0.5, 1.0, 3.0]),
+    (2, 2.0 ** -4, [2.0 ** -4, 0.25, 1.0, 2.0]),
+])
+def test_cube_indicator_closed_form_matches_materialized(tag, n, h, sides):
+    """The closed form against the slice norm of the indicator itself."""
+    phi = orlicz.from_tag(tag)
+    for side in sides:
+        cells = max(int(round(side / h)), 1)
+        g = GridFunction((0.0,) * n, h, np.ones((cells,) * n))
+        for t in (2 * h, 0.5, 1.0):
+            for q in (0.5, 1.0, 2.0):
+                p = SliceParams(t, q, phi)
+                assert cube_indicator_slice_norm(p, side, h, n) == \
+                    pytest.approx(slice_norm(g, p), rel=1e-9)
+
+
+def test_cube_indicator_norm_follows_each_new_functional():
+    """Functionals created and freed in turn each get their own value,
+    whatever address a new functional happens to reuse."""
+    h = 2.0 ** -5
+    g = GridFunction((0.0,), h, np.ones(16))
+    tags = ("power:2", "log_damped", "power:0.5")
+    expected = {tag: slice_norm(g, SliceParams(0.5, 1.0,
+                                               orlicz.from_tag(tag)))
+                for tag in tags}
+    for i in range(30):
+        tag = tags[i % len(tags)]
+        p = SliceParams(0.5, 1.0, orlicz.from_tag(tag))
+        assert cube_indicator_slice_norm(p, 0.5, h) == \
+            pytest.approx(expected[tag], rel=1e-10)
+        del p
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cube_indicator_resolution_guard(n):
+    h = 2.0 ** -4
+    p = SliceParams(1.5 * h, 1.0, orlicz.log_damped())
+    with pytest.raises(ResolutionError):
+        cube_indicator_slice_norm(p, 0.5, h, n)
+
+
 def test_star_norm_single_unit_cube_is_luxemburg(rng):
     phi = orlicz.log_damped()
     h = 2.0 ** -6
