@@ -93,22 +93,22 @@ def _design_matrix(pts, center, scale, n, d):
     return np.stack(cols, axis=1)
 
 
-def minimizing_polynomial(f, Q, d):
+def minimizing_polynomial(f, Q, d, box=None):
     """The degree-<= d polynomial matching f's moments on the cube Q.
 
     Characterized by int_Q (f - P) x^alpha = 0 for all |alpha| <= d and
     solved through the Gram system of the centered/scaled monomials.
+    `box` is f.cube_slices(Q), for a caller that already has it.
     """
-    mask = f.cell_mask(Q)
-    idx = np.argwhere(mask)
+    box = f.cube_slices(Q) if box is None else box
+    vals = f.values[box].ravel()
     dim = len(multi_indices(f.n, d))
-    if idx.shape[0] < dim:
-        raise UnderdeterminedError(
-            f"cube holds {idx.shape[0]} cells, need {dim}")
-    pts = f.centers()[mask]
+    if vals.size < dim:
+        raise UnderdeterminedError(f"cube holds {vals.size} cells, need {dim}")
+    pts = f.centers(box).reshape(-1, f.n)
     V = _design_matrix(pts, Q.center, Q.side, f.n, d)
     G = V.T @ V
-    m = V.T @ f.values[mask]
+    m = V.T @ vals
     try:
         coeffs = np.linalg.solve(G, m)
     except np.linalg.LinAlgError as exc:
@@ -331,17 +331,13 @@ def _assemble_level(f, level, nxt, params):
     return out
 
 
-def _crop(values, origin, h):
-    """Smallest-box grid function holding the nonzero samples."""
-    mask = values != 0.0
-    if not mask.any():
+def _crop(g):
+    """Smallest-box grid function holding the nonzero samples of g."""
+    idx = np.argwhere(g.values != 0.0)
+    if not idx.size:
         return None
-    idx = np.argwhere(mask)
-    lo = idx.min(axis=0)
-    hi = idx.max(axis=0) + 1
-    sl = tuple(slice(a, b) for a, b in zip(lo, hi))
-    new_origin = tuple(origin[d] + lo[d] * h for d in range(values.ndim))
-    return GridFunction(new_origin, h, values[sl].copy(), check=False)
+    return g.box_view(tuple(slice(a, b) for a, b in
+                            zip(idx.min(axis=0), idx.max(axis=0) + 1))).copy()
 
 
 def _moment_slack(g, cube, d):
@@ -350,8 +346,6 @@ def _moment_slack(g, cube, d):
     if l1 == 0:
         return 0.0
     pts = g.centers()
-    if g.n == 1:
-        pts = pts[..., None] if pts.ndim == 1 else pts
     worst = 0.0
     for alpha in multi_indices(g.n, d):
         mono = np.ones(g.extents)
@@ -366,7 +360,7 @@ def _moment_slack(g, cube, d):
 
 def _package_atom(A_vals, grid, Q_star, j, index, params, norm_1q):
     """Wrap one assembled piece as a scaled atom on an enlarged cube."""
-    piece = _crop(A_vals, grid.origin, grid.h)
+    piece = _crop(GridFunction(grid.origin, grid.h, A_vals, check=False))
     if piece is None:
         return None
     lo, hi = piece.support_bounds()
@@ -460,24 +454,16 @@ def _unit_dilated_support_mask(f, m):
 
 def _residual_atoms(values, grid, j_lo, params, norm_1q):
     """Package the sub-threshold remainder as unit-cube atoms."""
-    piece_all = _crop(values, grid.origin, grid.h)
-    if piece_all is None:
-        return []
-    lo, hi = piece_all.support_bounds()
-    out = []
-    index = 0
-    corners = [range(int(np.floor(a)), int(np.ceil(b)) + 1)
-               for a, b in zip(lo, hi)]
     full = GridFunction(grid.origin, grid.h, values, check=False)
-    for corner in product(*corners):
-        cube = Cube(tuple(c + 0.5 for c in corner), 1.0)
-        piece = _crop(full.restrict(cube).values, grid.origin, grid.h)
+    out = []
+    for cube in full.unit_cubes():
+        piece = _crop(full.box_view(full.cube_slices(cube)))
         if piece is None:
             continue
         lam = piece.max_abs() * norm_1q(1.0)
         out.append(Atom(cube=cube, values=piece / lam, r=params.r,
-                        degree=params.d, level=j_lo, index=index, lam=lam))
-        index += 1
+                        degree=params.d, level=j_lo, index=len(out),
+                        lam=lam))
     return out
 
 
@@ -499,7 +485,7 @@ def validate_atom(atom, slice_params, tol_moment=1e-8, tol_size=1e-6):
     report = Report("atom_validation",
                     ["check", "measured", "bound", "ok"])
     g = atom.values
-    outside = g.restrict(atom.cube).values - g.values
+    outside = g.values[~g.cell_mask(atom.cube)]
     support_err = float(np.abs(outside).max(initial=0.0))
     report.add("support", support_err, 0.0, support_err == 0.0)
 
@@ -536,17 +522,14 @@ def atomic_quasinorm(dec, s, tol=1e-10):
             f"aggregation exponent s={s} outside (0, {s_cap})")
     if not dec.entries:
         return 0.0
-    h = dec.entries[0].values.h
-    lo = np.min([np.asarray(a.cube.lo) for a in dec.entries], axis=0)
-    hi = np.max([np.asarray(a.cube.hi) for a in dec.entries], axis=0)
-    origin = np.floor(lo / h) * h
-    ext = tuple(int(np.ceil((b - a) / h)) + 1 for a, b in zip(origin, hi))
-    acc = GridFunction(origin, h, np.zeros(ext), check=False)
-    norm_1q = cube_indicator_norms(sp, h, acc.n)
+    first = dec.entries[0].values
+    origin, ext = first.covering_box([a.cube for a in dec.entries])
+    acc = GridFunction(origin, first.h, np.zeros(ext), check=False)
+    norm_1q = cube_indicator_norms(sp, acc.h, acc.n)
     for atom in dec.entries:
-        mask = acc.cell_mask(atom.cube)
-        acc.values[mask] += (atom.lam / norm_1q(atom.cube.side)) ** s
-    env = GridFunction(origin, h, acc.values ** (1.0 / s), check=False)
+        acc.values[acc.cube_slices(atom.cube)] += \
+            (atom.lam / norm_1q(atom.cube.side)) ** s
+    env = GridFunction(origin, acc.h, acc.values ** (1.0 / s), check=False)
     return slice_norm(env, sp, tol)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .atomic import minimizing_polynomial
 from .errors import PreconditionError
-from .grid import Cube, GridFunction
+from .grid import Cube
 from .reports import Report
 from .slice_norms import SliceParams, cube_indicator_norms
 
@@ -44,19 +44,6 @@ def cube_sweep(side_exponents, centers, n=1):
     return cubes
 
 
-def _extend_over(g, cubes):
-    """Embed g into a box containing its own box and every cube."""
-    lo = np.array(g.origin, dtype=float)
-    hi = lo + np.array(g.extents) * g.h
-    for Q in cubes:
-        lo = np.minimum(lo, Q.lo)
-        hi = np.maximum(hi, Q.hi)
-    origin = g.origin - np.ceil((g.origin - lo) / g.h + 1e-9) * g.h
-    ext = tuple(int(np.ceil((b - a) / g.h - 1e-9)) + 1
-                for a, b in zip(origin, hi))
-    return g.embed(origin, ext)
-
-
 def _cube_mean(values, r):
     if np.isinf(r):
         return float(np.abs(values).max(initial=0.0))
@@ -73,21 +60,22 @@ def campanato_local_norm(g, p):
     """
     if not p.sweep:
         return 0.0
-    ge = _extend_over(g, p.sweep)
+    ge = g.embed(*g.covering_box(p.sweep))
     norm_1q = cube_indicator_norms(p.slice_params, ge.h, ge.n)
     small = 0.0
     large = 0.0
     for Q in p.sweep:
-        mask = ge.cell_mask(Q)
-        if not mask.any():
+        box = ge.cube_slices(Q)
+        vals = ge.values[box]
+        if not vals.size:
             continue
         weight = Q.volume / norm_1q(Q.side)
         if Q.side < 1.0:
-            poly = minimizing_polynomial(ge, Q, p.d)
-            osc = ge.values[mask] - poly(ge.centers()[mask])
+            poly = minimizing_polynomial(ge, Q, p.d, box)
+            osc = vals - poly(ge.centers(box))
             small = max(small, weight * _cube_mean(osc, p.r))
         else:
-            large = max(large, weight * _cube_mean(ge.values[mask], p.r))
+            large = max(large, weight * _cube_mean(vals, p.r))
     return small + large
 
 
@@ -111,12 +99,11 @@ def bmo_sweep_report(g, variant, sweep):
         raise ValueError(f"unknown bmo variant {variant!r}")
     report = Report(f"bmo_{variant}",
                     ["variant", "side", "center", "branch", "value"])
-    ge = _extend_over(g, sweep)
+    ge = g.embed(*g.covering_box(sweep))
     for Q in sweep:
-        mask = ge.cell_mask(Q)
-        if not mask.any():
+        vals = ge.values[ge.cube_slices(Q)]
+        if not vals.size:
             continue
-        vals = ge.values[mask]
         w = _bmo_weight(variant, Q)
         if Q.side < 1.0:
             branch = "oscillation"

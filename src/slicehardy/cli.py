@@ -53,24 +53,24 @@ def _check_maximal_equivalence(cfg, seed, summary):
 
 
 def _decompositions(cfg, seed):
-    params = cfg.cz_params()
-    out = []
-    for f in cfg.family(seed):
-        if f.max_abs() == 0:
-            continue
-        out.append((f, cz_decompose(f, params)))
-    return out
+    """(member, decomposition) for every nonzero member, computed once per
+    seed and kept on the config, so the checks of one run share them."""
+    if seed not in cfg.decompositions:
+        params = cfg.cz_params()
+        cfg.decompositions[seed] = [(f, cz_decompose(f, params))
+                                    for f in cfg.family(seed)
+                                    if f.max_abs() != 0]
+    return cfg.decompositions[seed]
 
 
 def _check_cz_roundtrip(cfg, seed, summary):
     report = Report("cz_roundtrip",
                     ["index", "atoms", "rel_sup_error", "quasinorm_ratio"])
-    params = cfg.cz_params()
     for i, (f, dec) in enumerate(_decompositions(cfg, seed)):
         rec = reconstruct(dec)
         fe = f.embed(rec.origin, rec.extents)
         err = float(np.abs(rec.values - fe.values).max()) / f.max_abs()
-        aq = atomic_quasinorm(dec, params.s)
+        aq = atomic_quasinorm(dec, cfg.s)
         hq = hardy_quasinorm(f, ("slice", cfg.phi(), cfg.q, cfg.t),
                              cfg.maximal_params())
         report.add(i, len(dec.entries), err, aq / hq if hq > 0 else 0.0)

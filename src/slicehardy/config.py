@@ -49,6 +49,9 @@ class ScenarioConfig:
     family_spec: str = "bumps:count=10"
     checks: tuple = ()
     _dictionary: object = field(default=None, repr=False)
+    #: CZ decompositions of the family by seed, shared by one run's checks
+    decompositions: dict = field(default_factory=dict, init=False,
+                                 repr=False)
 
     def __post_init__(self):
         phi = self.phi()
@@ -109,6 +112,10 @@ class ScenarioConfig:
             raise ConfigError("grid spacing must be positive")
         if self.t < 2 * self.h:
             raise ConfigError("slice radius t must be at least 2h")
+        if self.dict_size < 1:
+            raise ConfigError("maximal.dict_size must be at least 1")
+        if self.ladder_depth < 0:
+            raise ConfigError("maximal.ladder_depth must be nonnegative")
         if 2.0 ** -self.ladder_depth < 2 * self.h:
             raise ConfigError("smallest ladder scale below 2h")
         cap = min(phi.p_minus, self.q)
@@ -132,6 +139,10 @@ class ScenarioConfig:
                 f"d={self.d} < {need_d}")
         if self.side_exp_lo >= 0 or self.side_exp_hi < 0:
             raise ConfigError("cube sweep must straddle side length 1")
+        if self.center_step <= 0:
+            raise ConfigError("sweep.center_step must be positive")
+        if self.center_hi < self.center_lo:
+            raise ConfigError("sweep.center_hi is below sweep.center_lo")
         return self
 
 

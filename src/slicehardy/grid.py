@@ -5,12 +5,18 @@ A :class:`GridFunction` represents a compactly supported function on R^n
 function is extended by zero outside the sampled box.  All integrals are
 midpoint-rule sums: each sample stands for its cell, so indicators of
 cell-aligned regions integrate exactly.
+
+A region holds the cells whose centers lie in it.  A cube holds the cells
+with lo - 1e-9 side <= x < hi - 1e-9 side on every axis: one index box,
+which :meth:`GridFunction.cube_slices` finds, the only code that decides
+a cube's cells (:meth:`Cube.contains_points` is its pointwise reference).
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -23,8 +29,8 @@ _ALIGN_TOL = 1e-9
 class Cube:
     """Axis-aligned cube given by its center and side length.
 
-    Membership uses the half-open convention [lo, hi) so that a dyadic
-    partition of a box counts every cell center exactly once.
+    Membership is half-open, [lo, hi) shifted down by 1e-9 side, so a
+    dyadic partition counts every cell center once (see the module note).
     """
 
     center: tuple
@@ -125,9 +131,10 @@ class GridFunction:
         m = self.extents[axis]
         return self.origin[axis] + (np.arange(m) + 0.5) * self.h
 
-    def centers(self):
-        """Cell-center coordinates, shape extents + (n,)."""
-        axes = [self.axis_centers(d) for d in range(self.n)]
+    def centers(self, box=None):
+        """Cell-center coordinates, shape extents + (n,), or of a box."""
+        box = box or (slice(None),) * self.n
+        axes = [self.axis_centers(d)[s] for d, s in enumerate(box)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 
@@ -231,12 +238,56 @@ class GridFunction:
         return GridFunction(self.origin.copy(), self.h, self.values.copy(),
                             check=False)
 
+    def box_view(self, box):
+        """The samples of an index box as a grid function (values: a view)."""
+        start = np.array([s.start for s in box])
+        return GridFunction(self.origin + start * self.h, self.h,
+                            self.values[box], check=False)
+
+    def covering_box(self, cubes):
+        """Origin and extents of an aligned box that holds this box and
+        every cube, with at least one spare cell on each side."""
+        lo = np.array(self.origin, dtype=float)
+        hi = lo + np.array(self.extents) * self.h
+        for Q in cubes:
+            lo = np.minimum(lo, Q.lo)
+            hi = np.maximum(hi, Q.hi)
+        origin = self.origin - np.ceil((self.origin - lo) / self.h + 1e-9) \
+            * self.h
+        ext = tuple(int(np.ceil((b - a) / self.h - 1e-9)) + 1
+                    for a, b in zip(origin, hi))
+        return origin, ext
+
     # -- regions and quadrature --------------------------------------------
+
+    def unit_cubes(self):
+        """The unit cubes k + [0, 1)^n, k integer, over the support box,
+        in lexicographic order of k."""
+        bounds = self.support_bounds()
+        if bounds is None:
+            return []
+        corners = [range(int(np.floor(a)), int(np.ceil(b)) + 1)
+                   for a, b in zip(*bounds)]
+        return [Cube(tuple(k + 0.5 for k in corner), 1.0)
+                for corner in product(*corners)]
+
+    def cube_slices(self, Q):
+        """Index box (one slice per axis, maybe empty) of the cells whose
+        centers lie in Q: bisection with Cube.contains_points' comparisons."""
+        tol = _ALIGN_TOL * Q.side
+        return tuple(
+            slice(*(int(i) for i in np.searchsorted(
+                self.axis_centers(d), (lo - tol, hi - tol))))
+            for d, (lo, hi) in enumerate(zip(Q.lo, Q.hi)))
 
     def cell_mask(self, region):
         """Boolean mask of cells whose centers lie in the region."""
         if region is None:
             return np.ones(self.extents, dtype=bool)
+        if isinstance(region, Cube):
+            mask = np.zeros(self.extents, dtype=bool)
+            mask[self.cube_slices(region)] = True
+            return mask
         pts = self.centers().reshape(-1, self.n)
         return region.contains_points(pts).reshape(self.extents)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
+from scipy.ndimage import maximum_filter
 
 from . import orlicz
 from .errors import PreconditionError
@@ -19,7 +19,7 @@ from .grid import GridFunction
 from .kernels import MollifierDictionary, build_dictionary, convolve, \
     scale_ladder
 from .reports import Report
-from .slice_norms import SliceParams, slice_norm, star_norm
+from .slice_norms import SliceParams, disk_mask, slice_norm, star_norm
 
 DEFAULT_EPS_CUT = 1e-6
 
@@ -75,26 +75,14 @@ def _window_max(values, radius, h, n):
     k = int(np.ceil(radius / h - 1e-12)) - 1
     if k <= 0:
         return values.copy()
-    if n == 1:
-        return maximum_filter1d(values, size=2 * k + 1, mode="constant")
-    ax = np.arange(-k, k + 1)
-    xx, yy = np.meshgrid(ax, ax, indexing="ij")
-    offs = [(dx, dy) for dx, dy in zip(xx.ravel(), yy.ravel())
-            if (dx * dx + dy * dy) * h * h < radius * radius * (1 - 1e-12)]
-    out = np.full_like(values, -np.inf)
-    for dx, dy in offs:
-        out = np.maximum(out, _shift2(values, dx, dy))
-    return out
+    footprint = np.ones(2 * k + 1, dtype=bool) if n == 1 \
+        else disk_mask(radius, h)
+    return maximum_filter(values, footprint=footprint, mode="constant")
 
 
-def _shift2(arr, dx, dy):
-    out = np.zeros_like(arr)
-    sx = slice(max(dx, 0), arr.shape[0] + min(dx, 0))
-    sy = slice(max(dy, 0), arr.shape[1] + min(dy, 0))
-    tx = slice(max(-dx, 0), arr.shape[0] + min(-dx, 0))
-    ty = slice(max(-dy, 0), arr.shape[1] + min(-dy, 0))
-    out[tx, ty] = arr[sx, sy]
-    return out
+def _shift_slices(d, m):
+    """Slices on an axis of m cells such that target[i] gets source[i + d]."""
+    return slice(max(-d, 0), m - max(d, 0)), slice(max(d, 0), m - max(-d, 0))
 
 
 def nontangential_maximal(f, kernel, a, ladder, pad_cells=None):
@@ -147,16 +135,19 @@ def _peetre_sweep(absc, s, b, h, n, eps_cut):
             np.maximum(out[:-d], absc[d:] * w, out=out[:-d])
         return out
     # an offset as long as an axis shifts nothing into the array
-    kx = min(kmax, absc.shape[0] - 1)
-    ky = min(kmax, absc.shape[1] - 1)
+    mx, my = absc.shape
+    kx = min(kmax, mx - 1)
+    ky = min(kmax, my - 1)
     for dx in range(-kx, kx + 1):
+        tx, sx = _shift_slices(dx, mx)
         for dy in range(-ky, ky + 1):
             if dx == 0 and dy == 0:
                 continue
             w = (1.0 + np.hypot(dx, dy) * h / s) ** (-b)
             if w < eps_cut:
                 continue
-            np.maximum(out, _shift2(absc, dx, dy) * w, out=out)
+            ty, sy = _shift_slices(dy, my)
+            np.maximum(out[tx, ty], absc[sx, sy] * w, out=out[tx, ty])
     return out
 
 

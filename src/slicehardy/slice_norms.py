@@ -42,7 +42,7 @@ def _half_width(r, h):
     return int(np.ceil(r / h - 1e-12)) - 1
 
 
-def _disk(r, h):
+def disk_mask(r, h):
     """Mask of the cell offsets whose centers lie within r, on the square
     of offsets -k..k per axis, k = _half_width(r, h)."""
     k = _half_width(r, h)
@@ -54,7 +54,7 @@ def _disk(r, h):
 def ball_offset_count(n, t, h):
     """Number of grid cells whose centers fall in a ball of radius t."""
     k = _half_width(t, h)
-    return (2 * k + 1 if n == 1 else int(_disk(t, h).sum())), k
+    return (2 * k + 1 if n == 1 else int(disk_mask(t, h).sum())), k
 
 
 def ball_indicator_gauge(phi, n_cells, cell_volume):
@@ -87,7 +87,7 @@ def slice_norm(f, p, tol=orlicz.DEFAULT_TOL):
 
 
 def _rows_2d(values, t, h, k):
-    dx, dy = np.nonzero(_disk(t, h))
+    dx, dy = np.nonzero(disk_mask(t, h))
     padded = np.pad(values, 2 * k)
     mx = values.shape[0] + 2 * k
     my = values.shape[1] + 2 * k
@@ -116,7 +116,7 @@ def cube_indicator_slice_norm(p, side, h, n=1):
         mult = np.append(np.full(counts.size - 1, 2), abs(w - cells) + 1)
     else:
         windows = convolve2d(np.ones((cells, cells), dtype=np.int64),
-                             _disk(p.t, h).astype(np.int64))
+                             disk_mask(p.t, h).astype(np.int64))
         counts, mult = np.unique(windows[windows > 0], return_counts=True)
     vol = h ** n
     gauges = 1.0 / p.phi.inverse(1.0 / (np.append(counts, w) * vol))
@@ -134,37 +134,12 @@ def cube_indicator_norms(p, h, n=1):
 
 def star_norm(f, phi, tol=orlicz.DEFAULT_TOL):
     """Sum of per-unit-cube Luxemburg norms over the integer lattice."""
-    bounds = f.support_bounds()
-    if bounds is None:
-        return 0.0
-    lo, hi = bounds
     total = 0.0
-    if f.n == 1:
-        for k in range(int(np.floor(lo[0])), int(np.ceil(hi[0])) + 1):
-            total += _cube_cell_gauge(f, phi, (k,), tol)
-    else:
-        for kx in range(int(np.floor(lo[0])), int(np.ceil(hi[0])) + 1):
-            for ky in range(int(np.floor(lo[1])), int(np.ceil(hi[1])) + 1):
-                total += _cube_cell_gauge(f, phi, (kx, ky), tol)
+    for Q in f.unit_cubes():
+        piece = f.box_view(f.cube_slices(Q))
+        if np.any(piece.values):
+            total += orlicz.luxemburg_norm(phi, piece, tol)
     return total
-
-
-def _cube_cell_gauge(f, phi, corner, tol):
-    """Luxemburg norm of f restricted to the unit cube corner+[0,1)^n."""
-    sls = []
-    for d in range(f.n):
-        centers = f.axis_centers(d)
-        in_cube = (centers >= corner[d]) & (centers < corner[d] + 1)
-        idx = np.nonzero(in_cube)[0]
-        if idx.size == 0:
-            return 0.0
-        sls.append(slice(idx[0], idx[-1] + 1))
-    vals = f.values[tuple(sls)]
-    if not np.any(vals):
-        return 0.0
-    origin = tuple(f.origin[d] + sls[d].start * f.h for d in range(f.n))
-    piece = GridFunction(origin, f.h, vals, check=False)
-    return orlicz.luxemburg_norm(phi, piece, tol)
 
 
 def hl_maximal(f, pad_cells=0):
@@ -191,7 +166,7 @@ def hl_maximal(f, pad_cells=0):
     else:
         from scipy.signal import fftconvolve
         while r <= diam:
-            mask = _disk(r, g.h).astype(float)
+            mask = disk_mask(r, g.h).astype(float)
             means = fftconvolve(vals, mask, mode="same") / mask.sum()
             np.maximum(out, np.maximum(means, 0.0), out=out)
             r *= 2
@@ -271,7 +246,7 @@ def _ball_indicator(rad, h, n):
     origin = (-(k + 0.5) * h,) * n
     if n == 1:
         return GridFunction(origin, h, np.ones(2 * k + 1))
-    return GridFunction(origin, h, _disk(rad, h).astype(float))
+    return GridFunction(origin, h, disk_mask(rad, h).astype(float))
 
 
 def reverse_superadditivity_check(family, p):

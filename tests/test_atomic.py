@@ -8,6 +8,7 @@ from slicehardy.atomic import Atom, CZParams, atomic_quasinorm, \
     cz_decompose, load_decomposition, minimizing_polynomial, multi_indices, \
     partition_of_unity, reconstruct, save_decomposition, validate_atom, \
     weighted_projection, whitney_decompose
+from slicehardy.config import ScenarioConfig
 from slicehardy.errors import NoBoundaryError, PreconditionError, \
     UnderdeterminedError
 from slicehardy.grid import Cube, GridFunction
@@ -236,6 +237,24 @@ def test_cz_reconstruct_order_independent(bump_dec):
     shuffled.entries = list(reversed(dec.entries))
     r2 = reconstruct(shuffled)
     assert np.array_equal(r1.values, r2.values)
+
+
+def test_cz_two_dimensional_round_trip_and_atoms():
+    """A 32x32 log-damped bump decomposes, reconstructs to tol_rec and
+    emits only valid atoms."""
+    cfg = ScenarioConfig(n=2, h=1 / 8, functional_tag="log_damped", t=0.5,
+                         q=1.0, b=5.0, N=6, ladder_depth=2,
+                         family_spec="bumps:count=1").validate()
+    (f,) = cfg.family(0)
+    assert f.extents == (32, 32)
+    dec = cz_decompose(f, cfg.cz_params())
+    assert len(dec.entries) > 0
+    rec = reconstruct(dec)
+    fe = f.embed(rec.origin, rec.extents)
+    assert np.abs(rec.values - fe.values).max() / f.max_abs() <= cfg.tol_rec
+    for atom in dec.entries:
+        rep = validate_atom(atom, cfg.slice_params(), cfg.tol_moment)
+        assert rep.summary["valid"], (atom.level, atom.index, rep.rows)
 
 
 def test_atomic_quasinorm_single_atom(cz_setup):

@@ -76,6 +76,49 @@ def test_bad_config_exits_2(runner, tmp_path):
     assert "error" in result.output
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("sweep", "center_step", "0"),
+    ("sweep", "center_step", "-1"),
+    ("sweep", "center_hi", "-5"),
+    ("maximal", "dict_size", "0"),
+    ("maximal", "ladder_depth", "-1"),
+])
+def test_config_outside_its_hypotheses_exits_2(runner, tmp_path, section,
+                                                key, value):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"{FAST_CONFIG}\n[{section}]\n{key} = {value}\n")
+    result = runner.invoke(main, ["all", "--config", str(bad),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"{section}.{key}" in result.output
+
+
+def test_all_decomposes_once_and_matches_subcommands(runner, config_path,
+                                                      tmp_path, monkeypatch):
+    """`all` shares one decomposition per member across the three checks
+    that use it, and writes the CSVs the separate subcommands write."""
+    from slicehardy import cli
+
+    calls = []
+    real = cli.cz_decompose
+    monkeypatch.setattr(cli, "cz_decompose",
+                        lambda *a: calls.append(1) or real(*a))
+    names = ["cz-roundtrip", "atom-validation", "duality"]
+    joint = tmp_path / "all"
+    result = runner.invoke(main, ["all", "--config", config_path,
+                                  "--check", ",".join(names),
+                                  "--out", str(joint)])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 2
+    for name in names:
+        alone = tmp_path / name
+        runner.invoke(main, [name, "--config", config_path,
+                             "--out", str(alone)])
+        assert (alone / f"{name}.csv").read_bytes() == \
+            (joint / f"{name}.csv").read_bytes()
+    assert len(calls) == 2 + 3 * 2
+
+
 def test_rerun_is_byte_identical(runner, config_path, tmp_path):
     out = tmp_path / "out"
     args = ["norms", "--config", config_path, "--out", str(out)]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicehardy.errors import InvalidDataError
 from slicehardy.grid import Ball, Cube, GridFunction
@@ -135,3 +137,82 @@ def test_embed_rejects_smaller_box():
 def test_three_dimensional_rejected():
     with pytest.raises(InvalidDataError):
         GridFunction((0.0, 0.0, 0.0), 0.5, np.zeros((2, 2, 2)))
+
+
+# -- cube index boxes against the point test --------------------------------
+
+_H = st.sampled_from([2.0 ** -k for k in range(1, 6)] + [0.3])
+# cell and cube coordinates on the half-cell lattice put cube edges
+# exactly on cell centers; arbitrary floats put them anywhere
+_coordinate = st.one_of(st.integers(-40, 40).map(lambda i: ("lattice", i)),
+                        st.floats(-6.0, 6.0, allow_subnormal=False)
+                        .map(lambda x: ("free", x)))
+
+
+def _resolve(coordinate, h):
+    kind, v = coordinate
+    return v * h / 2 if kind == "lattice" else v
+
+
+def _edge_center(x, side, upper):
+    """A center that puts the cube's lower or upper edge, less the 1e-9 side
+    membership shift, exactly on x, when a few ulps of search find one."""
+    c = x + 1e-9 * side + (-side / 2 if upper else side / 2)
+    for _ in range(8):
+        Q = Cube((c,), side)
+        edge = (Q.hi if upper else Q.lo)[0] - 1e-9 * side
+        if edge == x:
+            break
+        c = np.nextafter(c, np.inf if edge < x else -np.inf)
+    return float(c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from([1, 2]), h=_H, data=st.data())
+def test_cube_slices_match_contains_points(n, h, data):
+    """The index box holds exactly the cells that contains_points accepts:
+    origins on and off the lattice hZ, cubes partly or wholly outside the
+    box, sides below h, and edges that fall exactly on a cell center."""
+    origin = [_resolve(data.draw(_coordinate), h) for _ in range(n)]
+    extents = tuple(data.draw(st.integers(1, 12)) for _ in range(n))
+    center = [_resolve(data.draw(_coordinate), h) for _ in range(n)]
+    side = data.draw(st.one_of(
+        st.integers(1, 24).map(lambda j: j * h / 2),
+        st.floats(1e-3, 8.0, allow_subnormal=False)))
+    g = GridFunction(origin, h, np.zeros(extents))
+    if data.draw(st.booleans()):
+        axis = data.draw(st.integers(0, n - 1))
+        x = g.axis_centers(axis)[data.draw(st.integers(0, extents[axis] - 1))]
+        center[axis] = _edge_center(x, side, data.draw(st.booleans()))
+    Q = Cube(center, side)
+    box = g.cube_slices(Q)
+    reference = Q.contains_points(g.centers().reshape(-1, n)) \
+        .reshape(extents)
+    assert np.array_equal(g.cell_mask(Q), reference)
+    assert all(0 <= s.start <= s.stop <= m for s, m in zip(box, extents))
+    assert g.centers(box).shape == g.values[box].shape + (n,)
+
+
+def test_cube_regions_use_the_box(rng):
+    h = 2.0 ** -3
+    f = GridFunction((0.1, -0.3), h, rng.normal(size=(9, 7)))
+    Q = Cube((0.6, 0.0), 0.55)
+    mask = Q.contains_points(f.centers().reshape(-1, 2)).reshape(f.extents)
+    assert np.array_equal(f.restrict(Q).values,
+                          np.where(mask, f.values, 0.0))
+    assert f.integrate(Q) == pytest.approx(f.values[mask].sum() * h * h,
+                                           rel=1e-14)
+    assert np.array_equal(GridFunction.indicator(Q, f.origin, h, f.extents)
+                          .values, mask.astype(float))
+
+
+def test_covering_box_holds_every_cube():
+    g = GridFunction.constant(1.0, (0.0,), 0.25, (4,))
+    cubes = [Cube((-2.1,), 0.5), Cube((3.0,), 1.0)]
+    origin, ext = g.covering_box(cubes)
+    ge = g.embed(origin, ext)
+    assert ge.compatible_with(g)
+    assert ge.integrate() == g.integrate()
+    top = ge.origin[0] + ext[0] * 0.25
+    for Q in cubes:
+        assert ge.origin[0] < Q.lo[0] and Q.hi[0] < top

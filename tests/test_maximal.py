@@ -113,6 +113,27 @@ def test_peetre_two_dimensional_matches_enumeration():
     assert np.allclose(m.values, expected, rtol=1e-12, atol=0.0)
 
 
+def test_nontangential_two_dimensional_matches_enumeration():
+    """The 2-D window max against a brute-force search over all cell pairs
+    with |y - x| < a s, for a small and a large scale."""
+    h = 2.0 ** -3
+    d = build_dictionary(N=2, M=2, h=h, count=1, n=2)
+    rng = np.random.default_rng(7)
+    f = GridFunction((0.0, 0.0), h, rng.normal(size=(5, 6)))
+    a, ladder, pad = 1.5, [0.25, 0.5], 3
+    m = nontangential_maximal(f, d.phi, a, ladder, pad_cells=pad)
+    g = f.pad(pad)
+    ix, iy = np.indices(g.extents)
+    expected = np.zeros(g.extents)
+    for s in ladder:
+        absc = np.abs(convolve(g, d.phi, s).values)
+        for x, y in zip(ix.ravel(), iy.ravel()):
+            near = np.hypot(ix - x, iy - y) * h < a * s
+            expected[x, y] = max(expected[x, y], absc[near].max())
+    assert m.extents == g.extents
+    assert np.array_equal(m.values, expected)
+
+
 def test_zero_input_gives_zero(maximal_params, dictionary_1d):
     h = dictionary_1d.h
     z = GridFunction.constant(0.0, (0.0,), h, (32,))

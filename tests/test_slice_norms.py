@@ -1,7 +1,12 @@
 """Slice norms, the amalgam sum norm, and the maximal-operator checks."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from slicehardy import orlicz
 from slicehardy.errors import PreconditionError, ResolutionError
@@ -116,6 +121,29 @@ def test_star_norm_additive_over_separated_cubes():
     both = a + b
     assert star_norm(both, phi) == pytest.approx(
         star_norm(a, phi) + star_norm(b, phi), rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(vals=arrays(float, st.tuples(st.integers(1, 20), st.integers(1, 20)),
+                   elements=st.floats(-5.0, 5.0, allow_subnormal=False)),
+       origin=st.tuples(st.integers(-24, 24), st.integers(-24, 24)),
+       shift=st.sampled_from([0.0, 0.5, 0.3]),
+       tag=st.sampled_from(["power:1.5", "log_damped"]))
+def test_star_norm_two_dimensional_sums_unit_cubes(vals, origin, shift, tag):
+    """The 2-D amalgam norm against per-unit-cube Luxemburg norms of the
+    function restricted by the point test on the full grid."""
+    h = 0.25
+    phi = orlicz.from_tag(tag)
+    f = GridFunction([(o + shift) * h for o in origin], h, vals)
+    pts = f.centers().reshape(-1, 2)
+    expected = 0.0
+    for corner in product(range(-7, 13), repeat=2):
+        Q = Cube((corner[0] + 0.5, corner[1] + 0.5), 1.0)
+        mask = Q.contains_points(pts).reshape(f.extents)
+        if np.any(f.values[mask]):
+            piece = GridFunction(f.origin, h, np.where(mask, f.values, 0.0))
+            expected += orlicz.luxemburg_norm(phi, piece)
+    assert star_norm(f, phi) == pytest.approx(expected, rel=1e-9, abs=0)
 
 
 def test_star_norm_zero():
