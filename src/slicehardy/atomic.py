@@ -3,13 +3,16 @@
 The pipeline thresholds the grand maximal function on dyadic levels,
 covers each superlevel set with Whitney cubes, builds a smooth partition
 of unity, removes local polynomial projections, and assembles the
-cross-level corrected pieces.  The telescoping identity makes the grid
-reconstruction exact up to floating-point accumulation; the sub-threshold
-remainder is packaged as moment-free unit-cube atoms.
+cross-level corrected pieces.  Each eta_Q, bad part and correction lives
+on the index box of its dilated cube (9/8)Q, with its own origin, not on
+the level grid.  The telescoping identity makes the grid reconstruction
+exact up to floating-point accumulation; the sub-threshold remainder is
+packaged as moment-free unit-cube atoms.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import product
 
@@ -76,10 +79,6 @@ class Polynomial:
             out += c * term
         return out
 
-    def on_grid(self, g):
-        """Sample on the cells of a grid function's box."""
-        return GridFunction(g.origin, g.h, self(g.centers()), check=False)
-
 
 def _design_matrix(pts, center, scale, n, d):
     u = (np.atleast_2d(pts) - np.asarray(center)) / scale
@@ -120,30 +119,35 @@ def weighted_projection(g, eta, d):
     """Projection of g onto degree-<= d polynomials in the eta-weighted norm.
 
     Characterized by <g - c, q eta> = 0 for every polynomial q of degree
-    at most d; only cells where eta is positive enter the system.
+    at most d; only cells where eta is positive enter the system, which is
+    built on eta's box from g's samples there (zero where g has no cell).
     """
-    g._require_compatible(eta)
-    lo, ext = g.union_box(eta)
-    gv = g.embed(lo, ext)
-    w = eta.embed(lo, ext).values
-    mass = float(w.sum())
-    if mass <= 0:
+    gv = _sampled_on(g, eta)
+    w = eta.values
+    if float(w.sum()) <= 0:
         raise UnderdeterminedError("weight has nonpositive mass")
     bounds = eta.support_bounds()
     center = tuple((a + b) / 2 for a, b in zip(*bounds))
     scale = max(float(b - a) for a, b in zip(*bounds))
     mask = w > 0
-    pts = gv.centers()[mask]
-    V = _design_matrix(pts, center, scale, g.n, d)
+    V = _design_matrix(eta.centers()[mask], center, scale, g.n, d)
     wm = w[mask]
     G = V.T @ (V * wm[:, None])
-    m = V.T @ (gv.values[mask] * wm)
+    m = V.T @ (gv[mask] * wm)
     try:
         coeffs = np.linalg.solve(G, m)
     except np.linalg.LinAlgError as exc:
         raise UnderdeterminedError("degenerate weighted moment system") \
             from exc
     return Polynomial(center, scale, d, coeffs)
+
+
+def _sampled_on(g, like):
+    """g's samples on like's box, zero where g has no cell."""
+    out, boxes = np.zeros(like.extents), g.overlap(like)
+    if boxes is not None:
+        out[boxes[1]] = g.values[boxes[0]]
+    return out
 
 
 # -- Whitney covering and partition of unity --------------------------------
@@ -208,30 +212,36 @@ def _axis_bump(u):
 def partition_of_unity(cubes, O):
     """Smooth bumps on the dilated cubes, normalized to sum to 1_O.
 
-    Each bump lives on (9/8)Q as a product of one-dimensional profiles;
-    normalization by the total makes the sum exactly 1 on the cells of O
-    and exactly 0 off it.
+    Each bump is a product of one-dimensional profiles on (9/8)Q, built
+    on the index box of the cells where it is nonzero; each eta is
+    returned on that box, with its own origin.  The bumps are added into
+    one total in cube order; dividing by it makes the sum exactly 1 on
+    the cells of O and exactly 0 off it.
     """
     mask = O.values > 0
     if not cubes:
         if mask.any():
             raise ConstructionError("nonempty open set with no cover")
         return []
-    pts = O.centers()
+    total = np.zeros(O.extents)
     betas = []
     for Q in cubes:
         rho = WHITNEY_DILATION * Q.side / 2
-        b = np.ones(O.extents)
+        b, box = np.ones(()), ()
         for d in range(O.n):
-            b = b * _axis_bump((pts[..., d] - Q.center[d]) / rho)
-        betas.append(b)
-    total = np.sum(betas, axis=0)
+            p = _axis_bump((O.axis_centers(d) - Q.center[d]) / rho)
+            nz = np.flatnonzero(p)
+            box += (slice(nz[0], nz[-1] + 1),)
+            b = np.multiply.outer(b, p[box[-1]])
+        total[box] += b
+        betas.append((box, b))
     if np.any(mask & (total <= 0)):
         raise ConstructionError("partition of unity has an uncovered cell")
     safe = np.where(total > 0, total, 1.0)
-    return [GridFunction(O.origin, O.h, np.where(mask, b / safe, 0.0),
+    return [GridFunction(O.box_view(box).origin, O.h,
+                         np.where(mask[box], b / safe[box], 0.0),
                          check=False)
-            for b in betas]
+            for box, b in betas]
 
 
 # -- atoms and decompositions -----------------------------------------------
@@ -287,47 +297,68 @@ class Decomposition:
 
 
 def _level_pieces(f, m, j, params):
-    """Whitney cubes, partition of unity and bad parts at one level."""
+    """Whitney cubes, partition of unity and residuals at one level.
+
+    The residual r = f - c of each cube lives on its eta's box, cells lo
+    to hi - 1 of f's grid; b_sum adds up the bad parts r eta on f's grid.
+    """
     O = GridFunction(m.origin, m.h, (m.values > 2.0 ** j).astype(float),
                      check=False)
     cubes = whitney_decompose(O)
     etas = partition_of_unity(cubes, O)
     small = [Q.side < 1.0 for Q in cubes]
-    polys = []
-    b_parts = []
-    for Q, eta, is_small in zip(cubes, etas, small):
+    lo = np.rint([(eta.origin - f.origin) / f.h for eta in etas]).astype(int)
+    hi = lo + [eta.extents for eta in etas]
+    resid = []
+    b_sum = np.zeros(f.extents)
+    for eta, box, is_small in zip(etas, map(_box, lo, hi), small):
+        r = f.values[box]
         if is_small:
-            c = weighted_projection(f, eta, params.d)
-            b = (f.values - c.on_grid(f).values) * eta.values
-        else:
-            c = None
-            b = f.values * eta.values
-        polys.append(c)
-        b_parts.append(b)
-    return {"cubes": cubes, "etas": etas, "small": small,
-            "polys": polys, "b": b_parts}
+            r = r - weighted_projection(f, eta, params.d)(eta.centers())
+        b_sum[box] += r * eta.values
+        resid.append(r)
+    return {"cubes": cubes, "etas": etas, "small": small, "lo": lo,
+            "hi": hi, "resid": resid, "b_sum": b_sum}
+
+
+def _box(lo, hi, start=0):
+    """Index box of the cells lo..hi-1 in an array starting at `start`."""
+    return tuple(map(slice, lo - start, hi - start))
 
 
 def _assemble_level(f, level, nxt, params):
-    """The corrected pieces A_{j,k} from levels j and j+1."""
+    """The corrected pieces A_{j,k} from levels j and j+1.
+
+    A_k lives on the box covering eta_k and the small-cube etas of level
+    j+1 that meet it: candidates by one comparison of box bounds per k,
+    each confirmed on the two etas' common cells.
+    """
     if nxt is None:
-        return [b.copy() for b in level["b"]]
-    b_next = np.sum(nxt["b"], axis=0) if nxt["b"] else 0.0
+        return [GridFunction(eta.origin, f.h, r * eta.values, check=False)
+                for eta, r in zip(level["etas"], level["resid"])]
+    lo_i, hi_i, small = nxt["lo"], nxt["hi"], np.array(nxt["small"])
     out = []
-    for eta_k, b_k in zip(level["etas"], level["b"]):
-        A = b_k - b_next * eta_k.values
-        for i, (eta_i, c_i, is_small) in enumerate(
-                zip(nxt["etas"], nxt["polys"], nxt["small"])):
-            if not is_small:
-                continue
-            if not np.any(eta_i.values * eta_k.values):
-                continue
-            g = GridFunction(f.origin, f.h,
-                             (f.values - c_i.on_grid(f).values)
-                             * eta_k.values, check=False)
-            c_ki = weighted_projection(g, eta_i, params.d)
-            A = A + c_ki.on_grid(f).values * eta_i.values
-        out.append(A)
+    for eta_k, r_k, lo_k, hi_k in zip(level["etas"], level["resid"],
+                                      level["lo"], level["hi"]):
+        partners = []
+        for i in np.flatnonzero(small & np.all((lo_i < hi_k)
+                                               & (lo_k < hi_i), axis=1)):
+            lo, hi = np.maximum(lo_i[i], lo_k), np.minimum(hi_i[i], hi_k)
+            if np.any(nxt["etas"][i].values[_box(lo, hi, lo_i[i])]
+                      * eta_k.values[_box(lo, hi, lo_k)]):
+                partners.append(i)
+        lo = np.min([lo_k, *lo_i[partners]], axis=0)
+        A = np.zeros(np.max([hi_k, *hi_i[partners]], axis=0) - lo)
+        A[_box(lo_k, hi_k, lo)] = r_k * eta_k.values \
+            - nxt["b_sum"][_box(lo_k, hi_k)] * eta_k.values
+        for i in partners:
+            eta_i = nxt["etas"][i]
+            g = GridFunction(eta_i.origin, f.h, nxt["resid"][i]
+                             * _sampled_on(eta_k, eta_i), check=False)
+            A[_box(lo_i[i], hi_i[i], lo)] += \
+                weighted_projection(g, eta_i, params.d)(eta_i.centers()) \
+                * eta_i.values
+        out.append(GridFunction(f.origin + lo * f.h, f.h, A, check=False))
     return out
 
 
@@ -336,8 +367,7 @@ def _crop(g):
     idx = np.argwhere(g.values != 0.0)
     if not idx.size:
         return None
-    return g.box_view(tuple(slice(a, b) for a, b in
-                            zip(idx.min(axis=0), idx.max(axis=0) + 1))).copy()
+    return g.box_view(_box(idx.min(axis=0), idx.max(axis=0) + 1)).copy()
 
 
 def _moment_slack(g, cube, d):
@@ -358,15 +388,15 @@ def _moment_slack(g, cube, d):
     return worst
 
 
-def _package_atom(A_vals, grid, Q_star, j, index, params, norm_1q):
+def _package_atom(A, Q_star, j, index, params, norm_1q):
     """Wrap one assembled piece as a scaled atom on an enlarged cube."""
-    piece = _crop(GridFunction(grid.origin, grid.h, A_vals, check=False))
+    piece = _crop(A)
     if piece is None:
         return None
     lo, hi = piece.support_bounds()
     half = max(max(abs(float(a) - c), abs(float(b) - c))
                for a, b, c in zip(lo, hi, Q_star.center))
-    side_needed = 2 * half + grid.h
+    side_needed = 2 * half + A.h
     side = max(params.c0 * Q_star.side, side_needed)
     if side < 1.0:
         if _moment_slack(piece, Cube(Q_star.center, side), params.d) \
@@ -413,18 +443,15 @@ def cz_decompose(f, params):
     entries = []
     norm_1q = cube_indicator_norms(params.slice_params, fb.h, fb.n)
     nxt = None
-    b_lo = None
     for j in range(j_hi, j_lo - 1, -1):
         level = _level_pieces(fb, m, j, params)
-        pieces = _assemble_level(fb, level, nxt, params)
-        for k, A_vals in enumerate(pieces):
-            atom = _package_atom(A_vals, fb, level["cubes"][k], j, k,
-                                 params, norm_1q)
+        for k, A in enumerate(_assemble_level(fb, level, nxt, params)):
+            atom = _package_atom(A, level["cubes"][k], j, k, params,
+                                 norm_1q)
             if atom is not None:
                 entries.append(atom)
         nxt = level
-        b_lo = np.sum(level["b"], axis=0) if level["b"] else 0.0
-    g_res = fb.values - b_lo
+    g_res = fb.values - nxt["b_sum"]
     entries.extend(_residual_atoms(g_res, fb, j_lo, params, norm_1q))
     K = max((a.lam * a.values.max_abs() / 2.0 ** a.level for a in entries),
             default=0.0)
@@ -537,8 +564,6 @@ def atomic_quasinorm(dec, s, tol=1e-10):
 
 def save_decomposition(dec, directory):
     """Write a manifest plus one grid file per atom; bit-exact round trip."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
     lines = [f"decomposition {dec.j_lo} {dec.j_hi} "
              f"{repr(float(dec.pointwise_constant))} "
@@ -557,8 +582,6 @@ def save_decomposition(dec, directory):
 
 
 def load_decomposition(directory, params):
-    import os
-
     with open(os.path.join(directory, "manifest.txt")) as fh:
         lines = fh.read().strip().split("\n")
     head = lines[0].split()

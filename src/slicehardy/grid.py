@@ -190,6 +190,17 @@ class GridFunction:
         out[sl] = self.values
         return GridFunction(origin, self.h, out, check=False)
 
+    def overlap(self, other):
+        """Index boxes (in self, in other) of the cells two aligned grids
+        share, or None when their boxes are disjoint."""
+        self._require_compatible(other)
+        off = np.round((other.origin - self.origin) / self.h).astype(int)
+        lo = np.maximum(off, 0)
+        hi = np.minimum(off + other.extents, self.extents)
+        if np.any(lo >= hi):
+            return None
+        return tuple(map(slice, lo, hi)), tuple(map(slice, lo - off, hi - off))
+
     def union_box(self, other):
         self._require_compatible(other)
         lo = np.minimum(self.origin, other.origin)

@@ -156,9 +156,10 @@ def _modulated_profiles(n, count):
 def build_dictionary(N, M, h, count, n=1, fd_h=None):
     """Build a deterministic dictionary of `count` normalized kernels.
 
-    The first kernel is the distinguished phi (positive mass).  Every
-    kernel is rescaled so its finite-difference derivative bound is just
-    below 1; the measured bounds are recorded in ``fd_check``.
+    The first kernel is the distinguished phi, of nonzero mass on its
+    samples at the finite-difference spacing.  Every kernel is rescaled
+    so its finite-difference derivative bound is just below 1; the
+    measured bounds are recorded in ``fd_check``.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -175,12 +176,11 @@ def build_dictionary(N, M, h, count, n=1, fd_h=None):
             raise ConstructionError(f"degenerate kernel {name}")
         k = Kernel(prof, n, name=name, scale=0.999 / bound)
         _, vals = k.sample_unit(fd_h)
+        if not kernels and vals.sum() == 0:
+            raise ConstructionError("distinguished kernel has zero mass")
         fd_check[name] = derivative_sup_bound(vals, fd_h, N, n)
         kernels.append(k)
-    phi = kernels[0]
-    if abs(phi.mass()) == 0:
-        raise ConstructionError("distinguished kernel has zero mass")
-    return MollifierDictionary(order=N, kernels=kernels, phi=phi,
+    return MollifierDictionary(order=N, kernels=kernels, phi=kernels[0],
                                scales=scale_ladder(M), h=h,
                                fd_check=fd_check)
 

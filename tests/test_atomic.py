@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cz_reference
 from slicehardy import atomic, orlicz
 from slicehardy.atomic import Atom, CZParams, atomic_quasinorm, \
     cz_decompose, load_decomposition, minimizing_polynomial, multi_indices, \
@@ -61,7 +64,8 @@ def test_minimizing_polynomial_idempotent():
                                    (64,))
     Q = Cube((0.5,), 1.0)
     P1 = minimizing_polynomial(f, Q, 1)
-    P2 = minimizing_polynomial(P1.on_grid(f), Q, 1)
+    P2 = minimizing_polynomial(GridFunction(f.origin, f.h, P1(f.centers())),
+                               Q, 1)
     assert np.allclose(P1.coeffs, P2.coeffs, atol=1e-10)
 
 
@@ -152,18 +156,63 @@ def test_whitney_bounded_overlap():
     assert counts.max() <= atomic.overlap_max(1)
 
 
-def test_partition_of_unity_sums_to_indicator():
-    h = 2.0 ** -6
-    O = _interval_set(h, 128, 0.25, 1.25)
+def _disk_set(h, cells, radius):
+    g = GridFunction((0.0, 0.0), h, np.zeros((cells, cells)))
+    pts = g.centers() - cells * h / 2
+    g.values[np.hypot(pts[..., 0], pts[..., 1]) < radius] = 1.0
+    return g
+
+
+def _assert_partition_of_unity(O):
+    """Each eta lives on its own box; embedded into O's box, the etas
+    sum to 1 on O and to exactly 0 off it."""
     cubes = whitney_decompose(O)
     etas = partition_of_unity(cubes, O)
-    total = np.sum([e.values for e in etas], axis=0)
+    assert any(e.extents != O.extents for e in etas)
+    total = np.sum([e.embed(O.origin, O.extents).values for e in etas],
+                   axis=0)
     assert np.array_equal(total > 0, O.values > 0)
     np.testing.assert_allclose(total[O.values > 0], 1.0, rtol=0,
                                atol=1e-14)
     for e in etas:
         assert e.values.min() >= 0
         assert e.values.max() <= 1 + 1e-14
+
+
+def test_partition_of_unity_sums_to_indicator():
+    _assert_partition_of_unity(_interval_set(2.0 ** -6, 128, 0.25, 1.25))
+
+
+def test_partition_of_unity_sums_to_indicator_2d():
+    _assert_partition_of_unity(_disk_set(2.0 ** -4, 32, 0.7))
+
+
+@st.composite
+def _open_sets(draw):
+    """A small 1-D or 2-D grid whose positive cells neither vanish nor
+    fill the box, on a lattice or off-lattice origin."""
+    n = draw(st.sampled_from([1, 2]))
+    shape = tuple(draw(st.integers(2, 40 if n == 1 else 14))
+                  for _ in range(n))
+    h = draw(st.sampled_from([2.0 ** -k for k in range(2, 7)] + [0.3]))
+    origin = tuple(draw(st.floats(-3.0, 3.0, allow_subnormal=False))
+                   for _ in range(n))
+    flat = draw(st.lists(st.booleans(), min_size=int(np.prod(shape)),
+                         max_size=int(np.prod(shape)))
+                .filter(lambda v: any(v) and not all(v)))
+    return GridFunction(origin, h, np.reshape(flat, shape).astype(float))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_open_sets())
+def test_local_etas_match_full_grid_reference(O):
+    cubes = whitney_decompose(O)
+    local = partition_of_unity(cubes, O)
+    full = cz_reference.partition_of_unity(cubes, O)
+    assert len(local) == len(full)
+    for e, ref in zip(local, full):
+        assert np.array_equal(e.embed(O.origin, O.extents).values,
+                              ref.values)
 
 
 def test_partition_of_unity_supports():
@@ -239,15 +288,21 @@ def test_cz_reconstruct_order_independent(bump_dec):
     assert np.array_equal(r1.values, r2.values)
 
 
-def test_cz_two_dimensional_round_trip_and_atoms():
-    """A 32x32 log-damped bump decomposes, reconstructs to tol_rec and
-    emits only valid atoms."""
+@pytest.fixture(scope="module")
+def cz_2d():
+    """A 32x32 log-damped bump, its config and its decomposition."""
     cfg = ScenarioConfig(n=2, h=1 / 8, functional_tag="log_damped", t=0.5,
                          q=1.0, b=5.0, N=6, ladder_depth=2,
                          family_spec="bumps:count=1").validate()
     (f,) = cfg.family(0)
+    return cfg, f, cz_decompose(f, cfg.cz_params())
+
+
+def test_cz_two_dimensional_round_trip_and_atoms(cz_2d):
+    """A 32x32 log-damped bump decomposes, reconstructs to tol_rec and
+    emits only valid atoms."""
+    cfg, f, dec = cz_2d
     assert f.extents == (32, 32)
-    dec = cz_decompose(f, cfg.cz_params())
     assert len(dec.entries) > 0
     rec = reconstruct(dec)
     fe = f.embed(rec.origin, rec.extents)
@@ -255,6 +310,34 @@ def test_cz_two_dimensional_round_trip_and_atoms():
     for atom in dec.entries:
         rep = validate_atom(atom, cfg.slice_params(), cfg.tol_moment)
         assert rep.summary["valid"], (atom.level, atom.index, rep.rows)
+
+
+def _assert_same_atoms(dec, ref):
+    assert len(dec.entries) == len(ref.entries) > 0
+    assert dec.pointwise_constant == ref.pointwise_constant
+    for a, b in zip(dec.entries, ref.entries):
+        assert (a.cube, a.lam, a.level, a.index) == \
+            (b.cube, b.lam, b.level, b.index)
+        assert np.array_equal(a.values.origin, b.values.origin)
+        assert np.array_equal(a.values.values, b.values.values)
+
+
+def test_local_pipeline_matches_full_grid_reference_1d(monkeypatch):
+    """Atoms of the default 1-D family, bit for bit against every eta,
+    bad part and corrected piece held on the whole grid."""
+    cfg = ScenarioConfig().validate()
+    params = cfg.cz_params()
+    family = cfg.family(0)
+    decs = [cz_decompose(f, params) for f in family]
+    cz_reference.use_full_grid(monkeypatch)
+    for f, dec in zip(family, decs):
+        _assert_same_atoms(dec, cz_decompose(f, params))
+
+
+def test_local_pipeline_matches_full_grid_reference_2d(cz_2d, monkeypatch):
+    cfg, f, dec = cz_2d
+    cz_reference.use_full_grid(monkeypatch)
+    _assert_same_atoms(dec, cz_decompose(f, cfg.cz_params()))
 
 
 def test_atomic_quasinorm_single_atom(cz_setup):

@@ -6,7 +6,7 @@ import pytest
 from slicehardy import orlicz
 from slicehardy.campanato import CampanatoParams, bmo_variant_norm, \
     campanato_local_norm, cube_sweep, dual_pairing, pairing_bound_check
-from slicehardy.errors import PreconditionError
+from slicehardy.errors import InvalidDataError, PreconditionError
 from slicehardy.grid import Cube, GridFunction
 from slicehardy.slice_norms import SliceParams
 
@@ -92,6 +92,36 @@ def test_dual_pairing_half_oracle():
     f = GridFunction.indicator(Cube((0.5,), 1.0), (0.0,), H, (int(1 / H),))
     g = GridFunction.from_callable(lambda x: x, (0.0,), H, (int(1 / H),))
     assert dual_pairing(f, g) == pytest.approx(0.5, abs=H ** 2)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("shift, ext", [
+    (3, 5),      # nested
+    (-4, 12),    # partly overlapping
+    (14, 6),     # disjoint
+    (-9, 30),    # g holds f
+])
+def test_dual_pairing_matches_product_integral(rng, n, shift, ext):
+    """Summing over the common cells equals integrating f * g on the
+    union box."""
+    f = GridFunction((0.25,) * n, H, rng.standard_normal((10,) * n))
+    g = GridFunction((0.25 + shift * H,) * n, H,
+                     rng.standard_normal((ext,) * n))
+    expected = (f * g).integrate()
+    assert dual_pairing(f, g) == pytest.approx(expected, rel=1e-14,
+                                               abs=0.0)
+    assert dual_pairing(g, f) == pytest.approx(expected, rel=1e-14,
+                                               abs=0.0)
+    if shift >= 10:
+        assert dual_pairing(f, g) == 0.0
+
+
+def test_dual_pairing_rejects_incompatible_grids():
+    f = GridFunction((0.0,), H, np.ones(8))
+    with pytest.raises(InvalidDataError):
+        dual_pairing(f, GridFunction((H / 3,), H, np.ones(8)))
+    with pytest.raises(InvalidDataError):
+        dual_pairing(f, GridFunction((0.0,), H / 2, np.ones(8)))
 
 
 def test_atom_orthogonal_to_polynomials(slice_params):

@@ -37,6 +37,17 @@ def test_distinguished_kernel_has_positive_mass(dictionary_1d):
     assert dictionary_1d.phi.mass() > 0
 
 
+def test_two_dimensional_dictionary_never_calls_mass(monkeypatch):
+    """phi's mass is checked on the samples the normalization draws, not
+    on a fresh sampling at Kernel.mass's fine default spacing."""
+    def no_mass(self, h=1e-3):
+        raise AssertionError("Kernel.mass called")
+
+    monkeypatch.setattr(Kernel, "mass", no_mass)
+    d = build_dictionary(N=2, M=2, h=2.0 ** -4, count=2, n=2)
+    assert d.phi is d.kernels[0]
+
+
 def test_too_many_kernels_requested():
     with pytest.raises(ConstructionError):
         build_dictionary(N=1, M=1, h=2.0 ** -4, count=40, n=1)
