@@ -127,14 +127,15 @@ class GridFunction:
     def cell_volume(self):
         return self.h ** self.n
 
-    def axis_centers(self, axis):
-        m = self.extents[axis]
-        return self.origin[axis] + (np.arange(m) + 0.5) * self.h
+    def axis_centers(self, axis, part=slice(None)):
+        """Cell centers along one axis, or along a slice of it."""
+        cells = np.arange(*part.indices(self.extents[axis]))
+        return self.origin[axis] + (cells + 0.5) * self.h
 
     def centers(self, box=None):
         """Cell-center coordinates, shape extents + (n,), or of a box."""
         box = box or (slice(None),) * self.n
-        axes = [self.axis_centers(d)[s] for d, s in enumerate(box)]
+        axes = [self.axis_centers(d, s) for d, s in enumerate(box)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 

@@ -8,9 +8,11 @@ dyadic scales, which preserves the equivalence bands the reports fit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import maximum_filter
 
 from . import orlicz
@@ -54,29 +56,36 @@ class MaximalParams:
                 f"{int(np.floor(self.b + 1))}")
 
 
-def _padded_convolutions(f, kernel, ladder, pad_cells):
+def _scale_max(f, kernels, ladder, pad_cells, op):
+    """max over scales s of op(c, s, h, n) on the padded grid, c the max
+    over kernels of |f * psi_s|: each op weights c by w >= 0 and rounding
+    is monotone, so taking the max over kernels first changes no bit."""
     g = f.pad(pad_cells)
-    return g, [convolve(g, kernel, s).values for s in ladder]
-
-
-def radial_maximal(f, kernel, ladder, pad_cells=None):
-    """max over ladder scales s of |f * psi_s| at each grid point."""
-    if pad_cells is None:
-        pad_cells = int(np.ceil(max(ladder) / f.h))
-    g, convs = _padded_convolutions(f, kernel, ladder, pad_cells)
     out = np.zeros(g.extents)
-    for c in convs:
-        np.maximum(out, np.abs(c), out=out)
+    for s in ladder:
+        c = np.abs(convolve(g, kernels[0], s).values)
+        for kernel in kernels[1:]:
+            np.maximum(c, np.abs(convolve(g, kernel, s).values), out=c)
+        np.maximum(out, op(c, s, g.h, g.n), out=out)
     return GridFunction(g.origin, g.h, out, check=False)
 
 
-def _window_max(values, radius, h, n):
-    """max over |y - x| < radius, per grid point."""
-    k = int(np.ceil(radius / h - 1e-12)) - 1
+def radial_maximal(f, kernel, ladder, pad_cells=None):
+    """max over ladder scales s of |f * psi_s| at each grid point (the
+    window of aperture 0 holds the point alone)."""
+    if pad_cells is None:
+        pad_cells = int(np.ceil(max(ladder) / f.h))
+    return _scale_max(f, [kernel], ladder, pad_cells,
+                      partial(_window_max, a=0.0))
+
+
+def _window_max(values, s, h, n, a):
+    """max over |y - x| < a s, per grid point."""
+    k = int(np.ceil(a * s / h - 1e-12)) - 1
     if k <= 0:
         return values.copy()
     footprint = np.ones(2 * k + 1, dtype=bool) if n == 1 \
-        else disk_mask(radius, h)
+        else disk_mask(a * s, h)
     return maximum_filter(values, footprint=footprint, mode="constant")
 
 
@@ -91,11 +100,8 @@ def nontangential_maximal(f, kernel, a, ladder, pad_cells=None):
         raise PreconditionError("aperture must be positive")
     if pad_cells is None:
         pad_cells = int(np.ceil(max(ladder) * (1 + a) / f.h))
-    g, convs = _padded_convolutions(f, kernel, ladder, pad_cells)
-    out = np.zeros(g.extents)
-    for s, c in zip(ladder, convs):
-        np.maximum(out, _window_max(np.abs(c), a * s, g.h, g.n), out=out)
-    return GridFunction(g.origin, g.h, out, check=False)
+    return _scale_max(f, [kernel], ladder, pad_cells,
+                      partial(_window_max, a=a))
 
 
 def peetre_reach(b, s_max, eps_cut):
@@ -108,32 +114,38 @@ def peetre_maximal(f, kernel, b, ladder, eps_cut=DEFAULT_EPS_CUT,
     """Peetre-type maximal function with weight (1 + |y|/s)^{-b}.
 
     Offsets whose weight is below eps_cut are discarded; the discarded
-    terms are dominated by eps_cut times the convolution sup.
+    terms are dominated by eps_cut times the convolution sup.  The 1-D
+    sweep prunes exactly, not approximately (see _peetre_sweep).
     """
     if b <= 0:
         raise PreconditionError("Peetre exponent must be positive")
     if pad_cells is None:
         pad_cells = int(np.ceil(4.0 * max(ladder) / f.h))
-    g, convs = _padded_convolutions(f, kernel, ladder, pad_cells)
-    out = np.zeros(g.extents)
-    for s, c in zip(ladder, convs):
-        out = np.maximum(out, _peetre_sweep(np.abs(c), s, b, g.h, g.n,
-                                            eps_cut))
-    return GridFunction(g.origin, g.h, out, check=False)
+    return _scale_max(f, [kernel], ladder, pad_cells,
+                      partial(_peetre_sweep, b=b, eps_cut=eps_cut))
 
 
-def _peetre_sweep(absc, s, b, h, n, eps_cut):
+#: cells per tile, and tile pairs per product block, of the 1-D sweep
+_TILE, _PAIR_BLOCK = 32, 256
+
+
+def _peetre_sweep(absc, s, h, n, b, eps_cut):
+    """max over offsets d of absc(x - d) (1 + |d| h / s)^{-b}, over the
+    d of weight >= eps_cut (in 1-D, up to the first one under it).  The
+    1-D pruning is exact: it gives the max over every such d bit for bit,
+    skipping only products that cannot exceed one taken (_tile_sweep)."""
     kmax = int(np.floor(peetre_reach(b, s, eps_cut) / h))
-    out = absc.copy()
     if n == 1:
         m = absc.shape[0]
-        for d in range(1, kmax + 1):
-            w = (1.0 + d * h / s) ** (-b)
-            if w < eps_cut or d >= m:
-                break
-            np.maximum(out[d:], absc[:-d] * w, out=out[d:])
-            np.maximum(out[:-d], absc[d:] * w, out=out[:-d])
-        return out
+        reach = max(min(kmax, m - 1), 0)
+        # scalar power, as in the reference offset loop: NumPy's array
+        # power differs from it in the last bit for some offsets
+        w = np.zeros(-(-m // _TILE) * _TILE)
+        w[:reach + 1] = [1.0] + [(1.0 + d * h / s) ** (-b)
+                                 for d in range(1, reach + 1)]
+        w[1:][np.maximum.accumulate(w[1:] < eps_cut)] = 0.0
+        return _tile_sweep(absc, w)
+    out = absc.copy()
     # an offset as long as an axis shifts nothing into the array
     mx, my = absc.shape
     kx = min(kmax, mx - 1)
@@ -151,31 +163,57 @@ def _peetre_sweep(absc, s, b, h, n, eps_cut):
     return out
 
 
+def _tile_sweep(absc, w):
+    """out[i] = max over j of absc[j] w[|i - j|], w[0] = 1, by branch and
+    bound over tiles.  Rounding is monotone, so max(source tile) times the
+    largest weight at or beyond two tiles' gap bounds each of their
+    products.  Products with the peaks of the 4 source tiles of largest
+    bound start the output; a pair is multiplied out only when its bound
+    beats the least start value of its target tile."""
+    m = absc.size
+    nt = w.size // _TILE
+    tiles = np.pad(absc, (0, w.size - m)).reshape(nt, _TILE)
+    top = tiles.argmax(axis=1)
+    peak = tiles[np.arange(nt), top]
+    w_beyond = np.maximum.accumulate(w[::-1])[::-1]
+    sep = np.abs(np.subtract.outer(np.arange(nt), np.arange(nt)))
+    bound = peak * w_beyond[np.maximum(sep * _TILE - _TILE + 1, 0)]
+    best = np.argpartition(-bound, min(3, nt - 1), axis=1)[:, :4]
+    src = best * _TILE + top[best]
+    cells = np.arange(w.size).reshape(nt, 1, _TILE)
+    taken = tiles.ravel()[src][:, :, None] \
+        * w[np.abs(cells - src[:, :, None])]
+    out = np.maximum(taken.max(axis=1), tiles)
+    ti, si = np.nonzero(bound > out.min(axis=1)[:, None])
+    # rows[w.size - _TILE + (t - u) * _TILE + a, _TILE - 1 - c] is the
+    # weight between cell a of tile t and cell c of tile u
+    rows = sliding_window_view(np.concatenate([w[:0:-1], w]), _TILE)
+    flipped = tiles[:, ::-1]
+    for lo in range(0, ti.size, _PAIR_BLOCK):
+        t, u = ti[lo:lo + _PAIR_BLOCK], si[lo:lo + _PAIR_BLOCK]
+        first = w.size - _TILE + (t - u) * _TILE
+        pair_w = rows[first[:, None] + np.arange(_TILE)]
+        np.maximum.at(out, t, (flipped[u][:, None, :] * pair_w).max(axis=2))
+    return out.ravel()[:m]
+
+
 def grand_maximal(f, dictionary, ladder=None, peetre=False, b=None,
-                  pad_cells=None):
+                  pad_cells=None, eps_cut=DEFAULT_EPS_CUT):
     """max over dictionary kernels of the windowed convolution maxima.
 
     The plain variant uses the window |x - y| < s; the Peetre variant
-    weights all offsets by (1 + |y|/s)^{-b}.
+    weights offsets by (1 + |y|/s)^{-b} down to eps_cut.  The max over
+    kernels is taken before the window or sweep, once per scale.
     """
     ladder = ladder if ladder is not None else dictionary.scales
-    if peetre and b is None:
-        raise PreconditionError("Peetre variant needs the exponent b")
+    if peetre and (b is None or b <= 0):
+        raise PreconditionError("Peetre variant needs a positive exponent b")
     if pad_cells is None:
         pad_cells = int(np.ceil((4.0 if peetre else 2.0)
                                 * max(ladder) / f.h))
-    acc = None
-    for kernel in dictionary:
-        if peetre:
-            field_k = peetre_maximal(f, kernel, b, ladder,
-                                     pad_cells=pad_cells)
-        else:
-            field_k = nontangential_maximal(f, kernel, 1.0, ladder,
-                                            pad_cells=pad_cells)
-        acc = field_k if acc is None else \
-            GridFunction(acc.origin, acc.h,
-                         np.maximum(acc.values, field_k.values), check=False)
-    return acc
+    op = partial(_peetre_sweep, b=b, eps_cut=eps_cut) if peetre \
+        else partial(_window_max, a=1.0)
+    return _scale_max(f, list(dictionary), ladder, pad_cells, op)
 
 
 # -- Hardy quasi-norms ------------------------------------------------------
@@ -196,25 +234,28 @@ def parse_space_tag(tag):
 
 def hardy_quasinorm(f, space_tag, params):
     """Peetre maximal function composed with the tagged outer norm."""
-    tag = parse_space_tag(space_tag) if isinstance(space_tag, str) \
-        else space_tag
-    kind = tag[0]
-    if kind == "slice":
-        params.require_hardy(f.n, tag[1].p_minus, tag[2])
-    elif kind in ("star", "muslog"):
-        if params.b <= 2 * f.n:
-            raise PreconditionError(f"{kind} tag requires b > 2n")
-    elif kind != "l1":
-        raise ValueError(f"unknown space tag {tag!r}")
+    return hardy_quasinorms(f, [space_tag], params)[0]
+
+
+def hardy_quasinorms(f, space_tags, params):
+    """hardy_quasinorm for several tags, from one Peetre maximal function."""
+    tags = [parse_space_tag(t) if isinstance(t, str) else t
+            for t in space_tags]
+    for tag in tags:
+        if tag[0] == "slice":
+            params.require_hardy(f.n, tag[1].p_minus, tag[2])
+        elif tag[0] in ("star", "muslog"):
+            if params.b <= 2 * f.n:
+                raise PreconditionError(f"{tag[0]} tag requires b > 2n")
+        elif tag[0] != "l1":
+            raise ValueError(f"unknown space tag {tag!r}")
     m = peetre_maximal(f, params.dictionary.phi, params.b, params.ladder,
                        params.eps_cut)
-    if kind == "slice":
-        return slice_norm(m, SliceParams(tag[3], tag[2], tag[1]))
-    if kind == "star":
-        return star_norm(m, tag[1])
-    if kind == "muslog":
-        return orlicz.musielak_norm(tag[1], m)
-    return m.lp_norm(1)
+    outer = {"slice": lambda t: slice_norm(m, SliceParams(t[3], t[2], t[1])),
+             "star": lambda t: star_norm(m, t[1]),
+             "muslog": lambda t: orlicz.musielak_norm(t[1], m),
+             "l1": lambda t: m.lp_norm(1)}
+    return [outer[tag[0]](tag) for tag in tags]
 
 
 _FIVE = ("radial", "nontangential", "grand", "peetre", "grand_peetre")
@@ -234,7 +275,7 @@ def maximal_fields(f, params):
                                  params.eps_cut, pad),
         "grand_peetre": grand_maximal(f, params.dictionary, params.ladder,
                                       peetre=True, b=params.b,
-                                      pad_cells=pad),
+                                      pad_cells=pad, eps_cut=params.eps_cut),
     }
 
 

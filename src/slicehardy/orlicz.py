@@ -243,19 +243,14 @@ def luxemburg_norm_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
     """Vectorized Luxemburg gauge of many sample vectors at once.
 
     `rows` has shape (m, w); row i holds the samples of one function and
-    the result is the array of m gauges.  Used by the slice norm, which
-    needs one gauge per outer sample point.
+    the result is the array of m gauges.  The slice norm of a non-power
+    functional uses it for one gauge per outer sample point.
     """
     rows = np.abs(np.asarray(rows, dtype=float))
     m = rows.max(axis=1)
     out = np.zeros(rows.shape[0])
     active = m > 0
     if not active.any():
-        return out
-    if phi.power_exponent is not None:
-        p = phi.power_exponent
-        out[active] = (rows[active] ** p).sum(axis=1) ** (1.0 / p) \
-            * cell_volume ** (1.0 / p)
         return out
     sub = rows[active]
 

@@ -74,16 +74,29 @@ def slice_norm(f, p, tol=orlicz.DEFAULT_TOL):
         raise ResolutionError(f"slice radius {p.t} below 2h = {2 * f.h}")
     w, k = ball_offset_count(f.n, p.t, f.h)
     den = ball_indicator_gauge(p.phi, w, f.cell_volume)
-    if f.n == 1:
-        padded = np.pad(f.values, 2 * k)
-        rows = sliding_window_view(padded, 2 * k + 1)
+    if p.phi.power_exponent is not None:
+        num = _power_window_norms(f, p.t, k, p.phi.power_exponent)
     else:
-        rows = _rows_2d(f.values, p.t, f.h, k)
-    num = np.empty(rows.shape[0])
-    for i in range(0, rows.shape[0], _ROW_CHUNK):
-        num[i:i + _ROW_CHUNK] = orlicz.luxemburg_norm_rows(
-            p.phi, rows[i:i + _ROW_CHUNK], f.cell_volume, tol)
+        if f.n == 1:
+            rows = sliding_window_view(np.pad(f.values, 2 * k), 2 * k + 1)
+        else:
+            rows = _rows_2d(f.values, p.t, f.h, k)
+        num = np.empty(rows.shape[0])
+        for i in range(0, rows.shape[0], _ROW_CHUNK):
+            num[i:i + _ROW_CHUNK] = orlicz.luxemburg_norm_rows(
+                p.phi, rows[i:i + _ROW_CHUNK], f.cell_volume, tol)
     return float(((num / den) ** p.q).sum() * f.cell_volume) ** (1.0 / p.q)
+
+
+def _power_window_norms(f, t, k, power):
+    """L^p norms of f on the ball of every outer point: a direct (not FFT)
+    full convolution of |f|^p, nonnegative terms, with the ball's cells."""
+    a = np.abs(f.values) ** power
+    if f.n == 1:
+        sums = np.convolve(a, np.ones(2 * k + 1))
+    else:
+        sums = convolve2d(a, disk_mask(t, f.h).astype(float)).ravel()
+    return sums ** (1.0 / power) * f.cell_volume ** (1.0 / power)
 
 
 def _rows_2d(values, t, h, k):

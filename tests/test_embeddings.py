@@ -7,7 +7,8 @@ from slicehardy.embeddings import hardy_embedding_check, star_to_muslog_check
 from slicehardy.errors import PreconditionError
 from slicehardy.families import generate_family
 from slicehardy.grid import GridFunction
-from slicehardy.maximal import MaximalParams
+from slicehardy import maximal
+from slicehardy.maximal import MaximalParams, hardy_quasinorm
 
 H = 2.0 ** -7
 
@@ -45,6 +46,27 @@ def test_hardy_embedding_finite_constant(dictionary_1d, maximal_params):
     rep = hardy_embedding_check(fam, maximal_params)
     assert 0 < rep.summary["fitted_C"] < np.inf
     assert len(rep.column("ratio")) == 3
+
+
+def test_hardy_embedding_one_peetre_function_per_member(
+        dictionary_1d, maximal_params, monkeypatch):
+    """Both outer norms read one Peetre maximal function per member and
+    equal separate hardy_quasinorm calls exactly."""
+    fam = generate_family("bumps:count=3", 11, h=dictionary_1d.h)
+    expected = [(hardy_quasinorm(f, "star:log_damped", maximal_params),
+                 hardy_quasinorm(f, "muslog", maximal_params)) for f in fam]
+    calls = []
+    original = maximal.peetre_maximal
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(maximal, "peetre_maximal", counted)
+    rep = hardy_embedding_check(fam, maximal_params)
+    assert list(zip(rep.column("h_star"), rep.column("h_log"))) == expected
+    assert len(calls) == len(fam)
+    assert all(a is f for a, f in zip(calls, fam))
 
 
 def test_hardy_embedding_requires_large_peetre_exponent(dictionary_1d):

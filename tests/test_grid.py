@@ -193,6 +193,20 @@ def test_cube_slices_match_contains_points(n, h, data):
     assert g.centers(box).shape == g.values[box].shape + (n,)
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([1, 2]), h=_H, data=st.data())
+def test_box_centers_match_full_centers(n, h, data):
+    """centers(box) builds only the box and equals centers()[box] bit for
+    bit, for origins on and off the lattice and any slice of each axis."""
+    origin = [_resolve(data.draw(_coordinate), h) for _ in range(n)]
+    extents = tuple(data.draw(st.integers(1, 12)) for _ in range(n))
+    g = GridFunction(origin, h, np.zeros(extents))
+    bound = st.one_of(st.none(), st.integers(-14, 14))
+    box = tuple(slice(data.draw(bound), data.draw(bound))
+                for _ in range(n))
+    assert np.array_equal(g.centers(box), g.centers()[box])
+
+
 def test_cube_regions_use_the_box(rng):
     h = 2.0 ** -3
     f = GridFunction((0.1, -0.3), h, rng.normal(size=(9, 7)))

@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import peetre_reference
 from slicehardy import orlicz
 from slicehardy.errors import PreconditionError
 from slicehardy.grid import GridFunction
-from slicehardy.kernels import build_dictionary, convolve
-from slicehardy.maximal import MaximalParams, grand_maximal, hardy_quasinorm, \
-    maximal_fields, nontangential_maximal, parse_space_tag, peetre_maximal, \
-    peetre_reach, pointwise_chain_ok, radial_maximal
+from slicehardy.kernels import build_dictionary, convolve, scale_ladder
+from slicehardy.maximal import MaximalParams, _peetre_sweep, \
+    grand_maximal, hardy_quasinorm, maximal_fields, nontangential_maximal, \
+    parse_space_tag, peetre_maximal, peetre_reach, pointwise_chain_ok, \
+    radial_maximal
 from slicehardy.slice_norms import SliceParams, slice_norm
 
 
@@ -111,6 +116,142 @@ def test_peetre_two_dimensional_matches_enumeration():
         expected[x, y] = (absc * np.where(w >= eps, w, 0.0)).max()
     assert m.extents == absc.shape
     assert np.allclose(m.values, expected, rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def sweep_fields(draw):
+    """|f * phi_s|-like inputs: noise, ties, plateaus, zeros, spikes and
+    ramps, on up to 13 tiles (lengths below a tile and off multiples)."""
+    m = draw(st.integers(1, 400))
+    kind = draw(st.sampled_from(
+        ["noise", "ties", "plateau", "zeros", "spikes", "ramp"]))
+    if kind == "noise":
+        return draw(arrays(float, m, elements=st.floats(0.0, 1e6)))
+    if kind == "ties":
+        return draw(arrays(float, m, elements=st.sampled_from([0.0, 1.0,
+                                                               2.5])))
+    vals = np.zeros(m)
+    if kind == "plateau":
+        lo = draw(st.integers(0, m - 1))
+        hi = draw(st.integers(lo + 1, m))
+        vals[:] = draw(st.floats(0.0, 1.0))
+        vals[lo:hi] = draw(st.floats(0.0, 10.0))
+    elif kind == "spikes":
+        for i in draw(st.lists(st.integers(0, m - 1), max_size=5)):
+            vals[i] = draw(st.floats(0.0, 1e3))
+    elif kind == "ramp":
+        vals = np.linspace(0.0, draw(st.floats(0.0, 1e3)), m)
+        vals = vals[::-1].copy() if draw(st.booleans()) else vals
+    return vals
+
+
+@settings(max_examples=300, deadline=None)
+@given(absc=sweep_fields(),
+       s=st.sampled_from([1.0, 0.5, 0.125, 2.0 ** -5]),
+       b=st.floats(0.5, 40.0),
+       eps_cut=st.sampled_from([1e-12, 1e-6, 1e-3, 0.2]),
+       h=st.sampled_from([2.0 ** -8, 2.0 ** -4, 0.1]))
+def test_peetre_sweep_1d_matches_offset_loop(absc, s, b, eps_cut, h):
+    """The tile-pruned sweep is the offset loop, bit for bit, with full
+    and truncated reach (large b, small s and a large eps_cut cut the
+    loop short of m - 1)."""
+    assert np.array_equal(_peetre_sweep(absc, s, h, 1, b, eps_cut),
+                          peetre_reference.peetre_sweep_1d(absc, s, b, h,
+                                                           eps_cut))
+
+
+@pytest.mark.parametrize("m", [3072, 3073])
+@pytest.mark.parametrize("kind", ["noise", "lognormal", "spikes"])
+@pytest.mark.parametrize("s,b,eps_cut", [(1.0, 2.5, 1e-6),
+                                         (0.125, 10.0, 1e-12),
+                                         (2.0 ** -5, 20.0, 1e-3)])
+def test_peetre_sweep_1d_matches_offset_loop_on_long_fields(m, kind, s, b,
+                                                           eps_cut):
+    rng = np.random.default_rng(m)
+    absc = {"noise": np.abs(rng.normal(size=m)),
+            "lognormal": np.exp(5.0 * rng.normal(size=m)),
+            "spikes": np.where(rng.random(m) < 0.01, rng.random(m), 0.0)}
+    h = 2.0 ** -8
+    assert np.array_equal(
+        _peetre_sweep(absc[kind], s, h, 1, b, eps_cut),
+        peetre_reference.peetre_sweep_1d(absc[kind], s, b, h, eps_cut))
+
+
+@pytest.mark.parametrize("b", [10.0, 6.0])
+def test_peetre_sweep_1d_keeps_a_product_equal_to_its_pair_bound(b):
+    """Tile 1's first cell, 2.0, reaches the empty last cell of tile 0 at
+    the pair's gap, so that product equals the pair's bound and is the
+    least start value of tile 0: the pair is not multiplied out, and the
+    product must come from the start values."""
+    absc = np.zeros(96)
+    absc[:31] = 1.0
+    absc[32] = 2.0
+    s = h = 2.0 ** -6
+    expected = peetre_reference.peetre_sweep_1d(absc, s, b, h, 1e-12)
+    assert expected[31] == 2.0 * 2.0 ** -b
+    assert np.array_equal(_peetre_sweep(absc, s, h, 1, b, 1e-12), expected)
+
+
+def test_peetre_sweep_1d_multiplies_out_a_pair_that_barely_beats():
+    """Tiles 2-4 have huge peaks at their far ends: their bounds put them,
+    not tile 1, among the 4 source tiles of tile 0's start values.  Tile
+    0's least start value, at its empty last cell, is 1.999 w(1); tile 1's
+    first cell, 2.0, beats it there by 0.05 %, so a bound only 0.1 % low
+    would lose it."""
+    b, s = 10.0, 2.0 ** -6
+    w = lambda d: (1.0 + d) ** -b
+    absc = np.zeros(192)
+    absc[:30] = 1.0
+    absc[30] = 1.999
+    absc[32] = 2.0
+    for u in (2, 3, 4):
+        absc[32 * u + 31] = 10.0 * w(1) / w(32 * (u - 1) + 1)
+    expected = peetre_reference.peetre_sweep_1d(absc, s, b, s, 1e-30)
+    assert expected[31] == 2.0 * 2.0 ** -b
+    assert np.array_equal(_peetre_sweep(absc, s, s, 1, b, 1e-30), expected)
+
+
+@pytest.mark.parametrize("peetre", [False, True])
+def test_grand_maximal_matches_per_kernel_maxima(bump, dictionary_1d,
+                                                 peetre):
+    """Max over kernels before the window or sweep, once per scale, is
+    bit for bit the max over the kernels' own maximal functions."""
+    ladder, pad = [0.5, 0.25, 0.125], 100
+    got = grand_maximal(bump, dictionary_1d, ladder, peetre=peetre, b=2.5,
+                        pad_cells=pad, eps_cut=1e-8)
+    ref = peetre_reference.grand_per_kernel(bump, dictionary_1d, ladder, pad,
+                                            peetre=peetre, b=2.5,
+                                            eps_cut=1e-8)
+    assert np.array_equal(got.origin, ref.origin)
+    assert np.array_equal(got.values, ref.values)
+
+
+@pytest.mark.parametrize("peetre", [False, True])
+def test_grand_maximal_matches_per_kernel_maxima_2d(peetre):
+    h = 2.0 ** -3
+    d = build_dictionary(N=2, M=1, h=h, count=3, n=2)
+    rng = np.random.default_rng(3)
+    f = GridFunction((0.0, 0.0), h, rng.normal(size=(5, 6)))
+    ladder, pad = [0.5, 0.25], 3
+    got = grand_maximal(f, d, ladder, peetre=peetre, b=3.0, pad_cells=pad,
+                        eps_cut=1e-4)
+    ref = peetre_reference.grand_per_kernel(f, d, ladder, pad, peetre=peetre,
+                                            b=3.0, eps_cut=1e-4)
+    assert np.array_equal(got.values, ref.values)
+
+
+def test_grand_peetre_uses_eps_cut():
+    """phi is the dictionary's first kernel, so the grand Peetre function
+    dominates the Peetre function pointwise at the same eps_cut."""
+    h = 2.0 ** -6
+    params = MaximalParams(b=10, N=11, eps_cut=1e-12,
+                           dictionary=build_dictionary(N=11, M=5, h=h,
+                                                       count=3),
+                           ladder=scale_ladder(5))
+    f = GridFunction.from_callable(lambda x: np.exp(-2e3 * (x - 1.0) ** 2),
+                                   (0.0,), h, (128,))
+    fields = maximal_fields(f, params)
+    assert np.all(fields["grand_peetre"].values >= fields["peetre"].values)
 
 
 def test_nontangential_two_dimensional_matches_enumeration():

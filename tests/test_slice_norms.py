@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from slicehardy import orlicz
 from slicehardy.errors import PreconditionError, ResolutionError
 from slicehardy.grid import Cube, GridFunction
-from slicehardy.slice_norms import SliceParams, ball_indicator_gauge, \
-    ball_indicator_ratio, ball_offset_count, cube_indicator_slice_norm, \
-    fefferman_stein_check, hl_maximal, reverse_superadditivity_check, \
-    slice_norm, star_norm
+from slicehardy.slice_norms import SliceParams, _power_window_norms, \
+    _rows_2d, ball_indicator_gauge, ball_indicator_ratio, ball_offset_count, \
+    cube_indicator_slice_norm, fefferman_stein_check, hl_maximal, \
+    reverse_superadditivity_check, slice_norm, star_norm
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0])
@@ -32,6 +33,33 @@ def test_slice_norm_two_dimensional(rng):
     f = GridFunction((0.0, 0.0), h, rng.uniform(0, 1, (32, 32)))
     p = SliceParams(0.5, 2.0, orlicz.power(2.0))
     assert slice_norm(f, p) == pytest.approx(f.lp_norm(2), rel=1e-10)
+
+
+@pytest.mark.parametrize("n,h,t_values", [
+    (1, 2.0 ** -7, [0.5, 1.0, 2.0]),
+    (2, 2.0 ** -4, [0.125, 0.25, 0.5]),
+])
+@pytest.mark.parametrize("power", [0.5, 1.0, 2.0, 3.0])
+def test_power_window_norms_match_window_matrix(n, h, t_values, power, rng):
+    """The convolution of |f|^p with the ball against the sum of rows**p
+    over the materialized window matrix, on a field with zero runs."""
+    shape = (200,) if n == 1 else (24, 20)
+    vals = rng.normal(size=shape) * (rng.random(shape) < 0.7)
+    f = GridFunction((0.0,) * n, h, vals)
+    for t in t_values:
+        w, k = ball_offset_count(n, t, h)
+        rows = sliding_window_view(np.pad(np.abs(vals), 2 * k), 2 * k + 1) \
+            if n == 1 else np.abs(_rows_2d(vals, t, h, k))
+        ref = (rows ** power).sum(axis=1) ** (1.0 / power) \
+            * f.cell_volume ** (1.0 / power)
+        got = _power_window_norms(f, t, k, power)
+        assert got.shape == ref.shape
+        assert np.array_equal(got == 0, ref == 0)
+        assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+        den = ball_indicator_gauge(orlicz.power(power), w, f.cell_volume)
+        expected = float(((ref / den) ** 2.0).sum() * f.cell_volume) ** 0.5
+        assert slice_norm(f, SliceParams(t, 2.0, orlicz.power(power))) \
+            == pytest.approx(expected, rel=1e-12)
 
 
 def test_slice_norm_resolution_guard():
