@@ -50,6 +50,22 @@ def _cube_mean(values, r):
     return float((np.abs(values) ** r).mean()) ** (1.0 / r)
 
 
+def _sweep(g, cubes, d, r):
+    """(Q, r-mean) for each cube Q that holds a cell of g: the r-mean of
+    g's oscillation about its degree-d minimizing polynomial on a small
+    cube (side < 1), of |g| on a large one."""
+    ge = g.embed(*g.covering_box(cubes))
+    for Q in cubes:
+        box = ge.cube_slices(Q)
+        vals = ge.values[box]
+        if not vals.size:
+            continue
+        if Q.side < 1.0:
+            vals = vals - minimizing_polynomial(ge, Q, d, box)(
+                ge.centers(box))
+        yield Q, _cube_mean(vals, r)
+
+
 def campanato_local_norm(g, p):
     """Two-branch Campanato value over the sweep.
 
@@ -60,22 +76,14 @@ def campanato_local_norm(g, p):
     """
     if not p.sweep:
         return 0.0
-    ge = g.embed(*g.covering_box(p.sweep))
-    norm_1q = cube_indicator_norms(p.slice_params, ge.h, ge.n)
-    small = 0.0
-    large = 0.0
-    for Q in p.sweep:
-        box = ge.cube_slices(Q)
-        vals = ge.values[box]
-        if not vals.size:
-            continue
-        weight = Q.volume / norm_1q(Q.side)
+    norm_1q = cube_indicator_norms(p.slice_params, g.h, g.n)
+    small = large = 0.0
+    for Q, mean in _sweep(g, p.sweep, p.d, p.r):
+        value = Q.volume / norm_1q(Q.side) * mean
         if Q.side < 1.0:
-            poly = minimizing_polynomial(ge, Q, p.d, box)
-            osc = vals - poly(ge.centers(box))
-            small = max(small, weight * _cube_mean(osc, p.r))
+            small = max(small, value)
         else:
-            large = max(large, weight * _cube_mean(vals, p.r))
+            large = max(large, value)
     return small + large
 
 
@@ -94,24 +102,16 @@ def _bmo_weight(variant, Q):
 
 
 def bmo_sweep_report(g, variant, sweep):
-    """Per-cube weighted mean-oscillation/mean values for one variant."""
+    """Per-cube weighted mean-oscillation/mean values for one variant:
+    the d = 0, r = 1 Campanato sweep, weighted by _bmo_weight."""
     if variant not in _BMO_VARIANTS:
         raise ValueError(f"unknown bmo variant {variant!r}")
     report = Report(f"bmo_{variant}",
                     ["variant", "side", "center", "branch", "value"])
-    ge = g.embed(*g.covering_box(sweep))
-    for Q in sweep:
-        vals = ge.values[ge.cube_slices(Q)]
-        if not vals.size:
-            continue
-        w = _bmo_weight(variant, Q)
-        if Q.side < 1.0:
-            branch = "oscillation"
-            v = w * float(np.abs(vals - vals.mean()).mean())
-        else:
-            branch = "mean"
-            v = w * float(np.abs(vals).mean())
-        report.add(variant, Q.side, Q.center, branch, v)
+    for Q, mean in _sweep(g, sweep, 0, 1.0):
+        branch = "oscillation" if Q.side < 1.0 else "mean"
+        report.add(variant, Q.side, Q.center, branch,
+                   _bmo_weight(variant, Q) * mean)
     vals = report.column("value")
     report.summary["norm"] = max(vals) if vals else 0.0
     return report

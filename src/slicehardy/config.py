@@ -58,7 +58,7 @@ class ScenarioConfig:
         cap = min(phi.p_minus, self.q, 1.0)
         if self.s is None:
             self.s = 0.9 * cap
-        if self.d is None:
+        if self.d is None and np.isfinite(self.s):
             self.d = max(int(np.floor(self.n * (1.0 / self.s - 1.0))), 0)
 
     # -- derived objects ---------------------------------------------------
@@ -105,6 +105,12 @@ class ScenarioConfig:
     # -- validation --------------------------------------------------------
 
     def validate(self):
+        for section, schema in _SECTIONS.items():
+            for key, spec in schema.items():
+                v = getattr(self, spec[0] if isinstance(spec, tuple) else key)
+                if isinstance(v, float) and not np.isfinite(v) \
+                        and not (key == "r" and v == np.inf):
+                    raise ConfigError(f"{section}.{key} must be finite: {v}")
         phi = self.phi()
         if self.n not in (1, 2):
             raise ConfigError("dimension n must be 1 or 2")
@@ -169,7 +175,10 @@ def load_config(path=None):
     if path is not None:
         parser = configparser.ConfigParser()
         parser.optionxform = str  # keys are case-sensitive (N vs n)
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:
+            raise ConfigError(f"malformed config file {path}: {exc}") from exc
         if not read:
             raise ConfigError(f"cannot read config file {path}")
         for section in parser.sections():

@@ -148,11 +148,7 @@ class GridFunction:
     @classmethod
     def from_callable(cls, fn, origin, h, extents):
         g = cls(origin, h, np.zeros(extents))
-        pts = g.centers()
-        if g.n == 1:
-            vals = np.asarray(fn(pts[..., 0]), dtype=float)
-        else:
-            vals = np.asarray(fn(pts[..., 0], pts[..., 1]), dtype=float)
+        vals = np.asarray(fn(*np.moveaxis(g.centers(), -1, 0)), dtype=float)
         return cls(origin, h, np.broadcast_to(vals, extents).copy())
 
     @classmethod

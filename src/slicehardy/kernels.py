@@ -48,26 +48,24 @@ class Kernel:
         if s < 2 * h:
             raise ResolutionError(f"scale {s} below 2h = {2 * h}")
         k = int(np.ceil(s / h)) - 1
-        offs = (np.arange(-k, k + 1)) * h
-        if self.n == 1:
-            return self(offs[:, None] / s) / s ** self.n
-        xx, yy = np.meshgrid(offs, offs, indexing="ij")
-        pts = np.stack([xx.ravel() / s, yy.ravel() / s], axis=-1)
-        return self(pts).reshape(xx.shape) / s ** self.n
+        return self(_centered_grid(2 * k + 1, h, self.n) / s) / s ** self.n
 
     def sample_unit(self, h):
         """Sample psi itself (scale 1) at spacing h on [-1, 1]^n."""
         k = int(np.ceil(1.0 / h))
-        offs = np.arange(-k, k + 1) * h
-        if self.n == 1:
-            return offs, self(offs[:, None])
-        xx, yy = np.meshgrid(offs, offs, indexing="ij")
-        pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-        return offs, self(pts).reshape(xx.shape)
+        return np.arange(-k, k + 1) * h, \
+            self(_centered_grid(2 * k + 1, h, self.n))
 
     def mass(self, h=1e-3):
         _, vals = self.sample_unit(h)
         return float(vals.sum() * h ** self.n)
+
+
+def _centered_grid(m, h, n):
+    """The m^n points of spacing h centered on 0, coordinates on the last
+    axis."""
+    ax = (np.arange(m) - (m - 1) / 2) * h
+    return np.stack(np.meshgrid(*[ax] * n, indexing="ij"), axis=-1)
 
 
 def derivative_sup_bound(values, h, N, n):
@@ -78,16 +76,8 @@ def derivative_sup_bound(values, h, N, n):
     centered differences (np.gradient), each sup is weighted by
     (1+|x|)^{N+n} and the results are summed.
     """
-    if n == 1:
-        m = values.shape[0]
-        x = (np.arange(m) - (m - 1) / 2) * h
-        weight = (1.0 + np.abs(x)) ** (N + n)
-    else:
-        m = values.shape[0]
-        ax = (np.arange(m) - (m - 1) / 2) * h
-        xx, yy = np.meshgrid(ax, ax, indexing="ij")
-        weight = (1.0 + np.hypot(xx, yy)) ** (N + n)
-
+    pts = _centered_grid(values.shape[0], h, n)
+    weight = (1.0 + np.abs(np.hypot.reduce(pts, axis=-1))) ** (N + n)
     total = 0.0
     # derivatives[k] maps multi-index order tuple -> array
     current = {(0,) * n: values}

@@ -21,7 +21,7 @@ from .grid import GridFunction
 from .kernels import MollifierDictionary, build_dictionary, convolve, \
     scale_ladder
 from .reports import Report
-from .slice_norms import SliceParams, disk_mask, slice_norm, star_norm
+from .slice_norms import SliceParams, ball_mask, slice_norm, star_norm
 
 DEFAULT_EPS_CUT = 1e-6
 
@@ -84,9 +84,8 @@ def _window_max(values, s, h, n, a):
     k = int(np.ceil(a * s / h - 1e-12)) - 1
     if k <= 0:
         return values.copy()
-    footprint = np.ones(2 * k + 1, dtype=bool) if n == 1 \
-        else disk_mask(a * s, h)
-    return maximum_filter(values, footprint=footprint, mode="constant")
+    return maximum_filter(values, footprint=ball_mask(a * s, h, n),
+                          mode="constant")
 
 
 def _shift_slices(d, m):

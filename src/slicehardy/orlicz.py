@@ -246,13 +246,13 @@ def luxemburg_norm_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
     the result is the array of m gauges.  The slice norm of a non-power
     functional uses it for one gauge per outer sample point.
     """
-    rows = np.abs(np.asarray(rows, dtype=float))
+    rows = np.abs(np.asarray(rows, dtype=float), order="C")  # row-contiguous
     m = rows.max(axis=1)
     out = np.zeros(rows.shape[0])
     active = m > 0
     if not active.any():
         return out
-    sub = rows[active]
+    sub = rows if active.all() else rows[active]
 
     def log_modular(lam, idx):
         s = sub if idx.size == sub.shape[0] else sub[idx]

@@ -4,21 +4,25 @@ The slice quasi-norm averages, over every outer sample point x, the
 Luxemburg norm of f restricted to the ball B(x, t) normalized by the
 Luxemburg norm of the ball indicator.  Ball restrictions use cells whose
 centers lie in the ball, matching the midpoint quadrature convention, so
-the indicator normalization is exact and identical for every x.
+the indicator normalization is exact and identical for every x.  One
+mask, ball_mask, gives the ball's cells in every dimension; power-type
+norms convolve with it (_ball_sums), and general ones gather its windows
+one chunk of rows at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import convolve2d
+from scipy.signal import convolve2d, fftconvolve
 
 from . import orlicz
 from .errors import PreconditionError, ResolutionError
-from .grid import GridFunction
+from .grid import Ball, GridFunction
 from .reports import Report
 
 _ROW_CHUNK = 8192
@@ -42,19 +46,27 @@ def _half_width(r, h):
     return int(np.ceil(r / h - 1e-12)) - 1
 
 
-def disk_mask(r, h):
-    """Mask of the cell offsets whose centers lie within r, on the square
-    of offsets -k..k per axis, k = _half_width(r, h)."""
+def ball_mask(r, h, n):
+    """Mask of the cell offsets whose centers lie within r, on the cube of
+    offsets -k..k per axis, k = _half_width(r, h): all of them in 1-D."""
     k = _half_width(r, h)
+    if n == 1:
+        return np.ones(2 * k + 1, dtype=bool)
     ax = np.arange(-k, k + 1)
     return (ax[:, None] ** 2 + ax[None, :] ** 2) * h ** 2 \
         < r ** 2 * (1 - 1e-12)
 
 
+def _ball_sums(a, mask):
+    """Full direct (not FFT) convolution of a with the ball mask, in a's
+    dtype: np.convolve in 1-D, where it is ~10x faster than ndimage."""
+    conv = np.convolve if a.ndim == 1 else convolve2d
+    return conv(a, mask.astype(a.dtype))
+
+
 def ball_offset_count(n, t, h):
     """Number of grid cells whose centers fall in a ball of radius t."""
-    k = _half_width(t, h)
-    return (2 * k + 1 if n == 1 else int(disk_mask(t, h).sum())), k
+    return int(ball_mask(t, h, n).sum()), _half_width(t, h)
 
 
 def ball_indicator_gauge(phi, n_cells, cell_volume):
@@ -72,42 +84,27 @@ def slice_norm(f, p, tol=orlicz.DEFAULT_TOL):
     """
     if f.h * 2 > p.t:
         raise ResolutionError(f"slice radius {p.t} below 2h = {2 * f.h}")
-    w, k = ball_offset_count(f.n, p.t, f.h)
+    mask = ball_mask(p.t, f.h, f.n)
+    w = int(mask.sum())
     den = ball_indicator_gauge(p.phi, w, f.cell_volume)
     if p.phi.power_exponent is not None:
-        num = _power_window_norms(f, p.t, k, p.phi.power_exponent)
+        num = _power_window_norms(f, mask, p.phi.power_exponent)
     else:
-        if f.n == 1:
-            rows = sliding_window_view(np.pad(f.values, 2 * k), 2 * k + 1)
-        else:
-            rows = _rows_2d(f.values, p.t, f.h, k)
-        num = np.empty(rows.shape[0])
-        for i in range(0, rows.shape[0], _ROW_CHUNK):
-            num[i:i + _ROW_CHUNK] = orlicz.luxemburg_norm_rows(
-                p.phi, rows[i:i + _ROW_CHUNK], f.cell_volume, tol)
+        # whole rows of axis 0 at a time, about _ROW_CHUNK windows each
+        windows = sliding_window_view(np.pad(f.values, mask.shape[0] - 1),
+                                      mask.shape)
+        step = max(_ROW_CHUNK // math.prod(windows.shape[1:f.n]), 1)
+        num = np.concatenate([orlicz.luxemburg_norm_rows(
+            p.phi, windows[i:i + step][..., mask].reshape(-1, w),
+            f.cell_volume, tol) for i in range(0, windows.shape[0], step)])
     return float(((num / den) ** p.q).sum() * f.cell_volume) ** (1.0 / p.q)
 
 
-def _power_window_norms(f, t, k, power):
+def _power_window_norms(f, mask, power):
     """L^p norms of f on the ball of every outer point: a direct (not FFT)
     full convolution of |f|^p, nonnegative terms, with the ball's cells."""
-    a = np.abs(f.values) ** power
-    if f.n == 1:
-        sums = np.convolve(a, np.ones(2 * k + 1))
-    else:
-        sums = convolve2d(a, disk_mask(t, f.h).astype(float)).ravel()
+    sums = _ball_sums(np.abs(f.values) ** power, mask)
     return sums ** (1.0 / power) * f.cell_volume ** (1.0 / power)
-
-
-def _rows_2d(values, t, h, k):
-    dx, dy = np.nonzero(disk_mask(t, h))
-    padded = np.pad(values, 2 * k)
-    mx = values.shape[0] + 2 * k
-    my = values.shape[1] + 2 * k
-    ix, iy = np.meshgrid(np.arange(mx), np.arange(my), indexing="ij")
-    ix = ix.ravel()[:, None] + dx[None, :]
-    iy = iy.ravel()[:, None] + dy[None, :]
-    return padded[ix, iy]
 
 
 def cube_indicator_slice_norm(p, side, h, n=1):
@@ -116,20 +113,20 @@ def cube_indicator_slice_norm(p, side, h, n=1):
     A window that holds c cells of the cube has the gauge
     ball_indicator_gauge(phi, c, h^n), so the norm needs only how many
     outer points see each count: a trapezoid in 1-D, the integer
-    convolution of the cube with the disk mask in 2-D.  One vectorized
+    convolution of the cube with the ball mask in 2-D.  One vectorized
     Phi inverse covers the distinct counts and the full ball.  The value
     is the same for every cube of equal side (translation invariance).
     """
     if h * 2 > p.t:
         raise ResolutionError(f"slice radius {p.t} below 2h = {2 * h}")
     cells = max(int(np.round(side / h)), 1)
-    w, _ = ball_offset_count(n, p.t, h)
+    mask = ball_mask(p.t, h, n)
+    w = int(mask.sum())
     if n == 1:
         counts = np.arange(1, min(w, cells) + 1)
         mult = np.append(np.full(counts.size - 1, 2), abs(w - cells) + 1)
     else:
-        windows = convolve2d(np.ones((cells, cells), dtype=np.int64),
-                             disk_mask(p.t, h).astype(np.int64))
+        windows = _ball_sums(np.ones((cells,) * n, dtype=np.int64), mask)
         counts, mult = np.unique(windows[windows > 0], return_counts=True)
     vol = h ** n
     gauges = 1.0 / p.phi.inverse(1.0 / (np.append(counts, w) * vol))
@@ -166,23 +163,13 @@ def hl_maximal(f, pad_cells=0):
     g = f.pad(pad_cells)
     vals = np.abs(g.values)
     out = vals.copy()
-    diam = max(g.extents) * g.h * (2 if f.n == 1 else np.sqrt(2) * 2)
+    diam = max(g.extents) * g.h * 2 * np.sqrt(g.n)
     r = 2 * g.h
-    if f.n == 1:
-        while r <= diam:
-            k = int(np.ceil(r / g.h - 1e-12)) - 1
-            w = 2 * k + 1
-            cs = np.concatenate([[0.0], np.cumsum(np.pad(vals, k))])
-            means = (cs[w:] - cs[:-w]) / w
-            np.maximum(out, means, out=out)
-            r *= 2
-    else:
-        from scipy.signal import fftconvolve
-        while r <= diam:
-            mask = disk_mask(r, g.h).astype(float)
-            means = fftconvolve(vals, mask, mode="same") / mask.sum()
-            np.maximum(out, np.maximum(means, 0.0), out=out)
-            r *= 2
+    while r <= diam:
+        mask = ball_mask(r, g.h, g.n).astype(float)
+        means = fftconvolve(vals, mask, mode="same") / mask.sum()
+        np.maximum(out, np.maximum(means, 0.0), out=out)
+        r *= 2
     return GridFunction(g.origin, g.h, out, check=False)
 
 
@@ -241,9 +228,11 @@ def ball_indicator_ratio(radii, h, n=1, phi=None):
     for rad in radii:
         if rad < 2 * h:
             raise ResolutionError(f"radius {rad} below 2h = {2 * h}")
-        measure = 2 * rad if n == 1 else np.pi * rad ** 2
+        measure = Ball((0.0,) * n, rad).volume
         ref = measure / np.log(np.e + 1.0 / measure)
-        ind = _ball_indicator(rad, h, n)
+        k = _half_width(rad, h)
+        ind = GridFunction((-(k + 0.5) * h,) * n, h,
+                           ball_mask(rad, h, n).astype(float))
         star = star_norm(ind, phi)
         lux = orlicz.luxemburg_norm(phi, ind)
         report.add(rad, ref, star / ref, lux / ref)
@@ -252,14 +241,6 @@ def ball_indicator_ratio(radii, h, n=1, phi=None):
     report.summary["max_ratio"] = max(allr)
     report.summary["band_width"] = max(allr) / min(allr)
     return report
-
-
-def _ball_indicator(rad, h, n):
-    k = _half_width(rad, h)
-    origin = (-(k + 0.5) * h,) * n
-    if n == 1:
-        return GridFunction(origin, h, np.ones(2 * k + 1))
-    return GridFunction(origin, h, disk_mask(rad, h).astype(float))
 
 
 def reverse_superadditivity_check(family, p):

@@ -67,9 +67,13 @@ def test_all_rejects_unknown_subset(runner, config_path, tmp_path):
     assert result.exit_code == 2
 
 
-def test_bad_config_exits_2(runner, tmp_path):
+@pytest.mark.parametrize("text", [
+    "[grid]\nh = -1\n",
+    "[grid]\nh = 0.015625\n[grid]\nn = 1\n",
+])
+def test_bad_config_exits_2(runner, tmp_path, text):
     bad = tmp_path / "bad.ini"
-    bad.write_text("[grid]\nh = -1\n")
+    bad.write_text(text)
     result = runner.invoke(main, ["norms", "--config", str(bad),
                                   "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
@@ -82,6 +86,11 @@ def test_bad_config_exits_2(runner, tmp_path):
     ("sweep", "center_hi", "-5"),
     ("maximal", "dict_size", "0"),
     ("maximal", "ladder_depth", "-1"),
+    ("slice", "t", "nan"),
+    ("slice", "t", "inf"),
+    ("maximal", "b", "nan"),
+    ("sweep", "center_step", "nan"),
+    ("atomic", "s", "nan"),
 ])
 def test_config_outside_its_hypotheses_exits_2(runner, tmp_path, section,
                                                 key, value):

@@ -65,6 +65,20 @@ def test_sample_is_centered_and_scaled(dictionary_1d):
     assert peak2 == pytest.approx(2 * peak1, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_sample_is_the_profile_at_the_offsets(n):
+    """Each sample against the kernel evaluated point by point at its
+    offset, bit for bit, axis 0 first; the 2-D dictionary includes a
+    kernel odd in x2, so swapped axes fail."""
+    h, s = 2.0 ** -6, 0.25
+    offs = np.arange(-15, 16) * h
+    grid = np.meshgrid(*[offs] * n, indexing="ij")
+    pts = np.stack([g.ravel() / s for g in grid], axis=-1)
+    for k in build_dictionary(N=1, M=1, h=h, count=4 + n, n=n):
+        expected = np.array([k(pt[None, :])[0] for pt in pts])
+        assert np.array_equal(k.sample(s, h).ravel(), expected / s ** n)
+
+
 def test_sample_rejects_unresolvable_scale(dictionary_1d):
     with pytest.raises(ResolutionError):
         dictionary_1d.phi.sample(2.0 ** -8, 2.0 ** -6)

@@ -12,10 +12,31 @@ from numpy.lib.stride_tricks import sliding_window_view
 from slicehardy import orlicz
 from slicehardy.errors import PreconditionError, ResolutionError
 from slicehardy.grid import Cube, GridFunction
-from slicehardy.slice_norms import SliceParams, _power_window_norms, \
-    _rows_2d, ball_indicator_gauge, ball_indicator_ratio, ball_offset_count, \
-    cube_indicator_slice_norm, fefferman_stein_check, hl_maximal, \
-    reverse_superadditivity_check, slice_norm, star_norm
+from slicehardy.slice_norms import _ROW_CHUNK, SliceParams, \
+    _power_window_norms, ball_indicator_gauge, ball_indicator_ratio, \
+    ball_mask, ball_offset_count, cube_indicator_slice_norm, \
+    fefferman_stein_check, hl_maximal, reverse_superadditivity_check, \
+    slice_norm, star_norm
+
+
+def _rows_2d(values, t, h, k):
+    """The 2-D window matrix: row i holds the cells of the ball around
+    outer point i, the outer points in C order on the box dilated by k."""
+    dx, dy = np.nonzero(ball_mask(t, h, 2))
+    padded = np.pad(values, 2 * k)
+    mx = values.shape[0] + 2 * k
+    my = values.shape[1] + 2 * k
+    ix, iy = np.meshgrid(np.arange(mx), np.arange(my), indexing="ij")
+    ix = ix.ravel()[:, None] + dx[None, :]
+    iy = iy.ravel()[:, None] + dy[None, :]
+    return padded[ix, iy]
+
+
+def _window_matrix(values, t, h):
+    k = ball_offset_count(values.ndim, t, h)[1]
+    if values.ndim == 1:
+        return sliding_window_view(np.pad(values, 2 * k), 2 * k + 1)
+    return _rows_2d(values, t, h, k)
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0])
@@ -47,12 +68,11 @@ def test_power_window_norms_match_window_matrix(n, h, t_values, power, rng):
     vals = rng.normal(size=shape) * (rng.random(shape) < 0.7)
     f = GridFunction((0.0,) * n, h, vals)
     for t in t_values:
-        w, k = ball_offset_count(n, t, h)
-        rows = sliding_window_view(np.pad(np.abs(vals), 2 * k), 2 * k + 1) \
-            if n == 1 else np.abs(_rows_2d(vals, t, h, k))
+        w, _ = ball_offset_count(n, t, h)
+        rows = np.abs(_window_matrix(vals, t, h))
         ref = (rows ** power).sum(axis=1) ** (1.0 / power) \
             * f.cell_volume ** (1.0 / power)
-        got = _power_window_norms(f, t, k, power)
+        got = _power_window_norms(f, ball_mask(t, h, n), power).ravel()
         assert got.shape == ref.shape
         assert np.array_equal(got == 0, ref == 0)
         assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
@@ -60,6 +80,37 @@ def test_power_window_norms_match_window_matrix(n, h, t_values, power, rng):
         expected = float(((ref / den) ** 2.0).sum() * f.cell_volume) ** 0.5
         assert slice_norm(f, SliceParams(t, 2.0, orlicz.power(power))) \
             == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,h,shape,t_values", [
+    (1, 2.0 ** -7, (9000,), [0.5, 2.0]),
+    (2, 2.0 ** -4, (97, 61), [0.5, 1.0]),
+])
+def test_general_slice_norm_matches_window_matrix_across_chunks(
+        n, h, shape, t_values, rng):
+    """The chunked window gather against one gauge call on the whole
+    window matrix, bit for bit, on fields of more than one _ROW_CHUNK of
+    outer points whose last chunk is partial."""
+    vals = rng.lognormal(size=shape) * (rng.random(shape) < 0.8)
+    f = GridFunction((0.0,) * n, h, vals)
+    phi = orlicz.log_damped()
+    for t in t_values:
+        rows = _window_matrix(vals, t, h)
+        assert rows.shape[0] > _ROW_CHUNK
+        assert rows.shape[0] % _ROW_CHUNK
+        num = orlicz.luxemburg_norm_rows(phi, rows, f.cell_volume)
+        den = ball_indicator_gauge(phi, rows.shape[1], f.cell_volume)
+        ref = float((num / den).sum() * f.cell_volume)
+        assert slice_norm(f, SliceParams(t, 1.0, phi)) == ref
+
+
+def test_ball_mask_counts_offsets_within_the_radius():
+    h = 2.0 ** -3
+    assert ball_mask(0.5, h, 1).tolist() == [True] * 7
+    disk = ball_mask(0.5, h, 2)
+    assert disk.shape == (7, 7)
+    ax = np.arange(-3, 4) * h
+    assert np.array_equal(disk, np.hypot(*np.meshgrid(ax, ax)) < 0.5)
 
 
 def test_slice_norm_resolution_guard():
