@@ -7,14 +7,18 @@ cross-level corrected pieces.  Each eta_Q, bad part and correction lives
 on the index box of its dilated cube (9/8)Q, with its own origin, not on
 the level grid.  The telescoping identity makes the grid reconstruction
 exact up to floating-point accumulation; the sub-threshold remainder is
-packaged as moment-free unit-cube atoms.
+packaged as moment-free unit-cube atoms.  One monomial basis
+(`_monomials`) and one weighted Gram solve (`_fit`) serve every polynomial
+fit: the eta-weighted projections here and the Campanato P_Q f.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
+from math import comb
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt
@@ -37,81 +41,67 @@ def overlap_max(n):
 
 # -- polynomials ------------------------------------------------------------
 
+@cache
 def multi_indices(n, d):
     """All exponent tuples alpha with |alpha| <= d, in graded order."""
-    out = []
-    for total in range(d + 1):
-        if n == 1:
-            out.append((total,))
-        else:
-            out.extend((a, total - a) for a in range(total + 1))
-    return out
+    return sorted((a for a in product(range(d + 1), repeat=n)
+                   if sum(a) <= d), key=sum)
+
+
+def _monomials(pts, center, scale, d):
+    """u^alpha, |alpha| <= d, on a new last axis; u = (pts - center)/scale."""
+    u = (np.asarray(pts, dtype=float) - np.asarray(center)) / scale
+    alphas = multi_indices(u.shape[-1], d)
+    V = np.ones(u.shape[:-1] + (len(alphas),))
+    for k, alpha in enumerate(alphas):
+        for dim, a in enumerate(alpha):
+            if a:
+                V[..., k] *= u[..., dim] ** a
+    return V
 
 
 @dataclass
 class Polynomial:
-    """A polynomial in coordinates centered/scaled to a reference cube.
-
-    The basis monomials are u^alpha with u = (x - center) / scale, which
-    keeps the moment systems well conditioned independently of cube size.
-    """
+    """A polynomial in the monomials u^alpha, u = (x - center) / scale,
+    which keep the moment systems well conditioned at every cube size."""
 
     center: tuple
     scale: float
     degree: int
     coeffs: np.ndarray
 
-    @property
-    def n(self):
-        return len(self.center)
-
     def __call__(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        if self.n == 1 and pts.ndim >= 1 and pts.shape[-1] != 1:
-            pts = pts[..., None]
-        u = (pts - np.asarray(self.center)) / self.scale
-        out = np.zeros(u.shape[:-1])
-        for alpha, c in zip(multi_indices(self.n, self.degree), self.coeffs):
-            term = np.ones(u.shape[:-1])
-            for d, a in enumerate(alpha):
-                if a:
-                    term = term * u[..., d] ** a
-            out += c * term
+        V = _monomials(pts, self.center, self.scale, self.degree)
+        out = np.zeros(V.shape[:-1])
+        for k, c in enumerate(self.coeffs):
+            out += c * V[..., k]
         return out
 
 
-def _design_matrix(pts, center, scale, n, d):
-    u = (np.atleast_2d(pts) - np.asarray(center)) / scale
-    cols = []
-    for alpha in multi_indices(n, d):
-        col = np.ones(u.shape[0])
-        for dim, a in enumerate(alpha):
-            if a:
-                col = col * u[:, dim] ** a
-        cols.append(col)
-    return np.stack(cols, axis=1)
+def _fit(vals, w, pts, center, scale, d):
+    """Coefficients of the degree-<= d P with sum w (vals - P) u^alpha = 0
+    for |alpha| <= d.  With fewer cells than monomials the Gram system is
+    singular; its minimum-norm solution interpolates vals instead."""
+    V = _monomials(pts, center, scale, d)
+    if len(vals) < V.shape[1]:
+        return np.linalg.lstsq(V, vals, rcond=None)[0]
+    try:
+        return np.linalg.solve(V.T @ (V * w[:, None]), V.T @ (vals * w))
+    except np.linalg.LinAlgError as exc:
+        raise UnderdeterminedError("singular moment system") from exc
 
 
 def minimizing_polynomial(f, Q, d, box=None):
-    """The degree-<= d polynomial matching f's moments on the cube Q.
-
-    Characterized by int_Q (f - P) x^alpha = 0 for all |alpha| <= d and
-    solved through the Gram system of the centered/scaled monomials.
-    `box` is f.cube_slices(Q), for a caller that already has it.
-    """
+    """The degree-<= d P with int_Q (f - P) x^alpha = 0 for |alpha| <= d,
+    from the unit-weight moment system on Q's cells.  `box` is
+    f.cube_slices(Q), for a caller that already has it."""
     box = f.cube_slices(Q) if box is None else box
     vals = f.values[box].ravel()
-    dim = len(multi_indices(f.n, d))
+    dim = comb(f.n + d, d)
     if vals.size < dim:
         raise UnderdeterminedError(f"cube holds {vals.size} cells, need {dim}")
-    pts = f.centers(box).reshape(-1, f.n)
-    V = _design_matrix(pts, Q.center, Q.side, f.n, d)
-    G = V.T @ V
-    m = V.T @ vals
-    try:
-        coeffs = np.linalg.solve(G, m)
-    except np.linalg.LinAlgError as exc:
-        raise UnderdeterminedError("singular moment system") from exc
+    coeffs = _fit(vals, np.ones(vals.size), f.centers(box).reshape(-1, f.n),
+                  Q.center, Q.side, d)
     return Polynomial(Q.center, Q.side, d, coeffs)
 
 
@@ -122,23 +112,15 @@ def weighted_projection(g, eta, d):
     at most d; only cells where eta is positive enter the system, which is
     built on eta's box from g's samples there (zero where g has no cell).
     """
-    gv = _sampled_on(g, eta)
     w = eta.values
     if float(w.sum()) <= 0:
         raise UnderdeterminedError("weight has nonpositive mass")
-    bounds = eta.support_bounds()
-    center = tuple((a + b) / 2 for a, b in zip(*bounds))
-    scale = max(float(b - a) for a, b in zip(*bounds))
+    lo, hi = eta.support_bounds()
+    center = tuple((a + b) / 2 for a, b in zip(lo, hi))
+    scale = max(float(b - a) for a, b in zip(lo, hi))
     mask = w > 0
-    V = _design_matrix(eta.centers()[mask], center, scale, g.n, d)
-    wm = w[mask]
-    G = V.T @ (V * wm[:, None])
-    m = V.T @ (gv[mask] * wm)
-    try:
-        coeffs = np.linalg.solve(G, m)
-    except np.linalg.LinAlgError as exc:
-        raise UnderdeterminedError("degenerate weighted moment system") \
-            from exc
+    coeffs = _fit(_sampled_on(g, eta)[mask], w[mask], eta.centers()[mask],
+                  center, scale, d)
     return Polynomial(center, scale, d, coeffs)
 
 
@@ -375,16 +357,11 @@ def _moment_slack(g, cube, d):
     l1 = g.lp_norm(1)
     if l1 == 0:
         return 0.0
-    pts = g.centers()
+    V = _monomials(g.centers(), 0.0, 1.0, d)
     worst = 0.0
-    for alpha in multi_indices(g.n, d):
-        mono = np.ones(g.extents)
-        for dim, a in enumerate(alpha):
-            if a:
-                mono = mono * pts[..., dim] ** a
-        mom = float((g.values * mono).sum() * g.cell_volume)
-        scale = l1 * cube.side ** sum(alpha)
-        worst = max(worst, abs(mom) / scale)
+    for k, alpha in enumerate(multi_indices(g.n, d)):
+        mom = float((g.values * V[..., k]).sum() * g.cell_volume)
+        worst = max(worst, abs(mom) / (l1 * cube.side ** sum(alpha)))
     return worst
 
 

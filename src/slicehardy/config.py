@@ -15,6 +15,7 @@ import numpy as np
 
 from . import orlicz
 from .errors import ConfigError
+from .families import generate_family, parse_spec
 from .kernels import build_dictionary, scale_ladder
 from .maximal import MaximalParams
 from .slice_norms import SliceParams
@@ -58,7 +59,7 @@ class ScenarioConfig:
         cap = min(phi.p_minus, self.q, 1.0)
         if self.s is None:
             self.s = 0.9 * cap
-        if self.d is None and np.isfinite(self.s):
+        if self.d is None and np.isfinite(self.s) and self.s > 0:
             self.d = max(int(np.floor(self.n * (1.0 / self.s - 1.0))), 0)
 
     # -- derived objects ---------------------------------------------------
@@ -98,8 +99,6 @@ class ScenarioConfig:
         return cube_sweep(sides, centers, self.n)
 
     def family(self, seed):
-        from .families import generate_family
-
         return generate_family(self.family_spec, seed, self.h, self.n)
 
     # -- validation --------------------------------------------------------
@@ -112,6 +111,8 @@ class ScenarioConfig:
                         and not (key == "r" and v == np.inf):
                     raise ConfigError(f"{section}.{key} must be finite: {v}")
         phi = self.phi()
+        if self.q <= 0:
+            raise ConfigError(f"slice.q must be positive: {self.q}")
         if self.n not in (1, 2):
             raise ConfigError("dimension n must be 1 or 2")
         if self.h <= 0:
@@ -136,7 +137,7 @@ class ScenarioConfig:
         s_cap = min(phi.p_minus, self.q, 1.0)
         if not 0 < self.s < s_cap:
             raise ConfigError(
-                f"hypothesis s in (0, min(p_minus, q, 1)) violated: "
+                f"hypothesis atomic.s in (0, min(p_minus, q, 1)) violated: "
                 f"s={self.s}, cap={s_cap}")
         need_d = int(np.floor(self.n * (1.0 / self.s - 1.0)))
         if self.d < need_d:
@@ -149,6 +150,10 @@ class ScenarioConfig:
             raise ConfigError("sweep.center_step must be positive")
         if self.center_hi < self.center_lo:
             raise ConfigError("sweep.center_hi is below sweep.center_lo")
+        try:
+            parse_spec(self.family_spec)
+        except ConfigError as exc:
+            raise ConfigError(f"family.spec: {exc}") from exc
         return self
 
 

@@ -1,6 +1,6 @@
 """Seeded, deterministic test-function families.
 
-A family spec is a string "name" or "name:key=value,...".  Regenerating
+A family spec is a string "name" or "name:key=value;...".  Regenerating
 with the same spec and seed is bit-identical (a fresh Generator is
 created per call).
 """
@@ -13,16 +13,28 @@ from .errors import ConfigError
 from .grid import GridFunction
 
 
-def _parse_spec(spec):
+_ARGS = {"bumps": {"count": int}, "bursts": {"count": int},
+         "indicator-ladder": {"M": int},
+         "translates": {"R": lambda v: [float(r) for r in v.split(",")]}}
+
+
+def parse_spec(spec):
+    """The generator name and its converted arguments, or ConfigError."""
     name, _, rest = spec.partition(":")
+    name = name.strip()
+    if name not in _ARGS:
+        raise ConfigError(f"unknown family generator {name!r}")
     args = {}
-    if rest:
-        for item in rest.split(";"):
-            key, _, val = item.partition("=")
-            if not val:
-                raise ConfigError(f"malformed family argument {item!r}")
-            args[key.strip()] = val.strip()
-    return name.strip(), args
+    for item in rest.split(";") if rest else ():
+        key, _, val = (part.strip() for part in item.partition("="))
+        if not val or key not in _ARGS[name]:
+            raise ConfigError(f"bad argument {item!r} for family {name!r}")
+        try:
+            args[key] = _ARGS[name][key](val)
+        except ValueError as exc:
+            raise ConfigError(f"bad value {val!r} for {name} argument "
+                              f"{key!r}") from exc
+    return name, args
 
 
 def _bump(x, center, width):
@@ -94,22 +106,12 @@ def _translates(radii, h, n):
 
 def generate_family(spec, seed, h=2.0 ** -8, n=1):
     """Build the family named by spec, deterministically from the seed."""
-    name, args = _parse_spec(spec)
-    allowed = {"bumps": {"count"}, "bursts": {"count"},
-               "indicator-ladder": {"M"}, "translates": {"R"}}
-    if name in allowed:
-        extra = set(args) - allowed[name]
-        if extra:
-            raise ConfigError(
-                f"unknown argument(s) {sorted(extra)} for family {name!r}")
+    name, args = parse_spec(spec)
     rng = np.random.default_rng(seed)
     if name == "bumps":
-        return _bumps(rng, int(args.get("count", 10)), h, n)
+        return _bumps(rng, args.get("count", 10), h, n)
     if name == "bursts":
-        return _bursts(rng, int(args.get("count", 10)), h, n)
+        return _bursts(rng, args.get("count", 10), h, n)
     if name == "indicator-ladder":
-        return _indicator_ladder(int(args.get("M", 6)), h, n)
-    if name == "translates":
-        radii = [float(v) for v in args.get("R", "0,4,16").split(",")]
-        return _translates(radii, h, n)
-    raise ConfigError(f"unknown family generator {name!r}")
+        return _indicator_ladder(args.get("M", 6), h, n)
+    return _translates(args.get("R", [0.0, 4.0, 16.0]), h, n)

@@ -10,7 +10,7 @@ functions into `atomic`, so `cz_decompose` runs its usual loop on them.
 import numpy as np
 
 from slicehardy import atomic
-from slicehardy.atomic import WHITNEY_DILATION, _axis_bump, _design_matrix
+from slicehardy.atomic import WHITNEY_DILATION, _axis_bump, _monomials
 from slicehardy.errors import ConstructionError, UnderdeterminedError
 from slicehardy.grid import GridFunction
 
@@ -27,7 +27,7 @@ def weighted_projection(g, eta, d):
     center = tuple((a + b) / 2 for a, b in zip(*bounds))
     scale = max(float(b - a) for a, b in zip(*bounds))
     mask = w > 0
-    V = _design_matrix(gv.centers()[mask], center, scale, g.n, d)
+    V = _monomials(gv.centers()[mask], center, scale, d)
     wm = w[mask]
     coeffs = np.linalg.solve(V.T @ (V * wm[:, None]),
                              V.T @ (gv.values[mask] * wm))

@@ -1,5 +1,7 @@
 """Whitney covering, projections, CZ decomposition, atoms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,8 @@ def cz_setup(dictionary_1d):
 
 def test_multi_indices_counts():
     assert multi_indices(1, 2) == [(0,), (1,), (2,)]
-    assert len(multi_indices(2, 2)) == 6
+    assert multi_indices(2, 2) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1),
+                                   (2, 0)]
 
 
 def test_minimizing_polynomial_constant():
@@ -93,6 +96,63 @@ def test_weighted_projection_quadrature_oracle():
     c = weighted_projection(g, eta, 0)
     expected = (g * eta).integrate() / eta.integrate()
     assert c(np.array([[0.0]])) == pytest.approx(expected, rel=1e-12)
+
+
+def test_weighted_projection_one_cell_weight_interpolates():
+    """A one-cell weight holds fewer cells than the degree-1 monomials: the
+    projection interpolates g there, so every weighted moment vanishes."""
+    g = GridFunction.from_callable(lambda x: 1 + x ** 2, (0.0,), 0.25, (8,))
+    eta = GridFunction((0.5,), 0.25, np.array([0.7]))
+    c = weighted_projection(g, eta, 1)
+    assert c(eta.centers()) == pytest.approx([1 + 0.625 ** 2], abs=1e-14)
+
+
+@st.composite
+def _polynomial_fits(draw):
+    """A random polynomial of degree <= d in n = 1 or 2 variables, sampled
+    on [0, 2]^n, with a cube Q of whole cells and a bump weight."""
+    n = draw(st.sampled_from([1, 2]))
+    d = draw(st.integers(0, 2))
+    alphas = multi_indices(n, d)
+    coeffs = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(alphas),
+                           max_size=len(alphas)))
+    h = draw(st.sampled_from([2.0 ** -3, 2.0 ** -4]))
+    side = draw(st.sampled_from([0.5, 1.0]))
+    lo = [draw(st.integers(0, int((2.0 - side) / h))) * h for _ in range(n)]
+    Q = Cube(tuple(a + side / 2 for a in lo), side)
+    center = [draw(st.floats(0.5, 1.5)) for _ in range(n)]
+    radius = draw(st.floats(0.4, 1.0))
+
+    def poly(*x):
+        return sum(c * np.prod([xi ** a for xi, a in zip(x, alpha)], axis=0)
+                   for c, alpha in zip(coeffs, alphas))
+
+    def bump(*x):
+        return np.prod([atomic._axis_bump((xi - c) / radius)
+                        for xi, c in zip(x, center)], axis=0)
+
+    ext = (int(2 / h),) * n
+    f = GridFunction.from_callable(poly, (0.0,) * n, h, ext)
+    eta = GridFunction.from_callable(bump, (0.0,) * n, h, ext)
+    return f, Q, eta, d
+
+
+@settings(max_examples=80, deadline=None)
+@given(_polynomial_fits())
+def test_moment_systems_reproduce_polynomials(case):
+    """Both fits reproduce a polynomial of degree <= d, in 1-D and 2-D, and
+    f - P_Q f has vanishing moments of order <= d on Q."""
+    f, Q, eta, d = case
+    pts = f.centers()
+    np.testing.assert_allclose(minimizing_polynomial(f, Q, d)(pts),
+                               f.values, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(weighted_projection(f, eta, d)(pts),
+                               f.values, rtol=0, atol=1e-9)
+    g = f + GridFunction(f.origin, f.h, np.sin(3 * pts.sum(axis=-1)))
+    box = g.cube_slices(Q)
+    r = g.box_view(box).copy()
+    r.values -= minimizing_polynomial(g, Q, d, box)(g.centers(box))
+    assert atomic._moment_slack(r, Q, d) <= 1e-10
 
 
 def test_weighted_projection_degenerate_weight():
@@ -296,6 +356,35 @@ def cz_2d():
                          family_spec="bumps:count=1").validate()
     (f,) = cfg.family(0)
     return cfg, f, cz_decompose(f, cfg.cz_params())
+
+
+def _assert_round_trip_and_valid_atoms(f, dec, params):
+    rec = reconstruct(dec)
+    fe = f.embed(rec.origin, rec.extents)
+    assert np.abs(rec.values - fe.values).max() / f.max_abs() \
+        <= params.tol_rec
+    for atom in dec.entries:
+        assert atom.degree == params.d
+        rep = validate_atom(atom, params.slice_params, params.tol_moment)
+        assert rep.summary["valid"], (atom.level, atom.index, rep.rows)
+
+
+def test_cz_degree_one(bump_dec, cz_setup):
+    """d = 1 decomposes although the grid-floor Whitney cubes carry
+    one-cell etas, whose degree-1 weighted systems are singular."""
+    f, _ = bump_dec
+    params = dataclasses.replace(cz_setup, d=1)
+    dec = cz_decompose(f, params)
+    assert len(dec.entries) > 0
+    _assert_round_trip_and_valid_atoms(f, dec, params)
+
+
+def test_cz_two_dimensional_degree_one(cz_2d):
+    cfg, f, _ = cz_2d
+    params = dataclasses.replace(cfg.cz_params(), d=1)
+    dec = cz_decompose(f, params)
+    assert len(dec.entries) > 0
+    _assert_round_trip_and_valid_atoms(f, dec, params)
 
 
 def test_cz_two_dimensional_round_trip_and_atoms(cz_2d):

@@ -91,6 +91,8 @@ def test_bad_config_exits_2(runner, tmp_path, text):
     ("maximal", "b", "nan"),
     ("sweep", "center_step", "nan"),
     ("atomic", "s", "nan"),
+    ("slice", "q", "0"),
+    ("atomic", "s", "0"),
 ])
 def test_config_outside_its_hypotheses_exits_2(runner, tmp_path, section,
                                                 key, value):
@@ -100,6 +102,24 @@ def test_config_outside_its_hypotheses_exits_2(runner, tmp_path, section,
                                   "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert f"{section}.{key}" in result.output
+
+
+@pytest.mark.parametrize("spec", [
+    "bumps:count=abc",
+    "translates:R=a,b",
+    "indicator-ladder:M=x",
+    "sawtooth:count=3",
+])
+def test_malformed_family_spec_exits_2_before_any_csv(runner, tmp_path,
+                                                       spec):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(FAST_CONFIG.replace("bumps:count=2", spec))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["all", "--config", str(bad),
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "family.spec" in result.output
+    assert not out.exists()
 
 
 def test_all_decomposes_once_and_matches_subcommands(runner, config_path,

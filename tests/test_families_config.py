@@ -5,7 +5,7 @@ import pytest
 
 from slicehardy.config import ScenarioConfig, load_config
 from slicehardy.errors import ConfigError
-from slicehardy.families import generate_family
+from slicehardy.families import generate_family, parse_spec
 
 H = 2.0 ** -7
 
@@ -50,6 +50,18 @@ def test_unknown_generator():
 def test_bad_generator_args():
     with pytest.raises(ConfigError):
         generate_family("bumps:width=3", 0, h=H)
+
+
+@pytest.mark.parametrize("spec", ["bumps:count=abc", "bumps:count",
+                                  "translates:R=a,b", "bumps:count=2;"])
+def test_malformed_generator_args(spec):
+    with pytest.raises(ConfigError):
+        parse_spec(spec)
+
+
+def test_parse_spec_converts_arguments():
+    name, args = parse_spec(" translates : R = 0,4,16 ")
+    assert (name, args) == ("translates", {"R": [0.0, 4.0, 16.0]})
 
 
 def test_default_config_validates():
