@@ -78,15 +78,16 @@ class Polynomial:
         return out
 
 
-def _fit(vals, w, pts, center, scale, d):
-    """Coefficients of the degree-<= d P with sum w (vals - P) u^alpha = 0
-    for |alpha| <= d.  With fewer cells than monomials the Gram system is
-    singular; its minimum-norm solution interpolates vals instead."""
-    V = _monomials(pts, center, scale, d)
+def _fit(vals, w, V):
+    """Coefficients c of P = V @ c with sum w (vals - P) u^alpha = 0 for
+    every monomial column u^alpha of V (one row per cell).  vals holds one
+    right-hand side, or one per column.  With fewer cells than monomials
+    the Gram system is singular; its minimum-norm solution interpolates
+    vals instead."""
     if len(vals) < V.shape[1]:
         return np.linalg.lstsq(V, vals, rcond=None)[0]
     try:
-        return np.linalg.solve(V.T @ (V * w[:, None]), V.T @ (vals * w))
+        return np.linalg.solve(V.T @ (V * w[:, None]), V.T @ (vals.T * w).T)
     except np.linalg.LinAlgError as exc:
         raise UnderdeterminedError("singular moment system") from exc
 
@@ -100,8 +101,8 @@ def minimizing_polynomial(f, Q, d, box=None):
     dim = comb(f.n + d, d)
     if vals.size < dim:
         raise UnderdeterminedError(f"cube holds {vals.size} cells, need {dim}")
-    coeffs = _fit(vals, np.ones(vals.size), f.centers(box).reshape(-1, f.n),
-                  Q.center, Q.side, d)
+    coeffs = _fit(vals, np.ones(vals.size), _monomials(
+        f.centers(box).reshape(-1, f.n), Q.center, Q.side, d))
     return Polynomial(Q.center, Q.side, d, coeffs)
 
 
@@ -119,8 +120,8 @@ def weighted_projection(g, eta, d):
     center = tuple((a + b) / 2 for a, b in zip(lo, hi))
     scale = max(float(b - a) for a, b in zip(lo, hi))
     mask = w > 0
-    coeffs = _fit(_sampled_on(g, eta)[mask], w[mask], eta.centers()[mask],
-                  center, scale, d)
+    coeffs = _fit(_sampled_on(g, eta)[mask], w[mask],
+                  _monomials(eta.centers()[mask], center, scale, d))
     return Polynomial(center, scale, d, coeffs)
 
 

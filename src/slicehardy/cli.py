@@ -1,9 +1,9 @@
 """Command-line scenario runner: one subcommand per check, plus `all`.
 
-Each check writes one CSV report into the output directory; a summary
-CSV (check, key, value, status) is written last.  Runs are fully
-deterministic given the seed, and re-running overwrites the artifacts
-byte-identically.
+Each check returns a report, written as one CSV into the output
+directory, and a verdict (or None), which the summary CSV (check, key,
+value), written last, records as `status`.  Runs are deterministic given
+the seed, and re-running overwrites the artifacts byte-identically.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 from . import orlicz
 from .atomic import atomic_quasinorm, cz_decompose, reconstruct, \
     validate_atom
-from .campanato import CampanatoParams, bmo_sweep_report, \
-    pairing_bound_check
+from .campanato import CampanatoParams, bmo_sweep_report, pairing_bounds
+from .config import load_config
 from .embeddings import hardy_embedding_check, star_to_muslog_check
 from .errors import SliceHardyError
 from .families import generate_family
@@ -38,7 +38,7 @@ def _check_norms(cfg, seed, summary):
         report.add(i, orlicz.luxemburg_norm(phi, f), slice_norm(f, sp),
                    star_norm(f, phi), f.lp_norm(max(cfg.q, 1.0)))
     summary["members"] = len(family)
-    return report
+    return report, None
 
 
 def _check_maximal_equivalence(cfg, seed, summary):
@@ -47,9 +47,7 @@ def _check_maximal_equivalence(cfg, seed, summary):
         family, cfg.maximal_params(), cfg.phi(), cfg.q,
         [cfg.t / 2, cfg.t, 2 * cfg.t])
     summary.update(report.summary)
-    summary["status"] = "pass" if report.summary.get("chain_all_ok") \
-        else "fail"
-    return report
+    return report, bool(report.summary.get("chain_all_ok"))
 
 
 def _decompositions(cfg, seed):
@@ -76,9 +74,7 @@ def _check_cz_roundtrip(cfg, seed, summary):
         report.add(i, len(dec.entries), err, aq / hq if hq > 0 else 0.0)
     errs = report.column("rel_sup_error")
     summary["max_rel_error"] = max(errs) if errs else 0.0
-    summary["status"] = "pass" if all(e <= cfg.tol_rec for e in errs) \
-        else "fail"
-    return report
+    return report, all(e <= cfg.tol_rec for e in errs)
 
 
 def _check_atom_validation(cfg, seed, summary):
@@ -94,8 +90,7 @@ def _check_atom_validation(cfg, seed, summary):
                 report.add(i, atom.level, atom.index, check, measured,
                            bound, ok)
             all_ok = all_ok and rep.summary["valid"]
-    summary["status"] = "pass" if all_ok else "fail"
-    return report
+    return report, all_ok
 
 
 def _check_duality(cfg, seed, summary):
@@ -104,17 +99,12 @@ def _check_duality(cfg, seed, summary):
     cp = CampanatoParams(cfg.slice_params(), r=1.0, d=cfg.d,
                          sweep=cfg.sweep_cubes())
     fields = generate_family("bursts:count=10", seed + 1, cfg.h, cfg.n)
-    worst = 0.0
-    for i, (_, dec) in enumerate(_decompositions(cfg, seed)):
-        for jg, g in enumerate(fields):
-            rep = pairing_bound_check(dec, g, cp, cfg.pairing_slack)
-            report.add(i, jg, rep.summary.get("campanato_norm", 0.0),
-                       rep.summary["max_ratio"])
-            worst = max(worst, rep.summary["max_ratio"])
-    summary["max_ratio"] = worst
-    summary["status"] = "pass" if worst <= 1.0 + cfg.pairing_slack \
-        else "fail"
-    return report
+    decs = [dec for _, dec in _decompositions(cfg, seed)]
+    for i, (norms, _, ratios) in enumerate(pairing_bounds(decs, fields, cp)):
+        for jg, worst in enumerate(ratios.max(axis=0, initial=0.0)):
+            report.add(i, jg, float(norms[jg]), float(worst))
+    summary["max_ratio"] = max(report.column("max_ratio"), default=0.0)
+    return report, summary["max_ratio"] <= 1.0 + cfg.pairing_slack
 
 
 def _check_embeddings(cfg, seed, summary):
@@ -131,10 +121,8 @@ def _check_embeddings(cfg, seed, summary):
         merged.add("lebesgue", idx, mus, star, ratio)
     for idx, h_star, h_log, ratio in rep2.rows:
         merged.add("hardy", idx, h_log, h_star, ratio)
-    summary["status"] = "pass" if np.isfinite(
-        [rep1.summary["fitted_C"], rep2.summary["fitted_C"]]).all() \
-        else "fail"
-    return merged
+    return merged, np.isfinite(
+        [rep1.summary["fitted_C"], rep2.summary["fitted_C"]]).all()
 
 
 def _check_lemma888(cfg, seed, summary):
@@ -142,9 +130,7 @@ def _check_lemma888(cfg, seed, summary):
     radii = [r for r in radii if r >= 2 * cfg.h]
     report = ball_indicator_ratio(radii, cfg.h, 1)
     summary.update(report.summary)
-    summary["status"] = "pass" if report.summary["band_width"] <= 20 \
-        else "fail"
-    return report
+    return report, report.summary["band_width"] <= 20
 
 
 def _check_fefferman_stein(cfg, seed, summary):
@@ -152,15 +138,14 @@ def _check_fefferman_stein(cfg, seed, summary):
     report = fefferman_stein_check(family, 2.0, cfg.slice_params(),
                                    [cfg.t / 2, cfg.t, 2 * cfg.t])
     summary.update(report.summary)
-    summary["status"] = "pass" if np.isfinite(
-        report.summary.get("max_ratio", np.inf)) else "fail"
-    return report
+    return report, np.isfinite(report.summary.get("max_ratio", np.inf))
 
 
 def _check_bmo_facts(cfg, seed, summary):
     half = 33.0
     cells = int(round(2 * half / cfg.h))
-    one = GridFunction.constant(1.0, (-half,), cfg.h, (cells,))
+    one = GridFunction.constant(1.0, (-half,) * cfg.n, cfg.h,
+                                (cells,) * cfg.n)
     sweep = cfg.sweep_cubes()
     merged = Report("bmo_facts",
                     ["variant", "side", "center", "branch", "value"])
@@ -168,11 +153,8 @@ def _check_bmo_facts(cfg, seed, summary):
         rep = bmo_sweep_report(one, variant, sweep)
         merged.rows.extend(rep.rows)
         summary[variant] = rep.summary["norm"]
-    target = np.log(1.0 + np.e)
-    summary["bmo_phi_expected"] = target
-    summary["status"] = "pass" \
-        if abs(summary["bmo_phi"] - target) <= 1e-6 else "fail"
-    return merged
+    summary["bmo_phi_expected"] = target = np.log(1.0 + np.e)
+    return merged, abs(summary["bmo_phi"] - target) <= 1e-6
 
 
 CHECKS = {
@@ -189,27 +171,32 @@ CHECKS = {
 
 
 def _run(names, config_path, seed, out):
-    from .config import load_config
-
-    cfg = load_config(config_path)
-    if names is None:
-        names = list(cfg.checks) if cfg.checks else list(CHECKS)
+    """Run the named checks (None: the config's, or else all of them) and
+    exit 0, or 1 if a check failed, or 2 on a bad config or check name."""
+    try:
+        cfg = load_config(config_path)
+        if names is None:
+            names = list(cfg.checks) if cfg.checks else list(CHECKS)
         unknown = [s for s in names if s not in CHECKS]
         if unknown:
-            raise SliceHardyError(f"unknown checks in config: {unknown}")
-    os.makedirs(out, exist_ok=True)
-    summary = Report("summary", ["check", "key", "value"])
-    failed = False
-    for name in names:
-        info = {}
-        report = CHECKS[name](cfg, seed, info)
-        report.write_csv(os.path.join(out, f"{name}.csv"))
-        for key, value in info.items():
-            summary.add(name, key, value)
-        if info.get("status") == "fail":
-            failed = True
-    summary.write_csv(os.path.join(out, "summary.csv"))
-    return 1 if failed else 0
+            raise SliceHardyError(f"unknown checks {unknown}")
+        os.makedirs(out, exist_ok=True)
+        summary = Report("summary", ["check", "key", "value"])
+        failed = False
+        for name in names:
+            info = {}
+            report, ok = CHECKS[name](cfg, seed, info)
+            report.write_csv(os.path.join(out, f"{name}.csv"))
+            if ok is not None:
+                info["status"] = "pass" if ok else "fail"
+                failed = failed or not ok
+            for key, value in info.items():
+                summary.add(name, key, value)
+        summary.write_csv(os.path.join(out, "summary.csv"))
+    except SliceHardyError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
+    sys.exit(1 if failed else 0)
 
 
 def _common(fn):
@@ -231,12 +218,7 @@ def _make_command(name):
     @main.command(name)
     @_common
     def cmd(config_path, seed, out):
-        try:
-            code = _run([name], config_path, seed, out)
-        except SliceHardyError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        sys.exit(code)
+        _run([name], config_path, seed, out)
 
 
 for _name in CHECKS:
@@ -248,19 +230,9 @@ for _name in CHECKS:
 @click.option("--check", "subset", default=None,
               help="Comma-separated subset of checks to run.")
 def run_all(config_path, seed, out, subset):
-    names = None
-    if subset:
-        names = [s.strip() for s in subset.split(",") if s.strip()]
-        unknown = [s for s in names if s not in CHECKS]
-        if unknown:
-            click.echo(f"error: unknown checks {unknown}", err=True)
-            sys.exit(2)
-    try:
-        code = _run(names, config_path, seed, out)
-    except SliceHardyError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    sys.exit(code)
+    names = [s.strip() for s in subset.split(",") if s.strip()] \
+        if subset else None
+    _run(names, config_path, seed, out)
 
 
 if __name__ == "__main__":

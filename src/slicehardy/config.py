@@ -151,7 +151,7 @@ class ScenarioConfig:
         if self.center_hi < self.center_lo:
             raise ConfigError("sweep.center_hi is below sweep.center_lo")
         try:
-            parse_spec(self.family_spec)
+            parse_spec(self.family_spec, self.n)
         except ConfigError as exc:
             raise ConfigError(f"family.spec: {exc}") from exc
         return self

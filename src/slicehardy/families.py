@@ -16,10 +16,12 @@ from .grid import GridFunction
 _ARGS = {"bumps": {"count": int}, "bursts": {"count": int},
          "indicator-ladder": {"M": int},
          "translates": {"R": lambda v: [float(r) for r in v.split(",")]}}
+_ONE_DIMENSIONAL = ("bursts", "indicator-ladder", "translates")
 
 
-def parse_spec(spec):
-    """The generator name and its converted arguments, or ConfigError."""
+def parse_spec(spec, n=1):
+    """The generator name and its converted arguments, or ConfigError:
+    also for a family with no members, or a 1-D generator when n != 1."""
     name, _, rest = spec.partition(":")
     name = name.strip()
     if name not in _ARGS:
@@ -34,6 +36,10 @@ def parse_spec(spec):
         except ValueError as exc:
             raise ConfigError(f"bad value {val!r} for {name} argument "
                               f"{key!r}") from exc
+    if n != 1 and name in _ONE_DIMENSIONAL:
+        raise ConfigError(f"{name} is one-dimensional, the grid has n = {n}")
+    if args.get("count", 1) < 1 or args.get("M", 0) < 0:
+        raise ConfigError(f"family {spec!r} has no members")
     return name, args
 
 
@@ -61,9 +67,7 @@ def _bumps(rng, count, h, n):
     return out
 
 
-def _bursts(rng, count, h, n):
-    if n != 1:
-        raise ConfigError("bursts are one-dimensional")
+def _bursts(rng, count, h):
     out = []
     for _ in range(count):
         c = rng.uniform(1.0, 3.0)
@@ -79,9 +83,7 @@ def _bursts(rng, count, h, n):
     return out
 
 
-def _indicator_ladder(depth, h, n):
-    if n != 1:
-        raise ConfigError("the indicator ladder is one-dimensional")
+def _indicator_ladder(depth, h):
     out = []
     cells = int(round(1.0 / h))
     for m in range(depth + 1):
@@ -91,9 +93,7 @@ def _indicator_ladder(depth, h, n):
     return out
 
 
-def _translates(radii, h, n):
-    if n != 1:
-        raise ConfigError("translates are one-dimensional")
+def _translates(radii, h):
     cells = int(round(1.0 / h))
     out = []
     for R in radii:
@@ -106,12 +106,12 @@ def _translates(radii, h, n):
 
 def generate_family(spec, seed, h=2.0 ** -8, n=1):
     """Build the family named by spec, deterministically from the seed."""
-    name, args = parse_spec(spec)
+    name, args = parse_spec(spec, n)
     rng = np.random.default_rng(seed)
     if name == "bumps":
         return _bumps(rng, args.get("count", 10), h, n)
     if name == "bursts":
-        return _bursts(rng, args.get("count", 10), h, n)
+        return _bursts(rng, args.get("count", 10), h)
     if name == "indicator-ladder":
-        return _indicator_ladder(args.get("M", 6), h, n)
-    return _translates(args.get("R", [0.0, 4.0, 16.0]), h, n)
+        return _indicator_ladder(args.get("M", 6), h)
+    return _translates(args.get("R", [0.0, 4.0, 16.0]), h)

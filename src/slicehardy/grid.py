@@ -252,11 +252,16 @@ class GridFunction:
         return GridFunction(self.origin + start * self.h, self.h,
                             self.values[box], check=False)
 
-    def covering_box(self, cubes):
-        """Origin and extents of an aligned box that holds this box and
-        every cube, with at least one spare cell on each side."""
+    def covering_box(self, cubes, others=()):
+        """Origin and extents of an aligned box that holds this box, the
+        boxes of the compatible grid functions `others` and every cube,
+        with at least one spare cell on each side."""
         lo = np.array(self.origin, dtype=float)
         hi = lo + np.array(self.extents) * self.h
+        for g in others:
+            self._require_compatible(g)
+            lo = np.minimum(lo, g.origin)
+            hi = np.maximum(hi, g.origin + np.array(g.extents) * g.h)
         for Q in cubes:
             lo = np.minimum(lo, Q.lo)
             hi = np.maximum(hi, Q.hi)

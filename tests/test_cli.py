@@ -49,6 +49,21 @@ def test_bmo_facts_writes_expected_value(runner, config_path, tmp_path):
     assert (out / "bmo-facts.csv").exists()
 
 
+def test_bmo_facts_two_dimensional(runner, tmp_path):
+    """The constant field of bmo-facts lives on the grid's dimension."""
+    config = tmp_path / "grid2d.ini"
+    config.write_text("[grid]\nn = 2\nh = 0.125\n"
+                      "[maximal]\nladder_depth = 2\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["all", "--check", "bmo-facts", "--config",
+                                  str(config), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = _summary(out)
+    assert rows[("bmo-facts", "status")] == "pass"
+    v = float(rows[("bmo-facts", "bmo_phi")])
+    assert v == pytest.approx(np.log(1.0 + np.e), abs=1e-6)
+
+
 def test_all_with_subset(runner, config_path, tmp_path):
     out = tmp_path / "out"
     result = runner.invoke(main, ["all", "--config", config_path,
@@ -114,6 +129,30 @@ def test_malformed_family_spec_exits_2_before_any_csv(runner, tmp_path,
                                                        spec):
     bad = tmp_path / "bad.ini"
     bad.write_text(FAST_CONFIG.replace("bumps:count=2", spec))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["all", "--config", str(bad),
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "family.spec" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n, spec", [
+    (1, "bumps:count=0"),
+    (1, "bumps:count=-3"),
+    (1, "bursts:count=0"),
+    (1, "indicator-ladder:M=-1"),
+    (2, "bursts:count=1"),
+    (2, "indicator-ladder:M=2"),
+    (2, "translates:R=0,4"),
+])
+def test_family_without_members_or_of_another_dimension_exits_2(
+        runner, tmp_path, n, spec):
+    """An empty family, or a 1-D generator on a 2-D grid, is a config
+    error naming family.spec, raised before the output directory exists."""
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[grid]\nn = {n}\nh = 0.015625\n"
+                   f"[family]\nspec = {spec}\n")
     out = tmp_path / "out"
     result = runner.invoke(main, ["all", "--config", str(bad),
                                   "--out", str(out)])
