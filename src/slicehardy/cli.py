@@ -98,7 +98,8 @@ def _check_duality(cfg, seed, summary):
                     ["index", "field", "campanato_norm", "max_ratio"])
     cp = CampanatoParams(cfg.slice_params(), r=1.0, d=cfg.d,
                          sweep=cfg.sweep_cubes())
-    fields = generate_family("bursts:count=10", seed + 1, cfg.h, cfg.n)
+    spec = "bursts:count=10" if cfg.n == 1 else "bumps:count=10"
+    fields = generate_family(spec, seed + 1, cfg.h, cfg.n)
     decs = [dec for _, dec in _decompositions(cfg, seed)]
     for i, (norms, _, ratios) in enumerate(pairing_bounds(decs, fields, cp)):
         for jg, worst in enumerate(ratios.max(axis=0, initial=0.0)):
@@ -108,8 +109,10 @@ def _check_duality(cfg, seed, summary):
 
 
 def _check_embeddings(cfg, seed, summary):
-    family = cfg.family(seed) + generate_family(
-        "translates:R=0,4,16,64", seed, cfg.h, cfg.n)
+    family = cfg.family(seed)
+    if cfg.n == 1:  # far translates, where the spatial log weight acts
+        family = family + generate_family("translates:R=0,4,16,64", seed,
+                                          cfg.h, cfg.n)
     rep1 = star_to_muslog_check(family)
     rep2 = hardy_embedding_check(family, cfg.maximal_params())
     summary["lebesgue_fitted_C"] = rep1.summary["fitted_C"]

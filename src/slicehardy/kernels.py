@@ -6,6 +6,8 @@ that the weighted derivative sum
 with derivatives estimated by iterated centered finite differences.  A
 finite dictionary of such kernels stands in for the full normalized
 kernel class; its size is a convergence knob, not a canonical family.
+Grid convolution by FFT is one same-mode helper on scipy.fft,
+convolve_same, which the Hardy-Littlewood averages of slice_norms share.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import ConstructionError, ResolutionError
 from .grid import GridFunction
@@ -185,5 +187,16 @@ def convolve(f, kernel, s):
     if s < 2 * f.h:
         raise ResolutionError(f"scale {s} below 2h = {2 * f.h}")
     kvals = kernel.sample(s, f.h)
-    out = fftconvolve(f.values, kvals, mode="same") * f.cell_volume
+    out = convolve_same(f.values, kvals) * f.cell_volume
     return GridFunction(f.origin, f.h, out, check=False)
+
+
+def convolve_same(a, k):
+    """The centered a.shape part of the full convolution of the real
+    arrays a and k (same ndim), by real FFTs at a fast length per axis,
+    the same arithmetic as SciPy's fftconvolve(a, k, mode="same")."""
+    full = [p + q - 1 for p, q in zip(a.shape, k.shape)]
+    fast = [next_fast_len(m, True) for m in full]
+    out = irfftn(rfftn(a, fast) * rfftn(k, fast), fast)
+    return out[tuple(slice((m - p) // 2, (m - p) // 2 + p)
+                     for m, p in zip(full, a.shape))].copy()

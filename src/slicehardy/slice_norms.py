@@ -6,8 +6,9 @@ Luxemburg norm of the ball indicator.  Ball restrictions use cells whose
 centers lie in the ball, matching the midpoint quadrature convention, so
 the indicator normalization is exact and identical for every x.  One
 mask, ball_mask, gives the ball's cells in every dimension; power-type
-norms convolve with it (_ball_sums), and general ones gather its windows
-one chunk of rows at a time.
+norms convolve with it directly (_ball_sums: np.convolve in 1-D,
+scipy.ndimage in 2-D), and general ones gather its windows one chunk of
+rows at a time.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import convolve2d, fftconvolve
+from scipy import ndimage
 
 from . import orlicz
 from .errors import PreconditionError, ResolutionError
 from .grid import Ball, GridFunction
+from .kernels import convolve_same
 from .reports import Report
 
 _ROW_CHUNK = 8192
@@ -59,9 +61,17 @@ def ball_mask(r, h, n):
 
 def _ball_sums(a, mask):
     """Full direct (not FFT) convolution of a with the ball mask, in a's
-    dtype: np.convolve in 1-D, where it is ~10x faster than ndimage."""
-    conv = np.convolve if a.ndim == 1 else convolve2d
-    return conv(a, mask.astype(a.dtype))
+    dtype, so integer counts stay exact: np.convolve in 1-D, where it is
+    ~10x faster than ndimage.  ndimage.convolve in 2-D costs the output
+    size times the nonzero weights, so the sparser operand weighs, and the
+    other is zero-padded to the full output."""
+    b = mask.astype(a.dtype)
+    if a.ndim == 1:
+        return np.convolve(a, b)
+    if np.count_nonzero(a) < np.count_nonzero(b):
+        a, b = b, a
+    pad = [(m // 2, m - 1 - m // 2) for m in b.shape]
+    return ndimage.convolve(np.pad(a, pad), b, mode="constant")
 
 
 def ball_offset_count(n, t, h):
@@ -167,7 +177,7 @@ def hl_maximal(f, pad_cells=0):
     r = 2 * g.h
     while r <= diam:
         mask = ball_mask(r, g.h, g.n).astype(float)
-        means = fftconvolve(vals, mask, mode="same") / mask.sum()
+        means = convolve_same(vals, mask) / mask.sum()
         np.maximum(out, np.maximum(means, 0.0), out=out)
         r *= 2
     return GridFunction(g.origin, g.h, out, check=False)

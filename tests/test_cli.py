@@ -1,6 +1,9 @@
 """End-to-end CLI runs through click's test runner."""
 
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -62,6 +65,26 @@ def test_bmo_facts_two_dimensional(runner, tmp_path):
     assert rows[("bmo-facts", "status")] == "pass"
     v = float(rows[("bmo-facts", "bmo_phi")])
     assert v == pytest.approx(np.log(1.0 + np.e), abs=1e-6)
+
+
+@pytest.mark.parametrize("checks", ["duality,lemma888",
+                                    "duality,embeddings,lemma888"])
+def test_duality_and_embeddings_two_dimensional(runner, tmp_path, checks):
+    """The duality fields and the embeddings family are drawn from
+    generators of the grid's dimension, so a 2-D run passes and writes
+    its summary."""
+    config = tmp_path / "grid2d.ini"
+    config.write_text("[grid]\nn = 2\nh = 0.125\n"
+                      "[functional]\ntag = log_damped\n[slice]\nt = 0.5\n"
+                      "q = 1\n[maximal]\nb = 5\nN = 6\nladder_depth = 2\n"
+                      "[family]\nspec = bumps:count=1\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["all", "--check", checks, "--config",
+                                  str(config), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    status = {check: value for (check, key), value in _summary(out).items()
+              if key == "status"}
+    assert status == dict.fromkeys(checks.split(","), "pass")
 
 
 def test_all_with_subset(runner, config_path, tmp_path):
@@ -212,3 +235,14 @@ def test_every_check_has_a_subcommand(runner):
     for name in CHECKS:
         assert name in result.output
     assert "all" in result.output
+
+
+def test_cli_import_leaves_out_scipy_signal_and_stats():
+    """Neither scipy.signal nor scipy.stats is imported on start-up: they
+    cost more than the rest of the package's imports together."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    probe = ("import sys, slicehardy.cli; print(sorted(m for m in "
+             "('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

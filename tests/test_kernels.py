@@ -6,7 +6,7 @@ import pytest
 from slicehardy.errors import ConstructionError, ResolutionError
 from slicehardy.grid import GridFunction
 from slicehardy.kernels import Kernel, build_dictionary, bump_profile, \
-    convolve, derivative_sup_bound, scale_ladder
+    convolve, convolve_same, derivative_sup_bound, scale_ladder
 
 
 def test_bump_supported_in_unit_ball():
@@ -120,3 +120,19 @@ def test_two_dimensional_dictionary():
 def test_ladder_must_resolve():
     with pytest.raises(ResolutionError):
         build_dictionary(N=1, M=6, h=2.0 ** -6, count=1, n=1)
+
+
+@pytest.mark.parametrize("shape, kshape", [
+    ((3072,), (301,)), ((200,), (7,)), ((200,), (8,)), ((40,), (97,)),
+    ((64, 48), (15, 15)), ((33, 50), (8, 6)), ((20, 12), (31, 31)),
+])
+def test_convolve_same_is_fftconvolve_same_bit_for_bit(shape, kshape, rng):
+    """The helper against the SciPy routine it replaces, with odd and even
+    kernels and kernels longer than the signal."""
+    from scipy.signal import fftconvolve
+
+    a = rng.lognormal(size=shape) * (rng.random(shape) < 0.8)
+    k = rng.normal(size=kshape)
+    got = convolve_same(a, k)
+    assert got.shape == a.shape and got.flags.owndata
+    assert np.array_equal(got, fftconvolve(a, k, mode="same"))
