@@ -7,9 +7,9 @@ cross-level corrected pieces.  Each eta_Q, bad part and correction lives
 on the index box of its dilated cube (9/8)Q, with its own origin, not on
 the level grid.  The telescoping identity makes the grid reconstruction
 exact up to floating-point accumulation; the sub-threshold remainder is
-packaged as moment-free unit-cube atoms.  One monomial basis
-(`_monomials`) and one weighted Gram solve (`_fit`) serve every polynomial
-fit: the eta-weighted projections here and the Campanato P_Q f.
+packaged as moment-free unit-cube atoms.  One step, `_moment_fit`, solves
+every polynomial fit and returns its values: the eta-weighted projections
+here, each on its eta's box, and the Campanato P_Q f.
 """
 
 from __future__ import annotations
@@ -60,6 +60,12 @@ def _monomials(pts, center, scale, d):
     return V
 
 
+def _combine(V, coeffs):
+    """sum_k coeffs[k] V[..., k], term by term: one value per row of V, or
+    one per row and column of coeffs."""
+    return sum(np.multiply.outer(V[..., k], c) for k, c in enumerate(coeffs))
+
+
 @dataclass
 class Polynomial:
     """A polynomial in the monomials u^alpha, u = (x - center) / scale,
@@ -71,25 +77,25 @@ class Polynomial:
     coeffs: np.ndarray
 
     def __call__(self, pts):
-        V = _monomials(pts, self.center, self.scale, self.degree)
-        out = np.zeros(V.shape[:-1])
-        for k, c in enumerate(self.coeffs):
-            out += c * V[..., k]
-        return out
+        return _combine(_monomials(pts, self.center, self.scale,
+                                   self.degree), self.coeffs)
 
 
-def _fit(vals, w, V):
-    """Coefficients c of P = V @ c with sum w (vals - P) u^alpha = 0 for
-    every monomial column u^alpha of V (one row per cell).  vals holds one
-    right-hand side, or one per column.  With fewer cells than monomials
+def _moment_fit(vals, w, pts, center, scale, d):
+    """(c, P(pts)) for P = sum_k c[k] u^alpha_k, |alpha_k| <= d, with
+    sum w (vals - P) u^alpha = 0 for each alpha: one row per cell, and one
+    right-hand side per column of vals.  With fewer cells than monomials
     the Gram system is singular; its minimum-norm solution interpolates
     vals instead."""
+    V = _monomials(pts, center, scale, d)
     if len(vals) < V.shape[1]:
-        return np.linalg.lstsq(V, vals, rcond=None)[0]
-    try:
-        return np.linalg.solve(V.T @ (V * w[:, None]), V.T @ (vals.T * w).T)
-    except np.linalg.LinAlgError as exc:
-        raise UnderdeterminedError("singular moment system") from exc
+        c = np.linalg.lstsq(V, vals, rcond=None)[0]
+    else:
+        try:
+            c = np.linalg.solve(V.T @ (V * w[:, None]), V.T @ (vals.T * w).T)
+        except np.linalg.LinAlgError as exc:
+            raise UnderdeterminedError("singular moment system") from exc
+    return c, _combine(V, c)
 
 
 def minimizing_polynomial(f, Q, d, box=None):
@@ -101,36 +107,36 @@ def minimizing_polynomial(f, Q, d, box=None):
     dim = comb(f.n + d, d)
     if vals.size < dim:
         raise UnderdeterminedError(f"cube holds {vals.size} cells, need {dim}")
-    coeffs = _fit(vals, np.ones(vals.size), _monomials(
-        f.centers(box).reshape(-1, f.n), Q.center, Q.side, d))
-    return Polynomial(Q.center, Q.side, d, coeffs)
+    return Polynomial(Q.center, Q.side, d, _moment_fit(
+        vals, np.ones(vals.size), f.centers(box).reshape(-1, f.n), Q.center,
+        Q.side, d)[0])
 
 
-def weighted_projection(g, eta, d):
-    """Projection of g onto degree-<= d polynomials in the eta-weighted norm.
-
-    Characterized by <g - c, q eta> = 0 for every polynomial q of degree
-    at most d; only cells where eta is positive enter the system, which is
-    built on eta's box from g's samples there (zero where g has no cell).
-    """
+def _eta_fit(vals, eta, d):
+    """((center, scale, d, coeffs), values) of the eta-weighted projection
+    of vals, samples on eta's box: only cells where eta is positive enter
+    the system, and values holds the projection there, zero elsewhere."""
     w = eta.values
     if float(w.sum()) <= 0:
         raise UnderdeterminedError("weight has nonpositive mass")
     lo, hi = eta.support_bounds()
-    center = tuple((a + b) / 2 for a, b in zip(lo, hi))
-    scale = max(float(b - a) for a, b in zip(lo, hi))
+    center, scale = tuple((lo + hi) / 2), float((hi - lo).max())
     mask = w > 0
-    coeffs = _fit(_sampled_on(g, eta)[mask], w[mask],
-                  _monomials(eta.centers()[mask], center, scale, d))
-    return Polynomial(center, scale, d, coeffs)
+    out = np.zeros(eta.extents)
+    coeffs, out[mask] = _moment_fit(vals[mask], w[mask],
+                                    eta.centers()[mask], center, scale, d)
+    return (center, scale, d, coeffs), out
 
 
-def _sampled_on(g, like):
-    """g's samples on like's box, zero where g has no cell."""
-    out, boxes = np.zeros(like.extents), g.overlap(like)
+def weighted_projection(g, eta, d):
+    """Projection c of g onto degree-<= d polynomials in the eta-weighted
+    norm: <g - c, q eta> = 0 for every polynomial q of degree at most d,
+    over the cells where eta is positive, from g's samples on eta's box
+    (zero where g has no cell)."""
+    vals, boxes = np.zeros(eta.extents), g.overlap(eta)
     if boxes is not None:
-        out[boxes[1]] = g.values[boxes[0]]
-    return out
+        vals[boxes[1]] = g.values[boxes[0]]
+    return Polynomial(*_eta_fit(vals, eta, d)[0])
 
 
 # -- Whitney covering and partition of unity --------------------------------
@@ -250,10 +256,8 @@ class CZParams:
     maximal: MaximalParams
     d: int = 0
     r: float = np.inf
-    s: float = 0.81
     c0: float = 4.5
     tol_moment: float = 1e-8
-    tol_rec: float = 1e-6
     max_levels: int = 40
 
     def require_degree(self, n):
@@ -283,7 +287,8 @@ def _level_pieces(f, m, j, params):
     """Whitney cubes, partition of unity and residuals at one level.
 
     The residual r = f - c of each cube lives on its eta's box, cells lo
-    to hi - 1 of f's grid; b_sum adds up the bad parts r eta on f's grid.
+    to hi - 1 of f's grid, with c = 0 on a large cube and off eta's
+    positive cells; b_sum adds up the bad parts r eta on f's grid.
     """
     O = GridFunction(m.origin, m.h, (m.values > 2.0 ** j).astype(float),
                      check=False)
@@ -297,7 +302,7 @@ def _level_pieces(f, m, j, params):
     for eta, box, is_small in zip(etas, map(_box, lo, hi), small):
         r = f.values[box]
         if is_small:
-            r = r - weighted_projection(f, eta, params.d)(eta.centers())
+            r = r - _eta_fit(r, eta, params.d)[1]
         b_sum[box] += r * eta.values
         resid.append(r)
     return {"cubes": cubes, "etas": etas, "small": small, "lo": lo,
@@ -323,24 +328,22 @@ def _assemble_level(f, level, nxt, params):
     out = []
     for eta_k, r_k, lo_k, hi_k in zip(level["etas"], level["resid"],
                                       level["lo"], level["hi"]):
-        partners = []
+        partners = {}  # i: eta_k on eta_i's box, zero off their common box
         for i in np.flatnonzero(small & np.all((lo_i < hi_k)
                                                & (lo_k < hi_i), axis=1)):
             lo, hi = np.maximum(lo_i[i], lo_k), np.minimum(hi_i[i], hi_k)
-            if np.any(nxt["etas"][i].values[_box(lo, hi, lo_i[i])]
-                      * eta_k.values[_box(lo, hi, lo_k)]):
-                partners.append(i)
-        lo = np.min([lo_k, *lo_i[partners]], axis=0)
-        A = np.zeros(np.max([hi_k, *hi_i[partners]], axis=0) - lo)
+            eta_ki = np.zeros(nxt["etas"][i].extents)
+            eta_ki[_box(lo, hi, lo_i[i])] = eta_k.values[_box(lo, hi, lo_k)]
+            if np.any(nxt["etas"][i].values * eta_ki):
+                partners[i] = eta_ki
+        lo = np.min([lo_k, *lo_i[list(partners)]], axis=0)
+        A = np.zeros(np.max([hi_k, *hi_i[list(partners)]], axis=0) - lo)
         A[_box(lo_k, hi_k, lo)] = r_k * eta_k.values \
             - nxt["b_sum"][_box(lo_k, hi_k)] * eta_k.values
-        for i in partners:
+        for i, eta_ki in partners.items():
             eta_i = nxt["etas"][i]
-            g = GridFunction(eta_i.origin, f.h, nxt["resid"][i]
-                             * _sampled_on(eta_k, eta_i), check=False)
-            A[_box(lo_i[i], hi_i[i], lo)] += \
-                weighted_projection(g, eta_i, params.d)(eta_i.centers()) \
-                * eta_i.values
+            A[_box(lo_i[i], hi_i[i], lo)] += eta_i.values * _eta_fit(
+                nxt["resid"][i] * eta_ki, eta_i, params.d)[1]
         out.append(GridFunction(f.origin + lo * f.h, f.h, A, check=False))
     return out
 
@@ -481,7 +484,7 @@ def reconstruct(dec):
     return total
 
 
-def validate_atom(atom, slice_params, tol_moment=1e-8, tol_size=1e-6):
+def validate_atom(atom, slice_params, tol_moment=1e-8):
     """Check support, size and (small cubes) moment conditions of an atom.
 
     Violations are rows of the report, not errors; each row carries the
@@ -502,7 +505,7 @@ def validate_atom(atom, slice_params, tol_moment=1e-8, tol_size=1e-6):
     else:
         size = g.lp_norm(atom.r)
         bound = atom.cube.volume ** (1.0 / atom.r) / norm_1q
-    report.add("size", size, bound, size <= bound * (1 + tol_size))
+    report.add("size", size, bound, size <= bound * (1 + 1e-6))
 
     if atom.cube.side < 1.0:
         slack = _moment_slack(g, atom.cube, atom.degree)
@@ -513,7 +516,7 @@ def validate_atom(atom, slice_params, tol_moment=1e-8, tol_size=1e-6):
     return report
 
 
-def atomic_quasinorm(dec, s, tol=1e-10):
+def atomic_quasinorm(dec, s):
     """Slice norm of the s-aggregated cube envelope of the decomposition.
 
     Evaluates the defining functional of the atomic quasi-norm for the
@@ -535,7 +538,7 @@ def atomic_quasinorm(dec, s, tol=1e-10):
         acc.values[acc.cube_slices(atom.cube)] += \
             (atom.lam / norm_1q(atom.cube.side)) ** s
     env = GridFunction(origin, acc.h, acc.values ** (1.0 / s), check=False)
-    return slice_norm(env, sp, tol)
+    return slice_norm(env, sp)
 
 
 # -- serialization ----------------------------------------------------------

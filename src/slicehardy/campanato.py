@@ -6,7 +6,7 @@ The pairing bound against atoms is exact in quadrature whenever the
 atoms' cubes belong to the sweep, which pairing_bound_check enforces.
 
 One pass serves a stack of fields on one zero-padded box: each cube's
-box, moment system (the mean for d = 0) and r-means are taken once for
+box, fit (the mean, else `_moment_fit`) and r-means are taken once for
 all fields.  A cube's value does not depend on the rest of the sweep,
 so each branch's supremum over sweep + atom cubes is max(base, atoms).
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atomic import _fit, _monomials
+from .atomic import _moment_fit
 from .errors import PreconditionError
 from .grid import Cube, GridFunction
 from .reports import Report
@@ -34,7 +34,7 @@ class CampanatoParams:
     sweep: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.r < 1:
+        if not self.r >= 1:
             raise PreconditionError("oscillation exponent r must be >= 1")
 
 
@@ -63,9 +63,9 @@ def _sweep(frame, stack, cubes, d, r):
         if Q.side < 1.0 and d == 0:
             vals = vals - vals.mean(axis=1, keepdims=True)
         elif Q.side < 1.0:
-            V = _monomials(frame.centers(box).reshape(-1, frame.n),
-                           Q.center, Q.side, d)
-            vals = vals - (V @ _fit(vals.T, np.ones(len(V)), V)).T
+            pts = frame.centers(box).reshape(-1, frame.n)
+            vals = vals - _moment_fit(vals.T, np.ones(len(pts)), pts,
+                                      Q.center, Q.side, d)[1].T
         vals = np.abs(vals)
         yield Q, vals.max(axis=1) if np.isinf(r) \
             else (vals ** r).mean(axis=1) ** (1.0 / r)
@@ -111,7 +111,7 @@ def bmo_sweep_report(g, variant, sweep):
     """Per-cube weighted mean-oscillation/mean values for one variant:
     the d = 0, r = 1 Campanato sweep, weighted by _bmo_weight."""
     if variant not in _BMO_VARIANTS:
-        raise ValueError(f"unknown bmo variant {variant!r}")
+        raise PreconditionError(f"unknown bmo variant {variant!r}")
     report = Report(f"bmo_{variant}",
                     ["variant", "side", "center", "branch", "value"])
     frame, stack = _stack([g], sweep)

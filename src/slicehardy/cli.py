@@ -20,7 +20,7 @@ from .atomic import atomic_quasinorm, cz_decompose, reconstruct, \
 from .campanato import CampanatoParams, bmo_sweep_report, pairing_bounds
 from .config import load_config
 from .embeddings import hardy_embedding_check, star_to_muslog_check
-from .errors import SliceHardyError
+from .errors import ConfigError, SliceHardyError
 from .families import generate_family
 from .grid import GridFunction
 from .maximal import hardy_quasinorm, maximal_equivalence_report
@@ -172,6 +172,9 @@ CHECKS = {
     "bmo-facts": _check_bmo_facts,
 }
 
+#: the checks that evaluate slice norms at radius t/2, which must be >= 2h
+_HALF_T = ("maximal-equivalence", "fefferman-stein")
+
 
 def _run(names, config_path, seed, out):
     """Run the named checks (None: the config's, or else all of them) and
@@ -183,6 +186,11 @@ def _run(names, config_path, seed, out):
         unknown = [s for s in names if s not in CHECKS]
         if unknown:
             raise SliceHardyError(f"unknown checks {unknown}")
+        half_t = [s for s in names if s in _HALF_T]
+        if half_t and cfg.t < 4 * cfg.h:
+            raise ConfigError(
+                f"slice.t = {cfg.t} below 4h = {4 * cfg.h}, needed by "
+                f"{', '.join(half_t)} (radius t/2 must be >= 2h)")
         os.makedirs(out, exist_ok=True)
         summary = Report("summary", ["check", "key", "value"])
         failed = False

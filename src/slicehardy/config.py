@@ -86,8 +86,7 @@ class ScenarioConfig:
 
         return CZParams(slice_params=self.slice_params(),
                         maximal=self.maximal_params(), d=self.d, r=self.r,
-                        s=self.s, c0=self.c0, tol_moment=self.tol_moment,
-                        tol_rec=self.tol_rec)
+                        c0=self.c0, tol_moment=self.tol_moment)
 
     def sweep_cubes(self):
         from .campanato import cube_sweep

@@ -39,3 +39,12 @@ class DecompositionRangeError(SliceHardyError, RuntimeError):
 
 class ConfigError(SliceHardyError, ValueError):
     """A scenario configuration is malformed or violates a hypothesis."""
+
+
+def require_positive(**values):
+    """Raise PreconditionError naming the first value that is not a
+    finite positive number (NaN included)."""
+    for name, v in values.items():
+        if not 0 < v < float("inf"):
+            raise PreconditionError(f"{name} must be finite and positive: "
+                                    f"{v}")

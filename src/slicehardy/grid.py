@@ -20,9 +20,18 @@ from itertools import product
 
 import numpy as np
 
-from .errors import InvalidDataError
+from .errors import InvalidDataError, PreconditionError, \
+    require_positive
 
 _ALIGN_TOL = 1e-9
+
+
+def _set_center(region):
+    """Store a frozen region's center as a tuple of finite floats."""
+    center = tuple(float(c) for c in region.center)
+    if not all(np.isfinite(center)):
+        raise PreconditionError(f"center must be finite: {center}")
+    object.__setattr__(region, "center", center)
 
 
 @dataclass(frozen=True)
@@ -37,9 +46,8 @@ class Cube:
     side: float
 
     def __post_init__(self):
-        if self.side <= 0:
-            raise ValueError("cube side must be positive")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        require_positive(side=self.side)
+        _set_center(self)
 
     @property
     def n(self):
@@ -77,9 +85,8 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        require_positive(radius=self.radius)
+        _set_center(self)
 
     @property
     def n(self):
@@ -237,10 +244,6 @@ class GridFunction:
 
     def __neg__(self):
         return GridFunction(self.origin, self.h, -self.values, check=False)
-
-    def abs(self):
-        return GridFunction(self.origin, self.h, np.abs(self.values),
-                            check=False)
 
     def copy(self):
         return GridFunction(self.origin.copy(), self.h, self.values.copy(),

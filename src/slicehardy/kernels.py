@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
 
-from .errors import ConstructionError, ResolutionError
+from .errors import ConstructionError, PreconditionError, ResolutionError
 from .grid import GridFunction
 
 
@@ -154,7 +154,7 @@ def build_dictionary(N, M, h, count, n=1, fd_h=None):
     measured bounds are recorded in ``fd_check``.
     """
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise PreconditionError(f"grand order N must be >= 1: {N}")
     if 2.0 ** -M < 2 * h:
         raise ResolutionError("smallest ladder scale below 2h")
     fd_h = fd_h or max(h, 1.0 / 256)

@@ -24,6 +24,9 @@ from .reports import Report
 from .slice_norms import SliceParams, ball_mask, slice_norm, star_norm
 
 DEFAULT_EPS_CUT = 1e-6
+#: output boxes extend PAD_FACTOR * max scale beyond the input box; the
+#: omitted far field decays like (|x|/s)^-b
+PAD_FACTOR = 4.0
 
 
 @dataclass
@@ -36,12 +39,9 @@ class MaximalParams:
     dictionary: MollifierDictionary = None
     ladder: list = field(default_factory=lambda: scale_ladder(5))
     eps_cut: float = DEFAULT_EPS_CUT
-    #: output boxes extend pad_factor * max scale beyond the input box;
-    #: the omitted far field decays like (|x|/s)^-b
-    pad_factor: float = 4.0
 
     def pad_cells(self, h):
-        return int(np.ceil(self.pad_factor * max(self.ladder) / h))
+        return int(np.ceil(PAD_FACTOR * max(self.ladder) / h))
 
     def require_hardy(self, n, p_minus, q):
         if self.b <= 2 * n / min(p_minus, q):
@@ -228,7 +228,7 @@ def parse_space_tag(tag):
     if tag.startswith("slice:"):
         body, qs, ts = tag[len("slice:"):].rsplit(":", 2)
         return ("slice", orlicz.from_tag(body), float(qs), float(ts))
-    raise ValueError(f"unknown space tag {tag!r}")
+    raise PreconditionError(f"unknown space tag {tag!r}")
 
 
 def hardy_quasinorm(f, space_tag, params):
@@ -247,7 +247,7 @@ def hardy_quasinorms(f, space_tags, params):
             if params.b <= 2 * f.n:
                 raise PreconditionError(f"{tag[0]} tag requires b > 2n")
         elif tag[0] != "l1":
-            raise ValueError(f"unknown space tag {tag!r}")
+            raise PreconditionError(f"unknown space tag {tag!r}")
     m = peetre_maximal(f, params.dictionary.phi, params.b, params.ladder,
                        params.eps_cut)
     outer = {"slice": lambda t: slice_norm(m, SliceParams(t[3], t[2], t[1])),

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDataError, NumericFailure
+from .errors import InvalidDataError, NumericFailure, PreconditionError, \
+    require_positive
 
 DEFAULT_TOL = 1e-10
 _MAX_DOUBLINGS = 200
@@ -32,10 +33,8 @@ class OrliczFunction:
 
     def __init__(self, evaluate, p_minus, p_plus, c_lower=1.0, c_upper=1.0,
                  name="orlicz", power_exponent=None):
-        if p_minus <= 0 or p_plus <= 0:
-            raise ValueError("type exponents must be positive")
-        if c_lower <= 0 or c_upper <= 0:
-            raise ValueError("type constants must be positive")
+        require_positive(p_minus=p_minus, p_plus=p_plus, c_lower=c_lower,
+                         c_upper=c_upper)
         self._evaluate = evaluate
         self.p_minus = float(p_minus)
         self.p_plus = float(p_plus)
@@ -90,8 +89,7 @@ class MusielakFunction:
 def power(p):
     """Phi(tau) = tau^p; lower and upper type are both p."""
     p = float(p)
-    if p <= 0:
-        raise ValueError("power exponent must be positive")
+    require_positive(power_exponent=p)
     return OrliczFunction(lambda tau: tau ** p, p, p,
                           name=f"power:{p:g}", power_exponent=p)
 
@@ -103,7 +101,7 @@ def log_damped(p_minus=0.9):
     on the standard sweep with a constant depending on it.
     """
     if not 0 < p_minus < 1:
-        raise ValueError("declared lower type must lie in (0, 1)")
+        raise PreconditionError("declared lower type must lie in (0, 1)")
     c_lower = _log_damped_lower_constant(p_minus)
     return OrliczFunction(lambda tau: tau / np.log(np.e + tau),
                           p_minus, 1.0, c_lower=c_lower,
@@ -134,23 +132,21 @@ def from_tag(tag):
         return log_damped()
     if tag == "musielak_log":
         return musielak_log()
-    raise ValueError(f"unknown functional tag {tag!r}")
+    raise PreconditionError(f"unknown functional tag {tag!r}")
 
 
 # -- modulars and norms -----------------------------------------------------
 
 def modular(phi, f, lam):
     """Quadrature value of the Orlicz modular of f at scale lam."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    require_positive(lam=lam)
     if not np.all(np.isfinite(f.values)):
         raise InvalidDataError("non-finite sample in f")
     return float(phi(np.abs(f.values) / lam).sum() * f.cell_volume)
 
 
 def musielak_modular(theta, f, lam):
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    require_positive(lam=lam)
     if not np.all(np.isfinite(f.values)):
         raise InvalidDataError("non-finite sample in f")
     x = f.center_radii()

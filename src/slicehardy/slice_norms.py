@@ -22,7 +22,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from . import orlicz
-from .errors import PreconditionError, ResolutionError
+from .errors import PreconditionError, ResolutionError, \
+    require_positive
 from .grid import Ball, GridFunction
 from .kernels import convolve_same
 from .reports import Report
@@ -39,8 +40,7 @@ class SliceParams:
     phi: object
 
     def __post_init__(self):
-        if self.t <= 0 or self.q <= 0:
-            raise ValueError("t and q must be positive")
+        require_positive(t=self.t, q=self.q)
 
 
 def _half_width(r, h):

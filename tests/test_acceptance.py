@@ -48,7 +48,7 @@ def cz_setup():
         generate_family("bursts:count=10", 6, h=h)
     mp = _maximal_params(h)
     sp = SliceParams(1.0, 1.0, orlicz.log_damped())
-    params = CZParams(slice_params=sp, maximal=mp, d=0, s=0.81)
+    params = CZParams(slice_params=sp, maximal=mp, d=0)
     decs = [cz_decompose(f, params) for f in family]
     return family, decs, params, mp
 
@@ -148,7 +148,7 @@ def test_criterion_06_atomic_norm_band(capsys, cz_setup):
         if t == 1.0:
             decs_t = decs
         else:
-            pt = CZParams(slice_params=sp, maximal=mp, d=0, s=0.81)
+            pt = CZParams(slice_params=sp, maximal=mp, d=0)
             decs_t = [cz_decompose(f, pt) for f in family]
         ratios = [atomic_quasinorm(dec, 0.81) / slice_norm(m, sp)
                   for dec, m in zip(decs_t, peetre)]

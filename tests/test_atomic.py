@@ -26,7 +26,7 @@ def cz_setup(dictionary_1d):
     mp = MaximalParams(dictionary=dictionary_1d,
                        ladder=dictionary_1d.scales)
     sp = SliceParams(1.0, 2.0, orlicz.power(2.0))
-    return CZParams(slice_params=sp, maximal=mp, d=0, s=0.9)
+    return CZParams(slice_params=sp, maximal=mp, d=0)
 
 
 # -- polynomials ------------------------------------------------------------
@@ -141,7 +141,9 @@ def _polynomial_fits(draw):
 @given(_polynomial_fits())
 def test_moment_systems_reproduce_polynomials(case):
     """Both fits reproduce a polynomial of degree <= d, in 1-D and 2-D, and
-    f - P_Q f has vanishing moments of order <= d on Q."""
+    f - P_Q f has vanishing moments of order <= d on Q.  The eta step of
+    the decomposition gives, bit for bit, the values of the public
+    projection on eta's positive cells, and zero elsewhere."""
     f, Q, eta, d = case
     pts = f.centers()
     np.testing.assert_allclose(minimizing_polynomial(f, Q, d)(pts),
@@ -153,6 +155,11 @@ def test_moment_systems_reproduce_polynomials(case):
     r = g.box_view(box).copy()
     r.values -= minimizing_polynomial(g, Q, d, box)(g.centers(box))
     assert atomic._moment_slack(r, Q, d) <= 1e-10
+    pos = eta.values > 0
+    _, vals = atomic._eta_fit(g.values, eta, d)
+    assert np.array_equal(
+        vals[pos], weighted_projection(g, eta, d)(eta.centers())[pos])
+    assert not vals[~pos].any()
 
 
 def test_weighted_projection_degenerate_weight():
@@ -297,7 +304,7 @@ def test_cz_degree_hypothesis(dictionary_1d):
     mp = MaximalParams(dictionary=dictionary_1d,
                        ladder=dictionary_1d.scales)
     sp = SliceParams(1.0, 0.25, orlicz.power(0.25))
-    params = CZParams(slice_params=sp, maximal=mp, d=0, s=0.2)
+    params = CZParams(slice_params=sp, maximal=mp, d=0)
     f = GridFunction.constant(1.0, (0.0,), 2.0 ** -7, (64,))
     with pytest.raises(PreconditionError):
         cz_decompose(f, params)
@@ -362,7 +369,7 @@ def _assert_round_trip_and_valid_atoms(f, dec, params):
     rec = reconstruct(dec)
     fe = f.embed(rec.origin, rec.extents)
     assert np.abs(rec.values - fe.values).max() / f.max_abs() \
-        <= params.tol_rec
+        <= ScenarioConfig.tol_rec
     for atom in dec.entries:
         assert atom.degree == params.d
         rep = validate_atom(atom, params.slice_params, params.tol_moment)

@@ -81,7 +81,7 @@ def test_bmo_log_grows_with_distance():
 
 
 def test_bmo_unknown_variant(sweep):
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         bmo_variant_norm(_field(lambda x: x), "bmo_squared", sweep)
 
 
@@ -147,7 +147,7 @@ def test_pairing_bound_holds_for_cz_atoms(dictionary_1d, sweep,
 
     mp = MaximalParams(dictionary=dictionary_1d,
                        ladder=dictionary_1d.scales)
-    params = CZParams(slice_params=slice_params, maximal=mp, d=0, s=0.9)
+    params = CZParams(slice_params=slice_params, maximal=mp, d=0)
     f = GridFunction.from_callable(
         lambda x: np.exp(-30 * (x - 0.8) ** 2), (0.0,), H, (int(2 / H),))
     dec = cz_decompose(f, params)
@@ -164,7 +164,7 @@ def test_pairing_bound_zero_field(dictionary_1d, sweep, slice_params):
 
     mp = MaximalParams(dictionary=dictionary_1d,
                        ladder=dictionary_1d.scales)
-    params = CZParams(slice_params=slice_params, maximal=mp, d=0, s=0.9)
+    params = CZParams(slice_params=slice_params, maximal=mp, d=0)
     f = GridFunction.from_callable(
         lambda x: np.exp(-30 * (x - 0.8) ** 2), (0.0,), H, (int(2 / H),))
     dec = cz_decompose(f, params)

@@ -184,6 +184,22 @@ def test_family_without_members_or_of_another_dimension_exits_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("check", ["maximal-equivalence", "fefferman-stein"])
+def test_slice_radius_below_4h_exits_2_for_checks_at_half_t(runner, tmp_path,
+                                                            check):
+    """t = 2h validates, but a check that evaluates at t/2 cannot run: a
+    config error naming slice.t, raised before the output directory
+    exists."""
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[slice]\nt = 0.0078125\n[checks]\nrun = {check}\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["all", "--config", str(bad),
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "slice.t" in result.output and check in result.output
+    assert not out.exists()
+
+
 def test_all_decomposes_once_and_matches_subcommands(runner, config_path,
                                                       tmp_path, monkeypatch):
     """`all` shares one decomposition per member across the three checks

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicehardy.errors import InvalidDataError
+from slicehardy.errors import InvalidDataError, PreconditionError
 from slicehardy.grid import Ball, Cube, GridFunction
 
 
@@ -29,10 +29,23 @@ def test_ball_membership_strict():
     assert not B.contains_points([[1.0]])[0]
 
 
-@pytest.mark.parametrize("side", [0.0, -1.0])
+@pytest.mark.parametrize("side", [0.0, -1.0, np.nan, np.inf])
 def test_degenerate_cube_rejected(side):
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         Cube((0.0,), side)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+def test_degenerate_ball_rejected(radius):
+    with pytest.raises(PreconditionError):
+        Ball((0.0,), radius)
+
+
+@pytest.mark.parametrize("region", [Cube, Ball])
+@pytest.mark.parametrize("center", [(np.nan,), (0.0, np.inf)])
+def test_nonfinite_center_rejected(region, center):
+    with pytest.raises(PreconditionError):
+        region(center, 1.0)
 
 
 def test_indicator_integrates_exactly():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from slicehardy.errors import ConstructionError, ResolutionError
+from slicehardy.errors import ConstructionError, PreconditionError, \
+    ResolutionError
 from slicehardy.grid import GridFunction
 from slicehardy.kernels import Kernel, build_dictionary, bump_profile, \
     convolve, convolve_same, derivative_sup_bound, scale_ladder
@@ -136,3 +137,8 @@ def test_convolve_same_is_fftconvolve_same_bit_for_bit(shape, kshape, rng):
     got = convolve_same(a, k)
     assert got.shape == a.shape and got.flags.owndata
     assert np.array_equal(got, fftconvolve(a, k, mode="same"))
+
+
+def test_build_dictionary_rejects_grand_order_below_one():
+    with pytest.raises(PreconditionError, match="grand order"):
+        build_dictionary(0, 3, 2.0 ** -8, 3)

@@ -301,7 +301,7 @@ def test_parse_space_tag_values():
 
 
 def test_parse_space_tag_unknown():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         parse_space_tag("banana")
 
 
@@ -327,7 +327,7 @@ def test_hardy_quasinorm_tags_share_one_maximal_function(bump,
     assert hardy_quasinorm(bump, "l1", maximal_params) == m.lp_norm(1)
     assert hardy_quasinorm(bump, "slice:power:2:2:1", maximal_params) == \
         slice_norm(m, SliceParams(1.0, 2.0, orlicz.power(2.0)))
-    with pytest.raises(ValueError, match="unknown space tag"):
+    with pytest.raises(PreconditionError, match="unknown space tag"):
         hardy_quasinorm(bump, ("banana",), maximal_params)
 
 

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
 from slicehardy import orlicz
-from slicehardy.errors import InvalidDataError
+from slicehardy.errors import InvalidDataError, PreconditionError
 from slicehardy.grid import GridFunction
 
 
@@ -111,7 +111,7 @@ def test_from_tag(tag, name):
 
 
 def test_from_tag_unknown():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         orlicz.from_tag("mystery")
 
 
@@ -136,8 +136,33 @@ def test_nonfinite_rejected():
 
 
 def test_log_damped_declared_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         orlicz.log_damped(p_minus=1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"p_minus": np.nan}, {"p_plus": np.inf}, {"p_minus": 0.0},
+    {"c_lower": -1.0}, {"c_upper": np.nan},
+])
+def test_orlicz_function_rejects_nonfinite_or_nonpositive_type_data(kwargs):
+    args = {"p_minus": 1.0, "p_plus": 1.0, **kwargs}
+    with pytest.raises(PreconditionError, match=next(iter(kwargs))):
+        orlicz.OrliczFunction(lambda t: t, **args)
+
+
+@pytest.mark.parametrize("p", [np.nan, np.inf, 0.0, -2.0])
+def test_power_rejects_nonfinite_or_nonpositive_exponent(p):
+    with pytest.raises(PreconditionError):
+        orlicz.power(p)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])
+def test_modulars_reject_nonpositive_lambda(lam):
+    f = GridFunction((0.0,), 0.5, [1.0, 2.0])
+    with pytest.raises(PreconditionError):
+        orlicz.modular(orlicz.power(2.0), f, lam)
+    with pytest.raises(PreconditionError):
+        orlicz.musielak_modular(orlicz.musielak_log(), f, lam)
 
 
 # -- property tests of the gauge solver ------------------------------------

@@ -136,6 +136,15 @@ def test_ball_mask_counts_offsets_within_the_radius():
     assert np.array_equal(disk, np.hypot(*np.meshgrid(ax, ax)) < 0.5)
 
 
+@pytest.mark.parametrize("t, q", [
+    (np.nan, 1.0), (0.5, np.nan), (np.inf, 1.0), (0.5, np.inf), (0.0, 1.0),
+    (0.5, -1.0),
+])
+def test_slice_params_reject_nonfinite_or_nonpositive_t_and_q(t, q):
+    with pytest.raises(PreconditionError):
+        SliceParams(t, q, orlicz.power(2.0))
+
+
 def test_slice_norm_resolution_guard():
     f = GridFunction.constant(1.0, (0.0,), 2.0 ** -3, (8,))
     with pytest.raises(ResolutionError):
