@@ -3,13 +3,17 @@
 Each check returns a report, written as one CSV into the output
 directory, and a verdict (or None), which the summary CSV (check, key,
 value), written last, records as `status`.  Runs are deterministic given
-the seed, and re-running overwrites the artifacts byte-identically.
+the seed, and re-running overwrites the artifacts byte-identically.  A
+check's hypotheses on the config are checked before the output directory
+exists: a check the user named fails the run with a ConfigError, one of
+the default all-checks list is recorded as `skipped`.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -23,67 +27,114 @@ from .embeddings import hardy_embedding_check, star_to_muslog_check
 from .errors import ConfigError, SliceHardyError
 from .families import generate_family
 from .grid import GridFunction
-from .maximal import hardy_quasinorm, maximal_equivalence_report
+from .maximal import hardy_quasinorm, maximal_equivalence_report, \
+    maximal_fields
 from .reports import Report
 from .slice_norms import ball_indicator_ratio, fefferman_stein_check, \
     slice_norm, star_norm
 
 
-def _check_norms(cfg, seed, summary):
-    family = cfg.family(seed)
+class Run:
+    """One run: the config, the seed, the family, and the state its checks
+    share.  Each member's CZ decomposition and Peetre field is computed
+    by whichever check asks first, so the order of the checks changes no
+    result."""
+
+    def __init__(self, cfg, seed):
+        self.cfg = cfg
+        self.seed = seed
+        self.family = cfg.family(seed)
+        self.maximal = cfg.maximal_params()
+        self._decompositions = None
+        self._peetre = {}
+
+    def decompositions(self):
+        """(member, decomposition) for every nonzero member."""
+        if self._decompositions is None:
+            params = self.cfg.cz_params()
+            self._decompositions = [(f, cz_decompose(f, params))
+                                    for f in self.family if f.max_abs() != 0]
+        return self._decompositions
+
+    def peetre(self, f):
+        """f's Peetre field (MaximalParams.peetre_field), computed once per
+        sample array: the key is f's values, never its identity, so a
+        whole-cell translate shares the field and gets its own origin."""
+        m = self._peetre.get(self._key(f))
+        if m is None:
+            m = self._keep(f, self.maximal.peetre_field(f))
+        return self._moved(f, m)
+
+    def maximal_fields(self, f):
+        """maximal_fields of f, sharing its Peetre field with the run."""
+        m = self._peetre.get(self._key(f))
+        fields = maximal_fields(f, self.maximal,
+                                None if m is None else self._moved(f, m))
+        if m is None:
+            self._keep(f, fields["peetre"])
+        return fields
+
+    @staticmethod
+    def _key(f):
+        return f.h, f.values.shape, f.values.tobytes()
+
+    def _keep(self, f, m):
+        m.values.flags.writeable = False
+        self._peetre[self._key(f)] = m
+        return m
+
+    def _moved(self, f, m):
+        """m on f's padded grid, placed as GridFunction.pad places it."""
+        pad = self.maximal.pad_cells(f.h)
+        return GridFunction(f.origin - pad * f.h, f.h, m.values, check=False)
+
+
+def _check_norms(run, summary):
+    cfg = run.cfg
     phi = cfg.phi()
     sp = cfg.slice_params()
     report = Report("norms", ["index", "luxemburg", "slice", "star", "lp"])
-    for i, f in enumerate(family):
+    for i, f in enumerate(run.family):
         report.add(i, orlicz.luxemburg_norm(phi, f), slice_norm(f, sp),
                    star_norm(f, phi), f.lp_norm(max(cfg.q, 1.0)))
-    summary["members"] = len(family)
+    summary["members"] = len(run.family)
     return report, None
 
 
-def _check_maximal_equivalence(cfg, seed, summary):
-    family = cfg.family(seed)
+def _check_maximal_equivalence(run, summary):
+    cfg = run.cfg
     report = maximal_equivalence_report(
-        family, cfg.maximal_params(), cfg.phi(), cfg.q,
-        [cfg.t / 2, cfg.t, 2 * cfg.t])
+        run.family, run.maximal, cfg.phi(), cfg.q,
+        [cfg.t / 2, cfg.t, 2 * cfg.t], fields=run.maximal_fields)
     summary.update(report.summary)
     return report, bool(report.summary.get("chain_all_ok"))
 
 
-def _decompositions(cfg, seed):
-    """(member, decomposition) for every nonzero member, computed once per
-    seed and kept on the config, so the checks of one run share them."""
-    if seed not in cfg.decompositions:
-        params = cfg.cz_params()
-        cfg.decompositions[seed] = [(f, cz_decompose(f, params))
-                                    for f in cfg.family(seed)
-                                    if f.max_abs() != 0]
-    return cfg.decompositions[seed]
-
-
-def _check_cz_roundtrip(cfg, seed, summary):
+def _check_cz_roundtrip(run, summary):
+    cfg = run.cfg
     report = Report("cz_roundtrip",
                     ["index", "atoms", "rel_sup_error", "quasinorm_ratio"])
-    for i, (f, dec) in enumerate(_decompositions(cfg, seed)):
+    for i, (f, dec) in enumerate(run.decompositions()):
         rec = reconstruct(dec)
         fe = f.embed(rec.origin, rec.extents)
         err = float(np.abs(rec.values - fe.values).max()) / f.max_abs()
         aq = atomic_quasinorm(dec, cfg.s)
         hq = hardy_quasinorm(f, ("slice", cfg.phi(), cfg.q, cfg.t),
-                             cfg.maximal_params())
+                             run.maximal, run.peetre(f))
         report.add(i, len(dec.entries), err, aq / hq if hq > 0 else 0.0)
     errs = report.column("rel_sup_error")
     summary["max_rel_error"] = max(errs) if errs else 0.0
     return report, all(e <= cfg.tol_rec for e in errs)
 
 
-def _check_atom_validation(cfg, seed, summary):
+def _check_atom_validation(run, summary):
+    cfg = run.cfg
     report = Report("atom_validation",
                     ["index", "level", "atom", "check", "measured", "bound",
                      "ok"])
     sp = cfg.slice_params()
     all_ok = True
-    for i, (_, dec) in enumerate(_decompositions(cfg, seed)):
+    for i, (_, dec) in enumerate(run.decompositions()):
         for atom in dec.entries:
             rep = validate_atom(atom, sp, cfg.tol_moment)
             for check, measured, bound, ok in rep.rows:
@@ -93,14 +144,15 @@ def _check_atom_validation(cfg, seed, summary):
     return report, all_ok
 
 
-def _check_duality(cfg, seed, summary):
+def _check_duality(run, summary):
+    cfg = run.cfg
     report = Report("duality",
                     ["index", "field", "campanato_norm", "max_ratio"])
     cp = CampanatoParams(cfg.slice_params(), r=1.0, d=cfg.d,
                          sweep=cfg.sweep_cubes())
     spec = "bursts:count=10" if cfg.n == 1 else "bumps:count=10"
-    fields = generate_family(spec, seed + 1, cfg.h, cfg.n)
-    decs = [dec for _, dec in _decompositions(cfg, seed)]
+    fields = generate_family(spec, run.seed + 1, cfg.h, cfg.n)
+    decs = [dec for _, dec in run.decompositions()]
     for i, (norms, _, ratios) in enumerate(pairing_bounds(decs, fields, cp)):
         for jg, worst in enumerate(ratios.max(axis=0, initial=0.0)):
             report.add(i, jg, float(norms[jg]), float(worst))
@@ -108,13 +160,14 @@ def _check_duality(cfg, seed, summary):
     return report, summary["max_ratio"] <= 1.0 + cfg.pairing_slack
 
 
-def _check_embeddings(cfg, seed, summary):
-    family = cfg.family(seed)
+def _check_embeddings(run, summary):
+    cfg = run.cfg
+    family = run.family
     if cfg.n == 1:  # far translates, where the spatial log weight acts
-        family = family + generate_family("translates:R=0,4,16,64", seed,
-                                          cfg.h, cfg.n)
+        family = family + generate_family("translates:R=0,4,16,64",
+                                          run.seed, cfg.h, cfg.n)
     rep1 = star_to_muslog_check(family)
-    rep2 = hardy_embedding_check(family, cfg.maximal_params())
+    rep2 = hardy_embedding_check(family, run.maximal, run.peetre)
     summary["lebesgue_fitted_C"] = rep1.summary["fitted_C"]
     summary["modular_fitted_C"] = rep1.summary["fitted_C_modular"]
     summary["hardy_fitted_C"] = rep2.summary["fitted_C"]
@@ -128,7 +181,8 @@ def _check_embeddings(cfg, seed, summary):
         [rep1.summary["fitted_C"], rep2.summary["fitted_C"]]).all()
 
 
-def _check_lemma888(cfg, seed, summary):
+def _check_lemma888(run, summary):
+    cfg = run.cfg
     radii = [2.0 ** e for e in range(-6, 7)]
     radii = [r for r in radii if r >= 2 * cfg.h]
     report = ball_indicator_ratio(radii, cfg.h, 1)
@@ -136,15 +190,16 @@ def _check_lemma888(cfg, seed, summary):
     return report, report.summary["band_width"] <= 20
 
 
-def _check_fefferman_stein(cfg, seed, summary):
-    family = cfg.family(seed)
-    report = fefferman_stein_check(family, 2.0, cfg.slice_params(),
+def _check_fefferman_stein(run, summary):
+    cfg = run.cfg
+    report = fefferman_stein_check(run.family, 2.0, cfg.slice_params(),
                                    [cfg.t / 2, cfg.t, 2 * cfg.t])
     summary.update(report.summary)
     return report, np.isfinite(report.summary.get("max_ratio", np.inf))
 
 
-def _check_bmo_facts(cfg, seed, summary):
+def _check_bmo_facts(run, summary):
+    cfg = run.cfg
     half = 33.0
     cells = int(round(2 * half / cfg.h))
     one = GridFunction.constant(1.0, (-half,) * cfg.n, cfg.h,
@@ -160,43 +215,95 @@ def _check_bmo_facts(cfg, seed, summary):
     return merged, abs(summary["bmo_phi"] - target) <= 1e-6
 
 
-CHECKS = {
-    "norms": _check_norms,
-    "maximal-equivalence": _check_maximal_equivalence,
-    "cz-roundtrip": _check_cz_roundtrip,
-    "atom-validation": _check_atom_validation,
-    "duality": _check_duality,
-    "embeddings": _check_embeddings,
-    "lemma888": _check_lemma888,
-    "fefferman-stein": _check_fefferman_stein,
-    "bmo-facts": _check_bmo_facts,
-}
+# -- hypotheses: cfg -> [(key, message)] of those cfg breaks ----------------
 
-#: the checks that evaluate slice norms at radius t/2, which must be >= 2h
-_HALF_T = ("maximal-equivalence", "fefferman-stein")
+def _half_t(cfg):
+    """Slice norms at radius t/2, which must be at least 2h."""
+    if cfg.t < 4 * cfg.h:
+        return [("slice.t", f"t = {cfg.t} is below 4h = {4 * cfg.h}, and "
+                 f"the radius t/2 must be >= 2h")]
+    return []
+
+
+def _peetre_above_2n(cfg):
+    """The star and muslog outer norms of the Peetre function need b > 2n."""
+    if cfg.b <= 2 * cfg.n:
+        return [("maximal.b", f"b = {cfg.b} must exceed 2n = {2 * cfg.n}")]
+    return []
+
+
+def _fefferman_stein(cfg):
+    """The vector-valued maximal inequality needs lower type > 1, q > 1."""
+    broken = _half_t(cfg)
+    p_minus = cfg.phi().p_minus
+    if p_minus <= 1:
+        broken.append(("functional.tag",
+                       f"{cfg.functional_tag} has lower type {p_minus}, "
+                       f"which must exceed 1"))
+    if cfg.q <= 1:
+        broken.append(("slice.q", f"q = {cfg.q} must exceed 1"))
+    return broken
+
+
+@dataclass(frozen=True)
+class Check:
+    """A check: called with (run, summary), it returns its report and a
+    verdict or None; hypotheses(cfg) lists the (key, message) of each of
+    its hypotheses that cfg breaks."""
+
+    check: object
+    hypotheses: object = lambda cfg: []
+
+    def __call__(self, run, summary):
+        return self.check(run, summary)
+
+
+CHECKS = {
+    "norms": Check(_check_norms),
+    "maximal-equivalence": Check(_check_maximal_equivalence, _half_t),
+    "cz-roundtrip": Check(_check_cz_roundtrip),
+    "atom-validation": Check(_check_atom_validation),
+    "duality": Check(_check_duality),
+    "embeddings": Check(_check_embeddings, _peetre_above_2n),
+    "lemma888": Check(_check_lemma888),
+    "fefferman-stein": Check(_check_fefferman_stein, _fefferman_stein),
+    "bmo-facts": Check(_check_bmo_facts),
+}
 
 
 def _run(names, config_path, seed, out):
     """Run the named checks (None: the config's, or else all of them) and
-    exit 0, or 1 if a check failed, or 2 on a bad config or check name."""
+    exit 0, or 1 if a check failed, or 2 on a bad config or check name,
+    or when a named check's hypotheses fail."""
     try:
         cfg = load_config(config_path)
+        named = names is not None or bool(cfg.checks)
         if names is None:
             names = list(cfg.checks) if cfg.checks else list(CHECKS)
         unknown = [s for s in names if s not in CHECKS]
         if unknown:
             raise SliceHardyError(f"unknown checks {unknown}")
-        half_t = [s for s in names if s in _HALF_T]
-        if half_t and cfg.t < 4 * cfg.h:
-            raise ConfigError(
-                f"slice.t = {cfg.t} below 4h = {4 * cfg.h}, needed by "
-                f"{', '.join(half_t)} (radius t/2 must be >= 2h)")
+        skipped = {}
+        for name in names:
+            broken = CHECKS[name].hypotheses(cfg)
+            if broken and named:
+                key, message = broken[0]
+                raise ConfigError(
+                    f"{key} breaks a hypothesis of {name}: {message}")
+            if broken:
+                skipped[name] = "; ".join(f"{key}: {message}"
+                                          for key, message in broken)
+        run = Run(cfg, seed)
         os.makedirs(out, exist_ok=True)
         summary = Report("summary", ["check", "key", "value"])
         failed = False
         for name in names:
+            if name in skipped:
+                summary.add(name, "status", "skipped")
+                summary.add(name, "reason", skipped[name])
+                continue
             info = {}
-            report, ok = CHECKS[name](cfg, seed, info)
+            report, ok = CHECKS[name](run, info)
             report.write_csv(os.path.join(out, f"{name}.csv"))
             if ok is not None:
                 info["status"] = "pass" if ok else "fail"

@@ -50,9 +50,6 @@ class ScenarioConfig:
     family_spec: str = "bumps:count=10"
     checks: tuple = ()
     _dictionary: object = field(default=None, repr=False)
-    #: CZ decompositions of the family by seed, shared by one run's checks
-    decompositions: dict = field(default_factory=dict, init=False,
-                                 repr=False)
 
     def __post_init__(self):
         phi = self.phi()

@@ -41,12 +41,14 @@ def star_to_muslog_check(family, phi=None, theta=None):
     return report
 
 
-def hardy_embedding_check(family, params):
+def hardy_embedding_check(family, params, peetre=None):
     """One-sided fitted constant for the Hardy-space inclusion.
 
     Computes the Musielak-type Hardy quasi-norm and the amalgam-type one
-    from one Peetre maximal function for every member and reports the fitted max ratio of the former to
-    the latter; the reverse direction is never asserted.
+    from one Peetre maximal function for every member, and reports the
+    fitted max ratio of the former to the latter; the reverse direction
+    is never asserted.  peetre, if given, maps a member to its Peetre
+    field (params.peetre_field of it), computed earlier.
     """
     n = family[0].n if family else 1
     if params.b <= 2 * n:
@@ -57,8 +59,9 @@ def hardy_embedding_check(family, params):
     for i, f in enumerate(family):
         if f.max_abs() == 0:
             continue
-        h_star, h_log = hardy_quasinorms(f, ["star:log_damped", "muslog"],
-                                         params)
+        h_star, h_log = hardy_quasinorms(
+            f, ["star:log_damped", "muslog"], params,
+            peetre(f) if peetre else None)
         report.add(i, h_star, h_log, h_log / h_star)
     ratios = report.column("ratio")
     report.summary["fitted_C"] = max(ratios) if ratios else 0.0

@@ -102,7 +102,8 @@ def derivative_sup_bound(values, h, N, n):
 
 @dataclass
 class MollifierDictionary:
-    """A finite family of normalized kernels plus a nonzero-mean phi."""
+    """A finite family of normalized kernels, the first of which is the
+    distinguished nonzero-mean phi."""
 
     order: int
     kernels: list
@@ -110,6 +111,10 @@ class MollifierDictionary:
     scales: list
     h: float
     fd_check: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not self.kernels or self.kernels[0] is not self.phi:
+            raise PreconditionError("phi must be the first kernel")
 
     def __iter__(self):
         return iter(self.kernels)

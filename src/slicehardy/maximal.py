@@ -8,7 +8,7 @@ dyadic scales, which preserves the equivalence bands the reports fit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -49,6 +49,12 @@ class MaximalParams:
                 f"Peetre exponent b={self.b} must exceed "
                 f"2n/min(p_minus, q) = {2 * n / min(p_minus, q)}")
 
+    def peetre_field(self, f):
+        """The Peetre maximal function of f that hardy_quasinorms and
+        maximal_fields use: phi, b, ladder and eps_cut on the shared pad."""
+        return peetre_maximal(f, self.dictionary.phi, self.b, self.ladder,
+                              self.eps_cut, self.pad_cells(f.h))
+
     def require_grand_comparison(self):
         if self.N < int(np.floor(self.b + 1)):
             raise PreconditionError(
@@ -56,18 +62,31 @@ class MaximalParams:
                 f"{int(np.floor(self.b + 1))}")
 
 
-def _scale_max(f, kernels, ladder, pad_cells, op):
-    """max over scales s of op(c, s, h, n) on the padded grid, c the max
-    over kernels of |f * psi_s|: each op weights c by w >= 0 and rounding
-    is monotone, so taking the max over kernels first changes no bit."""
+def _scale_max(f, kernels, ladder, pad_cells, ops):
+    """{name: max over scales s of op(c, s, h, n)} on the padded grid, for
+    each name: (op, over_kernels) of ops, c being |f * psi_s| of the first
+    kernel, or with over_kernels the max of that over all kernels.  Each
+    kernel is convolved once per scale, whatever the number of ops.  Each
+    op weights c by w >= 0 and rounding is monotone, so taking the max
+    over kernels first changes no bit."""
     g = f.pad(pad_cells)
-    out = np.zeros(g.extents)
+    out = {name: np.zeros(g.extents) for name in ops}
     for s in ladder:
-        c = np.abs(convolve(g, kernels[0], s).values)
+        first = np.abs(convolve(g, kernels[0], s).values)
+        grand = first.copy() if len(kernels) > 1 else first
         for kernel in kernels[1:]:
-            np.maximum(c, np.abs(convolve(g, kernel, s).values), out=c)
-        np.maximum(out, op(c, s, g.h, g.n), out=out)
-    return GridFunction(g.origin, g.h, out, check=False)
+            np.maximum(grand, np.abs(convolve(g, kernel, s).values),
+                       out=grand)
+        for name, (op, over_kernels) in ops.items():
+            c = grand if over_kernels else first
+            np.maximum(out[name], op(c, s, g.h, g.n), out=out[name])
+    return {name: GridFunction(g.origin, g.h, v, check=False)
+            for name, v in out.items()}
+
+
+def _one_scale_max(f, kernels, ladder, pad_cells, op):
+    """_scale_max of one op over all the kernels."""
+    return _scale_max(f, kernels, ladder, pad_cells, {"": (op, True)})[""]
 
 
 def radial_maximal(f, kernel, ladder, pad_cells=None):
@@ -75,8 +94,8 @@ def radial_maximal(f, kernel, ladder, pad_cells=None):
     window of aperture 0 holds the point alone)."""
     if pad_cells is None:
         pad_cells = int(np.ceil(max(ladder) / f.h))
-    return _scale_max(f, [kernel], ladder, pad_cells,
-                      partial(_window_max, a=0.0))
+    return _one_scale_max(f, [kernel], ladder, pad_cells,
+                          partial(_window_max, a=0.0))
 
 
 def _window_max(values, s, h, n, a):
@@ -99,8 +118,8 @@ def nontangential_maximal(f, kernel, a, ladder, pad_cells=None):
         raise PreconditionError("aperture must be positive")
     if pad_cells is None:
         pad_cells = int(np.ceil(max(ladder) * (1 + a) / f.h))
-    return _scale_max(f, [kernel], ladder, pad_cells,
-                      partial(_window_max, a=a))
+    return _one_scale_max(f, [kernel], ladder, pad_cells,
+                          partial(_window_max, a=a))
 
 
 def peetre_reach(b, s_max, eps_cut):
@@ -120,8 +139,8 @@ def peetre_maximal(f, kernel, b, ladder, eps_cut=DEFAULT_EPS_CUT,
         raise PreconditionError("Peetre exponent must be positive")
     if pad_cells is None:
         pad_cells = int(np.ceil(4.0 * max(ladder) / f.h))
-    return _scale_max(f, [kernel], ladder, pad_cells,
-                      partial(_peetre_sweep, b=b, eps_cut=eps_cut))
+    return _one_scale_max(f, [kernel], ladder, pad_cells,
+                          partial(_peetre_sweep, b=b, eps_cut=eps_cut))
 
 
 #: cells per tile, and tile pairs per product block, of the 1-D sweep
@@ -133,17 +152,10 @@ def _peetre_sweep(absc, s, h, n, b, eps_cut):
     d of weight >= eps_cut (in 1-D, up to the first one under it).  The
     1-D pruning is exact: it gives the max over every such d bit for bit,
     skipping only products that cannot exceed one taken (_tile_sweep)."""
-    kmax = int(np.floor(peetre_reach(b, s, eps_cut) / h))
     if n == 1:
-        m = absc.shape[0]
-        reach = max(min(kmax, m - 1), 0)
-        # scalar power, as in the reference offset loop: NumPy's array
-        # power differs from it in the last bit for some offsets
-        w = np.zeros(-(-m // _TILE) * _TILE)
-        w[:reach + 1] = [1.0] + [(1.0 + d * h / s) ** (-b)
-                                 for d in range(1, reach + 1)]
-        w[1:][np.maximum.accumulate(w[1:] < eps_cut)] = 0.0
-        return _tile_sweep(absc, w)
+        return _tile_sweep(absc, _peetre_weights(absc.shape[0], s, h, b,
+                                                 eps_cut))
+    kmax = int(np.floor(peetre_reach(b, s, eps_cut) / h))
     out = absc.copy()
     # an offset as long as an axis shifts nothing into the array
     mx, my = absc.shape
@@ -160,6 +172,23 @@ def _peetre_sweep(absc, s, h, n, b, eps_cut):
             ty, sy = _shift_slices(dy, my)
             np.maximum(out[tx, ty], absc[sx, sy] * w, out=out[tx, ty])
     return out
+
+
+@lru_cache(maxsize=64)
+def _peetre_weights(m, s, h, b, eps_cut):
+    """The 1-D sweep's weights w[d] for offsets d, zero from the first one
+    under eps_cut (or from m on), on whole tiles; read-only, as every
+    sweep with these values shares it."""
+    kmax = int(np.floor(peetre_reach(b, s, eps_cut) / h))
+    reach = max(min(kmax, m - 1), 0)
+    # scalar power, as in the reference offset loop: NumPy's array power
+    # differs from it in the last bit for some offsets
+    w = np.zeros(-(-m // _TILE) * _TILE)
+    w[:reach + 1] = [1.0] + [(1.0 + d * h / s) ** (-b)
+                             for d in range(1, reach + 1)]
+    w[1:][np.maximum.accumulate(w[1:] < eps_cut)] = 0.0
+    w.flags.writeable = False
+    return w
 
 
 def _tile_sweep(absc, w):
@@ -212,7 +241,7 @@ def grand_maximal(f, dictionary, ladder=None, peetre=False, b=None,
                                 * max(ladder) / f.h))
     op = partial(_peetre_sweep, b=b, eps_cut=eps_cut) if peetre \
         else partial(_window_max, a=1.0)
-    return _scale_max(f, list(dictionary), ladder, pad_cells, op)
+    return _one_scale_max(f, list(dictionary), ladder, pad_cells, op)
 
 
 # -- Hardy quasi-norms ------------------------------------------------------
@@ -231,13 +260,15 @@ def parse_space_tag(tag):
     raise PreconditionError(f"unknown space tag {tag!r}")
 
 
-def hardy_quasinorm(f, space_tag, params):
+def hardy_quasinorm(f, space_tag, params, peetre=None):
     """Peetre maximal function composed with the tagged outer norm."""
-    return hardy_quasinorms(f, [space_tag], params)[0]
+    return hardy_quasinorms(f, [space_tag], params, peetre)[0]
 
 
-def hardy_quasinorms(f, space_tags, params):
-    """hardy_quasinorm for several tags, from one Peetre maximal function."""
+def hardy_quasinorms(f, space_tags, params, peetre=None):
+    """hardy_quasinorm for several tags, from one Peetre maximal function:
+    peetre if given (params.peetre_field(f), computed earlier), else
+    computed here.  The hypotheses of every tag are checked either way."""
     tags = [parse_space_tag(t) if isinstance(t, str) else t
             for t in space_tags]
     for tag in tags:
@@ -248,8 +279,7 @@ def hardy_quasinorms(f, space_tags, params):
                 raise PreconditionError(f"{tag[0]} tag requires b > 2n")
         elif tag[0] != "l1":
             raise PreconditionError(f"unknown space tag {tag!r}")
-    m = peetre_maximal(f, params.dictionary.phi, params.b, params.ladder,
-                       params.eps_cut)
+    m = params.peetre_field(f) if peetre is None else peetre
     outer = {"slice": lambda t: slice_norm(m, SliceParams(t[3], t[2], t[1])),
              "star": lambda t: star_norm(m, t[1]),
              "muslog": lambda t: orlicz.musielak_norm(t[1], m),
@@ -260,22 +290,33 @@ def hardy_quasinorms(f, space_tags, params):
 _FIVE = ("radial", "nontangential", "grand", "peetre", "grand_peetre")
 
 
-def maximal_fields(f, params):
-    """The five maximal functions of f on a shared padded grid."""
-    pad = params.pad_cells(f.h)
-    phi = params.dictionary.phi
-    return {
-        "radial": radial_maximal(f, phi, params.ladder, pad),
-        "nontangential": nontangential_maximal(f, phi, params.a,
-                                               params.ladder, pad),
-        "grand": grand_maximal(f, params.dictionary, params.ladder,
-                               pad_cells=pad),
-        "peetre": peetre_maximal(f, phi, params.b, params.ladder,
-                                 params.eps_cut, pad),
-        "grand_peetre": grand_maximal(f, params.dictionary, params.ladder,
-                                      peetre=True, b=params.b,
-                                      pad_cells=pad, eps_cut=params.eps_cut),
-    }
+def maximal_fields(f, params, peetre=None):
+    """The five maximal functions of f on one padded grid, each bit for
+    bit the one its own function gives at that pad.
+
+    Each dictionary kernel is convolved once per scale: |f * phi_s|, phi
+    being the first kernel, feeds the radial, nontangential and Peetre
+    fields, its max with the other kernels the two grand ones.  peetre,
+    if given, is f's Peetre field (params.peetre_field(f)), computed
+    earlier; its sweeps are skipped.
+    """
+    sweep = partial(_peetre_sweep, b=params.b, eps_cut=params.eps_cut)
+    ops = {"radial": (partial(_window_max, a=0.0), False),
+           "nontangential": (partial(_window_max, a=params.a), False),
+           "grand": (partial(_window_max, a=1.0), True),
+           "grand_peetre": (sweep, True)}
+    if peetre is None:
+        ops["peetre"] = (sweep, False)
+    fields = _scale_max(f, list(params.dictionary), params.ladder,
+                        params.pad_cells(f.h), ops)
+    if peetre is not None:
+        grid = fields["radial"]
+        if peetre.extents != grid.extents \
+                or not np.array_equal(peetre.origin, grid.origin):
+            raise PreconditionError(
+                "the precomputed Peetre field is not on f's padded grid")
+        fields["peetre"] = peetre
+    return {name: fields[name] for name in _FIVE}
 
 
 def pointwise_chain_ok(fields, a, b, rtol=1e-10):
@@ -288,13 +329,16 @@ def pointwise_chain_ok(fields, a, b, rtol=1e-10):
     return bool(ok1 and ok2)
 
 
-def maximal_equivalence_report(family, params, phi, q, t_values):
+def maximal_equivalence_report(family, params, phi, q, t_values,
+                               fields=None):
     """All pairwise quasi-norm ratios of the five maximal functions.
 
     Hypotheses (N >= floor(b+1), b large enough) are rejected up front;
     the fitted bands are empirical, as the equivalence constants are
-    existential.
+    existential.  fields, if given, maps a member to its five maximal
+    functions in place of maximal_fields(member, params).
     """
+    fields_of = fields or partial(maximal_fields, params=params)
     params.require_grand_comparison()
     report = Report("maximal_equivalence",
                     ["index", "t"] + list(_FIVE) + ["chain_ok"])
@@ -304,11 +348,11 @@ def maximal_equivalence_report(family, params, phi, q, t_values):
     for i, f in enumerate(family):
         if f.max_abs() == 0:
             continue
-        fields = maximal_fields(f, params)
-        chain = pointwise_chain_ok(fields, params.a, params.b)
+        five = fields_of(f)
+        chain = pointwise_chain_ok(five, params.a, params.b)
         for t in t_values:
             sp = SliceParams(t, q, phi)
-            norms = {k: slice_norm(v, sp) for k, v in fields.items()}
+            norms = {k: slice_norm(v, sp) for k, v in five.items()}
             report.add(i, t, *[norms[k] for k in _FIVE], chain)
             for pair in ratios:
                 na, nb = norms[pair[0]], norms[pair[1]]

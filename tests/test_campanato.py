@@ -270,12 +270,13 @@ def test_check_duality_rows_match_per_pair_reference(d):
                          s=0.45 if d else None, side_exp_lo=-5).validate()
     assert cfg.d == d
     summary = {}
-    report, ok = cli._check_duality(cfg, 0, summary)
+    run = cli.Run(cfg, 0)
+    report, ok = cli._check_duality(run, summary)
     p = CampanatoParams(cfg.slice_params(), r=1.0, d=d,
                         sweep=cfg.sweep_cubes())
     fields = generate_family("bursts:count=10", 1, cfg.h, cfg.n)
     want = [(i, j, ref.pairing_bound_check(dec, g, p, cfg.pairing_slack))
-            for i, (_, dec) in enumerate(cli._decompositions(cfg, 0))
+            for i, (_, dec) in enumerate(run.decompositions())
             for j, g in enumerate(fields)]
     assert [row[:2] for row in report.rows] == [w[:2] for w in want]
     _close(report.column("campanato_norm"),

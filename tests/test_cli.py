@@ -200,23 +200,97 @@ def test_slice_radius_below_4h_exits_2_for_checks_at_half_t(runner, tmp_path,
     assert not out.exists()
 
 
+#: a config that breaks one hypothesis of a check, by (check, key)
+BROKEN_HYPOTHESES = {
+    ("fefferman-stein", "functional.tag"):
+        f"{FAST_CONFIG}[functional]\ntag = log_damped\n",
+    ("fefferman-stein", "slice.q"): f"{FAST_CONFIG}[slice]\nq = 1\n",
+    ("fefferman-stein", "slice.t"): f"{FAST_CONFIG}[slice]\nt = 0.03125\n",
+    ("maximal-equivalence", "slice.t"):
+        f"{FAST_CONFIG}[slice]\nt = 0.03125\n",
+    ("embeddings", "maximal.b"): "[grid]\nn = 2\nh = 0.25\n[maximal]\n"
+                                 "b = 3\nN = 4\nladder_depth = 1\n"
+                                 "[family]\nspec = bumps:count=1\n",
+}
+
+
+@pytest.mark.parametrize("how", ["subcommand", "--check", "[checks] run"])
+@pytest.mark.parametrize("check, key", list(BROKEN_HYPOTHESES))
+def test_named_check_outside_its_hypotheses_exits_2(runner, tmp_path, how,
+                                                    check, key):
+    """The config validates, but a check the user named cannot run on it:
+    a config error naming the key and the check, raised before the
+    output directory exists."""
+    text = BROKEN_HYPOTHESES[check, key]
+    args = {"subcommand": [check], "--check": ["all", "--check", check],
+            "[checks] run": ["all"]}[how]
+    if how == "[checks] run":
+        text += f"[checks]\nrun = {check}\n"
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    result = runner.invoke(main, args + ["--config", str(bad),
+                                         "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert key in result.output and check in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("check, key", list(BROKEN_HYPOTHESES))
+def test_default_check_outside_its_hypotheses_is_skipped(runner, tmp_path,
+                                                         check, key):
+    """With no checks named, a check whose hypotheses fail is skipped: the
+    summary records the skip and the key, and every other check runs."""
+    bad = tmp_path / "bad.ini"
+    bad.write_text(BROKEN_HYPOTHESES[check, key])
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["all", "--config", str(bad),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = _summary(out)
+    assert rows[(check, "status")] == "skipped"
+    assert rows[(check, "reason")].startswith(f"{key}: ")
+    assert not (out / f"{check}.csv").exists()
+    status = {c: v for (c, k), v in rows.items() if k == "status"}
+    assert set(status) == set(CHECKS) - {"norms"}
+    assert set(status.values()) == {"pass", "skipped"}
+
+
+@pytest.mark.parametrize("order", [1, -1])
 def test_all_decomposes_once_and_matches_subcommands(runner, config_path,
-                                                      tmp_path, monkeypatch):
+                                                      tmp_path, monkeypatch,
+                                                      order):
     """`all` shares one decomposition per member across the three checks
-    that use it, and writes the CSVs the separate subcommands write."""
-    from slicehardy import cli
+    that use it, and one Peetre field per distinct sample array across
+    the three that use that (the embeddings' whole-cell translates share
+    one), in either order; it writes the CSVs the separate subcommands
+    write."""
+    from slicehardy import cli, maximal
 
     calls = []
     real = cli.cz_decompose
     monkeypatch.setattr(cli, "cz_decompose",
                         lambda *a: calls.append(1) or real(*a))
-    names = ["cz-roundtrip", "atom-validation", "duality"]
+    builds = []
+    real_peetre, real_fields = maximal.peetre_maximal, cli.maximal_fields
+    monkeypatch.setattr(
+        maximal, "peetre_maximal",
+        lambda f, *a: builds.append(f.values.tobytes()) or
+        real_peetre(f, *a))
+    monkeypatch.setattr(
+        cli, "maximal_fields",
+        lambda f, p, peetre: (peetre is None and
+                              builds.append(f.values.tobytes())) or
+        real_fields(f, p, peetre))
+    names = ["maximal-equivalence", "cz-roundtrip", "atom-validation",
+             "duality", "embeddings"][::order]
     joint = tmp_path / "all"
     result = runner.invoke(main, ["all", "--config", config_path,
                                   "--check", ",".join(names),
                                   "--out", str(joint)])
     assert result.exit_code == 0, result.output
     assert len(calls) == 2
+    assert len(builds) == len(set(builds)) == 2 + 1
     for name in names:
         alone = tmp_path / name
         runner.invoke(main, [name, "--config", config_path,
@@ -224,6 +298,57 @@ def test_all_decomposes_once_and_matches_subcommands(runner, config_path,
         assert (alone / f"{name}.csv").read_bytes() == \
             (joint / f"{name}.csv").read_bytes()
     assert len(calls) == 2 + 3 * 2
+
+
+def test_run_shares_one_peetre_field_between_whole_cell_translates(
+        config_path):
+    """A run keys Peetre fields on sample values: a whole-cell translate
+    gets the shared values back on its own padded grid, as computing its
+    field alone gives them, whichever path asks first."""
+    from slicehardy import cli
+    from slicehardy.config import load_config
+    from slicehardy.families import generate_family
+
+    run = cli.Run(load_config(config_path), 0)
+    near, far = generate_family("translates:R=0,16", 0, run.cfg.h)
+    first = run.maximal_fields(near)["peetre"]
+    shared = run.peetre(far)
+    alone = run.maximal.peetre_field(far)
+    assert shared.values is first.values and not shared.values.flags.writeable
+    assert np.array_equal(shared.origin, alone.origin)
+    assert np.array_equal(shared.values, alone.values)
+    assert run.maximal_fields(far)["peetre"].values is first.values
+
+
+def test_default_run_convolves_each_kernel_once_per_scale(runner, tmp_path,
+                                                          monkeypatch):
+    """The default scenario (10 members, 4 scales, 3 kernels): the five
+    maximal functions share one convolution per kernel and scale, and
+    every Peetre field is swept once per distinct sample array (11 of
+    them), plus the grand Peetre sweeps of maximal-equivalence."""
+    from slicehardy import maximal
+
+    counts = {"convolve": 0, "sweep": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(maximal, "convolve",
+                        counted("convolve", maximal.convolve))
+    monkeypatch.setattr(maximal, "_peetre_sweep",
+                        counted("sweep", maximal._peetre_sweep))
+    result = runner.invoke(main, ["all", "--check",
+                                  "maximal-equivalence,cz-roundtrip,"
+                                  "embeddings", "--out",
+                                  str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    # maximal-equivalence 10 * 4 * 3 convolutions, cz-roundtrip's
+    # decompositions 10 * 4 * 3, one more array (the translates) 1 * 4
+    assert counts == {"convolve": 120 + 120 + 4,
+                      "sweep": 10 * 4 * 2 + 1 * 4}
 
 
 def test_rerun_is_byte_identical(runner, config_path, tmp_path):

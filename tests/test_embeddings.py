@@ -67,6 +67,12 @@ def test_hardy_embedding_one_peetre_function_per_member(
     assert list(zip(rep.column("h_star"), rep.column("h_log"))) == expected
     assert len(calls) == len(fam)
     assert all(a is f for a, f in zip(calls, fam))
+    fields = {id(f): maximal_params.peetre_field(f) for f in fam}
+    calls.clear()
+    rep = hardy_embedding_check(fam, maximal_params,
+                                lambda f: fields[id(f)])
+    assert list(zip(rep.column("h_star"), rep.column("h_log"))) == expected
+    assert calls == []
 
 
 def test_hardy_embedding_requires_large_peetre_exponent(dictionary_1d):

@@ -142,3 +142,12 @@ def test_convolve_same_is_fftconvolve_same_bit_for_bit(shape, kshape, rng):
 def test_build_dictionary_rejects_grand_order_below_one():
     with pytest.raises(PreconditionError, match="grand order"):
         build_dictionary(0, 3, 2.0 ** -8, 3)
+
+
+def test_dictionary_phi_must_be_its_first_kernel(dictionary_1d):
+    from slicehardy.kernels import MollifierDictionary
+
+    with pytest.raises(PreconditionError, match="first kernel"):
+        MollifierDictionary(order=3, kernels=dictionary_1d.kernels[1:],
+                            phi=dictionary_1d.phi,
+                            scales=dictionary_1d.scales, h=dictionary_1d.h)

@@ -12,9 +12,9 @@ from slicehardy.errors import PreconditionError
 from slicehardy.grid import GridFunction
 from slicehardy.kernels import build_dictionary, convolve, scale_ladder
 from slicehardy.maximal import MaximalParams, _peetre_sweep, \
-    grand_maximal, hardy_quasinorm, maximal_fields, nontangential_maximal, \
-    parse_space_tag, peetre_maximal, peetre_reach, pointwise_chain_ok, \
-    radial_maximal
+    _peetre_weights, grand_maximal, hardy_quasinorm, maximal_fields, \
+    nontangential_maximal, parse_space_tag, peetre_maximal, peetre_reach, \
+    pointwise_chain_ok, radial_maximal
 from slicehardy.slice_norms import SliceParams, slice_norm
 
 
@@ -240,6 +240,64 @@ def test_grand_maximal_matches_per_kernel_maxima_2d(peetre):
     assert np.array_equal(got.values, ref.values)
 
 
+def _each_alone(f, params):
+    """The five fields of maximal_fields, each from its own function."""
+    pad, ladder, d = params.pad_cells(f.h), params.ladder, params.dictionary
+    return {
+        "radial": radial_maximal(f, d.phi, ladder, pad),
+        "nontangential": nontangential_maximal(f, d.phi, params.a, ladder,
+                                               pad),
+        "grand": grand_maximal(f, d, ladder, pad_cells=pad),
+        "peetre": peetre_maximal(f, d.phi, params.b, ladder, params.eps_cut,
+                                 pad),
+        "grand_peetre": grand_maximal(f, d, ladder, peetre=True, b=params.b,
+                                      pad_cells=pad, eps_cut=params.eps_cut)}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_maximal_fields_is_each_function_alone_bit_for_bit(maximal_params,
+                                                          n):
+    """One convolution per kernel and scale gives the five fields the five
+    functions give alone at the same pad, with or without a precomputed
+    Peetre field."""
+    if n == 1:
+        params = maximal_params
+        shape = (150,)
+    else:
+        h = 2.0 ** -3
+        params = MaximalParams(a=1.5, b=5.0, N=6, eps_cut=1e-4,
+                               dictionary=build_dictionary(N=6, M=1, h=h,
+                                                           count=3, n=2),
+                               ladder=scale_ladder(1))
+        shape = (6, 5)
+    h = params.dictionary.h
+    f = GridFunction((0.25,) * n, h,
+                     np.random.default_rng(n).normal(size=shape))
+    alone = _each_alone(f, params)
+    for peetre in (None, params.peetre_field(f)):
+        fields = maximal_fields(f, params, peetre)
+        assert list(fields) == list(alone)
+        for name, g in fields.items():
+            assert np.array_equal(g.origin, alone[name].origin), name
+            assert np.array_equal(g.values, alone[name].values), name
+
+
+def test_maximal_fields_rejects_a_peetre_field_off_the_grid(bump,
+                                                           maximal_params):
+    m = maximal_params.peetre_field(bump)
+    moved = GridFunction(m.origin + bump.h, m.h, m.values)
+    with pytest.raises(PreconditionError, match="padded grid"):
+        maximal_fields(bump, maximal_params, moved)
+
+
+def test_peetre_weights_are_kept_read_only_by_value():
+    """Equal arguments, as new objects, give the one read-only table."""
+    w = _peetre_weights(300, 0.5, 2.0 ** -8, 2.5, 1e-6)
+    assert w is _peetre_weights(300, float("0.5"), 2.0 ** -8,
+                                np.float64(2.5), 1e-6)
+    assert not w.flags.writeable
+
+
 def test_grand_peetre_uses_eps_cut():
     """phi is the dictionary's first kernel, so the grand Peetre function
     dominates the Peetre function pointwise at the same eps_cut."""
@@ -252,6 +310,33 @@ def test_grand_peetre_uses_eps_cut():
                                    (0.0,), h, (128,))
     fields = maximal_fields(f, params)
     assert np.all(fields["grand_peetre"].values >= fields["peetre"].values)
+
+
+@pytest.fixture(scope="module")
+def dictionary_2d():
+    return build_dictionary(N=3, M=1, h=2.0 ** -3, count=1, n=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 2]), cells=st.integers(-20000, 20000),
+       start=st.integers(-300, 300), seed=st.integers(0, 2 ** 16),
+       shape=st.tuples(st.integers(1, 40), st.integers(1, 6)),
+       b=st.floats(2.5, 12.0))
+def test_peetre_maximal_of_a_whole_cell_translate_moves_only_its_origin(
+        dictionary_1d, dictionary_2d, n, cells, start, seed, shape, b):
+    """Moving f by a whole number of cells changes no bit of its Peetre
+    maximal function and moves its origin by as many cells: the
+    convolutions and sweeps read sample values only."""
+    d = dictionary_1d if n == 1 else dictionary_2d
+    h, ladder = d.h, [0.5, 0.25]
+    vals = np.random.default_rng(seed).normal(size=shape[:n])
+    f = GridFunction((start * h,) * n, h, vals)
+    moved = GridFunction(f.origin + cells * h, h, vals.copy())
+    pad = int(np.ceil(4.0 * max(ladder) / h))
+    m = peetre_maximal(f, d.phi, b, ladder, pad_cells=pad)
+    m_moved = peetre_maximal(moved, d.phi, b, ladder, pad_cells=pad)
+    assert np.array_equal(m_moved.values, m.values)
+    assert np.array_equal(m_moved.origin, m.origin + cells * h)
 
 
 def test_nontangential_two_dimensional_matches_enumeration():
@@ -310,13 +395,16 @@ def test_hardy_quasinorm_positive(bump, maximal_params):
     assert v > 0
 
 
-def test_hardy_quasinorm_hypothesis_guard(bump, dictionary_1d):
+@pytest.mark.parametrize("precomputed", [False, True])
+def test_hardy_quasinorm_hypothesis_guard(bump, dictionary_1d, precomputed):
+    """The guards run also when the Peetre field is passed in."""
     weak = MaximalParams(b=0.5, N=3, dictionary=dictionary_1d,
                          ladder=[0.5, 0.25])
+    m = weak.peetre_field(bump) if precomputed else None
     with pytest.raises(PreconditionError):
-        hardy_quasinorm(bump, "slice:power:2:2:1", weak)
+        hardy_quasinorm(bump, "slice:power:2:2:1", weak, m)
     with pytest.raises(PreconditionError):
-        hardy_quasinorm(bump, "star:log_damped", weak)
+        hardy_quasinorm(bump, "star:log_damped", weak, m)
 
 
 def test_hardy_quasinorm_tags_share_one_maximal_function(bump,
@@ -326,7 +414,8 @@ def test_hardy_quasinorm_tags_share_one_maximal_function(bump,
                        maximal_params.eps_cut)
     assert hardy_quasinorm(bump, "l1", maximal_params) == m.lp_norm(1)
     assert hardy_quasinorm(bump, "slice:power:2:2:1", maximal_params) == \
-        slice_norm(m, SliceParams(1.0, 2.0, orlicz.power(2.0)))
+        slice_norm(m, SliceParams(1.0, 2.0, orlicz.power(2.0))) == \
+        hardy_quasinorm(bump, "slice:power:2:2:1", maximal_params, m)
     with pytest.raises(PreconditionError, match="unknown space tag"):
         hardy_quasinorm(bump, ("banana",), maximal_params)
 
