@@ -21,15 +21,13 @@ from itertools import product
 from math import comb
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
 from .errors import ConstructionError, DecompositionRangeError, \
     InvalidDataError, NoBoundaryError, PreconditionError, UnderdeterminedError
 from .grid import Cube, GridFunction
 from .maximal import grand_maximal
 from .reports import Report
-from .slice_norms import SliceParams, cube_indicator_norms, \
-    cube_indicator_slice_norm, slice_norm
+from .slice_norms import SliceParams, cube_indicator_norms, slice_norm
 
 WHITNEY_DILATION = 9.0 / 8.0
 
@@ -141,6 +139,33 @@ def weighted_projection(g, eta, d):
 
 # -- Whitney covering and partition of unity --------------------------------
 
+def _edt(mask):
+    """Euclidean distance, in cells, from each cell of mask to its nearest
+    False cell (mask must hold one), exact: squared distances are
+    integers, and one square root ends it.  It is separable: first the
+    distance g along axis 0, by a forward and a backward scan; then in 2-D
+    min over j' of g[i, j']^2 + (j - j')^2, taken over the offsets
+    d = |j - j'| while d^2 is below the largest value so far, past which
+    no offset can lower one.  (A lower-envelope pass, vectorized over
+    rows, costs a Python loop per column and is slower at these sizes.)"""
+    m = mask.shape[0]
+    big = sum(mask.shape)  # beyond every distance in the box
+    idx = np.arange(m).reshape((m,) + (1,) * (mask.ndim - 1))
+    before = np.maximum.accumulate(np.where(mask, -big, idx), axis=0)
+    after = np.minimum.accumulate(np.where(mask, 2 * big, idx)[::-1],
+                                  axis=0)[::-1]
+    g2 = np.minimum(idx - before, after - idx) ** 2
+    if mask.ndim == 1:
+        return np.sqrt(g2)
+    d2 = g2.copy()
+    for d in range(1, mask.shape[1]):
+        if d * d >= d2.max():
+            break
+        np.minimum(d2[:, d:], g2[:, :-d] + d * d, out=d2[:, d:])
+        np.minimum(d2[:, :-d], g2[:, d:] + d * d, out=d2[:, :-d])
+    return np.sqrt(d2)
+
+
 def whitney_decompose(O):
     """Dyadic Whitney cubes for the open set {O > 0}.
 
@@ -155,8 +180,7 @@ def whitney_decompose(O):
         raise NoBoundaryError("open set fills the sampled box")
     n, h = O.n, O.h
     padded = np.pad(mask, 1)
-    edt = distance_transform_edt(padded)
-    edt = edt[tuple(slice(1, -1) for _ in range(n))] * h
+    edt = _edt(padded)[tuple(slice(1, -1) for _ in range(n))] * h
     sqrt_n = np.sqrt(n)
     top = 1 << max(int(m - 1).bit_length() for m in O.extents)
     cubes = []
@@ -484,11 +508,13 @@ def reconstruct(dec):
     return total
 
 
-def validate_atom(atom, slice_params, tol_moment=1e-8):
+def validate_atom(atom, slice_params, tol_moment=1e-8, norm_1q=None):
     """Check support, size and (small cubes) moment conditions of an atom.
 
     Violations are rows of the report, not errors; each row carries the
-    measured value, the bound and the signed slack in log scale.
+    measured value, the bound and the signed slack in log scale.  norm_1q,
+    if given, is cube_indicator_norms(slice_params, h, n) on the atom's
+    grid, shared by the atoms of a run.
     """
     report = Report("atom_validation",
                     ["check", "measured", "bound", "ok"])
@@ -497,14 +523,15 @@ def validate_atom(atom, slice_params, tol_moment=1e-8):
     support_err = float(np.abs(outside).max(initial=0.0))
     report.add("support", support_err, 0.0, support_err == 0.0)
 
-    norm_1q = cube_indicator_slice_norm(slice_params, atom.cube.side, g.h,
-                                        g.n)
+    if norm_1q is None:
+        norm_1q = cube_indicator_norms(slice_params, g.h, g.n)
+    cube_norm = norm_1q(atom.cube.side)
     if np.isinf(atom.r):
         size = g.max_abs()
-        bound = 1.0 / norm_1q
+        bound = 1.0 / cube_norm
     else:
         size = g.lp_norm(atom.r)
-        bound = atom.cube.volume ** (1.0 / atom.r) / norm_1q
+        bound = atom.cube.volume ** (1.0 / atom.r) / cube_norm
     report.add("size", size, bound, size <= bound * (1 + 1e-6))
 
     if atom.cube.side < 1.0:

@@ -30,21 +30,24 @@ from .grid import GridFunction
 from .maximal import hardy_quasinorm, maximal_equivalence_report, \
     maximal_fields
 from .reports import Report
-from .slice_norms import ball_indicator_ratio, fefferman_stein_check, \
-    slice_norm, star_norm
+from .slice_norms import ball_indicator_ratio, cube_indicator_norms, \
+    fefferman_stein_check, slice_norm, star_norm
 
 
 class Run:
     """One run: the config, the seed, the family, and the state its checks
     share.  Each member's CZ decomposition and Peetre field is computed
     by whichever check asks first, so the order of the checks changes no
-    result."""
+    result.  cube_norm(side) is the slice norm of a cube indicator, once
+    per cube size in cells."""
 
     def __init__(self, cfg, seed):
         self.cfg = cfg
         self.seed = seed
         self.family = cfg.family(seed)
         self.maximal = cfg.maximal_params()
+        self.cube_norm = cube_indicator_norms(cfg.slice_params(), cfg.h,
+                                              cfg.n)
         self._decompositions = None
         self._peetre = {}
 
@@ -136,7 +139,7 @@ def _check_atom_validation(run, summary):
     all_ok = True
     for i, (_, dec) in enumerate(run.decompositions()):
         for atom in dec.entries:
-            rep = validate_atom(atom, sp, cfg.tol_moment)
+            rep = validate_atom(atom, sp, cfg.tol_moment, run.cube_norm)
             for check, measured, bound, ok in rep.rows:
                 report.add(i, atom.level, atom.index, check, measured,
                            bound, ok)

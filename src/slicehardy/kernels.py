@@ -6,16 +6,17 @@ that the weighted derivative sum
 with derivatives estimated by iterated centered finite differences.  A
 finite dictionary of such kernels stands in for the full normalized
 kernel class; its size is a convergence knob, not a canonical family.
-Grid convolution by FFT is one same-mode helper on scipy.fft,
+Grid convolution by FFT is one same-mode helper on numpy.fft,
 convolve_same, which the Hardy-Littlewood averages of slice_norms share.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import ConstructionError, PreconditionError, ResolutionError
 from .grid import GridFunction
@@ -198,10 +199,32 @@ def convolve(f, kernel, s):
 
 def convolve_same(a, k):
     """The centered a.shape part of the full convolution of the real
-    arrays a and k (same ndim), by real FFTs at a fast length per axis,
-    the same arithmetic as SciPy's fftconvolve(a, k, mode="same")."""
+    arrays a and k (same ndim), by real FFTs at a 5-smooth length per
+    axis.  The inverse runs unscaled and scales once, by 1 / (product of
+    the lengths), at the end, as pocketfft's multi-axis inverse does: the
+    arithmetic, bit for bit, of SciPy's fftconvolve(a, k, mode="same")."""
     full = [p + q - 1 for p, q in zip(a.shape, k.shape)]
-    fast = [next_fast_len(m, True) for m in full]
-    out = irfftn(rfftn(a, fast) * rfftn(k, fast), fast)
-    return out[tuple(slice((m - p) // 2, (m - p) // 2 + p)
-                     for m, p in zip(full, a.shape))].copy()
+    fast = [_next_fast_len(m) for m in full]
+    axes = tuple(range(a.ndim))
+    spec = np.fft.rfftn(a, fast, axes) * np.fft.rfftn(k, fast, axes)
+    if a.ndim > 1:
+        spec = np.fft.ifftn(spec, axes=axes[:-1], norm="forward")
+    out = np.fft.irfft(spec, fast[-1], norm="forward")
+    centered = tuple(slice((m - p) // 2, (m - p) // 2 + p)
+                     for m, p in zip(full, a.shape))
+    return out[centered] * (1.0 / math.prod(fast))
+
+
+@cache
+def _next_fast_len(n):
+    """The least 2^i 3^j 5^k >= n, the length SciPy's next_fast_len(n,
+    real=True) picks for a real transform."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best

@@ -13,7 +13,6 @@ from itertools import combinations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import maximum_filter
 
 from . import orlicz
 from .errors import PreconditionError
@@ -99,12 +98,40 @@ def radial_maximal(f, kernel, ladder, pad_cells=None):
 
 
 def _window_max(values, s, h, n, a):
-    """max over |y - x| < a s, per grid point."""
+    """max over |y - x| < a s, per grid point, with zeros outside the box.
+
+    The ball is a union of centered segments, one per offset along axis 0
+    (the whole ball in 1-D): the max over each is a running max along the
+    last axis, and the ball's max is the max of those, each shifted by its
+    offset.  A max is exact in any order."""
     k = int(np.ceil(a * s / h - 1e-12)) - 1
     if k <= 0:
         return values.copy()
-    return maximum_filter(values, footprint=ball_mask(a * s, h, n),
-                          mode="constant")
+    mask = ball_mask(a * s, h, n).reshape(-1, 2 * k + 1)
+    padded = np.pad(values, k)
+    m = values.shape
+    out = None
+    runs = {}
+    for d, w in enumerate(mask.sum(axis=1) // 2):
+        if w not in runs:
+            runs[w] = _running_max(padded, 2 * w + 1)
+        rows = (slice(d, d + m[0]),) if n == 2 else ()
+        piece = runs[w][rows + (slice(k - w, k - w + m[-1]),)]
+        out = piece.copy() if out is None else np.maximum(out, piece, out=out)
+    return out
+
+
+def _running_max(x, length):
+    """max of each run of `length` consecutive cells along the last axis,
+    for every run inside x (x.shape[-1] - length + 1 of them), by doubling
+    the run length."""
+    span = 1
+    while 2 * span <= length:
+        x = np.maximum(x[..., :-span], x[..., span:])
+        span *= 2
+    if span < length:
+        x = np.maximum(x[..., :span - length], x[..., length - span:])
+    return x
 
 
 def _shift_slices(d, m):

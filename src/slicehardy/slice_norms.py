@@ -6,20 +6,18 @@ Luxemburg norm of the ball indicator.  Ball restrictions use cells whose
 centers lie in the ball, matching the midpoint quadrature convention, so
 the indicator normalization is exact and identical for every x.  One
 mask, ball_mask, gives the ball's cells in every dimension; power-type
-norms convolve with it directly (_ball_sums: np.convolve in 1-D,
-scipy.ndimage in 2-D), and general ones gather its windows one chunk of
-rows at a time.
+norms convolve with it directly (_ball_sums: np.convolve in 1-D, shifted
+sums in 2-D), and general ones gather its windows one chunk of rows at a
+time.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
 
 from . import orlicz
 from .errors import PreconditionError, ResolutionError, \
@@ -61,17 +59,30 @@ def ball_mask(r, h, n):
 
 def _ball_sums(a, mask):
     """Full direct (not FFT) convolution of a with the ball mask, in a's
-    dtype, so integer counts stay exact: np.convolve in 1-D, where it is
-    ~10x faster than ndimage.  ndimage.convolve in 2-D costs the output
-    size times the nonzero weights, so the sparser operand weighs, and the
-    other is zero-padded to the full output."""
+    dtype, so integer counts stay exact: np.convolve in 1-D.  In 2-D it
+    is a sum of shifted copies of the denser operand, one per nonzero
+    cell of the sparser one and weighted by it, added last cell first
+    (the order of ndimage.convolve, whose sums it repeats bit for bit)."""
     b = mask.astype(a.dtype)
     if a.ndim == 1:
         return np.convolve(a, b)
     if np.count_nonzero(a) < np.count_nonzero(b):
         a, b = b, a
-    pad = [(m // 2, m - 1 - m // 2) for m in b.shape]
-    return ndimage.convolve(np.pad(a, pad), b, mode="constant")
+    out = np.zeros([p + q - 1 for p, q in zip(a.shape, b.shape)], a.dtype)
+    for i, j in np.argwhere(b)[::-1]:
+        out[i:i + a.shape[0], j:j + a.shape[1]] += b[i, j] * a
+    return out
+
+
+def _cube_counts(cells, mask):
+    """_ball_sums of the 2-D cube of cells x cells ones with the ball mask,
+    that is the ball's cells in each shifted cube: box sums read from a
+    summed-area table of the zero-padded ball, exact and linear in the
+    output."""
+    padded = np.pad(mask.astype(np.int64), cells - 1)
+    table = np.pad(padded.cumsum(0).cumsum(1), ((1, 0), (1, 0)))
+    c = cells
+    return table[c:, c:] - table[:-c, c:] - table[c:, :-c] + table[:-c, :-c]
 
 
 def ball_offset_count(n, t, h):
@@ -95,19 +106,36 @@ def slice_norm(f, p, tol=orlicz.DEFAULT_TOL):
     if f.h * 2 > p.t:
         raise ResolutionError(f"slice radius {p.t} below 2h = {2 * f.h}")
     mask = ball_mask(p.t, f.h, f.n)
-    w = int(mask.sum())
-    den = ball_indicator_gauge(p.phi, w, f.cell_volume)
+    den = ball_indicator_gauge(p.phi, int(mask.sum()), f.cell_volume)
     if p.phi.power_exponent is not None:
         num = _power_window_norms(f, mask, p.phi.power_exponent)
     else:
-        # whole rows of axis 0 at a time, about _ROW_CHUNK windows each
-        windows = sliding_window_view(np.pad(f.values, mask.shape[0] - 1),
-                                      mask.shape)
-        step = max(_ROW_CHUNK // math.prod(windows.shape[1:f.n]), 1)
-        num = np.concatenate([orlicz.luxemburg_norm_rows(
-            p.phi, windows[i:i + step][..., mask].reshape(-1, w),
-            f.cell_volume, tol) for i in range(0, windows.shape[0], step)])
+        num = np.concatenate([
+            orlicz.luxemburg_norm_rows(p.phi, rows, f.cell_volume, tol)
+            for rows in _window_rows(f.values, mask)])
     return float(((num / den) ** p.q).sum() * f.cell_volume) ** (1.0 / p.q)
+
+
+def _window_rows(values, mask):
+    """The samples (zero outside the box) in the ball mask around each
+    outer point, one row-major row per point, whole rows of axis 0 and
+    about _ROW_CHUNK points at a time.  The mask is all ones in 1-D, so
+    the sliding windows are the rows; in 2-D a flat index gathers each
+    chunk in C order."""
+    padded = np.pad(values, mask.shape[0] - 1)
+    if values.ndim == 1:
+        windows = sliding_window_view(padded, mask.size)
+        for i in range(0, windows.shape[0], _ROW_CHUNK):
+            yield windows[i:i + _ROW_CHUNK]
+        return
+    rows, cols = (p - m + 1 for p, m in zip(padded.shape, mask.shape))
+    width = padded.shape[1]
+    cells = np.flatnonzero(np.pad(mask, ((0, 0), (0, width - mask.shape[1]))))
+    step = max(_ROW_CHUNK // cols, 1)
+    for i in range(0, rows, step):
+        starts = np.arange(i, min(i + step, rows))[:, None] * width \
+            + np.arange(cols)
+        yield padded.ravel()[starts.reshape(-1, 1) + cells]
 
 
 def _power_window_norms(f, mask, power):
@@ -136,7 +164,7 @@ def cube_indicator_slice_norm(p, side, h, n=1):
         counts = np.arange(1, min(w, cells) + 1)
         mult = np.append(np.full(counts.size - 1, 2), abs(w - cells) + 1)
     else:
-        windows = _ball_sums(np.ones((cells,) * n, dtype=np.int64), mask)
+        windows = _cube_counts(cells, mask)
         counts, mult = np.unique(windows[windows > 0], return_counts=True)
     vol = h ** n
     gauges = 1.0 / p.phi.inverse(1.0 / (np.append(counts, w) * vol))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cz_reference
+import scipy_reference
 from slicehardy import atomic, orlicz
 from slicehardy.atomic import Atom, CZParams, atomic_quasinorm, \
     cz_decompose, load_decomposition, minimizing_polynomial, multi_indices, \
@@ -211,6 +212,37 @@ def test_whitney_distance_inequality():
             continue
         dist = min(min(abs(c - Q.lo[0]), abs(c - Q.hi[0])) for c in comp)
         assert Q.side <= dist + h  # one-cell quadrature slack
+
+
+@st.composite
+def _edt_masks(draw):
+    """Random masks with at least one False cell, some with whole rows or
+    columns False or True, some with the whole box edge False (as the
+    Whitney cover pads its set)."""
+    n = draw(st.sampled_from([1, 2]))
+    shape = tuple(draw(st.lists(st.integers(1, 60), min_size=n,
+                                max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mask = rng.random(shape) < draw(st.sampled_from([0.05, 0.5, 0.9, 1.0]))
+    for _ in range(draw(st.integers(0, 3))):
+        axis = draw(st.integers(0, n - 1))
+        line = draw(st.integers(0, shape[axis] - 1))
+        index = (slice(None),) * axis + (line,)
+        mask[index] = draw(st.booleans())
+    if draw(st.booleans()):
+        mask = np.pad(mask, 1)
+    if mask.all():
+        mask.flat[draw(st.integers(0, mask.size - 1))] = False
+    return mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask=_edt_masks())
+def test_edt_is_distance_transform_edt_bit_for_bit(mask):
+    """The exact transform against ndimage.distance_transform_edt."""
+    got = atomic._edt(mask)
+    assert got.dtype == float
+    assert np.array_equal(got, scipy_reference.edt(mask))
 
 
 def test_whitney_bounded_overlap():

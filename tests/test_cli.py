@@ -1,6 +1,7 @@
 """End-to-end CLI runs through click's test runner."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -387,3 +388,101 @@ def test_cli_import_leaves_out_scipy_signal_and_stats():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_atom_validation_evaluates_one_cube_norm_per_side(config_path,
+                                                          monkeypatch):
+    """The run's cube-indicator memo solves once per distinct cube size in
+    cells, and the rows are those of validating each atom alone."""
+    from slicehardy import cli, slice_norms
+    from slicehardy.atomic import validate_atom
+    from slicehardy.config import load_config
+
+    run = cli.Run(load_config(config_path), 0)
+    atoms = [atom for _, dec in run.decompositions() for atom in dec.entries]
+    h = run.cfg.h
+    sides = []
+    solve = slice_norms.cube_indicator_slice_norm
+
+    def counted(p, side, h, n=1):
+        sides.append(side)
+        return solve(p, side, h, n)
+
+    monkeypatch.setattr(slice_norms, "cube_indicator_slice_norm", counted)
+    report, _ = CHECKS["atom-validation"](run, {})
+    cells = {max(round(atom.cube.side / h), 1) for atom in atoms}
+    assert len(atoms) > len(cells) > 1
+    assert sorted(round(side / h) for side in sides) == sorted(cells)
+    monkeypatch.undo()
+    sp = run.cfg.slice_params()
+    alone = [row for atom in atoms for row in validate_atom(
+        atom, sp, run.cfg.tol_moment).rows]
+    assert [row[3:] for row in report.rows] == alone
+
+
+def _python(code, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+               PYTHONWARNINGS="error::RuntimeWarning")
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_cli_import_leaves_out_scipy():
+    """No scipy module at all is loaded on start-up."""
+    out = _python("import sys, slicehardy.cli; print(sorted(m for m in "
+                  "sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+#: runs `slicehardy all ARGS` with scipy unimportable, and prints how often
+#: each NumPy replacement of a SciPy routine ran and which scipy modules
+#: were loaded
+_NO_SCIPY_RUN = """\
+import json, sys
+sys.modules["scipy"] = None
+from slicehardy import atomic, kernels, maximal, slice_norms
+from slicehardy.cli import main
+hits = {}
+def count(module, name, key, when=lambda *args: True):
+    fn = getattr(module, name)
+    def counted(*args):
+        if when(*args):
+            hits[key] = hits.get(key, 0) + 1
+        return fn(*args)
+    setattr(module, name, counted)
+count(kernels, "convolve_same", "fft")
+count(maximal, "_running_max", "window_max")
+count(atomic, "_edt", "edt")
+count(slice_norms, "_ball_sums", "power_2d", lambda a, mask: a.ndim == 2)
+count(slice_norms, "_cube_counts", "cube_counts")
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"hits": hits, "scipy": sorted(
+    m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m])}))
+sys.exit(code)
+"""
+
+
+def test_all_runs_without_scipy_in_1d_and_2d(config_path, tmp_path):
+    """With scipy unimportable, a small 1-D and a small 2-D run exit 0,
+    and between them reach every NumPy replacement: the FFT, the window
+    maxima, the distance transform, 2-D power-Phi sums and cube counts."""
+    grid2d = tmp_path / "grid2d.ini"
+    grid2d.write_text("[grid]\nn = 2\nh = 0.125\n[slice]\nt = 0.5\n"
+                      "[maximal]\nb = 5\nN = 6\nladder_depth = 2\n"
+                      "[family]\nspec = bumps:count=1\n")
+    hits = {}
+    for config, checks in [(config_path, "maximal-equivalence,cz-roundtrip"),
+                           (str(grid2d), "norms,atom-validation")]:
+        out = _python(_NO_SCIPY_RUN, "all", "--config", config, "--check",
+                      checks, "--out", str(tmp_path / checks))
+        assert out.returncode == 0, out.stderr
+        record = json.loads(out.stdout.splitlines()[-1])
+        assert record["scipy"] == []
+        for key, count in record["hits"].items():
+            hits[key] = hits.get(key, 0) + count
+    assert set(hits) == {"fft", "window_max", "edt", "power_2d",
+                         "cube_counts"}

@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import peetre_reference
+import scipy_reference
 from slicehardy import orlicz
 from slicehardy.errors import PreconditionError
 from slicehardy.grid import GridFunction
 from slicehardy.kernels import build_dictionary, convolve, scale_ladder
 from slicehardy.maximal import MaximalParams, _peetre_sweep, \
-    _peetre_weights, grand_maximal, hardy_quasinorm, maximal_fields, \
-    nontangential_maximal, parse_space_tag, peetre_maximal, peetre_reach, \
-    pointwise_chain_ok, radial_maximal
+    _peetre_weights, _window_max, grand_maximal, hardy_quasinorm, \
+    maximal_fields, nontangential_maximal, parse_space_tag, peetre_maximal, \
+    peetre_reach, pointwise_chain_ok, radial_maximal
 from slicehardy.slice_norms import SliceParams, slice_norm
 
 
@@ -143,6 +144,23 @@ def sweep_fields(draw):
         vals = np.linspace(0.0, draw(st.floats(0.0, 1e3)), m)
         vals = vals[::-1].copy() if draw(st.booleans()) else vals
     return vals
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.sampled_from([1, 2]), cells=st.integers(0, 31),
+       a=st.sampled_from([0.5, 1.0, 2.0]), data=st.data())
+def test_window_max_is_maximum_filter_bit_for_bit(n, cells, a, data):
+    """The segment maxima against ndimage.maximum_filter with the ball
+    footprint and zeros outside the box, on fields with negative values,
+    for balls of 1 to 63 cells across (h = 1/16) and boxes narrower than
+    the ball."""
+    h = 2.0 ** -4
+    s = (cells + 0.5) * h / a
+    shape = tuple(data.draw(st.lists(st.integers(1, 70), min_size=n,
+                                     max_size=n)))
+    values = data.draw(arrays(float, shape, elements=st.floats(-1e6, 1e6)))
+    assert np.array_equal(_window_max(values, s, h, n, a),
+                          scipy_reference.window_max(values, s, h, n, a))
 
 
 @settings(max_examples=300, deadline=None)

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
+import scipy_reference
 from slicehardy import orlicz
 from slicehardy.errors import PreconditionError, ResolutionError
 from slicehardy.grid import Cube, GridFunction
 from slicehardy.slice_norms import _ROW_CHUNK, SliceParams, _ball_sums, \
-    _power_window_norms, ball_indicator_gauge, ball_indicator_ratio, \
-    ball_mask, ball_offset_count, cube_indicator_slice_norm, \
-    fefferman_stein_check, hl_maximal, reverse_superadditivity_check, \
-    slice_norm, star_norm
+    _cube_counts, _power_window_norms, ball_indicator_gauge, \
+    ball_indicator_ratio, ball_mask, ball_offset_count, \
+    cube_indicator_slice_norm, fefferman_stein_check, hl_maximal, \
+    reverse_superadditivity_check, slice_norm, star_norm
 
 
 def _rows_2d(values, t, h, k):
@@ -103,6 +104,71 @@ def test_ball_sums_2d_match_convolve2d(k, rng):
         ref = convolve2d(vals, mask.astype(float))
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-14 * ref.max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=st.integers(1, 64), k=st.integers(0, 31))
+def test_cube_counts_are_the_ndimage_counts(cells, k):
+    """The summed-area box sums against ndimage.convolve of the int64 cube
+    indicator, for cubes of 1 to 64 cells and disks 1 to 63 cells
+    across."""
+    mask = ball_mask((k + 0.5) * 2.0 ** -4, 2.0 ** -4, 2)
+    assert mask.shape == (2 * k + 1,) * 2
+    got = _cube_counts(cells, mask)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, scipy_reference.ball_sums(
+        np.ones((cells, cells), dtype=np.int64), mask))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(st.integers(1, 80), st.integers(1, 80)),
+       k=st.integers(0, 31), power=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+       fill=st.sampled_from([0.002, 0.05, 0.5, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_power_ball_sums_2d_are_ndimage_bit_for_bit(shape, k, power, fill,
+                                                    seed):
+    """The shifted sums over the sparser operand against ndimage.convolve,
+    which adds the same products in the same order: the same bits, with
+    the field or the disk as the sparser operand."""
+    rng = np.random.default_rng(seed)
+    vals = np.abs(rng.normal(size=shape)) ** power * (rng.random(shape)
+                                                      < fill)
+    mask = ball_mask((k + 0.5) * 2.0 ** -4, 2.0 ** -4, 2)
+    assert np.array_equal(_ball_sums(vals, mask),
+                          scipy_reference.ball_sums(vals, mask))
+
+
+@pytest.mark.parametrize("n,h,shape", [(1, 2.0 ** -7, (9000,)),
+                                       (2, 2.0 ** -4, (97, 61))])
+def test_general_slice_norm_hands_row_major_rows(n, h, shape, rng,
+                                                 monkeypatch):
+    """Each chunk of windows reaches luxemburg_norm_rows with the samples
+    of a row adjacent and the rows in order: the sliding windows in 1-D,
+    a C-contiguous gather in 2-D.  The rows are the window matrix and the
+    norm is its norm, bit for bit."""
+    vals = rng.lognormal(size=shape) * (rng.random(shape) < 0.8)
+    f = GridFunction((0.0,) * n, h, vals)
+    p = SliceParams(0.5, 1.0, orlicz.log_damped())
+    handed = []
+    rows_norm = orlicz.luxemburg_norm_rows
+
+    def spy(phi, rows, cell_volume, tol):
+        handed.append(rows)
+        return rows_norm(phi, rows, cell_volume, tol)
+
+    monkeypatch.setattr(orlicz, "luxemburg_norm_rows", spy)
+    got = slice_norm(f, p)
+    assert len(handed) > 1
+    for rows in handed:
+        assert rows.strides[1] == rows.itemsize
+        assert rows.strides[0] == (rows.itemsize if n == 1
+                                   else rows.shape[1] * rows.itemsize)
+        assert rows.flags.c_contiguous == (n == 2)
+    matrix = _window_matrix(vals, p.t, h)
+    assert np.array_equal(np.concatenate(handed), matrix)
+    num = rows_norm(p.phi, matrix, f.cell_volume, orlicz.DEFAULT_TOL)
+    den = ball_indicator_gauge(p.phi, matrix.shape[1], f.cell_volume)
+    assert got == float((num / den).sum() * f.cell_volume)
 
 
 @pytest.mark.parametrize("n,h,shape,t_values", [
