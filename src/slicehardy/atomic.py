@@ -7,16 +7,17 @@ cross-level corrected pieces.  Each eta_Q, bad part and correction lives
 on the index box of its dilated cube (9/8)Q, with its own origin, not on
 the level grid.  The telescoping identity makes the grid reconstruction
 exact up to floating-point accumulation; the sub-threshold remainder is
-packaged as moment-free unit-cube atoms.  One step, `_moment_fit`, solves
-every polynomial fit and returns its values: the eta-weighted projections
-here, each on its eta's box, and the Campanato P_Q f.
+packaged as moment-free unit-cube atoms.  One step, `_moment_solve`,
+solves every polynomial fit and returns its values: the eta-weighted
+projections here, each on its eta's box against the moment system built
+once per small cube and level (`_EtaMoments`), and the Campanato P_Q f.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import product
 from math import comb
 
@@ -79,21 +80,33 @@ class Polynomial:
                                    self.degree), self.coeffs)
 
 
-def _moment_fit(vals, w, pts, center, scale, d):
-    """(c, P(pts)) for P = sum_k c[k] u^alpha_k, |alpha_k| <= d, with
-    sum w (vals - P) u^alpha = 0 for each alpha: one row per cell, and one
-    right-hand side per column of vals.  With fewer cells than monomials
-    the Gram system is singular; its minimum-norm solution interpolates
-    vals instead."""
+def _moment_system(w, pts, center, scale, d):
+    """(V, G) for the degree-d fits with weights w on pts: the monomials
+    u^alpha, u = (pts - center) / scale, one row per cell, and the Gram
+    matrix V^T W V, or None with fewer cells than monomials, where it is
+    singular."""
     V = _monomials(pts, center, scale, d)
-    if len(vals) < V.shape[1]:
+    return V, V.T @ (V * w[:, None]) if len(w) >= V.shape[1] else None
+
+
+def _moment_solve(V, G, vals, w):
+    """(c, P(pts)) for P = sum_k c[k] u^alpha_k with sum w (vals - P)
+    u^alpha = 0 for each alpha, from _moment_system's (V, G): one
+    right-hand side per column of vals.  Without G the minimum-norm
+    solution interpolates vals instead."""
+    if G is None:
         c = np.linalg.lstsq(V, vals, rcond=None)[0]
     else:
         try:
-            c = np.linalg.solve(V.T @ (V * w[:, None]), V.T @ (vals.T * w).T)
+            c = np.linalg.solve(G, V.T @ (vals.T * w).T)
         except np.linalg.LinAlgError as exc:
             raise UnderdeterminedError("singular moment system") from exc
     return c, _combine(V, c)
+
+
+def _moment_fit(vals, w, pts, center, scale, d):
+    """_moment_solve on a system built for this one fit."""
+    return _moment_solve(*_moment_system(w, pts, center, scale, d), vals, w)
 
 
 def minimizing_polynomial(f, Q, d, box=None):
@@ -110,20 +123,36 @@ def minimizing_polynomial(f, Q, d, box=None):
         Q.side, d)[0])
 
 
-def _eta_fit(vals, eta, d):
-    """((center, scale, d, coeffs), values) of the eta-weighted projection
-    of vals, samples on eta's box: only cells where eta is positive enter
-    the system, and values holds the projection there, zero elsewhere."""
-    w = eta.values
-    if float(w.sum()) <= 0:
-        raise UnderdeterminedError("weight has nonpositive mass")
-    lo, hi = eta.support_bounds()
-    center, scale = tuple((lo + hi) / 2), float((hi - lo).max())
-    mask = w > 0
-    out = np.zeros(eta.extents)
-    coeffs, out[mask] = _moment_fit(vals[mask], w[mask],
-                                    eta.centers()[mask], center, scale, d)
-    return (center, scale, d, coeffs), out
+class _EtaMoments:
+    """eta's weighted moment system of degree d, built once and fitted
+    against any number of right-hand sides: eta's positive cells (mask)
+    and its weights w on them, the scaling (center, scale) from their
+    bounds, and _moment_system's (V, G) on their centers.  One argwhere of
+    the positive cells gives the bounds and the centers, with the
+    arithmetic of support_bounds() and centers()."""
+
+    def __init__(self, eta, d):
+        w = eta.values
+        if float(w.sum()) <= 0:
+            raise UnderdeterminedError("weight has nonpositive mass")
+        self.mask = w > 0
+        idx = np.argwhere(self.mask)
+        lo = eta.origin + idx.min(axis=0) * eta.h
+        hi = eta.origin + (idx.max(axis=0) + 1) * eta.h
+        self.center = tuple((lo + hi) / 2)
+        self.scale = float((hi - lo).max())
+        self.w = w[self.mask]
+        self.V, self.G = _moment_system(self.w, eta.origin + (idx + 0.5)
+                                        * eta.h, self.center, self.scale, d)
+
+    def fit(self, vals):
+        """(coeffs, values) of the eta-weighted projection of vals, samples
+        on eta's box: values holds it on eta's positive cells, zero
+        elsewhere."""
+        out = np.zeros(self.mask.shape)
+        coeffs, out[self.mask] = _moment_solve(self.V, self.G,
+                                               vals[self.mask], self.w)
+        return coeffs, out
 
 
 def weighted_projection(g, eta, d):
@@ -134,7 +163,8 @@ def weighted_projection(g, eta, d):
     vals, boxes = np.zeros(eta.extents), g.overlap(eta)
     if boxes is not None:
         vals[boxes[1]] = g.values[boxes[0]]
-    return Polynomial(*_eta_fit(vals, eta, d)[0])
+    m = _EtaMoments(eta, d)
+    return Polynomial(m.center, m.scale, d, m.fit(vals)[0])
 
 
 # -- Whitney covering and partition of unity --------------------------------
@@ -225,27 +255,42 @@ def _axis_bump(u):
 def partition_of_unity(cubes, O):
     """Smooth bumps on the dilated cubes, normalized to sum to 1_O.
 
-    Each bump is a product of one-dimensional profiles on (9/8)Q, built
-    on the index box of the cells where it is nonzero; each eta is
-    returned on that box, with its own origin.  The bumps are added into
-    one total in cube order; dividing by it makes the sum exactly 1 on
-    the cells of O and exactly 0 off it.
+    Each bump is a product of one-dimensional profiles on (9/8)Q.  The
+    profiles of all cubes are taken at once, one flat array per axis that
+    holds each cube's window: the cells within (9/8)Q and one more on each
+    side, beyond which |u| > 1 with a margin of 1.5 h / rho.  Each bump is
+    built on the index box of the cells where it is nonzero, and each eta
+    is returned on that box, with its own origin.  The bumps are added
+    into one total in cube order; dividing by it makes the sum exactly 1
+    on the cells of O and exactly 0 off it.
     """
     mask = O.values > 0
     if not cubes:
         if mask.any():
             raise ConstructionError("nonempty open set with no cover")
         return []
+    centers = np.array([Q.center for Q in cubes])
+    rho = WHITNEY_DILATION * np.array([Q.side for Q in cubes]) / 2
+    axes = []  # per axis: (box slice, nonzero profile) of each cube
+    for d in range(O.n):
+        c, o = centers[:, d], O.origin[d]
+        lo = np.maximum(np.floor((c - rho - o) / O.h).astype(int) - 1, 0)
+        hi = np.minimum(np.ceil((c + rho - o) / O.h).astype(int) + 1,
+                        O.extents[d])
+        start = np.cumsum(hi - lo) - (hi - lo)  # of each window in p
+        cube = np.repeat(np.arange(len(cubes)), hi - lo)
+        cells = np.arange(cube.size) + (lo - start)[cube]
+        p = _axis_bump((O.axis_centers(d)[cells] - c[cube]) / rho[cube])
+        nz = np.flatnonzero(p)
+        first = nz[np.searchsorted(nz, start)].tolist()
+        stop = (nz[np.searchsorted(nz, start + hi - lo) - 1] + 1).tolist()
+        axes.append([(slice(int(cells[i]), int(cells[j - 1]) + 1), p[i:j])
+                     for i, j in zip(first, stop)])
     total = np.zeros(O.extents)
     betas = []
-    for Q in cubes:
-        rho = WHITNEY_DILATION * Q.side / 2
-        b, box = np.ones(()), ()
-        for d in range(O.n):
-            p = _axis_bump((O.axis_centers(d) - Q.center[d]) / rho)
-            nz = np.flatnonzero(p)
-            box += (slice(nz[0], nz[-1] + 1),)
-            b = np.multiply.outer(b, p[box[-1]])
+    for parts in zip(*axes):
+        box = tuple(s for s, _ in parts)
+        b = reduce(np.multiply.outer, (p for _, p in parts))
         total[box] += b
         betas.append((box, b))
     if np.any(mask & (total <= 0)):
@@ -310,27 +355,31 @@ class Decomposition:
 def _level_pieces(f, m, j, params):
     """Whitney cubes, partition of unity and residuals at one level.
 
-    The residual r = f - c of each cube lives on its eta's box, cells lo
-    to hi - 1 of f's grid, with c = 0 on a large cube and off eta's
-    positive cells; b_sum adds up the bad parts r eta on f's grid.
+    Each small cube's eta gets its moment system once (fits, None for a
+    large cube), for its own residual here and for every partner's in
+    _assemble_level.  The residual r = f - c of each cube lives on its
+    eta's box, cells lo to hi - 1 of f's grid, with c = 0 on a large cube
+    and off eta's positive cells; b_sum adds up the bad parts r eta on
+    f's grid.
     """
     O = GridFunction(m.origin, m.h, (m.values > 2.0 ** j).astype(float),
                      check=False)
     cubes = whitney_decompose(O)
     etas = partition_of_unity(cubes, O)
-    small = [Q.side < 1.0 for Q in cubes]
+    fits = [_EtaMoments(eta, params.d) if Q.side < 1.0 else None
+            for Q, eta in zip(cubes, etas)]
     lo = np.rint([(eta.origin - f.origin) / f.h for eta in etas]).astype(int)
     hi = lo + [eta.extents for eta in etas]
     resid = []
     b_sum = np.zeros(f.extents)
-    for eta, box, is_small in zip(etas, map(_box, lo, hi), small):
+    for eta, box, fit in zip(etas, map(_box, lo, hi), fits):
         r = f.values[box]
-        if is_small:
-            r = r - _eta_fit(r, eta, params.d)[1]
+        if fit is not None:
+            r = r - fit.fit(r)[1]
         b_sum[box] += r * eta.values
         resid.append(r)
-    return {"cubes": cubes, "etas": etas, "small": small, "lo": lo,
-            "hi": hi, "resid": resid, "b_sum": b_sum}
+    return {"cubes": cubes, "etas": etas, "fits": fits, "lo": lo, "hi": hi,
+            "resid": resid, "b_sum": b_sum}
 
 
 def _box(lo, hi, start=0):
@@ -342,19 +391,21 @@ def _assemble_level(f, level, nxt, params):
     """The corrected pieces A_{j,k} from levels j and j+1.
 
     A_k lives on the box covering eta_k and the small-cube etas of level
-    j+1 that meet it: candidates by one comparison of box bounds per k,
-    each confirmed on the two etas' common cells.
+    j+1 that meet it: candidates for every k from one comparison of box
+    bounds, each confirmed on the two etas' common cells, and each fitted
+    with the moment system _level_pieces built for it.
     """
     if nxt is None:
         return [GridFunction(eta.origin, f.h, r * eta.values, check=False)
                 for eta, r in zip(level["etas"], level["resid"])]
-    lo_i, hi_i, small = nxt["lo"], nxt["hi"], np.array(nxt["small"])
+    lo_i, hi_i = nxt["lo"], nxt["hi"]
+    near = np.array([fit is not None for fit in nxt["fits"]]) & np.all(
+        (lo_i < level["hi"][:, None]) & (level["lo"][:, None] < hi_i), axis=2)
     out = []
-    for eta_k, r_k, lo_k, hi_k in zip(level["etas"], level["resid"],
-                                      level["lo"], level["hi"]):
+    for eta_k, r_k, lo_k, hi_k, cand in zip(level["etas"], level["resid"],
+                                            level["lo"], level["hi"], near):
         partners = {}  # i: eta_k on eta_i's box, zero off their common box
-        for i in np.flatnonzero(small & np.all((lo_i < hi_k)
-                                               & (lo_k < hi_i), axis=1)):
+        for i in np.flatnonzero(cand):
             lo, hi = np.maximum(lo_i[i], lo_k), np.minimum(hi_i[i], hi_k)
             eta_ki = np.zeros(nxt["etas"][i].extents)
             eta_ki[_box(lo, hi, lo_i[i])] = eta_k.values[_box(lo, hi, lo_k)]
@@ -365,9 +416,8 @@ def _assemble_level(f, level, nxt, params):
         A[_box(lo_k, hi_k, lo)] = r_k * eta_k.values \
             - nxt["b_sum"][_box(lo_k, hi_k)] * eta_k.values
         for i, eta_ki in partners.items():
-            eta_i = nxt["etas"][i]
-            A[_box(lo_i[i], hi_i[i], lo)] += eta_i.values * _eta_fit(
-                nxt["resid"][i] * eta_ki, eta_i, params.d)[1]
+            A[_box(lo_i[i], hi_i[i], lo)] += nxt["etas"][i].values \
+                * nxt["fits"][i].fit(nxt["resid"][i] * eta_ki)[1]
         out.append(GridFunction(f.origin + lo * f.h, f.h, A, check=False))
     return out
 
@@ -415,13 +465,14 @@ def _package_atom(A, Q_star, j, index, params, norm_1q):
                 level=j, index=index, lam=lam)
 
 
-def cz_decompose(f, params):
+def cz_decompose(f, params, norm_1q=None):
     """Decompose f into local atoms along dyadic maximal-function levels.
 
     Levels run from the top threshold down to the first level whose
     superlevel set swallows the support box dilated to unit size; the
     remainder below that level needs no moment conditions and is emitted
-    as unit-cube atoms.
+    as unit-cube atoms.  norm_1q, if given, is
+    cube_indicator_norms(params.slice_params, f.h, f.n), shared by a run.
     """
     params.require_degree(f.n)
     if not np.all(np.isfinite(f.values)):
@@ -446,7 +497,8 @@ def cz_decompose(f, params):
 
     fb = f.embed(m.origin, m.extents)
     entries = []
-    norm_1q = cube_indicator_norms(params.slice_params, fb.h, fb.n)
+    if norm_1q is None:
+        norm_1q = cube_indicator_norms(params.slice_params, fb.h, fb.n)
     nxt = None
     for j in range(j_hi, j_lo - 1, -1):
         level = _level_pieces(fb, m, j, params)
@@ -543,12 +595,13 @@ def validate_atom(atom, slice_params, tol_moment=1e-8, norm_1q=None):
     return report
 
 
-def atomic_quasinorm(dec, s):
+def atomic_quasinorm(dec, s, norm_1q=None):
     """Slice norm of the s-aggregated cube envelope of the decomposition.
 
     Evaluates the defining functional of the atomic quasi-norm for the
     given (finite) decomposition, an upper bound for the infimum over all
-    decompositions.
+    decompositions.  norm_1q, if given, is cube_indicator_norms of the
+    decomposition's slice parameters on its atoms' grid, shared by a run.
     """
     sp = dec.params.slice_params
     s_cap = min(sp.phi.p_minus, sp.q, 1.0)
@@ -560,7 +613,8 @@ def atomic_quasinorm(dec, s):
     first = dec.entries[0].values
     origin, ext = first.covering_box([a.cube for a in dec.entries])
     acc = GridFunction(origin, first.h, np.zeros(ext), check=False)
-    norm_1q = cube_indicator_norms(sp, acc.h, acc.n)
+    if norm_1q is None:
+        norm_1q = cube_indicator_norms(sp, acc.h, acc.n)
     for atom in dec.entries:
         acc.values[acc.cube_slices(atom.cube)] += \
             (atom.lam / norm_1q(atom.cube.side)) ** s

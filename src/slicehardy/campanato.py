@@ -164,13 +164,16 @@ def pairing_bound_check(dec, g, p, slack=0.01):
     return report
 
 
-def pairing_bounds(decs, fields, p):
+def pairing_bounds(decs, fields, p, norm_1q=None):
     """(norms, pairings, ratios) per dec, from one pass over the fields:
     each field's (column's) norm over the sweep and dec's atom cubes, and
-    <a, g> and |<a, g>| / norm per atom a (row), where 0 / 0 is 0."""
+    <a, g> and |<a, g>| / norm per atom a (row), where 0 / 0 is 0.
+    norm_1q, if given, is cube_indicator_norms(p.slice_params, h, n) on
+    the fields' grid, shared by a run."""
     atom_cubes = [[a.cube for a in dec.entries] for dec in decs]
     frame, stack = _stack(fields, list(p.sweep) + sum(atom_cubes, []))
-    norm_1q = cube_indicator_norms(p.slice_params, frame.h, frame.n)
+    if norm_1q is None:
+        norm_1q = cube_indicator_norms(p.slice_params, frame.h, frame.n)
     base = _branches(frame, stack, p.sweep, p, norm_1q)
     out = []
     for dec, cubes in zip(decs, atom_cubes):

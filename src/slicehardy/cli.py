@@ -55,7 +55,8 @@ class Run:
         """(member, decomposition) for every nonzero member."""
         if self._decompositions is None:
             params = self.cfg.cz_params()
-            self._decompositions = [(f, cz_decompose(f, params))
+            self._decompositions = [(f, cz_decompose(f, params,
+                                                     self.cube_norm))
                                     for f in self.family if f.max_abs() != 0]
         return self._decompositions
 
@@ -121,7 +122,7 @@ def _check_cz_roundtrip(run, summary):
         rec = reconstruct(dec)
         fe = f.embed(rec.origin, rec.extents)
         err = float(np.abs(rec.values - fe.values).max()) / f.max_abs()
-        aq = atomic_quasinorm(dec, cfg.s)
+        aq = atomic_quasinorm(dec, cfg.s, run.cube_norm)
         hq = hardy_quasinorm(f, ("slice", cfg.phi(), cfg.q, cfg.t),
                              run.maximal, run.peetre(f))
         report.add(i, len(dec.entries), err, aq / hq if hq > 0 else 0.0)
@@ -156,7 +157,8 @@ def _check_duality(run, summary):
     spec = "bursts:count=10" if cfg.n == 1 else "bumps:count=10"
     fields = generate_family(spec, run.seed + 1, cfg.h, cfg.n)
     decs = [dec for _, dec in run.decompositions()]
-    for i, (norms, _, ratios) in enumerate(pairing_bounds(decs, fields, cp)):
+    for i, (norms, _, ratios) in enumerate(
+            pairing_bounds(decs, fields, cp, run.cube_norm)):
         for jg, worst in enumerate(ratios.max(axis=0, initial=0.0)):
             report.add(i, jg, float(norms[jg]), float(worst))
     summary["max_ratio"] = max(report.column("max_ratio"), default=0.0)

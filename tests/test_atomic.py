@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cz_reference
+import eta_reference
 import scipy_reference
 from slicehardy import atomic, orlicz
 from slicehardy.atomic import Atom, CZParams, atomic_quasinorm, \
@@ -157,10 +158,79 @@ def test_moment_systems_reproduce_polynomials(case):
     r.values -= minimizing_polynomial(g, Q, d, box)(g.centers(box))
     assert atomic._moment_slack(r, Q, d) <= 1e-10
     pos = eta.values > 0
-    _, vals = atomic._eta_fit(g.values, eta, d)
+    _, vals = atomic._EtaMoments(eta, d).fit(g.values)
     assert np.array_equal(
         vals[pos], weighted_projection(g, eta, d)(eta.centers())[pos])
     assert not vals[~pos].any()
+
+
+@st.composite
+def _sparse_weights(draw):
+    """(eta, vals, d): a nonnegative weight on a small 1-D or 2-D box, off
+    the lattice, positive on 1 to all of its cells (often fewer than the
+    degree-d monomials), and samples on that box."""
+    n = draw(st.sampled_from([1, 2]))
+    d = draw(st.integers(0, 2))
+    shape = tuple(draw(st.integers(1, 12 if n == 1 else 6))
+                  for _ in range(n))
+    size = int(np.prod(shape))
+    count = draw(st.integers(1, 4) | st.integers(1, size))
+    cells = draw(st.sets(st.integers(0, size - 1), min_size=1,
+                         max_size=count))
+    w = np.zeros(size)
+    for i in cells:
+        w[i] = draw(st.floats(1e-3, 1.0))
+    h = draw(st.sampled_from([2.0 ** -5, 2.0 ** -3, 0.3]))
+    origin = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(n))
+    vals = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=size,
+                                  max_size=size)))
+    return (GridFunction(origin, h, w.reshape(shape)), vals.reshape(shape),
+            d)
+
+
+def _assert_fit_is_slow_fit(m, eta, vals, d):
+    """eta's record m fits vals as the per-call fit does, bits and errors:
+    a Gram matrix of cells on one line (2-D, d >= 1) is singular in both."""
+    try:
+        (center, scale, _, coeffs), out = eta_reference.eta_fit(vals, eta, d)
+    except UnderdeterminedError:
+        with pytest.raises(UnderdeterminedError):
+            m.fit(vals)
+        return
+    assert (m.center, m.scale) == (center, scale)
+    c, values = m.fit(vals)
+    assert np.array_equal(c, coeffs)
+    assert np.array_equal(values, out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_weights())
+def test_moment_record_fit_is_the_per_call_fit_bit_for_bit(case):
+    """One eta's record, built once, fits any right-hand side with the
+    bits of the per-call fit that rebuilt bounds, centers and the Gram
+    matrix each time, for n = 1, 2 and d = 0, 1, 2, with or without a
+    Gram matrix."""
+    eta, vals, d = case
+    m = atomic._EtaMoments(eta, d)
+    assert (m.G is None) == (m.w.size < len(multi_indices(eta.n, d)))
+    for rhs in (vals, np.sin(3 * vals) - vals):
+        _assert_fit_is_slow_fit(m, eta, rhs, d)
+
+
+@pytest.mark.parametrize("n,d,cells", [(1, 1, 1), (1, 2, 2), (2, 1, 2),
+                                       (2, 2, 5)])
+def test_moment_record_without_gram_matrix_interpolates(n, d, cells):
+    """Fewer positive cells than monomials: no Gram matrix is stored, and
+    the minimum-norm fit interpolates, as the per-call fit does."""
+    w = np.zeros((3,) * n)
+    w.flat[:cells] = 0.5
+    eta = GridFunction((0.25,) * n, 0.125, w)
+    vals = np.arange(w.size, dtype=float).reshape(w.shape) ** 2
+    m = atomic._EtaMoments(eta, d)
+    assert m.G is None
+    _assert_fit_is_slow_fit(m, eta, vals, d)
+    np.testing.assert_allclose(m.fit(vals)[1][w > 0], vals[w > 0],
+                               rtol=0, atol=1e-12)
 
 
 def test_weighted_projection_degenerate_weight():
@@ -312,6 +382,39 @@ def test_local_etas_match_full_grid_reference(O):
     for e, ref in zip(local, full):
         assert np.array_equal(e.embed(O.origin, O.extents).values,
                               ref.values)
+
+
+@st.composite
+def _box_unions(draw):
+    """A 1-D or 2-D grid with any spacing whose open set is a union of one
+    to three boxes inside it.  Only cubes of 16 cells or more have
+    dilations that overlap at a cell center, where eta is not 0 or 1 and
+    so shows the bits of the profiles; these sets hold such cubes."""
+    n = draw(st.sampled_from([1, 2]))
+    m = 256 if n == 1 else 64
+    values = np.zeros((m,) * n)
+    for _ in range(draw(st.integers(1, 3))):
+        lo = [draw(st.integers(1, m - 2)) for _ in range(n)]
+        values[tuple(slice(a, draw(st.integers(a + 1, m - 1)))
+                     for a in lo)] = 1.0
+    h = draw(st.floats(0.01, 0.5))
+    origin = tuple(draw(st.floats(-3.0, 3.0)) for _ in range(n))
+    return GridFunction(origin, h, values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_open_sets(), _box_unions()))
+def test_per_axis_bumps_match_the_per_cube_loop(O):
+    """The bump profiles of all cubes, one flat array of their windows per
+    axis, give every eta of the loop over cubes bit for bit, on the same
+    box."""
+    cubes = whitney_decompose(O)
+    fast = partition_of_unity(cubes, O)
+    slow = eta_reference.partition_of_unity(cubes, O)
+    assert len(fast) == len(slow) == len(cubes)
+    for e, ref in zip(fast, slow):
+        assert np.array_equal(e.origin, ref.origin)
+        assert np.array_equal(e.values, ref.values)
 
 
 def test_partition_of_unity_supports():
@@ -518,3 +621,60 @@ def test_serialization_round_trip(bump_dec, cz_setup, tmp_path):
         assert np.array_equal(a.values.values, b.values.values)
     r1, r2 = reconstruct(dec), reconstruct(back)
     assert np.array_equal(r1.values, r2.values)
+
+
+def _cz_fixtures(bump_dec, cz_setup, cz_2d):
+    """(f, params) of the 1-D and 2-D fixtures at d = 0 and d = 1."""
+    (f1, _), (cfg, f2, _) = bump_dec, cz_2d
+    return [(f, dataclasses.replace(p, d=d))
+            for f, p in ((f1, cz_setup), (f2, cfg.cz_params()))
+            for d in (0, 1)]
+
+
+def test_one_moment_record_per_small_cube_and_level(bump_dec, cz_setup,
+                                                    cz_2d, monkeypatch):
+    """_level_pieces builds one moment record per small cube, and
+    _assemble_level fits every partner against those, building none."""
+    builds, phase, levels = [], [], []
+    build = atomic._EtaMoments
+    level_pieces, assemble_level = atomic._level_pieces, \
+        atomic._assemble_level
+
+    def counted_build(eta, d):
+        builds.append(phase[-1])
+        return build(eta, d)
+
+    def counted_level(f, m, j, params):
+        phase.append("level")
+        level = level_pieces(f, m, j, params)
+        levels.append((builds.count("level"),
+                       sum(Q.side < 1.0 for Q in level["cubes"])))
+        builds.clear()
+        return level
+
+    def counted_assemble(f, level, nxt, params):
+        phase.append("assemble")
+        out = assemble_level(f, level, nxt, params)
+        assert "assemble" not in builds
+        return out
+
+    monkeypatch.setattr(atomic, "_EtaMoments", counted_build)
+    monkeypatch.setattr(atomic, "_level_pieces", counted_level)
+    monkeypatch.setattr(atomic, "_assemble_level", counted_assemble)
+    for f, params in _cz_fixtures(bump_dec, cz_setup, cz_2d):
+        levels.clear()
+        dec = cz_decompose(f, params)
+        assert len(levels) == dec.j_hi - dec.j_lo + 1
+        assert all(built == small for built, small in levels)
+        assert sum(small for _, small in levels) > 0
+
+
+def test_atoms_with_the_per_call_fit_are_bit_identical(bump_dec, cz_setup,
+                                                       cz_2d, monkeypatch):
+    """Atoms at d = 0 and d = 1, in 1-D and 2-D, are those of the per-call
+    fit bit for bit (tests/cz_reference.py covers d = 0 only)."""
+    cases = _cz_fixtures(bump_dec, cz_setup, cz_2d)
+    decs = [cz_decompose(f, params) for f, params in cases]
+    eta_reference.use_slow_fit(monkeypatch)
+    for (f, params), dec in zip(cases, decs):
+        _assert_same_atoms(dec, cz_decompose(f, params))

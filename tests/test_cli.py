@@ -392,14 +392,14 @@ def test_cli_import_leaves_out_scipy_signal_and_stats():
 
 def test_atom_validation_evaluates_one_cube_norm_per_side(config_path,
                                                           monkeypatch):
-    """The run's cube-indicator memo solves once per distinct cube size in
-    cells, and the rows are those of validating each atom alone."""
+    """The run's cube-indicator memo, which the decompositions share,
+    solves once per distinct cube size in cells, and the rows are those
+    of validating each atom alone."""
     from slicehardy import cli, slice_norms
     from slicehardy.atomic import validate_atom
     from slicehardy.config import load_config
 
     run = cli.Run(load_config(config_path), 0)
-    atoms = [atom for _, dec in run.decompositions() for atom in dec.entries]
     h = run.cfg.h
     sides = []
     solve = slice_norms.cube_indicator_slice_norm
@@ -409,6 +409,7 @@ def test_atom_validation_evaluates_one_cube_norm_per_side(config_path,
         return solve(p, side, h, n)
 
     monkeypatch.setattr(slice_norms, "cube_indicator_slice_norm", counted)
+    atoms = [atom for _, dec in run.decompositions() for atom in dec.entries]
     report, _ = CHECKS["atom-validation"](run, {})
     cells = {max(round(atom.cube.side / h), 1) for atom in atoms}
     assert len(atoms) > len(cells) > 1
@@ -418,6 +419,26 @@ def test_atom_validation_evaluates_one_cube_norm_per_side(config_path,
     alone = [row for atom in atoms for row in validate_atom(
         atom, sp, run.cfg.tol_moment).rows]
     assert [row[3:] for row in report.rows] == alone
+
+
+def test_default_run_solves_each_cube_side_once(runner, tmp_path,
+                                               monkeypatch):
+    """A default `all` run shares one cube-indicator memo between the
+    decompositions, the atomic quasi-norms, atom validation and the
+    Campanato pairing bounds: one solve per distinct cube side."""
+    from slicehardy import slice_norms
+
+    cells = []
+    solve = slice_norms.cube_indicator_slice_norm
+
+    def counted(p, side, h, n=1):
+        cells.append(round(side / h))
+        return solve(p, side, h, n)
+
+    monkeypatch.setattr(slice_norms, "cube_indicator_slice_norm", counted)
+    result = runner.invoke(main, ["all", "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    assert len(cells) == len(set(cells)) > 1
 
 
 def _python(code, *args):
