@@ -31,6 +31,7 @@ from .reports import Report
 from .slice_norms import SliceParams, cube_indicator_norms, slice_norm
 
 WHITNEY_DILATION = 9.0 / 8.0
+MAX_LEVELS = 40  # levels below the top that cz_decompose tries
 
 
 def overlap_max(n):
@@ -327,7 +328,10 @@ class CZParams:
     r: float = np.inf
     c0: float = 4.5
     tol_moment: float = 1e-8
-    max_levels: int = 40
+
+    def __post_init__(self):
+        if not self.r > 0:
+            raise PreconditionError(f"size exponent r must be > 0: {self.r}")
 
     def require_degree(self, n):
         pmin = min(self.slice_params.phi.p_minus, self.slice_params.q, 1.0)
@@ -485,13 +489,13 @@ def cz_decompose(f, params, norm_1q=None):
     j_hi = int(np.ceil(np.log2(m.max_abs()))) - 1
     target = _unit_dilated_support_mask(f, m)
     j_lo = None
-    for j in range(j_hi, j_hi - params.max_levels - 1, -1):
+    for j in range(j_hi, j_hi - MAX_LEVELS - 1, -1):
         if np.all(m.values[target] > 2.0 ** j):
             j_lo = j
             break
     if j_lo is None:
         raise DecompositionRangeError(
-            f"no level within {params.max_levels} of {j_hi} covers the "
+            f"no level within {MAX_LEVELS} of {j_hi} covers the "
             f"dilated support (min maximal value on it: "
             f"{float(m.values[target].min()):.3e})")
 

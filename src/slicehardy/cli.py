@@ -35,9 +35,10 @@ from .slice_norms import ball_indicator_ratio, cube_indicator_norms, \
 
 
 class Run:
-    """One run: the config, the seed, the family, and the state its checks
-    share.  Each member's CZ decomposition and Peetre field is computed
-    by whichever check asks first, so the order of the checks changes no
+    """One run: the config, the seed, the family, the maximal parameters
+    (the run's one kernel dictionary) and the state its checks share.
+    Each member's CZ decomposition and Peetre field is computed by
+    whichever check asks first, so the order of the checks changes no
     result.  cube_norm(side) is the slice norm of a cube indicator, once
     per cube size in cells."""
 
@@ -54,7 +55,7 @@ class Run:
     def decompositions(self):
         """(member, decomposition) for every nonzero member."""
         if self._decompositions is None:
-            params = self.cfg.cz_params()
+            params = self.cfg.cz_params(self.maximal)
             self._decompositions = [(f, cz_decompose(f, params,
                                                      self.cube_norm))
                                     for f in self.family if f.max_abs() != 0]
@@ -188,8 +189,7 @@ def _check_embeddings(run, summary):
 
 def _check_lemma888(run, summary):
     cfg = run.cfg
-    radii = [2.0 ** e for e in range(-6, 7)]
-    radii = [r for r in radii if r >= 2 * cfg.h]
+    radii = [2.0 ** e for e in range(-6, 7) if 2.0 ** e >= 2 * cfg.h]
     report = ball_indicator_ratio(radii, cfg.h, 1)
     summary.update(report.summary)
     return report, report.summary["band_width"] <= 20
@@ -325,7 +325,7 @@ def _run(names, config_path, seed, out):
 def _common(fn):
     fn = click.option("--config", "config_path", default=None,
                       type=click.Path(), help="Scenario config file.")(fn)
-    fn = click.option("--seed", default=0, type=int,
+    fn = click.option("--seed", default=0, type=click.IntRange(min=0),
                       help="Family generator seed.")(fn)
     fn = click.option("--out", default="out", type=click.Path(),
                       help="Output directory for CSV artifacts.")(fn)

@@ -9,14 +9,16 @@ outside its documented preconditions.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import orlicz
+from .atomic import CZParams
+from .campanato import cube_sweep
 from .errors import ConfigError
 from .families import generate_family, parse_spec
-from .kernels import build_dictionary, scale_ladder
+from .kernels import build_dictionary
 from .maximal import MaximalParams
 from .slice_norms import SliceParams
 
@@ -49,7 +51,6 @@ class ScenarioConfig:
     center_step: float = 1.0
     family_spec: str = "bumps:count=10"
     checks: tuple = ()
-    _dictionary: object = field(default=None, repr=False)
 
     def __post_init__(self):
         phi = self.phi()
@@ -64,30 +65,20 @@ class ScenarioConfig:
     def phi(self):
         return orlicz.from_tag(self.functional_tag)
 
-    def slice_params(self, t=None):
-        return SliceParams(self.t if t is None else t, self.q, self.phi())
-
-    def dictionary(self):
-        if self._dictionary is None:
-            self._dictionary = build_dictionary(
-                self.N, self.ladder_depth, self.h, self.dict_size, self.n)
-        return self._dictionary
+    def slice_params(self):
+        return SliceParams(self.t, self.q, self.phi())
 
     def maximal_params(self):
-        return MaximalParams(a=self.a, b=self.b, N=self.N,
-                             dictionary=self.dictionary(),
-                             ladder=scale_ladder(self.ladder_depth))
+        return MaximalParams(build_dictionary(self.N, self.ladder_depth,
+                                              self.h, self.dict_size, self.n),
+                             a=self.a, b=self.b)
 
-    def cz_params(self):
-        from .atomic import CZParams
-
-        return CZParams(slice_params=self.slice_params(),
-                        maximal=self.maximal_params(), d=self.d, r=self.r,
-                        c0=self.c0, tol_moment=self.tol_moment)
+    def cz_params(self, maximal):
+        return CZParams(slice_params=self.slice_params(), maximal=maximal,
+                        d=self.d, r=self.r, c0=self.c0,
+                        tol_moment=self.tol_moment)
 
     def sweep_cubes(self):
-        from .campanato import cube_sweep
-
         sides = range(self.side_exp_lo, self.side_exp_hi + 1)
         centers = np.arange(self.center_lo,
                             self.center_hi + self.center_step / 2,
@@ -107,12 +98,13 @@ class ScenarioConfig:
                         and not (key == "r" and v == np.inf):
                     raise ConfigError(f"{section}.{key} must be finite: {v}")
         phi = self.phi()
-        if self.q <= 0:
-            raise ConfigError(f"slice.q must be positive: {self.q}")
+        for key in ("grid.h", "slice.q", "maximal.a", "atomic.r",
+                    "sweep.center_step"):
+            v = getattr(self, key.partition(".")[2])
+            if v <= 0:
+                raise ConfigError(f"{key} must be positive: {v}")
         if self.n not in (1, 2):
             raise ConfigError("dimension n must be 1 or 2")
-        if self.h <= 0:
-            raise ConfigError("grid spacing must be positive")
         if self.t < 2 * self.h:
             raise ConfigError("slice radius t must be at least 2h")
         if self.dict_size < 1:
@@ -142,8 +134,6 @@ class ScenarioConfig:
                 f"d={self.d} < {need_d}")
         if self.side_exp_lo >= 0 or self.side_exp_hi < 0:
             raise ConfigError("cube sweep must straddle side length 1")
-        if self.center_step <= 0:
-            raise ConfigError("sweep.center_step must be positive")
         if self.center_hi < self.center_lo:
             raise ConfigError("sweep.center_hi is below sweep.center_lo")
         try:

@@ -14,17 +14,18 @@ from .reports import Report
 from .slice_norms import star_norm
 
 
-def star_to_muslog_check(family, phi=None, theta=None):
+def star_to_muslog_check(family):
     """Normalized-modular and norm-ratio check of the space inclusion.
 
     Each member is normalized in the amalgam sum norm; the log-weighted
     Musielak modular of the normalized member must stay uniformly
     bounded, and the Musielak norm must stay within one fitted constant
     of the amalgam norm.  Families should include translates far from
-    the origin, where the spatial log weight does its work.
+    the origin, where the spatial log weight does its work.  Phi is
+    log_damped, theta musielak_log.
     """
-    phi = phi or orlicz.log_damped()
-    theta = theta or orlicz.musielak_log()
+    phi = orlicz.log_damped()
+    theta = orlicz.musielak_log()
     report = Report("star_to_muslog",
                     ["index", "star", "muslog", "ratio", "modular"])
     for i, f in enumerate(family):

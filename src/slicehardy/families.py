@@ -7,6 +7,8 @@ created per call).
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .errors import ConfigError
@@ -48,22 +50,18 @@ def _bump(x, center, width):
 
 
 def _bumps(rng, count, h, n):
+    """amp times a bump of width w per axis, multiplied in axis order; the
+    centers of axes after the first are drawn after w and amp."""
     out = []
     for _ in range(count):
         c = rng.uniform(0.5, 3.5)
         w = rng.uniform(0.05, 0.5)
         amp = rng.uniform(0.5, 2.0)
-        if n == 1:
-            f = GridFunction.from_callable(
-                lambda x, c=c, w=w, amp=amp: amp * _bump(x, c, w),
-                (0.0,), h, (int(round(4 / h)),))
-        else:
-            c2 = rng.uniform(0.5, 3.5)
-            f = GridFunction.from_callable(
-                lambda x, y, c=c, c2=c2, w=w, amp=amp:
-                amp * _bump(x, c, w) * _bump(y, c2, w),
-                (0.0, 0.0), h, (int(round(4 / h)),) * 2)
-        out.append(f)
+        cs = [c] + [rng.uniform(0.5, 3.5) for _ in range(n - 1)]
+        out.append(GridFunction.from_callable(
+            lambda *x, cs=cs, w=w, amp=amp: reduce(
+                lambda v, xc: v * _bump(*xc, w), zip(x, cs), amp),
+            (0.0,) * n, h, (int(round(4 / h)),) * n))
     return out
 
 

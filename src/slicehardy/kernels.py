@@ -81,10 +81,8 @@ def derivative_sup_bound(values, h, N, n):
     """
     pts = _centered_grid(values.shape[0], h, n)
     weight = (1.0 + np.abs(np.hypot.reduce(pts, axis=-1))) ** (N + n)
-    total = 0.0
-    # derivatives[k] maps multi-index order tuple -> array
-    current = {(0,) * n: values}
-    total += float((weight * np.abs(values)).max())
+    current = {(0,) * n: values}  # multi-index -> derivative samples
+    total = float((weight * np.abs(values)).max())
     for _ in range(N):
         nxt = {}
         for beta, arr in current.items():
@@ -108,14 +106,15 @@ class MollifierDictionary:
 
     order: int
     kernels: list
-    phi: Kernel
     scales: list
     h: float
     fd_check: dict = field(default_factory=dict)
 
+    phi = property(lambda self: self.kernels[0])
+
     def __post_init__(self):
-        if not self.kernels or self.kernels[0] is not self.phi:
-            raise PreconditionError("phi must be the first kernel")
+        if not self.kernels:
+            raise PreconditionError("a dictionary needs at least one kernel")
 
     def __iter__(self):
         return iter(self.kernels)
@@ -151,19 +150,19 @@ def _modulated_profiles(n, count):
     return profiles[:count]
 
 
-def build_dictionary(N, M, h, count, n=1, fd_h=None):
+def build_dictionary(N, M, h, count, n=1):
     """Build a deterministic dictionary of `count` normalized kernels.
 
     The first kernel is the distinguished phi, of nonzero mass on its
-    samples at the finite-difference spacing.  Every kernel is rescaled
-    so its finite-difference derivative bound is just below 1; the
-    measured bounds are recorded in ``fd_check``.
+    samples at the finite-difference spacing max(h, 1/256).  Every kernel
+    is rescaled so its finite-difference derivative bound is just below 1;
+    the measured bounds are recorded in ``fd_check``.
     """
     if N < 1:
         raise PreconditionError(f"grand order N must be >= 1: {N}")
     if 2.0 ** -M < 2 * h:
         raise ResolutionError("smallest ladder scale below 2h")
-    fd_h = fd_h or max(h, 1.0 / 256)
+    fd_h = max(h, 1.0 / 256)
     kernels = []
     fd_check = {}
     for name, prof in _modulated_profiles(n, count):
@@ -178,7 +177,7 @@ def build_dictionary(N, M, h, count, n=1, fd_h=None):
             raise ConstructionError("distinguished kernel has zero mass")
         fd_check[name] = derivative_sup_bound(vals, fd_h, N, n)
         kernels.append(k)
-    return MollifierDictionary(order=N, kernels=kernels, phi=kernels[0],
+    return MollifierDictionary(order=N, kernels=kernels,
                                scales=scale_ladder(M), h=h,
                                fd_check=fd_check)
 

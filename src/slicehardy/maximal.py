@@ -7,7 +7,7 @@ dyadic scales, which preserves the equivalence bands the reports fit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
 
@@ -17,8 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import orlicz
 from .errors import PreconditionError
 from .grid import GridFunction
-from .kernels import MollifierDictionary, build_dictionary, convolve, \
-    scale_ladder
+from .kernels import MollifierDictionary, convolve
 from .reports import Report
 from .slice_norms import SliceParams, ball_mask, slice_norm, star_norm
 
@@ -30,14 +29,20 @@ PAD_FACTOR = 4.0
 
 @dataclass
 class MaximalParams:
-    """Aperture, Peetre exponent, grand order and kernel dictionary."""
+    """Kernel dictionary, aperture and Peetre exponent; the grand order N
+    and the scale ladder are the dictionary's."""
 
+    dictionary: MollifierDictionary
     a: float = 1.0
     b: float = 2.5
-    N: int = 3
-    dictionary: MollifierDictionary = None
-    ladder: list = field(default_factory=lambda: scale_ladder(5))
     eps_cut: float = DEFAULT_EPS_CUT
+
+    N = property(lambda self: self.dictionary.order)
+    ladder = property(lambda self: self.dictionary.scales)
+
+    def __post_init__(self):
+        if not self.a > 0:
+            raise PreconditionError(f"aperture a must be positive: {self.a}")
 
     def pad_cells(self, h):
         return int(np.ceil(PAD_FACTOR * max(self.ladder) / h))
@@ -346,13 +351,14 @@ def maximal_fields(f, params, peetre=None):
     return {name: fields[name] for name in _FIVE}
 
 
-def pointwise_chain_ok(fields, a, b, rtol=1e-10):
-    """Exact chain radial <= nontangential <= (1+a)^b * peetre."""
+def pointwise_chain_ok(fields, a, b):
+    """Exact chain radial <= nontangential <= (1+a)^b * peetre, to a
+    relative 1e-10."""
     r = fields["radial"].values
     nt = fields["nontangential"].values
     pe = fields["peetre"].values
-    ok1 = np.all(r <= nt * (1 + rtol) + 1e-300)
-    ok2 = np.all(nt <= (1 + a) ** b * pe * (1 + rtol) + 1e-300)
+    ok1 = np.all(r <= nt * (1 + 1e-10) + 1e-300)
+    ok2 = np.all(nt <= (1 + a) ** b * pe * (1 + 1e-10) + 1e-300)
     return bool(ok1 and ok2)
 
 

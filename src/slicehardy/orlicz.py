@@ -18,6 +18,7 @@ from .errors import InvalidDataError, NumericFailure, PreconditionError, \
     require_positive
 
 DEFAULT_TOL = 1e-10
+_INVERSE_TOL = 1e-14
 _MAX_DOUBLINGS = 200
 _MAX_ITERATIONS = 200
 _LOG2 = np.log(2.0)
@@ -47,7 +48,7 @@ class OrliczFunction:
     def __call__(self, tau):
         return self._evaluate(np.asarray(tau, dtype=float))
 
-    def inverse(self, y, tol=1e-14):
+    def inverse(self, y):
         """Solve Phi(u) = y for u >= 0, elementwise over an array y.
 
         u = 0 where y <= 0.  Otherwise u is the root of the nonincreasing
@@ -62,7 +63,7 @@ class OrliczFunction:
             u[pos] = yp ** (1.0 / self.power_exponent)
         elif yp.size:
             u[pos] = _solve_gauge(lambda v, idx: np.log(yp[idx] / self(v)),
-                                  yp, tol)
+                                  yp, _INVERSE_TOL)
         return float(u) if u.ndim == 0 else u
 
     def __repr__(self):
@@ -221,7 +222,7 @@ def luxemburg_norm(phi, f, tol=DEFAULT_TOL):
                                      f.cell_volume, tol)[0])
 
 
-def musielak_norm(theta, f, tol=DEFAULT_TOL):
+def musielak_norm(theta, f):
     """Luxemburg-type gauge for the point-dependent modular of theta."""
     if not np.all(np.isfinite(f.values)):
         raise InvalidDataError("non-finite sample in f")
@@ -232,7 +233,7 @@ def musielak_norm(theta, f, tol=DEFAULT_TOL):
     return float(_solve_gauge(
         lambda lam, idx: np.log(theta(x, vals / lam[:, None]).sum(axis=1)
                                 * f.cell_volume),
-        [m], tol)[0])
+        [m], DEFAULT_TOL)[0])
 
 
 def luxemburg_norm_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
@@ -260,15 +261,8 @@ def luxemburg_norm_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
 
 # -- empirical validation ---------------------------------------------------
 
-@dataclass
-class SampleSpec:
-    """Log-spaced (s, tau) sweep used by validate_orlicz."""
-
-    s_min: float = 2.0 ** -20
-    s_max: float = 2.0 ** 20
-    tau_min: float = 2.0 ** -20
-    tau_max: float = 2.0 ** 20
-    count: int = 64
+#: range and count of validate_orlicz's log-spaced samples of s and tau
+_SAMPLE_MIN, _SAMPLE_MAX, _SAMPLE_COUNT = 2.0 ** -20, 2.0 ** 20, 64
 
 
 @dataclass
@@ -280,16 +274,15 @@ class ValidationReport:
         return self.passed
 
 
-def validate_orlicz(phi, spec=None):
+def validate_orlicz(phi):
     """Empirically check monotonicity and the declared type inequalities.
 
     Violations are report content, not errors; each carries the witness
     (kind, s, tau, lhs, rhs).
     """
-    spec = spec or SampleSpec()
     viol = []
-    tau = np.exp(np.linspace(np.log(spec.tau_min), np.log(spec.tau_max),
-                             spec.count))
+    tau = np.exp(np.linspace(np.log(_SAMPLE_MIN), np.log(_SAMPLE_MAX),
+                             _SAMPLE_COUNT))
     vals = phi(tau)
     if abs(float(phi(0.0))) > 0:
         viol.append(("zero", 0.0, 0.0, float(phi(0.0)), 0.0))
@@ -301,9 +294,9 @@ def validate_orlicz(phi, spec=None):
         viol.append(("nondecreasing", None, float(tau[i + 1]),
                      float(vals[i + 1]), float(vals[i])))
 
-    s_lower = np.exp(np.linspace(np.log(spec.s_min), 0.0, spec.count))
+    s_lower = np.exp(np.linspace(np.log(_SAMPLE_MIN), 0.0, _SAMPLE_COUNT))
     s_lower = s_lower[s_lower < 1.0]
-    s_upper = np.exp(np.linspace(0.0, np.log(spec.s_max), spec.count))
+    s_upper = np.exp(np.linspace(0.0, np.log(_SAMPLE_MAX), _SAMPLE_COUNT))
     for s_grid, p, c, kind in (
             (s_lower, phi.p_minus, phi.c_lower, "lower_type"),
             (s_upper, phi.p_plus, phi.c_upper, "upper_type")):

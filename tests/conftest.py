@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slicehardy.kernels import build_dictionary, scale_ladder
+from slicehardy.kernels import build_dictionary
 from slicehardy.maximal import MaximalParams
 
 
@@ -13,8 +13,7 @@ def dictionary_1d():
 
 @pytest.fixture(scope="session")
 def maximal_params(dictionary_1d):
-    return MaximalParams(a=1.0, b=2.5, N=3, dictionary=dictionary_1d,
-                         ladder=scale_ladder(3))
+    return MaximalParams(dictionary_1d, a=1.0, b=2.5)
 
 
 @pytest.fixture

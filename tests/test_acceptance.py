@@ -18,7 +18,7 @@ from slicehardy.campanato import CampanatoParams, bmo_variant_norm, \
 from slicehardy.embeddings import star_to_muslog_check
 from slicehardy.families import generate_family
 from slicehardy.grid import Cube, GridFunction
-from slicehardy.kernels import build_dictionary, scale_ladder
+from slicehardy.kernels import build_dictionary
 from slicehardy.maximal import MaximalParams, maximal_equivalence_report, \
     peetre_maximal
 from slicehardy.orlicz import OrliczFunction
@@ -35,9 +35,7 @@ def _verdict(capsys, num, label, ok, detail=""):
 
 
 def _maximal_params(h):
-    return MaximalParams(a=1.0, b=2.5, N=3,
-                         dictionary=build_dictionary(3, 3, h, 3, 1),
-                         ladder=scale_ladder(3))
+    return MaximalParams(build_dictionary(3, 3, h, 3, 1), a=1.0, b=2.5)
 
 
 @pytest.fixture(scope="module")

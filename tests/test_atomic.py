@@ -25,8 +25,7 @@ from slicehardy.slice_norms import SliceParams, cube_indicator_slice_norm
 
 @pytest.fixture(scope="module")
 def cz_setup(dictionary_1d):
-    mp = MaximalParams(dictionary=dictionary_1d,
-                       ladder=dictionary_1d.scales)
+    mp = MaximalParams(dictionary_1d)
     sp = SliceParams(1.0, 2.0, orlicz.power(2.0))
     return CZParams(slice_params=sp, maximal=mp, d=0)
 
@@ -435,9 +434,15 @@ def test_cz_zero_function(cz_setup):
     assert reconstruct(dec).max_abs() == 0.0
 
 
+@pytest.mark.parametrize("r", [0.0, -1.0, np.nan])
+def test_cz_params_reject_a_nonpositive_size_exponent(dictionary_1d, r):
+    sp = SliceParams(1.0, 2.0, orlicz.power(2.0))
+    with pytest.raises(PreconditionError, match="size exponent"):
+        CZParams(slice_params=sp, maximal=MaximalParams(dictionary_1d), r=r)
+
+
 def test_cz_degree_hypothesis(dictionary_1d):
-    mp = MaximalParams(dictionary=dictionary_1d,
-                       ladder=dictionary_1d.scales)
+    mp = MaximalParams(dictionary_1d)
     sp = SliceParams(1.0, 0.25, orlicz.power(0.25))
     params = CZParams(slice_params=sp, maximal=mp, d=0)
     f = GridFunction.constant(1.0, (0.0,), 2.0 ** -7, (64,))
@@ -497,7 +502,7 @@ def cz_2d():
                          q=1.0, b=5.0, N=6, ladder_depth=2,
                          family_spec="bumps:count=1").validate()
     (f,) = cfg.family(0)
-    return cfg, f, cz_decompose(f, cfg.cz_params())
+    return cfg, f, cz_decompose(f, cfg.cz_params(cfg.maximal_params()))
 
 
 def _assert_round_trip_and_valid_atoms(f, dec, params):
@@ -522,8 +527,8 @@ def test_cz_degree_one(bump_dec, cz_setup):
 
 
 def test_cz_two_dimensional_degree_one(cz_2d):
-    cfg, f, _ = cz_2d
-    params = dataclasses.replace(cfg.cz_params(), d=1)
+    _, f, dec = cz_2d
+    params = dataclasses.replace(dec.params, d=1)
     dec = cz_decompose(f, params)
     assert len(dec.entries) > 0
     _assert_round_trip_and_valid_atoms(f, dec, params)
@@ -557,7 +562,7 @@ def test_local_pipeline_matches_full_grid_reference_1d(monkeypatch):
     """Atoms of the default 1-D family, bit for bit against every eta,
     bad part and corrected piece held on the whole grid."""
     cfg = ScenarioConfig().validate()
-    params = cfg.cz_params()
+    params = cfg.cz_params(cfg.maximal_params())
     family = cfg.family(0)
     decs = [cz_decompose(f, params) for f in family]
     cz_reference.use_full_grid(monkeypatch)
@@ -568,7 +573,7 @@ def test_local_pipeline_matches_full_grid_reference_1d(monkeypatch):
 def test_local_pipeline_matches_full_grid_reference_2d(cz_2d, monkeypatch):
     cfg, f, dec = cz_2d
     cz_reference.use_full_grid(monkeypatch)
-    _assert_same_atoms(dec, cz_decompose(f, cfg.cz_params()))
+    _assert_same_atoms(dec, cz_decompose(f, dec.params))
 
 
 def test_atomic_quasinorm_single_atom(cz_setup):
@@ -625,9 +630,9 @@ def test_serialization_round_trip(bump_dec, cz_setup, tmp_path):
 
 def _cz_fixtures(bump_dec, cz_setup, cz_2d):
     """(f, params) of the 1-D and 2-D fixtures at d = 0 and d = 1."""
-    (f1, _), (cfg, f2, _) = bump_dec, cz_2d
+    (f1, _), (_, f2, dec2) = bump_dec, cz_2d
     return [(f, dataclasses.replace(p, d=d))
-            for f, p in ((f1, cz_setup), (f2, cfg.cz_params()))
+            for f, p in ((f1, cz_setup), (f2, dec2.params))
             for d in (0, 1)]
 
 

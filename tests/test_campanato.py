@@ -145,8 +145,7 @@ def test_pairing_bound_holds_for_cz_atoms(dictionary_1d, sweep,
     from slicehardy.atomic import CZParams, cz_decompose
     from slicehardy.maximal import MaximalParams
 
-    mp = MaximalParams(dictionary=dictionary_1d,
-                       ladder=dictionary_1d.scales)
+    mp = MaximalParams(dictionary_1d)
     params = CZParams(slice_params=slice_params, maximal=mp, d=0)
     f = GridFunction.from_callable(
         lambda x: np.exp(-30 * (x - 0.8) ** 2), (0.0,), H, (int(2 / H),))
@@ -162,8 +161,7 @@ def test_pairing_bound_zero_field(dictionary_1d, sweep, slice_params):
     from slicehardy.atomic import CZParams, cz_decompose
     from slicehardy.maximal import MaximalParams
 
-    mp = MaximalParams(dictionary=dictionary_1d,
-                       ladder=dictionary_1d.scales)
+    mp = MaximalParams(dictionary_1d)
     params = CZParams(slice_params=slice_params, maximal=mp, d=0)
     f = GridFunction.from_callable(
         lambda x: np.exp(-30 * (x - 0.8) ** 2), (0.0,), H, (int(2 / H),))

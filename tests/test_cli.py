@@ -1,6 +1,7 @@
 """End-to-end CLI runs through click's test runner."""
 
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from slicehardy.cli import CHECKS, main
+from slicehardy.config import load_config
 
 FAST_CONFIG = """\
 [grid]
@@ -132,6 +134,10 @@ def test_bad_config_exits_2(runner, tmp_path, text):
     ("atomic", "s", "nan"),
     ("slice", "q", "0"),
     ("atomic", "s", "0"),
+    ("atomic", "r", "0"),
+    ("atomic", "r", "-1"),
+    ("maximal", "a", "0"),
+    ("maximal", "a", "-1"),
 ])
 def test_config_outside_its_hypotheses_exits_2(runner, tmp_path, section,
                                                 key, value):
@@ -141,6 +147,16 @@ def test_config_outside_its_hypotheses_exits_2(runner, tmp_path, section,
                                   "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert f"{section}.{key}" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", list(CHECKS) + ["all"])
+def test_negative_seed_exits_2_before_any_output(runner, tmp_path, command):
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--seed", "-1", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "--seed" in result.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("spec", [
@@ -439,6 +455,38 @@ def test_default_run_solves_each_cube_side_once(runner, tmp_path,
     result = runner.invoke(main, ["all", "--out", str(tmp_path / "out")])
     assert result.exit_code == 0, result.output
     assert len(cells) == len(set(cells)) > 1
+
+
+def test_default_run_builds_one_kernel_dictionary(runner, tmp_path,
+                                                  monkeypatch):
+    """The run's MaximalParams, built once, serves every check and the
+    decompositions."""
+    from slicehardy import config, kernels
+
+    calls = []
+    build = kernels.build_dictionary
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(kernels, "build_dictionary", counted)
+    monkeypatch.setattr(config, "build_dictionary", counted)
+    result = runner.invoke(main, ["all", "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+
+
+def test_benchmark_probe_runs_on_the_default_config():
+    """perfbench/scenario.py's Peetre probe reads the ladder, b, eps_cut
+    and dictionary.phi of cfg.maximal_params()."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "scenario.py")
+    spec = importlib.util.spec_from_file_location("perfbench_scenario", path)
+    scenario = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scenario)
+    probe = scenario._probe(load_config())
+    assert probe["ok"], probe["error"]
 
 
 def _python(code, *args):

@@ -77,7 +77,6 @@ def test_hardy_embedding_one_peetre_function_per_member(
 
 def test_hardy_embedding_requires_large_peetre_exponent(dictionary_1d):
     fam = generate_family("bumps:count=1", 0, h=dictionary_1d.h)
-    weak = MaximalParams(b=1.5, dictionary=dictionary_1d,
-                         ladder=dictionary_1d.scales)
+    weak = MaximalParams(dictionary_1d, b=1.5)
     with pytest.raises(PreconditionError):
         hardy_embedding_check(fam, weak)

@@ -25,6 +25,25 @@ def test_family_deterministic(spec):
         assert np.array_equal(f.values, g.values)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_bumps_are_products_of_axis_bumps_in_draw_order(n):
+    """Each member draws its first center, width and amplitude, then the
+    other centers, and multiplies the axis bumps into amp in axis order."""
+    h = 2.0 ** -5
+    rng = np.random.default_rng(3)
+    for f in generate_family("bumps:count=3", 3, h, n):
+        c, w, amp = (rng.uniform(0.5, 3.5), rng.uniform(0.05, 0.5),
+                     rng.uniform(0.5, 2.0))
+        x = np.moveaxis(f.centers(), -1, 0)
+        if n == 1:
+            expected = amp * np.exp(-((x[0] - c) / w) ** 2)
+        else:
+            c2 = rng.uniform(0.5, 3.5)
+            expected = amp * np.exp(-((x[0] - c) / w) ** 2) \
+                * np.exp(-((x[1] - c2) / w) ** 2)
+        assert np.array_equal(f.values, expected)
+
+
 def test_family_seed_matters():
     a = generate_family("bumps:count=1", 0, h=H)[0]
     b = generate_family("bumps:count=1", 1, h=H)[0]

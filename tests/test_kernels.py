@@ -181,10 +181,13 @@ def test_build_dictionary_rejects_grand_order_below_one():
         build_dictionary(0, 3, 2.0 ** -8, 3)
 
 
-def test_dictionary_phi_must_be_its_first_kernel(dictionary_1d):
+def test_dictionary_phi_is_its_first_kernel(dictionary_1d):
     from slicehardy.kernels import MollifierDictionary
 
-    with pytest.raises(PreconditionError, match="first kernel"):
-        MollifierDictionary(order=3, kernels=dictionary_1d.kernels[1:],
-                            phi=dictionary_1d.phi,
-                            scales=dictionary_1d.scales, h=dictionary_1d.h)
+    rest = MollifierDictionary(order=3, kernels=dictionary_1d.kernels[1:],
+                               scales=dictionary_1d.scales,
+                               h=dictionary_1d.h)
+    assert rest.phi is dictionary_1d.kernels[1]
+    with pytest.raises(PreconditionError, match="at least one kernel"):
+        MollifierDictionary(order=3, kernels=[], scales=dictionary_1d.scales,
+                            h=dictionary_1d.h)

@@ -11,7 +11,7 @@ import scipy_reference
 from slicehardy import orlicz
 from slicehardy.errors import PreconditionError
 from slicehardy.grid import GridFunction
-from slicehardy.kernels import build_dictionary, convolve, scale_ladder
+from slicehardy.kernels import build_dictionary, convolve
 from slicehardy.maximal import MaximalParams, _peetre_sweep, \
     _peetre_weights, _window_max, grand_maximal, hardy_quasinorm, \
     maximal_fields, nontangential_maximal, parse_space_tag, peetre_maximal, \
@@ -70,7 +70,6 @@ def test_grand_with_single_kernel_collapses(bump, dictionary_1d):
 
     single = MollifierDictionary(order=dictionary_1d.order,
                                  kernels=[dictionary_1d.phi],
-                                 phi=dictionary_1d.phi,
                                  scales=dictionary_1d.scales,
                                  h=dictionary_1d.h)
     g = grand_maximal(bump, single, pad_cells=100)
@@ -84,12 +83,26 @@ def test_grand_monotone_in_dictionary(bump, dictionary_1d):
 
     small = MollifierDictionary(order=dictionary_1d.order,
                                 kernels=dictionary_1d.kernels[:1],
-                                phi=dictionary_1d.phi,
                                 scales=dictionary_1d.scales,
                                 h=dictionary_1d.h)
     g_small = grand_maximal(bump, small, pad_cells=100)
     g_full = grand_maximal(bump, dictionary_1d, pad_cells=100)
     assert np.all(g_full.values >= g_small.values - 1e-300)
+
+
+def test_maximal_params_read_order_and_ladder_from_the_dictionary(
+        dictionary_1d):
+    params = MaximalParams(dictionary_1d)
+    assert params.N == dictionary_1d.order
+    assert params.ladder is dictionary_1d.scales
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, np.nan])
+def test_maximal_params_reject_a_nonpositive_aperture(dictionary_1d, a):
+    """maximal_fields takes the aperture from the params, so the guard of
+    nontangential_maximal has to hold there too."""
+    with pytest.raises(PreconditionError, match="aperture"):
+        MaximalParams(dictionary_1d, a=a)
 
 
 def test_peetre_needs_positive_exponent(bump, dictionary_1d):
@@ -283,10 +296,8 @@ def test_maximal_fields_is_each_function_alone_bit_for_bit(maximal_params,
         shape = (150,)
     else:
         h = 2.0 ** -3
-        params = MaximalParams(a=1.5, b=5.0, N=6, eps_cut=1e-4,
-                               dictionary=build_dictionary(N=6, M=1, h=h,
-                                                           count=3, n=2),
-                               ladder=scale_ladder(1))
+        params = MaximalParams(build_dictionary(N=6, M=1, h=h, count=3, n=2),
+                               a=1.5, b=5.0, eps_cut=1e-4)
         shape = (6, 5)
     h = params.dictionary.h
     f = GridFunction((0.25,) * n, h,
@@ -320,10 +331,8 @@ def test_grand_peetre_uses_eps_cut():
     """phi is the dictionary's first kernel, so the grand Peetre function
     dominates the Peetre function pointwise at the same eps_cut."""
     h = 2.0 ** -6
-    params = MaximalParams(b=10, N=11, eps_cut=1e-12,
-                           dictionary=build_dictionary(N=11, M=5, h=h,
-                                                       count=3),
-                           ladder=scale_ladder(5))
+    params = MaximalParams(build_dictionary(N=11, M=5, h=h, count=3),
+                           b=10, eps_cut=1e-12)
     f = GridFunction.from_callable(lambda x: np.exp(-2e3 * (x - 1.0) ** 2),
                                    (0.0,), h, (128,))
     fields = maximal_fields(f, params)
@@ -416,8 +425,7 @@ def test_hardy_quasinorm_positive(bump, maximal_params):
 @pytest.mark.parametrize("precomputed", [False, True])
 def test_hardy_quasinorm_hypothesis_guard(bump, dictionary_1d, precomputed):
     """The guards run also when the Peetre field is passed in."""
-    weak = MaximalParams(b=0.5, N=3, dictionary=dictionary_1d,
-                         ladder=[0.5, 0.25])
+    weak = MaximalParams(dictionary_1d, b=0.5)
     m = weak.peetre_field(bump) if precomputed else None
     with pytest.raises(PreconditionError):
         hardy_quasinorm(bump, "slice:power:2:2:1", weak, m)

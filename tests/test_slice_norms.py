@@ -152,9 +152,9 @@ def test_general_slice_norm_hands_row_major_rows(n, h, shape, rng,
     handed = []
     rows_norm = orlicz.luxemburg_norm_rows
 
-    def spy(phi, rows, cell_volume, tol):
+    def spy(phi, rows, cell_volume, *tol):
         handed.append(rows)
-        return rows_norm(phi, rows, cell_volume, tol)
+        return rows_norm(phi, rows, cell_volume, *tol)
 
     monkeypatch.setattr(orlicz, "luxemburg_norm_rows", spy)
     got = slice_norm(f, p)
@@ -359,7 +359,7 @@ def test_fefferman_stein_ratio_at_least_one(rng):
     h = 2.0 ** -5
     fam = [GridFunction((0.0,), h, rng.uniform(0, 1, 64)) for _ in range(3)]
     p = SliceParams(1.0, 2.0, orlicz.power(2.0))
-    rep = fefferman_stein_check(fam, 2.0, p, pad_cells=32)
+    rep = fefferman_stein_check(fam, 2.0, p)
     # the maximal function dominates the function pointwise
     assert rep.summary["max_ratio"] >= 1.0
 
@@ -368,6 +368,33 @@ def test_ball_indicator_ratio_band():
     rep = ball_indicator_ratio([0.25, 1.0, 4.0], 2.0 ** -6)
     assert rep.summary["band_width"] < 20
     assert rep.summary["min_ratio"] > 0
+
+
+@pytest.mark.parametrize("n, h, radii", [(1, 2.0 ** -8, [2.0 ** -6, 0.5, 1.0,
+                                                         4.0, 16.0]),
+                                          (2, 2.0 ** -4, [0.125, 0.5, 1.0,
+                                                          2.0])])
+def test_ball_indicator_ratio_matches_the_gauge_solves(n, h, radii):
+    """The closed-form indicator gauges against star_norm and
+    luxemburg_norm, which solve them, on the same ball indicators."""
+    phi = orlicz.log_damped()
+    rep = ball_indicator_ratio(radii, h, n)
+    for (rad, ref, star_ratio, lux_ratio) in rep.rows:
+        k = ball_offset_count(n, rad, h)[1]
+        ind = GridFunction((-(k + 0.5) * h,) * n, h,
+                           ball_mask(rad, h, n).astype(float))
+        assert star_ratio == pytest.approx(star_norm(ind, phi) / ref,
+                                           rel=1e-9, abs=0)
+        assert lux_ratio == pytest.approx(
+            orlicz.luxemburg_norm(phi, ind) / ref, rel=1e-9, abs=0)
+
+
+def test_ball_indicator_gauge_takes_an_array_of_counts():
+    phi = orlicz.log_damped()
+    counts = [1, 7, 64, 1000]
+    got = ball_indicator_gauge(phi, counts, 2.0 ** -8)
+    assert got.tolist() == [ball_indicator_gauge(phi, c, 2.0 ** -8)
+                            for c in counts]
 
 
 def test_ball_indicator_resolution():
