@@ -27,8 +27,7 @@ from .embeddings import hardy_embedding_check, star_to_muslog_check
 from .errors import ConfigError, SliceHardyError
 from .families import generate_family
 from .grid import GridFunction
-from .maximal import hardy_quasinorm, maximal_equivalence_report, \
-    maximal_fields
+from .maximal import hardy_quasinorm, maximal_equivalence_report
 from .reports import Report
 from .slice_norms import ball_indicator_ratio, cube_indicator_norms, \
     fefferman_stein_check, slice_norm, star_norm
@@ -64,34 +63,16 @@ class Run:
     def peetre(self, f):
         """f's Peetre field (MaximalParams.peetre_field), computed once per
         sample array: the key is f's values, never its identity, so a
-        whole-cell translate shares the field and gets its own origin."""
-        m = self._peetre.get(self._key(f))
-        if m is None:
-            m = self._keep(f, self.maximal.peetre_field(f))
-        return self._moved(f, m)
-
-    def maximal_fields(self, f):
-        """maximal_fields of f, sharing its Peetre field with the run."""
-        m = self._peetre.get(self._key(f))
-        fields = maximal_fields(f, self.maximal,
-                                None if m is None else self._moved(f, m))
-        if m is None:
-            self._keep(f, fields["peetre"])
-        return fields
-
-    @staticmethod
-    def _key(f):
-        return f.h, f.values.shape, f.values.tobytes()
-
-    def _keep(self, f, m):
-        m.values.flags.writeable = False
-        self._peetre[self._key(f)] = m
-        return m
-
-    def _moved(self, f, m):
-        """m on f's padded grid, placed as GridFunction.pad places it."""
+        whole-cell translate shares the read-only values, placed on its
+        own padded grid as GridFunction.pad places them."""
+        key = f.h, f.values.shape, f.values.tobytes()
+        values = self._peetre.get(key)
+        if values is None:
+            values = self.maximal.peetre_field(f).values
+            values.flags.writeable = False
+            self._peetre[key] = values
         pad = self.maximal.pad_cells(f.h)
-        return GridFunction(f.origin - pad * f.h, f.h, m.values, check=False)
+        return GridFunction(f.origin - pad * f.h, f.h, values, check=False)
 
 
 def _check_norms(run, summary):
@@ -110,7 +91,7 @@ def _check_maximal_equivalence(run, summary):
     cfg = run.cfg
     report = maximal_equivalence_report(
         run.family, run.maximal, cfg.phi(), cfg.q,
-        [cfg.t / 2, cfg.t, 2 * cfg.t], fields=run.maximal_fields)
+        [cfg.t / 2, cfg.t, 2 * cfg.t], peetre=run.peetre)
     summary.update(report.summary)
     return report, bool(report.summary.get("chain_all_ok"))
 

@@ -2,8 +2,8 @@
 
 Every derived hypothesis of the computational definitions is checked in
 :meth:`ScenarioConfig.validate`; a violation raises :class:`ConfigError`
-naming the hypothesis, so no operation can be reached with parameters
-outside its documented preconditions.
+naming the key and the hypothesis, so no operation can be reached with
+parameters outside its documented preconditions.
 """
 
 from __future__ import annotations
@@ -18,9 +18,12 @@ from .atomic import CZParams
 from .campanato import cube_sweep
 from .errors import ConfigError
 from .families import generate_family, parse_spec
-from .kernels import build_dictionary
+from .kernels import build_dictionary, modulated_profiles
 from .maximal import MaximalParams
 from .slice_norms import SliceParams
+
+#: log2 of the most cells the largest cube of a sweep may hold
+SWEEP_CELLS_LOG2 = 26
 
 
 @dataclass
@@ -63,7 +66,14 @@ class ScenarioConfig:
     # -- derived objects ---------------------------------------------------
 
     def phi(self):
-        return orlicz.from_tag(self.functional_tag)
+        try:
+            phi = orlicz.from_tag(self.functional_tag)
+        except ValueError as exc:
+            raise ConfigError(f"functional.tag: {exc}") from exc
+        if not isinstance(phi, orlicz.OrliczFunction):
+            raise ConfigError(f"functional.tag {self.functional_tag!r} is "
+                              f"not an Orlicz function of tau alone")
+        return phi
 
     def slice_params(self):
         return SliceParams(self.t, self.q, self.phi())
@@ -99,29 +109,38 @@ class ScenarioConfig:
                     raise ConfigError(f"{section}.{key} must be finite: {v}")
         phi = self.phi()
         for key in ("grid.h", "slice.q", "maximal.a", "atomic.r",
-                    "sweep.center_step"):
+                    "atomic.c0", "sweep.center_step"):
             v = getattr(self, key.partition(".")[2])
             if v <= 0:
                 raise ConfigError(f"{key} must be positive: {v}")
+        if self.tol_moment < 0:
+            raise ConfigError(
+                f"atomic.tol_moment must be nonnegative: {self.tol_moment}")
         if self.n not in (1, 2):
-            raise ConfigError("dimension n must be 1 or 2")
+            raise ConfigError(f"grid.n must be 1 or 2: {self.n}")
         if self.t < 2 * self.h:
-            raise ConfigError("slice radius t must be at least 2h")
-        if self.dict_size < 1:
-            raise ConfigError("maximal.dict_size must be at least 1")
+            raise ConfigError(f"slice.t: slice radius t = {self.t} must be "
+                              f"at least 2h = {2 * self.h}")
+        kernels = len(modulated_profiles(self.n))
+        if not 1 <= self.dict_size <= kernels:
+            raise ConfigError(
+                f"maximal.dict_size must be from 1 to the {kernels} "
+                f"built-in kernels in {self.n}-D: {self.dict_size}")
         if self.ladder_depth < 0:
             raise ConfigError("maximal.ladder_depth must be nonnegative")
         if 2.0 ** -self.ladder_depth < 2 * self.h:
-            raise ConfigError("smallest ladder scale below 2h")
+            raise ConfigError(
+                f"maximal.ladder_depth: smallest ladder scale "
+                f"{2.0 ** -self.ladder_depth} below 2h = {2 * self.h}")
         cap = min(phi.p_minus, self.q)
         if self.b <= 2 * self.n / cap:
             raise ConfigError(
-                f"hypothesis b > 2n/min(p_minus, q) violated: "
+                f"maximal.b: hypothesis b > 2n/min(p_minus, q) violated: "
                 f"b={self.b} <= {2 * self.n / cap}")
         if self.N < int(np.floor(self.b + 1)):
             raise ConfigError(
-                f"hypothesis N >= floor(b+1) violated: N={self.N} < "
-                f"{int(np.floor(self.b + 1))}")
+                f"maximal.N: hypothesis N >= floor(b+1) violated: "
+                f"N={self.N} < {int(np.floor(self.b + 1))}")
         s_cap = min(phi.p_minus, self.q, 1.0)
         if not 0 < self.s < s_cap:
             raise ConfigError(
@@ -130,10 +149,21 @@ class ScenarioConfig:
         need_d = int(np.floor(self.n * (1.0 / self.s - 1.0)))
         if self.d < need_d:
             raise ConfigError(
-                f"hypothesis d >= floor(n(1/s - 1)) violated: "
+                f"atomic.d: hypothesis d >= floor(n(1/s - 1)) violated: "
                 f"d={self.d} < {need_d}")
-        if self.side_exp_lo >= 0 or self.side_exp_hi < 0:
-            raise ConfigError("cube sweep must straddle side length 1")
+        if self.side_exp_lo >= 0:
+            raise ConfigError(f"sweep.side_exp_lo must be negative, so the "
+                              f"cube sweep straddles side length 1: "
+                              f"{self.side_exp_lo}")
+        if self.side_exp_hi < 0:
+            raise ConfigError(f"sweep.side_exp_hi must be nonnegative, so "
+                              f"the cube sweep straddles side length 1: "
+                              f"{self.side_exp_hi}")
+        if self.n * (self.side_exp_hi - np.log2(self.h)) > SWEEP_CELLS_LOG2:
+            raise ConfigError(
+                f"sweep.side_exp_hi = {self.side_exp_hi}: the sweep's "
+                f"largest cube would hold more than 2^{SWEEP_CELLS_LOG2} "
+                f"cells")
         if self.center_hi < self.center_lo:
             raise ConfigError("sweep.center_hi is below sweep.center_lo")
         try:
@@ -187,8 +217,4 @@ def load_config(path=None):
                 except ValueError as exc:
                     raise ConfigError(
                         f"bad value for {section}.{key}: {raw!r}") from exc
-    try:
-        cfg = ScenarioConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg.validate()
+    return ScenarioConfig(**kwargs).validate()

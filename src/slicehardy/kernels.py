@@ -128,8 +128,10 @@ def scale_ladder(M):
     return [2.0 ** -m for m in range(M + 1)]
 
 
-def _modulated_profiles(n, count):
-    """Deterministic bump modulations: 1, x1, x1^2 - c, cos-modulated."""
+def modulated_profiles(n):
+    """The built-in kernels' (name, profile) pairs in dictionary order,
+    deterministic bump modulations: 1, x1, x1^2 - c, cos- and
+    sin-modulated, and in 2-D x2."""
     profiles = [("bump", lambda p: bump_profile(p))]
     mods = [
         ("x1_bump", lambda p: np.atleast_2d(p)[..., 0] * bump_profile(p)),
@@ -144,10 +146,7 @@ def _modulated_profiles(n, count):
         mods.append(("x2_bump",
                      lambda p: np.atleast_2d(p)[..., 1] * bump_profile(p)))
     profiles.extend(mods)
-    if count > len(profiles):
-        raise ConstructionError(
-            f"at most {len(profiles)} built-in kernels available")
-    return profiles[:count]
+    return profiles
 
 
 def build_dictionary(N, M, h, count, n=1):
@@ -162,10 +161,14 @@ def build_dictionary(N, M, h, count, n=1):
         raise PreconditionError(f"grand order N must be >= 1: {N}")
     if 2.0 ** -M < 2 * h:
         raise ResolutionError("smallest ladder scale below 2h")
+    profiles = modulated_profiles(n)
+    if count > len(profiles):
+        raise ConstructionError(
+            f"at most {len(profiles)} built-in kernels available")
     fd_h = max(h, 1.0 / 256)
     kernels = []
     fd_check = {}
-    for name, prof in _modulated_profiles(n, count):
+    for name, prof in profiles[:count]:
         k = Kernel(prof, n, name=name)
         _, vals = k.sample_unit(fd_h)
         bound = derivative_sup_bound(vals, fd_h, N, n)

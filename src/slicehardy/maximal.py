@@ -257,23 +257,15 @@ def _tile_sweep(absc, w):
     return out.ravel()[:m]
 
 
-def grand_maximal(f, dictionary, ladder=None, peetre=False, b=None,
-                  pad_cells=None, eps_cut=DEFAULT_EPS_CUT):
-    """max over dictionary kernels of the windowed convolution maxima.
-
-    The plain variant uses the window |x - y| < s; the Peetre variant
-    weights offsets by (1 + |y|/s)^{-b} down to eps_cut.  The max over
-    kernels is taken before the window or sweep, once per scale.
-    """
+def grand_maximal(f, dictionary, ladder=None, pad_cells=None):
+    """max over dictionary kernels of the convolution maxima over the
+    window |x - y| < s.  The max over kernels is taken before the window,
+    once per scale."""
     ladder = ladder if ladder is not None else dictionary.scales
-    if peetre and (b is None or b <= 0):
-        raise PreconditionError("Peetre variant needs a positive exponent b")
     if pad_cells is None:
-        pad_cells = int(np.ceil((4.0 if peetre else 2.0)
-                                * max(ladder) / f.h))
-    op = partial(_peetre_sweep, b=b, eps_cut=eps_cut) if peetre \
-        else partial(_window_max, a=1.0)
-    return _one_scale_max(f, list(dictionary), ladder, pad_cells, op)
+        pad_cells = int(np.ceil(2.0 * max(ladder) / f.h))
+    return _one_scale_max(f, list(dictionary), ladder, pad_cells,
+                          partial(_window_max, a=1.0))
 
 
 # -- Hardy quasi-norms ------------------------------------------------------
@@ -327,27 +319,25 @@ def maximal_fields(f, params, peetre=None):
     bit the one its own function gives at that pad.
 
     Each dictionary kernel is convolved once per scale: |f * phi_s|, phi
-    being the first kernel, feeds the radial, nontangential and Peetre
-    fields, its max with the other kernels the two grand ones.  peetre,
-    if given, is f's Peetre field (params.peetre_field(f)), computed
-    earlier; its sweeps are skipped.
+    being the first kernel, feeds the radial and nontangential fields,
+    its max with the other kernels the two grand ones.  The Peetre field
+    is peetre, f's params.peetre_field computed earlier, if given, and
+    params.peetre_field(f) otherwise.
     """
-    sweep = partial(_peetre_sweep, b=params.b, eps_cut=params.eps_cut)
-    ops = {"radial": (partial(_window_max, a=0.0), False),
-           "nontangential": (partial(_window_max, a=params.a), False),
-           "grand": (partial(_window_max, a=1.0), True),
-           "grand_peetre": (sweep, True)}
+    fields = _scale_max(
+        f, list(params.dictionary), params.ladder, params.pad_cells(f.h),
+        {"radial": (partial(_window_max, a=0.0), False),
+         "nontangential": (partial(_window_max, a=params.a), False),
+         "grand": (partial(_window_max, a=1.0), True),
+         "grand_peetre": (partial(_peetre_sweep, b=params.b,
+                                  eps_cut=params.eps_cut), True)})
     if peetre is None:
-        ops["peetre"] = (sweep, False)
-    fields = _scale_max(f, list(params.dictionary), params.ladder,
-                        params.pad_cells(f.h), ops)
-    if peetre is not None:
-        grid = fields["radial"]
-        if peetre.extents != grid.extents \
-                or not np.array_equal(peetre.origin, grid.origin):
-            raise PreconditionError(
-                "the precomputed Peetre field is not on f's padded grid")
-        fields["peetre"] = peetre
+        peetre = params.peetre_field(f)
+    elif peetre.extents != fields["radial"].extents \
+            or not np.array_equal(peetre.origin, fields["radial"].origin):
+        raise PreconditionError(
+            "the precomputed Peetre field is not on f's padded grid")
+    fields["peetre"] = peetre
     return {name: fields[name] for name in _FIVE}
 
 
@@ -363,15 +353,14 @@ def pointwise_chain_ok(fields, a, b):
 
 
 def maximal_equivalence_report(family, params, phi, q, t_values,
-                               fields=None):
+                               peetre=None):
     """All pairwise quasi-norm ratios of the five maximal functions.
 
     Hypotheses (N >= floor(b+1), b large enough) are rejected up front;
     the fitted bands are empirical, as the equivalence constants are
-    existential.  fields, if given, maps a member to its five maximal
-    functions in place of maximal_fields(member, params).
+    existential.  peetre, if given, maps a member to its Peetre field
+    (params.peetre_field of it), computed earlier.
     """
-    fields_of = fields or partial(maximal_fields, params=params)
     params.require_grand_comparison()
     report = Report("maximal_equivalence",
                     ["index", "t"] + list(_FIVE) + ["chain_ok"])
@@ -381,7 +370,7 @@ def maximal_equivalence_report(family, params, phi, q, t_values,
     for i, f in enumerate(family):
         if f.max_abs() == 0:
             continue
-        five = fields_of(f)
+        five = maximal_fields(f, params, peetre(f) if peetre else None)
         chain = pointwise_chain_ok(five, params.a, params.b)
         for t in t_values:
             sp = SliceParams(t, q, phi)

@@ -1,5 +1,6 @@
 """End-to-end CLI runs through click's test runner."""
 
+import configparser
 import csv
 import importlib.util
 import json
@@ -138,11 +139,35 @@ def test_bad_config_exits_2(runner, tmp_path, text):
     ("atomic", "r", "-1"),
     ("maximal", "a", "0"),
     ("maximal", "a", "-1"),
+    ("functional", "tag", "foo"),
+    ("functional", "tag", "power:abc"),
+    ("functional", "tag", "power:-1"),
+    ("functional", "tag", "musielak_log"),
+    ("grid", "n", "3"),
+    ("slice", "t", "0.02"),
+    ("maximal", "b", "1"),
+    ("maximal", "N", "2"),
+    ("atomic", "d", "-1"),
+    ("maximal", "ladder_depth", "6"),
+    ("sweep", "side_exp_lo", "0"),
+    ("sweep", "side_exp_hi", "40"),
+    ("atomic", "tol_moment", "-1"),
+    ("atomic", "c0", "0"),
+    ("maximal", "dict_size", "9"),
 ])
 def test_config_outside_its_hypotheses_exits_2(runner, tmp_path, section,
                                                 key, value):
+    """FAST_CONFIG with one key set: a config error naming the key, raised
+    before the output directory exists."""
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read_string(FAST_CONFIG)
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser.set(section, key, value)
     bad = tmp_path / "bad.ini"
-    bad.write_text(f"{FAST_CONFIG}\n[{section}]\n{key} = {value}\n")
+    with open(bad, "w") as fh:
+        parser.write(fh)
     result = runner.invoke(main, ["all", "--config", str(bad),
                                   "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
@@ -289,16 +314,11 @@ def test_all_decomposes_once_and_matches_subcommands(runner, config_path,
     monkeypatch.setattr(cli, "cz_decompose",
                         lambda *a: calls.append(1) or real(*a))
     builds = []
-    real_peetre, real_fields = maximal.peetre_maximal, cli.maximal_fields
+    real_peetre = maximal.peetre_maximal
     monkeypatch.setattr(
         maximal, "peetre_maximal",
         lambda f, *a: builds.append(f.values.tobytes()) or
         real_peetre(f, *a))
-    monkeypatch.setattr(
-        cli, "maximal_fields",
-        lambda f, p, peetre: (peetre is None and
-                              builds.append(f.values.tobytes())) or
-        real_fields(f, p, peetre))
     names = ["maximal-equivalence", "cz-roundtrip", "atom-validation",
              "duality", "embeddings"][::order]
     joint = tmp_path / "all"
@@ -321,28 +341,31 @@ def test_run_shares_one_peetre_field_between_whole_cell_translates(
         config_path):
     """A run keys Peetre fields on sample values: a whole-cell translate
     gets the shared values back on its own padded grid, as computing its
-    field alone gives them, whichever path asks first."""
+    field alone gives them, and maximal_fields takes them as they are."""
     from slicehardy import cli
     from slicehardy.config import load_config
     from slicehardy.families import generate_family
+    from slicehardy.maximal import maximal_fields
 
     run = cli.Run(load_config(config_path), 0)
     near, far = generate_family("translates:R=0,16", 0, run.cfg.h)
-    first = run.maximal_fields(near)["peetre"]
+    first = run.peetre(near)
     shared = run.peetre(far)
-    alone = run.maximal.peetre_field(far)
+    for f, m in ((near, first), (far, shared)):
+        alone = run.maximal.peetre_field(f)
+        assert np.array_equal(m.origin, alone.origin)
+        assert np.array_equal(m.values, alone.values)
     assert shared.values is first.values and not shared.values.flags.writeable
-    assert np.array_equal(shared.origin, alone.origin)
-    assert np.array_equal(shared.values, alone.values)
-    assert run.maximal_fields(far)["peetre"].values is first.values
+    assert maximal_fields(far, run.maximal, shared)["peetre"] is shared
 
 
 def test_default_run_convolves_each_kernel_once_per_scale(runner, tmp_path,
                                                           monkeypatch):
-    """The default scenario (10 members, 4 scales, 3 kernels): the five
-    maximal functions share one convolution per kernel and scale, and
-    every Peetre field is swept once per distinct sample array (11 of
-    them), plus the grand Peetre sweeps of maximal-equivalence."""
+    """The default scenario (10 members, 4 scales, 3 kernels): the four
+    maximal functions besides the Peetre one share one convolution per
+    kernel and scale, and every Peetre field is convolved and swept once
+    per distinct sample array (11 of them), plus the grand Peetre sweeps
+    of maximal-equivalence."""
     from slicehardy import maximal
 
     counts = {"convolve": 0, "sweep": 0}
@@ -363,9 +386,35 @@ def test_default_run_convolves_each_kernel_once_per_scale(runner, tmp_path,
                                   str(tmp_path / "out")])
     assert result.exit_code == 0, result.output
     # maximal-equivalence 10 * 4 * 3 convolutions, cz-roundtrip's
-    # decompositions 10 * 4 * 3, one more array (the translates) 1 * 4
-    assert counts == {"convolve": 120 + 120 + 4,
-                      "sweep": 10 * 4 * 2 + 1 * 4}
+    # decompositions 10 * 4 * 3, the Peetre fields of the 10 members and
+    # of one more array (the translates) 11 * 4
+    assert counts == {"convolve": 120 + 120 + 11 * 4,
+                      "sweep": 10 * 4 + 11 * 4}
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_default_run_makes_each_peetre_field_once(runner, tmp_path,
+                                                  monkeypatch, order):
+    """A default `all` run, in either order of the nine checks, makes a
+    Peetre field through MaximalParams.peetre_field only, once per
+    distinct sample array (the 10 members and the embeddings' translates),
+    and sweeps 84 times: 11 * 4 for those fields and 10 * 4 for the grand
+    Peetre fields of maximal-equivalence."""
+    from slicehardy import maximal
+
+    fields, sweeps = [], []
+    make, sweep = maximal.MaximalParams.peetre_field, maximal._peetre_sweep
+    monkeypatch.setattr(
+        maximal.MaximalParams, "peetre_field",
+        lambda self, f: fields.append(f.values.tobytes()) or make(self, f))
+    monkeypatch.setattr(maximal, "_peetre_sweep",
+                        lambda *a, **k: sweeps.append(1) or sweep(*a, **k))
+    result = runner.invoke(main, ["all", "--check",
+                                  ",".join(list(CHECKS)[::order]),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    assert len(fields) == len(set(fields)) == 11
+    assert len(sweeps) == 84
 
 
 def test_rerun_is_byte_identical(runner, config_path, tmp_path):

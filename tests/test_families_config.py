@@ -160,3 +160,27 @@ def test_validation_sweep_straddles_unity():
     cfg = ScenarioConfig(side_exp_lo=1)
     with pytest.raises(ConfigError, match="sweep"):
         cfg.validate()
+
+
+@pytest.mark.parametrize("n, size, ok", [(1, 5, True), (1, 6, False),
+                                         (2, 6, True), (2, 7, False)])
+def test_validation_bounds_dict_size_by_the_built_in_kernels(n, size, ok):
+    cfg = ScenarioConfig(n=n, dict_size=size)
+    if ok:
+        cfg.validate()
+    else:
+        with pytest.raises(ConfigError, match="maximal.dict_size"):
+            cfg.validate()
+
+
+@pytest.mark.parametrize("n, h, side_exp_hi, ok", [
+    (1, 2.0 ** -8, 7, True), (2, 2.0 ** -8, 5, True),
+    (2, 2.0 ** -8, 6, False), (1, 2.0 ** -8, 19, False)])
+def test_validation_bounds_the_largest_sweep_cube(n, h, side_exp_hi, ok):
+    """At most 2^26 cells in the sweep's largest cube, (2^side_exp_hi/h)^n."""
+    cfg = ScenarioConfig(n=n, h=h, side_exp_hi=side_exp_hi)
+    if ok:
+        cfg.validate()
+    else:
+        with pytest.raises(ConfigError, match="sweep.side_exp_hi"):
+            cfg.validate()

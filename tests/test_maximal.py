@@ -1,5 +1,7 @@
 """Local maximal functions: chains, collapses, quasi-norm plumbing."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from slicehardy import orlicz
 from slicehardy.errors import PreconditionError
 from slicehardy.grid import GridFunction
 from slicehardy.kernels import build_dictionary, convolve
-from slicehardy.maximal import MaximalParams, _peetre_sweep, \
+from slicehardy.maximal import MaximalParams, _one_scale_max, _peetre_sweep, \
     _peetre_weights, _window_max, grand_maximal, hardy_quasinorm, \
     maximal_fields, nontangential_maximal, parse_space_tag, peetre_maximal, \
     peetre_reach, pointwise_chain_ok, radial_maximal
@@ -242,14 +244,22 @@ def test_peetre_sweep_1d_multiplies_out_a_pair_that_barely_beats():
     assert np.array_equal(_peetre_sweep(absc, s, s, 1, b, 1e-30), expected)
 
 
+def _grand(f, dictionary, ladder, pad, peetre, b, eps_cut):
+    """The plain grand maximal function, or with peetre its Peetre-swept
+    one: the op maximal_fields applies for "grand_peetre"."""
+    if not peetre:
+        return grand_maximal(f, dictionary, ladder, pad_cells=pad)
+    return _one_scale_max(f, list(dictionary), ladder, pad,
+                          partial(_peetre_sweep, b=b, eps_cut=eps_cut))
+
+
 @pytest.mark.parametrize("peetre", [False, True])
 def test_grand_maximal_matches_per_kernel_maxima(bump, dictionary_1d,
                                                  peetre):
     """Max over kernels before the window or sweep, once per scale, is
     bit for bit the max over the kernels' own maximal functions."""
     ladder, pad = [0.5, 0.25, 0.125], 100
-    got = grand_maximal(bump, dictionary_1d, ladder, peetre=peetre, b=2.5,
-                        pad_cells=pad, eps_cut=1e-8)
+    got = _grand(bump, dictionary_1d, ladder, pad, peetre, 2.5, 1e-8)
     ref = peetre_reference.grand_per_kernel(bump, dictionary_1d, ladder, pad,
                                             peetre=peetre, b=2.5,
                                             eps_cut=1e-8)
@@ -264,15 +274,15 @@ def test_grand_maximal_matches_per_kernel_maxima_2d(peetre):
     rng = np.random.default_rng(3)
     f = GridFunction((0.0, 0.0), h, rng.normal(size=(5, 6)))
     ladder, pad = [0.5, 0.25], 3
-    got = grand_maximal(f, d, ladder, peetre=peetre, b=3.0, pad_cells=pad,
-                        eps_cut=1e-4)
+    got = _grand(f, d, ladder, pad, peetre, 3.0, 1e-4)
     ref = peetre_reference.grand_per_kernel(f, d, ladder, pad, peetre=peetre,
                                             b=3.0, eps_cut=1e-4)
     assert np.array_equal(got.values, ref.values)
 
 
 def _each_alone(f, params):
-    """The five fields of maximal_fields, each from its own function."""
+    """The five fields of maximal_fields, each from its own function (the
+    grand Peetre one as the max of the kernels' Peetre functions)."""
     pad, ladder, d = params.pad_cells(f.h), params.ladder, params.dictionary
     return {
         "radial": radial_maximal(f, d.phi, ladder, pad),
@@ -281,8 +291,9 @@ def _each_alone(f, params):
         "grand": grand_maximal(f, d, ladder, pad_cells=pad),
         "peetre": peetre_maximal(f, d.phi, params.b, ladder, params.eps_cut,
                                  pad),
-        "grand_peetre": grand_maximal(f, d, ladder, peetre=True, b=params.b,
-                                      pad_cells=pad, eps_cut=params.eps_cut)}
+        "grand_peetre": peetre_reference.grand_per_kernel(
+            f, d, ladder, pad, peetre=True, b=params.b,
+            eps_cut=params.eps_cut)}
 
 
 @pytest.mark.parametrize("n", [1, 2])
