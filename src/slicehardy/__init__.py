@@ -11,7 +11,7 @@ slice_norms
 kernels
     Normalized mollifier dictionaries and grid convolution.
 maximal
-    The five local maximal functions and Hardy quasi-norms.
+    The five local maximal functions and their Peetre fields.
 atomic
     Calderon-Zygmund decomposition into local atoms.
 campanato

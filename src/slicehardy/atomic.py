@@ -15,7 +15,6 @@ once per small cube and level (`_EtaMoments`), and the Campanato P_Q f.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import product
@@ -32,11 +31,6 @@ from .slice_norms import SliceParams, cube_indicator_norms, slice_norm
 
 WHITNEY_DILATION = 9.0 / 8.0
 MAX_LEVELS = 40  # levels below the top that cz_decompose tries
-
-
-def overlap_max(n):
-    """Bounded-overlap cap for the dilated Whitney cubes."""
-    return 12 ** n
 
 
 # -- polynomials ------------------------------------------------------------
@@ -624,47 +618,3 @@ def atomic_quasinorm(dec, s, norm_1q=None):
             (atom.lam / norm_1q(atom.cube.side)) ** s
     env = GridFunction(origin, acc.h, acc.values ** (1.0 / s), check=False)
     return slice_norm(env, sp)
-
-
-# -- serialization ----------------------------------------------------------
-
-def save_decomposition(dec, directory):
-    """Write a manifest plus one grid file per atom; bit-exact round trip."""
-    os.makedirs(directory, exist_ok=True)
-    lines = [f"decomposition {dec.j_lo} {dec.j_hi} "
-             f"{repr(float(dec.pointwise_constant))} "
-             f"{len(dec.entries)}"]
-    for i, atom in enumerate(dec.entries):
-        name = f"atom_{i:04d}.grid"
-        atom.values.save(os.path.join(directory, name))
-        center = " ".join(repr(float(c)) for c in atom.cube.center)
-        lines.append(f"{atom.level} {atom.index} "
-                     f"{repr(float(atom.lam))} "
-                     f"{repr(float(atom.cube.side))} "
-                     f"{atom.r} {atom.degree} {name} {center}")
-    dec.residual.save(os.path.join(directory, "residual.grid"))
-    with open(os.path.join(directory, "manifest.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_decomposition(directory, params):
-    with open(os.path.join(directory, "manifest.txt")) as fh:
-        lines = fh.read().strip().split("\n")
-    head = lines[0].split()
-    if head[0] != "decomposition":
-        raise InvalidDataError("not a decomposition manifest")
-    j_lo, j_hi = int(head[1]), int(head[2])
-    K = float(head[3])
-    entries = []
-    for line in lines[1:]:
-        parts = line.split()
-        level, index = int(parts[0]), int(parts[1])
-        lam, side = float(parts[2]), float(parts[3])
-        r, degree, name = float(parts[4]), int(parts[5]), parts[6]
-        center = tuple(float(v) for v in parts[7:])
-        values = GridFunction.load(os.path.join(directory, name))
-        entries.append(Atom(cube=Cube(center, side), values=values, r=r,
-                            degree=degree, level=level, index=index,
-                            lam=lam))
-    residual = GridFunction.load(os.path.join(directory, "residual.grid"))
-    return Decomposition(entries, j_lo, j_hi, residual, params, K)

@@ -27,7 +27,7 @@ from .embeddings import hardy_embedding_check, star_to_muslog_check
 from .errors import ConfigError, SliceHardyError
 from .families import generate_family
 from .grid import GridFunction
-from .maximal import hardy_quasinorm, maximal_equivalence_report
+from .maximal import maximal_equivalence_report
 from .reports import Report
 from .slice_norms import ball_indicator_ratio, cube_indicator_norms, \
     fefferman_stein_check, slice_norm, star_norm
@@ -105,8 +105,7 @@ def _check_cz_roundtrip(run, summary):
         fe = f.embed(rec.origin, rec.extents)
         err = float(np.abs(rec.values - fe.values).max()) / f.max_abs()
         aq = atomic_quasinorm(dec, cfg.s, run.cube_norm)
-        hq = hardy_quasinorm(f, ("slice", cfg.phi(), cfg.q, cfg.t),
-                             run.maximal, run.peetre(f))
+        hq = slice_norm(run.peetre(f), cfg.slice_params())
         report.add(i, len(dec.entries), err, aq / hq if hq > 0 else 0.0)
     errs = report.column("rel_sup_error")
     summary["max_rel_error"] = max(errs) if errs else 0.0

@@ -9,6 +9,7 @@ parameters outside its documented preconditions.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,11 @@ from .slice_norms import SliceParams
 
 #: log2 of the most cells the largest cube of a sweep may hold
 SWEEP_CELLS_LOG2 = 26
+#: log2 of the most cells the box that holds every sweep cube may hold
+SWEEP_BOX_CELLS_LOG2 = 27
+#: log2 of the most cubes a sweep may hold (side lengths times centers)
+SWEEP_CUBES_LOG2 = 14
+_LEAST_FLOAT_EXP = -1074  # 2.0 ** -1074 is the least positive float
 
 
 @dataclass
@@ -67,13 +73,9 @@ class ScenarioConfig:
 
     def phi(self):
         try:
-            phi = orlicz.from_tag(self.functional_tag)
+            return orlicz.from_tag(self.functional_tag)
         except ValueError as exc:
             raise ConfigError(f"functional.tag: {exc}") from exc
-        if not isinstance(phi, orlicz.OrliczFunction):
-            raise ConfigError(f"functional.tag {self.functional_tag!r} is "
-                              f"not an Orlicz function of tau alone")
-        return phi
 
     def slice_params(self):
         return SliceParams(self.t, self.q, self.phi())
@@ -155,6 +157,10 @@ class ScenarioConfig:
             raise ConfigError(f"sweep.side_exp_lo must be negative, so the "
                               f"cube sweep straddles side length 1: "
                               f"{self.side_exp_lo}")
+        if self.side_exp_lo < _LEAST_FLOAT_EXP:
+            raise ConfigError(f"sweep.side_exp_lo must be at least "
+                              f"{_LEAST_FLOAT_EXP}, so every side length is "
+                              f"a positive float: {self.side_exp_lo}")
         if self.side_exp_hi < 0:
             raise ConfigError(f"sweep.side_exp_hi must be nonnegative, so "
                               f"the cube sweep straddles side length 1: "
@@ -166,6 +172,22 @@ class ScenarioConfig:
                 f"cells")
         if self.center_hi < self.center_lo:
             raise ConfigError("sweep.center_hi is below sweep.center_lo")
+        width = self.center_hi - self.center_lo + 2.0 ** self.side_exp_hi
+        if self.n * math.log2(width / self.h) > SWEEP_BOX_CELLS_LOG2:
+            raise ConfigError(
+                f"sweep.center_lo, sweep.center_hi: the box that holds the "
+                f"sweep's cubes on [{self.center_lo}, {self.center_hi}] "
+                f"would hold more than 2^{SWEEP_BOX_CELLS_LOG2} cells")
+        # np.arange's length in sweep_cubes, times the side lengths
+        centers = (self.center_hi + self.center_step / 2 - self.center_lo) \
+            / self.center_step
+        sides = self.side_exp_hi - self.side_exp_lo + 1
+        if not centers <= 2 ** SWEEP_CUBES_LOG2 \
+                or math.ceil(centers) * sides > 2 ** SWEEP_CUBES_LOG2:
+            raise ConfigError(
+                f"sweep.center_step = {self.center_step}, sweep.side_exp_lo "
+                f"= {self.side_exp_lo}: {centers:.6g} centers times {sides} "
+                f"side lengths exceed 2^{SWEEP_CUBES_LOG2} sweep cubes")
         try:
             parse_spec(self.family_spec, self.n)
         except ConfigError as exc:

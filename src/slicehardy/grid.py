@@ -14,7 +14,6 @@ a cube's cells (:meth:`Cube.contains_points` is its pointwise reference).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from itertools import product
 
@@ -347,45 +346,6 @@ class GridFunction:
             return self.max_abs()
         return float((np.abs(self.values) ** p).sum()
                      * self.cell_volume) ** (1.0 / p)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_text(self):
-        """Plain-text form: header line then row-major samples.
-
-        Floats are written with repr precision so a round trip is bit-exact.
-        """
-        buf = io.StringIO()
-        origin = " ".join(repr(float(v)) for v in self.origin)
-        ext = " ".join(str(m) for m in self.extents)
-        buf.write(f"gridfunction {self.n} {repr(float(self.h))} "
-                  f"{origin} {ext}\n")
-        flat = self.values.reshape(-1)
-        buf.write(" ".join(repr(float(v)) for v in flat))
-        buf.write("\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_text(cls, text):
-        lines = text.strip().split("\n")
-        head = lines[0].split()
-        if head[0] != "gridfunction":
-            raise InvalidDataError("not a grid function header")
-        n = int(head[1])
-        h = float(head[2])
-        origin = [float(v) for v in head[3:3 + n]]
-        extents = tuple(int(v) for v in head[3 + n:3 + 2 * n])
-        vals = np.array([float(v) for v in " ".join(lines[1:]).split()])
-        return cls(origin, h, vals.reshape(extents))
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_text(fh.read())
 
     def __repr__(self):
         return (f"GridFunction(n={self.n}, origin={tuple(self.origin)}, "

@@ -59,10 +59,6 @@ class Kernel:
         return np.arange(-k, k + 1) * h, \
             self(_centered_grid(2 * k + 1, h, self.n))
 
-    def mass(self, h=1e-3):
-        _, vals = self.sample_unit(h)
-        return float(vals.sum() * h ** self.n)
-
 
 def _centered_grid(m, h, n):
     """The m^n points of spacing h centered on 0, coordinates on the last

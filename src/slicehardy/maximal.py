@@ -1,4 +1,4 @@
-"""Local maximal functions and the Hardy-space quasi-norms built on them.
+"""Local maximal functions, on which the Hardy-space quasi-norms are built.
 
 Scale suprema run over a dyadic ladder inside (0, 1); for smooth bump
 kernels the convolution varies by a bounded factor between consecutive
@@ -14,12 +14,11 @@ from itertools import combinations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import orlicz
 from .errors import PreconditionError
 from .grid import GridFunction
 from .kernels import MollifierDictionary, convolve
 from .reports import Report
-from .slice_norms import SliceParams, ball_mask, slice_norm, star_norm
+from .slice_norms import SliceParams, ball_mask, slice_norm
 
 DEFAULT_EPS_CUT = 1e-6
 #: output boxes extend PAD_FACTOR * max scale beyond the input box; the
@@ -54,8 +53,9 @@ class MaximalParams:
                 f"2n/min(p_minus, q) = {2 * n / min(p_minus, q)}")
 
     def peetre_field(self, f):
-        """The Peetre maximal function of f that hardy_quasinorms and
-        maximal_fields use: phi, b, ladder and eps_cut on the shared pad."""
+        """The Peetre maximal function of f that maximal_fields and the
+        Hardy quasi-norms use: phi, b, ladder and eps_cut on the shared
+        pad."""
         return peetre_maximal(f, self.dictionary.phi, self.b, self.ladder,
                               self.eps_cut, self.pad_cells(f.h))
 
@@ -266,49 +266,6 @@ def grand_maximal(f, dictionary, ladder=None, pad_cells=None):
         pad_cells = int(np.ceil(2.0 * max(ladder) / f.h))
     return _one_scale_max(f, list(dictionary), ladder, pad_cells,
                           partial(_window_max, a=1.0))
-
-
-# -- Hardy quasi-norms ------------------------------------------------------
-
-def parse_space_tag(tag):
-    """Parse "slice:PHI:q:t", "star:PHI", "muslog" or "l1"."""
-    if tag == "l1":
-        return ("l1",)
-    if tag == "muslog":
-        return ("muslog", orlicz.musielak_log())
-    if tag.startswith("star:"):
-        return ("star", orlicz.from_tag(tag.split(":", 1)[1]))
-    if tag.startswith("slice:"):
-        body, qs, ts = tag[len("slice:"):].rsplit(":", 2)
-        return ("slice", orlicz.from_tag(body), float(qs), float(ts))
-    raise PreconditionError(f"unknown space tag {tag!r}")
-
-
-def hardy_quasinorm(f, space_tag, params, peetre=None):
-    """Peetre maximal function composed with the tagged outer norm."""
-    return hardy_quasinorms(f, [space_tag], params, peetre)[0]
-
-
-def hardy_quasinorms(f, space_tags, params, peetre=None):
-    """hardy_quasinorm for several tags, from one Peetre maximal function:
-    peetre if given (params.peetre_field(f), computed earlier), else
-    computed here.  The hypotheses of every tag are checked either way."""
-    tags = [parse_space_tag(t) if isinstance(t, str) else t
-            for t in space_tags]
-    for tag in tags:
-        if tag[0] == "slice":
-            params.require_hardy(f.n, tag[1].p_minus, tag[2])
-        elif tag[0] in ("star", "muslog"):
-            if params.b <= 2 * f.n:
-                raise PreconditionError(f"{tag[0]} tag requires b > 2n")
-        elif tag[0] != "l1":
-            raise PreconditionError(f"unknown space tag {tag!r}")
-    m = params.peetre_field(f) if peetre is None else peetre
-    outer = {"slice": lambda t: slice_norm(m, SliceParams(t[3], t[2], t[1])),
-             "star": lambda t: star_norm(m, t[1]),
-             "muslog": lambda t: orlicz.musielak_norm(t[1], m),
-             "l1": lambda t: m.lp_norm(1)}
-    return [outer[tag[0]](tag) for tag in tags]
 
 
 _FIVE = ("radial", "nontangential", "grand", "peetre", "grand_peetre")

@@ -10,8 +10,6 @@ a closed-form shortcut (the gauge is the plain L^p quadrature norm).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import InvalidDataError, NumericFailure, PreconditionError, \
@@ -28,19 +26,16 @@ _LOG_LAM_MIN = np.log(1e-300)  # gauges below this scale are taken as 0
 class OrliczFunction:
     """A Young-type functional with declared lower/upper type exponents.
 
-    The exponents are user inputs; :func:`validate_orlicz` checks them
-    empirically on a log-spaced sample grid.
+    The exponents are user inputs, taken as declared; the tests check the
+    built-in ones empirically on a log-spaced sample grid.
     """
 
-    def __init__(self, evaluate, p_minus, p_plus, c_lower=1.0, c_upper=1.0,
-                 name="orlicz", power_exponent=None):
-        require_positive(p_minus=p_minus, p_plus=p_plus, c_lower=c_lower,
-                         c_upper=c_upper)
+    def __init__(self, evaluate, p_minus, p_plus, name="orlicz",
+                 power_exponent=None):
+        require_positive(p_minus=p_minus, p_plus=p_plus)
         self._evaluate = evaluate
         self.p_minus = float(p_minus)
         self.p_plus = float(p_plus)
-        self.c_lower = float(c_lower)
-        self.c_upper = float(c_upper)
         self.name = name
         #: set for tau -> tau^p; enables the closed-form gauge
         self.power_exponent = power_exponent
@@ -98,24 +93,13 @@ def power(p):
 def log_damped(p_minus=0.9):
     """Phi(tau) = tau / log(e + tau), upper type 1, declared lower type.
 
-    The lower type exponent is not canonical; any value in (0, 1) validates
-    on the standard sweep with a constant depending on it.
+    The lower type exponent is not canonical; any value in (0, 1) holds
+    with a constant depending on it.
     """
     if not 0 < p_minus < 1:
         raise PreconditionError("declared lower type must lie in (0, 1)")
-    c_lower = _log_damped_lower_constant(p_minus)
     return OrliczFunction(lambda tau: tau / np.log(np.e + tau),
-                          p_minus, 1.0, c_lower=c_lower,
-                          name="log_damped")
-
-
-def _log_damped_lower_constant(p_minus):
-    # sup over s in (0,1), tau > 0 of s^(1-p) log(e+tau)/log(e+s tau),
-    # estimated on a coarse log grid and padded by 10%.
-    s = np.exp(np.linspace(np.log(1e-8), 0.0, 120))[:, None]
-    tau = np.exp(np.linspace(np.log(1e-8), np.log(1e8), 120))[None, :]
-    ratio = s ** (1 - p_minus) * np.log(np.e + tau) / np.log(np.e + s * tau)
-    return 1.1 * float(ratio.max())
+                          p_minus, 1.0, name="log_damped")
 
 
 def musielak_log():
@@ -126,13 +110,11 @@ def musielak_log():
 
 
 def from_tag(tag):
-    """Resolve a string tag: "power:p", "log_damped", "musielak_log"."""
+    """Resolve a string tag: "power:p" or "log_damped"."""
     if tag.startswith("power:"):
         return power(float(tag.split(":", 1)[1]))
     if tag == "log_damped":
         return log_damped()
-    if tag == "musielak_log":
-        return musielak_log()
     raise PreconditionError(f"unknown functional tag {tag!r}")
 
 
@@ -257,53 +239,3 @@ def luxemburg_norm_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
 
     out[active] = _solve_gauge(log_modular, m[active], tol)
     return out
-
-
-# -- empirical validation ---------------------------------------------------
-
-#: range and count of validate_orlicz's log-spaced samples of s and tau
-_SAMPLE_MIN, _SAMPLE_MAX, _SAMPLE_COUNT = 2.0 ** -20, 2.0 ** 20, 64
-
-
-@dataclass
-class ValidationReport:
-    passed: bool
-    violations: list = field(default_factory=list)
-
-    def __bool__(self):
-        return self.passed
-
-
-def validate_orlicz(phi):
-    """Empirically check monotonicity and the declared type inequalities.
-
-    Violations are report content, not errors; each carries the witness
-    (kind, s, tau, lhs, rhs).
-    """
-    viol = []
-    tau = np.exp(np.linspace(np.log(_SAMPLE_MIN), np.log(_SAMPLE_MAX),
-                             _SAMPLE_COUNT))
-    vals = phi(tau)
-    if abs(float(phi(0.0))) > 0:
-        viol.append(("zero", 0.0, 0.0, float(phi(0.0)), 0.0))
-    bad = np.nonzero(vals <= 0)[0]
-    for i in bad:
-        viol.append(("positive", None, float(tau[i]), float(vals[i]), 0.0))
-    drops = np.nonzero(np.diff(vals) < -1e-14 * np.abs(vals[:-1]))[0]
-    for i in drops:
-        viol.append(("nondecreasing", None, float(tau[i + 1]),
-                     float(vals[i + 1]), float(vals[i])))
-
-    s_lower = np.exp(np.linspace(np.log(_SAMPLE_MIN), 0.0, _SAMPLE_COUNT))
-    s_lower = s_lower[s_lower < 1.0]
-    s_upper = np.exp(np.linspace(0.0, np.log(_SAMPLE_MAX), _SAMPLE_COUNT))
-    for s_grid, p, c, kind in (
-            (s_lower, phi.p_minus, phi.c_lower, "lower_type"),
-            (s_upper, phi.p_plus, phi.c_upper, "upper_type")):
-        lhs = phi(s_grid[:, None] * tau[None, :])
-        rhs = c * s_grid[:, None] ** p * vals[None, :]
-        bad = np.argwhere(lhs > rhs * (1 + 1e-12))
-        for i, j in bad[:20]:
-            viol.append((kind, float(s_grid[i]), float(tau[j]),
-                         float(lhs[i, j]), float(rhs[i, j])))
-    return ValidationReport(passed=not viol, violations=viol)

@@ -12,13 +12,13 @@ import eta_reference
 import scipy_reference
 from slicehardy import atomic, orlicz
 from slicehardy.atomic import Atom, CZParams, atomic_quasinorm, \
-    cz_decompose, load_decomposition, minimizing_polynomial, multi_indices, \
-    partition_of_unity, reconstruct, save_decomposition, validate_atom, \
-    weighted_projection, whitney_decompose
+    cz_decompose, minimizing_polynomial, multi_indices, partition_of_unity, \
+    reconstruct, validate_atom, weighted_projection, whitney_decompose
 from slicehardy.config import ScenarioConfig
-from slicehardy.errors import NoBoundaryError, PreconditionError, \
-    UnderdeterminedError
+from slicehardy.errors import DecompositionRangeError, NoBoundaryError, \
+    PreconditionError, UnderdeterminedError
 from slicehardy.grid import Cube, GridFunction
+from slicehardy.kernels import bump_profile
 from slicehardy.maximal import MaximalParams
 from slicehardy.slice_norms import SliceParams, cube_indicator_slice_norm
 
@@ -314,6 +314,11 @@ def test_edt_is_distance_transform_edt_bit_for_bit(mask):
     assert np.array_equal(got, scipy_reference.edt(mask))
 
 
+def _overlap_max(n):
+    """Bounded-overlap cap for the dilated Whitney cubes."""
+    return 12 ** n
+
+
 def test_whitney_bounded_overlap():
     h = 2.0 ** -6
     O = _interval_set(h, 128, 0.25, 1.25)
@@ -321,7 +326,7 @@ def test_whitney_bounded_overlap():
     counts = np.zeros(O.extents)
     for Q in cubes:
         counts += O.cell_mask(Q.scaled(9 / 8)).astype(float)
-    assert counts.max() <= atomic.overlap_max(1)
+    assert counts.max() <= _overlap_max(1)
 
 
 def _disk_set(h, cells, radius):
@@ -458,6 +463,19 @@ def bump_dec(cz_setup):
         + 0.4 * np.sin(15 * x) * np.exp(-25 * (x - 2.4) ** 2),
         (0.0,), h, (int(4 / h),))
     return f, cz_decompose(f, cz_setup)
+
+
+def test_cz_far_faint_bump_exhausts_the_level_range():
+    """A unit bump at x = 1 and a 1e-11 one at x = 39 on [0, 40): the
+    maximal function on the faint bump's dilated support stays below the
+    lowest level MAX_LEVELS under the top one."""
+    cfg = ScenarioConfig(h=2.0 ** -6).validate()
+    f = GridFunction.from_callable(
+        lambda x: bump_profile((x - 1.0)[:, None])
+        + 1e-11 * bump_profile((x - 39.0)[:, None]),
+        (0.0,), cfg.h, (int(40 / cfg.h),))
+    with pytest.raises(DecompositionRangeError, match="no level within"):
+        cz_decompose(f, cfg.cz_params(cfg.maximal_params()))
 
 
 def test_cz_round_trip(bump_dec):
@@ -612,20 +630,6 @@ def test_validate_atom_flags_size_violation(cz_setup):
     rep = validate_atom(atom, sp)
     assert not rep.summary["valid"]
     assert rep.summary["size_slack"] == pytest.approx(np.log(2.0))
-
-
-def test_serialization_round_trip(bump_dec, cz_setup, tmp_path):
-    _, dec = bump_dec
-    save_decomposition(dec, tmp_path / "dec")
-    back = load_decomposition(tmp_path / "dec", cz_setup)
-    assert len(back.entries) == len(dec.entries)
-    assert back.j_lo == dec.j_lo and back.j_hi == dec.j_hi
-    for a, b in zip(dec.entries, back.entries):
-        assert a.lam == b.lam
-        assert a.cube == b.cube
-        assert np.array_equal(a.values.values, b.values.values)
-    r1, r2 = reconstruct(dec), reconstruct(back)
-    assert np.array_equal(r1.values, r2.values)
 
 
 def _cz_fixtures(bump_dec, cz_setup, cz_2d):

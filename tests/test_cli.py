@@ -150,7 +150,9 @@ def test_bad_config_exits_2(runner, tmp_path, text):
     ("atomic", "d", "-1"),
     ("maximal", "ladder_depth", "6"),
     ("sweep", "side_exp_lo", "0"),
+    ("sweep", "side_exp_lo", "-1075"),
     ("sweep", "side_exp_hi", "40"),
+    ("sweep", "center_step", "1e-4"),
     ("atomic", "tol_moment", "-1"),
     ("atomic", "c0", "0"),
     ("maximal", "dict_size", "9"),
@@ -173,6 +175,24 @@ def test_config_outside_its_hypotheses_exits_2(runner, tmp_path, section,
     assert result.exit_code == 2, result.output
     assert f"{section}.{key}" in result.output
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_box_beyond_its_cap_exits_2_before_any_output(runner,
+                                                           tmp_path):
+    """Three centers 1e7 apart on a 2-D grid of h = 1/8: 1.6e8 cells per
+    axis in the box that holds the sweep, which bmo-facts would embed."""
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[grid]\nn = 2\nh = 0.125\n[functional]\n"
+                   "tag = log_damped\n[slice]\nt = 0.5\nq = 1\n"
+                   "[maximal]\nb = 5\nN = 6\nladder_depth = 2\n"
+                   "[family]\nspec = bumps:count=1\n[sweep]\n"
+                   "center_lo = -1e7\ncenter_hi = 1e7\ncenter_step = 1e7\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["all", "--config", str(bad), "--check",
+                                  "bmo-facts", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "sweep.center_lo" in result.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", list(CHECKS) + ["all"])

@@ -7,8 +7,9 @@ from slicehardy.embeddings import hardy_embedding_check, star_to_muslog_check
 from slicehardy.errors import PreconditionError
 from slicehardy.families import generate_family
 from slicehardy.grid import GridFunction
-from slicehardy import maximal
-from slicehardy.maximal import MaximalParams, hardy_quasinorm
+from slicehardy import maximal, orlicz
+from slicehardy.maximal import MaximalParams
+from slicehardy.slice_norms import star_norm
 
 H = 2.0 ** -7
 
@@ -51,10 +52,11 @@ def test_hardy_embedding_finite_constant(dictionary_1d, maximal_params):
 def test_hardy_embedding_one_peetre_function_per_member(
         dictionary_1d, maximal_params, monkeypatch):
     """Both outer norms read one Peetre maximal function per member and
-    equal separate hardy_quasinorm calls exactly."""
+    equal the two norms of that field exactly."""
     fam = generate_family("bumps:count=3", 11, h=dictionary_1d.h)
-    expected = [(hardy_quasinorm(f, "star:log_damped", maximal_params),
-                 hardy_quasinorm(f, "muslog", maximal_params)) for f in fam]
+    expected = [(star_norm(m, orlicz.log_damped()),
+                 orlicz.musielak_norm(orlicz.musielak_log(), m))
+                for m in map(maximal_params.peetre_field, fam)]
     calls = []
     original = maximal.peetre_maximal
 

@@ -184,3 +184,34 @@ def test_validation_bounds_the_largest_sweep_cube(n, h, side_exp_hi, ok):
     else:
         with pytest.raises(ConfigError, match="sweep.side_exp_hi"):
             cfg.validate()
+
+
+@pytest.mark.parametrize("n, h, lo, hi, ok", [
+    (1, 2.0 ** -8, -4.0, 4.0, True), (2, 2.0 ** -8, -4.0, 4.0, True),
+    (2, 2.0 ** -8, -4.0, 10.0, False), (1, 2.0 ** -8, -1e5, 1e5, True),
+    (1, 2.0 ** -8, -3e5, 3e5, False)])
+def test_validation_bounds_the_sweep_box(n, h, lo, hi, ok):
+    """At most 2^27 cells in the box that holds every sweep cube,
+    ((center_hi - center_lo + 2^side_exp_hi) / h)^n."""
+    cfg = ScenarioConfig(n=n, h=h, center_lo=lo, center_hi=hi,
+                         center_step=hi - lo)
+    if ok:
+        cfg.validate()
+    else:
+        with pytest.raises(ConfigError, match="sweep.center_lo"):
+            cfg.validate()
+
+
+@pytest.mark.parametrize("step, side_exp_lo, ok", [
+    (1.0, -6, True), (8 / 1364, -6, True), (8 / 1365, -6, False),
+    (0.5, -957, True), (0.5, -958, False), (1e-300, -6, False),
+    (5e-324, -6, False)])
+def test_validation_bounds_the_sweep_cube_count(step, side_exp_lo, ok):
+    """At most 2^14 sweep cubes: the centers of [-4, 4] at the step, times
+    the side lengths 2^side_exp_lo .. 2^5."""
+    cfg = ScenarioConfig(center_step=step, side_exp_lo=side_exp_lo)
+    if ok:
+        cfg.validate()
+    else:
+        with pytest.raises(ConfigError, match="sweep.center_step"):
+            cfg.validate()

@@ -122,25 +122,6 @@ def test_lp_norms():
     assert f.lp_norm(2) == pytest.approx(np.sqrt(12.5))
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_text_round_trip_bit_exact(n, rng):
-    h = 1 / 3  # deliberately not dyadic
-    shape = (7,) if n == 1 else (5, 6)
-    origin = (0.1,) * n
-    f = GridFunction(origin, h, rng.standard_normal(shape))
-    g = GridFunction.from_text(f.to_text())
-    assert g.h == f.h
-    assert np.array_equal(g.values, f.values)
-    assert np.array_equal(g.origin, f.origin)
-
-
-def test_save_load(tmp_path, rng):
-    f = GridFunction((0.0,), 2.0 ** -4, rng.standard_normal(16))
-    p = tmp_path / "f.grid"
-    f.save(p)
-    assert np.array_equal(GridFunction.load(p).values, f.values)
-
-
 def test_embed_rejects_smaller_box():
     f = GridFunction.constant(1.0, (0.0,), 0.5, (4,))
     with pytest.raises(InvalidDataError):

@@ -37,19 +37,31 @@ def test_dictionary_deterministic():
         assert k1.scale == k2.scale
 
 
+def _mass(kernel, h=1e-3):
+    """Quadrature mass of the kernel on its unit samples at spacing h."""
+    _, vals = kernel.sample_unit(h)
+    return float(vals.sum() * h ** kernel.n)
+
+
 def test_distinguished_kernel_has_positive_mass(dictionary_1d):
-    assert dictionary_1d.phi.mass() > 0
+    assert _mass(dictionary_1d.phi) > 0
 
 
 def test_two_dimensional_dictionary_never_calls_mass(monkeypatch):
     """phi's mass is checked on the samples the normalization draws, not
-    on a fresh sampling at Kernel.mass's fine default spacing."""
-    def no_mass(self, h=1e-3):
-        raise AssertionError("Kernel.mass called")
+    on a fresh sampling at a fine spacing: every kernel is sampled at the
+    finite-difference spacing alone, twice (before and after scaling)."""
+    spacings = []
+    original = Kernel.sample_unit
 
-    monkeypatch.setattr(Kernel, "mass", no_mass)
+    def recorded(self, h):
+        spacings.append(h)
+        return original(self, h)
+
+    monkeypatch.setattr(Kernel, "sample_unit", recorded)
     d = build_dictionary(N=2, M=2, h=2.0 ** -4, count=2, n=2)
     assert d.phi is d.kernels[0]
+    assert spacings == [2.0 ** -4] * 4
 
 
 def test_too_many_kernels_requested():
@@ -95,7 +107,7 @@ def test_convolution_reproduces_constants(dictionary_1d):
     f = GridFunction.constant(1.0, (0.0,), h, (int(4 / h),))
     out = convolve(f, k, 0.5)
     mid = out.values[out.extents[0] // 2]
-    assert mid == pytest.approx(k.mass(h), rel=1e-3)
+    assert mid == pytest.approx(_mass(k, h), rel=1e-3)
 
 
 def test_convolution_resolution_guard(dictionary_1d):
@@ -117,7 +129,7 @@ def test_two_dimensional_dictionary():
     assert len(d) == 3
     f = GridFunction.constant(1.0, (0.0, 0.0), 2.0 ** -5, (64, 64))
     out = convolve(f, d.phi, 0.5)
-    assert out.values[32, 32] == pytest.approx(d.phi.mass(2.0 ** -2),
+    assert out.values[32, 32] == pytest.approx(_mass(d.phi, 2.0 ** -2),
                                                rel=5e-2)
 
 

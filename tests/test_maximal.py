@@ -11,13 +11,14 @@ from hypothesis.extra.numpy import arrays
 import peetre_reference
 import scipy_reference
 from slicehardy import orlicz
+from slicehardy.embeddings import hardy_embedding_check
 from slicehardy.errors import PreconditionError
 from slicehardy.grid import GridFunction
 from slicehardy.kernels import build_dictionary, convolve
 from slicehardy.maximal import MaximalParams, _one_scale_max, _peetre_sweep, \
-    _peetre_weights, _window_max, grand_maximal, hardy_quasinorm, \
-    maximal_fields, nontangential_maximal, parse_space_tag, peetre_maximal, \
-    peetre_reach, pointwise_chain_ok, radial_maximal
+    _peetre_weights, _window_max, grand_maximal, maximal_fields, \
+    nontangential_maximal, peetre_maximal, peetre_reach, pointwise_chain_ok, \
+    radial_maximal
 from slicehardy.slice_norms import SliceParams, slice_norm
 
 
@@ -406,61 +407,42 @@ def test_zero_input_gives_zero(maximal_params, dictionary_1d):
         assert g.max_abs() == 0.0
 
 
-@pytest.mark.parametrize("tag,kind", [
-    ("slice:power:2:2:1", "slice"),
-    ("slice:log_damped:1:0.5", "slice"),
-    ("star:log_damped", "star"),
-    ("muslog", "muslog"),
-    ("l1", "l1"),
-])
-def test_parse_space_tag(tag, kind):
-    assert parse_space_tag(tag)[0] == kind
-
-
-def test_parse_space_tag_values():
-    kind, phi, q, t = parse_space_tag("slice:power:2:4:0.5")
-    assert phi.power_exponent == 2.0
-    assert (q, t) == (4.0, 0.5)
-
-
-def test_parse_space_tag_unknown():
-    with pytest.raises(PreconditionError):
-        parse_space_tag("banana")
+#: the slice space of the Hardy quasi-norm these tests take
+_SLICE = SliceParams(1.0, 2.0, orlicz.power(2.0))
 
 
 def test_hardy_quasinorm_positive(bump, maximal_params):
-    v = hardy_quasinorm(bump, "slice:power:2:2:1", maximal_params)
-    assert v > 0
+    assert slice_norm(maximal_params.peetre_field(bump), _SLICE) > 0
 
 
 @pytest.mark.parametrize("precomputed", [False, True])
 def test_hardy_quasinorm_hypothesis_guard(bump, dictionary_1d, precomputed):
-    """The guards run also when the Peetre field is passed in."""
+    """b > 2n/min(p_minus, q) for the slice quasi-norm, and b > 2n for the
+    amalgam and Musielak ones, also when the Peetre field is passed in."""
     weak = MaximalParams(dictionary_1d, b=0.5)
-    m = weak.peetre_field(bump) if precomputed else None
     with pytest.raises(PreconditionError):
-        hardy_quasinorm(bump, "slice:power:2:2:1", weak, m)
+        weak.require_hardy(bump.n, _SLICE.phi.p_minus, _SLICE.q)
+    field = weak.peetre_field(bump)
+    peetre = (lambda f: field) if precomputed else None
     with pytest.raises(PreconditionError):
-        hardy_quasinorm(bump, "star:log_damped", weak, m)
+        hardy_embedding_check([bump], weak, peetre)
 
 
 def test_hardy_quasinorm_tags_share_one_maximal_function(bump,
                                                         maximal_params):
+    """peetre_field is peetre_maximal at the params' phi, b, ladder and
+    eps_cut: every outer norm of a run reads that one field."""
     m = peetre_maximal(bump, maximal_params.dictionary.phi,
                        maximal_params.b, maximal_params.ladder,
                        maximal_params.eps_cut)
-    assert hardy_quasinorm(bump, "l1", maximal_params) == m.lp_norm(1)
-    assert hardy_quasinorm(bump, "slice:power:2:2:1", maximal_params) == \
-        slice_norm(m, SliceParams(1.0, 2.0, orlicz.power(2.0))) == \
-        hardy_quasinorm(bump, "slice:power:2:2:1", maximal_params, m)
-    with pytest.raises(PreconditionError, match="unknown space tag"):
-        hardy_quasinorm(bump, ("banana",), maximal_params)
+    field = maximal_params.peetre_field(bump)
+    assert field.lp_norm(1) == m.lp_norm(1)
+    assert slice_norm(field, _SLICE) == slice_norm(m, _SLICE)
 
 
 def test_hardy_quasinorm_monotone_on_indicator_ladder(maximal_params):
     from slicehardy.families import generate_family
 
     fam = generate_family("indicator-ladder:M=3", 0, h=2.0 ** -7)
-    vals = [hardy_quasinorm(f, "slice:power:2:2:1", maximal_params)
-            for f in fam]
+    vals = [slice_norm(maximal_params.peetre_field(f), _SLICE) for f in fam]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))

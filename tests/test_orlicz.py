@@ -8,7 +8,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
 from slicehardy import orlicz
-from slicehardy.errors import InvalidDataError, PreconditionError
+from slicehardy.errors import InvalidDataError, NumericFailure, \
+    PreconditionError
 from slicehardy.grid import GridFunction
 
 
@@ -104,7 +105,6 @@ def test_musielak_weight_decreases_with_distance():
 @pytest.mark.parametrize("tag,name", [
     ("power:2", "power:2"),
     ("log_damped", "log_damped"),
-    ("musielak_log", "musielak_log"),
 ])
 def test_from_tag(tag, name):
     assert orlicz.from_tag(tag).name == name
@@ -115,17 +115,69 @@ def test_from_tag_unknown():
         orlicz.from_tag("mystery")
 
 
+#: range and count of _validate's log-spaced samples of s and tau
+_SAMPLE_MIN, _SAMPLE_MAX, _SAMPLE_COUNT = 2.0 ** -20, 2.0 ** 20, 64
+
+
+def _validate(phi, c_lower=1.0, c_upper=1.0):
+    """Violations of monotonicity and of the declared type inequalities
+    Phi(s tau) <= c_lower s^p_minus Phi(tau) (s < 1) and
+    Phi(s tau) <= c_upper s^p_plus Phi(tau) (s >= 1) on log-spaced samples,
+    each with its witness (kind, s, tau, lhs, rhs); empty if none."""
+    viol = []
+    tau = np.exp(np.linspace(np.log(_SAMPLE_MIN), np.log(_SAMPLE_MAX),
+                             _SAMPLE_COUNT))
+    vals = phi(tau)
+    if abs(float(phi(0.0))) > 0:
+        viol.append(("zero", 0.0, 0.0, float(phi(0.0)), 0.0))
+    for i in np.nonzero(vals <= 0)[0]:
+        viol.append(("positive", None, float(tau[i]), float(vals[i]), 0.0))
+    drops = np.nonzero(np.diff(vals) < -1e-14 * np.abs(vals[:-1]))[0]
+    for i in drops:
+        viol.append(("nondecreasing", None, float(tau[i + 1]),
+                     float(vals[i + 1]), float(vals[i])))
+    s_lower = np.exp(np.linspace(np.log(_SAMPLE_MIN), 0.0, _SAMPLE_COUNT))
+    s_lower = s_lower[s_lower < 1.0]
+    s_upper = np.exp(np.linspace(0.0, np.log(_SAMPLE_MAX), _SAMPLE_COUNT))
+    for s_grid, p, c, kind in (
+            (s_lower, phi.p_minus, c_lower, "lower_type"),
+            (s_upper, phi.p_plus, c_upper, "upper_type")):
+        lhs = phi(s_grid[:, None] * tau[None, :])
+        rhs = c * s_grid[:, None] ** p * vals[None, :]
+        for i, j in np.argwhere(lhs > rhs * (1 + 1e-12))[:20]:
+            viol.append((kind, float(s_grid[i]), float(tau[j]),
+                         float(lhs[i, j]), float(rhs[i, j])))
+    return viol
+
+
+def _log_damped_lower_constant(p_minus):
+    """sup over s in (0, 1), tau > 0 of s^(1-p) log(e+tau)/log(e+s tau),
+    estimated on a coarse log grid and padded by 10%."""
+    s = np.exp(np.linspace(np.log(1e-8), 0.0, 120))[:, None]
+    tau = np.exp(np.linspace(np.log(1e-8), np.log(1e8), 120))[None, :]
+    ratio = s ** (1 - p_minus) * np.log(np.e + tau) / np.log(np.e + s * tau)
+    return 1.1 * float(ratio.max())
+
+
 def test_validate_power_and_log_damped():
-    assert orlicz.validate_orlicz(orlicz.power(2.0)).passed
-    assert orlicz.validate_orlicz(orlicz.log_damped()).passed
+    assert not _validate(orlicz.power(2.0))
+    phi = orlicz.log_damped()
+    assert not _validate(phi, c_lower=_log_damped_lower_constant(phi.p_minus))
 
 
 def test_validate_flags_wrong_declared_type():
     # claiming lower type 2 for a linear-growth functional must fail
     phi = orlicz.OrliczFunction(lambda t: t, 2.0, 1.0)
-    report = orlicz.validate_orlicz(phi)
-    assert not report.passed
-    assert any(v[0] == "lower_type" for v in report.violations)
+    assert any(v[0] == "lower_type" for v in _validate(phi))
+
+
+def test_gauge_of_a_functional_positive_at_zero_fails_to_bracket():
+    """Phi = 1 + tau never lets the modular reach 1 on 8 cells of volume
+    1/4, however large lambda grows."""
+    phi = orlicz.OrliczFunction(lambda t: 1 + t, 1, 1)
+    f = GridFunction((0.0,), 0.25, np.ones(8))
+    with pytest.raises(NumericFailure, match="failed to bracket"):
+        orlicz.luxemburg_norm(phi, f)
 
 
 def test_nonfinite_rejected():
@@ -142,7 +194,7 @@ def test_log_damped_declared_range():
 
 @pytest.mark.parametrize("kwargs", [
     {"p_minus": np.nan}, {"p_plus": np.inf}, {"p_minus": 0.0},
-    {"c_lower": -1.0}, {"c_upper": np.nan},
+    {"p_plus": -1.0}, {"p_minus": -np.inf},
 ])
 def test_orlicz_function_rejects_nonfinite_or_nonpositive_type_data(kwargs):
     args = {"p_minus": 1.0, "p_plus": 1.0, **kwargs}
