@@ -2,10 +2,14 @@
 
 The Luxemburg gauge inf{lambda > 0 : modular(f / lambda) <= 1} is the root
 of log modular = 0 in log lambda.  One vectorized solver finds it for
-many rows at once: it brackets by doubling, then runs safeguarded Illinois
-regula falsi on the rows not yet converged.  The gauges, the Musielak
-gauge and the inverse of Phi all call that solver.  Power functionals take
-a closed-form shortcut (the gauge is the plain L^p quadrature norm).
+many rows at once.  For a functional that gives tau Phi'(tau), as
+log_damped does from its own values, each row takes Newton steps in log
+lambda from its L^1 mass, kept inside the Illinois bracket its
+evaluations build; otherwise it brackets by doubling, then runs
+safeguarded Illinois regula falsi on the rows not yet converged.  The
+gauges, the Musielak gauge and the inverse of Phi all call that solver.
+Power functionals take a closed-form shortcut (the gauge is the plain L^p
+quadrature norm).
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ from .errors import InvalidDataError, NumericFailure, PreconditionError, \
 
 DEFAULT_TOL = 1e-10
 _INVERSE_TOL = 1e-14
-_MAX_DOUBLINGS = 200
-_MAX_ITERATIONS = 200
+_MAX_STEPS = 400
 _LOG2 = np.log(2.0)
-_LOG_LAM_MIN = np.log(1e-300)  # gauges below this scale are taken as 0
+_LAM_MIN = 1e-300  # gauges below this scale are taken as 0
+_LOG_LAM_MIN = np.log(_LAM_MIN)
 
 
 class OrliczFunction:
@@ -31,7 +35,7 @@ class OrliczFunction:
     """
 
     def __init__(self, evaluate, p_minus, p_plus, name="orlicz",
-                 power_exponent=None):
+                 power_exponent=None, tau_dphi=None):
         require_positive(p_minus=p_minus, p_plus=p_plus)
         self._evaluate = evaluate
         self.p_minus = float(p_minus)
@@ -39,6 +43,9 @@ class OrliczFunction:
         self.name = name
         #: set for tau -> tau^p; enables the closed-form gauge
         self.power_exponent = power_exponent
+        #: (tau, Phi(tau)) -> tau Phi'(tau), free to overwrite tau; enables
+        #: Newton steps in the gauge solver
+        self.tau_dphi = tau_dphi
 
     def __call__(self, tau):
         return self._evaluate(np.asarray(tau, dtype=float))
@@ -57,8 +64,9 @@ class OrliczFunction:
         if self.power_exponent is not None:
             u[pos] = yp ** (1.0 / self.power_exponent)
         elif yp.size:
-            u[pos] = _solve_gauge(lambda v, idx: np.log(yp[idx] / self(v)),
-                                  yp, _INVERSE_TOL)
+            u[pos] = _solve_gauge(
+                lambda v, idx: (np.log(yp[idx] / self(v)), None),
+                yp, _INVERSE_TOL)
         return float(u) if u.ndim == 0 else u
 
     def __repr__(self):
@@ -99,7 +107,17 @@ def log_damped(p_minus=0.9):
     if not 0 < p_minus < 1:
         raise PreconditionError("declared lower type must lie in (0, 1)")
     return OrliczFunction(lambda tau: tau / np.log(np.e + tau),
-                          p_minus, 1.0, name="log_damped")
+                          p_minus, 1.0, name="log_damped",
+                          tau_dphi=_log_damped_tau_dphi)
+
+
+def _log_damped_tau_dphi(tau, val):
+    """tau Phi'(tau) = Phi - Phi^2 / (e + tau) for Phi = tau / log(e + tau),
+    from the values val = Phi(tau), in tau's buffer: no second log."""
+    tau += np.e
+    np.divide(val, tau, out=tau)
+    tau *= val
+    return np.subtract(val, tau, out=tau)
 
 
 def musielak_log():
@@ -137,60 +155,67 @@ def musielak_modular(theta, f, lam):
 
 
 def _solve_gauge(log_modular, start, tol):
-    """Gauges of many rows at once by safeguarded Illinois regula falsi.
+    """Gauges of many rows at once by safeguarded Newton steps in log lam.
 
-    log_modular(lam, idx) is the log of the modular of rows idx at scales
-    lam; it is nonincreasing in lam, and its root is sought in log lam.
-    Each row is bracketed by doubling or halving lam from start, then
-    refined by regula falsi with the Illinois down-weighting of a retained
-    end (Dowell & Jarratt 1971); only rows not yet converged are evaluated.
-    A row stops at the secant point once |log modular| <= tol or its
+    log_modular(lam, idx) returns, for rows idx at scales lam, the log of
+    the modular, nonincreasing in lam, and its slope in log lam, or None
+    for the slope.  Its root is sought in log lam.  From start, a row steps
+    to the Newton point of its last evaluation whenever the slope is known
+    and that point lies strictly inside what it knows of the bracket.
+    Otherwise it doubles or halves lam until it is bracketed, then takes
+    the safeguarded Illinois regula falsi point with the Illinois
+    down-weighting of a retained end (Dowell & Jarratt 1971).  Only rows
+    not yet converged are evaluated.  A row stops once |log modular| <=
+    tol, at that point or, with a slope, at its Newton point, or once its
     bracket is narrower than tol in log lam.  A row whose modular stays
     <= 1 as lam shrinks to 1e-300 has gauge 0.
     """
-    x = np.maximum(np.log(np.asarray(start, dtype=float)), _LOG_LAM_MIN)
+    x = np.log(np.maximum(start, _LAM_MIN))
     out = np.zeros(x.shape)
-    g = log_modular(np.exp(x), np.arange(x.size))
-    a, ga = x.copy(), g.copy()  # modular > 1 at a
-    b, gb = x.copy(), g.copy()  # modular <= 1 at b
+    idx = np.arange(x.size)
+    g, d = log_modular(np.exp(x), idx)
     up = g > 0
-    step = np.where(up, _LOG2, -_LOG2)
-    pend = np.arange(x.size)
-    for _ in range(_MAX_DOUBLINGS):
-        x[pend] += step[pend]
-        pend = pend[x[pend] >= _LOG_LAM_MIN]
-        gp = log_modular(np.exp(x[pend]), pend)
-        above = gp > 0
-        a[pend[above]], ga[pend[above]] = x[pend[above]], gp[above]
-        b[pend[~above]], gb[pend[~above]] = x[pend[~above]], gp[~above]
-        pend = pend[above == up[pend]]
-        if not pend.size:
-            break
-    else:
-        if up[pend].any():
-            raise NumericFailure("failed to bracket the Luxemburg gauge")
-    # rows whose modular stayed <= 1 down to a tiny lam have gauge 0
-    idx = np.setdiff1d(np.nonzero(x >= _LOG_LAM_MIN)[0], pend,
-                       assume_unique=True)
-    a, ga, b, gb = a[idx], ga[idx], b[idx], gb[idx]
-    side = np.zeros(idx.size, dtype=int)  # end replaced last: a 1, b -1
-    for _ in range(_MAX_ITERATIONS):
-        x = b - gb * (b - a) / (gb - ga)
-        bad = ~((x > a) & (x < b))
-        x[bad] = 0.5 * (a[bad] + b[bad])
-        gx = log_modular(np.exp(x), idx)
-        done = (np.abs(gx) <= tol) | (b - a <= tol) | (x <= a) | (x >= b)
-        out[idx[done]] = np.exp(x[done])
-        above = gx > 0
+    a, ga = np.where(up, x, -np.inf), g  # modular > 1 at a
+    b, gb = np.where(up, np.inf, x), g  # modular <= 1 at b
+    side = np.zeros(x.size, dtype=int)  # end replaced last: a 1, b -1
+    for _ in range(_MAX_STEPS):
+        width = b - a  # inf until bracketed
+        xn = np.where(np.isinf(b), x + _LOG2, x - _LOG2)
+        br = np.flatnonzero(width < np.inf)
+        if br.size:
+            lo, hi = a[br], b[br]
+            sec = hi - gb[br] * width[br] / (gb[br] - ga[br])
+            xn[br] = np.where((sec > lo) & (sec < hi), sec, 0.5 * (lo + hi))
+        if d is not None:
+            newton = x - g / d
+            xn = np.where((newton > a) & (newton < b), newton, xn)
+        keep = xn >= _LOG_LAM_MIN
+        if not keep.all():
+            if not keep.any():
+                return out
+            idx, xn, a, ga, b, gb, side, width = (
+                v[keep] for v in (idx, xn, a, ga, b, gb, side, width))
+        g, d = log_modular(np.exp(xn), idx)
+        hit = np.abs(g) <= tol
+        done = hit | (width <= tol) | (xn <= a) | (xn >= b)
+        if done.any():
+            root = xn if d is None else np.where(hit, xn - g / d, xn)
+            out[idx[done]] = np.exp(root[done])
+            if done.all():
+                return out
+            keep = ~done
+            idx, xn, g, d, a, ga, b, gb, side, width = (
+                v if v is None else v[keep]
+                for v in (idx, xn, g, d, a, ga, b, gb, side, width))
+        above = g > 0
         gb = np.where(above & (side == 1), 0.5 * gb, gb)
         ga = np.where(~above & (side == -1), 0.5 * ga, ga)
-        a, ga = np.where(above, x, a), np.where(above, gx, ga)
-        b, gb = np.where(above, b, x), np.where(above, gb, gx)
-        keep = ~done
-        side = np.where(above, 1, -1)[keep]
-        idx, a, ga, b, gb = idx[keep], a[keep], ga[keep], b[keep], gb[keep]
-        if not idx.size:
-            return out
+        a, ga = np.where(above, xn, a), np.where(above, g, ga)
+        b, gb = np.where(above, b, xn), np.where(above, gb, g)
+        side = np.where(width < np.inf, np.where(above, 1, -1), 0)
+        x = xn
+    if np.isinf(b).any():
+        raise NumericFailure("failed to bracket the Luxemburg gauge")
     raise NumericFailure("Luxemburg gauge iteration did not converge")
 
 
@@ -213,8 +238,8 @@ def musielak_norm(theta, f):
         return 0.0
     x, vals = f.center_radii().ravel(), np.abs(f.values).ravel()
     return float(_solve_gauge(
-        lambda lam, idx: np.log(theta(x, vals / lam[:, None]).sum(axis=1)
-                                * f.cell_volume),
+        lambda lam, idx: (np.log(theta(x, vals / lam[:, None]).sum(axis=1)
+                                 * f.cell_volume), None),
         [m], DEFAULT_TOL)[0])
 
 
@@ -223,19 +248,37 @@ def luxemburg_norm_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
 
     `rows` has shape (m, w); row i holds the samples of one function and
     the result is the array of m gauges.  The slice norm of a non-power
-    functional uses it for one gauge per outer sample point.
+    functional uses it for one gauge per outer sample point.  With
+    phi.tau_dphi, each row takes Newton steps from its L^1 mass, an upper
+    bound of the gauge when Phi(tau) <= tau, as for log_damped; without
+    it, Illinois steps from its max.  |rows| is taken inside each
+    evaluation, so no absolute copy of `rows` outlives one.
     """
-    rows = np.abs(np.asarray(rows, dtype=float), order="C")  # row-contiguous
-    m = rows.max(axis=1)
+    rows = np.asarray(rows, dtype=float)
     out = np.zeros(rows.shape[0])
-    active = m > 0
-    if not active.any():
+    m = np.maximum(rows.max(axis=1), -rows.min(axis=1))
+    act = np.flatnonzero(m)
+    if not act.size:
         return out
-    sub = rows if active.all() else rows[active]
+    tau_dphi = phi.tau_dphi
 
     def log_modular(lam, idx):
-        s = sub if idx.size == sub.shape[0] else sub[idx]
-        return np.log(phi(s / lam[:, None]).sum(axis=1) * cell_volume)
+        if idx.size == rows.shape[0]:
+            tau = np.abs(rows)
+        else:
+            tau = rows[act[idx]]
+            np.abs(tau, out=tau)
+        tau /= lam[:, None]
+        val = phi(tau)
+        total = val.sum(axis=1)
+        g = np.log(total * cell_volume)
+        if tau_dphi is None:
+            return g, None
+        return g, -tau_dphi(tau, val).sum(axis=1) / total
 
-    out[active] = _solve_gauge(log_modular, m[active], tol)
+    if tau_dphi is None:
+        start = m[act]
+    else:
+        start = np.abs(rows).sum(axis=1)[act] * cell_volume
+    out[act] = _solve_gauge(log_modular, start, tol)
     return out

@@ -1,16 +1,22 @@
 """Orlicz functionals, modulars and Luxemburg gauges."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import brentq
 
-from slicehardy import orlicz
+import gauge_reference
+from slicehardy import orlicz, slice_norms
 from slicehardy.errors import InvalidDataError, NumericFailure, \
     PreconditionError
 from slicehardy.grid import GridFunction
+from slicehardy.slice_norms import SliceParams, ball_mask, slice_norm
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 4.0])
@@ -288,3 +294,147 @@ def test_inverse_accepts_an_array():
     assert np.array_equal(u[:2], [0.0, 0.0])
     assert phi(u[2:]) == pytest.approx(y[2:], rel=1e-12)
     assert u[3] == phi.inverse(0.3)
+
+
+# -- Newton steps against the Illinois-only reference ----------------------
+
+#: the reference solved this tightly: at the default tol, its own gauges
+#: are off by up to tol / |slope|, about 1.5e-10 relative for log_damped
+_REFERENCE_TOL = 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2), st.integers(-250, 250), st.floats(0.05, 1.0),
+       st.sampled_from([0.25, 0.5, 1.0]), st.integers(0, 2 ** 32 - 1))
+def test_newton_gauges_match_the_illinois_reference(n, exponent, fill, t,
+                                                    seed):
+    """Window rows of sparse fields scaled to maxima from 1e-250 to
+    1e250: 1-D sliding windows and 2-D disk gathers, as slice_norm makes
+    them."""
+    rng = np.random.default_rng(seed)
+    h = 2.0 ** -4
+    shape = (48,) if n == 1 else (10, 9)
+    vals = rng.lognormal(size=shape) * (rng.random(shape) < fill)
+    vals *= 10.0 ** exponent / max(vals.max(), 1e-300)
+    phi = orlicz.log_damped()
+    for rows in slice_norms._window_rows(vals, ball_mask(t, h, n)):
+        got = orlicz.luxemburg_norm_rows(phi, rows, h ** n)
+        ref = gauge_reference.luxemburg_norm_rows(phi, rows, h ** n,
+                                                  _REFERENCE_TOL)
+        assert np.allclose(got, ref, rtol=1e-10, atol=0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(-250, 250), st.floats(0.05, 1.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_without_a_derivative_the_gauges_are_the_reference_bits(
+        exponent, fill, seed):
+    """A functional without tau_dphi takes no Newton step: its gauges
+    are the Illinois reference's, bit for bit."""
+    rng = np.random.default_rng(seed)
+    rows = rng.lognormal(size=(40, 17)) * (rng.random((40, 17)) < fill)
+    rows *= 10.0 ** exponent
+    plain = orlicz.OrliczFunction(lambda t: t / np.log(np.e + t), 0.9, 1.0)
+    assert np.array_equal(
+        orlicz.luxemburg_norm_rows(plain, rows, 2.0 ** -6),
+        gauge_reference.luxemburg_norm_rows(plain, rows, 2.0 ** -6))
+
+
+@pytest.mark.parametrize("width", [1, 7])
+@pytest.mark.parametrize("cell_volume", [2.0 ** -8, 2.0 ** -16])
+def test_tiny_rows_give_zero_or_the_reference_gauge(width, cell_volume):
+    """Row maxima at 1e-310 and 5e-324, whose L^1 mass times the cell
+    volume underflows, among all-zero and ordinary rows: each gauge is 0
+    or the reference gauge, and no RuntimeWarning is raised."""
+    rows = np.zeros((7, width))
+    rows[0, 0] = 1e-310
+    rows[1, -1] = -5e-324
+    rows[2] = 5e-324
+    rows[3] = -1e-310
+    rows[4, 0] = 1e-299
+    rows[6] = np.linspace(0.5, 2.0, width)
+    phi = orlicz.log_damped()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = orlicz.luxemburg_norm_rows(phi, rows, cell_volume)
+    ref = gauge_reference.luxemburg_norm_rows(phi, rows, cell_volume,
+                                              _REFERENCE_TOL)
+    assert np.all((got == 0) | np.isclose(got, ref, rtol=1e-10, atol=0))
+    assert got[5] == 0 and got[6] > 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_slice_norm_of_subnormal_fields_raises_no_warning(n):
+    shape = (40,) if n == 1 else (12, 12)
+    vals = np.zeros(shape)
+    vals.flat[::3] = 5e-324
+    vals.flat[1] = 1e-310
+    f = GridFunction((0.0,) * n, 2.0 ** -4, vals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert slice_norm(f, SliceParams(0.5, 1.0, orlicz.log_damped())) \
+            == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(np.log(1e-300), np.log(1e300)))
+def test_log_damped_tau_dphi_is_a_central_difference(log_tau):
+    """tau Phi'(tau) = d Phi / d log tau, by a central difference in
+    log tau."""
+    phi = orlicz.log_damped()
+    tau = np.exp(np.array([log_tau]))
+    delta = 1e-5
+    diff = (phi(tau * np.exp(delta)) - phi(tau * np.exp(-delta))) \
+        / (2 * delta)
+    assert phi.tau_dphi(tau.copy(), phi(tau)) \
+        == pytest.approx(diff, rel=1e-8)
+
+
+def test_power_gauges_take_the_closed_form(monkeypatch, rng):
+    def no_solver(*args):
+        raise AssertionError("the gauge solver was reached")
+
+    monkeypatch.setattr(orlicz, "_solve_gauge", no_solver)
+    phi = orlicz.power(2.5)
+    f = GridFunction((0.0,), 2.0 ** -5, rng.uniform(-1, 1, 64))
+    assert orlicz.luxemburg_norm(phi, f) == f.lp_norm(2.5)
+    assert phi.inverse(9.0) == pytest.approx(9.0 ** 0.4)
+    assert slice_norm(f, SliceParams(0.5, 1.0, phi)) > 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_newton_from_the_l1_mass_takes_about_four_evaluations_per_window(
+        n, rng, monkeypatch):
+    """About 4.0 Phi row evaluations per window here; started at the row
+    max, Newton takes 4.8 to 5.0, and the Illinois-only solver took 8 to
+    15 on the benchmark's log_damped slice norms."""
+    shape = (600,) if n == 1 else (40, 40)
+    vals = rng.lognormal(size=shape) * (rng.random(shape) < 0.8)
+    rows = np.concatenate(list(slice_norms._window_rows(
+        vals, ball_mask(0.5, 2.0 ** -5, n))))
+    evaluated = []
+    call = orlicz.OrliczFunction.__call__
+
+    def counted(phi, tau):
+        evaluated.append(np.shape(tau)[0])
+        return call(phi, tau)
+
+    monkeypatch.setattr(orlicz.OrliczFunction, "__call__", counted)
+    orlicz.luxemburg_norm_rows(orlicz.log_damped(), rows, 2.0 ** (-5 * n))
+    assert sum(evaluated) <= 4.5 * rows.shape[0]
+
+
+def test_one_gauge_call_peaks_below_five_chunk_sized_arrays(rng):
+    """No absolute copy of the rows outlives one evaluation: one call on
+    the 1-D sliding windows that slice_norm hands over allocates at its
+    peak at most 4.5 arrays of the windows' size."""
+    vals = rng.lognormal(size=4000) * (rng.random(4000) < 0.8)
+    windows = sliding_window_view(np.pad(vals, 254), 255)[:8192]
+    phi = orlicz.log_damped()
+    tracemalloc.start()
+    try:
+        orlicz.luxemburg_norm_rows(phi, windows, 2.0 ** -8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * windows.shape[0] * windows.shape[1] * 8
