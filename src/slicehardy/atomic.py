@@ -11,6 +11,9 @@ packaged as moment-free unit-cube atoms.  One step, `_moment_solve`,
 solves every polynomial fit and returns its values: the eta-weighted
 projections here, each on its eta's box against the moment system built
 once per small cube and level (`_EtaMoments`), and the Campanato P_Q f.
+A grid-floor cube whose eta is one cell of value 1.0, outside O_{j+1},
+has the residual and the corrected piece 0 exactly (`_floor_zeros`): it
+gets no moment record, no residual, no partner search and no atom.
 """
 
 from __future__ import annotations
@@ -351,7 +354,8 @@ class Decomposition:
 
 
 def _level_pieces(f, m, j, params):
-    """Whitney cubes, partition of unity and residuals at one level.
+    """Whitney cubes, partition of unity and residuals at one level, f on
+    m's grid.
 
     Each small cube's eta gets its moment system once (fits, None for a
     large cube), for its own residual here and for every partner's in
@@ -359,25 +363,49 @@ def _level_pieces(f, m, j, params):
     eta's box, cells lo to hi - 1 of f's grid, with c = 0 on a large cube
     and off eta's positive cells; b_sum adds up the bad parts r eta on
     f's grid.
+
+    A cube that _floor_zeros marks (skip) has the residual 0 and the
+    corrected piece 0 exactly.  It gets no moment record and no residual
+    (None): it adds nothing to b_sum, is no partner in _assemble_level
+    and yields no atom.
     """
     O = GridFunction(m.origin, m.h, (m.values > 2.0 ** j).astype(float),
                      check=False)
     cubes = whitney_decompose(O)
     etas = partition_of_unity(cubes, O)
-    fits = [_EtaMoments(eta, params.d) if Q.side < 1.0 else None
-            for Q, eta in zip(cubes, etas)]
-    lo = np.rint([(eta.origin - f.origin) / f.h for eta in etas]).astype(int)
-    hi = lo + [eta.extents for eta in etas]
+    lo = np.rint((np.reshape([eta.origin for eta in etas], (-1, f.n))
+                  - f.origin) / f.h).astype(int)
+    hi = lo + np.reshape([eta.extents for eta in etas], (-1, f.n))
+    small = np.array([Q.side < 1.0 for Q in cubes], dtype=bool)
+    skip = _floor_zeros(small, etas, lo, m, j)
+    fits = [_EtaMoments(eta, params.d) if s and not z else None
+            for eta, s, z in zip(etas, small, skip)]
     resid = []
     b_sum = np.zeros(f.extents)
-    for eta, box, fit in zip(etas, map(_box, lo, hi), fits):
+    for eta, box, fit, z in zip(etas, map(_box, lo, hi), fits, skip):
+        if z:
+            resid.append(None)
+            continue
         r = f.values[box]
         if fit is not None:
             r = r - fit.fit(r)[1]
         b_sum[box] += r * eta.values
         resid.append(r)
     return {"cubes": cubes, "etas": etas, "fits": fits, "lo": lo, "hi": hi,
-            "resid": resid, "b_sum": b_sum}
+            "skip": skip, "resid": resid, "b_sum": b_sum}
+
+
+def _floor_zeros(small, etas, lo, m, j):
+    """Mask of the small cubes of level j whose residual and corrected
+    piece are 0 exactly: eta is one cell of value 1.0 (a grid-floor cube
+    that no dilated cube wider than 8 cells reaches), cell lo of m's grid,
+    where m <= 2^(j+1).  The fit through one point at weight 1 returns
+    the sample, so the residual is 0 (at another weight the degree-0 fit
+    (v w) / w can round off v).  Outside O_{j+1} no eta and no bad part of
+    level j+1 is positive, so the piece r eta - b_sum eta is 0 as well."""
+    one = np.array([eta.values.size == 1 and eta.values.flat[0] == 1.0
+                    for eta in etas], dtype=bool)
+    return small & one & (m.values[tuple(lo.T)] <= 2.0 ** (j + 1))
 
 
 def _box(lo, hi, start=0):
@@ -386,22 +414,31 @@ def _box(lo, hi, start=0):
 
 
 def _assemble_level(f, level, nxt, params):
-    """The corrected pieces A_{j,k} from levels j and j+1.
+    """The corrected pieces A_{j,k} from levels j and j+1, None for a cube
+    that _level_pieces skipped.
 
     A_k lives on the box covering eta_k and the small-cube etas of level
     j+1 that meet it: candidates for every k from one comparison of box
     bounds, each confirmed on the two etas' common cells, and each fitted
-    with the moment system _level_pieces built for it.
+    with the moment system _level_pieces built for it.  A skipped cube of
+    level j+1 has no moment system and so is no candidate; its residual
+    is 0, and its fits would add exact zeros.
     """
+    out = [None] * len(level["etas"])
+    keep = np.flatnonzero(~level["skip"])
     if nxt is None:
-        return [GridFunction(eta.origin, f.h, r * eta.values, check=False)
-                for eta, r in zip(level["etas"], level["resid"])]
+        for k in keep:
+            eta = level["etas"][k]
+            out[k] = GridFunction(eta.origin, f.h,
+                                  level["resid"][k] * eta.values, check=False)
+        return out
     lo_i, hi_i = nxt["lo"], nxt["hi"]
-    near = np.array([fit is not None for fit in nxt["fits"]]) & np.all(
-        (lo_i < level["hi"][:, None]) & (level["lo"][:, None] < hi_i), axis=2)
-    out = []
-    for eta_k, r_k, lo_k, hi_k, cand in zip(level["etas"], level["resid"],
-                                            level["lo"], level["hi"], near):
+    near = np.array([fit is not None for fit in nxt["fits"]], dtype=bool) \
+        & np.all((lo_i < level["hi"][keep, None])
+                 & (level["lo"][keep, None] < hi_i), axis=2)
+    for k, cand in zip(keep, near):
+        eta_k, r_k = level["etas"][k], level["resid"][k]
+        lo_k, hi_k = level["lo"][k], level["hi"][k]
         partners = {}  # i: eta_k on eta_i's box, zero off their common box
         for i in np.flatnonzero(cand):
             lo, hi = np.maximum(lo_i[i], lo_k), np.minimum(hi_i[i], hi_k)
@@ -416,7 +453,7 @@ def _assemble_level(f, level, nxt, params):
         for i, eta_ki in partners.items():
             A[_box(lo_i[i], hi_i[i], lo)] += nxt["etas"][i].values \
                 * nxt["fits"][i].fit(nxt["resid"][i] * eta_ki)[1]
-        out.append(GridFunction(f.origin + lo * f.h, f.h, A, check=False))
+        out[k] = GridFunction(f.origin + lo * f.h, f.h, A, check=False)
     return out
 
 
@@ -501,8 +538,8 @@ def cz_decompose(f, params, norm_1q=None):
     for j in range(j_hi, j_lo - 1, -1):
         level = _level_pieces(fb, m, j, params)
         for k, A in enumerate(_assemble_level(fb, level, nxt, params)):
-            atom = _package_atom(A, level["cubes"][k], j, k, params,
-                                 norm_1q)
+            atom = None if A is None else _package_atom(
+                A, level["cubes"][k], j, k, params, norm_1q)
             if atom is not None:
                 entries.append(atom)
         nxt = level

@@ -244,16 +244,19 @@ def _tile_sweep(absc, w):
     taken = tiles.ravel()[src][:, :, None] \
         * w[np.abs(cells - src[:, :, None])]
     out = np.maximum(taken.max(axis=1), tiles)
+    # pairs in target order; rows[w.size - 1 + (t - u) * _TILE - c, a] is
+    # the weight between cell c of source tile u and cell a of tile t
     ti, si = np.nonzero(bound > out.min(axis=1)[:, None])
-    # rows[w.size - _TILE + (t - u) * _TILE + a, _TILE - 1 - c] is the
-    # weight between cell a of tile t and cell c of tile u
     rows = sliding_window_view(np.concatenate([w[:0:-1], w]), _TILE)
-    flipped = tiles[:, ::-1]
     for lo in range(0, ti.size, _PAIR_BLOCK):
         t, u = ti[lo:lo + _PAIR_BLOCK], si[lo:lo + _PAIR_BLOCK]
-        first = w.size - _TILE + (t - u) * _TILE
-        pair_w = rows[first[:, None] + np.arange(_TILE)]
-        np.maximum.at(out, t, (flipped[u][:, None, :] * pair_w).max(axis=2))
+        prod = rows[(w.size - 1 + (t - u) * _TILE)[:, None]
+                    - np.arange(_TILE)]
+        prod *= tiles[u][:, :, None]
+        first = np.flatnonzero(np.diff(t, prepend=-1))
+        t = t[first]
+        out[t] = np.maximum(out[t], np.maximum.reduceat(prod.max(axis=1),
+                                                        first))
     return out.ravel()[:m]
 
 

@@ -26,7 +26,8 @@ from .grid import Ball, GridFunction
 from .kernels import convolve_same
 from .reports import Report
 
-_ROW_CHUNK = 8192
+#: window cells gathered per chunk of a general-Phi slice norm
+_CHUNK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -117,20 +118,21 @@ def slice_norm(f, p):
 
 def _window_rows(values, mask):
     """The samples (zero outside the box) in the ball mask around each
-    outer point, one row-major row per point, whole rows of axis 0 and
-    about _ROW_CHUNK points at a time.  The mask is all ones in 1-D, so
-    the sliding windows are the rows; in 2-D a flat index gathers each
-    chunk in C order."""
+    outer point, one row-major row per point, about _CHUNK_CELLS window
+    cells at a time: whole rows of axis 0, at least one.  The mask is all
+    ones in 1-D, so the sliding windows are the rows; in 2-D a flat index
+    gathers each chunk in C order."""
     padded = np.pad(values, mask.shape[0] - 1)
     if values.ndim == 1:
         windows = sliding_window_view(padded, mask.size)
-        for i in range(0, windows.shape[0], _ROW_CHUNK):
-            yield windows[i:i + _ROW_CHUNK]
+        step = max(_CHUNK_CELLS // mask.size, 1)
+        for i in range(0, windows.shape[0], step):
+            yield windows[i:i + step]
         return
     rows, cols = (p - m + 1 for p, m in zip(padded.shape, mask.shape))
     width = padded.shape[1]
     cells = np.flatnonzero(np.pad(mask, ((0, 0), (0, width - mask.shape[1]))))
-    step = max(_ROW_CHUNK // cols, 1)
+    step = max(_CHUNK_CELLS // (cols * cells.size), 1)
     for i in range(0, rows, step):
         starts = np.arange(i, min(i + step, rows))[:, None] * width \
             + np.arange(cols)

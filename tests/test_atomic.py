@@ -329,6 +329,64 @@ def test_whitney_bounded_overlap():
     assert counts.max() <= _overlap_max(1)
 
 
+@st.composite
+def _whitney_sets(draw):
+    """A 1-D or 2-D open set on a box whose extents are not powers of two:
+    one to three boxes with a share of their cells removed at random, so
+    that wide cubes and grid-floor cubes both occur."""
+    n = draw(st.sampled_from([1, 2]))
+    shape = tuple(draw(st.integers(3, 300 if n == 1 else 60)
+                       .filter(lambda e: e & (e - 1))) for _ in range(n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = np.zeros(shape)
+    for _ in range(draw(st.integers(1, 3))):
+        lo = rng.integers(0, shape)
+        values[tuple(map(slice, lo, rng.integers(lo + 1, shape,
+                                                 endpoint=True)))] = 1.0
+    values[rng.random(shape) < draw(st.sampled_from([0.0, 0.01, 0.1]))] = 0
+    values.flat[rng.integers(values.size)] = 1.0
+    if values.all():
+        values.flat[rng.integers(values.size)] = 0.0
+    h = draw(st.sampled_from([2.0 ** -k for k in range(2, 7)] + [0.3]))
+    origin = tuple(draw(st.floats(-3.0, 3.0, allow_subnormal=False))
+                   for _ in range(n))
+    return GridFunction(origin, h, values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_whitney_sets())
+def test_whitney_cover_of_random_open_sets(O):
+    """The cubes tile {O > 0} exactly; each cube wider than one cell has
+    diam(Q) <= dist(Q, complement), the complement being the cells of
+    O <= 0 and the outside of the box, in exact integer cell units; each
+    floor cube's eta has one positive cell; the etas overlap at most
+    _overlap_max(n) times."""
+    mask = O.values > 0
+    cubes = whitney_decompose(O)
+    etas = partition_of_unity(cubes, O)
+    comp = np.argwhere(~np.pad(mask, 1)) - 1
+    tiles = np.zeros(O.extents, dtype=int)
+    overlap = np.zeros(O.extents, dtype=int)
+    for Q, eta in zip(cubes, etas):
+        m = int(round(Q.side / O.h))
+        lo = np.rint((np.array(Q.lo) - O.origin) / O.h).astype(int)
+        tiles[tuple(map(slice, lo, lo + m))] += 1
+        if m > 1:
+            gap = np.maximum(np.maximum(comp - (lo + m), lo - 1 - comp), 0)
+            assert m * m * O.n <= (gap ** 2).sum(axis=1).min()
+        else:
+            assert np.count_nonzero(eta.values > 0) == 1
+        overlap[_eta_box(O, eta)] += eta.values > 0
+    assert np.array_equal(tiles, mask.astype(int))
+    assert overlap.max() <= _overlap_max(O.n)
+
+
+def _eta_box(O, eta):
+    """Index box of eta's samples on O's grid."""
+    lo = np.rint((eta.origin - O.origin) / O.h).astype(int)
+    return tuple(map(slice, lo, lo + eta.extents))
+
+
 def _disk_set(h, cells, radius):
     g = GridFunction((0.0, 0.0), h, np.zeros((cells, cells)))
     pts = g.centers() - cells * h / 2
@@ -640,11 +698,26 @@ def _cz_fixtures(bump_dec, cz_setup, cz_2d):
             for d in (0, 1)]
 
 
+def _floor_zero_cubes(level, m, j):
+    """Indices of the small cubes of a level whose eta is one cell of
+    value 1.0 outside O_{j+1}: those whose pieces are exactly 0."""
+    out = []
+    for k, (Q, eta) in enumerate(zip(level["cubes"], level["etas"])):
+        if Q.side < 1.0 and eta.values.size == 1 \
+                and eta.values.item() == 1.0:
+            cell = tuple(np.rint((eta.origin - m.origin) / m.h).astype(int))
+            if m.values[cell] <= 2.0 ** (j + 1):
+                out.append(k)
+    return out
+
+
 def test_one_moment_record_per_small_cube_and_level(bump_dec, cz_setup,
                                                     cz_2d, monkeypatch):
-    """_level_pieces builds one moment record per small cube, and
-    _assemble_level fits every partner against those, building none."""
-    builds, phase, levels = [], [], []
+    """_level_pieces builds one moment record per small cube that it does
+    not skip, and skips exactly the one-cell etas of value 1.0 outside
+    O_{j+1}, whose pieces are None; _assemble_level fits every partner
+    against those records, building none."""
+    builds, phase, levels, skipped = [], [], [], []
     build = atomic._EtaMoments
     level_pieces, assemble_level = atomic._level_pieces, \
         atomic._assemble_level
@@ -656,8 +729,11 @@ def test_one_moment_record_per_small_cube_and_level(bump_dec, cz_setup,
     def counted_level(f, m, j, params):
         phase.append("level")
         level = level_pieces(f, m, j, params)
+        skipped.append(_floor_zero_cubes(level, m, j))
+        assert np.flatnonzero(level["skip"]).tolist() == skipped[-1]
         levels.append((builds.count("level"),
-                       sum(Q.side < 1.0 for Q in level["cubes"])))
+                       sum(Q.side < 1.0 for Q in level["cubes"]),
+                       len(skipped[-1])))
         builds.clear()
         return level
 
@@ -665,6 +741,7 @@ def test_one_moment_record_per_small_cube_and_level(bump_dec, cz_setup,
         phase.append("assemble")
         out = assemble_level(f, level, nxt, params)
         assert "assemble" not in builds
+        assert [k for k, A in enumerate(out) if A is None] == skipped[-1]
         return out
 
     monkeypatch.setattr(atomic, "_EtaMoments", counted_build)
@@ -674,8 +751,9 @@ def test_one_moment_record_per_small_cube_and_level(bump_dec, cz_setup,
         levels.clear()
         dec = cz_decompose(f, params)
         assert len(levels) == dec.j_hi - dec.j_lo + 1
-        assert all(built == small for built, small in levels)
-        assert sum(small for _, small in levels) > 0
+        assert all(built == small - skip for built, small, skip in levels)
+        assert sum(small - skip for _, small, skip in levels) > 0
+        assert sum(skip for _, _, skip in levels) > 0
 
 
 def test_atoms_with_the_per_call_fit_are_bit_identical(bump_dec, cz_setup,
@@ -687,3 +765,111 @@ def test_atoms_with_the_per_call_fit_are_bit_identical(bump_dec, cz_setup,
     eta_reference.use_slow_fit(monkeypatch)
     for (f, params), dec in zip(cases, decs):
         _assert_same_atoms(dec, cz_decompose(f, params))
+
+
+# -- grid-floor cubes that keep the whole per-cube path ---------------------
+
+def _assert_atoms_as_without_skips(f, params, monkeypatch):
+    """Atoms of f at params.d bit for bit as those of the per-call fit, of
+    the pipeline with no cube skipped, and at d = 0 of the full-grid
+    reference."""
+    dec = cz_decompose(f, params)
+    with monkeypatch.context() as mp:
+        eta_reference.use_slow_fit(mp)
+        _assert_same_atoms(dec, cz_decompose(f, params))
+    with monkeypatch.context() as mp:
+        mp.setattr(atomic, "_floor_zeros",
+                   lambda small, *_: np.zeros_like(small))
+        _assert_same_atoms(dec, cz_decompose(f, params))
+    if params.d == 0:
+        with monkeypatch.context() as mp:
+            cz_reference.use_full_grid(mp)
+            _assert_same_atoms(dec, cz_decompose(f, params))
+
+
+def _step_maximal(monkeypatch, h, values):
+    """Make cz_decompose's maximal function the given samples on [0, 4),
+    so the test chooses every level set."""
+    m = GridFunction((0.0,), h, values)
+    monkeypatch.setattr(atomic, "grand_maximal", lambda *_: m)
+    return m.pad(2)
+
+
+def _split_wide_cubes(O):
+    """The Whitney cover of O with each cube wider than 9 cells split into
+    its first m - 1 cells and a single last cell: a floor cube within
+    reach of a dilated cube wider than 8 cells, so its eta is below 1."""
+    out = []
+    for Q in whitney_decompose(O):
+        m = int(round(Q.side / O.h))
+        if m > 9:
+            out += [Cube((Q.center[0] - O.h / 2,), (m - 1) * O.h),
+                    Cube((Q.center[0] + (m - 1) * O.h / 2,), O.h)]
+        else:
+            out.append(Q)
+    return out
+
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_floor_cube_below_one_keeps_its_piece(d, cz_setup, monkeypatch):
+    """One-cell etas below 1, beside cubes of 15 or 31 cells: the degree-0
+    fit (v w) / w can round v, and then the residual and the piece at the
+    top level are not 0.  The sample of each eta below 0.999 is chosen so
+    that it rounds."""
+    h = 2.0 ** -6
+    m = _step_maximal(monkeypatch, h, np.where(
+        (np.arange(256) >= 16) & (np.arange(256) < 240), 1.5, 0.75))
+    monkeypatch.setattr(atomic, "whitney_decompose", _split_wide_cubes)
+    top = GridFunction(m.origin, h, (m.values > 1.0).astype(float))
+    cubes = _split_wide_cubes(top)
+    etas = [eta for eta in partition_of_unity(cubes, top)
+            if eta.values.size == 1 and eta.values.item() < 0.999]
+    assert len(etas) >= 3
+    vals = np.cos(5 * (np.arange(256) + 0.5) * h) + 0.3
+    for eta in etas:
+        fit = atomic._EtaMoments(eta, 0).fit
+        i = int(np.rint(eta.origin[0] / h))
+        vals[i] = next(v for v in vals[i] + np.arange(4096) * 2.0 ** -40
+                       if fit(np.array([v]))[1][0] != v)
+    f = GridFunction((0.0,), h, vals)
+    _assert_atoms_as_without_skips(f, dataclasses.replace(cz_setup, d=d),
+                                   monkeypatch)
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_floor_cube_inside_the_next_level_keeps_its_piece(d, cz_setup,
+                                                          monkeypatch):
+    """O_1 = [1/4, 2) inside O_0 = [1/4, 15/4).  In a Whitney cover a floor
+    cube of O_0 inside O_1 is also one of O_1, whose residual is 0, so its
+    piece is 0 too.  Here the cover of O_0 has its cubes of 2 to 8 cells
+    taken apart into single cells, which puts one-cell etas of value 1.0
+    on cells that O_1 covers with wider cubes: their pieces carry
+    -b_sum eta and the partners' fits, and are not 0."""
+    h = 2.0 ** -6
+    cells = np.arange(256)
+    m = _step_maximal(monkeypatch, h, np.select(
+        [(cells >= 16) & (cells < 128), (cells >= 128) & (cells < 240)],
+        [3.0, 1.5], 0.75))
+    level0 = GridFunction(m.origin, h, (m.values > 1.0).astype(float))
+    level1 = GridFunction(m.origin, h, (m.values > 2.0).astype(float))
+
+    def shattered(O):
+        cover = whitney_decompose(O)
+        if not np.array_equal(O.values, level0.values):
+            return cover
+        return [P for Q in cover for P in (
+            [Q] if Q.side > 8 * h else
+            [Cube((Q.lo[0] + (i + 0.5) * h,), h)
+             for i in range(int(round(Q.side / h)))])]
+
+    monkeypatch.setattr(atomic, "whitney_decompose", shattered)
+    cubes = shattered(level0)
+    wide = [Q for Q in whitney_decompose(level1) if Q.side > h]
+    inside = [Q for Q, eta in zip(cubes, partition_of_unity(cubes, level0))
+              if eta.values.size == 1 and eta.values.item() == 1.0
+              and any(P.contains_points(Q.center)[0] for P in wide)]
+    assert inside
+    f = GridFunction((0.0,), h, np.cos(5 * (cells + 0.5) * h) + 0.3)
+    _assert_atoms_as_without_skips(f, dataclasses.replace(cz_setup, d=d),
+                                   monkeypatch)

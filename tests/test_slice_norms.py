@@ -13,8 +13,8 @@ import scipy_reference
 from slicehardy import orlicz
 from slicehardy.errors import PreconditionError, ResolutionError
 from slicehardy.grid import Cube, GridFunction
-from slicehardy.slice_norms import _ROW_CHUNK, SliceParams, _ball_sums, \
-    _cube_counts, _power_window_norms, ball_indicator_gauge, \
+from slicehardy.slice_norms import _CHUNK_CELLS, SliceParams, _ball_sums, \
+    _cube_counts, _power_window_norms, _window_rows, ball_indicator_gauge, \
     ball_indicator_ratio, ball_mask, ball_offset_count, \
     cube_indicator_slice_norm, fefferman_stein_check, hl_maximal, \
     reverse_superadditivity_check, slice_norm, star_norm
@@ -178,15 +178,19 @@ def test_general_slice_norm_hands_row_major_rows(n, h, shape, rng,
 def test_general_slice_norm_matches_window_matrix_across_chunks(
         n, h, shape, t_values, rng):
     """The chunked window gather against one gauge call on the whole
-    window matrix, bit for bit, on fields of more than one _ROW_CHUNK of
-    outer points whose last chunk is partial."""
+    window matrix, bit for bit, on fields whose windows hold more than
+    _CHUNK_CELLS cells: more than one chunk of at most _CHUNK_CELLS
+    cells, the last one partial."""
     vals = rng.lognormal(size=shape) * (rng.random(shape) < 0.8)
     f = GridFunction((0.0,) * n, h, vals)
     phi = orlicz.log_damped()
     for t in t_values:
         rows = _window_matrix(vals, t, h)
-        assert rows.shape[0] > _ROW_CHUNK
-        assert rows.shape[0] % _ROW_CHUNK
+        chunks = [c.shape[0] for c in _window_rows(vals, ball_mask(t, h, n))]
+        assert rows.size > _CHUNK_CELLS
+        assert sum(chunks) == rows.shape[0]
+        assert len(chunks) > 1 and chunks[-1] < chunks[0]
+        assert chunks[0] * rows.shape[1] <= _CHUNK_CELLS
         num = orlicz.luxemburg_norm_rows(phi, rows, f.cell_volume)
         den = ball_indicator_gauge(phi, rows.shape[1], f.cell_volume)
         ref = float((num / den).sum() * f.cell_volume)
