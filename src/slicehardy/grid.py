@@ -14,6 +14,7 @@ a cube's cells (:meth:`Cube.contains_points` is its pointwise reference).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -113,8 +114,11 @@ class GridFunction:
         origin = np.asarray(origin, dtype=float).reshape(-1)
         if origin.size != values.ndim:
             raise InvalidDataError("origin dimension does not match values")
-        if h <= 0:
-            raise InvalidDataError("grid spacing must be positive")
+        if not 0 < h < np.inf:
+            raise InvalidDataError(f"grid spacing must be finite and "
+                                   f"positive: {h}")
+        if not all(map(math.isfinite, origin.tolist())):
+            raise InvalidDataError(f"grid origin must be finite: {origin}")
         if check and not np.all(np.isfinite(values)):
             raise InvalidDataError("non-finite sample values")
         self.origin = origin

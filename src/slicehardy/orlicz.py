@@ -2,14 +2,11 @@
 
 The Luxemburg gauge inf{lambda > 0 : modular(f / lambda) <= 1} is the root
 of log modular = 0 in log lambda.  One vectorized solver finds it for
-many rows at once.  For a functional that gives tau Phi'(tau), as
-log_damped does from its own values, each row takes Newton steps in log
-lambda from its L^1 mass, kept inside the Illinois bracket its
-evaluations build; otherwise it brackets by doubling, then runs
-safeguarded Illinois regula falsi on the rows not yet converged.  The
-gauges, the Musielak gauge and the inverse of Phi all call that solver.
-Power functionals take a closed-form shortcut (the gauge is the plain L^p
-quadrature norm).
+many rows at once, by Newton steps in log lambda with a bisection guard,
+so every functional gives its slope tau Phi'(tau) (tau d theta / d tau
+for a Musielak one).  The gauges, the Musielak gauge and the inverse of
+Phi all call that solver.  Power functionals take a closed-form shortcut
+(the gauge is the plain L^p quadrature norm).
 """
 
 from __future__ import annotations
@@ -25,6 +22,7 @@ _MAX_STEPS = 400
 _LOG2 = np.log(2.0)
 _LAM_MIN = 1e-300  # gauges below this scale are taken as 0
 _LOG_LAM_MIN = np.log(_LAM_MIN)
+_LOG_LAM_MAX = np.log(1e308)  # a row that needs a larger scale fails
 
 
 class OrliczFunction:
@@ -34,17 +32,19 @@ class OrliczFunction:
     built-in ones empirically on a log-spaced sample grid.
     """
 
-    def __init__(self, evaluate, p_minus, p_plus, name="orlicz",
-                 power_exponent=None, tau_dphi=None):
+    def __init__(self, evaluate, p_minus, p_plus, *, tau_dphi, name="orlicz",
+                 power_exponent=None):
         require_positive(p_minus=p_minus, p_plus=p_plus)
+        if not callable(tau_dphi):
+            raise PreconditionError("tau_dphi must be callable")
         self._evaluate = evaluate
         self.p_minus = float(p_minus)
         self.p_plus = float(p_plus)
         self.name = name
         #: set for tau -> tau^p; enables the closed-form gauge
         self.power_exponent = power_exponent
-        #: (tau, Phi(tau)) -> tau Phi'(tau), free to overwrite tau; enables
-        #: Newton steps in the gauge solver
+        #: (tau, Phi(tau)) -> tau Phi'(tau), free to overwrite tau: the
+        #: slope of the gauge solver's Newton steps
         self.tau_dphi = tau_dphi
 
     def __call__(self, tau):
@@ -53,20 +53,27 @@ class OrliczFunction:
     def inverse(self, y):
         """Solve Phi(u) = y for u >= 0, elementwise over an array y.
 
-        u = 0 where y <= 0.  Otherwise u is the root of the nonincreasing
-        map v -> y / Phi(v) = 1, found by the gauge solver of this module;
-        a scalar y gives a float.
+        u = 0 where y <= 0.  Otherwise u = w y for the root w of the
+        nonincreasing map w -> y / Phi(w y) = 1, which the gauge solver of
+        this module finds from w = 1, clear of its floor at any y.  A
+        scalar y gives a float; a non-finite y is rejected.
         """
         y = np.asarray(y, dtype=float)
+        if not np.all(np.isfinite(y)):
+            raise InvalidDataError("non-finite value in y")
         u = np.zeros(y.shape)
         pos = y > 0
         yp = y[pos]
         if self.power_exponent is not None:
             u[pos] = yp ** (1.0 / self.power_exponent)
         elif yp.size:
-            u[pos] = _solve_gauge(
-                lambda v, idx: (np.log(yp[idx] / self(v)), None),
-                yp, _INVERSE_TOL)
+            def log_ratio(w, idx):
+                v = w * yp[idx]
+                val = self(v)
+                return np.log(yp[idx] / val), -self.tau_dphi(v, val) / val
+
+            u[pos] = yp * _solve_gauge(log_ratio, np.ones(yp.size),
+                                       _INVERSE_TOL)
         return float(u) if u.ndim == 0 else u
 
     def __repr__(self):
@@ -76,8 +83,10 @@ class OrliczFunction:
 class MusielakFunction:
     """A point-dependent functional theta(x, tau)."""
 
-    def __init__(self, evaluate, name="musielak"):
+    def __init__(self, evaluate, *, tau_dtheta, name="musielak"):
         self._evaluate = evaluate
+        #: (tau, theta(x, tau)) -> tau d theta / d tau, as tau_dphi
+        self.tau_dtheta = tau_dtheta
         self.name = name
 
     def __call__(self, x_norm, tau):
@@ -95,6 +104,7 @@ def power(p):
     p = float(p)
     require_positive(power_exponent=p)
     return OrliczFunction(lambda tau: tau ** p, p, p,
+                          tau_dphi=lambda tau, val: p * val,
                           name=f"power:{p:g}", power_exponent=p)
 
 
@@ -113,7 +123,8 @@ def log_damped(p_minus=0.9):
 
 def _log_damped_tau_dphi(tau, val):
     """tau Phi'(tau) = Phi - Phi^2 / (e + tau) for Phi = tau / log(e + tau),
-    from the values val = Phi(tau), in tau's buffer: no second log."""
+    from the values val = Phi(tau), in tau's buffer: no second log.  The
+    same formula gives tau d theta / d tau of musielak_log."""
     tau += np.e
     np.divide(val, tau, out=tau)
     tau *= val
@@ -124,6 +135,7 @@ def musielak_log():
     """theta(x, tau) = tau / (log(e+|x|) + log(e+tau))."""
     return MusielakFunction(
         lambda x, tau: tau / (np.log(np.e + x) + np.log(np.e + tau)),
+        tau_dtheta=_log_damped_tau_dphi,
         name="musielak_log")
 
 
@@ -155,65 +167,45 @@ def musielak_modular(theta, f, lam):
 
 
 def _solve_gauge(log_modular, start, tol):
-    """Gauges of many rows at once by safeguarded Newton steps in log lam.
+    """Gauges of many rows at once: Newton steps in log lam, bisection guard.
 
     log_modular(lam, idx) returns, for rows idx at scales lam, the log of
-    the modular, nonincreasing in lam, and its slope in log lam, or None
-    for the slope.  Its root is sought in log lam.  From start, a row steps
-    to the Newton point of its last evaluation whenever the slope is known
-    and that point lies strictly inside what it knows of the bracket.
-    Otherwise it doubles or halves lam until it is bracketed, then takes
-    the safeguarded Illinois regula falsi point with the Illinois
-    down-weighting of a retained end (Dowell & Jarratt 1971).  Only rows
-    not yet converged are evaluated.  A row stops once |log modular| <=
-    tol, at that point or, with a slope, at its Newton point, or once its
-    bracket is narrower than tol in log lam.  A row whose modular stays
-    <= 1 as lam shrinks to 1e-300 has gauge 0.
+    the modular, nonincreasing in lam, and its slope in log lam.  From
+    start, each row steps to its Newton point if that lies strictly
+    inside the row's bracket; if not, it doubles or halves lam until
+    bracketed, then bisects.  Only rows not yet converged are evaluated.
+    A row stops once |log modular| <= tol, at that Newton point, or once
+    its bracket is narrower than tol or its step lands on a bracket end
+    (near lam = 1e300 the spacing of log lam passes tol).  Gauges below
+    1e-300 are 0; needing lam above 1e308 is a failure to bracket.
     """
     x = np.log(np.maximum(start, _LAM_MIN))
     out = np.zeros(x.shape)
     idx = np.arange(x.size)
-    g, d = log_modular(np.exp(x), idx)
-    up = g > 0
-    a, ga = np.where(up, x, -np.inf), g  # modular > 1 at a
-    b, gb = np.where(up, np.inf, x), g  # modular <= 1 at b
-    side = np.zeros(x.size, dtype=int)  # end replaced last: a 1, b -1
+    a = np.full(x.shape, -np.inf)  # modular > 1 at a
+    b = np.full(x.shape, np.inf)  # modular <= 1 at b
     for _ in range(_MAX_STEPS):
-        width = b - a  # inf until bracketed
-        xn = np.where(np.isinf(b), x + _LOG2, x - _LOG2)
-        br = np.flatnonzero(width < np.inf)
-        if br.size:
-            lo, hi = a[br], b[br]
-            sec = hi - gb[br] * width[br] / (gb[br] - ga[br])
-            xn[br] = np.where((sec > lo) & (sec < hi), sec, 0.5 * (lo + hi))
-        if d is not None:
-            newton = x - g / d
-            xn = np.where((newton > a) & (newton < b), newton, xn)
-        keep = xn >= _LOG_LAM_MIN
+        g, d = log_modular(np.exp(x), idx)
+        hit = np.abs(g) <= tol
+        done = hit | (b - a <= tol) | (x <= a) | (x >= b)
+        if done.any():
+            out[idx[done]] = np.exp(np.where(hit, x - g / d, x)[done])
+            if done.all():
+                return out
+            idx, x, g, d, a, b = (v[~done] for v in (idx, x, g, d, a, b))
+        above = g > 0
+        a, b = np.where(above, x, a), np.where(above, b, x)
+        newton = x - g / d
+        mid = 0.5 * (a + b)  # +-inf until bracketed
+        x = np.where(np.isinf(mid), x + np.copysign(_LOG2, mid), mid)
+        x = np.where((newton > a) & (newton < b), newton, x)
+        if (x > _LOG_LAM_MAX).any():
+            break
+        keep = x >= _LOG_LAM_MIN
         if not keep.all():
             if not keep.any():
                 return out
-            idx, xn, a, ga, b, gb, side, width = (
-                v[keep] for v in (idx, xn, a, ga, b, gb, side, width))
-        g, d = log_modular(np.exp(xn), idx)
-        hit = np.abs(g) <= tol
-        done = hit | (width <= tol) | (xn <= a) | (xn >= b)
-        if done.any():
-            root = xn if d is None else np.where(hit, xn - g / d, xn)
-            out[idx[done]] = np.exp(root[done])
-            if done.all():
-                return out
-            keep = ~done
-            idx, xn, g, d, a, ga, b, gb, side, width = (
-                v if v is None else v[keep]
-                for v in (idx, xn, g, d, a, ga, b, gb, side, width))
-        above = g > 0
-        gb = np.where(above & (side == 1), 0.5 * gb, gb)
-        ga = np.where(~above & (side == -1), 0.5 * ga, ga)
-        a, ga = np.where(above, xn, a), np.where(above, g, ga)
-        b, gb = np.where(above, b, xn), np.where(above, gb, g)
-        side = np.where(width < np.inf, np.where(above, 1, -1), 0)
-        x = xn
+            idx, x, a, b = (v[keep] for v in (idx, x, a, b))
     if np.isinf(b).any():
         raise NumericFailure("failed to bracket the Luxemburg gauge")
     raise NumericFailure("Luxemburg gauge iteration did not converge")
@@ -237,10 +229,15 @@ def musielak_norm(theta, f):
     if m == 0.0:
         return 0.0
     x, vals = f.center_radii().ravel(), np.abs(f.values).ravel()
-    return float(_solve_gauge(
-        lambda lam, idx: (np.log(theta(x, vals / lam[:, None]).sum(axis=1)
-                                 * f.cell_volume), None),
-        [m], DEFAULT_TOL)[0])
+
+    def log_modular(lam, idx):
+        tau = vals / lam[:, None]
+        val = theta(x, tau)
+        total = val.sum(axis=1)
+        return (np.log(total * f.cell_volume),
+                -theta.tau_dtheta(tau, val).sum(axis=1) / total)
+
+    return float(_solve_gauge(log_modular, [m], DEFAULT_TOL)[0])
 
 
 def luxemburg_norm_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
@@ -248,10 +245,9 @@ def luxemburg_norm_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
 
     `rows` has shape (m, w); row i holds the samples of one function and
     the result is the array of m gauges.  The slice norm of a non-power
-    functional uses it for one gauge per outer sample point.  With
-    phi.tau_dphi, each row takes Newton steps from its L^1 mass, an upper
-    bound of the gauge when Phi(tau) <= tau, as for log_damped; without
-    it, Illinois steps from its max.  |rows| is taken inside each
+    functional uses it for one gauge per outer sample point.  Each row
+    starts from its L^1 mass, an upper bound of the gauge when
+    Phi(tau) <= tau, as for log_damped.  |rows| is taken inside each
     evaluation, so no absolute copy of `rows` outlives one.
     """
     rows = np.asarray(rows, dtype=float)
@@ -260,7 +256,6 @@ def luxemburg_norm_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
     act = np.flatnonzero(m)
     if not act.size:
         return out
-    tau_dphi = phi.tau_dphi
 
     def log_modular(lam, idx):
         if idx.size == rows.shape[0]:
@@ -271,14 +266,9 @@ def luxemburg_norm_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
         tau /= lam[:, None]
         val = phi(tau)
         total = val.sum(axis=1)
-        g = np.log(total * cell_volume)
-        if tau_dphi is None:
-            return g, None
-        return g, -tau_dphi(tau, val).sum(axis=1) / total
+        return (np.log(total * cell_volume),
+                -phi.tau_dphi(tau, val).sum(axis=1) / total)
 
-    if tau_dphi is None:
-        start = m[act]
-    else:
-        start = np.abs(rows).sum(axis=1)[act] * cell_volume
+    start = np.abs(rows).sum(axis=1)[act] * cell_volume
     out[act] = _solve_gauge(log_modular, start, tol)
     return out

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import orlicz
-from .errors import PreconditionError, ResolutionError, \
+from .errors import InvalidDataError, PreconditionError, ResolutionError, \
     require_positive
 from .grid import Ball, GridFunction
 from .kernels import convolve_same
@@ -103,6 +103,8 @@ def slice_norm(f, p):
     The outer integral runs over the support box dilated by t; beyond it
     the integrand vanishes.
     """
+    if not np.all(np.isfinite(f.values)):
+        raise InvalidDataError("non-finite sample in f")
     if f.h * 2 > p.t:
         raise ResolutionError(f"slice radius {p.t} below 2h = {2 * f.h}")
     mask = ball_mask(p.t, f.h, f.n)

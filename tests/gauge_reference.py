@@ -2,8 +2,10 @@
 
 This is the solver orlicz ran before it took Newton steps in log lambda:
 bracket each row by doubling or halving lambda from the row's max, then
-safeguarded Illinois regula falsi on the rows not yet converged.  The
-tests check orlicz.luxemburg_norm_rows against luxemburg_norm_rows here.
+safeguarded Illinois regula falsi (Dowell & Jarratt 1971) on the rows not
+yet converged.  It needs no slope.  The tests check
+orlicz.luxemburg_norm_rows against luxemburg_norm_rows here, and
+OrliczFunction.inverse and orlicz.musielak_norm against solve_gauge.
 """
 
 from __future__ import annotations

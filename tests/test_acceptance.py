@@ -68,7 +68,8 @@ def test_criterion_02_luxemburg_vs_lp(capsys, rng):
     for p in (1.0, 2.0, 4.0):
         # declare the power functional WITHOUT its closed form so the
         # generic bracketing gauge is what gets tested
-        phi = OrliczFunction(lambda u, p=p: u ** p, p, p, name=f"pow{p}")
+        phi = OrliczFunction(lambda u, p=p: u ** p, p, p, name=f"pow{p}",
+                             tau_dphi=lambda u, v, p=p: p * v)
         for _ in range(50):
             f = GridFunction((0.0,), h, rng.uniform(-2, 2, 128))
             lux = orlicz.luxemburg_norm(phi, f, tol=1e-12)

@@ -1,6 +1,7 @@
 """Whitney covering, projections, CZ decomposition, atoms."""
 
 import dataclasses
+from functools import cache
 
 import numpy as np
 import pytest
@@ -622,6 +623,49 @@ def test_cz_two_dimensional_round_trip_and_atoms(cz_2d):
     for atom in dec.entries:
         rep = validate_atom(atom, cfg.slice_params(), cfg.tol_moment)
         assert rep.summary["valid"], (atom.level, atom.index, rep.rows)
+
+
+@cache
+def _cz_params(n):
+    """The CZ parameters of a 1-D power:2 config at h = 2^-6, and of the
+    2-D log_damped config of the cz_2d fixture (h = 1/8)."""
+    if n == 1:
+        cfg = ScenarioConfig(h=2.0 ** -6)
+    else:
+        cfg = ScenarioConfig(n=2, h=1 / 8, functional_tag="log_damped",
+                             t=0.5, q=1.0, b=5.0, N=6, ladder_depth=2)
+    cfg = cfg.validate()
+    return cfg.h, cfg.cz_params(cfg.maximal_params())
+
+
+@st.composite
+def _bump_families(draw):
+    """n, d and a sum of one to three Gaussian bumps on [0, L)^n, L = 4
+    in 1-D (256 cells) and 2 in 2-D (16 x 16), each with a signed
+    amplitude, its own width and its own center."""
+    n, d = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    h, _ = _cz_params(n)
+    L = 4.0 if n == 1 else 2.0
+    x = np.meshgrid(*[(np.arange(int(L / h)) + 0.5) * h] * n, indexing="ij")
+    vals = np.zeros(x[0].shape)
+    for _ in range(draw(st.integers(1, 3))):
+        amp = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([-1, 1]))
+        width = draw(st.floats(0.05, 0.5))
+        center = draw(st.lists(st.floats(L / 8, 7 * L / 8), min_size=n,
+                               max_size=n))
+        vals += amp * np.exp(-sum(((xi - c) / width) ** 2
+                                  for xi, c in zip(x, center)))
+    return n, d, GridFunction((0.0,) * n, h, vals)
+
+
+@settings(max_examples=24, deadline=None)
+@given(_bump_families())
+def test_reconstruction_of_random_bump_families(case):
+    """In 1-D and 2-D, at d = 0 and 1, the atoms and the remainder sum
+    back to f within tol_rec, and every atom is valid."""
+    n, d, f = case
+    params = dataclasses.replace(_cz_params(n)[1], d=d)
+    _assert_round_trip_and_valid_atoms(f, cz_decompose(f, params), params)
 
 
 def _assert_same_atoms(dec, ref):

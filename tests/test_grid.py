@@ -99,6 +99,20 @@ def test_nonfinite_samples_rejected():
         GridFunction((0.0,), 0.5, [1.0, np.nan])
 
 
+@pytest.mark.parametrize("origin,h,match", [
+    ((0.0,), np.nan, "spacing"), ((0.0,), np.inf, "spacing"),
+    ((0.0,), 0.0, "spacing"), ((0.0,), -0.5, "spacing"),
+    ((np.nan,), 0.5, "origin"), ((np.inf,), 0.5, "origin"),
+    ((0.0, -np.inf), 0.5, "origin"),
+])
+def test_nonfinite_or_nonpositive_geometry_rejected(origin, h, match):
+    values = np.ones((4,) * len(origin))
+    with pytest.raises(InvalidDataError, match=match):
+        GridFunction(origin, h, values)
+    with pytest.raises(InvalidDataError, match=match):
+        GridFunction(origin, h, values, check=False)
+
+
 def test_pad_and_support_bounds():
     f = GridFunction((0.0,), 0.25, [0.0, 1.0, 0.0, 0.0])
     lo, hi = f.support_bounds()

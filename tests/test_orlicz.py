@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
@@ -32,7 +32,8 @@ def test_generic_bisection_matches_power_shortcut(rng):
     f = GridFunction((0.0,), 2.0 ** -5, rng.uniform(0, 2, 64))
     fast = orlicz.luxemburg_norm(orlicz.power(3.0), f)
     slow = orlicz.luxemburg_norm(
-        orlicz.OrliczFunction(lambda t: t ** 3.0, 3.0, 3.0), f)
+        orlicz.OrliczFunction(lambda t: t ** 3.0, 3.0, 3.0,
+                              tau_dphi=lambda t, v: 3.0 * v), f)
     assert slow == pytest.approx(fast, rel=1e-9)
 
 
@@ -173,14 +174,16 @@ def test_validate_power_and_log_damped():
 
 def test_validate_flags_wrong_declared_type():
     # claiming lower type 2 for a linear-growth functional must fail
-    phi = orlicz.OrliczFunction(lambda t: t, 2.0, 1.0)
+    phi = orlicz.OrliczFunction(lambda t: t, 2.0, 1.0,
+                                tau_dphi=lambda t, v: v)
     assert any(v[0] == "lower_type" for v in _validate(phi))
 
 
 def test_gauge_of_a_functional_positive_at_zero_fails_to_bracket():
     """Phi = 1 + tau never lets the modular reach 1 on 8 cells of volume
     1/4, however large lambda grows."""
-    phi = orlicz.OrliczFunction(lambda t: 1 + t, 1, 1)
+    phi = orlicz.OrliczFunction(lambda t: 1 + t, 1, 1,
+                                tau_dphi=lambda t, v: t)
     f = GridFunction((0.0,), 0.25, np.ones(8))
     with pytest.raises(NumericFailure, match="failed to bracket"):
         orlicz.luxemburg_norm(phi, f)
@@ -205,7 +208,14 @@ def test_log_damped_declared_range():
 def test_orlicz_function_rejects_nonfinite_or_nonpositive_type_data(kwargs):
     args = {"p_minus": 1.0, "p_plus": 1.0, **kwargs}
     with pytest.raises(PreconditionError, match=next(iter(kwargs))):
-        orlicz.OrliczFunction(lambda t: t, **args)
+        orlicz.OrliczFunction(lambda t: t, **args, tau_dphi=lambda t, v: v)
+
+
+def test_orlicz_function_requires_its_slope():
+    with pytest.raises(PreconditionError, match="tau_dphi"):
+        orlicz.OrliczFunction(lambda t: t, 1.0, 1.0, tau_dphi=None)
+    with pytest.raises(TypeError, match="tau_dphi"):
+        orlicz.OrliczFunction(lambda t: t, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("p", [np.nan, np.inf, 0.0, -2.0])
@@ -286,6 +296,15 @@ def test_gauge_matches_brentq_reference(tag, vals, origin):
     assert _gauge(tag, f) == pytest.approx(np.exp(x_ref), rel=1e-9)
 
 
+@pytest.mark.parametrize("y", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("phi", [orlicz.log_damped(), orlicz.power(2.0)])
+def test_inverse_rejects_nonfinite_values(phi, y):
+    with pytest.raises(InvalidDataError, match="non-finite"):
+        phi.inverse(y)
+    with pytest.raises(InvalidDataError, match="non-finite"):
+        phi.inverse(np.array([1.0, y]))
+
+
 def test_inverse_accepts_an_array():
     phi = orlicz.log_damped()
     y = np.array([-1.0, 0.0, 1e-4, 0.3, 1.0, 50.0])
@@ -301,6 +320,8 @@ def test_inverse_accepts_an_array():
 #: the reference solved this tightly: at the default tol, its own gauges
 #: are off by up to tol / |slope|, about 1.5e-10 relative for log_damped
 _REFERENCE_TOL = 1e-13
+#: and the inverse as tightly as the inverse is solved
+_INVERSE_REFERENCE_TOL = 1e-14
 
 
 @settings(max_examples=40, deadline=None)
@@ -325,20 +346,47 @@ def test_newton_gauges_match_the_illinois_reference(n, exponent, fill, t,
         assert np.allclose(got, ref, rtol=1e-10, atol=0.0)
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(-250, 250), st.floats(0.05, 1.0),
-       st.integers(0, 2 ** 32 - 1))
-def test_without_a_derivative_the_gauges_are_the_reference_bits(
-        exponent, fill, seed):
-    """A functional without tau_dphi takes no Newton step: its gauges
-    are the Illinois reference's, bit for bit."""
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=8))
+@example([-300.0, 300.0, 0.0])
+def test_inverse_matches_the_illinois_reference(exponents):
+    """Phi^-1(y) for y from 1e-300 to 1e300, against the slope-less
+    reference, solved like inverse for w = u / y from w = 1."""
+    y = 10.0 ** np.array(exponents)
+    phi = orlicz.log_damped()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = phi.inverse(y)
+    w = gauge_reference.solve_gauge(
+        lambda w, idx: np.log(y[idx] / phi(w * y[idx])), np.ones(y.size),
+        _INVERSE_REFERENCE_TOL)
+    assert np.allclose(got, w * y, rtol=1e-10, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2), st.integers(-250, 250), st.floats(0.05, 1.0),
+       _origins, st.integers(0, 2 ** 32 - 1))
+def test_musielak_norm_matches_the_illinois_reference(n, exponent, fill,
+                                                      origin, seed):
+    """Sparse 1-D and 2-D fields scaled to maxima from 1e-250 to 1e250,
+    against the slope-less reference."""
     rng = np.random.default_rng(seed)
-    rows = rng.lognormal(size=(40, 17)) * (rng.random((40, 17)) < fill)
-    rows *= 10.0 ** exponent
-    plain = orlicz.OrliczFunction(lambda t: t / np.log(np.e + t), 0.9, 1.0)
-    assert np.array_equal(
-        orlicz.luxemburg_norm_rows(plain, rows, 2.0 ** -6),
-        gauge_reference.luxemburg_norm_rows(plain, rows, 2.0 ** -6))
+    shape = (48,) if n == 1 else (10, 9)
+    support = rng.random(shape) < fill
+    support.flat[rng.integers(support.size)] = True
+    vals = rng.lognormal(size=shape) * support * rng.choice([-1, 1], shape)
+    vals *= 10.0 ** exponent / np.abs(vals).max()
+    f = GridFunction((origin,) * n, 2.0 ** -4, vals)
+    theta = orlicz.musielak_log()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = orlicz.musielak_norm(theta, f)
+    x, a = f.center_radii().ravel(), np.abs(vals).ravel()
+    (ref,) = gauge_reference.solve_gauge(
+        lambda lam, idx: np.log(theta(x, a / lam[:, None]).sum(axis=1)
+                                * f.cell_volume),
+        [f.max_abs()], _REFERENCE_TOL)
+    assert got == pytest.approx(ref, rel=1e-10)
 
 
 @pytest.mark.parametrize("width", [1, 7])
@@ -388,6 +436,20 @@ def test_log_damped_tau_dphi_is_a_central_difference(log_tau):
     diff = (phi(tau * np.exp(delta)) - phi(tau * np.exp(-delta))) \
         / (2 * delta)
     assert phi.tau_dphi(tau.copy(), phi(tau)) \
+        == pytest.approx(diff, rel=1e-8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(np.log(1e-300), np.log(1e300)), st.floats(0.0, 1e6))
+def test_musielak_log_tau_dtheta_is_a_central_difference(log_tau, x):
+    """tau d theta / d tau = d theta / d log tau, by a central difference
+    in log tau, at the point radius x."""
+    theta = orlicz.musielak_log()
+    tau = np.exp(np.array([log_tau]))
+    delta = 1e-5
+    diff = (theta(x, tau * np.exp(delta)) - theta(x, tau * np.exp(-delta))) \
+        / (2 * delta)
+    assert theta.tau_dtheta(tau.copy(), theta(x, tau)) \
         == pytest.approx(diff, rel=1e-8)
 
 

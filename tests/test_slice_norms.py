@@ -11,7 +11,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import scipy_reference
 from slicehardy import orlicz
-from slicehardy.errors import PreconditionError, ResolutionError
+from slicehardy.errors import InvalidDataError, PreconditionError, \
+    ResolutionError
 from slicehardy.grid import Cube, GridFunction
 from slicehardy.slice_norms import _CHUNK_CELLS, SliceParams, _ball_sums, \
     _cube_counts, _power_window_norms, _window_rows, ball_indicator_gauge, \
@@ -428,3 +429,15 @@ def test_reverse_superadditivity_rejects_signed_members():
     f = GridFunction((0.0,), 2.0 ** -4, np.array([1.0] * 15 + [-0.1]))
     with pytest.raises(PreconditionError):
         reverse_superadditivity_check([f], p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("tag", ["power:2", "log_damped"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_slice_norm_rejects_nonfinite_samples(n, tag, bad):
+    """One non-finite cell raises InvalidDataError, not a NaN, an inf, a
+    wrong finite value or a NumPy warning."""
+    f = GridFunction.constant(1.0, (0.0,) * n, 2.0 ** -4, (16,) * n)
+    f.values.flat[5 * f.values.size // 8] = bad
+    with pytest.raises(InvalidDataError, match="non-finite"):
+        slice_norm(f, SliceParams(0.5, 1.0, orlicz.from_tag(tag)))
