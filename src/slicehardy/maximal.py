@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import PreconditionError
+from .errors import PreconditionError, require_positive
 from .grid import GridFunction
 from .kernels import MollifierDictionary, convolve
 from .reports import Report
@@ -34,7 +34,7 @@ class MaximalParams:
     dictionary: MollifierDictionary
     a: float = 1.0
     b: float = 2.5
-    eps_cut: float = DEFAULT_EPS_CUT
+    eps_cut = DEFAULT_EPS_CUT  # a constant, not a field
 
     N = property(lambda self: self.dictionary.order)
     ladder = property(lambda self: self.dictionary.scales)
@@ -42,6 +42,7 @@ class MaximalParams:
     def __post_init__(self):
         if not self.a > 0:
             raise PreconditionError(f"aperture a must be positive: {self.a}")
+        require_positive(b=self.b)
 
     def pad_cells(self, h):
         return int(np.ceil(PAD_FACTOR * max(self.ladder) / h))
@@ -139,11 +140,6 @@ def _running_max(x, length):
     return x
 
 
-def _shift_slices(d, m):
-    """Slices on an axis of m cells such that target[i] gets source[i + d]."""
-    return slice(max(-d, 0), m - max(d, 0)), slice(max(d, 0), m - max(-d, 0))
-
-
 def nontangential_maximal(f, kernel, a, ladder, pad_cells=None):
     """max over s and offsets |y - x| < a*s of |f * psi_s(y)|."""
     if a <= 0:
@@ -163,90 +159,94 @@ def peetre_maximal(f, kernel, b, ladder, eps_cut=DEFAULT_EPS_CUT,
                    pad_cells=None):
     """Peetre-type maximal function with weight (1 + |y|/s)^{-b}.
 
-    Offsets whose weight is below eps_cut are discarded; the discarded
-    terms are dominated by eps_cut times the convolution sup.  The 1-D
-    sweep prunes exactly, not approximately (see _peetre_sweep).
+    Offsets whose weight is below eps_cut, in (0, 1], are discarded; the
+    discarded terms are dominated by eps_cut times the convolution sup.
+    The sweep, in 1-D and 2-D, prunes exactly (see _peetre_sweep).
     """
-    if b <= 0:
-        raise PreconditionError("Peetre exponent must be positive")
+    require_positive(b=b)
+    if not 0 < eps_cut <= 1:
+        raise PreconditionError(f"eps_cut must lie in (0, 1]: {eps_cut}")
     if pad_cells is None:
         pad_cells = int(np.ceil(4.0 * max(ladder) / f.h))
     return _one_scale_max(f, [kernel], ladder, pad_cells,
                           partial(_peetre_sweep, b=b, eps_cut=eps_cut))
 
 
-#: cells per tile, and tile pairs per product block, of the 1-D sweep
+#: cells per tile, and tile pairs per product block, of the row sweeps
 _TILE, _PAIR_BLOCK = 32, 256
 
 
 def _peetre_sweep(absc, s, h, n, b, eps_cut):
     """max over offsets d of absc(x - d) (1 + |d| h / s)^{-b}, over the
-    d of weight >= eps_cut (in 1-D, up to the first one under it).  The
-    1-D pruning is exact: it gives the max over every such d bit for bit,
-    skipping only products that cannot exceed one taken (_tile_sweep)."""
-    if n == 1:
-        return _tile_sweep(absc, _peetre_weights(absc.shape[0], s, h, b,
-                                                 eps_cut))
-    kmax = int(np.floor(peetre_reach(b, s, eps_cut) / h))
-    out = absc.copy()
-    # an offset as long as an axis shifts nothing into the array
-    mx, my = absc.shape
-    kx = min(kmax, mx - 1)
-    ky = min(kmax, my - 1)
-    for dx in range(-kx, kx + 1):
-        tx, sx = _shift_slices(dx, mx)
-        for dy in range(-ky, ky + 1):
-            if dx == 0 and dy == 0:
-                continue
-            w = (1.0 + np.hypot(dx, dy) * h / s) ** (-b)
-            if w < eps_cut:
-                continue
-            ty, sy = _shift_slices(dy, my)
-            np.maximum(out[tx, ty], absc[sx, sy] * w, out=out[tx, ty])
-    return out
+    d of weight >= eps_cut (along a row, up to the first one under it),
+    bit for bit.  absc is a stack of rows along its last axis (1-D is one
+    row): for each row offset r = 0, 1, ... one _tile_sweep carries every
+    row to the rows r above and below, pruned against the least output
+    taken at the two, until (r, 0)'s weight times max(absc) <= min(out)."""
+    rows = absc.reshape(-1, absc.shape[-1])
+    nr = rows.shape[0]
+    out, top = rows.copy(), rows.max()
+    for r in range(nr):
+        w = _peetre_weights(rows.shape[1], s, h, b, eps_cut, r)
+        if w[0] * top <= out.min():
+            break
+        # rows k + 2r and k of the padded output are row k's targets
+        pad = np.full((nr + 2 * r, rows.shape[1]), np.inf)
+        pad[r:r + nr] = out
+        got = _tile_sweep(rows, w, np.minimum(pad[2 * r:], pad[:nr]))
+        np.maximum(pad[2 * r:], got, out=pad[2 * r:])
+        np.maximum(pad[:nr], got, out=pad[:nr])
+        out = pad[r:r + nr]
+    return out.reshape(absc.shape)
 
 
-@lru_cache(maxsize=64)
-def _peetre_weights(m, s, h, b, eps_cut):
-    """The 1-D sweep's weights w[d] for offsets d, zero from the first one
-    under eps_cut (or from m on), on whole tiles; read-only, as every
-    sweep with these values shares it."""
+@lru_cache(maxsize=1024)
+def _peetre_weights(m, s, h, b, eps_cut, r):
+    """The weights w[c] of the offsets (r, c) along a row of m cells, on
+    whole tiles, zero from the first under eps_cut, from c = m and for r
+    past the reach; read-only and shared, one table per r and scale."""
     kmax = int(np.floor(peetre_reach(b, s, eps_cut) / h))
-    reach = max(min(kmax, m - 1), 0)
-    # scalar power, as in the reference offset loop: NumPy's array power
-    # differs from it in the last bit for some offsets
+    reach = min(kmax, m - 1) if r <= kmax else -1
+    # the reference loop's scalar expression: NumPy's array power differs
+    # from the scalar one in the last bit for some offsets
+    base = 1.0 + np.hypot(np.arange(reach + 1), r) * h / s
     w = np.zeros(-(-m // _TILE) * _TILE)
-    w[:reach + 1] = [1.0] + [(1.0 + d * h / s) ** (-b)
-                             for d in range(1, reach + 1)]
-    w[1:][np.maximum.accumulate(w[1:] < eps_cut)] = 0.0
+    w[:reach + 1] = [v ** (-b) for v in base.tolist()]
+    w[np.maximum.accumulate(w < eps_cut)] = 0.0
     w.flags.writeable = False
     return w
 
 
-def _tile_sweep(absc, w):
-    """out[i] = max over j of absc[j] w[|i - j|], w[0] = 1, by branch and
-    bound over tiles.  Rounding is monotone, so max(source tile) times the
-    largest weight at or beyond two tiles' gap bounds each of their
-    products.  Products with the peaks of the 4 source tiles of largest
-    bound start the output; a pair is multiplied out only when its bound
-    beats the least start value of its target tile."""
-    m = absc.size
+def _tile_sweep(absc, w, floor):
+    """out[k, i] = max(floor[k, i], max over j of absc[k, j] w[|i - j|])
+    by branch and bound over tiles.  Rounding is monotone, so max(source
+    tile) times the largest weight at or beyond two tiles' gap bounds
+    their products.  Tiles no bound can raise are done; products with the
+    peaks of the 4 source tiles of largest bound start the others, and a
+    pair is multiplied out only if its bound beats its tile's least start."""
+    nr, m = absc.shape
     nt = w.size // _TILE
-    tiles = np.pad(absc, (0, w.size - m)).reshape(nt, _TILE)
+    # tile i is tile i % nt of row i // nt; cells past m hold 0 and start
+    # at +inf, so they never lower a tile's least start value
+    tiles, out = np.zeros((nr, w.size)), np.full((nr, w.size), np.inf)
+    tiles[:, :m], out[:, :m] = absc, floor
+    tiles, out = tiles.reshape(-1, _TILE), out.reshape(-1, _TILE)
     top = tiles.argmax(axis=1)
-    peak = tiles[np.arange(nt), top]
     w_beyond = np.maximum.accumulate(w[::-1])[::-1]
     sep = np.abs(np.subtract.outer(np.arange(nt), np.arange(nt)))
-    bound = peak * w_beyond[np.maximum(sep * _TILE - _TILE + 1, 0)]
-    best = np.argpartition(-bound, min(3, nt - 1), axis=1)[:, :4]
-    src = best * _TILE + top[best]
-    cells = np.arange(w.size).reshape(nt, 1, _TILE)
-    taken = tiles.ravel()[src][:, :, None] \
-        * w[np.abs(cells - src[:, :, None])]
-    out = np.maximum(taken.max(axis=1), tiles)
+    bound = (tiles[np.arange(nr * nt), top].reshape(nr, 1, nt)
+             * w_beyond[np.maximum(sep * _TILE - _TILE + 1, 0)]
+             ).reshape(-1, nt)
+    live = np.flatnonzero(bound.max(axis=1) > out.min(axis=1))
+    i, bound = live[:, None], bound[live]
+    best = np.argpartition(-bound, min(3, nt - 1), axis=1)[:, :4] + i - i % nt
+    taken = tiles[best, top[best]][:, :, None] * w[np.abs(
+        ((i - best) * _TILE - top[best])[:, :, None] + np.arange(_TILE))]
+    out[live] = start = np.maximum(out[live], taken.max(axis=1))
     # pairs in target order; rows[w.size - 1 + (t - u) * _TILE - c, a] is
     # the weight between cell c of source tile u and cell a of tile t
-    ti, si = np.nonzero(bound > out.min(axis=1)[:, None])
+    ti, si = np.nonzero(bound > start.min(axis=1)[:, None])
+    ti, si = live[ti], si + (i - i % nt)[ti, 0]
     rows = sliding_window_view(np.concatenate([w[:0:-1], w]), _TILE)
     for lo in range(0, ti.size, _PAIR_BLOCK):
         t, u = ti[lo:lo + _PAIR_BLOCK], si[lo:lo + _PAIR_BLOCK]
@@ -257,7 +257,7 @@ def _tile_sweep(absc, w):
         t = t[first]
         out[t] = np.maximum(out[t], np.maximum.reduceat(prod.max(axis=1),
                                                         first))
-    return out.ravel()[:m]
+    return out.reshape(nr, -1)[:, :m]
 
 
 def grand_maximal(f, dictionary, ladder=None, pad_cells=None):

@@ -23,6 +23,7 @@ _LOG2 = np.log(2.0)
 _LAM_MIN = 1e-300  # gauges below this scale are taken as 0
 _LOG_LAM_MIN = np.log(_LAM_MIN)
 _LOG_LAM_MAX = np.log(1e308)  # a row that needs a larger scale fails
+_FLOAT_MAX = np.finfo(float).max
 
 
 class OrliczFunction:
@@ -56,7 +57,10 @@ class OrliczFunction:
         u = 0 where y <= 0.  Otherwise u = w y for the root w of the
         nonincreasing map w -> y / Phi(w y) = 1, which the gauge solver of
         this module finds from w = 1, clear of its floor at any y.  A
-        scalar y gives a float; a non-finite y is rejected.
+        scalar y gives a float; a non-finite y is rejected, and a y above
+        Phi(largest float), whose root passes the float range, raises
+        NumericFailure.  Below it, a w y that overflows is capped, unwarned,
+        and taken as too large.
         """
         y = np.asarray(y, dtype=float)
         if not np.all(np.isfinite(y)):
@@ -64,16 +68,24 @@ class OrliczFunction:
         u = np.zeros(y.shape)
         pos = y > 0
         yp = y[pos]
-        if self.power_exponent is not None:
-            u[pos] = yp ** (1.0 / self.power_exponent)
-        elif yp.size:
-            def log_ratio(w, idx):
-                v = w * yp[idx]
-                val = self(v)
-                return np.log(yp[idx] / val), -self.tau_dphi(v, val) / val
+        with np.errstate(over="ignore"):
+            top = self(_FLOAT_MAX)
+            if np.any(yp > top):
+                raise NumericFailure(f"Phi^-1(y) passes the float range for "
+                                     f"y above Phi(largest float) = {top:.6g}")
+            if self.power_exponent is not None:
+                u[pos] = yp ** (1.0 / self.power_exponent)
+            elif yp.size:
+                def log_ratio(w, idx):
+                    v = np.minimum(w * yp[idx], _FLOAT_MAX)
+                    val = self(v)
+                    g = np.where(v < _FLOAT_MAX, np.log(yp[idx] / val),
+                                 -np.inf)
+                    return g, -self.tau_dphi(v, val) / val
 
-            u[pos] = yp * _solve_gauge(log_ratio, np.ones(yp.size),
-                                       _INVERSE_TOL)
+                u[pos] = yp * _solve_gauge(log_ratio, np.ones(yp.size),
+                                           _INVERSE_TOL)
+        u = np.minimum(u, _FLOAT_MAX)
         return float(u) if u.ndim == 0 else u
 
     def __repr__(self):

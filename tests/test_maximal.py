@@ -245,6 +245,61 @@ def test_peetre_sweep_1d_multiplies_out_a_pair_that_barely_beats():
     assert np.array_equal(_peetre_sweep(absc, s, s, 1, b, 1e-30), expected)
 
 
+@st.composite
+def sweep_fields_nd(draw):
+    """1-D and 2-D |f * phi_s|-like inputs from a drawn seed: noise,
+    heavy tails, ties, sparse spikes, zeros and a smooth bump, with
+    extents that are not multiples of a tile."""
+    n = draw(st.sampled_from([1, 2]))
+    shape = tuple(draw(st.lists(st.integers(1, 200 if n == 1 else 45),
+                                min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    kind = draw(st.sampled_from(["noise", "lognormal", "ties", "spikes",
+                                 "zeros", "bump"]))
+    if kind == "bump":
+        x = np.indices(shape) - (np.array(shape) * rng.random(n)).reshape(
+            (n,) + (1,) * n)
+        return np.exp(-(x ** 2).sum(axis=0) / rng.uniform(1.0, 200.0))
+    return {"noise": lambda: np.abs(rng.normal(size=shape)),
+            "lognormal": lambda: np.exp(5.0 * rng.normal(size=shape)),
+            "ties": lambda: rng.choice([0.0, 1.0, 2.5], size=shape),
+            "spikes": lambda: np.where(rng.random(shape) < 0.02,
+                                       rng.random(shape), 0.0),
+            "zeros": lambda: np.zeros(shape)}[kind]()
+
+
+@settings(max_examples=150, deadline=None)
+@given(absc=sweep_fields_nd(),
+       s=st.sampled_from([1.0, 0.5, 0.125, 2.0 ** -5]),
+       b=st.floats(2.5, 10.0),
+       eps_cut=st.floats(-12.0, np.log10(0.2)).map(lambda e: 10.0 ** e),
+       h=st.sampled_from([2.0 ** -4, 2.0 ** -2, 0.1]))
+def test_peetre_sweep_matches_offset_loops(absc, s, b, eps_cut, h):
+    """The row-wise tile sweep is the offset loop bit for bit, in 1-D and
+    2-D, with reaches longer than an axis (small eps_cut, s/h large) and
+    cut short (large eps_cut, b large, s/h small)."""
+    loop = peetre_reference.peetre_sweep_1d if absc.ndim == 1 \
+        else peetre_reference.peetre_sweep_2d
+    assert np.array_equal(_peetre_sweep(absc, s, h, absc.ndim, b, eps_cut),
+                          loop(absc, s, b, h, eps_cut))
+
+
+@pytest.mark.parametrize("b,eps_cut,name", [
+    (2.5, 0.0, "eps_cut"), (2.5, -1.0, "eps_cut"), (2.5, np.nan, "eps_cut"),
+    (2.5, 1.5, "eps_cut"), (np.nan, 1e-6, "b"), (np.inf, 1e-6, "b"),
+    (0.0, 1e-6, "b")])
+def test_peetre_maximal_names_a_bad_parameter(bump, dictionary_1d, b,
+                                              eps_cut, name):
+    with pytest.raises(PreconditionError, match=f"^{name} must"):
+        peetre_maximal(bump, dictionary_1d.phi, b, [0.5], eps_cut)
+
+
+def test_maximal_params_name_a_non_finite_peetre_exponent(bump,
+                                                          dictionary_1d):
+    with pytest.raises(PreconditionError, match="^b must"):
+        MaximalParams(dictionary_1d, b=np.nan).peetre_field(bump)
+
+
 def _grand(f, dictionary, ladder, pad, peetre, b, eps_cut):
     """The plain grand maximal function, or with peetre its Peetre-swept
     one: the op maximal_fields applies for "grand_peetre"."""
@@ -309,7 +364,7 @@ def test_maximal_fields_is_each_function_alone_bit_for_bit(maximal_params,
     else:
         h = 2.0 ** -3
         params = MaximalParams(build_dictionary(N=6, M=1, h=h, count=3, n=2),
-                               a=1.5, b=5.0, eps_cut=1e-4)
+                               a=1.5, b=5.0)
         shape = (6, 5)
     h = params.dictionary.h
     f = GridFunction((0.25,) * n, h,
@@ -333,9 +388,9 @@ def test_maximal_fields_rejects_a_peetre_field_off_the_grid(bump,
 
 def test_peetre_weights_are_kept_read_only_by_value():
     """Equal arguments, as new objects, give the one read-only table."""
-    w = _peetre_weights(300, 0.5, 2.0 ** -8, 2.5, 1e-6)
+    w = _peetre_weights(300, 0.5, 2.0 ** -8, 2.5, 1e-6, 3)
     assert w is _peetre_weights(300, float("0.5"), 2.0 ** -8,
-                                np.float64(2.5), 1e-6)
+                                np.float64(2.5), 1e-6, np.int64(3))
     assert not w.flags.writeable
 
 
@@ -343,8 +398,7 @@ def test_grand_peetre_uses_eps_cut():
     """phi is the dictionary's first kernel, so the grand Peetre function
     dominates the Peetre function pointwise at the same eps_cut."""
     h = 2.0 ** -6
-    params = MaximalParams(build_dictionary(N=11, M=5, h=h, count=3),
-                           b=10, eps_cut=1e-12)
+    params = MaximalParams(build_dictionary(N=11, M=5, h=h, count=3), b=10)
     f = GridFunction.from_callable(lambda x: np.exp(-2e3 * (x - 1.0) ** 2),
                                    (0.0,), h, (128,))
     fields = maximal_fields(f, params)

@@ -315,6 +315,25 @@ def test_inverse_accepts_an_array():
     assert u[3] == phi.inverse(0.3)
 
 
+@pytest.mark.parametrize("phi", [orlicz.log_damped(), orlicz.power(0.5)])
+def test_inverse_past_the_float_range_is_a_numeric_failure(phi):
+    """A y above Phi(largest float), about 2.5e305 for log_damped, has no
+    float root: it raises, with no NumPy warning.  Up to that bound every
+    y, 1e305 and the bound itself among them, has a finite root, even
+    where the solver's steps pass the float range."""
+    top = float(phi(np.finfo(float).max))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y in (np.nextafter(top, np.inf), 1e306, 1.7e308,
+                  np.array([1.0, 1e307])):
+            with pytest.raises(NumericFailure, match="float range"):
+                phi.inverse(y)
+        y = np.array([1e-300, min(1e305, top / 2), top * (1.0 - 1e-15), top])
+        u = phi.inverse(y)
+    assert np.all(np.isfinite(u))
+    assert phi(u[1:3]) == pytest.approx(y[1:3], rel=1e-13)
+
+
 # -- Newton steps against the Illinois-only reference ----------------------
 
 #: the reference solved this tightly: at the default tol, its own gauges
