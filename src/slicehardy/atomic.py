@@ -2,18 +2,14 @@
 
 The pipeline thresholds the grand maximal function on dyadic levels,
 covers each superlevel set with Whitney cubes, builds a smooth partition
-of unity, removes local polynomial projections, and assembles the
-cross-level corrected pieces.  Each eta_Q, bad part and correction lives
-on the index box of its dilated cube (9/8)Q, with its own origin, not on
-the level grid.  The telescoping identity makes the grid reconstruction
-exact up to floating-point accumulation; the sub-threshold remainder is
-packaged as moment-free unit-cube atoms.  One step, `_moment_solve`,
-solves every polynomial fit and returns its values: the eta-weighted
-projections here, each on its eta's box against the moment system built
-once per small cube and level (`_EtaMoments`), and the Campanato P_Q f.
-A grid-floor cube whose eta is one cell of value 1.0, outside O_{j+1},
-has the residual and the corrected piece 0 exactly (`_floor_zeros`): it
-gets no moment record, no residual, no partner search and no atom.
+of unity, removes local polynomial projections and assembles the
+cross-level corrected pieces; the telescoping identity makes the
+reconstruction exact up to rounding, and the remainder below the last
+level becomes moment-free unit-cube atoms.  A level is arrays, levels j
+and j + 1 alive at once: its etas, residuals and pieces are index boxes
+laid out in one flat buffer each (`_Windows`), and its eta-weighted fits
+are stacked by shape, one solve per shape (`_fit`).  Grid-floor cubes
+whose residual and piece are 0 exactly are skipped (`_floor_zeros`).
 """
 
 from __future__ import annotations
@@ -78,33 +74,21 @@ class Polynomial:
                                    self.degree), self.coeffs)
 
 
-def _moment_system(w, pts, center, scale, d):
-    """(V, G) for the degree-d fits with weights w on pts: the monomials
-    u^alpha, u = (pts - center) / scale, one row per cell, and the Gram
-    matrix V^T W V, or None with fewer cells than monomials, where it is
-    singular."""
+def _moment_fit(vals, w, pts, center, scale, d):
+    """(c, P(pts)) for P = sum_k c[k] u^alpha_k, u = (pts - center) /
+    scale, with sum w (vals - P) u^alpha = 0 for each alpha, from the Gram
+    matrix V^T W V of the monomials, one right-hand side per column of
+    vals; with fewer cells than monomials the minimum-norm solution
+    interpolates vals."""
     V = _monomials(pts, center, scale, d)
-    return V, V.T @ (V * w[:, None]) if len(w) >= V.shape[1] else None
-
-
-def _moment_solve(V, G, vals, w):
-    """(c, P(pts)) for P = sum_k c[k] u^alpha_k with sum w (vals - P)
-    u^alpha = 0 for each alpha, from _moment_system's (V, G): one
-    right-hand side per column of vals.  Without G the minimum-norm
-    solution interpolates vals instead."""
-    if G is None:
+    if len(w) < V.shape[1]:
         c = np.linalg.lstsq(V, vals, rcond=None)[0]
     else:
         try:
-            c = np.linalg.solve(G, V.T @ (vals.T * w).T)
+            c = np.linalg.solve(V.T @ (V * w[:, None]), V.T @ (vals.T * w).T)
         except np.linalg.LinAlgError as exc:
             raise UnderdeterminedError("singular moment system") from exc
     return c, _combine(V, c)
-
-
-def _moment_fit(vals, w, pts, center, scale, d):
-    """_moment_solve on a system built for this one fit."""
-    return _moment_solve(*_moment_system(w, pts, center, scale, d), vals, w)
 
 
 def minimizing_polynomial(f, Q, d, box=None):
@@ -121,36 +105,80 @@ def minimizing_polynomial(f, Q, d, box=None):
         Q.side, d)[0])
 
 
-class _EtaMoments:
-    """eta's weighted moment system of degree d, built once and fitted
-    against any number of right-hand sides: eta's positive cells (mask)
-    and its weights w on them, the scaling (center, scale) from their
-    bounds, and _moment_system's (V, G) on their centers.  One argwhere of
-    the positive cells gives the bounds and the centers, with the
-    arithmetic of support_bounds() and centers()."""
+class _Windows:
+    """Index boxes laid out in C order in a flat buffer: box k holds cells
+    lo[k] .. lo[k] + ext[k] - 1 at positions start[k] .. start[k + 1] - 1;
+    win, local and cells give each position's box and cell in it and in
+    the grid."""
 
-    def __init__(self, eta, d):
-        w = eta.values
-        if float(w.sum()) <= 0:
+    def __init__(self, lo, ext):
+        self.lo, self.ext = lo, ext
+        size = np.prod(ext, axis=1)
+        self.start = np.concatenate([[0], np.cumsum(size)]).astype(int)
+        self.win = np.repeat(np.arange(len(size)), size)
+        t = np.arange(self.start[-1]) - self.start[self.win]
+        self.local = np.empty((t.size, ext.shape[1]), dtype=int)
+        for d in reversed(range(ext.shape[1])):
+            self.local[:, d] = t % ext[self.win, d]
+            t //= ext[self.win, d]
+        self.cells = lo[self.win] + self.local
+
+    def position(self, k, cells):
+        """Positions of cells, inside box k each, in the buffer."""
+        rel = cells - self.lo[k]
+        return self.start[k] + (rel[:, 0] * self.ext[k, 1] + rel[:, 1]
+                                if rel.shape[1] == 2 else rel[:, 0])
+
+
+class _Moments:
+    """The degree-d eta-weighted moment records of the boxes ids (sorted)
+    of wins, eta holding the samples and origin[k] box k's origin: record
+    r keeps the count[r] positive cells of box ids[r] (positions at[first
+    [r]:][:count[r]]), their weights w and monomials V in the scaling
+    (center, scale) from their bounds, as support_bounds() takes them."""
+
+    def __init__(self, wins, eta, origin, h, d, ids):
+        keep = np.bincount(ids, minlength=len(wins.lo)) > 0
+        self.ids, self.at = ids, np.flatnonzero((eta > 0) & keep[wins.win])
+        rec = np.searchsorted(ids, wins.win[self.at])
+        self.count = np.bincount(rec, minlength=len(ids))
+        if not self.count.all():
             raise UnderdeterminedError("weight has nonpositive mass")
-        self.mask = w > 0
-        idx = np.argwhere(self.mask)
-        lo = eta.origin + idx.min(axis=0) * eta.h
-        hi = eta.origin + (idx.max(axis=0) + 1) * eta.h
-        self.center = tuple((lo + hi) / 2)
-        self.scale = float((hi - lo).max())
-        self.w = w[self.mask]
-        self.V, self.G = _moment_system(self.w, eta.origin + (idx + 0.5)
-                                        * eta.h, self.center, self.scale, d)
+        self.first = np.cumsum(self.count) - self.count
+        idx, o = wins.local[self.at], origin[ids]
+        lo = o + np.minimum.reduceat(idx, self.first) * h
+        hi = o + (np.maximum.reduceat(idx, self.first) + 1) * h
+        self.center, self.scale = (lo + hi) / 2, (hi - lo).max(axis=1)
+        self.w = eta[self.at]
+        self.V = _monomials(o[rec] + (idx + 0.5) * h, self.center[rec],
+                            self.scale[rec, None], d)
 
-    def fit(self, vals):
-        """(coeffs, values) of the eta-weighted projection of vals, samples
-        on eta's box: values holds it on eta's positive cells, zero
-        elsewhere."""
-        out = np.zeros(self.mask.shape)
-        coeffs, out[self.mask] = _moment_solve(self.V, self.G,
-                                               vals[self.mask], self.w)
-        return coeffs, out
+
+def _fit(V, w, count, vals):
+    """(coeffs, values) of eta-weighted fits, fit i of the next count[i]
+    rows of vals, V (monomials) and w (weights): _moment_fit's bits, the
+    fits of as many cells stacked into one np.linalg.solve call."""
+    first = np.cumsum(count) - count
+    coeffs, values = np.empty((count.size, V.shape[1])), np.empty(len(vals))
+    for c in np.flatnonzero(np.bincount(count)).tolist():
+        sel = np.flatnonzero(count == c)
+        e = first[sel, None] + np.arange(c)
+        Ve, y, we = V[e], vals[e], w[e]
+        if c < V.shape[1]:
+            coeffs[sel] = [np.linalg.lstsq(v, b, rcond=None)[0]
+                           for v, b in zip(Ve, y)]
+        else:
+            Vt = Ve.transpose(0, 2, 1)
+            try:
+                coeffs[sel] = np.linalg.solve(
+                    np.matmul(Vt, Ve * we[..., None]),
+                    np.matmul(Vt, (y * we)[..., None]))[..., 0]
+            except np.linalg.LinAlgError as exc:
+                raise UnderdeterminedError("singular moment system") \
+                    from exc
+        values[e] = sum(Ve[..., k] * coeffs[sel, k, None]
+                        for k in range(V.shape[1]))
+    return coeffs, values
 
 
 def weighted_projection(g, eta, d):
@@ -161,21 +189,21 @@ def weighted_projection(g, eta, d):
     vals, boxes = np.zeros(eta.extents), g.overlap(eta)
     if boxes is not None:
         vals[boxes[1]] = g.values[boxes[0]]
-    m = _EtaMoments(eta, d)
-    return Polynomial(m.center, m.scale, d, m.fit(vals)[0])
+    mom = _Moments(_Windows(np.zeros((1, eta.n), dtype=int),
+                            np.array([eta.extents])), eta.values.ravel(),
+                   eta.origin[None], eta.h, d, np.zeros(1, dtype=int))
+    return Polynomial(tuple(mom.center[0]), float(mom.scale[0]), d, _fit(
+        mom.V, mom.w, mom.count, vals.ravel()[mom.at])[0][0])
 
 
 # -- Whitney covering and partition of unity --------------------------------
 
 def _edt(mask):
-    """Euclidean distance, in cells, from each cell of mask to its nearest
-    False cell (mask must hold one), exact: squared distances are
-    integers, and one square root ends it.  It is separable: first the
-    distance g along axis 0, by a forward and a backward scan; then in 2-D
-    min over j' of g[i, j']^2 + (j - j')^2, taken over the offsets
-    d = |j - j'| while d^2 is below the largest value so far, past which
-    no offset can lower one.  (A lower-envelope pass, vectorized over
-    rows, costs a Python loop per column and is slower at these sizes.)"""
+    """Exact Euclidean distance, in cells, from each cell of mask to its
+    nearest False cell (mask must hold one): the distance g along axis 0
+    by two scans, then in 2-D min over j' of g[i, j']^2 + (j - j')^2 over
+    the offsets |j - j'| whose square is below the largest value so far
+    (a lower-envelope pass costs a Python loop per column: slower here)."""
     m = mask.shape[0]
     big = sum(mask.shape)  # beyond every distance in the box
     idx = np.arange(m).reshape((m,) + (1,) * (mask.ndim - 1))
@@ -195,12 +223,9 @@ def _edt(mask):
 
 
 def whitney_decompose(O):
-    """Dyadic Whitney cubes for the open set {O > 0}.
-
-    Cubes satisfy diam(Q) <= dist(Q, complement) with the distance taken
-    to the complement cells (the outside of the box counts as
-    complement); single-cell cubes are emitted as-is at the grid floor.
-    """
+    """Dyadic Whitney cubes for the open set {O > 0}: diam(Q) <=
+    dist(Q, complement cells), the outside of the box counting as
+    complement; single-cell cubes are emitted as-is at the grid floor."""
     mask = O.values > 0
     if not mask.any():
         return []
@@ -216,19 +241,14 @@ def whitney_decompose(O):
     def visit(idx0, m):
         sl = tuple(slice(max(i, 0), min(i + m, ext))
                    for i, ext in zip(idx0, O.extents))
-        if any(s.start >= s.stop for s in sl):
-            return
         sub = mask[sl]
         if not sub.any():
             return
-        inside_box = all(s.stop - s.start == m for s in sl)
-        if inside_box and sub.all():
-            dist = float(edt[sl].min()) - h * sqrt_n
-            if dist >= m * h * sqrt_n or m == 1:
-                cubes.append(_block_cube(O, idx0, m))
-                return
-        elif m == 1:
-            cubes.append(_block_cube(O, idx0, 1))
+        if m == 1 or (all(s.stop - s.start == m for s in sl) and sub.all()
+                      and float(edt[sl].min()) - h * sqrt_n
+                      >= m * h * sqrt_n):
+            cubes.append(Cube(tuple(O.origin[d] + (idx0[d] + m / 2) * h
+                                    for d in range(n)), m * h))
             return
         half = m // 2
         for offs in product((0, half), repeat=n):
@@ -238,11 +258,6 @@ def whitney_decompose(O):
     return cubes
 
 
-def _block_cube(O, idx0, m):
-    center = tuple(O.origin[d] + (idx0[d] + m / 2) * O.h for d in range(O.n))
-    return Cube(center, m * O.h)
-
-
 def _axis_bump(u):
     out = np.zeros_like(u)
     inside = np.abs(u) < 1.0
@@ -250,54 +265,47 @@ def _axis_bump(u):
     return out
 
 
-def partition_of_unity(cubes, O):
-    """Smooth bumps on the dilated cubes, normalized to sum to 1_O.
-
-    Each bump is a product of one-dimensional profiles on (9/8)Q.  The
-    profiles of all cubes are taken at once, one flat array per axis that
-    holds each cube's window: the cells within (9/8)Q and one more on each
-    side, beyond which |u| > 1 with a margin of 1.5 h / rho.  Each bump is
-    built on the index box of the cells where it is nonzero, and each eta
-    is returned on that box, with its own origin.  The bumps are added
-    into one total in cube order; dividing by it makes the sum exactly 1
-    on the cells of O and exactly 0 off it.
-    """
-    mask = O.values > 0
-    if not cubes:
-        if mask.any():
-            raise ConstructionError("nonempty open set with no cover")
-        return []
-    centers = np.array([Q.center for Q in cubes])
+def _partition(cubes, O):
+    """partition_of_unity's etas as (wins, eta): eta_k on box k, the cells
+    where its bump, a product of profiles on (9/8)Q taken per axis for all
+    cubes at once, is nonzero.  The bumps are summed in cube order, and
+    dividing by the sum makes it exactly 1 on O and exactly 0 off it."""
+    mask = O.values.ravel() > 0
+    centers = np.reshape([Q.center for Q in cubes], (-1, O.n))
     rho = WHITNEY_DILATION * np.array([Q.side for Q in cubes]) / 2
-    axes = []  # per axis: (box slice, nonzero profile) of each cube
+    lo, ext, axes = [], [], []  # per axis: box and nonzero profile
     for d in range(O.n):
         c, o = centers[:, d], O.origin[d]
-        lo = np.maximum(np.floor((c - rho - o) / O.h).astype(int) - 1, 0)
-        hi = np.minimum(np.ceil((c + rho - o) / O.h).astype(int) + 1,
-                        O.extents[d])
-        start = np.cumsum(hi - lo) - (hi - lo)  # of each window in p
-        cube = np.repeat(np.arange(len(cubes)), hi - lo)
-        cells = np.arange(cube.size) + (lo - start)[cube]
-        p = _axis_bump((O.axis_centers(d)[cells] - c[cube]) / rho[cube])
+        a = np.maximum(np.floor((c - rho - o) / O.h).astype(int) - 1, 0)
+        b = np.minimum(np.ceil((c + rho - o) / O.h).astype(int) + 1,
+                       O.extents[d])
+        win = _Windows(a[:, None], (b - a)[:, None])
+        p = _axis_bump((O.axis_centers(d)[win.cells[:, 0]] - c[win.win])
+                       / rho[win.win])
         nz = np.flatnonzero(p)
-        first = nz[np.searchsorted(nz, start)].tolist()
-        stop = (nz[np.searchsorted(nz, start + hi - lo) - 1] + 1).tolist()
-        axes.append([(slice(int(cells[i]), int(cells[j - 1]) + 1), p[i:j])
-                     for i, j in zip(first, stop)])
-    total = np.zeros(O.extents)
-    betas = []
-    for parts in zip(*axes):
-        box = tuple(s for s, _ in parts)
-        b = reduce(np.multiply.outer, (p for _, p in parts))
-        total[box] += b
-        betas.append((box, b))
+        first = nz[np.searchsorted(nz, win.start[:-1])]
+        lo.append(win.cells[first, 0])
+        ext.append(nz[np.searchsorted(nz, win.start[1:]) - 1] + 1 - first)
+        axes.append((p, first))
+    wins = _Windows(np.stack(lo, axis=1), np.stack(ext, axis=1))
+    bump = reduce(np.multiply, (p[first[wins.win] + wins.local[:, d]]
+                                for d, (p, first) in enumerate(axes)))
+    cell = np.ravel_multi_index(tuple(wins.cells.T), O.extents)
+    total = np.bincount(cell, bump, minlength=mask.size)
     if np.any(mask & (total <= 0)):
         raise ConstructionError("partition of unity has an uncovered cell")
     safe = np.where(total > 0, total, 1.0)
-    return [GridFunction(O.box_view(box).origin, O.h,
-                         np.where(mask[box], b / safe[box], 0.0),
-                         check=False)
-            for box, b in betas]
+    return wins, np.where(mask[cell], bump / safe[cell], 0.0)
+
+
+def partition_of_unity(cubes, O):
+    """Smooth bumps on the dilated cubes, normalized to sum to 1_O: each
+    eta on the index box of the cells where its bump is nonzero, with its
+    own origin (see _partition)."""
+    wins, eta = _partition(cubes, O)
+    return [GridFunction(o, O.h, eta[a:b].reshape(e), check=False)
+            for o, a, b, e in zip(O.origin + wins.lo * O.h, wins.start[:-1],
+                                  wins.start[1:], wins.ext)]
 
 
 # -- atoms and decompositions -----------------------------------------------
@@ -353,116 +361,117 @@ class Decomposition:
         return len(self.entries)
 
 
-def _level_pieces(f, m, j, params):
-    """Whitney cubes, partition of unity and residuals at one level, f on
-    m's grid.
-
-    Each small cube's eta gets its moment system once (fits, None for a
-    large cube), for its own residual here and for every partner's in
-    _assemble_level.  The residual r = f - c of each cube lives on its
-    eta's box, cells lo to hi - 1 of f's grid, with c = 0 on a large cube
-    and off eta's positive cells; b_sum adds up the bad parts r eta on
-    f's grid.
-
-    A cube that _floor_zeros marks (skip) has the residual 0 and the
-    corrected piece 0 exactly.  It gets no moment record and no residual
-    (None): it adds nothing to b_sum, is no partner in _assemble_level
-    and yields no atom.
-    """
+def _level(f, m, j, params, nxt):
+    """Level j, f on m's grid, after level j + 1 (nxt, None at the top):
+    its record (cubes, etas, moment records of the small cubes not skipped,
+    residuals r = f - c on the etas' boxes and b_sum, the sum of r eta)
+    and its pieces (keep, wins, A): A_k, k = keep[i], on box i of wins, is
+    r_k eta_k - b_sum_{j+1} eta_k plus, partner by partner, eta_i times the
+    fit of r_i eta_k; all fits of the level are solved together."""
     O = GridFunction(m.origin, m.h, (m.values > 2.0 ** j).astype(float),
                      check=False)
     cubes = whitney_decompose(O)
-    etas = partition_of_unity(cubes, O)
-    lo = np.rint((np.reshape([eta.origin for eta in etas], (-1, f.n))
-                  - f.origin) / f.h).astype(int)
-    hi = lo + np.reshape([eta.extents for eta in etas], (-1, f.n))
-    small = np.array([Q.side < 1.0 for Q in cubes], dtype=bool)
-    skip = _floor_zeros(small, etas, lo, m, j)
-    fits = [_EtaMoments(eta, params.d) if s and not z else None
-            for eta, s, z in zip(etas, small, skip)]
-    resid = []
-    b_sum = np.zeros(f.extents)
-    for eta, box, fit, z in zip(etas, map(_box, lo, hi), fits, skip):
-        if z:
-            resid.append(None)
-            continue
-        r = f.values[box]
-        if fit is not None:
-            r = r - fit.fit(r)[1]
-        b_sum[box] += r * eta.values
-        resid.append(r)
-    return {"cubes": cubes, "etas": etas, "fits": fits, "lo": lo, "hi": hi,
-            "skip": skip, "resid": resid, "b_sum": b_sum}
-
-
-def _floor_zeros(small, etas, lo, m, j):
-    """Mask of the small cubes of level j whose residual and corrected
-    piece are 0 exactly: eta is one cell of value 1.0 (a grid-floor cube
-    that no dilated cube wider than 8 cells reaches), cell lo of m's grid,
-    where m <= 2^(j+1).  The fit through one point at weight 1 returns
-    the sample, so the residual is 0 (at another weight the degree-0 fit
-    (v w) / w can round off v).  Outside O_{j+1} no eta and no bad part of
-    level j+1 is positive, so the piece r eta - b_sum eta is 0 as well."""
-    one = np.array([eta.values.size == 1 and eta.values.flat[0] == 1.0
-                    for eta in etas], dtype=bool)
-    return small & one & (m.values[tuple(lo.T)] <= 2.0 ** (j + 1))
-
-
-def _box(lo, hi, start=0):
-    """Index box of the cells lo..hi-1 in an array starting at `start`."""
-    return tuple(map(slice, lo - start, hi - start))
-
-
-def _assemble_level(f, level, nxt, params):
-    """The corrected pieces A_{j,k} from levels j and j+1, None for a cube
-    that _level_pieces skipped.
-
-    A_k lives on the box covering eta_k and the small-cube etas of level
-    j+1 that meet it: candidates for every k from one comparison of box
-    bounds, each confirmed on the two etas' common cells, and each fitted
-    with the moment system _level_pieces built for it.  A skipped cube of
-    level j+1 has no moment system and so is no candidate; its residual
-    is 0, and its fits would add exact zeros.
-    """
-    out = [None] * len(level["etas"])
-    keep = np.flatnonzero(~level["skip"])
+    wins, eta = _partition(cubes, O)
+    cell = np.ravel_multi_index(tuple(wins.cells.T), f.extents)
+    small, first = np.array([Q.side < 1.0 for Q in cubes], dtype=bool), \
+        wins.start[:-1]
+    skip = _floor_zeros(small, (np.diff(wins.start) == 1)
+                        & (eta[first] == 1.0), cell[first], nxt)
+    mom = _Moments(wins, eta, O.origin + wins.lo * O.h, f.h, params.d,
+                   np.flatnonzero(small & ~skip))
+    fv, keep, live = f.values.ravel(), np.flatnonzero(~skip), ~skip[wins.win]
+    fits = [(mom.V, mom.w, mom.count, fv[cell[mom.at]])]
+    if nxt is not None:
+        k, r, e, eta_k = _partners(wins, eta, keep, nxt)
+        n_mom = nxt["mom"]
+        fits.append((n_mom.V[e], n_mom.w[e], n_mom.count[r],
+                     nxt["resid"][n_mom.at[e]] * eta_k))
+    fit = _fit(*map(np.concatenate, zip(*fits)))[1]
+    resid = fv[cell]
+    resid[mom.at] -= fit[:mom.at.size]
+    bad = resid * eta
+    level = {"cubes": cubes, "wins": wins, "eta": eta, "cell": cell,
+             "skip": skip, "mom": mom, "resid": resid,
+             "b_sum": np.bincount(cell[live], bad[live], minlength=fv.size)}
     if nxt is None:
-        for k in keep:
-            eta = level["etas"][k]
-            out[k] = GridFunction(eta.origin, f.h,
-                                  level["resid"][k] * eta.values, check=False)
-        return out
-    lo_i, hi_i = nxt["lo"], nxt["hi"]
-    near = np.array([fit is not None for fit in nxt["fits"]], dtype=bool) \
-        & np.all((lo_i < level["hi"][keep, None])
-                 & (level["lo"][keep, None] < hi_i), axis=2)
-    for k, cand in zip(keep, near):
-        eta_k, r_k = level["etas"][k], level["resid"][k]
-        lo_k, hi_k = level["lo"][k], level["hi"][k]
-        partners = {}  # i: eta_k on eta_i's box, zero off their common box
-        for i in np.flatnonzero(cand):
-            lo, hi = np.maximum(lo_i[i], lo_k), np.minimum(hi_i[i], hi_k)
-            eta_ki = np.zeros(nxt["etas"][i].extents)
-            eta_ki[_box(lo, hi, lo_i[i])] = eta_k.values[_box(lo, hi, lo_k)]
-            if np.any(nxt["etas"][i].values * eta_ki):
-                partners[i] = eta_ki
-        lo = np.min([lo_k, *lo_i[list(partners)]], axis=0)
-        A = np.zeros(np.max([hi_k, *hi_i[list(partners)]], axis=0) - lo)
-        A[_box(lo_k, hi_k, lo)] = r_k * eta_k.values \
-            - nxt["b_sum"][_box(lo_k, hi_k)] * eta_k.values
-        for i, eta_ki in partners.items():
-            A[_box(lo_i[i], hi_i[i], lo)] += nxt["etas"][i].values \
-                * nxt["fits"][i].fit(nxt["resid"][i] * eta_ki)[1]
-        out[k] = GridFunction(f.origin + lo * f.h, f.h, A, check=False)
-    return out
+        return level, (keep, _Windows(wins.lo[keep], wins.ext[keep]),
+                       bad[live])
+    return level, (keep, *_assemble(
+        wins, keep, bad - nxt["b_sum"][cell] * eta, live, k, r, e,
+        fit[mom.at.size:], nxt))
 
 
-def _crop(g):
-    """Smallest-box grid function holding the nonzero samples of g."""
-    idx = np.argwhere(g.values != 0.0)
-    if not idx.size:
-        return None
-    return g.box_view(_box(idx.min(axis=0), idx.max(axis=0) + 1)).copy()
+def _floor_zeros(small, one, cell, nxt):
+    """Mask of the small cubes whose residual and piece are 0 exactly: eta
+    is one cell of value 1.0, on f's cell `cell`, where no eta of level
+    j + 1 is positive but that of a skipped cube (an eta of 1.0 can round
+    from a sum with tiny ones, so they are counted).  The fit through one
+    point at weight 1 returns the sample, and no bad part or record of
+    level j + 1 is nonzero there, so r eta - b_sum eta is 0 too."""
+    if nxt is None:
+        return small & one
+    at, size = nxt["cell"], nxt["b_sum"].size
+    other = np.bincount(at[nxt["eta"] > 0], minlength=size) - np.bincount(
+        at[nxt["wins"].start[:-1][nxt["skip"]]], minlength=size)
+    return small & one & (other[cell] == 0)
+
+
+def _partners(wins, eta, keep, nxt):
+    """The pairs of a cube k of keep and a record r of level j + 1 whose
+    etas' product is nonzero on a common cell, boxes compared first: k and
+    r per pair and, per cell of r, pair by pair, its place e in r's record
+    and eta_k there (0 off k's box)."""
+    n_wins, mom = nxt["wins"], nxt["mom"]
+    lo_i, hi_i = n_wins.lo[mom.ids], (n_wins.lo + n_wins.ext)[mom.ids]
+    lo_k, hi_k = wins.lo[keep], (wins.lo + wins.ext)[keep]
+    k, r = np.nonzero(np.all((lo_i < hi_k[:, None])
+                             & (lo_k[:, None] < hi_i), axis=2))
+    k, cut = keep[k], _Windows(np.zeros((r.size, 1), int), mom.count[r, None])
+    pair, e = cut.win, mom.first[r][cut.win] + cut.local[:, 0]
+    cells = n_wins.cells[mom.at[e]]
+    inside = np.all((cells >= wins.lo[k][pair])
+                    & (cells < (wins.lo + wins.ext)[k][pair]), axis=1)
+    eta_k = np.zeros(pair.size)
+    eta_k[inside] = eta[wins.position(k[pair][inside], cells[inside])]
+    hit = np.logical_or.reduceat(mom.w[e] * eta_k != 0, cut.start[:-1])
+    return k[hit], r[hit], e[hit[pair]], eta_k[hit[pair]]
+
+
+def _assemble(wins, keep, A_k, live, k, r, e, fit, nxt):
+    """(wins, A) of _level's pieces: A_k on the cells live, then pair by
+    pair eta_i times the fit, zero on the rest of i's box."""
+    n_wins, mom = nxt["wins"], nxt["mom"]
+    q, i = np.searchsorted(keep, k), mom.ids[r]
+    lo, hi = wins.lo[keep], (wins.lo + wins.ext)[keep]
+    np.minimum.at(lo, q, n_wins.lo[i])
+    np.maximum.at(hi, q, n_wins.lo[i] + n_wins.ext[i])
+    out = _Windows(lo, hi - lo)
+    A = np.zeros(out.start[-1])
+    A[out.position(np.searchsorted(keep, wins.win[live]),
+                   wins.cells[live])] = A_k[live]
+    box = _Windows(np.zeros((r.size, 1), int), np.diff(n_wins.start)[i, None])
+    pos = n_wins.start[i][box.win] + box.local[:, 0]
+    add = np.zeros(pos.size)
+    at = np.repeat(np.arange(r.size), mom.count[r])
+    add[box.start[at] + mom.at[e] - n_wins.start[i][at]] = mom.w[e] * fit
+    np.add.at(A, out.position(q[box.win], n_wins.cells[pos]), add)
+    return out, A
+
+
+def _crops(f, wins, A):
+    """(i, piece, sup) for each box i of wins in which A is nonzero: A
+    cropped to its nonzero cells, with box_view's origin, and max |A|."""
+    nz = np.flatnonzero(A != 0.0)
+    seg = np.flatnonzero(np.diff(wins.win[nz], prepend=-1))
+    w = wins.win[nz][seg]
+    lo, hi = np.minimum.reduceat(wins.local[nz], seg), \
+        np.maximum.reduceat(wins.local[nz], seg) + 1
+    origin = (f.origin + wins.lo[w] * f.h) + lo * f.h
+    return [(i, GridFunction(o, f.h, A[wins.start[i]:wins.start[i + 1]]
+                             .reshape(wins.ext[i])[tuple(map(slice, a, b))],
+                             check=False),
+             s) for i, o, a, b, s in zip(w.tolist(), origin, lo, hi, np.maximum
+                                         .reduceat(np.abs(A[nz]), seg).tolist())]
 
 
 def _moment_slack(g, cube, d):
@@ -470,45 +479,49 @@ def _moment_slack(g, cube, d):
     l1 = g.lp_norm(1)
     if l1 == 0:
         return 0.0
-    V = _monomials(g.centers(), 0.0, 1.0, d)
+    x = np.meshgrid(*map(g.axis_centers, range(g.n)), indexing="ij",
+                    sparse=True)
     worst = 0.0
-    for k, alpha in enumerate(multi_indices(g.n, d)):
-        mom = float((g.values * V[..., k]).sum() * g.cell_volume)
+    for alpha in multi_indices(g.n, d):
+        V = reduce(np.multiply, (x[i] ** a for i, a in enumerate(alpha) if a),
+                   1.0)
+        mom = float((g.values * V).sum() * g.cell_volume)
         worst = max(worst, abs(mom) / (l1 * cube.side ** sum(alpha)))
     return worst
 
 
-def _package_atom(A, Q_star, j, index, params, norm_1q):
-    """Wrap one assembled piece as a scaled atom on an enlarged cube."""
-    piece = _crop(A)
-    if piece is None:
-        return None
-    lo, hi = piece.support_bounds()
-    half = max(max(abs(float(a) - c), abs(float(b) - c))
-               for a, b, c in zip(lo, hi, Q_star.center))
-    side_needed = 2 * half + A.h
-    side = max(params.c0 * Q_star.side, side_needed)
-    if side < 1.0:
-        if _moment_slack(piece, Cube(Q_star.center, side), params.d) \
-                > params.tol_moment:
-            side = max(1.0, side_needed)
-    cube = Cube(Q_star.center, side)
-    sup = piece.max_abs()
-    c_jk = max(params.c0, sup / 2.0 ** j)
-    lam = c_jk * 2.0 ** j * norm_1q(side)
-    return Atom(cube=cube, values=piece / lam, r=params.r, degree=params.d,
-                level=j, index=index, lam=lam)
+def _level_atoms(f, cubes, pieces, j, params, norm_1q):
+    """Each nonzero piece (keep, wins, A) of level j, cropped to its
+    nonzero cells, as a scaled atom on an enlarged cube."""
+    keep, wins, A = pieces
+    crops = _crops(f, wins, A)
+    lo = np.reshape([piece.origin for _, piece, _ in crops], (-1, f.n))
+    hi = lo + np.reshape([piece.extents for _, piece, _ in crops],
+                         (-1, f.n)) * f.h
+    center = np.reshape([cubes[keep[i]].center for i, _, _ in crops],
+                        (-1, f.n))
+    need = (2 * np.maximum(np.abs(lo - center), np.abs(hi - center))
+            .max(axis=1) + f.h).tolist()
+    out = []
+    for (i, piece, sup), need_i in zip(crops, need):
+        Q = cubes[keep[i]]
+        side = max(params.c0 * Q.side, need_i)
+        if side < 1.0 and _moment_slack(piece, Cube(Q.center, side),
+                                        params.d) > params.tol_moment:
+            side = max(1.0, need_i)
+        lam = max(params.c0, sup / 2.0 ** j) * 2.0 ** j * norm_1q(side)
+        out.append(Atom(cube=Cube(Q.center, side), values=piece / lam,
+                        r=params.r, degree=params.d, level=j,
+                        index=int(keep[i]), lam=lam))
+    return out
 
 
 def cz_decompose(f, params, norm_1q=None):
-    """Decompose f into local atoms along dyadic maximal-function levels.
-
-    Levels run from the top threshold down to the first level whose
-    superlevel set swallows the support box dilated to unit size; the
-    remainder below that level needs no moment conditions and is emitted
-    as unit-cube atoms.  norm_1q, if given, is
-    cube_indicator_norms(params.slice_params, f.h, f.n), shared by a run.
-    """
+    """Decompose f into local atoms along dyadic maximal-function levels,
+    from the top threshold down to the first level whose superlevel set
+    swallows the support box dilated to unit size; the remainder below it
+    becomes unit-cube atoms.  norm_1q, if given, is
+    cube_indicator_norms(params.slice_params, f.h, f.n), shared by a run."""
     params.require_degree(f.n)
     if not np.all(np.isfinite(f.values)):
         raise InvalidDataError("non-finite sample in f")
@@ -519,11 +532,8 @@ def cz_decompose(f, params, norm_1q=None):
     m = grand_maximal(f, mp.dictionary, mp.ladder).pad(2)
     j_hi = int(np.ceil(np.log2(m.max_abs()))) - 1
     target = _unit_dilated_support_mask(f, m)
-    j_lo = None
-    for j in range(j_hi, j_hi - MAX_LEVELS - 1, -1):
-        if np.all(m.values[target] > 2.0 ** j):
-            j_lo = j
-            break
+    j_lo = next((j for j in range(j_hi, j_hi - MAX_LEVELS - 1, -1)
+                 if np.all(m.values[target] > 2.0 ** j)), None)
     if j_lo is None:
         raise DecompositionRangeError(
             f"no level within {MAX_LEVELS} of {j_hi} covers the "
@@ -536,14 +546,10 @@ def cz_decompose(f, params, norm_1q=None):
         norm_1q = cube_indicator_norms(params.slice_params, fb.h, fb.n)
     nxt = None
     for j in range(j_hi, j_lo - 1, -1):
-        level = _level_pieces(fb, m, j, params)
-        for k, A in enumerate(_assemble_level(fb, level, nxt, params)):
-            atom = None if A is None else _package_atom(
-                A, level["cubes"][k], j, k, params, norm_1q)
-            if atom is not None:
-                entries.append(atom)
-        nxt = level
-    g_res = fb.values - nxt["b_sum"]
+        nxt, pieces = _level(fb, m, j, params, nxt)
+        entries.extend(_level_atoms(fb, nxt["cubes"], pieces, j, params,
+                                    norm_1q))
+    g_res = fb.values - nxt["b_sum"].reshape(fb.extents)
     entries.extend(_residual_atoms(g_res, fb, j_lo, params, norm_1q))
     K = max((a.lam * a.values.max_abs() / 2.0 ** a.level for a in entries),
             default=0.0)
@@ -552,64 +558,62 @@ def cz_decompose(f, params, norm_1q=None):
 
 
 def _unit_dilated_support_mask(f, m):
-    """Cells of m inside f's support box expanded to side >= 1 per axis.
-
-    The support is measured above a relative floor: cells holding only
-    denormal-scale values would otherwise drag the level range down by
-    dozens of dyadic levels without changing the residual packaging.
-    """
+    """Cells of m inside f's support box expanded to side >= 1 per axis,
+    the support above a relative floor: denormal-scale cells would drag
+    the level range down by dozens of levels for nothing."""
     lo, hi = f.support_bounds(tol=f.max_abs() * 1e-12)
-    mask = np.ones(m.extents, dtype=bool)
-    for d in range(m.n):
-        mid = (lo[d] + hi[d]) / 2
-        half = max((hi[d] - lo[d]) / 2, 0.5)
-        centers = m.axis_centers(d)
-        ax = (centers > mid - half) & (centers < mid + half)
-        shape = [1] * m.n
-        shape[d] = -1
-        mask &= ax.reshape(shape)
-    return mask
+    mid, half = (lo + hi) / 2, np.maximum((hi - lo) / 2, 0.5)
+    return reduce(np.logical_and, np.meshgrid(*[
+        (c > mid[d] - half[d]) & (c < mid[d] + half[d])
+        for d, c in enumerate(map(m.axis_centers, range(m.n)))],
+        indexing="ij"))
 
 
 def _residual_atoms(values, grid, j_lo, params, norm_1q):
     """Package the sub-threshold remainder as unit-cube atoms."""
     full = GridFunction(grid.origin, grid.h, values, check=False)
+    cubes = full.unit_cubes()
+    box = np.array([[(s.start, s.stop) for s in full.cube_slices(Q)]
+                    for Q in cubes], dtype=int).reshape(-1, grid.n, 2)
+    wins = _Windows(box[..., 0], box[..., 1] - box[..., 0])
     out = []
-    for cube in full.unit_cubes():
-        piece = _crop(full.box_view(full.cube_slices(cube)))
-        if piece is None:
-            continue
-        lam = piece.max_abs() * norm_1q(1.0)
-        out.append(Atom(cube=cube, values=piece / lam, r=params.r,
+    for i, piece, sup in _crops(grid, wins, values.ravel()[
+            np.ravel_multi_index(tuple(wins.cells.T), grid.extents)]):
+        lam = sup * norm_1q(1.0)
+        out.append(Atom(cube=cubes[i], values=piece / lam, r=params.r,
                         degree=params.d, level=j_lo, index=len(out),
                         lam=lam))
     return out
 
 
 def reconstruct(dec):
-    """Sum of lambda * atom plus the remainder, in a fixed entry order."""
-    total = dec.residual
-    for atom in sorted(dec.entries, key=lambda a: (a.level, a.index,
-                                                   a.cube.center)):
-        total = total + atom.lam * atom.values
-    return total
+    """Sum of lambda * atom plus the remainder, in a fixed entry order, on
+    one covering box: the bits of the chained sum of grid functions, but
+    for a -0.0 of the remainder, which enters as 0.0."""
+    if not dec.entries:
+        return dec.residual
+    parts = [(dec.residual, 1.0)] + [(a.values, a.lam) for a in sorted(
+        dec.entries, key=lambda a: (a.level, a.index, a.cube.center))]
+    lo = np.min([g.origin for g, _ in parts], axis=0)
+    off = np.rint(([g.origin for g, _ in parts] - lo) / dec.residual.h) \
+        .astype(int)
+    total = np.zeros(np.max(off + [g.extents for g, _ in parts], axis=0))
+    for (g, lam), o in zip(parts, off):
+        total[tuple(map(slice, o, o + g.extents))] += g.values * lam
+    return GridFunction(lo, dec.residual.h, total, check=False)
 
 
 def validate_atom(atom, slice_params, tol_moment=1e-8, norm_1q=None):
-    """Check support, size and (small cubes) moment conditions of an atom.
-
-    Violations are rows of the report, not errors; each row carries the
-    measured value, the bound and the signed slack in log scale.  norm_1q,
+    """Check support, size and (small cubes) moment conditions of an atom:
+    violations are report rows (value, bound, ok), not errors.  norm_1q,
     if given, is cube_indicator_norms(slice_params, h, n) on the atom's
-    grid, shared by the atoms of a run.
-    """
+    grid, shared by the atoms of a run."""
     report = Report("atom_validation",
                     ["check", "measured", "bound", "ok"])
     g = atom.values
     outside = g.values[~g.cell_mask(atom.cube)]
     support_err = float(np.abs(outside).max(initial=0.0))
     report.add("support", support_err, 0.0, support_err == 0.0)
-
     if norm_1q is None:
         norm_1q = cube_indicator_norms(slice_params, g.h, g.n)
     cube_norm = norm_1q(atom.cube.side)
@@ -620,7 +624,6 @@ def validate_atom(atom, slice_params, tol_moment=1e-8, norm_1q=None):
         size = g.lp_norm(atom.r)
         bound = atom.cube.volume ** (1.0 / atom.r) / cube_norm
     report.add("size", size, bound, size <= bound * (1 + 1e-6))
-
     if atom.cube.side < 1.0:
         slack = _moment_slack(g, atom.cube, atom.degree)
         report.add("moments", slack, tol_moment, slack <= tol_moment)
@@ -631,13 +634,10 @@ def validate_atom(atom, slice_params, tol_moment=1e-8, norm_1q=None):
 
 
 def atomic_quasinorm(dec, s, norm_1q=None):
-    """Slice norm of the s-aggregated cube envelope of the decomposition.
-
-    Evaluates the defining functional of the atomic quasi-norm for the
-    given (finite) decomposition, an upper bound for the infimum over all
-    decompositions.  norm_1q, if given, is cube_indicator_norms of the
-    decomposition's slice parameters on its atoms' grid, shared by a run.
-    """
+    """Slice norm of the s-aggregated cube envelope of the decomposition:
+    the atomic quasi-norm's functional for this decomposition, an upper
+    bound for the infimum over all.  norm_1q, if given, is
+    cube_indicator_norms of its slice parameters on its atoms' grid."""
     sp = dec.params.slice_params
     s_cap = min(sp.phi.p_minus, sp.q, 1.0)
     if not 0 < s < s_cap:

@@ -67,15 +67,18 @@ class MaximalParams:
                 f"{int(np.floor(self.b + 1))}")
 
 
-def _scale_max(f, kernels, ladder, pad_cells, ops):
+def _scale_max(f, kernels, ladder, pad_cells, ops, seeds=None):
     """{name: max over scales s of op(c, s, h, n)} on the padded grid, for
     each name: (op, over_kernels) of ops, c being |f * psi_s| of the first
-    kernel, or with over_kernels the max of that over all kernels.  Each
-    kernel is convolved once per scale, whatever the number of ops.  Each
-    op weights c by w >= 0 and rounding is monotone, so taking the max
-    over kernels first changes no bit."""
-    g = f.pad(pad_cells)
-    out = {name: np.zeros(g.extents) for name in ops}
+    kernel, or with over_kernels the max of that over all kernels, and of
+    seeds[name] if given (values below the result).  Each kernel is
+    convolved once per scale, whatever the number of ops.  Each op weights
+    c by w >= 0 and rounding is monotone, so taking the max over kernels
+    first changes no bit.  An op gets the running max as its `floor`,
+    below which it need not look, and returns its max with it."""
+    g, seeds = f.pad(pad_cells), seeds or {}
+    out = {name: seeds[name].copy() if name in seeds
+           else np.zeros(g.extents) for name in ops}
     for s in ladder:
         first = np.abs(convolve(g, kernels[0], s).values)
         grand = first.copy() if len(kernels) > 1 else first
@@ -84,7 +87,7 @@ def _scale_max(f, kernels, ladder, pad_cells, ops):
                        out=grand)
         for name, (op, over_kernels) in ops.items():
             c = grand if over_kernels else first
-            np.maximum(out[name], op(c, s, g.h, g.n), out=out[name])
+            out[name] = op(c, s, g.h, g.n, floor=out[name])
     return {name: GridFunction(g.origin, g.h, v, check=False)
             for name, v in out.items()}
 
@@ -103,8 +106,9 @@ def radial_maximal(f, kernel, ladder, pad_cells=None):
                           partial(_window_max, a=0.0))
 
 
-def _window_max(values, s, h, n, a):
-    """max over |y - x| < a s, per grid point, with zeros outside the box.
+def _window_max(values, s, h, n, a, floor=None):
+    """max over |y - x| < a s, per grid point, with zeros outside the box,
+    and with floor if given.
 
     The ball is a union of centered segments, one per offset along axis 0
     (the whole ball in 1-D): the max over each is a running max along the
@@ -112,7 +116,7 @@ def _window_max(values, s, h, n, a):
     offset.  A max is exact in any order."""
     k = int(np.ceil(a * s / h - 1e-12)) - 1
     if k <= 0:
-        return values.copy()
+        return values.copy() if floor is None else np.maximum(values, floor)
     mask = ball_mask(a * s, h, n).reshape(-1, 2 * k + 1)
     padded = np.pad(values, k)
     m = values.shape
@@ -124,7 +128,7 @@ def _window_max(values, s, h, n, a):
         rows = (slice(d, d + m[0]),) if n == 2 else ()
         piece = runs[w][rows + (slice(k - w, k - w + m[-1]),)]
         out = piece.copy() if out is None else np.maximum(out, piece, out=out)
-    return out
+    return out if floor is None else np.maximum(out, floor, out=out)
 
 
 def _running_max(x, length):
@@ -176,16 +180,19 @@ def peetre_maximal(f, kernel, b, ladder, eps_cut=DEFAULT_EPS_CUT,
 _TILE, _PAIR_BLOCK = 32, 256
 
 
-def _peetre_sweep(absc, s, h, n, b, eps_cut):
+def _peetre_sweep(absc, s, h, n, b, eps_cut, floor=None):
     """max over offsets d of absc(x - d) (1 + |d| h / s)^{-b}, over the
     d of weight >= eps_cut (along a row, up to the first one under it),
-    bit for bit.  absc is a stack of rows along its last axis (1-D is one
-    row): for each row offset r = 0, 1, ... one _tile_sweep carries every
-    row to the rows r above and below, pruned against the least output
-    taken at the two, until (r, 0)'s weight times max(absc) <= min(out)."""
+    and of floor if given, bit for bit.  absc is a stack of rows along its
+    last axis (1-D is one row): for each row offset r = 0, 1, ... one
+    _tile_sweep carries every row to the rows r above and below, pruned
+    against the least output taken at the two, until (r, 0)'s weight times
+    max(absc) <= min(out).  A higher floor prunes more."""
     rows = absc.reshape(-1, absc.shape[-1])
     nr = rows.shape[0]
     out, top = rows.copy(), rows.max()
+    if floor is not None:
+        np.maximum(out, floor.reshape(rows.shape), out=out)
     for r in range(nr):
         w = _peetre_weights(rows.shape[1], s, h, b, eps_cut, r)
         if w[0] * top <= out.min():
@@ -282,21 +289,24 @@ def maximal_fields(f, params, peetre=None):
     being the first kernel, feeds the radial and nontangential fields,
     its max with the other kernels the two grand ones.  The Peetre field
     is peetre, f's params.peetre_field computed earlier, if given, and
-    params.peetre_field(f) otherwise.
+    params.peetre_field(f) otherwise.  The grand one dominates it at every
+    scale (rounding is monotone), so the grand sweeps start from it.
     """
+    pad = params.pad_cells(f.h)
+    if peetre is None:
+        peetre = params.peetre_field(f)
+    elif peetre.extents != tuple(m + 2 * pad for m in f.extents) \
+            or not np.array_equal(peetre.origin, f.origin - pad * f.h):
+        raise PreconditionError(
+            "the precomputed Peetre field is not on f's padded grid")
     fields = _scale_max(
-        f, list(params.dictionary), params.ladder, params.pad_cells(f.h),
+        f, list(params.dictionary), params.ladder, pad,
         {"radial": (partial(_window_max, a=0.0), False),
          "nontangential": (partial(_window_max, a=params.a), False),
          "grand": (partial(_window_max, a=1.0), True),
          "grand_peetre": (partial(_peetre_sweep, b=params.b,
-                                  eps_cut=params.eps_cut), True)})
-    if peetre is None:
-        peetre = params.peetre_field(f)
-    elif peetre.extents != fields["radial"].extents \
-            or not np.array_equal(peetre.origin, fields["radial"].origin):
-        raise PreconditionError(
-            "the precomputed Peetre field is not on f's padded grid")
+                                  eps_cut=params.eps_cut), True)},
+        {"grand_peetre": peetre.values})
     fields["peetre"] = peetre
     return {name: fields[name] for name in _FIVE}
 

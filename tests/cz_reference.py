@@ -3,8 +3,10 @@
 Every eta, bad part and corrected piece here is an array on the whole
 level grid, and every cross-level pair is tested with a full-grid
 product: the direct form of the pipeline, which the local-box one must
-match bit for bit.  `use_full_grid(monkeypatch)` swaps these level
-functions into `atomic`, so `cz_decompose` runs its usual loop on them.
+match bit for bit.  `use_full_grid(monkeypatch)` swaps `level` in for
+atomic's level step, so `cz_decompose` runs its usual loop, packaging
+included, on it.  `reconstruct` is the chained sum of grid functions that
+atomic.reconstruct's one buffer replaced.
 """
 
 import numpy as np
@@ -103,7 +105,29 @@ def assemble_level(f, level, nxt, params):
     return out
 
 
+def level(f, m, j, params, nxt):
+    """atomic._level on the whole grid: the level and its pieces, each
+    piece in a window that is f's whole box."""
+    record = level_pieces(f, m, j, params)
+    pieces = assemble_level(f, record, nxt, params)
+    K = len(pieces)
+    wins = atomic._Windows(np.zeros((K, f.n), dtype=int),
+                           np.tile(f.extents, (K, 1)))
+    A = np.concatenate([A.values.ravel() for A in pieces] + [np.zeros(0)])
+    return record, (np.arange(K), wins, A)
+
+
 def use_full_grid(monkeypatch):
     """Run cz_decompose's levels through the full-grid reference."""
-    monkeypatch.setattr(atomic, "_level_pieces", level_pieces)
-    monkeypatch.setattr(atomic, "_assemble_level", assemble_level)
+    monkeypatch.setattr(atomic, "_level", level)
+
+
+def reconstruct(dec):
+    """The sum of lambda * atom plus the remainder as one chained sum of
+    grid functions, in atomic.reconstruct's entry order: each sum is
+    taken on the union box of its two terms."""
+    total = dec.residual
+    for atom in sorted(dec.entries, key=lambda a: (a.level, a.index,
+                                                   a.cube.center)):
+        total = total + atom.lam * atom.values
+    return total

@@ -4,9 +4,13 @@
 eta's bounds, centers, monomials and Gram matrix each time, and
 `partition_of_unity` builds each cube's bump profiles in a loop over the
 cubes.  The fast paths must match them bit for bit.  `use_slow_fit`
-swaps `eta_fit` in for atomic's moment records, so `cz_decompose` runs
-its usual levels on it.
+swaps in `SlowMoments`, which builds each record from its eta as a grid
+function, and `slow_fit`, which solves each fit alone with eta_fit's
+arithmetic, for atomic's level-wide records and stacked solves, so
+`cz_decompose` runs its usual levels on them.
 """
+
+from math import comb
 
 import numpy as np
 
@@ -32,20 +36,75 @@ def eta_fit(vals, eta, d):
     return (center, scale, d, coeffs), out
 
 
-class SlowFit:
-    """Stands in for atomic._EtaMoments: keeps eta and refits per call."""
+def box_eta(wins, eta, origin, h, k):
+    """Box k of a level's eta buffer as a grid function."""
+    return GridFunction(origin[k], h, eta[wins.start[k]:wins.start[k + 1]]
+                        .reshape(wins.ext[k]), check=False)
 
-    def __init__(self, eta, d):
-        self.eta, self.d = eta, d
 
-    def fit(self, vals):
-        (_, _, _, coeffs), out = eta_fit(vals, self.eta, self.d)
-        return coeffs, out
+class SlowMoments:
+    """Stands in for atomic._Moments: each record from its own eta, with
+    eta_fit's positive cells, bounds, centers and monomials."""
+
+    def __init__(self, wins, eta, origin, h, d, ids):
+        self.ids, parts = ids, []
+        for k in ids:
+            e = box_eta(wins, eta, origin, h, k)
+            if float(e.values.sum()) <= 0:
+                raise UnderdeterminedError("weight has nonpositive mass")
+            lo, hi = e.support_bounds()
+            mask = e.values > 0
+            parts.append((wins.start[k] + np.flatnonzero(mask.ravel()),
+                          e.values[mask], atomic._monomials(
+                              e.centers()[mask], tuple((lo + hi) / 2),
+                              float((hi - lo).max()), d)))
+        self.count = np.array([p[0].size for p in parts], dtype=int)
+        self.first = np.cumsum(self.count) - self.count
+        self.at = np.concatenate([p[0] for p in parts] + [np.zeros(0, int)])
+        self.w = np.concatenate([p[1] for p in parts] + [np.zeros(0)])
+        self.V = np.concatenate([p[2] for p in parts]
+                                + [np.zeros((0, comb(wins.ext.shape[1] + d,
+                                                     d)))])
+
+
+def slow_fit(V, w, count, vals):
+    """atomic._fit one fit at a time, with _moment_fit's arithmetic."""
+    coeffs, values, b = [], np.empty(len(vals)), 0
+    for c in count.tolist():
+        v, ww, y = V[b:b + c], w[b:b + c], vals[b:b + c]
+        try:
+            cf = np.linalg.lstsq(v, y, rcond=None)[0] if c < v.shape[1] \
+                else np.linalg.solve(v.T @ (v * ww[:, None]), v.T @ (y * ww))
+        except np.linalg.LinAlgError as exc:
+            raise UnderdeterminedError("singular moment system") from exc
+        coeffs.append(cf)
+        values[b:b + c] = atomic._combine(v, cf)
+        b += c
+    return np.reshape(coeffs, (len(count), V.shape[1])), values
+
+
+def record_fits(wins, eta, origin, h, d, mom, recs, vals):
+    """eta_fit of record recs[i] of mom, its eta rebuilt from the level's
+    buffer, against vals on its positive cells, one record after another:
+    (coeffs, values) laid out as atomic._fit's."""
+    coeffs, values, b = [], np.empty(len(vals)), 0
+    for r in recs.tolist():
+        k, c = mom.ids[r], mom.count[r]
+        e = box_eta(wins, eta, origin, h, k)
+        box = np.zeros(e.values.size)
+        at = mom.at[mom.first[r]:mom.first[r] + c] - wins.start[k]
+        box[at] = vals[b:b + c]
+        (_, _, _, cf), fit = eta_fit(box.reshape(e.extents), e, d)
+        coeffs.append(cf)
+        values[b:b + c] = fit.ravel()[at]
+        b += c
+    return np.reshape(coeffs, (len(recs), mom.V.shape[1])), values
 
 
 def use_slow_fit(monkeypatch):
-    """Run every eta-weighted fit of atomic through eta_fit."""
-    monkeypatch.setattr(atomic, "_EtaMoments", SlowFit)
+    """Build atomic's moment records eta by eta and solve each fit alone."""
+    monkeypatch.setattr(atomic, "_Moments", SlowMoments)
+    monkeypatch.setattr(atomic, "_fit", slow_fit)
 
 
 def partition_of_unity(cubes, O):

@@ -158,7 +158,7 @@ def test_moment_systems_reproduce_polynomials(case):
     r.values -= minimizing_polynomial(g, Q, d, box)(g.centers(box))
     assert atomic._moment_slack(r, Q, d) <= 1e-10
     pos = eta.values > 0
-    _, vals = atomic._EtaMoments(eta, d).fit(g.values)
+    *_, vals = _level_fit(eta, g.values, d)
     assert np.array_equal(
         vals[pos], weighted_projection(g, eta, d)(eta.centers())[pos])
     assert not vals[~pos].any()
@@ -188,18 +188,38 @@ def _sparse_weights(draw):
             d)
 
 
-def _assert_fit_is_slow_fit(m, eta, vals, d):
-    """eta's record m fits vals as the per-call fit does, bits and errors:
+def _record(eta, d):
+    """eta's moment record, as a level builds it for a one-box layout."""
+    wins = atomic._Windows(np.zeros((1, eta.n), dtype=int),
+                           np.array([eta.extents]))
+    return atomic._Moments(wins, eta.values.ravel(), eta.origin[None],
+                           eta.h, d, np.zeros(1, dtype=int))
+
+
+def _level_fit(eta, vals, d):
+    """(center, scale, coeffs, values) of the eta-weighted projection of
+    vals by the levels' path, values on eta's box, zero off its positive
+    cells."""
+    m = _record(eta, d)
+    coeffs, fit = atomic._fit(m.V, m.w, m.count, vals.ravel()[m.at])
+    out = np.zeros(eta.values.size)
+    out[m.at] = fit
+    return (tuple(m.center[0]), float(m.scale[0]), coeffs[0],
+            out.reshape(eta.extents))
+
+
+def _assert_fit_is_slow_fit(eta, vals, d):
+    """The level path fits vals as the per-call fit does, bits and errors:
     a Gram matrix of cells on one line (2-D, d >= 1) is singular in both."""
     try:
         (center, scale, _, coeffs), out = eta_reference.eta_fit(vals, eta, d)
     except UnderdeterminedError:
         with pytest.raises(UnderdeterminedError):
-            m.fit(vals)
+            _level_fit(eta, vals, d)
         return
-    assert (m.center, m.scale) == (center, scale)
-    c, values = m.fit(vals)
-    assert np.array_equal(c, coeffs)
+    c, s, got, values = _level_fit(eta, vals, d)
+    assert (c, s) == (center, scale)
+    assert np.array_equal(got, coeffs)
     assert np.array_equal(values, out)
 
 
@@ -211,26 +231,76 @@ def test_moment_record_fit_is_the_per_call_fit_bit_for_bit(case):
     matrix each time, for n = 1, 2 and d = 0, 1, 2, with or without a
     Gram matrix."""
     eta, vals, d = case
-    m = atomic._EtaMoments(eta, d)
-    assert (m.G is None) == (m.w.size < len(multi_indices(eta.n, d)))
+    m = _record(eta, d)
+    assert m.V.shape == (int((eta.values > 0).sum()),
+                         len(multi_indices(eta.n, d)))
     for rhs in (vals, np.sin(3 * vals) - vals):
-        _assert_fit_is_slow_fit(m, eta, rhs, d)
+        _assert_fit_is_slow_fit(eta, rhs, d)
 
 
 @pytest.mark.parametrize("n,d,cells", [(1, 1, 1), (1, 2, 2), (2, 1, 2),
                                        (2, 2, 5)])
 def test_moment_record_without_gram_matrix_interpolates(n, d, cells):
-    """Fewer positive cells than monomials: no Gram matrix is stored, and
+    """Fewer positive cells than monomials: no Gram matrix is formed, and
     the minimum-norm fit interpolates, as the per-call fit does."""
     w = np.zeros((3,) * n)
     w.flat[:cells] = 0.5
     eta = GridFunction((0.25,) * n, 0.125, w)
     vals = np.arange(w.size, dtype=float).reshape(w.shape) ** 2
-    m = atomic._EtaMoments(eta, d)
-    assert m.G is None
-    _assert_fit_is_slow_fit(m, eta, vals, d)
-    np.testing.assert_allclose(m.fit(vals)[1][w > 0], vals[w > 0],
-                               rtol=0, atol=1e-12)
+    assert _record(eta, d).V.shape[0] == cells < len(multi_indices(n, d))
+    _assert_fit_is_slow_fit(eta, vals, d)
+    np.testing.assert_allclose(_level_fit(eta, vals, d)[3][w > 0],
+                               vals[w > 0], rtol=0, atol=1e-12)
+
+
+@st.composite
+def _moment_layouts(draw):
+    """A level-like layout of 1 to 8 boxes of 1 to 6 cells per axis, in
+    1-D or 2-D, each with some positive weights (tiny ones too, and often
+    fewer than the degree-d monomials), the records of most boxes, and
+    fits of their own samples and of random right-hand sides of records
+    drawn again and again, as partners are: (source, mom, recs, vals)."""
+    n, d = draw(st.sampled_from([1, 2])), draw(st.integers(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    boxes = draw(st.integers(1, 8))
+    ext = rng.integers(1, 7 if n == 1 else 4, size=(boxes, n))
+    wins = atomic._Windows(rng.integers(0, 20, size=(boxes, n)), ext)
+    scale = np.where(rng.random(wins.start[-1]) < 0.2,
+                     10.0 ** rng.uniform(-300, -100, wins.start[-1]),
+                     rng.uniform(1e-3, 1.0, wins.start[-1]))
+    eta = np.where(rng.random(wins.start[-1]) < 0.6, scale, 0.0)
+    eta[wins.start[:-1]] = scale[wins.start[:-1]]  # one positive cell each
+    h = draw(st.sampled_from([2.0 ** -5, 2.0 ** -3, 0.3]))
+    origin = rng.uniform(-2.0, 2.0, n) + wins.lo * h
+    keep = rng.random(boxes) < 0.8
+    keep[rng.integers(boxes)] = True
+    ids = np.flatnonzero(keep)
+    mom = atomic._Moments(wins, eta, origin, h, d, ids)
+    recs = np.concatenate([np.arange(ids.size), rng.integers(
+        0, ids.size, size=draw(st.integers(0, 12)))])
+    vals = rng.normal(size=int(mom.count[recs].sum()))
+    return (wins, eta, origin, h, d), mom, recs, vals
+
+
+@settings(max_examples=300, deadline=None)
+@given(_moment_layouts())
+def test_stacked_moment_solves_are_the_per_call_solves_bit_for_bit(case):
+    """The stacked Gram matrices, right-hand sides and solves of _fit, one
+    call per system shape, give each fit the bits, or the error, of the
+    per-call _moment_fit on a system rebuilt from its eta alone, at d = 0
+    and 1, in 1-D and 2-D, with and without a Gram matrix."""
+    source, mom, recs, vals = case
+    e = np.concatenate([mom.first[r] + np.arange(mom.count[r])
+                        for r in recs])
+    try:
+        ref = eta_reference.record_fits(*source, mom, recs, vals)
+    except UnderdeterminedError:
+        with pytest.raises(UnderdeterminedError):
+            atomic._fit(mom.V[e], mom.w[e], mom.count[recs], vals)
+        return
+    got = atomic._fit(mom.V[e], mom.w[e], mom.count[recs], vals)
+    assert np.array_equal(got[0], ref[0])
+    assert np.array_equal(got[1], ref[1])
 
 
 def test_weighted_projection_degenerate_weight():
@@ -572,6 +642,38 @@ def test_cz_reconstruct_order_independent(bump_dec):
     assert np.array_equal(r1.values, r2.values)
 
 
+@st.composite
+def _atom_lists(draw):
+    """A decomposition of 0 to 12 atoms on one lattice of h, 1-D or 2-D:
+    whole-cell origins off the remainder's box and overlapping, samples
+    with zeros and signed zeros, tied sort keys, and a zero remainder."""
+    n = draw(st.sampled_from([1, 2]))
+    h = draw(st.sampled_from([2.0 ** -6, 0.1, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    base = rng.uniform(-3.0, 3.0, n)
+    residual = GridFunction(base, h, np.zeros(tuple(rng.integers(1, 9, n))))
+    atoms = []
+    for i in range(draw(st.integers(0, 12))):
+        v = rng.normal(size=tuple(rng.integers(1, 7, n)))
+        v[rng.random(v.shape) < 0.2] = rng.choice([0.0, -0.0])
+        origin = base + rng.integers(-6, 12, n) * h
+        atoms.append(Atom(Cube(tuple(origin), 1.0), GridFunction(origin, h, v),
+                          np.inf, 0, int(rng.integers(0, 3)),
+                          int(rng.integers(0, 3)), float(rng.uniform(0.1, 9))))
+    return atomic.Decomposition(atoms, 0, 2, residual, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_atom_lists())
+def test_reconstruct_is_the_chained_sum_bit_for_bit(dec):
+    """One covering buffer gives the origin, the extents and the bytes of
+    the chained sum of grid functions in the same entry order."""
+    got, ref = reconstruct(dec), cz_reference.reconstruct(dec)
+    assert np.array_equal(got.origin, ref.origin)
+    assert got.extents == ref.extents
+    assert got.values.tobytes() == ref.values.tobytes()
+
+
 @pytest.fixture(scope="module")
 def cz_2d():
     """A 32x32 log-damped bump, its config and its decomposition."""
@@ -742,62 +844,102 @@ def _cz_fixtures(bump_dec, cz_setup, cz_2d):
             for d in (0, 1)]
 
 
-def _floor_zero_cubes(level, m, j):
+def _floor_zero_cubes(cubes, etas, above):
     """Indices of the small cubes of a level whose eta is one cell of
-    value 1.0 outside O_{j+1}: those whose pieces are exactly 0."""
-    out = []
-    for k, (Q, eta) in enumerate(zip(level["cubes"], level["etas"])):
+    value 1.0 where no eta of the level above (above: its etas and its
+    skipped cubes) is positive but one of a skipped cube, counted eta by
+    eta: those whose pieces are exactly 0.  Also the number of those
+    where such a skipped cube's eta is positive."""
+    out, on_skipped = [], 0
+    for k, (Q, eta) in enumerate(zip(cubes, etas)):
         if Q.side < 1.0 and eta.values.size == 1 \
                 and eta.values.item() == 1.0:
-            cell = tuple(np.rint((eta.origin - m.origin) / m.h).astype(int))
-            if m.values[cell] <= 2.0 ** (j + 1):
+            positive = []
+            for i, e in enumerate(above[0]):
+                cell = np.rint((eta.origin - e.origin) / e.h).astype(int)
+                if np.all((cell >= 0) & (cell < e.extents)) \
+                        and e.values[tuple(cell)] > 0:
+                    positive.append(i)
+            if not positive or (len(positive) == 1
+                                and positive[0] in above[1]):
                 out.append(k)
-    return out
+                on_skipped += bool(positive)
+    return out, on_skipped
 
 
 def test_one_moment_record_per_small_cube_and_level(bump_dec, cz_setup,
                                                     cz_2d, monkeypatch):
-    """_level_pieces builds one moment record per small cube that it does
-    not skip, and skips exactly the one-cell etas of value 1.0 outside
-    O_{j+1}, whose pieces are None; _assemble_level fits every partner
-    against those records, building none."""
-    builds, phase, levels, skipped = [], [], [], []
-    build = atomic._EtaMoments
-    level_pieces, assemble_level = atomic._level_pieces, \
-        atomic._assemble_level
+    """Each level builds one set of moment records, one record per small
+    cube that it does not skip, and skips exactly the one-cell etas of
+    value 1.0 on a cell where no eta of level j+1 is positive but that of
+    a skipped cube; those cubes, and only those, have no piece.  The
+    partner fits use level j+1's records, building none."""
+    builds, levels = [], []
+    moments, level = atomic._Moments, atomic._level
 
-    def counted_build(eta, d):
-        builds.append(phase[-1])
-        return build(eta, d)
+    def counted_moments(*args):
+        builds.append(len(args[-1]))
+        return moments(*args)
 
-    def counted_level(f, m, j, params):
-        phase.append("level")
-        level = level_pieces(f, m, j, params)
-        skipped.append(_floor_zero_cubes(level, m, j))
-        assert np.flatnonzero(level["skip"]).tolist() == skipped[-1]
-        levels.append((builds.count("level"),
-                       sum(Q.side < 1.0 for Q in level["cubes"]),
-                       len(skipped[-1])))
+    def counted_level(f, m, j, params, nxt):
         builds.clear()
-        return level
+        record, pieces = level(f, m, j, params, nxt)
+        O = GridFunction(m.origin, m.h, (m.values > 2.0 ** j).astype(float))
+        etas = partition_of_unity(record["cubes"], O)
+        skip, on_skipped = _floor_zero_cubes(record["cubes"], etas,
+                                             levels[-1][0] if levels
+                                             else ([], []))
+        assert np.flatnonzero(record["skip"]).tolist() == skip
+        assert pieces[0].tolist() == sorted(set(range(len(etas)))
+                                            - set(skip))
+        small = sum(Q.side < 1.0 for Q in record["cubes"])
+        assert builds == [small - len(skip)]
+        levels.append(((etas, skip), small, len(skip), on_skipped))
+        return record, pieces
 
-    def counted_assemble(f, level, nxt, params):
-        phase.append("assemble")
-        out = assemble_level(f, level, nxt, params)
-        assert "assemble" not in builds
-        assert [k for k, A in enumerate(out) if A is None] == skipped[-1]
-        return out
-
-    monkeypatch.setattr(atomic, "_EtaMoments", counted_build)
-    monkeypatch.setattr(atomic, "_level_pieces", counted_level)
-    monkeypatch.setattr(atomic, "_assemble_level", counted_assemble)
+    monkeypatch.setattr(atomic, "_Moments", counted_moments)
+    monkeypatch.setattr(atomic, "_level", counted_level)
+    on_skipped = 0
     for f, params in _cz_fixtures(bump_dec, cz_setup, cz_2d):
         levels.clear()
         dec = cz_decompose(f, params)
         assert len(levels) == dec.j_hi - dec.j_lo + 1
-        assert all(built == small - skip for built, small, skip in levels)
-        assert sum(small - skip for _, small, skip in levels) > 0
-        assert sum(skip for _, _, skip in levels) > 0
+        assert sum(small - skip for _, small, skip, _ in levels) > 0
+        assert sum(skip for _, _, skip, _ in levels) > 0
+        on_skipped += sum(n for *_, n in levels)
+    assert on_skipped > 0
+
+
+def test_one_solve_per_system_shape_and_level(cz_2d, monkeypatch):
+    """At d = 0 and 1, each level of the 2-D fixture makes one
+    np.linalg.solve call per shape (cells x monomials) of the systems it
+    fits, its own records' and its partners' together."""
+    solve, fit, level = np.linalg.solve, atomic._fit, atomic._level
+    calls, shapes, fits = [], [], []
+
+    def counted_solve(*args):
+        calls[-1] += 1
+        return solve(*args)
+
+    def counted_fit(V, w, count, vals):
+        shapes[-1] |= {c for c in count.tolist() if c >= V.shape[1]}
+        fits.append(int((count >= V.shape[1]).sum()))
+        return fit(V, w, count, vals)
+
+    def counted_level(*args):
+        calls.append(0)
+        shapes.append(set())
+        return level(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(atomic, "_fit", counted_fit)
+    monkeypatch.setattr(atomic, "_level", counted_level)
+    _, f, dec = cz_2d
+    for d in (0, 1):
+        cz_decompose(f, dataclasses.replace(dec.params, d=d))
+    assert len(fits) == len(calls)
+    assert calls == [len(s) for s in shapes]
+    assert sum(fits) > 2 * sum(calls) > 0
 
 
 def test_atoms_with_the_per_call_fit_are_bit_identical(bump_dec, cz_setup,
@@ -872,10 +1014,9 @@ def test_floor_cube_below_one_keeps_its_piece(d, cz_setup, monkeypatch):
     assert len(etas) >= 3
     vals = np.cos(5 * (np.arange(256) + 0.5) * h) + 0.3
     for eta in etas:
-        fit = atomic._EtaMoments(eta, 0).fit
         i = int(np.rint(eta.origin[0] / h))
         vals[i] = next(v for v in vals[i] + np.arange(4096) * 2.0 ** -40
-                       if fit(np.array([v]))[1][0] != v)
+                       if _level_fit(eta, np.array([v]), 0)[3][0] != v)
     f = GridFunction((0.0,), h, vals)
     _assert_atoms_as_without_skips(f, dataclasses.replace(cz_setup, d=d),
                                    monkeypatch)
@@ -914,6 +1055,39 @@ def test_floor_cube_inside_the_next_level_keeps_its_piece(d, cz_setup,
               if eta.values.size == 1 and eta.values.item() == 1.0
               and any(P.contains_points(Q.center)[0] for P in wide)]
     assert inside
+    f = GridFunction((0.0,), h, np.cos(5 * (cells + 0.5) * h) + 0.3)
+    _assert_atoms_as_without_skips(f, dataclasses.replace(cz_setup, d=d),
+                                   monkeypatch)
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_floor_cube_beside_a_tiny_eta_keeps_its_piece(d, cz_setup,
+                                                      monkeypatch):
+    """O_1 = [100 h, 109 h), covered by a floor cube at cell 100 and a cube
+    of 8 cells whose dilated side reaches cell 100's center at |u| > 0.99:
+    its bump there (about 1e-33) rounds the floor cube's eta to 1.0, and
+    level 1 skips that cube, but cell 100 holds two positive etas.  The
+    floor cube of level 0 there keeps its piece: -b_sum eta and the wide
+    cube's partner fit."""
+    h = 2.0 ** -6
+    cells = np.arange(256)
+    m = _step_maximal(monkeypatch, h, np.select(
+        [(cells >= 100) & (cells < 109), (cells >= 16) & (cells < 240)],
+        [3.0, 1.5], 0.75))
+    level1 = [Cube((100.5 * h,), h), Cube((104.97 * h,), 8 * h)]
+
+    def cover(O):
+        if np.array_equal(O.values, (m.values > 2.0).astype(float)):
+            return level1
+        if np.array_equal(O.values, (m.values > 1.0).astype(float)):
+            return [Cube(((i + 0.5) * h,), h) for i in range(16, 240)]
+        return whitney_decompose(O)
+
+    monkeypatch.setattr(atomic, "whitney_decompose", cover)
+    floor, wide = partition_of_unity(
+        level1, GridFunction(m.origin, h, (m.values > 2.0).astype(float)))
+    assert floor.values.tolist() == [1.0]
+    assert 0 < wide.values[0] < 1e-30 and wide.origin[0] == floor.origin[0]
     f = GridFunction((0.0,), h, np.cos(5 * (cells + 0.5) * h) + 0.3)
     _assert_atoms_as_without_skips(f, dataclasses.replace(cz_setup, d=d),
                                    monkeypatch)

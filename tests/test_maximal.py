@@ -284,6 +284,31 @@ def test_peetre_sweep_matches_offset_loops(absc, s, b, eps_cut, h):
                           loop(absc, s, b, h, eps_cut))
 
 
+@settings(max_examples=150, deadline=None)
+@given(absc=sweep_fields_nd(),
+       s=st.sampled_from([1.0, 0.5, 0.125]),
+       b=st.floats(2.5, 10.0),
+       eps_cut=st.sampled_from([1e-12, 1e-6, 0.2]),
+       kind=st.sampled_from(["zero", "below", "mixed", "above"]),
+       seed=st.integers(0, 2 ** 16))
+def test_peetre_sweep_from_a_floor_is_its_max_with_the_loop(absc, s, b,
+                                                            eps_cut, kind,
+                                                            seed):
+    """With a floor F (the running max of the larger scales in _scale_max)
+    the sweep gives max(F, offset loop) bit for bit, for F = 0, F below
+    the output, F crossing it cell by cell and F above every output."""
+    h = 2.0 ** -4
+    loop = peetre_reference.peetre_sweep_1d if absc.ndim == 1 \
+        else peetre_reference.peetre_sweep_2d
+    ref = loop(absc, s, b, h, eps_cut)
+    u = np.random.default_rng(seed).random(absc.shape)
+    top = float(ref.max(initial=0.0))
+    F = {"zero": np.zeros(absc.shape), "below": ref * u,
+         "mixed": ref * 2 * u, "above": (top + 1.0) * (1 + u)}[kind]
+    got = _peetre_sweep(absc, s, h, absc.ndim, b, eps_cut, floor=F)
+    assert np.array_equal(got, np.maximum(F, ref))
+
+
 @pytest.mark.parametrize("b,eps_cut,name", [
     (2.5, 0.0, "eps_cut"), (2.5, -1.0, "eps_cut"), (2.5, np.nan, "eps_cut"),
     (2.5, 1.5, "eps_cut"), (np.nan, 1e-6, "b"), (np.inf, 1e-6, "b"),
