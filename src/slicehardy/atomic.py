@@ -573,8 +573,8 @@ def _residual_atoms(values, grid, j_lo, params, norm_1q):
     """Package the sub-threshold remainder as unit-cube atoms."""
     full = GridFunction(grid.origin, grid.h, values, check=False)
     cubes = full.unit_cubes()
-    box = np.array([[(s.start, s.stop) for s in full.cube_slices(Q)]
-                    for Q in cubes], dtype=int).reshape(-1, grid.n, 2)
+    box = np.array([[(s.start, s.stop) for s in b] for b in
+                    full.cube_boxes(cubes)], dtype=int).reshape(-1, grid.n, 2)
     wins = _Windows(box[..., 0], box[..., 1] - box[..., 0])
     out = []
     for i, piece, sup in _crops(grid, wins, values.ravel()[
@@ -650,8 +650,8 @@ def atomic_quasinorm(dec, s, norm_1q=None):
     acc = GridFunction(origin, first.h, np.zeros(ext), check=False)
     if norm_1q is None:
         norm_1q = cube_indicator_norms(sp, acc.h, acc.n)
-    for atom in dec.entries:
-        acc.values[acc.cube_slices(atom.cube)] += \
-            (atom.lam / norm_1q(atom.cube.side)) ** s
+    for atom, box in zip(dec.entries,
+                         acc.cube_boxes([a.cube for a in dec.entries])):
+        acc.values[box] += (atom.lam / norm_1q(atom.cube.side)) ** s
     env = GridFunction(origin, acc.h, acc.values ** (1.0 / s), check=False)
     return slice_norm(env, sp)

@@ -55,8 +55,7 @@ def _sweep(frame, stack, cubes, d, r):
     """(Q, r-means) for each cube Q that holds a frame cell, one per field:
     of the oscillation about the degree-d minimizing polynomial on a
     small cube (side < 1), of |g| on a large one."""
-    for Q in cubes:
-        box = frame.cube_slices(Q)
+    for Q, box in zip(cubes, frame.cube_boxes(cubes)):
         vals = stack[(slice(None),) + box].reshape(len(stack), -1)
         if not vals.size:
             continue

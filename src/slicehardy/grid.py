@@ -8,8 +8,9 @@ cell-aligned regions integrate exactly.
 
 A region holds the cells whose centers lie in it.  A cube holds the cells
 with lo - 1e-9 side <= x < hi - 1e-9 side on every axis: one index box,
-which :meth:`GridFunction.cube_slices` finds, the only code that decides
-a cube's cells (:meth:`Cube.contains_points` is its pointwise reference).
+which :meth:`GridFunction.cube_boxes` finds for many cubes at once, the
+only code that decides a cube's cells (:meth:`Cube.contains_points` is
+its pointwise reference).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ _ALIGN_TOL = 1e-9
 def _set_center(region):
     """Store a frozen region's center as a tuple of finite floats."""
     center = tuple(float(c) for c in region.center)
-    if not all(np.isfinite(center)):
+    if not all(map(math.isfinite, center)):
         raise PreconditionError(f"center must be finite: {center}")
     object.__setattr__(region, "center", center)
 
@@ -290,14 +291,21 @@ class GridFunction:
         return [Cube(tuple(k + 0.5 for k in corner), 1.0)
                 for corner in product(*corners)]
 
-    def cube_slices(self, Q):
+    def cube_boxes(self, cubes):
         """Index box (one slice per axis, maybe empty) of the cells whose
-        centers lie in Q: bisection with Cube.contains_points' comparisons."""
-        tol = _ALIGN_TOL * Q.side
-        return tuple(
-            slice(*(int(i) for i in np.searchsorted(
-                self.axis_centers(d), (lo - tol, hi - tol))))
-            for d, (lo, hi) in enumerate(zip(Q.lo, Q.hi)))
+        centers lie in each cube: bisection with Cube.contains_points'
+        comparisons, one searchsorted per axis for all the cubes."""
+        center = np.array([Q.center for Q in cubes]).reshape(-1, self.n)
+        side = np.array([Q.side for Q in cubes])
+        half, tol = side / 2, _ALIGN_TOL * side
+        ends = [np.searchsorted(self.axis_centers(d), [
+            center[:, d] - half - tol, center[:, d] + half - tol]).T.tolist()
+            for d in range(self.n)]
+        return [tuple(slice(*e) for e in box) for box in zip(*ends)]
+
+    def cube_slices(self, Q):
+        """The index box of the cells whose centers lie in Q (cube_boxes)."""
+        return self.cube_boxes([Q])[0]
 
     def cell_mask(self, region):
         """Boolean mask of cells whose centers lie in the region."""

@@ -24,6 +24,8 @@ _LAM_MIN = 1e-300  # gauges below this scale are taken as 0
 _LOG_LAM_MIN = np.log(_LAM_MIN)
 _LOG_LAM_MAX = np.log(1e308)  # a row that needs a larger scale fails
 _FLOAT_MAX = np.finfo(float).max
+#: window cells (128 KB) per evaluation block of luxemburg_norm_rows
+_BLOCK_CELLS = 1 << 14
 
 
 class OrliczFunction:
@@ -256,31 +258,32 @@ def luxemburg_norm_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
     """Vectorized Luxemburg gauge of many sample vectors at once.
 
     `rows` has shape (m, w); row i holds the samples of one function and
-    the result is the array of m gauges.  The slice norm of a non-power
-    functional uses it for one gauge per outer sample point.  Each row
-    starts from its L^1 mass, an upper bound of the gauge when
-    Phi(tau) <= tau, as for log_damped.  |rows| is taken inside each
-    evaluation, so no absolute copy of `rows` outlives one.
-    """
-    rows = np.asarray(rows, dtype=float)
-    out = np.zeros(rows.shape[0])
-    m = np.maximum(rows.max(axis=1), -rows.min(axis=1))
-    act = np.flatnonzero(m)
-    if not act.size:
-        return out
+    the result is the array of m gauges.  Only rows.shape and rows[ix], ix
+    an index array, are read, so the slice norm hands over windows that
+    are gathered on demand, a block of at most _BLOCK_CELLS cells (at
+    least one row) per evaluation.  Each row starts from its L^1 mass, an
+    upper bound of the gauge when Phi(tau) <= tau (as for log_damped)."""
+    step = max(_BLOCK_CELLS // rows.shape[1], 1)
+
+    def blocks(ix):
+        """(positions in ix, |rows[ix]| there) one block at a time."""
+        for i in range(0, ix.size, step):
+            tau = rows[ix[i:i + step]]
+            yield slice(i, i + step), np.abs(tau, out=tau)
 
     def log_modular(lam, idx):
-        if idx.size == rows.shape[0]:
-            tau = np.abs(rows)
-        else:
-            tau = rows[act[idx]]
-            np.abs(tau, out=tau)
-        tau /= lam[:, None]
-        val = phi(tau)
-        total = val.sum(axis=1)
-        return (np.log(total * cell_volume),
-                -phi.tau_dphi(tau, val).sum(axis=1) / total)
+        total, slope = np.empty(idx.size), np.empty(idx.size)
+        for at, tau in blocks(act[idx]):
+            tau /= lam[at, None]
+            val = phi(tau)
+            total[at] = val.sum(axis=1)
+            slope[at] = phi.tau_dphi(tau, val).sum(axis=1)
+        return np.log(total * cell_volume), -slope / total
 
-    start = np.abs(rows).sum(axis=1)[act] * cell_volume
-    out[act] = _solve_gauge(log_modular, start, tol)
+    out, mass = np.zeros(rows.shape[0]), np.zeros(rows.shape[0])
+    for at, tau in blocks(np.arange(rows.shape[0])):
+        mass[at] = tau.sum(axis=1)
+    act = np.flatnonzero(mass)  # a sum of |samples| is 0 only if all are
+    if act.size:
+        out[act] = _solve_gauge(log_modular, mass[act] * cell_volume, tol)
     return out

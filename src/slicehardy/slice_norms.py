@@ -7,8 +7,8 @@ centers lie in the ball, matching the midpoint quadrature convention, so
 the indicator normalization is exact and identical for every x.  One
 mask, ball_mask, gives the ball's cells in every dimension; power-type
 norms convolve with it directly (_ball_sums: np.convolve in 1-D, shifted
-sums in 2-D), and general ones gather its windows one chunk of rows at a
-time.
+sums in 2-D), and general ones hand its windows to the gauge solver as
+_Windows, which gathers them a block of rows at a time on demand.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import orlicz
 from .errors import InvalidDataError, PreconditionError, ResolutionError, \
@@ -25,9 +24,6 @@ from .errors import InvalidDataError, PreconditionError, ResolutionError, \
 from .grid import Ball, GridFunction
 from .kernels import convolve_same
 from .reports import Report
-
-#: window cells gathered per chunk of a general-Phi slice norm
-_CHUNK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -112,33 +108,28 @@ def slice_norm(f, p):
     if p.phi.power_exponent is not None:
         num = _power_window_norms(f, mask, p.phi.power_exponent)
     else:
-        num = np.concatenate([
-            orlicz.luxemburg_norm_rows(p.phi, rows, f.cell_volume)
-            for rows in _window_rows(f.values, mask)])
+        num = orlicz.luxemburg_norm_rows(p.phi, _Windows(f.values, mask),
+                                         f.cell_volume)
     return float(((num / den) ** p.q).sum() * f.cell_volume) ** (1.0 / p.q)
 
 
-def _window_rows(values, mask):
-    """The samples (zero outside the box) in the ball mask around each
-    outer point, one row-major row per point, about _CHUNK_CELLS window
-    cells at a time: whole rows of axis 0, at least one.  The mask is all
-    ones in 1-D, so the sliding windows are the rows; in 2-D a flat index
-    gathers each chunk in C order."""
-    padded = np.pad(values, mask.shape[0] - 1)
-    if values.ndim == 1:
-        windows = sliding_window_view(padded, mask.size)
-        step = max(_CHUNK_CELLS // mask.size, 1)
-        for i in range(0, windows.shape[0], step):
-            yield windows[i:i + step]
-        return
-    rows, cols = (p - m + 1 for p, m in zip(padded.shape, mask.shape))
-    width = padded.shape[1]
-    cells = np.flatnonzero(np.pad(mask, ((0, 0), (0, width - mask.shape[1]))))
-    step = max(_CHUNK_CELLS // (cols * cells.size), 1)
-    for i in range(0, rows, step):
-        starts = np.arange(i, min(i + step, rows))[:, None] * width \
-            + np.arange(cols)
-        yield padded.ravel()[starts.reshape(-1, 1) + cells]
+class _Windows:
+    """slice_norm's window matrix, never built: row i holds the samples
+    (zero outside the box) in the ball mask around outer point i, in C
+    order, the points in C order on the box dilated by the mask's half
+    width.  windows[ix] gathers rows ix from the flat padded samples."""
+
+    def __init__(self, values, mask):
+        padded = np.pad(values, mask.shape[0] - 1)
+        outer = [p - m + 1 for p, m in zip(padded.shape, mask.shape)]
+        self.flat = padded.ravel()
+        self.starts = np.ravel_multi_index(
+            np.indices(outer).reshape(len(outer), -1), padded.shape)
+        self.cells = np.ravel_multi_index(np.nonzero(mask), padded.shape)
+        self.shape = self.starts.size, self.cells.size
+
+    def __getitem__(self, ix):
+        return self.flat[self.starts[ix, None] + self.cells]
 
 
 def _power_window_norms(f, mask, power):
@@ -184,13 +175,22 @@ def cube_indicator_norms(p, h, n=1):
 
 
 def star_norm(f, phi):
-    """Sum of per-unit-cube Luxemburg norms over the integer lattice."""
-    total = 0.0
-    for Q in f.unit_cubes():
-        piece = f.box_view(f.cube_slices(Q))
-        if np.any(piece.values):
-            total += orlicz.luxemburg_norm(phi, piece)
-    return total
+    """Sum of per-unit-cube Luxemburg norms over the integer lattice, added
+    one by one in cube order; a non-power Phi solves the nonzero pieces of
+    each shape with one gauge call on their stacked rows."""
+    if not np.all(np.isfinite(f.values)):
+        raise InvalidDataError("non-finite sample in f")
+    pieces = [f.box_view(box) for box in f.cube_boxes(f.unit_cubes())]
+    pieces = [g for g in pieces if np.any(g.values)]
+    if phi.power_exponent is not None:
+        norms = [orlicz.luxemburg_norm(phi, g) for g in pieces]
+    else:
+        norms = np.empty(len(pieces))
+        for shape in {g.extents for g in pieces}:
+            ix = [i for i, g in enumerate(pieces) if g.extents == shape]
+            norms[ix] = orlicz.luxemburg_norm_rows(phi, np.stack(
+                [pieces[i].values.ravel() for i in ix]), f.cell_volume)
+    return float(np.cumsum(np.append(0.0, norms))[-1])  # sequential sum
 
 
 def hl_maximal(f, pad_cells=0):
@@ -276,8 +276,8 @@ def ball_indicator_ratio(radii, h, n=1):
         k = _half_width(rad, h)
         ind = GridFunction((-(k + 0.5) * h,) * n, h,
                            ball_mask(rad, h, n).astype(float))
-        counts = [np.count_nonzero(ind.values[ind.cube_slices(Q)])
-                  for Q in ind.unit_cubes()]
+        counts = [np.count_nonzero(ind.values[box])
+                  for box in ind.cube_boxes(ind.unit_cubes())]
         counts = [c for c in counts if c] + [np.count_nonzero(ind.values)]
         gauges = ball_indicator_gauge(phi, counts, h ** n).tolist()
         star, lux = sum(gauges[:-1]), gauges[-1]

@@ -6,6 +6,11 @@ safeguarded Illinois regula falsi (Dowell & Jarratt 1971) on the rows not
 yet converged.  It needs no slope.  The tests check
 orlicz.luxemburg_norm_rows against luxemburg_norm_rows here, and
 OrliczFunction.inverse and orlicz.musielak_norm against solve_gauge.
+
+one_shot_rows is orlicz.luxemburg_norm_rows as it ran before it took its
+rows a block at a time: every evaluation over all rows still to solve at
+once, with the same Newton solver.  The blocked gauges must equal it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from slicehardy.errors import NumericFailure
-from slicehardy.orlicz import DEFAULT_TOL
+from slicehardy.orlicz import DEFAULT_TOL, _solve_gauge
 
 _MAX_DOUBLINGS = 200
 _MAX_ITERATIONS = 200
@@ -84,4 +89,31 @@ def luxemburg_norm_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
         return np.log(phi(s / lam[:, None]).sum(axis=1) * cell_volume)
 
     out[active] = solve_gauge(log_modular, m[active], tol)
+    return out
+
+
+def one_shot_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
+    """The Newton gauge of every row of the array `rows`, each evaluation
+    on all rows not yet converged at once, started at the L^1 mass."""
+    rows = np.asarray(rows, dtype=float)
+    out = np.zeros(rows.shape[0])
+    m = np.maximum(rows.max(axis=1), -rows.min(axis=1))
+    act = np.flatnonzero(m)
+    if not act.size:
+        return out
+
+    def log_modular(lam, idx):
+        if idx.size == rows.shape[0]:
+            tau = np.abs(rows)
+        else:
+            tau = rows[act[idx]]
+            np.abs(tau, out=tau)
+        tau /= lam[:, None]
+        val = phi(tau)
+        total = val.sum(axis=1)
+        return (np.log(total * cell_volume),
+                -phi.tau_dphi(tau, val).sum(axis=1) / total)
+
+    start = np.abs(rows).sum(axis=1)[act] * cell_volume
+    out[act] = _solve_gauge(log_modular, start, tol)
     return out

@@ -238,3 +238,41 @@ def test_covering_box_holds_every_cube():
     top = ge.origin[0] + ext[0] * 0.25
     for Q in cubes:
         assert ge.origin[0] < Q.lo[0] and Q.hi[0] < top
+
+
+def _scalar_cube_box(g, Q):
+    """One cube's index box by bisection in Python floats, as cube_slices
+    found it before cube_boxes took many cubes at once."""
+    tol = 1e-9 * Q.side
+    return tuple(
+        slice(*(int(i) for i in np.searchsorted(
+            g.axis_centers(d), (lo - tol, hi - tol))))
+        for d, (lo, hi) in enumerate(zip(Q.lo, Q.hi)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.sampled_from([1, 2]), h=_H, count=st.integers(0, 12),
+       data=st.data())
+def test_cube_boxes_are_the_scalar_boxes(n, h, count, data):
+    """Many cubes' index boxes at once against one cube at a time in
+    Python floats, with the cubes of test_cube_slices_match_contains_points
+    (edges exactly on cell centers among them), and no cubes at all."""
+    origin = [_resolve(data.draw(_coordinate), h) for _ in range(n)]
+    extents = tuple(data.draw(st.integers(1, 12)) for _ in range(n))
+    g = GridFunction(origin, h, np.zeros(extents))
+    Qs = []
+    for _ in range(count):
+        center = [_resolve(data.draw(_coordinate), h) for _ in range(n)]
+        side = data.draw(st.one_of(
+            st.integers(1, 24).map(lambda j: j * h / 2),
+            st.floats(1e-3, 8.0, allow_subnormal=False)))
+        if data.draw(st.booleans()):
+            axis = data.draw(st.integers(0, n - 1))
+            x = g.axis_centers(axis)[data.draw(
+                st.integers(0, extents[axis] - 1))]
+            center[axis] = _edge_center(x, side, data.draw(st.booleans()))
+        Qs.append(Cube(center, side))
+    boxes = g.cube_boxes(Qs)
+    assert len(boxes) == len(Qs)
+    for Q, box in zip(Qs, boxes):
+        assert box == _scalar_cube_box(g, Q) == g.cube_slices(Q)

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -349,8 +350,8 @@ _INVERSE_REFERENCE_TOL = 1e-14
 def test_newton_gauges_match_the_illinois_reference(n, exponent, fill, t,
                                                     seed):
     """Window rows of sparse fields scaled to maxima from 1e-250 to
-    1e250: 1-D sliding windows and 2-D disk gathers, as slice_norm makes
-    them."""
+    1e250: 1-D and 2-D disk windows, gathered on demand as slice_norm
+    hands them over."""
     rng = np.random.default_rng(seed)
     h = 2.0 ** -4
     shape = (48,) if n == 1 else (10, 9)
@@ -358,11 +359,11 @@ def test_newton_gauges_match_the_illinois_reference(n, exponent, fill, t,
     if vals.any():  # an all-zero field stays zero, not 0 * inf
         vals *= 10.0 ** exponent / vals.max()
     phi = orlicz.log_damped()
-    for rows in slice_norms._window_rows(vals, ball_mask(t, h, n)):
-        got = orlicz.luxemburg_norm_rows(phi, rows, h ** n)
-        ref = gauge_reference.luxemburg_norm_rows(phi, rows, h ** n,
-                                                  _REFERENCE_TOL)
-        assert np.allclose(got, ref, rtol=1e-10, atol=0.0)
+    windows = slice_norms._Windows(vals, ball_mask(t, h, n))
+    got = orlicz.luxemburg_norm_rows(phi, windows, h ** n)
+    ref = gauge_reference.luxemburg_norm_rows(
+        phi, windows[np.arange(windows.shape[0])], h ** n, _REFERENCE_TOL)
+    assert np.allclose(got, ref, rtol=1e-10, atol=0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -492,8 +493,7 @@ def test_newton_from_the_l1_mass_takes_about_four_evaluations_per_window(
     15 on the benchmark's log_damped slice norms."""
     shape = (600,) if n == 1 else (40, 40)
     vals = rng.lognormal(size=shape) * (rng.random(shape) < 0.8)
-    rows = np.concatenate(list(slice_norms._window_rows(
-        vals, ball_mask(0.5, 2.0 ** -5, n))))
+    rows = slice_norms._Windows(vals, ball_mask(0.5, 2.0 ** -5, n))
     evaluated = []
     call = orlicz.OrliczFunction.__call__
 
@@ -506,11 +506,12 @@ def test_newton_from_the_l1_mass_takes_about_four_evaluations_per_window(
     assert sum(evaluated) <= 4.5 * rows.shape[0]
 
 
-def test_one_gauge_call_peaks_below_five_chunk_sized_arrays(rng):
-    """No absolute copy of the rows outlives one evaluation: one call on
-    the 1-D sliding windows that slice_norm hands over allocates at its
-    peak at most 4.5 arrays of the windows' size."""
-    vals = rng.lognormal(size=4000) * (rng.random(4000) < 0.8)
+def test_one_gauge_call_peaks_below_a_few_blocks(rng):
+    """No temporary outgrows a block: one call on 8192 sliding windows
+    of 255 cells (16.7 MB as a matrix) allocates at its peak at most six
+    blocks of _BLOCK_CELLS cells plus 24 vectors of one float per row,
+    the solver's state (1.8 MB measured)."""
+    vals = rng.lognormal(size=9000) * (rng.random(9000) < 0.8)
     windows = sliding_window_view(np.pad(vals, 254), 255)[:8192]
     phi = orlicz.log_damped()
     tracemalloc.start()
@@ -519,4 +520,44 @@ def test_one_gauge_call_peaks_below_five_chunk_sized_arrays(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * windows.shape[0] * windows.shape[1] * 8
+    assert peak <= (6 * orlicz._BLOCK_CELLS + 24 * windows.shape[0]) * 8
+
+
+class _Permuted:
+    """The rows base[perm]: every rows[ix] gathers base rows out of order."""
+
+    def __init__(self, base, perm):
+        self.base, self.perm, self.shape = base, perm, base.shape
+
+    def __getitem__(self, ix):
+        return self.base[self.perm[ix]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.one_of(st.integers(1, 40),
+                                     st.integers(1 << 14, (1 << 14) + 40)),
+       st.sampled_from([5, 64, 1 << 14]), st.floats(0.0, 1.0),
+       st.lists(st.integers(-250, 250), min_size=1, max_size=40),
+       st.integers(0, 2 ** 32 - 1))
+def test_blocked_gauges_are_the_one_shot_gauges_bit_for_bit(
+        m, w, block, fill, exponents, seed):
+    """Gauges a block at a time against one evaluation over all rows:
+    rows wider than a block, row counts that are no multiple of a
+    block's, all-zero rows, row maxima from 1e-250 to 1e250 and rows
+    gathered out of order."""
+    rng = np.random.default_rng(seed)
+    if m * w > 1 << 16:
+        m = 1 + m % 3
+    rows = rng.lognormal(size=(m, w)) * (rng.random((m, w)) < fill)
+    rows *= rng.choice([-1.0, 1.0], size=(m, w))
+    peak = np.abs(rows).max(axis=1, keepdims=True)
+    scale = 10.0 ** np.resize(exponents, m)[:, None]
+    rows = np.divide(rows * scale, peak, out=np.zeros_like(rows),
+                     where=peak > 0)
+    perm = rng.permutation(m)
+    phi = orlicz.log_damped()
+    with patch.object(orlicz, "_BLOCK_CELLS", block):
+        got = orlicz.luxemburg_norm_rows(phi, _Permuted(rows, perm),
+                                         2.0 ** -6)
+    ref = gauge_reference.one_shot_rows(phi, rows[perm], 2.0 ** -6)
+    assert np.array_equal(got, ref)

@@ -1,5 +1,6 @@
 """Slice norms, the amalgam sum norm, and the maximal-operator checks."""
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -9,13 +10,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
+import gauge_reference
 import scipy_reference
 from slicehardy import orlicz
 from slicehardy.errors import InvalidDataError, PreconditionError, \
     ResolutionError
 from slicehardy.grid import Cube, GridFunction
-from slicehardy.slice_norms import _CHUNK_CELLS, SliceParams, _ball_sums, \
-    _cube_counts, _power_window_norms, _window_rows, ball_indicator_gauge, \
+from slicehardy.slice_norms import SliceParams, _ball_sums, _cube_counts, \
+    _power_window_norms, _Windows, ball_indicator_gauge, \
     ball_indicator_ratio, ball_mask, ball_offset_count, \
     cube_indicator_slice_norm, fefferman_stein_check, hl_maximal, \
     reverse_superadditivity_check, slice_norm, star_norm
@@ -143,10 +145,10 @@ def test_power_ball_sums_2d_are_ndimage_bit_for_bit(shape, k, power, fill,
                                        (2, 2.0 ** -4, (97, 61))])
 def test_general_slice_norm_hands_row_major_rows(n, h, shape, rng,
                                                  monkeypatch):
-    """Each chunk of windows reaches luxemburg_norm_rows with the samples
-    of a row adjacent and the rows in order: the sliding windows in 1-D,
-    a C-contiguous gather in 2-D.  The rows are the window matrix and the
-    norm is its norm, bit for bit."""
+    """The windows reach luxemburg_norm_rows in one call, as rows
+    gathered on demand: each gather C-contiguous, the samples of a row
+    adjacent and the rows in order.  The rows are the window matrix and
+    the norm is its norm, bit for bit."""
     vals = rng.lognormal(size=shape) * (rng.random(shape) < 0.8)
     f = GridFunction((0.0,) * n, h, vals)
     p = SliceParams(0.5, 1.0, orlicz.log_damped())
@@ -159,15 +161,13 @@ def test_general_slice_norm_hands_row_major_rows(n, h, shape, rng,
 
     monkeypatch.setattr(orlicz, "luxemburg_norm_rows", spy)
     got = slice_norm(f, p)
-    assert len(handed) > 1
-    for rows in handed:
-        assert rows.strides[1] == rows.itemsize
-        assert rows.strides[0] == (rows.itemsize if n == 1
-                                   else rows.shape[1] * rows.itemsize)
-        assert rows.flags.c_contiguous == (n == 2)
+    assert len(handed) == 1 and isinstance(handed[0], _Windows)
     matrix = _window_matrix(vals, p.t, h)
-    assert np.array_equal(np.concatenate(handed), matrix)
-    num = rows_norm(p.phi, matrix, f.cell_volume, orlicz.DEFAULT_TOL)
+    assert handed[0].shape == matrix.shape
+    rows = handed[0][np.arange(matrix.shape[0])]
+    assert rows.flags.c_contiguous
+    assert np.array_equal(rows, matrix)
+    num = gauge_reference.one_shot_rows(p.phi, matrix, f.cell_volume)
     den = ball_indicator_gauge(p.phi, matrix.shape[1], f.cell_volume)
     assert got == float((num / den).sum() * f.cell_volume)
 
@@ -176,26 +176,76 @@ def test_general_slice_norm_hands_row_major_rows(n, h, shape, rng,
     (1, 2.0 ** -7, (9000,), [0.5, 2.0]),
     (2, 2.0 ** -4, (97, 61), [0.5, 1.0]),
 ])
-def test_general_slice_norm_matches_window_matrix_across_chunks(
-        n, h, shape, t_values, rng):
-    """The chunked window gather against one gauge call on the whole
+def test_general_slice_norm_matches_window_matrix_across_blocks(
+        n, h, shape, t_values, rng, monkeypatch):
+    """The blocked window gathers against one evaluation over the whole
     window matrix, bit for bit, on fields whose windows hold more than
-    _CHUNK_CELLS cells: more than one chunk of at most _CHUNK_CELLS
-    cells, the last one partial."""
+    _BLOCK_CELLS cells: each pass over the rows gathers them in order in
+    more than one block of at most _BLOCK_CELLS cells, the last one
+    partial."""
     vals = rng.lognormal(size=shape) * (rng.random(shape) < 0.8)
     f = GridFunction((0.0,) * n, h, vals)
     phi = orlicz.log_damped()
+    gathered = []
+    gather = _Windows.__getitem__
+
+    def spy(windows, ix):
+        gathered.append(ix)
+        return gather(windows, ix)
+
+    monkeypatch.setattr(_Windows, "__getitem__", spy)
     for t in t_values:
+        gathered.clear()
+        got = slice_norm(f, SliceParams(t, 1.0, phi))
         rows = _window_matrix(vals, t, h)
-        chunks = [c.shape[0] for c in _window_rows(vals, ball_mask(t, h, n))]
-        assert rows.size > _CHUNK_CELLS
-        assert sum(chunks) == rows.shape[0]
-        assert len(chunks) > 1 and chunks[-1] < chunks[0]
-        assert chunks[0] * rows.shape[1] <= _CHUNK_CELLS
-        num = orlicz.luxemburg_norm_rows(phi, rows, f.cell_volume)
+        step = orlicz._BLOCK_CELLS // rows.shape[1]
+        first = [ix.size for ix in gathered[:-(-rows.shape[0] // step)]]
+        assert rows.size > orlicz._BLOCK_CELLS
+        assert np.array_equal(np.concatenate(gathered[:len(first)]),
+                              np.arange(rows.shape[0]))
+        assert len(first) > 1 and 0 < first[-1] < first[0] == step
+        assert max(ix.size for ix in gathered) == step
+        num = gauge_reference.one_shot_rows(phi, rows, f.cell_volume)
         den = ball_indicator_gauge(phi, rows.shape[1], f.cell_volume)
-        ref = float((num / den).sum() * f.cell_volume)
-        assert slice_norm(f, SliceParams(t, 1.0, phi)) == ref
+        assert got == float((num / den).sum() * f.cell_volume)
+
+
+@pytest.mark.parametrize("n,h,shape,t", [(1, 2.0 ** -5, (70,), 0.5),
+                                         (2, 2.0 ** -4, (13, 9), 0.5),
+                                         (2, 2.0 ** -3, (5, 11), 1.0)])
+def test_windows_are_the_window_matrix(n, h, shape, t, rng):
+    """_Windows rows against the materialized window matrix, all of them
+    in order and a random subset out of order."""
+    vals = rng.normal(size=shape) * (rng.random(shape) < 0.7)
+    windows = _Windows(vals, ball_mask(t, h, n))
+    matrix = _window_matrix(vals, t, h)
+    assert windows.shape == matrix.shape
+    assert np.array_equal(windows[np.arange(matrix.shape[0])], matrix)
+    ix = rng.permutation(matrix.shape[0])[:matrix.shape[0] // 2]
+    assert np.array_equal(windows[ix], matrix[ix])
+
+
+def test_two_dimensional_general_slice_norm_allocates_no_window_matrix(rng):
+    """One log_damped slice norm of a 60 x 60 field at t = 1.25, h = 1/16:
+    9,604 outer points of 1,245 window cells, 91.2 MiB as a matrix.  Its
+    peak allocation stays below eight blocks of _BLOCK_CELLS cells plus
+    40 floats per outer point (the padded field, the windows' offsets and
+    the solver's state): 3.9 MiB.  It measured 2.1 MiB; gathered in
+    chunks of 2^20 window cells, it measured 30 MiB."""
+    f = GridFunction((0.0, 0.0), 2.0 ** -4,
+                     rng.lognormal(size=(60, 60)) * (rng.random((60, 60))
+                                                     < 0.8))
+    p = SliceParams(1.25, 1.0, orlicz.log_damped())
+    w, k = ball_offset_count(2, p.t, f.h)
+    outer = (60 + 2 * k) ** 2
+    assert outer * w * 8 > 64 * 2 ** 20
+    tracemalloc.start()
+    try:
+        slice_norm(f, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (8 * orlicz._BLOCK_CELLS + 40 * outer) * 8
 
 
 def test_ball_mask_counts_offsets_within_the_radius():
@@ -326,6 +376,34 @@ def test_star_norm_two_dimensional_sums_unit_cubes(vals, origin, shift, tag):
             piece = GridFunction(f.origin, h, np.where(mask, f.values, 0.0))
             expected += orlicz.luxemburg_norm(phi, piece)
     assert star_norm(f, phi) == pytest.approx(expected, rel=1e-9, abs=0)
+
+
+def _star_norm_per_cube(f, phi):
+    """star_norm as one Luxemburg gauge per nonzero unit-cube piece."""
+    total = 0.0
+    for Q in f.unit_cubes():
+        piece = f.box_view(f.cube_slices(Q))
+        if np.any(piece.values):
+            total += orlicz.luxemburg_norm(phi, piece)
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 40), st.integers(1, 40),
+       st.sampled_from([2.0 ** -3, 0.1, 0.25]), st.floats(-3.0, 3.0),
+       st.floats(0.0, 1.0), st.sampled_from(["power:1.5", "log_damped"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_star_norm_is_the_per_cube_loop_bit_for_bit(n, m0, m1, h, origin,
+                                                    fill, tag, seed):
+    """The pieces of each shape in one gauge call against one gauge per
+    piece: boxes that start and end inside a unit cube, so the edge
+    pieces are ragged, zero pieces, and a power Phi."""
+    rng = np.random.default_rng(seed)
+    shape = (m0,) if n == 1 else (m0, m1)
+    vals = rng.normal(size=shape) * (rng.random(shape) < fill)
+    f = GridFunction((origin, -origin / 3)[:n], h, vals)
+    phi = orlicz.from_tag(tag)
+    assert star_norm(f, phi) == _star_norm_per_cube(f, phi)
 
 
 def test_star_norm_zero():
