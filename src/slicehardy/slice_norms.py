@@ -8,7 +8,8 @@ the indicator normalization is exact and identical for every x.  One
 mask, ball_mask, gives the ball's cells in every dimension; power-type
 norms convolve with it directly (_ball_sums: np.convolve in 1-D, shifted
 sums in 2-D), and general ones hand its windows to the gauge solver as
-_Windows, which gathers them a block of rows at a time on demand.
+_Windows, which gathers them a block of rows at a time on demand (1-D
+windows as rows of a strided view, 2-D ones by a cell index).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import orlicz
 from .errors import InvalidDataError, PreconditionError, ResolutionError, \
@@ -117,7 +119,9 @@ class _Windows:
     """slice_norm's window matrix, never built: row i holds the samples
     (zero outside the box) in the ball mask around outer point i, in C
     order, the points in C order on the box dilated by the mask's half
-    width.  windows[ix] gathers rows ix from the flat padded samples."""
+    width.  windows[ix] gathers rows ix from the flat padded samples: as
+    rows of a strided view when the ball's cells are one contiguous run
+    (every 1-D ball), otherwise by an index per cell."""
 
     def __init__(self, values, mask):
         padded = np.pad(values, mask.shape[0] - 1)
@@ -127,8 +131,14 @@ class _Windows:
             np.indices(outer).reshape(len(outer), -1), padded.shape)
         self.cells = np.ravel_multi_index(np.nonzero(mask), padded.shape)
         self.shape = self.starts.size, self.cells.size
+        self.run = None
+        if np.all(np.diff(self.cells) == 1):
+            self.run = sliding_window_view(self.flat[self.cells[0]:],
+                                           self.cells.size)
 
     def __getitem__(self, ix):
+        if self.run is not None:
+            return self.run[self.starts[ix]]
         return self.flat[self.starts[ix, None] + self.cells]
 
 

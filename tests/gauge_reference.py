@@ -9,8 +9,10 @@ OrliczFunction.inverse and orlicz.musielak_norm against solve_gauge.
 
 one_shot_rows is orlicz.luxemburg_norm_rows as it ran before it took its
 rows a block at a time: every evaluation over all rows still to solve at
-once, with the same Newton solver.  The blocked gauges must equal it bit
-for bit.
+once, with the same Newton solver and the same warm starts.  The blocked
+gauges must equal it bit for bit.  cold_rows starts every row at its L^1
+mass, as orlicz did before it warm started them; the warm-started gauges
+must match it to rounding.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from slicehardy.errors import NumericFailure
-from slicehardy.orlicz import DEFAULT_TOL, _solve_gauge
+from slicehardy.orlicz import DEFAULT_TOL, _solve_gauge, _warm_gauges
 
 _MAX_DOUBLINGS = 200
 _MAX_ITERATIONS = 200
@@ -94,7 +96,17 @@ def luxemburg_norm_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
 
 def one_shot_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
     """The Newton gauge of every row of the array `rows`, each evaluation
-    on all rows not yet converged at once, started at the L^1 mass."""
+    on all rows not yet converged at once, warm started by _warm_gauges
+    from the L^1 masses."""
+    return _one_shot(phi, rows, cell_volume, tol, _warm_gauges)
+
+
+def cold_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
+    """one_shot_rows with every row started at its L^1 mass."""
+    return _one_shot(phi, rows, cell_volume, tol, _solve_gauge)
+
+
+def _one_shot(phi, rows, cell_volume, tol, solve):
     rows = np.asarray(rows, dtype=float)
     out = np.zeros(rows.shape[0])
     m = np.maximum(rows.max(axis=1), -rows.min(axis=1))
@@ -115,5 +127,5 @@ def one_shot_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
                 -phi.tau_dphi(tau, val).sum(axis=1) / total)
 
     start = np.abs(rows).sum(axis=1)[act] * cell_volume
-    out[act] = _solve_gauge(log_modular, start, tol)
+    out[act] = solve(log_modular, start, tol)
     return out

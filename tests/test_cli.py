@@ -573,6 +573,35 @@ def test_cli_import_leaves_out_scipy():
     assert out.stdout.strip() == "[]"
 
 
+#: runs `slicehardy all ARGS` and prints whether numpy.ma was imported
+_NUMPY_MA_RUN = """\
+import sys
+from slicehardy.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print("numpy.ma" in sys.modules)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("config", [None, "scenario_logdamped.ini"])
+def test_all_leaves_numpy_ma_unimported(config, tmp_path):
+    """numpy.ma, which np.unique and np.setdiff1d import on their first
+    call in NumPy 2.4, raised the default run's peak RSS from 44.4 to
+    45.2 MB; `slicehardy all` on the defaults and on the gauge-heavy
+    benchmark workload never imports it."""
+    args = ["all", "--out", str(tmp_path / "out")]
+    if config:
+        args += ["--config", os.path.join(os.path.dirname(__file__),
+                                          os.pardir, "perfbench",
+                                          "workloads", config)]
+    out = _python(_NUMPY_MA_RUN, *args)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 #: runs `slicehardy all ARGS` with scipy unimportable, and prints how often
 #: each NumPy replacement of a SciPy routine ran and which scipy modules
 #: were loaded
