@@ -18,7 +18,8 @@ from .errors import PreconditionError, require_positive
 from .grid import GridFunction
 from .kernels import MollifierDictionary, convolve
 from .reports import Report
-from .slice_norms import SliceParams, ball_mask, slice_norm
+from .slice_norms import SliceParams, _half_width, ball_mask, \
+    ball_reduce, slice_norm
 
 DEFAULT_EPS_CUT = 1e-6
 #: output boxes extend PAD_FACTOR * max scale beyond the input box; the
@@ -107,41 +108,14 @@ def radial_maximal(f, kernel, ladder, pad_cells=None):
 
 
 def _window_max(values, s, h, n, a, floor=None):
-    """max over |y - x| < a s, per grid point, with zeros outside the box,
-    and with floor if given.
-
-    The ball is a union of centered segments, one per offset along axis 0
-    (the whole ball in 1-D): the max over each is a running max along the
-    last axis, and the ball's max is the max of those, each shifted by its
-    offset.  A max is exact in any order."""
-    k = int(np.ceil(a * s / h - 1e-12)) - 1
-    if k <= 0:
-        return values.copy() if floor is None else np.maximum(values, floor)
-    mask = ball_mask(a * s, h, n).reshape(-1, 2 * k + 1)
-    padded = np.pad(values, k)
-    m = values.shape
-    out = None
-    runs = {}
-    for d, w in enumerate(mask.sum(axis=1) // 2):
-        if w not in runs:
-            runs[w] = _running_max(padded, 2 * w + 1)
-        rows = (slice(d, d + m[0]),) if n == 2 else ()
-        piece = runs[w][rows + (slice(k - w, k - w + m[-1]),)]
-        out = piece.copy() if out is None else np.maximum(out, piece, out=out)
+    """max over |y - x| < a s, per grid point, with zeros outside the box
+    (slice_norms.ball_reduce with np.maximum; a max is exact in any
+    order), and with floor if given."""
+    if _half_width(a * s, h) <= 0:
+        out = values.copy()
+    else:
+        out = ball_reduce(values, ball_mask(a * s, h, n), np.maximum)
     return out if floor is None else np.maximum(out, floor, out=out)
-
-
-def _running_max(x, length):
-    """max of each run of `length` consecutive cells along the last axis,
-    for every run inside x (x.shape[-1] - length + 1 of them), by doubling
-    the run length."""
-    span = 1
-    while 2 * span <= length:
-        x = np.maximum(x[..., :-span], x[..., span:])
-        span *= 2
-    if span < length:
-        x = np.maximum(x[..., :span - length], x[..., length - span:])
-    return x
 
 
 def nontangential_maximal(f, kernel, a, ladder, pad_cells=None):

@@ -317,15 +317,18 @@ def luxemburg_norm_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
         return np.log(total * cell_volume), -slope / total
 
     out, mass = np.zeros(rows.shape[0]), np.zeros(rows.shape[0])
-    for at, tau in blocks(np.arange(rows.shape[0])):
-        mass[at] = tau.sum(axis=1)
+    with np.errstate(over="ignore"):
+        for at, tau in blocks(np.arange(rows.shape[0])):
+            mass[at] = tau.sum(axis=1)
+        start = np.minimum(mass * cell_volume, _FLOAT_MAX)
     # a NaN sample makes its row's mass NaN, an inf one makes it inf; a
-    # finite row can overflow its mass too, so inf masses look at the row
+    # finite row can overflow its mass too, so inf masses look at the row,
+    # and its solve starts from the largest float
     big = np.flatnonzero(~np.isfinite(mass))
     if big.size and (np.isnan(mass[big]).any()
                      or not np.isfinite(rows[big]).all()):
         raise InvalidDataError("non-finite sample in rows")
     act = np.flatnonzero(mass)  # a sum of |samples| is 0 only if all are
     if act.size:
-        out[act] = _warm_gauges(log_modular, mass[act] * cell_volume, tol)
+        out[act] = _warm_gauges(log_modular, start[act], tol)
     return out

@@ -5,11 +5,13 @@ Luxemburg norm of f restricted to the ball B(x, t) normalized by the
 Luxemburg norm of the ball indicator.  Ball restrictions use cells whose
 centers lie in the ball, matching the midpoint quadrature convention, so
 the indicator normalization is exact and identical for every x.  One
-mask, ball_mask, gives the ball's cells in every dimension; power-type
-norms convolve with it directly (_ball_sums: np.convolve in 1-D, shifted
-sums in 2-D), and general ones hand its windows to the gauge solver as
-_Windows, which gathers them a block of rows at a time on demand (1-D
-windows as rows of a strided view, 2-D ones by a cell index).
+mask, ball_mask, gives the ball's cells in every dimension, and one
+reduction, ball_reduce, sums or maximizes over it from growing row
+segments: power-type window norms, the 2-D cube-indicator counts and the
+window maxima of maximal.py.  General Phi hand the ball's windows to the
+gauge solver as _Windows, which gathers them a block of rows at a time
+on demand (1-D windows as rows of a strided view, 2-D ones by a cell
+index).
 """
 
 from __future__ import annotations
@@ -56,32 +58,45 @@ def ball_mask(r, h, n):
         < r ** 2 * (1 - 1e-12)
 
 
-def _ball_sums(a, mask):
-    """Full direct (not FFT) convolution of a with the ball mask, in a's
-    dtype, so integer counts stay exact: np.convolve in 1-D.  In 2-D it
-    is a sum of shifted copies of the denser operand, one per nonzero
-    cell of the sparser one and weighted by it, added last cell first
-    (the order of ndimage.convolve, whose sums it repeats bit for bit)."""
-    b = mask.astype(a.dtype)
-    if a.ndim == 1:
-        return np.convolve(a, b)
-    if np.count_nonzero(a) < np.count_nonzero(b):
-        a, b = b, a
-    out = np.zeros([p + q - 1 for p, q in zip(a.shape, b.shape)], a.dtype)
-    for i, j in np.argwhere(b)[::-1]:
-        out[i:i + a.shape[0], j:j + a.shape[1]] += b[i, j] * a
+def ball_reduce(values, mask, op):
+    """op (np.add or np.maximum) over the cells of mask (a ball_mask of
+    half width k) around every cell of values, in same mode, zero outside
+    the box, in values' dtype.
+
+    The ball is a union of centered row segments along the last axis (the
+    centre row alone in 1-D).  Runs of 2^j <= k cells come from doubling;
+    each distinct half width w of the rows, ascending, grows the segment
+    of the previous width w' by two runs of w - w' cells, one table run
+    per set bit, so each cell enters once and a sum adds only nonnegative
+    terms of a nonnegative field.  Each row offset adds the segment of its
+    width, shifted by it: at most 4k + bit_length(k) op calls in 2-D,
+    2 popcount(k) + bit_length(k) - 1 in 1-D."""
+    k = mask.shape[-1] // 2
+    padded, m = np.pad(values, k), values.shape[-1]
+    runs = [padded]  # runs[j][..., i] reduces cells i .. i + 2^j - 1
+    while 2 ** len(runs) <= k:
+        half = 2 ** (len(runs) - 1)
+        runs.append(op(runs[-1][..., :-half], runs[-1][..., half:]))
+
+    def grow(lo, length):
+        """seg takes in the `length` cells from offset lo of each row."""
+        for j in range(length.bit_length()):
+            if length >> j & 1:
+                op(seg, runs[j][..., lo:lo + m], out=seg)
+                lo += 2 ** j
+
+    row_cells = mask.reshape(-1, 2 * k + 1).sum(axis=1)
+    seg, prev, out = padded[..., k:k + m].copy(), 0, None
+    for w in sorted({int(c) // 2 for c in row_cells if c}):
+        grow(k - w, w - prev)
+        grow(k + prev + 1, w - prev)
+        prev = w
+        if values.ndim == 1:  # the centre row alone
+            return seg
+        for d in np.flatnonzero(row_cells == 2 * w + 1):
+            piece = seg[d:d + values.shape[0]]
+            out = piece.copy() if out is None else op(out, piece, out=out)
     return out
-
-
-def _cube_counts(cells, mask):
-    """_ball_sums of the 2-D cube of cells x cells ones with the ball mask,
-    that is the ball's cells in each shifted cube: box sums read from a
-    summed-area table of the zero-padded ball, exact and linear in the
-    output."""
-    padded = np.pad(mask.astype(np.int64), cells - 1)
-    table = np.pad(padded.cumsum(0).cumsum(1), ((1, 0), (1, 0)))
-    c = cells
-    return table[c:, c:] - table[:-c, c:] - table[c:, :-c] + table[:-c, :-c]
 
 
 def ball_offset_count(n, t, h):
@@ -143,9 +158,11 @@ class _Windows:
 
 
 def _power_window_norms(f, mask, power):
-    """L^p norms of f on the ball of every outer point: a direct (not FFT)
-    full convolution of |f|^p, nonnegative terms, with the ball's cells."""
-    sums = _ball_sums(np.abs(f.values) ** power, mask)
+    """L^p norms of f on the ball of every outer point: ball_reduce's sums
+    of |f|^p, nonnegative terms, on the box dilated by the ball's half
+    width (the full convolution with the ball's cells)."""
+    k = mask.shape[-1] // 2
+    sums = ball_reduce(np.pad(np.abs(f.values) ** power, k), mask, np.add)
     return sums ** (1.0 / power) * f.cell_volume ** (1.0 / power)
 
 
@@ -168,7 +185,8 @@ def cube_indicator_slice_norm(p, side, h, n=1):
         counts = np.arange(1, min(w, cells) + 1)
         mult = np.append(np.full(counts.size - 1, 2), abs(w - cells) + 1)
     else:
-        windows = _cube_counts(cells, mask)
+        cube = np.ones((cells, cells), dtype=np.int64)
+        windows = ball_reduce(np.pad(cube, mask.shape[-1] // 2), mask, np.add)
         counts, mult = np.unique(windows[windows > 0], return_counts=True)
     vol = h ** n
     gauges = ball_indicator_gauge(p.phi, np.append(counts, w), vol)

@@ -4,8 +4,9 @@ NumPy replacements are checked against.
 Each function is the code the package ran before, on SciPy: the FFT
 convolution of kernels.convolve_same, the ball-footprint window max of
 maximal._window_max, the distance transform of atomic.whitney_decompose
-and the 2-D direct convolution of slice_norms._ball_sums (whose int64
-cube-indicator case is now slice_norms._cube_counts).
+and the direct convolution with the ball mask that the power-Phi slice
+norms and the 2-D cube-indicator counts took.  slice_norms.ball_reduce
+now gives the window maxima and the ball sums, in 1-D and 2-D.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ def edt(mask):
 
 
 def ball_sums(a, mask):
-    """Full direct convolution of a (2-D) with the ball mask, in a's dtype,
-    the sparser operand as the weights."""
+    """Full direct convolution of a (1-D or 2-D) with the ball mask, in a's
+    dtype, the sparser operand as the weights."""
     b = mask.astype(a.dtype)
     if np.count_nonzero(a) < np.count_nonzero(b):
         a, b = b, a

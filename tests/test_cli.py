@@ -603,26 +603,26 @@ def test_all_leaves_numpy_ma_unimported(config, tmp_path):
 
 
 #: runs `slicehardy all ARGS` with scipy unimportable, and prints how often
-#: each NumPy replacement of a SciPy routine ran and which scipy modules
-#: were loaded
+#: each NumPy replacement of a SciPy routine ran (ball_reduce by dimension,
+#: op and dtype) and which scipy modules were loaded
 _NO_SCIPY_RUN = """\
 import json, sys
 sys.modules["scipy"] = None
 from slicehardy import atomic, kernels, maximal, slice_norms
 from slicehardy.cli import main
 hits = {}
-def count(module, name, key, when=lambda *args: True):
-    fn = getattr(module, name)
+def count(modules, name, key):
+    fn = getattr(modules[0], name)
     def counted(*args):
-        if when(*args):
-            hits[key] = hits.get(key, 0) + 1
+        k = key(*args)
+        hits[k] = hits.get(k, 0) + 1
         return fn(*args)
-    setattr(module, name, counted)
-count(kernels, "convolve_same", "fft")
-count(maximal, "_running_max", "window_max")
-count(atomic, "_edt", "edt")
-count(slice_norms, "_ball_sums", "power_2d", lambda a, mask: a.ndim == 2)
-count(slice_norms, "_cube_counts", "cube_counts")
+    for module in modules:
+        setattr(module, name, counted)
+count([kernels], "convolve_same", lambda *args: "fft")
+count([slice_norms, maximal], "ball_reduce", lambda values, mask, op:
+      f"ball_reduce {values.ndim}-D {op.__name__} {values.dtype}")
+count([atomic], "_edt", lambda *args: "edt")
 try:
     main(sys.argv[1:])
 except SystemExit as exc:
@@ -635,8 +635,9 @@ sys.exit(code)
 
 def test_all_runs_without_scipy_in_1d_and_2d(config_path, tmp_path):
     """With scipy unimportable, a small 1-D and a small 2-D run exit 0,
-    and between them reach every NumPy replacement: the FFT, the window
-    maxima, the distance transform, 2-D power-Phi sums and cube counts."""
+    and between them reach every NumPy replacement: the FFT, the distance
+    transform and ball_reduce's window maxima in 1-D and 2-D, power-Phi
+    sums in 1-D and 2-D and int64 cube counts."""
     grid2d = tmp_path / "grid2d.ini"
     grid2d.write_text("[grid]\nn = 2\nh = 0.125\n[slice]\nt = 0.5\n"
                       "[maximal]\nb = 5\nN = 6\nladder_depth = 2\n"
@@ -651,5 +652,7 @@ def test_all_runs_without_scipy_in_1d_and_2d(config_path, tmp_path):
         assert record["scipy"] == []
         for key, count in record["hits"].items():
             hits[key] = hits.get(key, 0) + count
-    assert set(hits) == {"fft", "window_max", "edt", "power_2d",
-                         "cube_counts"}
+    assert set(hits) == {"fft", "edt"} | {
+        f"ball_reduce {n}-D {op} {dtype}" for n, op, dtype in
+        [(1, "maximum", "float64"), (2, "maximum", "float64"),
+         (1, "add", "float64"), (2, "add", "float64"), (2, "add", "int64")]}

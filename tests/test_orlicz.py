@@ -636,13 +636,15 @@ def test_gauge_rows_reject_nonfinite_samples(bad, windows):
 
 
 def test_gauge_rows_with_an_overflowing_mass_are_no_invalid_data():
-    """A finite row whose L^1 mass overflows is no non-finite sample: the
-    other rows keep their gauges."""
+    """A finite row whose L^1 mass overflows is no non-finite sample: its
+    gauge is finite, 100 times that of the row scaled by 1/100, with no
+    NumPy warning, and the other rows keep their gauges."""
     rows = np.array([[1e308, 1e308], [0.5, 2.0]])
     phi = orlicz.log_damped()
-    with np.errstate(all="ignore"):
-        got = orlicz.luxemburg_norm_rows(phi, rows, 0.5)
-    assert got[1] == orlicz.luxemburg_norm_rows(phi, rows[1:], 0.5)[0]
+    got = orlicz.luxemburg_norm_rows(phi, rows, 2.0 ** -8)
+    scaled = orlicz.luxemburg_norm_rows(phi, rows[:1] / 100, 2.0 ** -8)[0]
+    assert got[0] == pytest.approx(100 * scaled, rel=1e-12)
+    assert got[1] == orlicz.luxemburg_norm_rows(phi, rows[1:], 2.0 ** -8)[0]
 
 
 @pytest.mark.parametrize("m", [0, 1, 9])

@@ -1,5 +1,6 @@
 """Slice norms, the amalgam sum norm, and the maximal-operator checks."""
 
+import math
 import tracemalloc
 from itertools import product
 from unittest.mock import patch
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import ndimage
 
 import gauge_reference
 import scipy_reference
@@ -17,9 +19,9 @@ from slicehardy import orlicz
 from slicehardy.errors import InvalidDataError, PreconditionError, \
     ResolutionError
 from slicehardy.grid import Cube, GridFunction
-from slicehardy.slice_norms import SliceParams, _ball_sums, _cube_counts, \
-    _power_window_norms, _Windows, ball_indicator_gauge, \
-    ball_indicator_ratio, ball_mask, ball_offset_count, \
+from slicehardy.slice_norms import SliceParams, _power_window_norms, \
+    _Windows, ball_indicator_gauge, ball_indicator_ratio, ball_mask, \
+    ball_offset_count, ball_reduce, \
     cube_indicator_slice_norm, fefferman_stein_check, hl_maximal, \
     reverse_superadditivity_check, slice_norm, star_norm
 
@@ -87,24 +89,30 @@ def test_power_window_norms_match_window_matrix(n, h, t_values, power, rng):
             == pytest.approx(expected, rel=1e-12)
 
 
+def _full_sums(a, mask):
+    """The full convolution of a with the ball mask: ball_reduce's sums
+    on a padded by the ball's half width."""
+    return ball_reduce(np.pad(a, mask.shape[-1] // 2), mask, np.add)
+
+
 @pytest.mark.parametrize("k", [7, 15, 31])
 def test_ball_sums_2d_match_convolve2d(k, rng):
-    """The 2-D direct convolution against the SciPy routine it replaces:
-    exact, in int64, on integer input; within 1e-14 of the maximum on
-    lognormal squared fields, on 15², 31² and 63² disks.  Some inputs
-    have fewer cells than the disk, and some have even sides."""
+    """The 2-D ball sums against the SciPy direct convolution: exact, in
+    int64, on integer input; within 1e-14 of the maximum on lognormal
+    squared fields, on 15², 31² and 63² disks.  Some inputs have fewer
+    cells than the disk, and some have even sides."""
     from scipy.signal import convolve2d
 
     mask = ball_mask((k + 1) * 2.0 ** -5, 2.0 ** -5, 2)
     assert mask.shape == (2 * k + 1,) * 2
     for ints in (rng.integers(0, 5, (128, 128)), rng.integers(0, 5, (3, 4)),
                  np.ones((40, 40), dtype=np.int64)):
-        got = _ball_sums(ints, mask)
+        got = _full_sums(ints, mask)
         assert got.dtype == np.int64
         assert np.array_equal(got, convolve2d(ints, mask.astype(np.int64)))
     for shape in ((128, 128), (5, 6)):
         vals = rng.lognormal(size=shape) ** 2
-        got = _ball_sums(vals, mask)
+        got = _full_sums(vals, mask)
         ref = convolve2d(vals, mask.astype(float))
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-14 * ref.max()
@@ -113,15 +121,15 @@ def test_ball_sums_2d_match_convolve2d(k, rng):
 @settings(max_examples=60, deadline=None)
 @given(cells=st.integers(1, 64), k=st.integers(0, 31))
 def test_cube_counts_are_the_ndimage_counts(cells, k):
-    """The summed-area box sums against ndimage.convolve of the int64 cube
-    indicator, for cubes of 1 to 64 cells and disks 1 to 63 cells
-    across."""
+    """The int64 ball sums of the cube indicator, as the 2-D
+    cube-indicator slice norm takes them, against ndimage.convolve, for
+    cubes of 1 to 64 cells and disks 1 to 63 cells across."""
     mask = ball_mask((k + 0.5) * 2.0 ** -4, 2.0 ** -4, 2)
     assert mask.shape == (2 * k + 1,) * 2
-    got = _cube_counts(cells, mask)
+    cube = np.ones((cells, cells), dtype=np.int64)
+    got = _full_sums(cube, mask)
     assert got.dtype == np.int64
-    assert np.array_equal(got, scipy_reference.ball_sums(
-        np.ones((cells, cells), dtype=np.int64), mask))
+    assert np.array_equal(got, scipy_reference.ball_sums(cube, mask))
 
 
 @settings(max_examples=60, deadline=None)
@@ -129,17 +137,89 @@ def test_cube_counts_are_the_ndimage_counts(cells, k):
        k=st.integers(0, 31), power=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
        fill=st.sampled_from([0.002, 0.05, 0.5, 1.0]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_power_ball_sums_2d_are_ndimage_bit_for_bit(shape, k, power, fill,
-                                                    seed):
-    """The shifted sums over the sparser operand against ndimage.convolve,
-    which adds the same products in the same order: the same bits, with
-    the field or the disk as the sparser operand."""
+def test_power_ball_sums_2d_match_ndimage(shape, k, power, fill, seed):
+    """The 2-D ball sums of |x|^p against ndimage.convolve, on sparse and
+    dense fields: zero exactly where ndimage's are, and within 1e-13
+    relative elsewhere (the terms are added in another order)."""
     rng = np.random.default_rng(seed)
     vals = np.abs(rng.normal(size=shape)) ** power * (rng.random(shape)
                                                       < fill)
     mask = ball_mask((k + 0.5) * 2.0 ** -4, 2.0 ** -4, 2)
-    assert np.array_equal(_ball_sums(vals, mask),
-                          scipy_reference.ball_sums(vals, mask))
+    got, ref = _full_sums(vals, mask), scipy_reference.ball_sums(vals, mask)
+    assert np.array_equal(got == 0, ref == 0)
+    assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
+def _fsum_ball_sums(vals, mask):
+    """Same-mode ball sums, each cell's by math.fsum (correctly rounded)
+    over its window of the zero-padded field."""
+    k = mask.shape[-1] // 2
+    padded = np.pad(vals, k)
+    out = np.empty(vals.shape)
+    for ix in np.ndindex(vals.shape):
+        window = padded[tuple(slice(i, i + 2 * k + 1) for i in ix)]
+        out[ix] = math.fsum(window[mask])
+    return out
+
+
+@st.composite
+def ball_fields(draw):
+    """(n, k, shape, seed): a 1-D or 2-D box, some boxes narrower than the
+    ball, single rows and single columns among them, and a disk of
+    half width 0 to 31 cells."""
+    n, k = draw(st.sampled_from([1, 2])), draw(st.integers(0, 31))
+    side = st.one_of(st.just(1), st.integers(1, 2 * k + 1),
+                     st.integers(1, 24))
+    shape = tuple(draw(side) for _ in range(n))
+    return n, k, shape, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=ball_fields(), fill=st.sampled_from([0.05, 0.5, 1.0]),
+       span=st.sampled_from([0.0, 5.0, 50.0]))
+def test_ball_reduce_sums_counts_and_maxima(field, fill, span):
+    """ball_reduce against its references, in 1-D and 2-D: float sums of
+    nonnegative fields with a dynamic range up to e^50 within 1e-14
+    relative of math.fsum, zero exactly where fsum's are; int64 sums
+    equal to ndimage.convolve's; maxima of signed fields equal to
+    ndimage.maximum_filter's, bit for bit."""
+    n, k, shape, seed = field
+    rng = np.random.default_rng(seed)
+    mask = ball_mask((k + 0.5) * 2.0 ** -4, 2.0 ** -4, n)
+    assert mask.shape == (2 * k + 1,) * n
+    vals = np.exp(rng.uniform(-span, 0.0, shape)) * (rng.random(shape)
+                                                     < fill)
+    got, ref = ball_reduce(vals, mask, np.add), _fsum_ball_sums(vals, mask)
+    assert got.shape == shape
+    assert np.array_equal(got == 0, ref == 0)
+    assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
+    ints = rng.integers(0, 5, shape)
+    got = ball_reduce(ints, mask, np.add)
+    full = scipy_reference.ball_sums(ints, mask)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, full[tuple(slice(k, k + m) for m in shape)])
+    signed = rng.normal(size=shape)
+    assert np.array_equal(ball_reduce(signed, mask, np.maximum),
+                          ndimage.maximum_filter(signed, footprint=mask,
+                                                 mode="constant"))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ball_reduce_work_is_bounded_by_the_rows(n):
+    """ball_reduce makes at most 4k + bit_length(k) op calls in 2-D and
+    3 bit_length(k) + 1 in 1-D, for k up to 127: the work is cells times
+    the disk's rows, never cells times the disk's cells."""
+    for k in range(128):
+        calls = []
+
+        def op(a, b, out=None):
+            calls.append(1)
+            return np.add(a, b, out=out)
+
+        mask = ball_mask((k + 0.5) * 2.0 ** -4, 2.0 ** -4, n)
+        ball_reduce(np.ones((3,) * n), mask, op)
+        bound = 4 * k if n == 2 else 2 * k.bit_length() + 1
+        assert len(calls) <= bound + k.bit_length(), k
 
 
 @pytest.mark.parametrize("n,h,shape", [(1, 2.0 ** -7, (9000,)),
