@@ -22,11 +22,12 @@ from math import comb
 import numpy as np
 
 from .errors import ConstructionError, DecompositionRangeError, \
-    InvalidDataError, NoBoundaryError, PreconditionError, UnderdeterminedError
+    InvalidDataError, NoBoundaryError, PreconditionError, \
+    UnderdeterminedError, require_positive
 from .grid import Cube, GridFunction
-from .maximal import grand_maximal
+from .maximal import MaximalParams, grand_maximal
 from .reports import Report
-from .slice_norms import SliceParams, cube_indicator_norms, slice_norm
+from .slice_norms import SliceParams, slice_norm
 
 WHITNEY_DILATION = 9.0 / 8.0
 MAX_LEVELS = 40  # levels below the top that cz_decompose tries
@@ -74,21 +75,11 @@ class Polynomial:
                                    self.degree), self.coeffs)
 
 
-def _moment_fit(vals, w, pts, center, scale, d):
-    """(c, P(pts)) for P = sum_k c[k] u^alpha_k, u = (pts - center) /
-    scale, with sum w (vals - P) u^alpha = 0 for each alpha, from the Gram
-    matrix V^T W V of the monomials, one right-hand side per column of
-    vals; with fewer cells than monomials the minimum-norm solution
-    interpolates vals."""
-    V = _monomials(pts, center, scale, d)
-    if len(w) < V.shape[1]:
-        c = np.linalg.lstsq(V, vals, rcond=None)[0]
-    else:
-        try:
-            c = np.linalg.solve(V.T @ (V * w[:, None]), V.T @ (vals.T * w).T)
-        except np.linalg.LinAlgError as exc:
-            raise UnderdeterminedError("singular moment system") from exc
-    return c, _combine(V, c)
+def _unit_fit(pts, Q, d, vals):
+    """_fit of vals (a column per field) on the cells pts of cube Q at unit
+    weights, in the monomials scaled by Q's center and side."""
+    return _fit(_monomials(pts, Q.center, Q.side, d), np.ones(len(pts)),
+                np.array([len(pts)]), vals)
 
 
 def minimizing_polynomial(f, Q, d, box=None):
@@ -100,9 +91,8 @@ def minimizing_polynomial(f, Q, d, box=None):
     dim = comb(f.n + d, d)
     if vals.size < dim:
         raise UnderdeterminedError(f"cube holds {vals.size} cells, need {dim}")
-    return Polynomial(Q.center, Q.side, d, _moment_fit(
-        vals, np.ones(vals.size), f.centers(box).reshape(-1, f.n), Q.center,
-        Q.side, d)[0])
+    return Polynomial(Q.center, Q.side, d, _unit_fit(
+        f.centers(box).reshape(-1, f.n), Q, d, vals)[0][0])
 
 
 class _Windows:
@@ -155,11 +145,15 @@ class _Moments:
 
 
 def _fit(V, w, count, vals):
-    """(coeffs, values) of eta-weighted fits, fit i of the next count[i]
-    rows of vals, V (monomials) and w (weights): _moment_fit's bits, the
-    fits of as many cells stacked into one np.linalg.solve call."""
-    first = np.cumsum(count) - count
-    coeffs, values = np.empty((count.size, V.shape[1])), np.empty(len(vals))
+    """(coeffs, values) of weighted moment fits: fit i takes the next
+    count[i] rows of vals, V (monomials) and w (weights), and solves
+    sum w (vals - P) u^alpha = 0 for each alpha from the Gram matrix
+    V^T W V, one right-hand side per column of vals if it is 2-D.  The
+    fits of as many cells are stacked into one np.linalg.solve call; with
+    fewer cells than monomials the minimum-norm solution interpolates."""
+    first, cols = np.cumsum(count) - count, vals.shape[1:]
+    coeffs = np.empty((count.size, V.shape[1]) + cols)
+    values = np.empty(vals.shape)
     for c in np.flatnonzero(np.bincount(count)).tolist():
         sel = np.flatnonzero(count == c)
         e = first[sel, None] + np.arange(c)
@@ -172,11 +166,13 @@ def _fit(V, w, count, vals):
             try:
                 coeffs[sel] = np.linalg.solve(
                     np.matmul(Vt, Ve * we[..., None]),
-                    np.matmul(Vt, (y * we)[..., None]))[..., 0]
+                    np.matmul(Vt, y.reshape(sel.size, c, -1) * we[..., None])
+                ).reshape((sel.size, V.shape[1]) + cols)
             except np.linalg.LinAlgError as exc:
                 raise UnderdeterminedError("singular moment system") \
                     from exc
-        values[e] = sum(Ve[..., k] * coeffs[sel, k, None]
+        Vx = Ve.reshape(Ve.shape + (1,) * len(cols))
+        values[e] = sum(Vx[:, :, k] * coeffs[sel, k, None]
                         for k in range(V.shape[1]))
     return coeffs, values
 
@@ -337,6 +333,10 @@ class CZParams:
     def __post_init__(self):
         if not self.r > 0:
             raise PreconditionError(f"size exponent r must be > 0: {self.r}")
+        require_positive(c0=self.c0)
+        if not 0 <= self.tol_moment < np.inf:
+            raise PreconditionError(f"tol_moment must be finite and "
+                                    f"nonnegative: {self.tol_moment}")
 
     def require_degree(self, n):
         pmin = min(self.slice_params.phi.p_minus, self.slice_params.q, 1.0)
@@ -490,7 +490,7 @@ def _moment_slack(g, cube, d):
     return worst
 
 
-def _level_atoms(f, cubes, pieces, j, params, norm_1q):
+def _level_atoms(f, cubes, pieces, j, params):
     """Each nonzero piece (keep, wins, A) of level j, cropped to its
     nonzero cells, as a scaled atom on an enlarged cube."""
     keep, wins, A = pieces
@@ -509,19 +509,20 @@ def _level_atoms(f, cubes, pieces, j, params, norm_1q):
         if side < 1.0 and _moment_slack(piece, Cube(Q.center, side),
                                         params.d) > params.tol_moment:
             side = max(1.0, need_i)
-        lam = max(params.c0, sup / 2.0 ** j) * 2.0 ** j * norm_1q(side)
+        lam = max(params.c0, sup / 2.0 ** j) * 2.0 ** j \
+            * params.slice_params.cube_norm(side, f.h, f.n)
         out.append(Atom(cube=Cube(Q.center, side), values=piece / lam,
                         r=params.r, degree=params.d, level=j,
                         index=int(keep[i]), lam=lam))
     return out
 
 
-def cz_decompose(f, params, norm_1q=None):
+def cz_decompose(f, params):
     """Decompose f into local atoms along dyadic maximal-function levels,
     from the top threshold down to the first level whose superlevel set
     swallows the support box dilated to unit size; the remainder below it
-    becomes unit-cube atoms.  norm_1q, if given, is
-    cube_indicator_norms(params.slice_params, f.h, f.n), shared by a run."""
+    becomes unit-cube atoms.  Atom scales take their cube norms from
+    params.slice_params.cube_norm."""
     params.require_degree(f.n)
     if not np.all(np.isfinite(f.values)):
         raise InvalidDataError("non-finite sample in f")
@@ -541,16 +542,12 @@ def cz_decompose(f, params, norm_1q=None):
             f"{float(m.values[target].min()):.3e})")
 
     fb = f.embed(m.origin, m.extents)
-    entries = []
-    if norm_1q is None:
-        norm_1q = cube_indicator_norms(params.slice_params, fb.h, fb.n)
-    nxt = None
+    entries, nxt = [], None
     for j in range(j_hi, j_lo - 1, -1):
         nxt, pieces = _level(fb, m, j, params, nxt)
-        entries.extend(_level_atoms(fb, nxt["cubes"], pieces, j, params,
-                                    norm_1q))
+        entries.extend(_level_atoms(fb, nxt["cubes"], pieces, j, params))
     g_res = fb.values - nxt["b_sum"].reshape(fb.extents)
-    entries.extend(_residual_atoms(g_res, fb, j_lo, params, norm_1q))
+    entries.extend(_residual_atoms(g_res, fb, j_lo, params))
     K = max((a.lam * a.values.max_abs() / 2.0 ** a.level for a in entries),
             default=0.0)
     return Decomposition(entries, j_lo, j_hi, zero, params,
@@ -569,7 +566,7 @@ def _unit_dilated_support_mask(f, m):
         indexing="ij"))
 
 
-def _residual_atoms(values, grid, j_lo, params, norm_1q):
+def _residual_atoms(values, grid, j_lo, params):
     """Package the sub-threshold remainder as unit-cube atoms."""
     full = GridFunction(grid.origin, grid.h, values, check=False)
     cubes = full.unit_cubes()
@@ -579,7 +576,7 @@ def _residual_atoms(values, grid, j_lo, params, norm_1q):
     out = []
     for i, piece, sup in _crops(grid, wins, values.ravel()[
             np.ravel_multi_index(tuple(wins.cells.T), grid.extents)]):
-        lam = sup * norm_1q(1.0)
+        lam = sup * params.slice_params.cube_norm(1.0, grid.h, grid.n)
         out.append(Atom(cube=cubes[i], values=piece / lam, r=params.r,
                         degree=params.d, level=j_lo, index=len(out),
                         lam=lam))
@@ -603,20 +600,16 @@ def reconstruct(dec):
     return GridFunction(lo, dec.residual.h, total, check=False)
 
 
-def validate_atom(atom, slice_params, tol_moment=1e-8, norm_1q=None):
+def validate_atom(atom, slice_params, tol_moment=1e-8):
     """Check support, size and (small cubes) moment conditions of an atom:
-    violations are report rows (value, bound, ok), not errors.  norm_1q,
-    if given, is cube_indicator_norms(slice_params, h, n) on the atom's
-    grid, shared by the atoms of a run."""
+    violations are report rows (value, bound, ok), not errors."""
     report = Report("atom_validation",
                     ["check", "measured", "bound", "ok"])
     g = atom.values
     outside = g.values[~g.cell_mask(atom.cube)]
     support_err = float(np.abs(outside).max(initial=0.0))
     report.add("support", support_err, 0.0, support_err == 0.0)
-    if norm_1q is None:
-        norm_1q = cube_indicator_norms(slice_params, g.h, g.n)
-    cube_norm = norm_1q(atom.cube.side)
+    cube_norm = slice_params.cube_norm(atom.cube.side, g.h, g.n)
     if np.isinf(atom.r):
         size = g.max_abs()
         bound = 1.0 / cube_norm
@@ -633,11 +626,10 @@ def validate_atom(atom, slice_params, tol_moment=1e-8, norm_1q=None):
     return report
 
 
-def atomic_quasinorm(dec, s, norm_1q=None):
+def atomic_quasinorm(dec, s):
     """Slice norm of the s-aggregated cube envelope of the decomposition:
     the atomic quasi-norm's functional for this decomposition, an upper
-    bound for the infimum over all.  norm_1q, if given, is
-    cube_indicator_norms of its slice parameters on its atoms' grid."""
+    bound for the infimum over all."""
     sp = dec.params.slice_params
     s_cap = min(sp.phi.p_minus, sp.q, 1.0)
     if not 0 < s < s_cap:
@@ -648,10 +640,9 @@ def atomic_quasinorm(dec, s, norm_1q=None):
     first = dec.entries[0].values
     origin, ext = first.covering_box([a.cube for a in dec.entries])
     acc = GridFunction(origin, first.h, np.zeros(ext), check=False)
-    if norm_1q is None:
-        norm_1q = cube_indicator_norms(sp, acc.h, acc.n)
     for atom, box in zip(dec.entries,
                          acc.cube_boxes([a.cube for a in dec.entries])):
-        acc.values[box] += (atom.lam / norm_1q(atom.cube.side)) ** s
+        acc.values[box] += (atom.lam / sp.cube_norm(atom.cube.side, acc.h,
+                                                    acc.n)) ** s
     env = GridFunction(origin, acc.h, acc.values ** (1.0 / s), check=False)
     return slice_norm(env, sp)

@@ -6,22 +6,25 @@ The pairing bound against atoms is exact in quadrature whenever the
 atoms' cubes belong to the sweep, which pairing_bound_check enforces.
 
 One pass serves a stack of fields on one zero-padded box: each cube's
-box, fit (the mean, else `_moment_fit`) and r-means are taken once for
-all fields.  A cube's value does not depend on the rest of the sweep,
-so each branch's supremum over sweep + atom cubes is max(base, atoms).
+box, fit (the mean, else one `atomic._fit` with a right-hand side per
+field) and r-means are taken once for all fields, and its indicator norm
+comes from the slice parameters' memo (`SliceParams.cube_norm`).  A
+cube's value does not depend on the rest of the sweep, so each branch's
+supremum over sweep + atom cubes is max(base, atoms).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
-from .atomic import _moment_fit
+from .atomic import _unit_fit
 from .errors import PreconditionError
 from .grid import Cube, GridFunction
 from .reports import Report
-from .slice_norms import SliceParams, cube_indicator_norms
+from .slice_norms import SliceParams
 
 
 @dataclass
@@ -36,6 +39,9 @@ class CampanatoParams:
     def __post_init__(self):
         if not self.r >= 1:
             raise PreconditionError("oscillation exponent r must be >= 1")
+        if not (isinstance(self.d, Integral) and self.d >= 0):
+            raise PreconditionError(
+                f"degree d must be a nonnegative integer: {self.d!r}")
 
 
 def cube_sweep(side_exponents, centers, n=1):
@@ -62,20 +68,20 @@ def _sweep(frame, stack, cubes, d, r):
         if Q.side < 1.0 and d == 0:
             vals = vals - vals.mean(axis=1, keepdims=True)
         elif Q.side < 1.0:
-            pts = frame.centers(box).reshape(-1, frame.n)
-            vals = vals - _moment_fit(vals.T, np.ones(len(pts)), pts,
-                                      Q.center, Q.side, d)[1].T
+            vals = vals - _unit_fit(frame.centers(box).reshape(-1, frame.n),
+                                    Q, d, vals.T)[1].T
         vals = np.abs(vals)
         yield Q, vals.max(axis=1) if np.isinf(r) \
             else (vals ** r).mean(axis=1) ** (1.0 / r)
 
 
-def _branches(frame, stack, cubes, p, norm_1q):
+def _branches(frame, stack, cubes, p):
     """Sweep maxima of |Q| / ||1_Q|| r-mean, per branch (row) and field."""
     out = np.zeros((2, len(stack)))
     for Q, means in _sweep(frame, stack, cubes, p.d, p.r):
         row = out[int(Q.side >= 1.0)]
-        np.maximum(row, Q.volume / norm_1q(Q.side) * means, out=row)
+        norm = p.slice_params.cube_norm(Q.side, frame.h, frame.n)
+        np.maximum(row, Q.volume / norm * means, out=row)
     return out
 
 
@@ -85,11 +91,10 @@ def campanato_local_norm(g, p):
     Small cubes (side < 1) measure normalized mean oscillation against
     the minimizing polynomial; large cubes measure normalized mean size.
     The normalization |Q| / ||1_Q|| uses the closed-form slice norm of
-    the cube indicator, memoized by side for this call only.
+    the cube indicator (SliceParams.cube_norm).
     """
     frame, stack = _stack([g], p.sweep)
-    norm_1q = cube_indicator_norms(p.slice_params, g.h, g.n)
-    return float(_branches(frame, stack, p.sweep, p, norm_1q).sum())
+    return float(_branches(frame, stack, p.sweep, p).sum())
 
 
 _BMO_VARIANTS = ("bmo", "bmo_phi", "bmo_log")
@@ -163,21 +168,16 @@ def pairing_bound_check(dec, g, p, slack=0.01):
     return report
 
 
-def pairing_bounds(decs, fields, p, norm_1q=None):
+def pairing_bounds(decs, fields, p):
     """(norms, pairings, ratios) per dec, from one pass over the fields:
     each field's (column's) norm over the sweep and dec's atom cubes, and
-    <a, g> and |<a, g>| / norm per atom a (row), where 0 / 0 is 0.
-    norm_1q, if given, is cube_indicator_norms(p.slice_params, h, n) on
-    the fields' grid, shared by a run."""
+    <a, g> and |<a, g>| / norm per atom a (row), where 0 / 0 is 0."""
     atom_cubes = [[a.cube for a in dec.entries] for dec in decs]
     frame, stack = _stack(fields, list(p.sweep) + sum(atom_cubes, []))
-    if norm_1q is None:
-        norm_1q = cube_indicator_norms(p.slice_params, frame.h, frame.n)
-    base = _branches(frame, stack, p.sweep, p, norm_1q)
+    base = _branches(frame, stack, p.sweep, p)
     out = []
     for dec, cubes in zip(decs, atom_cubes):
-        norms = np.maximum(base, _branches(frame, stack, cubes, p,
-                                           norm_1q)).sum(axis=0)
+        norms = np.maximum(base, _branches(frame, stack, cubes, p)).sum(axis=0)
         pairs = np.array([_pairings(a.values, frame, stack)
                           for a in dec.entries]).reshape(-1, len(stack))
         with np.errstate(divide="ignore"):  # a pairing over a zero norm

@@ -29,56 +29,39 @@ from .families import generate_family
 from .grid import GridFunction
 from .maximal import maximal_equivalence_report
 from .reports import Report
-from .slice_norms import ball_indicator_ratio, cube_indicator_norms, \
-    fefferman_stein_check, slice_norm, star_norm
+from .slice_norms import ball_indicator_ratio, fefferman_stein_check, \
+    slice_norm, star_norm
 
 
 class Run:
-    """One run: the config, the seed, the family, the maximal parameters
-    (the run's one kernel dictionary) and the state its checks share.
-    Each member's CZ decomposition and Peetre field is computed by
-    whichever check asks first, so the order of the checks changes no
-    result.  cube_norm(side) is the slice norm of a cube indicator, once
-    per cube size in cells."""
+    """One run: the config, the seed, the family and the parameters its
+    checks share: one MaximalParams (the run's one kernel dictionary,
+    which keeps each Peetre field) and one SliceParams (which keeps each
+    cube-indicator norm), the latter that of the run's CZParams.  Each
+    member's CZ decomposition is computed by whichever check asks first,
+    so the order of the checks changes no result."""
 
     def __init__(self, cfg, seed):
         self.cfg = cfg
         self.seed = seed
         self.family = cfg.family(seed)
         self.maximal = cfg.maximal_params()
-        self.cube_norm = cube_indicator_norms(cfg.slice_params(), cfg.h,
-                                              cfg.n)
+        self.cz_params = cfg.cz_params(self.maximal)
+        self.slice_params = self.cz_params.slice_params
         self._decompositions = None
-        self._peetre = {}
 
     def decompositions(self):
         """(member, decomposition) for every nonzero member."""
         if self._decompositions is None:
-            params = self.cfg.cz_params(self.maximal)
-            self._decompositions = [(f, cz_decompose(f, params,
-                                                     self.cube_norm))
+            self._decompositions = [(f, cz_decompose(f, self.cz_params))
                                     for f in self.family if f.max_abs() != 0]
         return self._decompositions
-
-    def peetre(self, f):
-        """f's Peetre field (MaximalParams.peetre_field), computed once per
-        sample array: the key is f's values, never its identity, so a
-        whole-cell translate shares the read-only values, placed on its
-        own padded grid as GridFunction.pad places them."""
-        key = f.h, f.values.shape, f.values.tobytes()
-        values = self._peetre.get(key)
-        if values is None:
-            values = self.maximal.peetre_field(f).values
-            values.flags.writeable = False
-            self._peetre[key] = values
-        pad = self.maximal.pad_cells(f.h)
-        return GridFunction(f.origin - pad * f.h, f.h, values, check=False)
 
 
 def _check_norms(run, summary):
     cfg = run.cfg
-    phi = cfg.phi()
-    sp = cfg.slice_params()
+    sp = run.slice_params
+    phi = sp.phi
     report = Report("norms", ["index", "luxemburg", "slice", "star", "lp"])
     for i, f in enumerate(run.family):
         report.add(i, orlicz.luxemburg_norm(phi, f), slice_norm(f, sp),
@@ -90,8 +73,8 @@ def _check_norms(run, summary):
 def _check_maximal_equivalence(run, summary):
     cfg = run.cfg
     report = maximal_equivalence_report(
-        run.family, run.maximal, cfg.phi(), cfg.q,
-        [cfg.t / 2, cfg.t, 2 * cfg.t], peetre=run.peetre)
+        run.family, run.maximal, run.slice_params.phi, cfg.q,
+        [cfg.t / 2, cfg.t, 2 * cfg.t])
     summary.update(report.summary)
     return report, bool(report.summary.get("chain_all_ok"))
 
@@ -104,8 +87,8 @@ def _check_cz_roundtrip(run, summary):
         rec = reconstruct(dec)
         fe = f.embed(rec.origin, rec.extents)
         err = float(np.abs(rec.values - fe.values).max()) / f.max_abs()
-        aq = atomic_quasinorm(dec, cfg.s, run.cube_norm)
-        hq = slice_norm(run.peetre(f), cfg.slice_params())
+        aq = atomic_quasinorm(dec, cfg.s)
+        hq = slice_norm(run.maximal.peetre_field(f), run.slice_params)
         report.add(i, len(dec.entries), err, aq / hq if hq > 0 else 0.0)
     errs = report.column("rel_sup_error")
     summary["max_rel_error"] = max(errs) if errs else 0.0
@@ -117,11 +100,10 @@ def _check_atom_validation(run, summary):
     report = Report("atom_validation",
                     ["index", "level", "atom", "check", "measured", "bound",
                      "ok"])
-    sp = cfg.slice_params()
     all_ok = True
     for i, (_, dec) in enumerate(run.decompositions()):
         for atom in dec.entries:
-            rep = validate_atom(atom, sp, cfg.tol_moment, run.cube_norm)
+            rep = validate_atom(atom, run.slice_params, cfg.tol_moment)
             for check, measured, bound, ok in rep.rows:
                 report.add(i, atom.level, atom.index, check, measured,
                            bound, ok)
@@ -133,13 +115,13 @@ def _check_duality(run, summary):
     cfg = run.cfg
     report = Report("duality",
                     ["index", "field", "campanato_norm", "max_ratio"])
-    cp = CampanatoParams(cfg.slice_params(), r=1.0, d=cfg.d,
+    cp = CampanatoParams(run.slice_params, r=1.0, d=cfg.d,
                          sweep=cfg.sweep_cubes())
     spec = "bursts:count=10" if cfg.n == 1 else "bumps:count=10"
     fields = generate_family(spec, run.seed + 1, cfg.h, cfg.n)
     decs = [dec for _, dec in run.decompositions()]
     for i, (norms, _, ratios) in enumerate(
-            pairing_bounds(decs, fields, cp, run.cube_norm)):
+            pairing_bounds(decs, fields, cp)):
         for jg, worst in enumerate(ratios.max(axis=0, initial=0.0)):
             report.add(i, jg, float(norms[jg]), float(worst))
     summary["max_ratio"] = max(report.column("max_ratio"), default=0.0)
@@ -153,7 +135,7 @@ def _check_embeddings(run, summary):
         family = family + generate_family("translates:R=0,4,16,64",
                                           run.seed, cfg.h, cfg.n)
     rep1 = star_to_muslog_check(family)
-    rep2 = hardy_embedding_check(family, run.maximal, run.peetre)
+    rep2 = hardy_embedding_check(family, run.maximal)
     summary["lebesgue_fitted_C"] = rep1.summary["fitted_C"]
     summary["modular_fitted_C"] = rep1.summary["fitted_C_modular"]
     summary["hardy_fitted_C"] = rep2.summary["fitted_C"]
@@ -177,7 +159,7 @@ def _check_lemma888(run, summary):
 
 def _check_fefferman_stein(run, summary):
     cfg = run.cfg
-    report = fefferman_stein_check(run.family, 2.0, cfg.slice_params(),
+    report = fefferman_stein_check(run.family, 2.0, run.slice_params,
                                    [cfg.t / 2, cfg.t, 2 * cfg.t])
     summary.update(report.summary)
     return report, np.isfinite(report.summary.get("max_ratio", np.inf))

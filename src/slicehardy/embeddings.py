@@ -41,14 +41,13 @@ def star_to_muslog_check(family):
     return report
 
 
-def hardy_embedding_check(family, params, peetre=None):
+def hardy_embedding_check(family, params):
     """One-sided fitted constant for the Hardy-space inclusion.
 
     Computes the Musielak-type Hardy quasi-norm and the amalgam-type one
     from one Peetre maximal function for every member, and reports the
     fitted max ratio of the former to the latter; the reverse direction
-    is never asserted.  peetre, if given, maps a member to its Peetre
-    field (params.peetre_field of it), computed earlier.
+    is never asserted.  The Peetre field is params.peetre_field(f).
     """
     n = family[0].n if family else 1
     if params.b <= 2 * n:
@@ -61,7 +60,7 @@ def hardy_embedding_check(family, params, peetre=None):
     for i, f in enumerate(family):
         if f.max_abs() == 0:
             continue
-        m = peetre(f) if peetre else params.peetre_field(f)
+        m = params.peetre_field(f)
         h_star = star_norm(m, phi)
         h_log = orlicz.musielak_norm(theta, m)
         report.add(i, h_star, h_log, h_log / h_star)

@@ -8,7 +8,7 @@ dyadic scales, which preserves the equivalence bands the reports fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -27,7 +27,7 @@ DEFAULT_EPS_CUT = 1e-6
 PAD_FACTOR = 4.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaximalParams:
     """Kernel dictionary, aperture and Peetre exponent; the grand order N
     and the scale ladder are the dictionary's."""
@@ -54,12 +54,26 @@ class MaximalParams:
                 f"Peetre exponent b={self.b} must exceed "
                 f"2n/min(p_minus, q) = {2 * n / min(p_minus, q)}")
 
+    @cached_property
+    def _peetre(self):
+        return {}
+
     def peetre_field(self, f):
         """The Peetre maximal function of f that maximal_fields and the
         Hardy quasi-norms use: phi, b, ladder and eps_cut on the shared
-        pad."""
-        return peetre_maximal(f, self.dictionary.phi, self.b, self.ladder,
-                              self.eps_cut, self.pad_cells(f.h))
+        pad, computed once per sample array for as long as these
+        parameters live.  The key is f's values, never its identity, so a
+        whole-cell translate shares the read-only values, placed on its
+        own padded grid as GridFunction.pad places them."""
+        pad = self.pad_cells(f.h)
+        key = f.h, f.values.shape, f.values.tobytes()
+        values = self._peetre.get(key)
+        if values is None:
+            values = peetre_maximal(f, self.dictionary.phi, self.b,
+                                    self.ladder, self.eps_cut, pad).values
+            values.flags.writeable = False
+            self._peetre[key] = values
+        return GridFunction(f.origin - pad * f.h, f.h, values, check=False)
 
     def require_grand_comparison(self):
         if self.N < int(np.floor(self.b + 1)):
@@ -255,26 +269,19 @@ def grand_maximal(f, dictionary, ladder=None, pad_cells=None):
 _FIVE = ("radial", "nontangential", "grand", "peetre", "grand_peetre")
 
 
-def maximal_fields(f, params, peetre=None):
+def maximal_fields(f, params):
     """The five maximal functions of f on one padded grid, each bit for
     bit the one its own function gives at that pad.
 
     Each dictionary kernel is convolved once per scale: |f * phi_s|, phi
     being the first kernel, feeds the radial and nontangential fields,
     its max with the other kernels the two grand ones.  The Peetre field
-    is peetre, f's params.peetre_field computed earlier, if given, and
-    params.peetre_field(f) otherwise.  The grand one dominates it at every
-    scale (rounding is monotone), so the grand sweeps start from it.
+    is params.peetre_field(f).  The grand one dominates it at every scale
+    (rounding is monotone), so the grand sweeps start from it.
     """
-    pad = params.pad_cells(f.h)
-    if peetre is None:
-        peetre = params.peetre_field(f)
-    elif peetre.extents != tuple(m + 2 * pad for m in f.extents) \
-            or not np.array_equal(peetre.origin, f.origin - pad * f.h):
-        raise PreconditionError(
-            "the precomputed Peetre field is not on f's padded grid")
+    peetre = params.peetre_field(f)
     fields = _scale_max(
-        f, list(params.dictionary), params.ladder, pad,
+        f, list(params.dictionary), params.ladder, params.pad_cells(f.h),
         {"radial": (partial(_window_max, a=0.0), False),
          "nontangential": (partial(_window_max, a=params.a), False),
          "grand": (partial(_window_max, a=1.0), True),
@@ -296,14 +303,12 @@ def pointwise_chain_ok(fields, a, b):
     return bool(ok1 and ok2)
 
 
-def maximal_equivalence_report(family, params, phi, q, t_values,
-                               peetre=None):
+def maximal_equivalence_report(family, params, phi, q, t_values):
     """All pairwise quasi-norm ratios of the five maximal functions.
 
     Hypotheses (N >= floor(b+1), b large enough) are rejected up front;
     the fitted bands are empirical, as the equivalence constants are
-    existential.  peetre, if given, maps a member to its Peetre field
-    (params.peetre_field of it), computed earlier.
+    existential.
     """
     params.require_grand_comparison()
     report = Report("maximal_equivalence",
@@ -314,7 +319,7 @@ def maximal_equivalence_report(family, params, phi, q, t_values,
     for i, f in enumerate(family):
         if f.max_abs() == 0:
             continue
-        five = maximal_fields(f, params, peetre(f) if peetre else None)
+        five = maximal_fields(f, params)
         chain = pointwise_chain_ok(five, params.a, params.b)
         for t in t_values:
             sp = SliceParams(t, q, phi)

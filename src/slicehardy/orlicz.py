@@ -8,8 +8,8 @@ for a Musielak one).  The gauges, the Musielak gauge and the inverse of
 Phi all call that solver.  The gauges of many rows are warm started:
 every 8th row is solved first, and the others start from those rows'
 gauge-to-mass ratios, interpolated along the row order.  Power
-functionals take a closed-form shortcut (the gauge is the plain L^p
-quadrature norm).
+functionals take the closed form in luxemburg_norm_rows (the gauge is
+the plain L^p quadrature norm).
 """
 
 from __future__ import annotations
@@ -161,7 +161,12 @@ def musielak_log():
 def from_tag(tag):
     """Resolve a string tag: "power:p" or "log_damped"."""
     if tag.startswith("power:"):
-        return power(float(tag.split(":", 1)[1]))
+        try:
+            p = float(tag.split(":", 1)[1])
+        except ValueError as exc:
+            raise PreconditionError(
+                f"power exponent of {tag!r} is not a number") from exc
+        return power(p)
     if tag == "log_damped":
         return log_damped()
     raise PreconditionError(f"unknown functional tag {tag!r}")
@@ -234,8 +239,6 @@ def luxemburg_norm(phi, f, tol=DEFAULT_TOL):
     """Luxemburg gauge of f in the Orlicz space of phi."""
     if not np.all(np.isfinite(f.values)):
         raise InvalidDataError("non-finite sample in f")
-    if phi.power_exponent is not None:
-        return f.lp_norm(phi.power_exponent)
     return float(luxemburg_norm_rows(phi, f.values.reshape(1, -1),
                                      f.cell_volume, tol)[0])
 
@@ -297,9 +300,14 @@ def luxemburg_norm_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
     least one row) per evaluation.  A row's cold start is its L^1 mass,
     an upper bound of the gauge when Phi(tau) <= tau (as for log_damped);
     _warm_gauges solves every 8th row from it and starts the others from
-    the interpolated gauge-to-mass ratios.  A non-finite sample raises
-    InvalidDataError; rows of width 0 have gauge 0."""
+    the interpolated gauge-to-mass ratios.  A power Phi = tau^p takes the
+    closed form instead: the row sums of |row|^p, then the root of each
+    row as a Python float (NumPy's array power can differ from it in the
+    last bit); a finite row whose sum overflows is summed over its max.
+    A non-finite sample raises InvalidDataError; rows of width 0 have
+    gauge 0."""
     step = max(_BLOCK_CELLS // max(rows.shape[1], 1), 1)
+    p = phi.power_exponent
 
     def blocks(ix):
         """(positions in ix, |rows[ix]| there) one block at a time."""
@@ -319,7 +327,7 @@ def luxemburg_norm_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
     out, mass = np.zeros(rows.shape[0]), np.zeros(rows.shape[0])
     with np.errstate(over="ignore"):
         for at, tau in blocks(np.arange(rows.shape[0])):
-            mass[at] = tau.sum(axis=1)
+            mass[at] = (tau if p is None else tau ** p).sum(axis=1)
         start = np.minimum(mass * cell_volume, _FLOAT_MAX)
     # a NaN sample makes its row's mass NaN, an inf one makes it inf; a
     # finite row can overflow its mass too, so inf masses look at the row,
@@ -328,6 +336,16 @@ def luxemburg_norm_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
     if big.size and (np.isnan(mass[big]).any()
                      or not np.isfinite(rows[big]).all()):
         raise InvalidDataError("non-finite sample in rows")
+    if p is not None:
+        out = np.array([float(m) ** (1.0 / p)
+                        for m in (mass * cell_volume).tolist()])
+        if big.size:  # |row|^p overflowed: take the rows over their max
+            tau = np.abs(rows[big])
+            top = tau.max(axis=1)
+            with np.errstate(over="ignore"):
+                out[big] = top * (((tau / top[:, None]) ** p).sum(axis=1)
+                                  * cell_volume) ** (1.0 / p)
+        return out
     act = np.flatnonzero(mass)  # a sum of |samples| is 0 only if all are
     if act.size:
         out[act] = _warm_gauges(log_modular, start[act], tol)

@@ -7,7 +7,7 @@ centers lie in the ball, matching the midpoint quadrature convention, so
 the indicator normalization is exact and identical for every x.  One
 mask, ball_mask, gives the ball's cells in every dimension, and one
 reduction, ball_reduce, sums or maximizes over it from growing row
-segments: power-type window norms, the 2-D cube-indicator counts and the
+segments: power-type window norms, the cube-indicator counts and the
 window maxima of maximal.py.  General Phi hand the ball's windows to the
 gauge solver as _Windows, which gathers them a block of rows at a time
 on demand (1-D windows as rows of a strided view, 2-D ones by a cell
@@ -17,7 +17,7 @@ index).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -40,6 +40,21 @@ class SliceParams:
 
     def __post_init__(self):
         require_positive(t=self.t, q=self.q)
+
+    @cached_property
+    def _cube_norms(self):
+        return {}
+
+    def cube_norm(self, side, h, n):
+        """cube_indicator_slice_norm(self, side, h, n), memoized by (side
+        in cells, h, n) for as long as these parameters live: a run that
+        shares one SliceParams solves each cube size once."""
+        key = max(int(np.round(side / h)), 1), h, n
+        norm = self._cube_norms.get(key)
+        if norm is None:
+            norm = self._cube_norms[key] = cube_indicator_slice_norm(
+                self, key[0] * h, h, n)
+        return norm
 
 
 def _half_width(r, h):
@@ -171,53 +186,39 @@ def cube_indicator_slice_norm(p, side, h, n=1):
 
     A window that holds c cells of the cube has the gauge
     ball_indicator_gauge(phi, c, h^n), so the norm needs only how many
-    outer points see each count: a trapezoid in 1-D, the integer
-    convolution of the cube with the ball mask in 2-D.  One vectorized
-    Phi inverse covers the distinct counts and the full ball.  The value
-    is the same for every cube of equal side (translation invariance).
+    outer points see each count: the integer ball sums (ball_reduce) of
+    the cube, padded by the ball's half width.  One vectorized Phi
+    inverse covers the distinct counts and the full ball.  The value is
+    the same for every cube of equal side (translation invariance).
+    SliceParams.cube_norm memoizes it.
     """
     if h * 2 > p.t:
         raise ResolutionError(f"slice radius {p.t} below 2h = {2 * h}")
     cells = max(int(np.round(side / h)), 1)
     mask = ball_mask(p.t, h, n)
     w = int(mask.sum())
-    if n == 1:
-        counts = np.arange(1, min(w, cells) + 1)
-        mult = np.append(np.full(counts.size - 1, 2), abs(w - cells) + 1)
-    else:
-        cube = np.ones((cells, cells), dtype=np.int64)
-        windows = ball_reduce(np.pad(cube, mask.shape[-1] // 2), mask, np.add)
-        counts, mult = np.unique(windows[windows > 0], return_counts=True)
+    cube = np.ones((cells,) * n, dtype=np.int64)
+    windows = ball_reduce(np.pad(cube, mask.shape[-1] // 2), mask, np.add)
+    counts, mult = np.unique(windows[windows > 0], return_counts=True)
     vol = h ** n
     gauges = ball_indicator_gauge(p.phi, np.append(counts, w), vol)
     ratio = gauges[:-1] / gauges[-1]
     return float((mult * ratio ** p.q).sum() * vol) ** (1.0 / p.q)
 
 
-def cube_indicator_norms(p, h, n=1):
-    """side -> cube_indicator_slice_norm(p, side, h, n), memoized by the
-    side in cells for as long as the returned function lives."""
-    of_cells = cache(lambda cells: cube_indicator_slice_norm(p, cells * h,
-                                                             h, n))
-    return lambda side: of_cells(max(int(np.round(side / h)), 1))
-
-
 def star_norm(f, phi):
     """Sum of per-unit-cube Luxemburg norms over the integer lattice, added
-    one by one in cube order; a non-power Phi solves the nonzero pieces of
-    each shape with one gauge call on their stacked rows."""
+    one by one in cube order; the nonzero pieces of each shape take one
+    luxemburg_norm_rows call on their stacked rows."""
     if not np.all(np.isfinite(f.values)):
         raise InvalidDataError("non-finite sample in f")
     pieces = [f.box_view(box) for box in f.cube_boxes(f.unit_cubes())]
     pieces = [g for g in pieces if np.any(g.values)]
-    if phi.power_exponent is not None:
-        norms = [orlicz.luxemburg_norm(phi, g) for g in pieces]
-    else:
-        norms = np.empty(len(pieces))
-        for shape in {g.extents for g in pieces}:
-            ix = [i for i, g in enumerate(pieces) if g.extents == shape]
-            norms[ix] = orlicz.luxemburg_norm_rows(phi, np.stack(
-                [pieces[i].values.ravel() for i in ix]), f.cell_volume)
+    norms = np.empty(len(pieces))
+    for shape in {g.extents for g in pieces}:
+        ix = [i for i, g in enumerate(pieces) if g.extents == shape]
+        norms[ix] = orlicz.luxemburg_norm_rows(phi, np.stack(
+            [pieces[i].values.ravel() for i in ix]), f.cell_volume)
     return float(np.cumsum(np.append(0.0, norms))[-1])  # sequential sum
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from slicehardy.atomic import minimizing_polynomial
 from slicehardy.campanato import CampanatoParams
 from slicehardy.reports import Report
-from slicehardy.slice_norms import cube_indicator_norms
+from slicehardy.slice_norms import cube_indicator_slice_norm
 
 
 def _cube_mean(values, r):
@@ -44,10 +44,10 @@ def dual_pairing(f, g):
 
 def branches(g, p):
     """(small, large): the two branch maxima of the sweep."""
-    norm_1q = cube_indicator_norms(p.slice_params, g.h, g.n)
     small = large = 0.0
     for Q, mean in sweep(g, p.sweep, p.d, p.r):
-        value = Q.volume / norm_1q(Q.side) * mean
+        value = Q.volume / cube_indicator_slice_norm(
+            p.slice_params, Q.side, g.h, g.n) * mean
         if Q.side < 1.0:
             small = max(small, value)
         else:

@@ -11,8 +11,9 @@ def dictionary_1d():
     return build_dictionary(N=3, M=3, h=2.0 ** -7, count=3, n=1)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def maximal_params(dictionary_1d):
+    """New per test: MaximalParams keeps the Peetre fields it makes."""
     return MaximalParams(dictionary_1d, a=1.0, b=2.5)
 
 

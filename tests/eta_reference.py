@@ -1,7 +1,9 @@
 """The per-call slow paths that the level records of atomic replaced.
 
-`eta_fit` is the eta-weighted fit as it ran once per call, rebuilding
-eta's bounds, centers, monomials and Gram matrix each time, and
+`moment_fit` is the weighted moment fit of one system, as it ran before
+atomic._fit stacked the systems; `eta_fit` is the eta-weighted fit as it
+ran once per call through it, rebuilding eta's bounds, centers,
+monomials and Gram matrix each time, and
 `partition_of_unity` builds each cube's bump profiles in a loop over the
 cubes.  The fast paths must match them bit for bit.  `use_slow_fit`
 swaps in `SlowMoments`, which builds each record from its eta as a grid
@@ -15,24 +17,43 @@ from math import comb
 import numpy as np
 
 from slicehardy import atomic
-from slicehardy.atomic import WHITNEY_DILATION, _axis_bump, _moment_fit
+from slicehardy.atomic import WHITNEY_DILATION, _axis_bump, _combine, \
+    _monomials
 from slicehardy.errors import ConstructionError, UnderdeterminedError
 from slicehardy.grid import GridFunction
 
 
+def moment_fit(vals, w, pts, center, scale, d):
+    """(c, P(pts)) for P = sum_k c[k] u^alpha_k, u = (pts - center) /
+    scale, with sum w (vals - P) u^alpha = 0 for each alpha, from the Gram
+    matrix V^T W V of the monomials, one right-hand side per column of
+    vals; with fewer cells than monomials the minimum-norm solution
+    interpolates vals."""
+    V = _monomials(pts, center, scale, d)
+    if len(w) < V.shape[1]:
+        c = np.linalg.lstsq(V, vals, rcond=None)[0]
+    else:
+        try:
+            c = np.linalg.solve(V.T @ (V * w[:, None]), V.T @ (vals.T * w).T)
+        except np.linalg.LinAlgError as exc:
+            raise UnderdeterminedError("singular moment system") from exc
+    return c, _combine(V, c)
+
+
 def eta_fit(vals, eta, d):
     """((center, scale, d, coeffs), values) of the eta-weighted projection
-    of vals, samples on eta's box: only cells where eta is positive enter
-    the system, and values holds the projection there, zero elsewhere."""
+    of vals, samples on eta's box (with a trailing axis of right-hand
+    sides, if any): only cells where eta is positive enter the system,
+    and values holds the projection there, zero elsewhere."""
     w = eta.values
     if float(w.sum()) <= 0:
         raise UnderdeterminedError("weight has nonpositive mass")
     lo, hi = eta.support_bounds()
     center, scale = tuple((lo + hi) / 2), float((hi - lo).max())
     mask = w > 0
-    out = np.zeros(eta.extents)
-    coeffs, out[mask] = _moment_fit(vals[mask], w[mask],
-                                    eta.centers()[mask], center, scale, d)
+    out = np.zeros(vals.shape)
+    coeffs, out[mask] = moment_fit(vals[mask], w[mask],
+                                   eta.centers()[mask], center, scale, d)
     return (center, scale, d, coeffs), out
 
 
@@ -68,7 +89,7 @@ class SlowMoments:
 
 
 def slow_fit(V, w, count, vals):
-    """atomic._fit one fit at a time, with _moment_fit's arithmetic."""
+    """atomic._fit one fit at a time, with moment_fit's arithmetic."""
     coeffs, values, b = [], np.empty(len(vals)), 0
     for c in count.tolist():
         v, ww, y = V[b:b + c], w[b:b + c], vals[b:b + c]
@@ -87,18 +108,20 @@ def record_fits(wins, eta, origin, h, d, mom, recs, vals):
     """eta_fit of record recs[i] of mom, its eta rebuilt from the level's
     buffer, against vals on its positive cells, one record after another:
     (coeffs, values) laid out as atomic._fit's."""
-    coeffs, values, b = [], np.empty(len(vals)), 0
+    coeffs, values, b = [], np.empty(vals.shape), 0
     for r in recs.tolist():
         k, c = mom.ids[r], mom.count[r]
         e = box_eta(wins, eta, origin, h, k)
-        box = np.zeros(e.values.size)
+        box = np.zeros((e.values.size,) + vals.shape[1:])
         at = mom.at[mom.first[r]:mom.first[r] + c] - wins.start[k]
         box[at] = vals[b:b + c]
-        (_, _, _, cf), fit = eta_fit(box.reshape(e.extents), e, d)
+        (_, _, _, cf), fit = eta_fit(box.reshape(e.extents + vals.shape[1:]),
+                                     e, d)
         coeffs.append(cf)
-        values[b:b + c] = fit.ravel()[at]
+        values[b:b + c] = fit.reshape(box.shape)[at]
         b += c
-    return np.reshape(coeffs, (len(recs), mom.V.shape[1])), values
+    return np.reshape(coeffs, (len(recs), mom.V.shape[1]) + vals.shape[1:]), \
+        values
 
 
 def use_slow_fit(monkeypatch):

@@ -1,6 +1,7 @@
 """Whitney covering, projections, CZ decomposition, atoms."""
 
 import dataclasses
+import typing
 from functools import cache
 
 import numpy as np
@@ -15,6 +16,7 @@ from slicehardy import atomic, orlicz
 from slicehardy.atomic import Atom, CZParams, atomic_quasinorm, \
     cz_decompose, minimizing_polynomial, multi_indices, partition_of_unity, \
     reconstruct, validate_atom, weighted_projection, whitney_decompose
+from slicehardy.campanato import CampanatoParams
 from slicehardy.config import ScenarioConfig
 from slicehardy.errors import DecompositionRangeError, NoBoundaryError, \
     PreconditionError, UnderdeterminedError
@@ -259,7 +261,8 @@ def _moment_layouts(draw):
     1-D or 2-D, each with some positive weights (tiny ones too, and often
     fewer than the degree-d monomials), the records of most boxes, and
     fits of their own samples and of random right-hand sides of records
-    drawn again and again, as partners are: (source, mom, recs, vals)."""
+    drawn again and again, as partners are, as one right-hand side or as
+    1 to 4 columns of them: (source, mom, recs, vals)."""
     n, d = draw(st.sampled_from([1, 2])), draw(st.integers(0, 1))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     boxes = draw(st.integers(1, 8))
@@ -278,7 +281,8 @@ def _moment_layouts(draw):
     mom = atomic._Moments(wins, eta, origin, h, d, ids)
     recs = np.concatenate([np.arange(ids.size), rng.integers(
         0, ids.size, size=draw(st.integers(0, 12)))])
-    vals = rng.normal(size=int(mom.count[recs].sum()))
+    cols = draw(st.sampled_from([(), (1,), (2,), (3,), (4,)]))
+    vals = rng.normal(size=(int(mom.count[recs].sum()),) + cols)
     return (wins, eta, origin, h, d), mom, recs, vals
 
 
@@ -287,8 +291,9 @@ def _moment_layouts(draw):
 def test_stacked_moment_solves_are_the_per_call_solves_bit_for_bit(case):
     """The stacked Gram matrices, right-hand sides and solves of _fit, one
     call per system shape, give each fit the bits, or the error, of the
-    per-call _moment_fit on a system rebuilt from its eta alone, at d = 0
-    and 1, in 1-D and 2-D, with and without a Gram matrix."""
+    per-call eta_reference.moment_fit on a system rebuilt from its eta
+    alone, at d = 0 and 1, in 1-D and 2-D, with and without a Gram
+    matrix, for one right-hand side or a column of them per field."""
     source, mom, recs, vals = case
     e = np.concatenate([mom.first[r] + np.arange(mom.count[r])
                         for r in recs])
@@ -573,6 +578,33 @@ def test_cz_params_reject_a_nonpositive_size_exponent(dictionary_1d, r):
     sp = SliceParams(1.0, 2.0, orlicz.power(2.0))
     with pytest.raises(PreconditionError, match="size exponent"):
         CZParams(slice_params=sp, maximal=MaximalParams(dictionary_1d), r=r)
+    assert typing.get_type_hints(CZParams)["maximal"] is MaximalParams
+
+
+@pytest.mark.parametrize("make,named", [
+    (lambda sp, mp: CZParams(sp, mp, c0=np.nan), "c0 .*: nan"),
+    (lambda sp, mp: CZParams(sp, mp, c0=0.0), "c0 .*: 0.0"),
+    (lambda sp, mp: CZParams(sp, mp, c0=-4.5), "c0 .*: -4.5"),
+    (lambda sp, mp: CZParams(sp, mp, c0=np.inf), "c0 .*: inf"),
+    (lambda sp, mp: CZParams(sp, mp, tol_moment=np.nan), "tol_moment .*: nan"),
+    (lambda sp, mp: CZParams(sp, mp, tol_moment=-1e-8),
+     "tol_moment .*: -1e-08"),
+    (lambda sp, mp: CZParams(sp, mp, tol_moment=np.inf), "tol_moment .*: inf"),
+    (lambda sp, mp: CampanatoParams(sp, d=-1), "d .*: -1"),
+    (lambda sp, mp: CampanatoParams(sp, d=1.5), "d .*: 1.5"),
+    (lambda sp, mp: CampanatoParams(sp, d="1"), "d .*: '1'"),
+    (lambda sp, mp: orlicz.from_tag("power:abc"), "'power:abc'"),
+], ids=["c0-nan", "c0-zero", "c0-negative", "c0-inf", "tol_moment-nan",
+        "tol_moment-negative", "tol_moment-inf", "campanato-d-negative",
+        "campanato-d-float", "campanato-d-str", "tag-power-abc"])
+def test_bad_parameters_raise_named_errors_at_construction(dictionary_1d,
+                                                           make, named):
+    """Each bad value raises a PreconditionError that names it, in the
+    domain ScenarioConfig.validate gives its key, when the object is
+    built."""
+    sp = SliceParams(1.0, 2.0, orlicz.power(2.0))
+    with pytest.raises(PreconditionError, match=named):
+        make(sp, MaximalParams(dictionary_1d))
 
 
 def test_cz_degree_hypothesis(dictionary_1d):

@@ -358,25 +358,32 @@ def test_all_decomposes_once_and_matches_subcommands(runner, config_path,
 
 
 def test_run_shares_one_peetre_field_between_whole_cell_translates(
-        config_path):
-    """A run keys Peetre fields on sample values: a whole-cell translate
-    gets the shared values back on its own padded grid, as computing its
-    field alone gives them, and maximal_fields takes them as they are."""
-    from slicehardy import cli
+        config_path, monkeypatch):
+    """The run's MaximalParams keys Peetre fields on sample values: a
+    whole-cell translate gets the shared read-only values back on its own
+    padded grid, as peetre_maximal gives them bit for bit, and
+    maximal_fields reads them from there; each distinct sample array is
+    computed once."""
+    from slicehardy import cli, maximal
     from slicehardy.config import load_config
     from slicehardy.families import generate_family
-    from slicehardy.maximal import maximal_fields
 
     run = cli.Run(load_config(config_path), 0)
+    mp = run.maximal
     near, far = generate_family("translates:R=0,16", 0, run.cfg.h)
-    first = run.peetre(near)
-    shared = run.peetre(far)
+    made, make = [], maximal.peetre_maximal
+    monkeypatch.setattr(maximal, "peetre_maximal",
+                        lambda f, *a: made.append(f) or make(f, *a))
+    first = mp.peetre_field(near)
+    shared = mp.peetre_field(far)
     for f, m in ((near, first), (far, shared)):
-        alone = run.maximal.peetre_field(f)
+        alone = make(f, mp.dictionary.phi, mp.b, mp.ladder, mp.eps_cut,
+                     mp.pad_cells(f.h))
         assert np.array_equal(m.origin, alone.origin)
         assert np.array_equal(m.values, alone.values)
     assert shared.values is first.values and not shared.values.flags.writeable
-    assert maximal_fields(far, run.maximal, shared)["peetre"] is shared
+    assert maximal.maximal_fields(far, mp)["peetre"].values is shared.values
+    assert len(made) == 1 and made[0] is near
 
 
 def test_default_run_convolves_each_kernel_once_per_scale(runner, tmp_path,
@@ -416,17 +423,17 @@ def test_default_run_convolves_each_kernel_once_per_scale(runner, tmp_path,
 def test_default_run_makes_each_peetre_field_once(runner, tmp_path,
                                                   monkeypatch, order):
     """A default `all` run, in either order of the nine checks, makes a
-    Peetre field through MaximalParams.peetre_field only, once per
-    distinct sample array (the 10 members and the embeddings' translates),
-    and sweeps 84 times: 11 * 4 for those fields and 10 * 4 for the grand
-    Peetre fields of maximal-equivalence."""
+    Peetre field (peetre_maximal, which only MaximalParams.peetre_field
+    calls) once per distinct sample array (the 10 members and the
+    embeddings' translates), and sweeps 84 times: 11 * 4 for those fields
+    and 10 * 4 for the grand Peetre fields of maximal-equivalence."""
     from slicehardy import maximal
 
     fields, sweeps = [], []
-    make, sweep = maximal.MaximalParams.peetre_field, maximal._peetre_sweep
+    make, sweep = maximal.peetre_maximal, maximal._peetre_sweep
     monkeypatch.setattr(
-        maximal.MaximalParams, "peetre_field",
-        lambda self, f: fields.append(f.values.tobytes()) or make(self, f))
+        maximal, "peetre_maximal",
+        lambda f, *a: fields.append(f.values.tobytes()) or make(f, *a))
     monkeypatch.setattr(maximal, "_peetre_sweep",
                         lambda *a, **k: sweeps.append(1) or sweep(*a, **k))
     result = runner.invoke(main, ["all", "--check",
@@ -477,9 +484,9 @@ def test_cli_import_leaves_out_scipy_signal_and_stats():
 
 def test_atom_validation_evaluates_one_cube_norm_per_side(config_path,
                                                           monkeypatch):
-    """The run's cube-indicator memo, which the decompositions share,
-    solves once per distinct cube size in cells, and the rows are those
-    of validating each atom alone."""
+    """The run's SliceParams, whose cube-indicator memo the decompositions
+    share, solves once per distinct cube size in cells, and the rows are
+    those of validating each atom alone."""
     from slicehardy import cli, slice_norms
     from slicehardy.atomic import validate_atom
     from slicehardy.config import load_config
@@ -508,9 +515,10 @@ def test_atom_validation_evaluates_one_cube_norm_per_side(config_path,
 
 def test_default_run_solves_each_cube_side_once(runner, tmp_path,
                                                monkeypatch):
-    """A default `all` run shares one cube-indicator memo between the
-    decompositions, the atomic quasi-norms, atom validation and the
-    Campanato pairing bounds: one solve per distinct cube side."""
+    """A default `all` run shares one SliceParams, and so one
+    cube-indicator memo, between the decompositions, the atomic
+    quasi-norms, atom validation and the Campanato pairing bounds: one
+    solve per distinct cube side."""
     from slicehardy import slice_norms
 
     cells = []
@@ -636,8 +644,8 @@ sys.exit(code)
 def test_all_runs_without_scipy_in_1d_and_2d(config_path, tmp_path):
     """With scipy unimportable, a small 1-D and a small 2-D run exit 0,
     and between them reach every NumPy replacement: the FFT, the distance
-    transform and ball_reduce's window maxima in 1-D and 2-D, power-Phi
-    sums in 1-D and 2-D and int64 cube counts."""
+    transform and ball_reduce's window maxima, power-Phi sums and int64
+    cube counts, each in 1-D and 2-D."""
     grid2d = tmp_path / "grid2d.ini"
     grid2d.write_text("[grid]\nn = 2\nh = 0.125\n[slice]\nt = 0.5\n"
                       "[maximal]\nb = 5\nN = 6\nladder_depth = 2\n"
@@ -655,4 +663,5 @@ def test_all_runs_without_scipy_in_1d_and_2d(config_path, tmp_path):
     assert set(hits) == {"fft", "edt"} | {
         f"ball_reduce {n}-D {op} {dtype}" for n, op, dtype in
         [(1, "maximum", "float64"), (2, "maximum", "float64"),
-         (1, "add", "float64"), (2, "add", "float64"), (2, "add", "int64")]}
+         (1, "add", "float64"), (2, "add", "float64"), (1, "add", "int64"),
+         (2, "add", "int64")]}

@@ -1,5 +1,7 @@
 """Embedding checks: fitted constants stay bounded, translates help."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -52,11 +54,13 @@ def test_hardy_embedding_finite_constant(dictionary_1d, maximal_params):
 def test_hardy_embedding_one_peetre_function_per_member(
         dictionary_1d, maximal_params, monkeypatch):
     """Both outer norms read one Peetre maximal function per member and
-    equal the two norms of that field exactly."""
+    equal the two norms of that field exactly; a second check with the
+    same parameters reads the fields they keep."""
     fam = generate_family("bumps:count=3", 11, h=dictionary_1d.h)
     expected = [(star_norm(m, orlicz.log_damped()),
                  orlicz.musielak_norm(orlicz.musielak_log(), m))
                 for m in map(maximal_params.peetre_field, fam)]
+    params = dataclasses.replace(maximal_params)  # keeps no field yet
     calls = []
     original = maximal.peetre_maximal
 
@@ -65,14 +69,12 @@ def test_hardy_embedding_one_peetre_function_per_member(
         return original(*args, **kwargs)
 
     monkeypatch.setattr(maximal, "peetre_maximal", counted)
-    rep = hardy_embedding_check(fam, maximal_params)
+    rep = hardy_embedding_check(fam, params)
     assert list(zip(rep.column("h_star"), rep.column("h_log"))) == expected
     assert len(calls) == len(fam)
     assert all(a is f for a, f in zip(calls, fam))
-    fields = {id(f): maximal_params.peetre_field(f) for f in fam}
     calls.clear()
-    rep = hardy_embedding_check(fam, maximal_params,
-                                lambda f: fields[id(f)])
+    rep = hardy_embedding_check(fam, params)
     assert list(zip(rep.column("h_star"), rep.column("h_log"))) == expected
     assert calls == []
 

@@ -1,5 +1,6 @@
 """Local maximal functions: chains, collapses, quasi-norm plumbing."""
 
+import dataclasses
 from functools import partial
 
 import numpy as np
@@ -95,9 +96,13 @@ def test_grand_monotone_in_dictionary(bump, dictionary_1d):
 
 def test_maximal_params_read_order_and_ladder_from_the_dictionary(
         dictionary_1d):
+    """N and the ladder are the dictionary's, and the params are frozen:
+    the Peetre fields they keep stay those of their fields."""
     params = MaximalParams(dictionary_1d)
     assert params.N == dictionary_1d.order
     assert params.ladder is dictionary_1d.scales
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.b = 5.0
 
 
 @pytest.mark.parametrize("a", [0.0, -1.0, np.nan])
@@ -381,8 +386,8 @@ def _each_alone(f, params):
 def test_maximal_fields_is_each_function_alone_bit_for_bit(maximal_params,
                                                           n):
     """One convolution per kernel and scale gives the five fields the five
-    functions give alone at the same pad, with or without a precomputed
-    Peetre field."""
+    functions give alone at the same pad, whether the params make the
+    Peetre field or already keep it."""
     if n == 1:
         params = maximal_params
         shape = (150,)
@@ -395,20 +400,12 @@ def test_maximal_fields_is_each_function_alone_bit_for_bit(maximal_params,
     f = GridFunction((0.25,) * n, h,
                      np.random.default_rng(n).normal(size=shape))
     alone = _each_alone(f, params)
-    for peetre in (None, params.peetre_field(f)):
-        fields = maximal_fields(f, params, peetre)
+    for _ in range(2):
+        fields = maximal_fields(f, params)
         assert list(fields) == list(alone)
         for name, g in fields.items():
             assert np.array_equal(g.origin, alone[name].origin), name
             assert np.array_equal(g.values, alone[name].values), name
-
-
-def test_maximal_fields_rejects_a_peetre_field_off_the_grid(bump,
-                                                           maximal_params):
-    m = maximal_params.peetre_field(bump)
-    moved = GridFunction(m.origin + bump.h, m.h, m.values)
-    with pytest.raises(PreconditionError, match="padded grid"):
-        maximal_fields(bump, maximal_params, moved)
 
 
 def test_peetre_weights_are_kept_read_only_by_value():
@@ -497,25 +494,31 @@ def test_hardy_quasinorm_positive(bump, maximal_params):
 @pytest.mark.parametrize("precomputed", [False, True])
 def test_hardy_quasinorm_hypothesis_guard(bump, dictionary_1d, precomputed):
     """b > 2n/min(p_minus, q) for the slice quasi-norm, and b > 2n for the
-    amalgam and Musielak ones, also when the Peetre field is passed in."""
+    amalgam and Musielak ones, also when the params keep the Peetre field
+    already."""
     weak = MaximalParams(dictionary_1d, b=0.5)
     with pytest.raises(PreconditionError):
         weak.require_hardy(bump.n, _SLICE.phi.p_minus, _SLICE.q)
-    field = weak.peetre_field(bump)
-    peetre = (lambda f: field) if precomputed else None
+    if precomputed:
+        weak.peetre_field(bump)
     with pytest.raises(PreconditionError):
-        hardy_embedding_check([bump], weak, peetre)
+        hardy_embedding_check([bump], weak)
 
 
 def test_hardy_quasinorm_tags_share_one_maximal_function(bump,
                                                         maximal_params):
     """peetre_field is peetre_maximal at the params' phi, b, ladder and
-    eps_cut: every outer norm of a run reads that one field."""
+    eps_cut, bit for bit and read-only, made once per sample array: every
+    outer norm of a run reads that one field."""
     m = peetre_maximal(bump, maximal_params.dictionary.phi,
                        maximal_params.b, maximal_params.ladder,
                        maximal_params.eps_cut)
     field = maximal_params.peetre_field(bump)
-    assert field.lp_norm(1) == m.lp_norm(1)
+    assert np.array_equal(field.origin, m.origin)
+    assert np.array_equal(field.values, m.values)
+    assert not field.values.flags.writeable
+    copy = GridFunction(bump.origin, bump.h, bump.values.copy())
+    assert maximal_params.peetre_field(copy).values is field.values
     assert slice_norm(field, _SLICE) == slice_norm(m, _SLICE)
 
 

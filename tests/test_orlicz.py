@@ -18,7 +18,8 @@ from slicehardy.errors import InvalidDataError, NumericFailure, \
     PreconditionError
 from slicehardy.families import generate_family
 from slicehardy.grid import GridFunction
-from slicehardy.slice_norms import SliceParams, ball_mask, slice_norm
+from slicehardy.slice_norms import SliceParams, ball_mask, slice_norm, \
+    star_norm
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 4.0])
@@ -484,6 +485,24 @@ def test_power_gauges_take_the_closed_form(monkeypatch, rng):
     assert orlicz.luxemburg_norm(phi, f) == f.lp_norm(2.5)
     assert phi.inverse(9.0) == pytest.approx(9.0 ** 0.4)
     assert slice_norm(f, SliceParams(0.5, 1.0, phi)) > 0
+    # the rows, two per block, are each row's lp_norm bit for bit, and so
+    # are star_norm's unit-cube pieces in 2-D
+    monkeypatch.setattr(orlicz, "_BLOCK_CELLS", 600)
+    rows = rng.uniform(-1, 1, (7, 300)) * (rng.random((7, 300)) < 0.7)
+    rows[2] = 0.0
+    assert orlicz.luxemburg_norm_rows(phi, rows, 2.0 ** -5).tolist() == \
+        [GridFunction((0.0,), 2.0 ** -5, r).lp_norm(2.5) for r in rows]
+    g = GridFunction((0.3, -0.2), 2.0 ** -3, rng.normal(size=(21, 13)))
+    total = 0.0
+    for box in g.cube_boxes(g.unit_cubes()):
+        total += g.box_view(box).lp_norm(2.5)
+    assert star_norm(g, phi) == total
+    # a finite row whose sum of |row|^p overflows gets its finite gauge,
+    # with no RuntimeWarning (an error in this suite)
+    rows[4] = np.where(rows[4] != 0, 1e200, 0.0)
+    got = orlicz.luxemburg_norm_rows(phi, rows, 1.0 / 300)
+    assert got[4] == pytest.approx(
+        1e200 * (np.count_nonzero(rows[4]) / 300) ** 0.4, rel=1e-14)
 
 
 def _lognormal_windows(rng, n):

@@ -368,6 +368,9 @@ def test_ball_indicator_gauge_power():
 
 
 def test_cube_indicator_norm_cached_and_translation_invariant():
+    """SliceParams.cube_norm is cube_indicator_slice_norm bit for bit in
+    1-D and 2-D, solved once per (side in cells, h, n) for as long as the
+    params live; equal params hold their own memo."""
     p = SliceParams(1.0, 1.0, orlicz.log_damped())
     h = 2.0 ** -6
     v1 = cube_indicator_slice_norm(p, 0.5, h)
@@ -375,6 +378,52 @@ def test_cube_indicator_norm_cached_and_translation_invariant():
     assert v1 == v2
     f = GridFunction.indicator(Cube((7.25,), 0.5), (7.0,), h, (32,))
     assert slice_norm(f, p) == pytest.approx(v1, rel=1e-10)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return cube_indicator_slice_norm(*args)
+
+    sides = [0.5, 0.5 + h / 4, h / 3, 0.25, 1.0, 0.5]
+    with patch("slicehardy.slice_norms.cube_indicator_slice_norm", counted):
+        for n, hh in [(1, h), (2, 4 * h), (1, 2 * h)]:
+            for side in sides:
+                assert p.cube_norm(side, hh, n) == \
+                    cube_indicator_slice_norm(p, side, hh, n)
+        assert SliceParams(1.0, 1.0, p.phi) == p
+        SliceParams(1.0, 1.0, p.phi).cube_norm(0.5, h, 1)
+    once = [(cells * hh, hh, n) for n, hh in [(1, h), (2, 4 * h), (1, 2 * h)]
+            for cells in dict.fromkeys(max(round(side / hh), 1)
+                                       for side in sides)]
+    assert calls == once + [(0.5, h, 1)]
+
+
+def _trapezoid_norm(p, side, h):
+    """cube_indicator_slice_norm in 1-D from the trapezoid of window
+    counts: 1 .. min(w, cells) cells, each seen from two outer points but
+    the largest, seen from |w - cells| + 1."""
+    cells = max(int(np.round(side / h)), 1)
+    w = int(ball_mask(p.t, h, 1).sum())
+    counts = np.arange(1, min(w, cells) + 1)
+    mult = np.append(np.full(counts.size - 1, 2), abs(w - cells) + 1)
+    gauges = ball_indicator_gauge(p.phi, np.append(counts, w), h)
+    return float((mult * (gauges[:-1] / gauges[-1]) ** p.q).sum()
+                 * h) ** (1.0 / p.q)
+
+
+@pytest.mark.parametrize("tag", ["power:2", "log_damped", "power:0.7"])
+def test_cube_indicator_counts_are_the_1d_trapezoid_bit_for_bit(tag):
+    """The 1-D window counts by ball_reduce give the trapezoid's norm bit
+    for bit, for windows narrower and wider than the cube."""
+    phi = orlicz.from_tag(tag)
+    for h, t, q in product([2.0 ** -8, 2.0 ** -4], [0.01, 0.3, 1.0, 3.0],
+                           [0.5, 1.0, 2.0]):
+        if t < 2 * h:
+            continue
+        p = SliceParams(t, q, phi)
+        for side in [2.0 ** -8, 0.3, 1.0, 6.0, 32.0]:
+            assert cube_indicator_slice_norm(p, side, h, 1) == \
+                _trapezoid_norm(p, side, h), (h, t, q, side)
 
 
 @pytest.mark.parametrize("tag", ["power:2", "log_damped"])

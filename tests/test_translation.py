@@ -8,6 +8,7 @@ well, while any other shift cuts the same remainder into other unit
 cubes.
 """
 
+import dataclasses
 from functools import cache
 
 import numpy as np
@@ -130,14 +131,17 @@ def test_slice_norms_and_peetre_fields_ignore_whole_cell_translates(
         name, seed, index, data):
     """Power and log_damped slice norms of a member and of its Peetre
     field, the Hardy quasi-norm's input, in 1-D and 2-D: a whole-cell
-    translate changes no bit of either, and moves the field's origin."""
+    translate changes no bit of either, and moves the field's origin.
+    The translate's field is made by params that keep no field yet."""
     cfg, f = _config(name), _pick(name, seed, index)
     cells = data.draw(st.lists(st.integers(-1000, 1000), min_size=f.n,
                                max_size=f.n))
     g = _translate(f, cells)
     sp, mp = cfg.slice_params(), cfg.maximal_params()
     assert slice_norm(g, sp) == slice_norm(f, sp)
-    field, moved = mp.peetre_field(f), mp.peetre_field(g)
+    field = mp.peetre_field(f)
+    moved = dataclasses.replace(mp).peetre_field(g)
+    assert moved.values is not field.values
     assert moved.values.tobytes() == field.values.tobytes()
     assert np.array_equal(moved.origin, field.origin + np.multiply(cells,
                                                                    f.h))
