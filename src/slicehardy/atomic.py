@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import product
-from math import comb
 
 import numpy as np
 
@@ -54,45 +53,11 @@ def _monomials(pts, center, scale, d):
     return V
 
 
-def _combine(V, coeffs):
-    """sum_k coeffs[k] V[..., k], term by term: one value per row of V, or
-    one per row and column of coeffs."""
-    return sum(np.multiply.outer(V[..., k], c) for k, c in enumerate(coeffs))
-
-
-@dataclass
-class Polynomial:
-    """A polynomial in the monomials u^alpha, u = (x - center) / scale,
-    which keep the moment systems well conditioned at every cube size."""
-
-    center: tuple
-    scale: float
-    degree: int
-    coeffs: np.ndarray
-
-    def __call__(self, pts):
-        return _combine(_monomials(pts, self.center, self.scale,
-                                   self.degree), self.coeffs)
-
-
 def _unit_fit(pts, Q, d, vals):
     """_fit of vals (a column per field) on the cells pts of cube Q at unit
     weights, in the monomials scaled by Q's center and side."""
     return _fit(_monomials(pts, Q.center, Q.side, d), np.ones(len(pts)),
                 np.array([len(pts)]), vals)
-
-
-def minimizing_polynomial(f, Q, d, box=None):
-    """The degree-<= d P with int_Q (f - P) x^alpha = 0 for |alpha| <= d,
-    from the unit-weight moment system on Q's cells.  `box` is
-    f.cube_slices(Q), for a caller that already has it."""
-    box = f.cube_slices(Q) if box is None else box
-    vals = f.values[box].ravel()
-    dim = comb(f.n + d, d)
-    if vals.size < dim:
-        raise UnderdeterminedError(f"cube holds {vals.size} cells, need {dim}")
-    return Polynomial(Q.center, Q.side, d, _unit_fit(
-        f.centers(box).reshape(-1, f.n), Q, d, vals)[0][0])
 
 
 class _Windows:
@@ -175,21 +140,6 @@ def _fit(V, w, count, vals):
         values[e] = sum(Vx[:, :, k] * coeffs[sel, k, None]
                         for k in range(V.shape[1]))
     return coeffs, values
-
-
-def weighted_projection(g, eta, d):
-    """Projection c of g onto degree-<= d polynomials in the eta-weighted
-    norm: <g - c, q eta> = 0 for every polynomial q of degree at most d,
-    over the cells where eta is positive, from g's samples on eta's box
-    (zero where g has no cell)."""
-    vals, boxes = np.zeros(eta.extents), g.overlap(eta)
-    if boxes is not None:
-        vals[boxes[1]] = g.values[boxes[0]]
-    mom = _Moments(_Windows(np.zeros((1, eta.n), dtype=int),
-                            np.array([eta.extents])), eta.values.ravel(),
-                   eta.origin[None], eta.h, d, np.zeros(1, dtype=int))
-    return Polynomial(tuple(mom.center[0]), float(mom.scale[0]), d, _fit(
-        mom.V, mom.w, mom.count, vals.ravel()[mom.at])[0][0])
 
 
 # -- Whitney covering and partition of unity --------------------------------
@@ -356,9 +306,6 @@ class Decomposition:
     residual: GridFunction
     params: CZParams
     pointwise_constant: float = 0.0
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def _level(f, m, j, params, nxt):

@@ -3,7 +3,9 @@
 Suprema over all cubes are replaced by finite sweeps; both branches are
 monotone in the sweep, so enlarging the sweep never decreases a norm.
 The pairing bound against atoms is exact in quadrature whenever the
-atoms' cubes belong to the sweep, which pairing_bound_check enforces.
+atoms' cubes belong to the sweep, so pairing_bounds takes each field's
+norm over the sweep and the atoms' cubes; with no atoms it is the norm
+over the sweep alone.
 
 One pass serves a stack of fields on one zero-padded box: each cube's
 box, fit (the mean, else one `atomic._fit` with a right-hand side per
@@ -85,18 +87,6 @@ def _branches(frame, stack, cubes, p):
     return out
 
 
-def campanato_local_norm(g, p):
-    """Two-branch Campanato value over the sweep.
-
-    Small cubes (side < 1) measure normalized mean oscillation against
-    the minimizing polynomial; large cubes measure normalized mean size.
-    The normalization |Q| / ||1_Q|| uses the closed-form slice norm of
-    the cube indicator (SliceParams.cube_norm).
-    """
-    frame, stack = _stack([g], p.sweep)
-    return float(_branches(frame, stack, p.sweep, p).sum())
-
-
 _BMO_VARIANTS = ("bmo", "bmo_phi", "bmo_log")
 
 
@@ -139,33 +129,6 @@ def _pairings(a, frame, stack):
         return np.zeros(len(stack))
     prod = a.values[boxes[0]] * stack[(slice(None),) + boxes[1]]
     return prod.reshape(len(stack), -1).sum(axis=1) * a.cell_volume
-
-
-def dual_pairing(f, g):
-    """Quadrature inner product int f g over the cells the two boxes
-    share; bilinear, grid-compatible only."""
-    return float(_pairings(f, g, g.values[None])[0])
-
-
-def pairing_bound_check(dec, g, p, slack=0.01):
-    """|L_g(a)| against the Campanato norm, for every atom of dec.
-
-    The sweep is enlarged by the atoms' cubes so the defining supremum
-    sees exactly the cubes the bound's proof integrates over; with the
-    conjugate exponent this makes the bound hold in exact quadrature.
-    """
-    report = Report("pairing_bound",
-                    ["level", "index", "pairing", "ratio"])
-    if g.max_abs() == 0:
-        report.summary.update(skipped="zero field", max_ratio=0.0)
-        return report
-    [((norm,), pairs, ratios)] = pairing_bounds([dec], [g], p)
-    for atom, pr, ratio in zip(dec.entries, pairs[:, 0], ratios[:, 0]):
-        report.add(atom.level, atom.index, float(pr), float(ratio))
-    report.summary["campanato_norm"] = float(norm)
-    report.summary["max_ratio"] = float(ratios.max(initial=0.0))
-    report.summary["ok"] = bool((ratios <= 1.0 + slack).all())
-    return report
 
 
 def pairing_bounds(decs, fields, p):

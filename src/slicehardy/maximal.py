@@ -112,15 +112,6 @@ def _one_scale_max(f, kernels, ladder, pad_cells, op):
     return _scale_max(f, kernels, ladder, pad_cells, {"": (op, True)})[""]
 
 
-def radial_maximal(f, kernel, ladder, pad_cells=None):
-    """max over ladder scales s of |f * psi_s| at each grid point (the
-    window of aperture 0 holds the point alone)."""
-    if pad_cells is None:
-        pad_cells = int(np.ceil(max(ladder) / f.h))
-    return _one_scale_max(f, [kernel], ladder, pad_cells,
-                          partial(_window_max, a=0.0))
-
-
 def _window_max(values, s, h, n, a, floor=None):
     """max over |y - x| < a s, per grid point, with zeros outside the box
     (slice_norms.ball_reduce with np.maximum; a max is exact in any
@@ -130,16 +121,6 @@ def _window_max(values, s, h, n, a, floor=None):
     else:
         out = ball_reduce(values, ball_mask(a * s, h, n), np.maximum)
     return out if floor is None else np.maximum(out, floor, out=out)
-
-
-def nontangential_maximal(f, kernel, a, ladder, pad_cells=None):
-    """max over s and offsets |y - x| < a*s of |f * psi_s(y)|."""
-    if a <= 0:
-        raise PreconditionError("aperture must be positive")
-    if pad_cells is None:
-        pad_cells = int(np.ceil(max(ladder) * (1 + a) / f.h))
-    return _one_scale_max(f, [kernel], ladder, pad_cells,
-                          partial(_window_max, a=a))
 
 
 def peetre_reach(b, s_max, eps_cut):
@@ -270,8 +251,11 @@ _FIVE = ("radial", "nontangential", "grand", "peetre", "grand_peetre")
 
 
 def maximal_fields(f, params):
-    """The five maximal functions of f on one padded grid, each bit for
-    bit the one its own function gives at that pad.
+    """The five maximal functions of f on one padded grid: the radial and
+    nontangential maxima of |f * phi_s| over the windows of aperture 0
+    and a, the grand one, and the Peetre and grand Peetre sweeps.  The
+    grand and Peetre fields are bit for bit grand_maximal's and
+    peetre_maximal's at that pad.
 
     Each dictionary kernel is convolved once per scale: |f * phi_s|, phi
     being the first kernel, feeds the radial and nontangential fields,

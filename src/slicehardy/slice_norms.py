@@ -85,10 +85,23 @@ def ball_reduce(values, mask, op):
     per set bit, so each cell enters once and a sum adds only nonnegative
     terms of a nonnegative field.  Each row offset adds the segment of its
     width, shifted by it: at most 4k + bit_length(k) op calls in 2-D,
-    2 popcount(k) + bit_length(k) - 1 in 1-D."""
+    2 popcount(k) + bit_length(k) - 1 in 1-D.  In 1-D, where the segment
+    grows once, by k cells on each side, each table adds its left and
+    right runs and then makes way for the next, so at most two are alive."""
     k = mask.shape[-1] // 2
-    padded, m = np.pad(values, k), values.shape[-1]
-    runs = [padded]  # runs[j][..., i] reduces cells i .. i + 2^j - 1
+    run, m = np.pad(values, k), values.shape[-1]
+    seg = run[..., k:k + m].copy()
+    if values.ndim == 1:
+        lo = 0
+        for j in range(k.bit_length()):
+            if k >> j & 1:
+                op(seg, run[lo:lo + m], out=seg)
+                op(seg, run[lo + k + 1:lo + k + 1 + m], out=seg)
+                lo += 2 ** j
+            if 2 ** (j + 1) <= k:
+                run = op(run[:-2 ** j], run[2 ** j:])
+        return seg
+    runs = [run]  # runs[j][..., i] reduces cells i .. i + 2^j - 1
     while 2 ** len(runs) <= k:
         half = 2 ** (len(runs) - 1)
         runs.append(op(runs[-1][..., :-half], runs[-1][..., half:]))
@@ -101,13 +114,11 @@ def ball_reduce(values, mask, op):
                 lo += 2 ** j
 
     row_cells = mask.reshape(-1, 2 * k + 1).sum(axis=1)
-    seg, prev, out = padded[..., k:k + m].copy(), 0, None
+    prev, out = 0, None
     for w in sorted({int(c) // 2 for c in row_cells if c}):
         grow(k - w, w - prev)
         grow(k + prev + 1, w - prev)
         prev = w
-        if values.ndim == 1:  # the centre row alone
-            return seg
         for d in np.flatnonzero(row_cells == 2 * w + 1):
             piece = seg[d:d + values.shape[0]]
             out = piece.copy() if out is None else op(out, piece, out=out)
@@ -236,6 +247,8 @@ def hl_maximal(f, pad_cells=0):
     diam = max(g.extents) * g.h * 2 * np.sqrt(g.n)
     r = 2 * g.h
     while r <= diam:
+        # The FFT stays: ball_reduce sums matched it in 1-D but took 0.39 s
+        # against 0.15 s on a 64 x 64 member at h = 1/16 and pad 64.
         mask = ball_mask(r, g.h, g.n).astype(float)
         means = convolve_same(vals, mask) / mask.sum()
         np.maximum(out, np.maximum(means, 0.0), out=out)

@@ -1,7 +1,8 @@
 """Per-field reference for the stacked Campanato pass.
 
 Each call embeds one field on its own covering box, refits the
-minimizing polynomial of every small cube for that field alone, and
+minimizing polynomial of every small cube for that field alone (the
+unit-weight `eta_reference.moment_fit`, not atomic's stacked solver), and
 re-runs the whole sweep (base cubes plus the atoms' cubes) for every
 (decomposition, field) pair: the direct form of the definitions, which
 the stacked pass in `slicehardy.campanato` must match.
@@ -9,7 +10,7 @@ the stacked pass in `slicehardy.campanato` must match.
 
 import numpy as np
 
-from slicehardy.atomic import minimizing_polynomial
+from eta_reference import moment_fit
 from slicehardy.campanato import CampanatoParams
 from slicehardy.reports import Report
 from slicehardy.slice_norms import cube_indicator_slice_norm
@@ -30,8 +31,10 @@ def sweep(g, cubes, d, r):
         if not vals.size:
             continue
         if Q.side < 1.0:
-            vals = vals - minimizing_polynomial(ge, Q, d, box)(
-                ge.centers(box))
+            vals = vals - moment_fit(
+                vals.ravel(), np.ones(vals.size),
+                ge.centers(box).reshape(-1, ge.n), Q.center, Q.side, d
+            )[1].reshape(vals.shape)
         yield Q, _cube_mean(vals, r)
 
 

@@ -11,14 +11,16 @@ atomic.reconstruct's one buffer replaced.
 
 import numpy as np
 
+from eta_reference import _combine
 from slicehardy import atomic
 from slicehardy.atomic import WHITNEY_DILATION, _axis_bump, _monomials
 from slicehardy.errors import ConstructionError, UnderdeterminedError
 from slicehardy.grid import GridFunction
 
 
-def weighted_projection(g, eta, d):
-    """Weighted projection on the union box of g and eta."""
+def weighted_projection(g, eta, d, pts):
+    """Values at pts of the weighted projection on the union box of g and
+    eta."""
     g._require_compatible(eta)
     lo, ext = g.union_box(eta)
     gv = g.embed(lo, ext)
@@ -33,7 +35,7 @@ def weighted_projection(g, eta, d):
     wm = w[mask]
     coeffs = np.linalg.solve(V.T @ (V * wm[:, None]),
                              V.T @ (gv.values[mask] * wm))
-    return atomic.Polynomial(center, scale, d, coeffs)
+    return _combine(_monomials(pts, center, scale, d), coeffs)
 
 
 def partition_of_unity(cubes, O):
@@ -66,20 +68,20 @@ def level_pieces(f, m, j, params):
     cubes = atomic.whitney_decompose(O)
     etas = partition_of_unity(cubes, O)
     small = [Q.side < 1.0 for Q in cubes]
-    polys = []
+    fits = []
     b_parts = []
     for eta, is_small in zip(etas, small):
         if is_small:
-            c = weighted_projection(f, eta, params.d)
-            b = (f.values - c(f.centers())) * eta.values
+            c = weighted_projection(f, eta, params.d, f.centers())
+            b = (f.values - c) * eta.values
         else:
             c = None
             b = f.values * eta.values
-        polys.append(c)
+        fits.append(c)
         b_parts.append(b)
     b_sum = np.sum(b_parts, axis=0) if b_parts else 0.0
     return {"cubes": cubes, "etas": etas, "small": small,
-            "polys": polys, "b": b_parts, "b_sum": b_sum}
+            "fits": fits, "b": b_parts, "b_sum": b_sum}
 
 
 def assemble_level(f, level, nxt, params):
@@ -90,17 +92,16 @@ def assemble_level(f, level, nxt, params):
     out = []
     for eta_k, b_k in zip(level["etas"], level["b"]):
         A = b_k - nxt["b_sum"] * eta_k.values
-        for eta_i, c_i, is_small in zip(nxt["etas"], nxt["polys"],
+        for eta_i, c_i, is_small in zip(nxt["etas"], nxt["fits"],
                                         nxt["small"]):
             if not is_small:
                 continue
             if not np.any(eta_i.values * eta_k.values):
                 continue
             g = GridFunction(f.origin, f.h,
-                             (f.values - c_i(f.centers()))
-                             * eta_k.values, check=False)
-            c_ki = weighted_projection(g, eta_i, params.d)
-            A = A + c_ki(f.centers()) * eta_i.values
+                             (f.values - c_i) * eta_k.values, check=False)
+            A = A + weighted_projection(g, eta_i, params.d, f.centers()) \
+                * eta_i.values
         out.append(GridFunction(f.origin, f.h, A, check=False))
     return out
 

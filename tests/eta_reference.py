@@ -17,10 +17,15 @@ from math import comb
 import numpy as np
 
 from slicehardy import atomic
-from slicehardy.atomic import WHITNEY_DILATION, _axis_bump, _combine, \
-    _monomials
+from slicehardy.atomic import WHITNEY_DILATION, _axis_bump, _monomials
 from slicehardy.errors import ConstructionError, UnderdeterminedError
 from slicehardy.grid import GridFunction
+
+
+def _combine(V, coeffs):
+    """sum_k coeffs[k] V[..., k], term by term: one value per row of V, or
+    one per row and column of coeffs."""
+    return sum(np.multiply.outer(V[..., k], c) for k, c in enumerate(coeffs))
 
 
 def moment_fit(vals, w, pts, center, scale, d):
@@ -99,7 +104,7 @@ def slow_fit(V, w, count, vals):
         except np.linalg.LinAlgError as exc:
             raise UnderdeterminedError("singular moment system") from exc
         coeffs.append(cf)
-        values[b:b + c] = atomic._combine(v, cf)
+        values[b:b + c] = _combine(v, cf)
         b += c
     return np.reshape(coeffs, (len(count), V.shape[1])), values
 

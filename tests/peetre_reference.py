@@ -5,15 +5,18 @@ tile-pruned Peetre sweep replaced.  In 1-D the loop takes the max over
 every offset d = 1, 2, ... until the weight falls under eps_cut or d
 reaches the array length; in 2-D over every offset of the (2k+1)^2
 square, k the reach in cells, whose weight is at least eps_cut.
-`grand_per_kernel` is the grand maximal function as the max over kernels
-of each kernel's own maximal function.
+`window_maximal` is the radial (a = 0) or nontangential maximal
+function of one kernel, scale by scale from `kernels.convolve` and
+`scipy_reference.window_max`; `grand_per_kernel` is the grand maximal
+function as the max over kernels of each kernel's own maximal function.
 """
 
 import numpy as np
 
+import scipy_reference
 from slicehardy.grid import GridFunction
-from slicehardy.maximal import nontangential_maximal, peetre_maximal, \
-    peetre_reach
+from slicehardy.kernels import convolve
+from slicehardy.maximal import peetre_maximal, peetre_reach
 
 
 def peetre_sweep_1d(absc, s, b, h, eps_cut):
@@ -54,16 +57,28 @@ def peetre_sweep_2d(absc, s, b, h, eps_cut):
     return out
 
 
+def window_maximal(f, kernel, a, ladder, pad_cells):
+    """max over ladder scales s and cells y with |y - x| < a s of
+    |f * psi_s(y)|, on f padded by pad_cells (a = 0: the cell x alone)."""
+    g = f.pad(pad_cells)
+    out = np.zeros(g.extents)
+    for s in ladder:
+        absc = np.abs(convolve(g, kernel, s).values)
+        np.maximum(out, scipy_reference.window_max(absc, s, g.h, g.n, a),
+                   out=out)
+    return GridFunction(g.origin, g.h, out, check=False)
+
+
 def grand_per_kernel(f, dictionary, ladder, pad_cells, peetre=False,
                      b=None, eps_cut=None):
-    """max over kernels of peetre_maximal or nontangential_maximal."""
+    """max over kernels of peetre_maximal or of the window maximal
+    function of aperture 1."""
     acc = None
     for kernel in dictionary:
         if peetre:
             field_k = peetre_maximal(f, kernel, b, ladder, eps_cut, pad_cells)
         else:
-            field_k = nontangential_maximal(f, kernel, 1.0, ladder,
-                                            pad_cells=pad_cells)
+            field_k = window_maximal(f, kernel, 1.0, ladder, pad_cells)
         acc = field_k if acc is None else \
             GridFunction(acc.origin, acc.h,
                          np.maximum(acc.values, field_k.values), check=False)

@@ -14,8 +14,8 @@ import eta_reference
 import scipy_reference
 from slicehardy import atomic, orlicz
 from slicehardy.atomic import Atom, CZParams, atomic_quasinorm, \
-    cz_decompose, minimizing_polynomial, multi_indices, partition_of_unity, \
-    reconstruct, validate_atom, weighted_projection, whitney_decompose
+    cz_decompose, multi_indices, partition_of_unity, reconstruct, \
+    validate_atom, whitney_decompose
 from slicehardy.campanato import CampanatoParams
 from slicehardy.config import ScenarioConfig
 from slicehardy.errors import DecompositionRangeError, NoBoundaryError, \
@@ -41,18 +41,28 @@ def test_multi_indices_counts():
                                    (2, 0)]
 
 
+def _cube_fit(f, Q, d):
+    """(coeffs, values) of the minimizing polynomial of degree d of f on
+    cube Q, values on Q's cells: atomic._unit_fit, as the Campanato sweep
+    fits it."""
+    box = f.cube_slices(Q)
+    coeffs, values = atomic._unit_fit(f.centers(box).reshape(-1, f.n), Q, d,
+                                      f.values[box].ravel())
+    return coeffs[0], values.reshape(f.values[box].shape)
+
+
 def test_minimizing_polynomial_constant():
     h = 2.0 ** -6
     f = GridFunction.constant(3.5, (0.0,), h, (64,))
-    P = minimizing_polynomial(f, Cube((0.5,), 1.0), 2)
-    assert P(np.array([[0.123]])) == pytest.approx(3.5)
+    _, values = _cube_fit(f, Cube((0.5,), 1.0), 2)
+    np.testing.assert_allclose(values, 3.5, rtol=1e-12)
 
 
 def test_minimizing_polynomial_mean_value():
     h = 2.0 ** -8
     f = GridFunction.from_callable(lambda x: x, (0.0,), h, (int(1 / h),))
-    P = minimizing_polynomial(f, Cube((0.5,), 1.0), 0)
-    assert P(np.array([[0.9]])) == pytest.approx(0.5, abs=1e-12)
+    _, values = _cube_fit(f, Cube((0.5,), 1.0), 0)
+    np.testing.assert_allclose(values, 0.5, rtol=0, atol=1e-12)
 
 
 def test_minimizing_polynomial_quadratic_oracle():
@@ -60,9 +70,9 @@ def test_minimizing_polynomial_quadratic_oracle():
     h = 2.0 ** -9
     f = GridFunction.from_callable(lambda x: x ** 2, (0.0,), h,
                                    (int(1 / h),))
-    P = minimizing_polynomial(f, Cube((0.5,), 1.0), 1)
-    for x in (0.0, 0.3, 1.0):
-        assert P(np.array([[x]])) == pytest.approx(x - 1 / 6, abs=1e-5)
+    _, values = _cube_fit(f, Cube((0.5,), 1.0), 1)
+    np.testing.assert_allclose(values, f.axis_centers(0) - 1 / 6, rtol=0,
+                               atol=1e-5)
 
 
 def test_minimizing_polynomial_idempotent():
@@ -70,45 +80,47 @@ def test_minimizing_polynomial_idempotent():
     f = GridFunction.from_callable(lambda x: np.sin(3 * x), (0.0,), h,
                                    (64,))
     Q = Cube((0.5,), 1.0)
-    P1 = minimizing_polynomial(f, Q, 1)
-    P2 = minimizing_polynomial(GridFunction(f.origin, f.h, P1(f.centers())),
-                               Q, 1)
-    assert np.allclose(P1.coeffs, P2.coeffs, atol=1e-10)
+    c1, values = _cube_fit(f, Q, 1)
+    c2, _ = _cube_fit(GridFunction(f.origin, f.h, values), Q, 1)
+    assert np.allclose(c1, c2, atol=1e-10)
 
 
 def test_minimizing_polynomial_underdetermined():
-    f = GridFunction.constant(1.0, (0.0,), 0.5, (4,))
-    with pytest.raises(UnderdeterminedError):
-        minimizing_polynomial(f, Cube((0.25,), 0.5), 3)
+    """A one-cell cube against the four cubic monomials: the minimum-norm
+    fit interpolates, so the oscillation it leaves is zero."""
+    f = GridFunction.from_callable(lambda x: 1 + x ** 2, (0.0,), 0.5, (4,))
+    _, values = _cube_fit(f, Cube((0.25,), 0.5), 3)
+    assert values.shape == (1,)
+    np.testing.assert_allclose(values, [1 + 0.25 ** 2], rtol=0, atol=1e-14)
 
 
 def test_weighted_projection_constant():
     h = 2.0 ** -6
-    g = GridFunction.constant(2.0, (0.0,), h, (64,))
     eta = GridFunction.from_callable(
         lambda x: np.maximum(1 - np.abs(x - 0.5), 0.0), (0.0,), h, (64,))
-    c = weighted_projection(g, eta, 1)
-    assert c(np.array([[0.7]])) == pytest.approx(2.0)
+    *_, values = _level_fit(eta, np.full(64, 2.0), 1)
+    np.testing.assert_allclose(values[eta.values > 0], 2.0, rtol=1e-12)
 
 
 def test_weighted_projection_quadrature_oracle():
-    """d = 0 projection is the weighted mean int(x eta)/int(eta)."""
+    """d = 0 projection is the weighted mean int(x eta)/int(eta), which is
+    not the plain mean of x when eta is off center."""
     h = 2.0 ** -8
     g = GridFunction.from_callable(lambda x: x, (0.0,), h, (int(1 / h),))
-    eta = GridFunction.from_callable(
-        lambda x: np.exp(-(x - 0.5) ** 2), (0.0,), h, (int(1 / h),))
-    c = weighted_projection(g, eta, 0)
-    expected = (g * eta).integrate() / eta.integrate()
-    assert c(np.array([[0.0]])) == pytest.approx(expected, rel=1e-12)
+    for c in (0.5, 0.3):
+        eta = GridFunction.from_callable(
+            lambda x: np.exp(-(x - c) ** 2), (0.0,), h, (int(1 / h),))
+        *_, values = _level_fit(eta, g.values, 0)
+        expected = (g * eta).integrate() / eta.integrate()
+        np.testing.assert_allclose(values, expected, rtol=1e-12)
 
 
 def test_weighted_projection_one_cell_weight_interpolates():
     """A one-cell weight holds fewer cells than the degree-1 monomials: the
     projection interpolates g there, so every weighted moment vanishes."""
-    g = GridFunction.from_callable(lambda x: 1 + x ** 2, (0.0,), 0.25, (8,))
     eta = GridFunction((0.5,), 0.25, np.array([0.7]))
-    c = weighted_projection(g, eta, 1)
-    assert c(eta.centers()) == pytest.approx([1 + 0.625 ** 2], abs=1e-14)
+    *_, values = _level_fit(eta, np.array([1 + 0.625 ** 2]), 1)
+    assert values == pytest.approx([1 + 0.625 ** 2], abs=1e-14)
 
 
 @st.composite
@@ -146,23 +158,21 @@ def _polynomial_fits(draw):
 def test_moment_systems_reproduce_polynomials(case):
     """Both fits reproduce a polynomial of degree <= d, in 1-D and 2-D, and
     f - P_Q f has vanishing moments of order <= d on Q.  The eta step of
-    the decomposition gives, bit for bit, the values of the public
-    projection on eta's positive cells, and zero elsewhere."""
+    the decomposition gives, bit for bit, the values of the per-call
+    eta_reference.eta_fit on eta's positive cells, and zero elsewhere."""
     f, Q, eta, d = case
-    pts = f.centers()
-    np.testing.assert_allclose(minimizing_polynomial(f, Q, d)(pts),
-                               f.values, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(weighted_projection(f, eta, d)(pts),
-                               f.values, rtol=0, atol=1e-9)
-    g = f + GridFunction(f.origin, f.h, np.sin(3 * pts.sum(axis=-1)))
-    box = g.cube_slices(Q)
-    r = g.box_view(box).copy()
-    r.values -= minimizing_polynomial(g, Q, d, box)(g.centers(box))
-    assert atomic._moment_slack(r, Q, d) <= 1e-10
+    box = f.cube_slices(Q)
+    np.testing.assert_allclose(_cube_fit(f, Q, d)[1], f.values[box],
+                               rtol=0, atol=1e-9)
     pos = eta.values > 0
+    np.testing.assert_allclose(_level_fit(eta, f.values, d)[3][pos],
+                               f.values[pos], rtol=0, atol=1e-9)
+    g = f + GridFunction(f.origin, f.h, np.sin(3 * f.centers().sum(axis=-1)))
+    r = g.box_view(box).copy()
+    r.values -= _cube_fit(g, Q, d)[1]
+    assert atomic._moment_slack(r, Q, d) <= 1e-10
     *_, vals = _level_fit(eta, g.values, d)
-    assert np.array_equal(
-        vals[pos], weighted_projection(g, eta, d)(eta.centers())[pos])
+    assert np.array_equal(vals, eta_reference.eta_fit(g.values, eta, d)[1])
     assert not vals[~pos].any()
 
 
@@ -309,10 +319,9 @@ def test_stacked_moment_solves_are_the_per_call_solves_bit_for_bit(case):
 
 
 def test_weighted_projection_degenerate_weight():
-    g = GridFunction.constant(1.0, (0.0,), 0.25, (8,))
     eta = GridFunction.constant(0.0, (0.0,), 0.25, (8,))
     with pytest.raises(UnderdeterminedError):
-        weighted_projection(g, eta, 0)
+        _level_fit(eta, np.ones(8), 0)
 
 
 # -- Whitney covering -------------------------------------------------------

@@ -18,8 +18,7 @@ from slicehardy.grid import GridFunction
 from slicehardy.kernels import build_dictionary, convolve
 from slicehardy.maximal import MaximalParams, _one_scale_max, _peetre_sweep, \
     _peetre_weights, _window_max, grand_maximal, maximal_fields, \
-    nontangential_maximal, peetre_maximal, peetre_reach, pointwise_chain_ok, \
-    radial_maximal
+    peetre_maximal, peetre_reach, pointwise_chain_ok
 from slicehardy.slice_norms import SliceParams, slice_norm
 
 
@@ -30,6 +29,11 @@ def bump(dictionary_1d):
         lambda x: np.exp(-30 * (x - 0.5) ** 2), (0.0,), h, (int(1 / h),))
 
 
+def _on_ladder(dictionary, ladder, a=1.0):
+    """MaximalParams of the dictionary's kernels on another ladder."""
+    return MaximalParams(dataclasses.replace(dictionary, scales=ladder), a=a)
+
+
 def test_radial_spike_matches_enumeration(dictionary_1d):
     """A single-cell spike convolves to lam * h * psi_s(x - x0)."""
     h = dictionary_1d.h
@@ -37,7 +41,7 @@ def test_radial_spike_matches_enumeration(dictionary_1d):
     vals[20] = 3.0
     f = GridFunction((0.0,), h, vals)
     ladder = [0.5, 0.25]
-    m = radial_maximal(f, dictionary_1d.phi, ladder)
+    m = maximal_fields(f, _on_ladder(dictionary_1d, ladder))["radial"]
     # brute force: for each output point take the max over scales
     expected = np.zeros(m.extents)
     x0 = f.axis_centers(0)[20]
@@ -62,11 +66,9 @@ def test_pointwise_chain(bump, maximal_params):
 
 
 def test_nontangential_dominates_radial(bump, dictionary_1d):
-    ladder = [0.5, 0.25]
-    r = radial_maximal(bump, dictionary_1d.phi, ladder, pad_cells=200)
-    nt = nontangential_maximal(bump, dictionary_1d.phi, 1.0, ladder,
-                               pad_cells=200)
-    assert np.all(nt.values >= r.values - 1e-300)
+    fields = maximal_fields(bump, _on_ladder(dictionary_1d, [0.5, 0.25]))
+    assert np.all(fields["nontangential"].values
+                  >= fields["radial"].values - 1e-300)
 
 
 def test_grand_with_single_kernel_collapses(bump, dictionary_1d):
@@ -76,10 +78,9 @@ def test_grand_with_single_kernel_collapses(bump, dictionary_1d):
                                  kernels=[dictionary_1d.phi],
                                  scales=dictionary_1d.scales,
                                  h=dictionary_1d.h)
-    g = grand_maximal(bump, single, pad_cells=100)
-    nt = nontangential_maximal(bump, dictionary_1d.phi,
-                               1.0, dictionary_1d.scales, pad_cells=100)
-    assert np.array_equal(g.values, nt.values)
+    fields = maximal_fields(bump, MaximalParams(single, a=1.0))
+    assert np.array_equal(fields["grand"].values,
+                          fields["nontangential"].values)
 
 
 def test_grand_monotone_in_dictionary(bump, dictionary_1d):
@@ -107,8 +108,8 @@ def test_maximal_params_read_order_and_ladder_from_the_dictionary(
 
 @pytest.mark.parametrize("a", [0.0, -1.0, np.nan])
 def test_maximal_params_reject_a_nonpositive_aperture(dictionary_1d, a):
-    """maximal_fields takes the aperture from the params, so the guard of
-    nontangential_maximal has to hold there too."""
+    """maximal_fields takes the nontangential aperture from the params,
+    so they guard it."""
     with pytest.raises(PreconditionError, match="aperture"):
         MaximalParams(dictionary_1d, a=a)
 
@@ -367,13 +368,15 @@ def test_grand_maximal_matches_per_kernel_maxima_2d(peetre):
 
 
 def _each_alone(f, params):
-    """The five fields of maximal_fields, each from its own function (the
-    grand Peetre one as the max of the kernels' Peetre functions)."""
+    """The five fields of maximal_fields, each on its own: the radial and
+    nontangential ones scale by scale from the reference window maxima,
+    the grand Peetre one as the max of the kernels' Peetre functions."""
     pad, ladder, d = params.pad_cells(f.h), params.ladder, params.dictionary
     return {
-        "radial": radial_maximal(f, d.phi, ladder, pad),
-        "nontangential": nontangential_maximal(f, d.phi, params.a, ladder,
-                                               pad),
+        "radial": peetre_reference.window_maximal(f, d.phi, 0.0, ladder,
+                                                  pad),
+        "nontangential": peetre_reference.window_maximal(
+            f, d.phi, params.a, ladder, pad),
         "grand": grand_maximal(f, d, ladder, pad_cells=pad),
         "peetre": peetre_maximal(f, d.phi, params.b, ladder, params.eps_cut,
                                  pad),
@@ -461,9 +464,10 @@ def test_nontangential_two_dimensional_matches_enumeration():
     d = build_dictionary(N=2, M=2, h=h, count=1, n=2)
     rng = np.random.default_rng(7)
     f = GridFunction((0.0, 0.0), h, rng.normal(size=(5, 6)))
-    a, ladder, pad = 1.5, [0.25, 0.5], 3
-    m = nontangential_maximal(f, d.phi, a, ladder, pad_cells=pad)
-    g = f.pad(pad)
+    a, ladder = 1.5, [0.25, 0.5]
+    params = _on_ladder(d, ladder, a)
+    m = maximal_fields(f, params)["nontangential"]
+    g = f.pad(params.pad_cells(h))
     ix, iy = np.indices(g.extents)
     expected = np.zeros(g.extents)
     for s in ladder:
