@@ -83,12 +83,14 @@ def _check_cz_roundtrip(run, summary):
     cfg = run.cfg
     report = Report("cz_roundtrip",
                     ["index", "atoms", "rel_sup_error", "quasinorm_ratio"])
-    for i, (f, dec) in enumerate(run.decompositions()):
+    decs = run.decompositions()
+    peetre = run.maximal.peetre_fields([f for f, _ in decs])
+    for i, ((f, dec), m) in enumerate(zip(decs, peetre)):
         rec = reconstruct(dec)
         fe = f.embed(rec.origin, rec.extents)
         err = float(np.abs(rec.values - fe.values).max()) / f.max_abs()
         aq = atomic_quasinorm(dec, cfg.s)
-        hq = slice_norm(run.maximal.peetre_field(f), run.slice_params)
+        hq = slice_norm(m, run.slice_params)
         report.add(i, len(dec.entries), err, aq / hq if hq > 0 else 0.0)
     errs = report.column("rel_sup_error")
     summary["max_rel_error"] = max(errs) if errs else 0.0

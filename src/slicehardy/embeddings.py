@@ -47,7 +47,8 @@ def hardy_embedding_check(family, params):
     Computes the Musielak-type Hardy quasi-norm and the amalgam-type one
     from one Peetre maximal function for every member, and reports the
     fitted max ratio of the former to the latter; the reverse direction
-    is never asserted.  The Peetre field is params.peetre_field(f).
+    is never asserted.  The Peetre fields are params.peetre_fields of the
+    nonzero members, made in one pass.
     """
     n = family[0].n if family else 1
     if params.b <= 2 * n:
@@ -57,10 +58,9 @@ def hardy_embedding_check(family, params):
     theta = orlicz.musielak_log()
     report = Report("hardy_embedding",
                     ["index", "h_star", "h_log", "ratio"])
-    for i, f in enumerate(family):
-        if f.max_abs() == 0:
-            continue
-        m = params.peetre_field(f)
+    nonzero = [(i, f) for i, f in enumerate(family) if f.max_abs() != 0]
+    fields = params.peetre_fields([f for _, f in nonzero])
+    for (i, _), m in zip(nonzero, fields):
         h_star = star_norm(m, phi)
         h_log = orlicz.musielak_norm(theta, m)
         report.add(i, h_star, h_log, h_log / h_star)

@@ -7,7 +7,9 @@ with derivatives estimated by iterated centered finite differences.  A
 finite dictionary of such kernels stands in for the full normalized
 kernel class; its size is a convergence knob, not a canonical family.
 Grid convolution by FFT is one same-mode helper on numpy.fft,
-convolve_same, which the Hardy-Littlewood averages of slice_norms share.
+convolve_same, which the Hardy-Littlewood averages of slice_norms share;
+it and convolve take a stack of sample arrays along leading axes, so the
+maximal functions of a family transform each kernel once per scale.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from functools import cache
 import numpy as np
 
 from .errors import ConstructionError, PreconditionError, ResolutionError
-from .grid import GridFunction
 
 
 def bump_profile(x):
@@ -181,35 +182,39 @@ def build_dictionary(N, M, h, count, n=1):
                                fd_check=fd_check)
 
 
-def convolve(f, kernel, s):
-    """Quadrature convolution f * psi_s sampled on f's grid.
+def convolve(values, h, kernel, s):
+    """Quadrature convolution of values * psi_s on their grid of spacing h.
 
     psi_s(x) = s^{-n} psi(x/s); the sum is over grid cells, weighted by
-    the cell volume, so a unit-mass kernel reproduces constants away from
-    the support boundary.
+    the cell volume h^n, so a unit-mass kernel reproduces constants away
+    from the support boundary.  values is one sample array or a stack of
+    them along leading axes, the kernel's n axes last: the kernel is
+    sampled (Kernel.sample rejects s < 2h) and transformed once for the
+    stack (see convolve_same).
     """
-    if s < 2 * f.h:
-        raise ResolutionError(f"scale {s} below 2h = {2 * f.h}")
-    kvals = kernel.sample(s, f.h)
-    out = convolve_same(f.values, kvals) * f.cell_volume
-    return GridFunction(f.origin, f.h, out, check=False)
+    return convolve_same(values, kernel.sample(s, h)) * h ** kernel.n
 
 
 def convolve_same(a, k):
-    """The centered a.shape part of the full convolution of the real
-    arrays a and k (same ndim), by real FFTs at a 5-smooth length per
-    axis.  The inverse runs unscaled and scales once, by 1 / (product of
-    the lengths), at the end, as pocketfft's multi-axis inverse does: the
-    arithmetic, bit for bit, of SciPy's fftconvolve(a, k, mode="same")."""
-    full = [p + q - 1 for p, q in zip(a.shape, k.shape)]
+    """The centered part, of a's shape, of the full convolution of the
+    real arrays a and k, by real FFTs at a 5-smooth length per axis.  The
+    transforms run over k's axes, the last k.ndim of a; leading axes of a
+    are a batch, each of whose members is convolved with k, bit for bit
+    as alone (pocketfft runs the same 1-D plan on each member), while k
+    is transformed once.  The inverse runs unscaled and scales once, by
+    1 / (product of the lengths), at the end, as pocketfft's multi-axis
+    inverse does: the arithmetic, bit for bit, of SciPy's
+    fftconvolve(a, k, mode="same") on each member."""
+    n = k.ndim
+    full = [p + q - 1 for p, q in zip(a.shape[-n:], k.shape)]
     fast = [_next_fast_len(m) for m in full]
-    axes = tuple(range(a.ndim))
+    axes = tuple(range(-n, 0))
     spec = np.fft.rfftn(a, fast, axes) * np.fft.rfftn(k, fast, axes)
-    if a.ndim > 1:
+    if n > 1:
         spec = np.fft.ifftn(spec, axes=axes[:-1], norm="forward")
     out = np.fft.irfft(spec, fast[-1], norm="forward")
-    centered = tuple(slice((m - p) // 2, (m - p) // 2 + p)
-                     for m, p in zip(full, a.shape))
+    centered = (...,) + tuple(slice((m - p) // 2, (m - p) // 2 + p)
+                              for m, p in zip(full, a.shape[-n:]))
     return out[centered] * (1.0 / math.prod(fast))
 
 

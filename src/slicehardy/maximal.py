@@ -3,10 +3,20 @@
 Scale suprema run over a dyadic ladder inside (0, 1); for smooth bump
 kernels the convolution varies by a bounded factor between consecutive
 dyadic scales, which preserves the equivalence bands the reports fit.
+
+The fields of a family are computed a stack of members at a time: the
+members that share a grid shape are stacked along a leading batch axis,
+up to _STACK_CELLS padded cells a stack, and each kernel is sampled and
+transformed once per scale and stack, each window maximum and Peetre
+tile sweep is one call per scale and stack.  Every step treats the
+members apart, so a member's fields are bit for bit those it has alone.
+The budget bounds the stack's transforms and sweep tables, which set the
+run's peak RSS.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import combinations
@@ -58,22 +68,35 @@ class MaximalParams:
     def _peetre(self):
         return {}
 
+    def peetre_fields(self, members):
+        """The Peetre maximal functions of members that maximal_fields and
+        the Hardy quasi-norms use: phi, b, ladder and eps_cut on the shared
+        pad, bit for bit peetre_maximal's, computed once per sample array
+        for as long as these parameters live: those not yet kept in one
+        _scale_max pass, stacked along a batch axis up to _STACK_CELLS
+        cells a stack (the budget bounds peak RSS).  The key is a member's
+        values, never its identity, so a whole-cell translate shares the
+        read-only values, placed on its own padded grid as GridFunction.pad
+        places them."""
+        keys = [(f.h, f.values.shape, f.values.tobytes()) for f in members]
+        missing = {}
+        for key, f in zip(keys, members):
+            if key not in self._peetre:
+                missing.setdefault(key, f)
+        sweep = partial(_peetre_sweep, b=self.b, eps_cut=self.eps_cut)
+        fields = _scale_max(list(missing.values()), [self.dictionary.phi],
+                            self.ladder, self.pad_cells,
+                            {"peetre": (sweep, True)})
+        for key, field in zip(missing, fields):
+            field["peetre"].values.flags.writeable = False
+            self._peetre[key] = field["peetre"].values
+        return [GridFunction(f.origin - self.pad_cells(f.h) * f.h, f.h,
+                             self._peetre[key], check=False)
+                for key, f in zip(keys, members)]
+
     def peetre_field(self, f):
-        """The Peetre maximal function of f that maximal_fields and the
-        Hardy quasi-norms use: phi, b, ladder and eps_cut on the shared
-        pad, computed once per sample array for as long as these
-        parameters live.  The key is f's values, never its identity, so a
-        whole-cell translate shares the read-only values, placed on its
-        own padded grid as GridFunction.pad places them."""
-        pad = self.pad_cells(f.h)
-        key = f.h, f.values.shape, f.values.tobytes()
-        values = self._peetre.get(key)
-        if values is None:
-            values = peetre_maximal(f, self.dictionary.phi, self.b,
-                                    self.ladder, self.eps_cut, pad).values
-            values.flags.writeable = False
-            self._peetre[key] = values
-        return GridFunction(f.origin - pad * f.h, f.h, values, check=False)
+        """peetre_fields of the one member f."""
+        return self.peetre_fields([f])[0]
 
     def require_grand_comparison(self):
         if self.N < int(np.floor(self.b + 1)):
@@ -82,34 +105,67 @@ class MaximalParams:
                 f"{int(np.floor(self.b + 1))}")
 
 
-def _scale_max(f, kernels, ladder, pad_cells, ops, seeds=None):
-    """{name: max over scales s of op(c, s, h, n)} on the padded grid, for
-    each name: (op, over_kernels) of ops, c being |f * psi_s| of the first
-    kernel, or with over_kernels the max of that over all kernels, and of
-    seeds[name] if given (values below the result).  Each kernel is
-    convolved once per scale, whatever the number of ops.  Each op weights
-    c by w >= 0 and rounding is monotone, so taking the max over kernels
-    first changes no bit.  An op gets the running max as its `floor`,
-    below which it need not look, and returns its max with it."""
-    g, seeds = f.pad(pad_cells), seeds or {}
-    out = {name: seeds[name].copy() if name in seeds
-           else np.zeros(g.extents) for name in ops}
-    for s in ladder:
-        first = np.abs(convolve(g, kernels[0], s).values)
-        grand = first.copy() if len(kernels) > 1 else first
-        for kernel in kernels[1:]:
-            np.maximum(grand, np.abs(convolve(g, kernel, s).values),
-                       out=grand)
-        for name, (op, over_kernels) in ops.items():
-            c = grand if over_kernels else first
-            out[name] = op(c, s, g.h, g.n, floor=out[name])
-    return {name: GridFunction(g.origin, g.h, v, check=False)
-            for name, v in out.items()}
+#: padded cells per stack of _scale_max, five default members (3072 cells
+#: each): the stack's spectra and sweep tables grow with it, and with them
+#: the run's peak RSS
+_STACK_CELLS = 1 << 14
+
+
+def _scale_max(members, kernels, ladder, pad, ops, seeds=None):
+    """For each member f, {name: max over scales s of op(c, s, h, n)} on
+    f's grid padded by pad(h) cells, for each name: (op, over_kernels) of
+    ops, c being |f * psi_s| of the first kernel, or with over_kernels the
+    max of that over all kernels, and of seeds[name][i] for the i-th
+    member if given (values below the result).  Members that share h and
+    extents are stacked along a leading batch axis, at most _STACK_CELLS
+    padded cells a stack (at least one member), and each kernel is
+    convolved once per scale and stack, whatever the number of ops; the
+    ops take the stack and treat its members apart.  Each op weights c by
+    w >= 0 and rounding is monotone, so taking the max over kernels first
+    changes no bit.  An op gets the running max as its `floor`, below
+    which it need not look, and returns its max with it."""
+    seeds, out = seeds or {}, [None] * len(members)
+    for ix in _stacks(members, pad):
+        h, n = members[ix[0]].h, members[ix[0]].n
+        cells = int(pad(h))
+        stack = np.pad(np.stack([members[i].values for i in ix]),
+                       [(0, 0)] + [(cells, cells)] * n)
+        acc = {name: np.stack([seeds[name][i] for i in ix]) if name in seeds
+               else np.zeros(stack.shape) for name in ops}
+        for s in ladder:
+            first = np.abs(convolve(stack, h, kernels[0], s))
+            grand = first.copy() if len(kernels) > 1 else first
+            for kernel in kernels[1:]:
+                np.maximum(grand, np.abs(convolve(stack, h, kernel, s)),
+                           out=grand)
+            for name, (op, over_kernels) in ops.items():
+                c = grand if over_kernels else first
+                acc[name] = op(c, s, h, n, floor=acc[name])
+        for j, i in enumerate(ix):  # the origin GridFunction.pad gives
+            origin = members[i].origin - cells * h
+            out[i] = {name: GridFunction(origin, h, v[j], check=False)
+                      for name, v in acc.items()}
+    return out
+
+
+def _stacks(members, pad):
+    """Indices of the members, in order, grouped by (h, extents) and cut
+    into stacks of at most _STACK_CELLS cells padded by pad(h), one
+    member at least."""
+    groups = {}
+    for i, f in enumerate(members):
+        groups.setdefault((f.h, f.extents), []).append(i)
+    for (h, extents), ix in groups.items():
+        cells = math.prod(e + 2 * pad(h) for e in extents)
+        step = max(_STACK_CELLS // cells, 1)
+        for lo in range(0, len(ix), step):
+            yield ix[lo:lo + step]
 
 
 def _one_scale_max(f, kernels, ladder, pad_cells, op):
-    """_scale_max of one op over all the kernels."""
-    return _scale_max(f, kernels, ladder, pad_cells, {"": (op, True)})[""]
+    """_scale_max of one op over all the kernels, for the one member f."""
+    return _scale_max([f], kernels, ladder, lambda h: pad_cells,
+                      {"": (op, True)})[0][""]
 
 
 def _window_max(values, s, h, n, a, floor=None):
@@ -145,34 +201,42 @@ def peetre_maximal(f, kernel, b, ladder, eps_cut=DEFAULT_EPS_CUT,
                           partial(_peetre_sweep, b=b, eps_cut=eps_cut))
 
 
-#: cells per tile, and tile pairs per product block, of the row sweeps
-_TILE, _PAIR_BLOCK = 32, 256
+#: cells per tile, and tile pairs per product block (of 512 KB), of the
+#: row sweeps
+_TILE, _PAIR_BLOCK = 32, 64
 
 
 def _peetre_sweep(absc, s, h, n, b, eps_cut, floor=None):
     """max over offsets d of absc(x - d) (1 + |d| h / s)^{-b}, over the
     d of weight >= eps_cut (along a row, up to the first one under it),
-    and of floor if given, bit for bit.  absc is a stack of rows along its
-    last axis (1-D is one row): for each row offset r = 0, 1, ... one
-    _tile_sweep carries every row to the rows r above and below, pruned
-    against the least output taken at the two, until (r, 0)'s weight times
-    max(absc) <= min(out).  A higher floor prunes more."""
-    rows = absc.reshape(-1, absc.shape[-1])
-    nr = rows.shape[0]
-    out, top = rows.copy(), rows.max()
+    and of floor if given, bit for bit.  The offsets run over the last n
+    axes of absc; leading axes are a batch of members.  A member is a
+    stack of rows along its last axis (1-D is one row): for each row
+    offset r = 0, 1, ... one _tile_sweep carries every row of the members
+    still live to the rows r above and below in the same member, pruned
+    against the least output taken at the two.  A member is done once
+    (r, 0)'s weight times its max(absc) <= its min(out), as it would be
+    alone.  A higher floor prunes more."""
+    m = absc.shape[-1]
+    nr = math.prod(absc.shape[absc.ndim - n:-1])
+    stack = absc.reshape(-1, nr, m)
+    out = stack.copy()
     if floor is not None:
-        np.maximum(out, floor.reshape(rows.shape), out=out)
+        np.maximum(out, floor.reshape(out.shape), out=out)
+    top = stack.max(axis=(1, 2))
     for r in range(nr):
-        w = _peetre_weights(rows.shape[1], s, h, b, eps_cut, r)
-        if w[0] * top <= out.min():
+        w = _peetre_weights(m, s, h, b, eps_cut, r)
+        live = np.flatnonzero(w[0] * top > out.min(axis=(1, 2)))
+        if not live.size:
             break
-        # rows k + 2r and k of the padded output are row k's targets
-        pad = np.full((nr + 2 * r, rows.shape[1]), np.inf)
-        pad[r:r + nr] = out
-        got = _tile_sweep(rows, w, np.minimum(pad[2 * r:], pad[:nr]))
-        np.maximum(pad[2 * r:], got, out=pad[2 * r:])
-        np.maximum(pad[:nr], got, out=pad[:nr])
-        out = pad[r:r + nr]
+        # rows k + 2r and k of a member's padded output are row k's targets
+        pad = np.full((live.size, nr + 2 * r, m), np.inf)
+        pad[:, r:r + nr] = out[live]
+        got = _tile_sweep(stack[live].reshape(-1, m), w, np.minimum(
+            pad[:, 2 * r:], pad[:, :nr]).reshape(-1, m)).reshape(-1, nr, m)
+        np.maximum(pad[:, 2 * r:], got, out=pad[:, 2 * r:])
+        np.maximum(pad[:, :nr], got, out=pad[:, :nr])
+        out[live] = pad[:, r:r + nr]
     return out.reshape(absc.shape)
 
 
@@ -250,30 +314,33 @@ def grand_maximal(f, dictionary, ladder=None, pad_cells=None):
 _FIVE = ("radial", "nontangential", "grand", "peetre", "grand_peetre")
 
 
-def maximal_fields(f, params):
-    """The five maximal functions of f on one padded grid: the radial and
-    nontangential maxima of |f * phi_s| over the windows of aperture 0
-    and a, the grand one, and the Peetre and grand Peetre sweeps.  The
-    grand and Peetre fields are bit for bit grand_maximal's and
-    peetre_maximal's at that pad.
+def maximal_fields(members, params):
+    """The five maximal functions of each member on one padded grid: the
+    radial and nontangential maxima of |f * phi_s| over the windows of
+    aperture 0 and a, the grand one, and the Peetre and grand Peetre
+    sweeps, a dict per member.  The grand and Peetre fields are bit for
+    bit grand_maximal's and peetre_maximal's at that pad, and every field
+    is the one the member has alone.
 
-    Each dictionary kernel is convolved once per scale: |f * phi_s|, phi
-    being the first kernel, feeds the radial and nontangential fields,
-    its max with the other kernels the two grand ones.  The Peetre field
-    is params.peetre_field(f).  The grand one dominates it at every scale
-    (rounding is monotone), so the grand sweeps start from it.
+    Each dictionary kernel is convolved once per scale and stack of
+    members (see _scale_max): |f * phi_s|, phi being the first kernel,
+    feeds the radial and nontangential fields, its max with the other
+    kernels the two grand ones.  The Peetre fields are
+    params.peetre_fields(members).  The grand one dominates its member's
+    at every scale (rounding is monotone), so the grand sweeps start from
+    it.
     """
-    peetre = params.peetre_field(f)
+    peetre = params.peetre_fields(members)
     fields = _scale_max(
-        f, list(params.dictionary), params.ladder, params.pad_cells(f.h),
+        members, list(params.dictionary), params.ladder, params.pad_cells,
         {"radial": (partial(_window_max, a=0.0), False),
          "nontangential": (partial(_window_max, a=params.a), False),
          "grand": (partial(_window_max, a=1.0), True),
          "grand_peetre": (partial(_peetre_sweep, b=params.b,
                                   eps_cut=params.eps_cut), True)},
-        {"grand_peetre": peetre.values})
-    fields["peetre"] = peetre
-    return {name: fields[name] for name in _FIVE}
+        {"grand_peetre": [p.values for p in peetre]})
+    return [{name: p if name == "peetre" else five[name] for name in _FIVE}
+            for five, p in zip(fields, peetre)]
 
 
 def pointwise_chain_ok(fields, a, b):
@@ -300,10 +367,9 @@ def maximal_equivalence_report(family, params, phi, q, t_values):
     n = family[0].n if family else 1
     params.require_hardy(n, phi.p_minus, q)
     ratios = {pair: [] for pair in combinations(_FIVE, 2)}
-    for i, f in enumerate(family):
-        if f.max_abs() == 0:
-            continue
-        five = maximal_fields(f, params)
+    nonzero = [(i, f) for i, f in enumerate(family) if f.max_abs() != 0]
+    fields = maximal_fields([f for _, f in nonzero], params)
+    for (i, _), five in zip(nonzero, fields):
         chain = pointwise_chain_ok(five, params.a, params.b)
         for t in t_values:
             sp = SliceParams(t, q, phi)

@@ -8,10 +8,10 @@ the indicator normalization is exact and identical for every x.  One
 mask, ball_mask, gives the ball's cells in every dimension, and one
 reduction, ball_reduce, sums or maximizes over it from growing row
 segments: power-type window norms, the cube-indicator counts and the
-window maxima of maximal.py.  General Phi hand the ball's windows to the
-gauge solver as _Windows, which gathers them a block of rows at a time
-on demand (1-D windows as rows of a strided view, 2-D ones by a cell
-index).
+window maxima of maximal.py, the last on a stack of members at once.
+General Phi hand the ball's windows to the gauge solver as _Windows,
+which gathers them a block of rows at a time on demand (1-D windows as
+rows of a strided view, 2-D ones by a cell index).
 """
 
 from __future__ import annotations
@@ -76,7 +76,9 @@ def ball_mask(r, h, n):
 def ball_reduce(values, mask, op):
     """op (np.add or np.maximum) over the cells of mask (a ball_mask of
     half width k) around every cell of values, in same mode, zero outside
-    the box, in values' dtype.
+    the box, in values' dtype.  The ball runs over the last mask.ndim axes
+    of values; leading axes are a batch, each member reduced bit for bit
+    as alone (every op is elementwise).
 
     The ball is a union of centered row segments along the last axis (the
     centre row alone in 1-D).  Runs of 2^j <= k cells come from doubling;
@@ -88,18 +90,19 @@ def ball_reduce(values, mask, op):
     2 popcount(k) + bit_length(k) - 1 in 1-D.  In 1-D, where the segment
     grows once, by k cells on each side, each table adds its left and
     right runs and then makes way for the next, so at most two are alive."""
-    k = mask.shape[-1] // 2
-    run, m = np.pad(values, k), values.shape[-1]
+    k, n = mask.shape[-1] // 2, mask.ndim
+    run = np.pad(values, [(0, 0)] * (values.ndim - n) + [(k, k)] * n)
+    m = values.shape[-1]
     seg = run[..., k:k + m].copy()
-    if values.ndim == 1:
+    if n == 1:
         lo = 0
         for j in range(k.bit_length()):
             if k >> j & 1:
-                op(seg, run[lo:lo + m], out=seg)
-                op(seg, run[lo + k + 1:lo + k + 1 + m], out=seg)
+                op(seg, run[..., lo:lo + m], out=seg)
+                op(seg, run[..., lo + k + 1:lo + k + 1 + m], out=seg)
                 lo += 2 ** j
             if 2 ** (j + 1) <= k:
-                run = op(run[:-2 ** j], run[2 ** j:])
+                run = op(run[..., :-2 ** j], run[..., 2 ** j:])
         return seg
     runs = [run]  # runs[j][..., i] reduces cells i .. i + 2^j - 1
     while 2 ** len(runs) <= k:
@@ -120,7 +123,7 @@ def ball_reduce(values, mask, op):
         grow(k + prev + 1, w - prev)
         prev = w
         for d in np.flatnonzero(row_cells == 2 * w + 1):
-            piece = seg[d:d + values.shape[0]]
+            piece = seg[..., d:d + values.shape[-2], :]
             out = piece.copy() if out is None else op(out, piece, out=out)
     return out
 

@@ -18,5 +18,23 @@ def maximal_params(dictionary_1d):
 
 
 @pytest.fixture
+def peetre_builds(monkeypatch):
+    """The members whose Peetre fields MaximalParams.peetre_fields makes,
+    in the order made: those it hands to its _scale_max pass of the
+    "peetre" op."""
+    from slicehardy import maximal
+
+    made, scale_max = [], maximal._scale_max
+
+    def recorded(members, kernels, ladder, pad, ops, *args):
+        if "peetre" in ops:
+            made.extend(members)
+        return scale_max(members, kernels, ladder, pad, ops, *args)
+
+    monkeypatch.setattr(maximal, "_scale_max", recorded)
+    return made
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(1234)

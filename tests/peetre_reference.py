@@ -63,7 +63,7 @@ def window_maximal(f, kernel, a, ladder, pad_cells):
     g = f.pad(pad_cells)
     out = np.zeros(g.extents)
     for s in ladder:
-        absc = np.abs(convolve(g, kernel, s).values)
+        absc = np.abs(convolve(g.values, g.h, kernel, s))
         np.maximum(out, scipy_reference.window_max(absc, s, g.h, g.n, a),
                    out=out)
     return GridFunction(g.origin, g.h, out, check=False)

@@ -321,24 +321,18 @@ def test_default_check_outside_its_hypotheses_is_skipped(runner, tmp_path,
 @pytest.mark.parametrize("order", [1, -1])
 def test_all_decomposes_once_and_matches_subcommands(runner, config_path,
                                                       tmp_path, monkeypatch,
-                                                      order):
+                                                      peetre_builds, order):
     """`all` shares one decomposition per member across the three checks
     that use it, and one Peetre field per distinct sample array across
     the three that use that (the embeddings' whole-cell translates share
     one), in either order; it writes the CSVs the separate subcommands
     write."""
-    from slicehardy import cli, maximal
+    from slicehardy import cli
 
     calls = []
     real = cli.cz_decompose
     monkeypatch.setattr(cli, "cz_decompose",
                         lambda *a: calls.append(1) or real(*a))
-    builds = []
-    real_peetre = maximal.peetre_maximal
-    monkeypatch.setattr(
-        maximal, "peetre_maximal",
-        lambda f, *a: builds.append(f.values.tobytes()) or
-        real_peetre(f, *a))
     names = ["maximal-equivalence", "cz-roundtrip", "atom-validation",
              "duality", "embeddings"][::order]
     joint = tmp_path / "all"
@@ -347,6 +341,7 @@ def test_all_decomposes_once_and_matches_subcommands(runner, config_path,
                                   "--out", str(joint)])
     assert result.exit_code == 0, result.output
     assert len(calls) == 2
+    builds = [f.values.tobytes() for f in peetre_builds]
     assert len(builds) == len(set(builds)) == 2 + 1
     for name in names:
         alone = tmp_path / name
@@ -358,7 +353,7 @@ def test_all_decomposes_once_and_matches_subcommands(runner, config_path,
 
 
 def test_run_shares_one_peetre_field_between_whole_cell_translates(
-        config_path, monkeypatch):
+        config_path, peetre_builds):
     """The run's MaximalParams keys Peetre fields on sample values: a
     whole-cell translate gets the shared read-only values back on its own
     padded grid, as peetre_maximal gives them bit for bit, and
@@ -371,36 +366,36 @@ def test_run_shares_one_peetre_field_between_whole_cell_translates(
     run = cli.Run(load_config(config_path), 0)
     mp = run.maximal
     near, far = generate_family("translates:R=0,16", 0, run.cfg.h)
-    made, make = [], maximal.peetre_maximal
-    monkeypatch.setattr(maximal, "peetre_maximal",
-                        lambda f, *a: made.append(f) or make(f, *a))
     first = mp.peetre_field(near)
     shared = mp.peetre_field(far)
     for f, m in ((near, first), (far, shared)):
-        alone = make(f, mp.dictionary.phi, mp.b, mp.ladder, mp.eps_cut,
-                     mp.pad_cells(f.h))
+        alone = maximal.peetre_maximal(f, mp.dictionary.phi, mp.b,
+                                       mp.ladder, mp.eps_cut,
+                                       mp.pad_cells(f.h))
         assert np.array_equal(m.origin, alone.origin)
         assert np.array_equal(m.values, alone.values)
     assert shared.values is first.values and not shared.values.flags.writeable
-    assert maximal.maximal_fields(far, mp)["peetre"].values is shared.values
-    assert len(made) == 1 and made[0] is near
+    fields = maximal.maximal_fields([far], mp)
+    assert fields[0]["peetre"].values is shared.values
+    assert len(peetre_builds) == 1 and peetre_builds[0] is near
 
 
 def test_default_run_convolves_each_kernel_once_per_scale(runner, tmp_path,
                                                           monkeypatch):
     """The default scenario (10 members, 4 scales, 3 kernels): the four
-    maximal functions besides the Peetre one share one convolution per
-    kernel and scale, and every Peetre field is convolved and swept once
-    per distinct sample array (11 of them), plus the grand Peetre sweeps
-    of maximal-equivalence."""
+    maximal functions besides the Peetre one share one convolved row per
+    kernel, scale and member, and every Peetre field is convolved and
+    swept once per scale and distinct sample array (11 of them), plus the
+    grand Peetre sweeps of maximal-equivalence.  A call takes a stack of
+    1-D members, so the counts are of member rows."""
     from slicehardy import maximal
 
     counts = {"convolve": 0, "sweep": 0}
 
     def counted(name, fn):
-        def call(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
+        def call(values, *args, **kwargs):
+            counts[name] += values.size // values.shape[-1]
+            return fn(values, *args, **kwargs)
         return call
 
     monkeypatch.setattr(maximal, "convolve",
@@ -421,27 +416,27 @@ def test_default_run_convolves_each_kernel_once_per_scale(runner, tmp_path,
 
 @pytest.mark.parametrize("order", [1, -1])
 def test_default_run_makes_each_peetre_field_once(runner, tmp_path,
-                                                  monkeypatch, order):
+                                                  monkeypatch, peetre_builds,
+                                                  order):
     """A default `all` run, in either order of the nine checks, makes a
-    Peetre field (peetre_maximal, which only MaximalParams.peetre_field
-    calls) once per distinct sample array (the 10 members and the
-    embeddings' translates), and sweeps 84 times: 11 * 4 for those fields
-    and 10 * 4 for the grand Peetre fields of maximal-equivalence."""
+    Peetre field once per distinct sample array (the 10 members and the
+    embeddings' translates), and sweeps 84 member-scales: 11 * 4 for
+    those fields and 10 * 4 for the grand Peetre fields of
+    maximal-equivalence.  A sweep takes a stack of 1-D members, one row
+    each."""
     from slicehardy import maximal
 
-    fields, sweeps = [], []
-    make, sweep = maximal.peetre_maximal, maximal._peetre_sweep
+    sweeps, sweep = [], maximal._peetre_sweep
     monkeypatch.setattr(
-        maximal, "peetre_maximal",
-        lambda f, *a: fields.append(f.values.tobytes()) or make(f, *a))
-    monkeypatch.setattr(maximal, "_peetre_sweep",
-                        lambda *a, **k: sweeps.append(1) or sweep(*a, **k))
+        maximal, "_peetre_sweep", lambda absc, *a, **k:
+        sweeps.append(absc.size // absc.shape[-1]) or sweep(absc, *a, **k))
     result = runner.invoke(main, ["all", "--check",
                                   ",".join(list(CHECKS)[::order]),
                                   "--out", str(tmp_path / "out")])
     assert result.exit_code == 0, result.output
+    fields = [f.values.tobytes() for f in peetre_builds]
     assert len(fields) == len(set(fields)) == 11
-    assert len(sweeps) == 84
+    assert sum(sweeps) == 84
 
 
 def test_rerun_is_byte_identical(runner, config_path, tmp_path):
@@ -611,8 +606,8 @@ def test_all_leaves_numpy_ma_unimported(config, tmp_path):
 
 
 #: runs `slicehardy all ARGS` with scipy unimportable, and prints how often
-#: each NumPy replacement of a SciPy routine ran (ball_reduce by dimension,
-#: op and dtype) and which scipy modules were loaded
+#: each NumPy replacement of a SciPy routine ran (ball_reduce by the ball's
+#: dimension, op and dtype) and which scipy modules were loaded
 _NO_SCIPY_RUN = """\
 import json, sys
 sys.modules["scipy"] = None
@@ -629,7 +624,7 @@ def count(modules, name, key):
         setattr(module, name, counted)
 count([kernels], "convolve_same", lambda *args: "fft")
 count([slice_norms, maximal], "ball_reduce", lambda values, mask, op:
-      f"ball_reduce {values.ndim}-D {op.__name__} {values.dtype}")
+      f"ball_reduce {mask.ndim}-D {op.__name__} {values.dtype}")
 count([atomic], "_edt", lambda *args: "edt")
 try:
     main(sys.argv[1:])

@@ -9,7 +9,7 @@ from slicehardy.embeddings import hardy_embedding_check, star_to_muslog_check
 from slicehardy.errors import PreconditionError
 from slicehardy.families import generate_family
 from slicehardy.grid import GridFunction
-from slicehardy import maximal, orlicz
+from slicehardy import orlicz
 from slicehardy.maximal import MaximalParams
 from slicehardy.slice_norms import star_norm
 
@@ -52,7 +52,7 @@ def test_hardy_embedding_finite_constant(dictionary_1d, maximal_params):
 
 
 def test_hardy_embedding_one_peetre_function_per_member(
-        dictionary_1d, maximal_params, monkeypatch):
+        dictionary_1d, maximal_params, peetre_builds):
     """Both outer norms read one Peetre maximal function per member and
     equal the two norms of that field exactly; a second check with the
     same parameters reads the fields they keep."""
@@ -61,22 +61,15 @@ def test_hardy_embedding_one_peetre_function_per_member(
                  orlicz.musielak_norm(orlicz.musielak_log(), m))
                 for m in map(maximal_params.peetre_field, fam)]
     params = dataclasses.replace(maximal_params)  # keeps no field yet
-    calls = []
-    original = maximal.peetre_maximal
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(maximal, "peetre_maximal", counted)
+    peetre_builds.clear()
     rep = hardy_embedding_check(fam, params)
     assert list(zip(rep.column("h_star"), rep.column("h_log"))) == expected
-    assert len(calls) == len(fam)
-    assert all(a is f for a, f in zip(calls, fam))
-    calls.clear()
+    assert len(peetre_builds) == len(fam)
+    assert all(a is f for a, f in zip(peetre_builds, fam))
+    peetre_builds.clear()
     rep = hardy_embedding_check(fam, params)
     assert list(zip(rep.column("h_star"), rep.column("h_log"))) == expected
-    assert calls == []
+    assert peetre_builds == []
 
 
 def test_hardy_embedding_requires_large_peetre_exponent(dictionary_1d):

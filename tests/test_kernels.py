@@ -105,15 +105,15 @@ def test_convolution_reproduces_constants(dictionary_1d):
     k = dictionary_1d.phi
     h = 2.0 ** -7
     f = GridFunction.constant(1.0, (0.0,), h, (int(4 / h),))
-    out = convolve(f, k, 0.5)
-    mid = out.values[out.extents[0] // 2]
+    out = convolve(f.values, h, k, 0.5)
+    mid = out[out.shape[0] // 2]
     assert mid == pytest.approx(_mass(k, h), rel=1e-3)
 
 
 def test_convolution_resolution_guard(dictionary_1d):
     f = GridFunction.constant(1.0, (0.0,), 2.0 ** -4, (16,))
     with pytest.raises(ResolutionError):
-        convolve(f, dictionary_1d.phi, 2.0 ** -5)
+        convolve(f.values, f.h, dictionary_1d.phi, 2.0 ** -5)
 
 
 def test_derivative_bound_grows_with_order():
@@ -128,8 +128,8 @@ def test_two_dimensional_dictionary():
     d = build_dictionary(N=2, M=1, h=2.0 ** -5, count=3, n=2)
     assert len(d) == 3
     f = GridFunction.constant(1.0, (0.0, 0.0), 2.0 ** -5, (64, 64))
-    out = convolve(f, d.phi, 0.5)
-    assert out.values[32, 32] == pytest.approx(_mass(d.phi, 2.0 ** -2),
+    out = convolve(f.values, f.h, d.phi, 0.5)
+    assert out[32, 32] == pytest.approx(_mass(d.phi, 2.0 ** -2),
                                                rel=5e-2)
 
 
@@ -186,6 +186,25 @@ def test_convolve_same_is_the_scipy_fft_reference_bit_for_bit(n, seed,
     k = rng.normal(size=kshape)
     assert np.array_equal(convolve_same(a, k),
                           scipy_reference.convolve_same(a, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 2]), members=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_convolve_same_on_a_stack_is_each_member_alone(n, members, seed,
+                                                      data):
+    """A stack of members along a leading axis, the kernel's axes last,
+    convolves to the stack of the members' own convolutions, bit for bit,
+    in 1-D and 2-D, with kernels longer than the members."""
+    side = st.integers(1, 300 if n == 1 else 40)
+    shape = (members,) + tuple(data.draw(side) for _ in range(n))
+    kshape = tuple(data.draw(st.integers(1, 60 if n == 1 else 15))
+                   for _ in range(n))
+    rng = np.random.default_rng(seed)
+    a, k = rng.normal(size=shape), rng.normal(size=kshape)
+    got = convolve_same(a, k)
+    assert got.shape == a.shape
+    assert np.array_equal(got, np.stack([convolve_same(x, k) for x in a]))
 
 
 def test_build_dictionary_rejects_grand_order_below_one():

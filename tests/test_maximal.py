@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import peetre_reference
 import scipy_reference
-from slicehardy import orlicz
+from slicehardy import maximal, orlicz
 from slicehardy.embeddings import hardy_embedding_check
 from slicehardy.errors import PreconditionError
 from slicehardy.grid import GridFunction
@@ -41,7 +41,7 @@ def test_radial_spike_matches_enumeration(dictionary_1d):
     vals[20] = 3.0
     f = GridFunction((0.0,), h, vals)
     ladder = [0.5, 0.25]
-    m = maximal_fields(f, _on_ladder(dictionary_1d, ladder))["radial"]
+    m = maximal_fields([f], _on_ladder(dictionary_1d, ladder))[0]["radial"]
     # brute force: for each output point take the max over scales
     expected = np.zeros(m.extents)
     x0 = f.axis_centers(0)[20]
@@ -55,18 +55,19 @@ def test_radial_spike_matches_enumeration(dictionary_1d):
 
 
 def test_maximal_outputs_nonnegative(bump, maximal_params):
-    fields = maximal_fields(bump, maximal_params)
+    fields = maximal_fields([bump], maximal_params)[0]
     for name, g in fields.items():
         assert np.all(g.values >= 0), name
 
 
 def test_pointwise_chain(bump, maximal_params):
-    fields = maximal_fields(bump, maximal_params)
+    fields = maximal_fields([bump], maximal_params)[0]
     assert pointwise_chain_ok(fields, maximal_params.a, maximal_params.b)
 
 
 def test_nontangential_dominates_radial(bump, dictionary_1d):
-    fields = maximal_fields(bump, _on_ladder(dictionary_1d, [0.5, 0.25]))
+    params = _on_ladder(dictionary_1d, [0.5, 0.25])
+    fields = maximal_fields([bump], params)[0]
     assert np.all(fields["nontangential"].values
                   >= fields["radial"].values - 1e-300)
 
@@ -78,7 +79,7 @@ def test_grand_with_single_kernel_collapses(bump, dictionary_1d):
                                  kernels=[dictionary_1d.phi],
                                  scales=dictionary_1d.scales,
                                  h=dictionary_1d.h)
-    fields = maximal_fields(bump, MaximalParams(single, a=1.0))
+    fields = maximal_fields([bump], MaximalParams(single, a=1.0))[0]
     assert np.array_equal(fields["grand"].values,
                           fields["nontangential"].values)
 
@@ -131,7 +132,7 @@ def test_peetre_two_dimensional_matches_enumeration():
     b, s, eps = 3.0, 0.5, 1e-6
     assert peetre_reach(b, s, eps) / h > 4 + 2 * 2
     m = peetre_maximal(f, d.phi, b, [s], eps, pad_cells=2)
-    absc = np.abs(convolve(f.pad(2), d.phi, s).values)
+    absc = np.abs(convolve(f.pad(2).values, h, d.phi, s))
     ix, iy = np.indices(absc.shape)
     expected = np.zeros_like(absc)
     for x, y in zip(ix.ravel(), iy.ravel()):
@@ -290,6 +291,46 @@ def test_peetre_sweep_matches_offset_loops(absc, s, b, eps_cut, h):
                           loop(absc, s, b, h, eps_cut))
 
 
+@settings(max_examples=60, deadline=None)
+@given(absc=sweep_fields_nd(),
+       s=st.sampled_from([1.0, 0.5, 0.125]),
+       b=st.floats(2.5, 10.0),
+       eps_cut=st.sampled_from([1e-12, 1e-6, 0.2]),
+       seed=st.integers(0, 2 ** 16), floor=st.booleans())
+def test_peetre_sweep_on_a_stack_is_each_member_alone(absc, s, b, eps_cut,
+                                                      seed, floor):
+    """The offsets run over the member's axes only: a stack of members
+    (the drawn field, a zero member, a scaled copy and a reversed one)
+    sweeps to the stack of the members' own sweeps, bit for bit, with and
+    without floors.  The zero member sits between nonzero ones, so a row
+    offset that crossed from one member into the next would light it up."""
+    h = 2.0 ** -4
+    rng = np.random.default_rng(seed)
+    stack = np.stack([absc, np.zeros(absc.shape),
+                      absc * rng.uniform(0.5, 2.0), absc[::-1].copy()])
+    F = rng.random(stack.shape) * stack.max() if floor else None
+    got = _peetre_sweep(stack, s, h, absc.ndim, b, eps_cut, floor=F)
+    alone = [_peetre_sweep(x, s, h, absc.ndim, b, eps_cut,
+                           floor=None if F is None else F[i])
+             for i, x in enumerate(stack)]
+    assert np.array_equal(got, np.stack(alone))
+
+
+@pytest.mark.parametrize("block", [64, 256])
+def test_peetre_sweep_1d_matches_offset_loop_at_either_pair_block(
+        monkeypatch, block):
+    """Where the product blocks end changes no bit (max is exact): the
+    long-field sweep of a lognormal field, about 300 pairs, so both sizes
+    cut them into blocks, against the offset loop at 64 and at 256 pairs
+    a block."""
+    monkeypatch.setattr(maximal, "_PAIR_BLOCK", block)
+    absc = np.exp(5.0 * np.random.default_rng(3072).normal(size=3072))
+    s, b, eps_cut, h = 0.125, 10.0, 1e-12, 2.0 ** -8
+    assert np.array_equal(
+        _peetre_sweep(absc, s, h, 1, b, eps_cut),
+        peetre_reference.peetre_sweep_1d(absc, s, b, h, eps_cut))
+
+
 @settings(max_examples=150, deadline=None)
 @given(absc=sweep_fields_nd(),
        s=st.sampled_from([1.0, 0.5, 0.125]),
@@ -404,11 +445,78 @@ def test_maximal_fields_is_each_function_alone_bit_for_bit(maximal_params,
                      np.random.default_rng(n).normal(size=shape))
     alone = _each_alone(f, params)
     for _ in range(2):
-        fields = maximal_fields(f, params)
+        fields = maximal_fields([f], params)[0]
         assert list(fields) == list(alone)
         for name, g in fields.items():
             assert np.array_equal(g.origin, alone[name].origin), name
             assert np.array_equal(g.values, alone[name].values), name
+
+
+@pytest.fixture(scope="module")
+def params_2d():
+    """Three 2-D kernels on the ladder (0.5, 0.25): a pad of 16 cells."""
+    d = build_dictionary(N=6, M=2, h=2.0 ** -3, count=3, n=2)
+    return MaximalParams(dataclasses.replace(d, scales=[0.5, 0.25]), a=1.5,
+                         b=5.0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 16),
+       budget=st.sampled_from([1, 700, 3000, 1 << 14]), data=st.data())
+def test_family_fields_are_each_member_alone(dictionary_1d, params_2d, n,
+                                             seed, budget, data):
+    """maximal_fields and peetre_fields of a family, with members of two
+    extents, whole-cell translates of some, a zero member, in a drawn
+    order and stacks cut at a drawn cell budget (1: a member a stack; a
+    padded member takes about 300 cells in 1-D, 1,400 in 2-D), give every
+    member the five fields it has alone, at its own origin."""
+    rng = np.random.default_rng(seed)
+    params = _on_ladder(dictionary_1d, [0.25, 0.125]) if n == 1 \
+        else params_2d
+    h = params.dictionary.h
+    shapes = [(40,), (57,)] if n == 1 else [(6, 5), (4, 7)]
+    family = [GridFunction((0.25 * i,) * n, h,
+                           rng.normal(size=shapes[i % 2]))
+              for i in range(data.draw(st.integers(1, 5)))]
+    family += [GridFunction(f.origin + rng.integers(-50, 50, n) * h, h,
+                            f.values) for f in family[::2]]
+    family.append(GridFunction((0.0,) * n, h, np.zeros(shapes[1])))
+    family = data.draw(st.permutations(family))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maximal, "_STACK_CELLS", budget)
+        fields = maximal_fields(family, dataclasses.replace(params))
+        peetre = dataclasses.replace(params).peetre_fields(family)
+    for f, five, p in zip(family, fields, peetre):
+        alone = maximal_fields([f], dataclasses.replace(params))[0]
+        assert list(five) == list(alone)
+        for name, g in five.items():
+            assert np.array_equal(g.origin, alone[name].origin), name
+            assert np.array_equal(g.values, alone[name].values), name
+        assert np.array_equal(p.origin, five["peetre"].origin)
+        assert np.array_equal(p.values, five["peetre"].values)
+
+
+def test_peetre_fields_fill_the_memo_that_peetre_field_reads(
+        maximal_params, peetre_builds):
+    """One peetre_fields pass over a family and a whole-cell translate of
+    its first member makes each distinct sample array's field once; a
+    later peetre_field(f) hands back the same read-only array, placed at
+    f's own origin."""
+    from slicehardy.families import generate_family
+
+    h = maximal_params.dictionary.h
+    fam = generate_family("bumps:count=3", 11, h=h)
+    far = GridFunction(fam[0].origin + 64 * h, h, fam[0].values.copy())
+    fields = maximal_params.peetre_fields(fam + [far])
+    assert peetre_builds == fam
+    assert fields[3].values is fields[0].values
+    for f, m in zip(fam + [far], fields):
+        again = maximal_params.peetre_field(f)
+        assert again.values is m.values and not m.values.flags.writeable
+        assert np.array_equal(again.origin, m.origin)
+        assert np.array_equal(m.origin, f.pad(maximal_params.pad_cells(
+            h)).origin)
+    assert len(peetre_builds) == 3
 
 
 def test_peetre_weights_are_kept_read_only_by_value():
@@ -426,7 +534,7 @@ def test_grand_peetre_uses_eps_cut():
     params = MaximalParams(build_dictionary(N=11, M=5, h=h, count=3), b=10)
     f = GridFunction.from_callable(lambda x: np.exp(-2e3 * (x - 1.0) ** 2),
                                    (0.0,), h, (128,))
-    fields = maximal_fields(f, params)
+    fields = maximal_fields([f], params)[0]
     assert np.all(fields["grand_peetre"].values >= fields["peetre"].values)
 
 
@@ -466,12 +574,12 @@ def test_nontangential_two_dimensional_matches_enumeration():
     f = GridFunction((0.0, 0.0), h, rng.normal(size=(5, 6)))
     a, ladder = 1.5, [0.25, 0.5]
     params = _on_ladder(d, ladder, a)
-    m = maximal_fields(f, params)["nontangential"]
+    m = maximal_fields([f], params)[0]["nontangential"]
     g = f.pad(params.pad_cells(h))
     ix, iy = np.indices(g.extents)
     expected = np.zeros(g.extents)
     for s in ladder:
-        absc = np.abs(convolve(g, d.phi, s).values)
+        absc = np.abs(convolve(g.values, h, d.phi, s))
         for x, y in zip(ix.ravel(), iy.ravel()):
             near = np.hypot(ix - x, iy - y) * h < a * s
             expected[x, y] = max(expected[x, y], absc[near].max())
@@ -482,7 +590,7 @@ def test_nontangential_two_dimensional_matches_enumeration():
 def test_zero_input_gives_zero(maximal_params, dictionary_1d):
     h = dictionary_1d.h
     z = GridFunction.constant(0.0, (0.0,), h, (32,))
-    fields = maximal_fields(z, maximal_params)
+    fields = maximal_fields([z], maximal_params)[0]
     for g in fields.values():
         assert g.max_abs() == 0.0
 

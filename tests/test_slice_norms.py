@@ -204,6 +204,28 @@ def test_ball_reduce_sums_counts_and_maxima(field, fill, span):
                                                  mode="constant"))
 
 
+@settings(max_examples=60, deadline=None)
+@given(field=ball_fields(), members=st.integers(1, 4),
+       op=st.sampled_from([np.add, np.maximum]),
+       dtype=st.sampled_from([float, np.int64]))
+def test_ball_reduce_on_a_stack_is_each_member_alone(field, members, op,
+                                                     dtype):
+    """The ball runs over the mask's axes only: a stack of members along a
+    leading axis reduces to the stack of the members' own reductions, bit
+    for bit, in 1-D and 2-D, for sums and maxima of floats and int64."""
+    n, k, shape, seed = field
+    rng = np.random.default_rng(seed)
+    mask = ball_mask((k + 0.5) * 2.0 ** -4, 2.0 ** -4, n)
+    if dtype is float:
+        stack = rng.normal(size=(members,) + shape)
+    else:
+        stack = rng.integers(-4, 5, (members,) + shape)
+    got = ball_reduce(stack, mask, op)
+    assert got.dtype == stack.dtype
+    assert np.array_equal(got, np.stack([ball_reduce(x, mask, op)
+                                         for x in stack]))
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_ball_reduce_work_is_bounded_by_the_rows(n):
     """ball_reduce makes at most 4k + bit_length(k) op calls in 2-D and
