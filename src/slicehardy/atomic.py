@@ -21,8 +21,8 @@ from itertools import product
 import numpy as np
 
 from .errors import ConstructionError, DecompositionRangeError, \
-    InvalidDataError, NoBoundaryError, PreconditionError, \
-    UnderdeterminedError, require_positive
+    NoBoundaryError, PreconditionError, UnderdeterminedError, \
+    require_finite, require_positive
 from .grid import Cube, GridFunction
 from .maximal import MaximalParams, grand_maximal
 from .reports import Report
@@ -258,12 +258,11 @@ def partition_of_unity(cubes, O):
 
 @dataclass
 class Atom:
-    """A local atom: cube, samples, size exponent, degree, provenance."""
+    """A local atom: cube, samples and provenance.  Its size exponent r and
+    degree d are those of the CZParams that made it (see validate_atom)."""
 
     cube: Cube
     values: GridFunction
-    r: float
-    degree: int
     level: int
     index: int
     lam: float
@@ -459,8 +458,7 @@ def _level_atoms(f, cubes, pieces, j, params):
         lam = max(params.c0, sup / 2.0 ** j) * 2.0 ** j \
             * params.slice_params.cube_norm(side, f.h, f.n)
         out.append(Atom(cube=Cube(Q.center, side), values=piece / lam,
-                        r=params.r, degree=params.d, level=j,
-                        index=int(keep[i]), lam=lam))
+                        level=j, index=int(keep[i]), lam=lam))
     return out
 
 
@@ -471,13 +469,11 @@ def cz_decompose(f, params):
     becomes unit-cube atoms.  Atom scales take their cube norms from
     params.slice_params.cube_norm."""
     params.require_degree(f.n)
-    if not np.all(np.isfinite(f.values)):
-        raise InvalidDataError("non-finite sample in f")
+    require_finite(f)
     zero = GridFunction(f.origin, f.h, np.zeros(f.extents), check=False)
     if f.max_abs() == 0:
         return Decomposition([], 0, -1, zero, params)
-    mp = params.maximal
-    m = grand_maximal(f, mp.dictionary, mp.ladder).pad(2)
+    m = grand_maximal(f, params.maximal.dictionary).pad(2)
     j_hi = int(np.ceil(np.log2(m.max_abs()))) - 1
     target = _unit_dilated_support_mask(f, m)
     j_lo = next((j for j in range(j_hi, j_hi - MAX_LEVELS - 1, -1)
@@ -524,9 +520,8 @@ def _residual_atoms(values, grid, j_lo, params):
     for i, piece, sup in _crops(grid, wins, values.ravel()[
             np.ravel_multi_index(tuple(wins.cells.T), grid.extents)]):
         lam = sup * params.slice_params.cube_norm(1.0, grid.h, grid.n)
-        out.append(Atom(cube=cubes[i], values=piece / lam, r=params.r,
-                        degree=params.d, level=j_lo, index=len(out),
-                        lam=lam))
+        out.append(Atom(cube=cubes[i], values=piece / lam, level=j_lo,
+                        index=len(out), lam=lam))
     return out
 
 
@@ -547,26 +542,28 @@ def reconstruct(dec):
     return GridFunction(lo, dec.residual.h, total, check=False)
 
 
-def validate_atom(atom, slice_params, tol_moment=1e-8):
-    """Check support, size and (small cubes) moment conditions of an atom:
-    violations are report rows (value, bound, ok), not errors."""
-    report = Report("atom_validation",
-                    ["check", "measured", "bound", "ok"])
+def validate_atom(atom, params):
+    """Check support, size and (small cubes) moment conditions of an atom
+    against the CZParams that made it: its slice parameters, size exponent
+    r, degree d and tol_moment.  Violations are report rows (value, bound,
+    ok), not errors."""
+    report = Report(["check", "measured", "bound", "ok"])
     g = atom.values
     outside = g.values[~g.cell_mask(atom.cube)]
     support_err = float(np.abs(outside).max(initial=0.0))
     report.add("support", support_err, 0.0, support_err == 0.0)
-    cube_norm = slice_params.cube_norm(atom.cube.side, g.h, g.n)
-    if np.isinf(atom.r):
+    cube_norm = params.slice_params.cube_norm(atom.cube.side, g.h, g.n)
+    if np.isinf(params.r):
         size = g.max_abs()
         bound = 1.0 / cube_norm
     else:
-        size = g.lp_norm(atom.r)
-        bound = atom.cube.volume ** (1.0 / atom.r) / cube_norm
+        size = g.lp_norm(params.r)
+        bound = atom.cube.volume ** (1.0 / params.r) / cube_norm
     report.add("size", size, bound, size <= bound * (1 + 1e-6))
     if atom.cube.side < 1.0:
-        slack = _moment_slack(g, atom.cube, atom.degree)
-        report.add("moments", slack, tol_moment, slack <= tol_moment)
+        slack = _moment_slack(g, atom.cube, params.d)
+        report.add("moments", slack, params.tol_moment,
+                   slack <= params.tol_moment)
     report.summary["valid"] = all(report.column("ok"))
     report.summary["size_slack"] = np.log(size / bound) if size > 0 \
         else -np.inf

@@ -106,8 +106,7 @@ def bmo_sweep_report(g, variant, sweep):
     the d = 0, r = 1 Campanato sweep, weighted by _bmo_weight."""
     if variant not in _BMO_VARIANTS:
         raise PreconditionError(f"unknown bmo variant {variant!r}")
-    report = Report(f"bmo_{variant}",
-                    ["variant", "side", "center", "branch", "value"])
+    report = Report(["variant", "side", "center", "branch", "value"])
     frame, stack = _stack([g], sweep)
     for Q, (mean,) in _sweep(frame, stack, sweep, 0, 1.0):
         branch = "oscillation" if Q.side < 1.0 else "mean"

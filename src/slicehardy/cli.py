@@ -62,7 +62,7 @@ def _check_norms(run, summary):
     cfg = run.cfg
     sp = run.slice_params
     phi = sp.phi
-    report = Report("norms", ["index", "luxemburg", "slice", "star", "lp"])
+    report = Report(["index", "luxemburg", "slice", "star", "lp"])
     for i, f in enumerate(run.family):
         report.add(i, orlicz.luxemburg_norm(phi, f), slice_norm(f, sp),
                    star_norm(f, phi), f.lp_norm(max(cfg.q, 1.0)))
@@ -81,8 +81,7 @@ def _check_maximal_equivalence(run, summary):
 
 def _check_cz_roundtrip(run, summary):
     cfg = run.cfg
-    report = Report("cz_roundtrip",
-                    ["index", "atoms", "rel_sup_error", "quasinorm_ratio"])
+    report = Report(["index", "atoms", "rel_sup_error", "quasinorm_ratio"])
     decs = run.decompositions()
     peetre = run.maximal.peetre_fields([f for f, _ in decs])
     for i, ((f, dec), m) in enumerate(zip(decs, peetre)):
@@ -98,14 +97,12 @@ def _check_cz_roundtrip(run, summary):
 
 
 def _check_atom_validation(run, summary):
-    cfg = run.cfg
-    report = Report("atom_validation",
-                    ["index", "level", "atom", "check", "measured", "bound",
+    report = Report(["index", "level", "atom", "check", "measured", "bound",
                      "ok"])
     all_ok = True
     for i, (_, dec) in enumerate(run.decompositions()):
         for atom in dec.entries:
-            rep = validate_atom(atom, run.slice_params, cfg.tol_moment)
+            rep = validate_atom(atom, run.cz_params)
             for check, measured, bound, ok in rep.rows:
                 report.add(i, atom.level, atom.index, check, measured,
                            bound, ok)
@@ -115,8 +112,7 @@ def _check_atom_validation(run, summary):
 
 def _check_duality(run, summary):
     cfg = run.cfg
-    report = Report("duality",
-                    ["index", "field", "campanato_norm", "max_ratio"])
+    report = Report(["index", "field", "campanato_norm", "max_ratio"])
     cp = CampanatoParams(run.slice_params, r=1.0, d=cfg.d,
                          sweep=cfg.sweep_cubes())
     spec = "bursts:count=10" if cfg.n == 1 else "bumps:count=10"
@@ -141,8 +137,7 @@ def _check_embeddings(run, summary):
     summary["lebesgue_fitted_C"] = rep1.summary["fitted_C"]
     summary["modular_fitted_C"] = rep1.summary["fitted_C_modular"]
     summary["hardy_fitted_C"] = rep2.summary["fitted_C"]
-    merged = Report("embeddings",
-                    ["check", "index", "lhs", "rhs", "ratio"])
+    merged = Report(["check", "index", "lhs", "rhs", "ratio"])
     for idx, star, mus, ratio, _ in rep1.rows:
         merged.add("lebesgue", idx, mus, star, ratio)
     for idx, h_star, h_log, ratio in rep2.rows:
@@ -174,8 +169,7 @@ def _check_bmo_facts(run, summary):
     one = GridFunction.constant(1.0, (-half,) * cfg.n, cfg.h,
                                 (cells,) * cfg.n)
     sweep = cfg.sweep_cubes()
-    merged = Report("bmo_facts",
-                    ["variant", "side", "center", "branch", "value"])
+    merged = Report(["variant", "side", "center", "branch", "value"])
     for variant in ("bmo", "bmo_phi", "bmo_log"):
         rep = bmo_sweep_report(one, variant, sweep)
         merged.rows.extend(rep.rows)
@@ -264,7 +258,7 @@ def _run(names, config_path, seed, out):
                                           for key, message in broken)
         run = Run(cfg, seed)
         os.makedirs(out, exist_ok=True)
-        summary = Report("summary", ["check", "key", "value"])
+        summary = Report(["check", "key", "value"])
         failed = False
         for name in names:
             if name in skipped:

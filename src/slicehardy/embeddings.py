@@ -25,8 +25,7 @@ def star_to_muslog_check(family):
     """
     phi = orlicz.log_damped()
     theta = orlicz.musielak_log()
-    report = Report("star_to_muslog",
-                    ["index", "star", "muslog", "ratio", "modular"])
+    report = Report(["index", "star", "muslog", "ratio", "modular"])
     for i, f in enumerate(family):
         if f.max_abs() == 0:
             continue
@@ -56,8 +55,7 @@ def hardy_embedding_check(family, params):
             f"Peetre exponent b={params.b} must exceed 2n = {2 * n}")
     phi = orlicz.log_damped()
     theta = orlicz.musielak_log()
-    report = Report("hardy_embedding",
-                    ["index", "h_star", "h_log", "ratio"])
+    report = Report(["index", "h_star", "h_log", "ratio"])
     nonzero = [(i, f) for i, f in enumerate(family) if f.max_abs() != 0]
     fields = params.peetre_fields([f for _, f in nonzero])
     for (i, _), m in zip(nonzero, fields):

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package and the checks raising them."""
+
+import numpy as np
 
 
 class SliceHardyError(Exception):
@@ -48,3 +50,9 @@ def require_positive(**values):
         if not 0 < v < float("inf"):
             raise PreconditionError(f"{name} must be finite and positive: "
                                     f"{v}")
+
+
+def require_finite(f):
+    """Raise InvalidDataError if a sample of grid function f is not finite."""
+    if not np.all(np.isfinite(f.values)):
+        raise InvalidDataError("non-finite sample in f")

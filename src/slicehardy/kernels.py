@@ -15,7 +15,7 @@ maximal functions of a family transform each kernel once per scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -99,13 +99,12 @@ def derivative_sup_bound(values, h, N, n):
 @dataclass
 class MollifierDictionary:
     """A finite family of normalized kernels, the first of which is the
-    distinguished nonzero-mean phi."""
+    distinguished nonzero-mean phi, their grand order and the scale ladder
+    every maximal function built on them takes its suprema over."""
 
     order: int
     kernels: list
     scales: list
-    h: float
-    fd_check: dict = field(default_factory=dict)
 
     phi = property(lambda self: self.kernels[0])
 
@@ -147,12 +146,13 @@ def modulated_profiles(n):
 
 
 def build_dictionary(N, M, h, count, n=1):
-    """Build a deterministic dictionary of `count` normalized kernels.
+    """Build a deterministic dictionary of `count` normalized kernels on
+    the ladder scale_ladder(M), whose smallest scale is at least 2h.
 
     The first kernel is the distinguished phi, of nonzero mass on its
-    samples at the finite-difference spacing max(h, 1/256).  Every kernel
-    is rescaled so its finite-difference derivative bound is just below 1;
-    the measured bounds are recorded in ``fd_check``.
+    samples at the finite-difference spacing max(h, 1/256).  Each kernel's
+    derivative bound is measured once there and the kernel scaled by 0.999
+    over it, so its bound (linear in the samples) is 0.999.
     """
     if N < 1:
         raise PreconditionError(f"grand order N must be >= 1: {N}")
@@ -164,22 +164,16 @@ def build_dictionary(N, M, h, count, n=1):
             f"at most {len(profiles)} built-in kernels available")
     fd_h = max(h, 1.0 / 256)
     kernels = []
-    fd_check = {}
     for name, prof in profiles[:count]:
-        k = Kernel(prof, n, name=name)
-        _, vals = k.sample_unit(fd_h)
+        _, vals = Kernel(prof, n).sample_unit(fd_h)
         bound = derivative_sup_bound(vals, fd_h, N, n)
         if bound <= 0:
             raise ConstructionError(f"degenerate kernel {name}")
-        k = Kernel(prof, n, name=name, scale=0.999 / bound)
-        _, vals = k.sample_unit(fd_h)
         if not kernels and vals.sum() == 0:
             raise ConstructionError("distinguished kernel has zero mass")
-        fd_check[name] = derivative_sup_bound(vals, fd_h, N, n)
-        kernels.append(k)
+        kernels.append(Kernel(prof, n, name=name, scale=0.999 / bound))
     return MollifierDictionary(order=N, kernels=kernels,
-                               scales=scale_ladder(M), h=h,
-                               fd_check=fd_check)
+                               scales=scale_ladder(M))
 
 
 def convolve(values, h, kernel, s):

@@ -190,13 +190,14 @@ def peetre_maximal(f, kernel, b, ladder, eps_cut=DEFAULT_EPS_CUT,
 
     Offsets whose weight is below eps_cut, in (0, 1], are discarded; the
     discarded terms are dominated by eps_cut times the convolution sup.
-    The sweep, in 1-D and 2-D, prunes exactly (see _peetre_sweep).
+    The sweep, in 1-D and 2-D, prunes exactly (see _peetre_sweep).  The
+    default pad is MaximalParams.pad_cells's, PAD_FACTOR max(ladder) / h.
     """
     require_positive(b=b)
     if not 0 < eps_cut <= 1:
         raise PreconditionError(f"eps_cut must lie in (0, 1]: {eps_cut}")
     if pad_cells is None:
-        pad_cells = int(np.ceil(4.0 * max(ladder) / f.h))
+        pad_cells = int(np.ceil(PAD_FACTOR * max(ladder) / f.h))
     return _one_scale_max(f, [kernel], ladder, pad_cells,
                           partial(_peetre_sweep, b=b, eps_cut=eps_cut))
 
@@ -300,14 +301,14 @@ def _tile_sweep(absc, w, floor):
     return out.reshape(nr, -1)[:, :m]
 
 
-def grand_maximal(f, dictionary, ladder=None, pad_cells=None):
-    """max over dictionary kernels of the convolution maxima over the
-    window |x - y| < s.  The max over kernels is taken before the window,
-    once per scale."""
-    ladder = ladder if ladder is not None else dictionary.scales
+def grand_maximal(f, dictionary, pad_cells=None):
+    """max over the dictionary's kernels of the convolution maxima over the
+    window |x - y| < s, s on the dictionary's ladder (its scales), on f's
+    grid padded by pad_cells (default 2 max(s) / h).  The max over kernels
+    is taken before the window, once per scale."""
     if pad_cells is None:
-        pad_cells = int(np.ceil(2.0 * max(ladder) / f.h))
-    return _one_scale_max(f, list(dictionary), ladder, pad_cells,
+        pad_cells = int(np.ceil(2.0 * max(dictionary.scales) / f.h))
+    return _one_scale_max(f, list(dictionary), dictionary.scales, pad_cells,
                           partial(_window_max, a=1.0))
 
 
@@ -362,8 +363,7 @@ def maximal_equivalence_report(family, params, phi, q, t_values):
     existential.
     """
     params.require_grand_comparison()
-    report = Report("maximal_equivalence",
-                    ["index", "t"] + list(_FIVE) + ["chain_ok"])
+    report = Report(["index", "t"] + list(_FIVE) + ["chain_ok"])
     n = family[0].n if family else 1
     params.require_hardy(n, phi.p_minus, q)
     ratios = {pair: [] for pair in combinations(_FIVE, 2)}

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidDataError, NumericFailure, PreconditionError, \
-    require_positive
+    require_finite, require_positive
 
 DEFAULT_TOL = 1e-10
 _INVERSE_TOL = 1e-14
@@ -177,15 +177,13 @@ def from_tag(tag):
 def modular(phi, f, lam):
     """Quadrature value of the Orlicz modular of f at scale lam."""
     require_positive(lam=lam)
-    if not np.all(np.isfinite(f.values)):
-        raise InvalidDataError("non-finite sample in f")
+    require_finite(f)
     return float(phi(np.abs(f.values) / lam).sum() * f.cell_volume)
 
 
 def musielak_modular(theta, f, lam):
     require_positive(lam=lam)
-    if not np.all(np.isfinite(f.values)):
-        raise InvalidDataError("non-finite sample in f")
+    require_finite(f)
     x = f.center_radii()
     return float(theta(x, np.abs(f.values) / lam).sum() * f.cell_volume)
 
@@ -200,8 +198,11 @@ def _solve_gauge(log_modular, start, tol):
     bracketed, then bisects.  Only rows not yet converged are evaluated.
     A row stops once |log modular| <= tol, at that Newton point, or once
     its bracket is narrower than tol or its step lands on a bracket end
-    (near lam = 1e300 the spacing of log lam passes tol).  Gauges below
-    1e-300 are 0; needing lam above 1e308 is a failure to bracket.
+    (near lam = 1e300 the spacing of log lam passes tol).  The Newton
+    point is lam exp(-step), lam the scale evaluated, not exp(log lam -
+    step): above lam = 1e223 the spacing of log lam is 1.1e-13 relative.
+    Gauges below 1e-300 are 0; needing lam above 1e308 is a failure to
+    bracket.
     """
     x = np.log(np.maximum(start, _LAM_MIN))
     out = np.zeros(x.shape)
@@ -209,11 +210,12 @@ def _solve_gauge(log_modular, start, tol):
     a = np.full(x.shape, -np.inf)  # modular > 1 at a
     b = np.full(x.shape, np.inf)  # modular <= 1 at b
     for _ in range(_MAX_STEPS):
-        g, d = log_modular(np.exp(x), idx)
+        lam = np.exp(x)
+        g, d = log_modular(lam, idx)
         hit = np.abs(g) <= tol
         done = hit | (b - a <= tol) | (x <= a) | (x >= b)
         if done.any():
-            out[idx[done]] = np.exp(np.where(hit, x - g / d, x)[done])
+            out[idx[done]] = (lam * np.exp(np.where(hit, -g / d, 0.0)))[done]
             if done.all():
                 return out
             idx, x, g, d, a, b = (v[~done] for v in (idx, x, g, d, a, b))
@@ -237,16 +239,14 @@ def _solve_gauge(log_modular, start, tol):
 
 def luxemburg_norm(phi, f, tol=DEFAULT_TOL):
     """Luxemburg gauge of f in the Orlicz space of phi."""
-    if not np.all(np.isfinite(f.values)):
-        raise InvalidDataError("non-finite sample in f")
+    require_finite(f)
     return float(luxemburg_norm_rows(phi, f.values.reshape(1, -1),
                                      f.cell_volume, tol)[0])
 
 
 def musielak_norm(theta, f):
     """Luxemburg-type gauge for the point-dependent modular of theta."""
-    if not np.all(np.isfinite(f.values)):
-        raise InvalidDataError("non-finite sample in f")
+    require_finite(f)
     m = f.max_abs()
     if m == 0.0:
         return 0.0

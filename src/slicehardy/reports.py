@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 
 @dataclass
 class Report:
-    """A named table of check results plus a summary mapping."""
+    """A table of check results plus a summary mapping (the CLI names its
+    CSV after the check)."""
 
-    name: str
     columns: list
     rows: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
@@ -31,4 +31,4 @@ class Report:
             w.writerows(self.rows)
 
     def __repr__(self):
-        return f"Report({self.name}, {len(self.rows)} rows, {self.summary})"
+        return f"Report({self.columns}, {len(self.rows)} rows, {self.summary})"

@@ -16,6 +16,7 @@ rows of a strided view, 2-D ones by a cell index).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import orlicz
-from .errors import InvalidDataError, PreconditionError, ResolutionError, \
+from .errors import PreconditionError, ResolutionError, require_finite, \
     require_positive
 from .grid import Ball, GridFunction
 from .kernels import convolve_same
@@ -143,10 +144,10 @@ def slice_norm(f, p):
     """The Orlicz-slice quasi-norm of f for parameters p.
 
     The outer integral runs over the support box dilated by t; beyond it
-    the integrand vanishes.
+    the integrand vanishes.  The window ratios enter the q-mean in their
+    unit binade (_unit_binade), so no q-th power over- or underflows.
     """
-    if not np.all(np.isfinite(f.values)):
-        raise InvalidDataError("non-finite sample in f")
+    require_finite(f)
     if f.h * 2 > p.t:
         raise ResolutionError(f"slice radius {p.t} below 2h = {2 * f.h}")
     mask = ball_mask(p.t, f.h, f.n)
@@ -156,7 +157,17 @@ def slice_norm(f, p):
     else:
         num = orlicz.luxemburg_norm_rows(p.phi, _Windows(f.values, mask),
                                          f.cell_volume)
-    return float(((num / den) ** p.q).sum() * f.cell_volume) ** (1.0 / p.q)
+    ratio, e = _unit_binade(num / den)
+    return math.ldexp(float((ratio ** p.q).sum() * f.cell_volume)
+                      ** (1.0 / p.q), e)
+
+
+def _unit_binade(a):
+    """(a / 2^e, e), in place, for nonnegative a, 2^e <= max(a) < 2^(e + 1):
+    exact but where it goes subnormal, so a p-mean of the first times 2^e
+    is a's, and slice_norm(2^e f) is 2^e slice_norm(f) for power Phi."""
+    e = math.frexp(a.max(initial=0.0))[1] - 1
+    return np.ldexp(a, -e, out=a), e
 
 
 class _Windows:
@@ -189,10 +200,12 @@ class _Windows:
 def _power_window_norms(f, mask, power):
     """L^p norms of f on the ball of every outer point: ball_reduce's sums
     of |f|^p, nonnegative terms, on the box dilated by the ball's half
-    width (the full convolution with the ball's cells)."""
+    width (the full convolution with the ball's cells), of |f| in its unit
+    binade, scaled back after the root."""
     k = mask.shape[-1] // 2
-    sums = ball_reduce(np.pad(np.abs(f.values) ** power, k), mask, np.add)
-    return sums ** (1.0 / power) * f.cell_volume ** (1.0 / power)
+    a, e = _unit_binade(np.abs(f.values))
+    sums = ball_reduce(np.pad(a ** power, k), mask, np.add)
+    return np.ldexp(sums ** (1.0 / power) * f.cell_volume ** (1.0 / power), e)
 
 
 def cube_indicator_slice_norm(p, side, h, n=1):
@@ -224,8 +237,7 @@ def star_norm(f, phi):
     """Sum of per-unit-cube Luxemburg norms over the integer lattice, added
     one by one in cube order; the nonzero pieces of each shape take one
     luxemburg_norm_rows call on their stacked rows."""
-    if not np.all(np.isfinite(f.values)):
-        raise InvalidDataError("non-finite sample in f")
+    require_finite(f)
     pieces = [f.box_view(box) for box in f.cube_boxes(f.unit_cubes())]
     pieces = [g for g in pieces if np.any(g.values)]
     norms = np.empty(len(pieces))
@@ -272,8 +284,7 @@ def fefferman_stein_check(family, r, p, t_values=None):
         raise PreconditionError(
             "Fefferman-Stein hypotheses need lower type > 1 and q > 1")
     t_values = t_values or [p.t]
-    report = Report("fefferman_stein",
-                    ["t", "lhs", "rhs", "ratio"])
+    report = Report(["t", "lhs", "rhs", "ratio"])
     nonzero = [f for f in family if f.max_abs() > 0]
     if not nonzero:
         report.summary["skipped"] = "all-zero family"
@@ -311,8 +322,7 @@ def ball_indicator_ratio(radii, h, n=1):
     closed-form indicator gauges: the unit cubes' in cube order, the ball's.
     """
     phi = orlicz.log_damped()
-    report = Report("ball_indicator_ratio",
-                    ["radius", "reference", "star_ratio", "orlicz_ratio"])
+    report = Report(["radius", "reference", "star_ratio", "orlicz_ratio"])
     for rad in radii:
         if rad < 2 * h:
             raise ResolutionError(f"radius {rad} below 2h = {2 * h}")
@@ -343,7 +353,7 @@ def reverse_superadditivity_check(family, p):
     if p.q > 1 or p.phi.p_plus > 1:
         raise PreconditionError(
             "reverse superadditivity needs q <= 1 and upper type <= 1")
-    report = Report("reverse_superadditivity", ["size", "ratio"])
+    report = Report(["size", "ratio"])
     members = [f for f in family if f.max_abs() > 0]
     if not members:
         report.summary["skipped"] = "empty family"

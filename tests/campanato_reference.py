@@ -67,8 +67,7 @@ def pairing_bound_check(dec, g, p, slack=0.01):
     sweep enlarged by the atoms' cubes."""
     sweep_ = list(p.sweep) + [a.cube for a in dec.entries]
     params = CampanatoParams(p.slice_params, r=p.r, d=p.d, sweep=sweep_)
-    report = Report("pairing_bound",
-                    ["level", "index", "pairing", "ratio"])
+    report = Report(["level", "index", "pairing", "ratio"])
     if g.max_abs() == 0:
         report.summary["skipped"] = "zero field"
         report.summary["max_ratio"] = 0.0

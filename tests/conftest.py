@@ -6,9 +6,15 @@ from slicehardy.maximal import MaximalParams
 
 
 @pytest.fixture(scope="session")
-def dictionary_1d():
+def h_1d():
+    """The grid spacing dictionary_1d is built for."""
+    return 2.0 ** -7
+
+
+@pytest.fixture(scope="session")
+def dictionary_1d(h_1d):
     """Small normalized kernel dictionary shared across the suite."""
-    return build_dictionary(N=3, M=3, h=2.0 ** -7, count=3, n=1)
+    return build_dictionary(N=3, M=3, h=h_1d, count=3, n=1)
 
 
 @pytest.fixture

@@ -125,8 +125,7 @@ def test_criterion_05_cz_roundtrip(capsys, cz_setup):
         worst_err = max(worst_err, float(
             np.abs(rec.values - fe.values).max()) / f.max_abs())
         for atom in dec.entries:
-            rep = validate_atom(atom, params.slice_params,
-                                params.tol_moment)
+            rep = validate_atom(atom, params)
             all_valid = all_valid and rep.summary["valid"]
             K = max(K, atom.values.max_abs() / 2.0 ** atom.level)
             atoms += 1

@@ -1,12 +1,13 @@
 """Whitney covering, projections, CZ decomposition, atoms."""
 
 import dataclasses
+import math
 import typing
 from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cz_reference
@@ -660,7 +661,7 @@ def test_cz_atoms_validate(bump_dec, cz_setup):
     _, dec = bump_dec
     assert len(dec.entries) > 0
     for atom in dec.entries:
-        rep = validate_atom(atom, cz_setup.slice_params)
+        rep = validate_atom(atom, cz_setup)
         assert rep.summary["valid"], (atom.level, atom.index, rep.rows)
 
 
@@ -699,8 +700,8 @@ def _atom_lists(draw):
         v[rng.random(v.shape) < 0.2] = rng.choice([0.0, -0.0])
         origin = base + rng.integers(-6, 12, n) * h
         atoms.append(Atom(Cube(tuple(origin), 1.0), GridFunction(origin, h, v),
-                          np.inf, 0, int(rng.integers(0, 3)),
-                          int(rng.integers(0, 3)), float(rng.uniform(0.1, 9))))
+                          int(rng.integers(0, 3)), int(rng.integers(0, 3)),
+                          float(rng.uniform(0.1, 9))))
     return atomic.Decomposition(atoms, 0, 2, residual, None)
 
 
@@ -731,8 +732,7 @@ def _assert_round_trip_and_valid_atoms(f, dec, params):
     assert np.abs(rec.values - fe.values).max() / f.max_abs() \
         <= ScenarioConfig.tol_rec
     for atom in dec.entries:
-        assert atom.degree == params.d
-        rep = validate_atom(atom, params.slice_params, params.tol_moment)
+        rep = validate_atom(atom, params)
         assert rep.summary["valid"], (atom.level, atom.index, rep.rows)
 
 
@@ -764,7 +764,7 @@ def test_cz_two_dimensional_round_trip_and_atoms(cz_2d):
     fe = f.embed(rec.origin, rec.extents)
     assert np.abs(rec.values - fe.values).max() / f.max_abs() <= cfg.tol_rec
     for atom in dec.entries:
-        rep = validate_atom(atom, cfg.slice_params(), cfg.tol_moment)
+        rep = validate_atom(atom, dec.params)
         assert rep.summary["valid"], (atom.level, atom.index, rep.rows)
 
 
@@ -839,6 +839,91 @@ def test_local_pipeline_matches_full_grid_reference_2d(cz_2d, monkeypatch):
     _assert_same_atoms(dec, cz_decompose(f, dec.params))
 
 
+@cache
+def _scaling_case(member):
+    """(f, params, decomposition) of default member 0 to 9 (1-D), or of the
+    cz_2d workload's 64 x 64 member (10)."""
+    if member < 10:
+        cfg = ScenarioConfig().validate()
+        f = cfg.family(0)[member]
+    else:
+        cfg = ScenarioConfig(n=2, h=1 / 16, functional_tag="log_damped",
+                             t=0.5, q=1.0, b=5.0, N=6,
+                             family_spec="bumps:count=1").validate()
+        (f,) = cfg.family(0)
+    params = cfg.cz_params(cfg.maximal_params())
+    return f, params, cz_decompose(f, params)
+
+
+@settings(max_examples=40, deadline=None)
+@example(member=1, e=-600).via("a default member far down")
+@example(member=4, e=-37).via("a member with subnormal samples")
+@example(member=2, e=700).via("far up")
+@example(member=10, e=-37).via("the 2-D member")
+@example(member=10, e=700).via("the 2-D member far up")
+@given(member=st.integers(0, 10), e=st.integers(-850, 700))
+def test_decomposition_commutes_with_powers_of_two(member, e):
+    """cz_decompose(2^e f) is cz_decompose(f) with every lambda times 2^e
+    and every level, j_lo and j_hi moved by e: the same cubes, indices,
+    atom samples and pointwise constant, bit for bit, and 2^e times its
+    reconstruction.  e is raised until no sample of 2^e f is subnormal;
+    below about e = -900 the products of the default members with the
+    partition's smallest weights go subnormal, so e stays above -850."""
+    f, params, dec = _scaling_case(member)
+    mag = np.abs(f.values)
+    e = max(e, -1021 - int(np.frexp(mag[mag > 0].min())[1]))
+    got = cz_decompose(GridFunction(f.origin, f.h, np.ldexp(f.values, e)),
+                       params)
+    assert (got.j_lo, got.j_hi) == (dec.j_lo + e, dec.j_hi + e)
+    assert got.pointwise_constant == dec.pointwise_constant
+    assert len(got.entries) == len(dec.entries) > 0
+    for a, b in zip(got.entries, dec.entries):
+        assert (a.cube, a.index, a.level) == (b.cube, b.index, b.level + e)
+        assert a.lam == math.ldexp(b.lam, e)
+        assert np.array_equal(a.values.origin, b.values.origin)
+        assert a.values.values.tobytes() == b.values.values.tobytes()
+    rec, ref = reconstruct(got), reconstruct(dec)
+    assert np.array_equal(rec.origin, ref.origin)
+    assert np.array_equal(rec.values, np.ldexp(ref.values, e))
+
+
+@pytest.mark.parametrize("e", [-700, 700])
+def test_atomic_quasinorm_of_a_power_of_two_multiple(bump_dec, cz_setup, e):
+    """At e = +-700, where |f|^2 over- or underflows, the atomic quasi-norm
+    of 2^e f's decomposition is finite, without a NumPy warning, and 2^e
+    times f's."""
+    f, dec = bump_dec
+    far = cz_decompose(GridFunction(f.origin, f.h, np.ldexp(f.values, e)),
+                       cz_setup)
+    for s in (0.5, 0.9):
+        assert atomic_quasinorm(far, s) == pytest.approx(
+            math.ldexp(atomic_quasinorm(dec, s), e), rel=1e-13, abs=0)
+
+
+def test_atoms_are_validated_against_the_tol_moment_of_their_params(
+        bump_dec, cz_setup):
+    """validate_atom(atom, dec.params) reads the moment tolerance of the
+    CZParams that made the atom: at tol_moment 0 and 1e-6, each moments
+    row's bound is that tol_moment, and its ok says slack <= tol_moment.
+    At 1e-6 every atom is valid; at 0 not all are, since the decomposition
+    keeps a small cube whose piece has slack 0 exactly, and the atom, the
+    piece over lambda, can round to a slack of about 1e-16."""
+    f, _ = bump_dec
+    for tol in (0.0, 1e-6):
+        dec = cz_decompose(f, dataclasses.replace(cz_setup, tol_moment=tol))
+        rows = []
+        for atom in dec.entries:
+            rep = validate_atom(atom, dec.params)
+            moments = [row for row in rep.rows if row[0] == "moments"]
+            assert len(moments) == (atom.cube.side < 1.0)
+            rows += moments
+            assert rep.summary["valid"] or tol == 0.0
+        assert rows
+        for _, slack, bound, ok in rows:
+            assert bound == dec.params.tol_moment == tol
+            assert ok == (slack <= tol)
+
+
 def test_atomic_quasinorm_single_atom(cz_setup):
     """lambda = ||1_Q|| collapses the functional to ||1_Q|| itself."""
     h = 2.0 ** -7
@@ -846,8 +931,8 @@ def test_atomic_quasinorm_single_atom(cz_setup):
     norm_1q = cube_indicator_slice_norm(sp, 1.0, h)
     vals = GridFunction.indicator(Cube((0.5,), 1.0), (0.0,), h,
                                   (int(1 / h),)) / norm_1q
-    atom = Atom(cube=Cube((0.5,), 1.0), values=vals, r=np.inf, degree=0,
-                level=0, index=0, lam=norm_1q)
+    atom = Atom(cube=Cube((0.5,), 1.0), values=vals, level=0, index=0,
+                lam=norm_1q)
     dec = atomic.Decomposition([atom], 0, 0, vals * 0.0, cz_setup)
     assert atomic_quasinorm(dec, 0.9) == pytest.approx(norm_1q, rel=1e-9)
 
@@ -870,9 +955,9 @@ def test_validate_atom_flags_size_violation(cz_setup):
     norm_1q = cube_indicator_slice_norm(sp, 1.0, h)
     vals = GridFunction.indicator(Cube((0.5,), 1.0), (0.0,), h,
                                   (int(1 / h),)) * (2.0 / norm_1q)
-    atom = Atom(cube=Cube((0.5,), 1.0), values=vals, r=np.inf, degree=0,
-                level=0, index=0, lam=1.0)
-    rep = validate_atom(atom, sp)
+    atom = Atom(cube=Cube((0.5,), 1.0), values=vals, level=0, index=0,
+                lam=1.0)
+    rep = validate_atom(atom, cz_setup)
     assert not rep.summary["valid"]
     assert rep.summary["size_slack"] == pytest.approx(np.log(2.0))
 

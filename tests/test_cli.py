@@ -502,9 +502,9 @@ def test_atom_validation_evaluates_one_cube_norm_per_side(config_path,
     assert len(atoms) > len(cells) > 1
     assert sorted(round(side / h) for side in sides) == sorted(cells)
     monkeypatch.undo()
-    sp = run.cfg.slice_params()
-    alone = [row for atom in atoms for row in validate_atom(
-        atom, sp, run.cfg.tol_moment).rows]
+    params = run.cfg.cz_params(run.maximal)
+    alone = [row for atom in atoms
+             for row in validate_atom(atom, params).rows]
     assert [row[3:] for row in report.rows] == alone
 
 

@@ -44,19 +44,19 @@ def test_star_to_muslog_skips_zero_members():
     assert len(rep.column("index")) == 2
 
 
-def test_hardy_embedding_finite_constant(dictionary_1d, maximal_params):
-    fam = generate_family("bumps:count=3", 11, h=dictionary_1d.h)
+def test_hardy_embedding_finite_constant(h_1d, maximal_params):
+    fam = generate_family("bumps:count=3", 11, h=h_1d)
     rep = hardy_embedding_check(fam, maximal_params)
     assert 0 < rep.summary["fitted_C"] < np.inf
     assert len(rep.column("ratio")) == 3
 
 
 def test_hardy_embedding_one_peetre_function_per_member(
-        dictionary_1d, maximal_params, peetre_builds):
+        h_1d, maximal_params, peetre_builds):
     """Both outer norms read one Peetre maximal function per member and
     equal the two norms of that field exactly; a second check with the
     same parameters reads the fields they keep."""
-    fam = generate_family("bumps:count=3", 11, h=dictionary_1d.h)
+    fam = generate_family("bumps:count=3", 11, h=h_1d)
     expected = [(star_norm(m, orlicz.log_damped()),
                  orlicz.musielak_norm(orlicz.musielak_log(), m))
                 for m in map(maximal_params.peetre_field, fam)]
@@ -72,8 +72,9 @@ def test_hardy_embedding_one_peetre_function_per_member(
     assert peetre_builds == []
 
 
-def test_hardy_embedding_requires_large_peetre_exponent(dictionary_1d):
-    fam = generate_family("bumps:count=1", 0, h=dictionary_1d.h)
+def test_hardy_embedding_requires_large_peetre_exponent(dictionary_1d,
+                                                         h_1d):
+    fam = generate_family("bumps:count=1", 0, h=h_1d)
     weak = MaximalParams(dictionary_1d, b=1.5)
     with pytest.raises(PreconditionError):
         hardy_embedding_check(fam, weak)

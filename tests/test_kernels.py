@@ -25,9 +25,16 @@ def test_scale_ladder_dyadic():
     assert scale_ladder(3) == [1.0, 0.5, 0.25, 0.125]
 
 
-def test_normalization_bound_below_one(dictionary_1d):
-    for name, bound in dictionary_1d.fd_check.items():
-        assert 0 < bound <= 1.0, name
+def test_normalization_bound_below_one():
+    """Each kernel's weighted derivative bound, measured at the build's
+    finite-difference spacing max(h, 1/256), is 0.999: in (0, 1]."""
+    for n, h in [(1, 2.0 ** -7), (2, 2.0 ** -4)]:
+        fd_h = max(h, 1.0 / 256)
+        for kernel in build_dictionary(N=3, M=2, h=h, count=3, n=n):
+            _, vals = kernel.sample_unit(fd_h)
+            bound = derivative_sup_bound(vals, fd_h, 3, n)
+            assert 0 < bound <= 1.0, (n, kernel.name)
+            assert bound == pytest.approx(0.999, rel=1e-12), (n, kernel.name)
 
 
 def test_dictionary_deterministic():
@@ -49,8 +56,8 @@ def test_distinguished_kernel_has_positive_mass(dictionary_1d):
 
 def test_two_dimensional_dictionary_never_calls_mass(monkeypatch):
     """phi's mass is checked on the samples the normalization draws, not
-    on a fresh sampling at a fine spacing: every kernel is sampled at the
-    finite-difference spacing alone, twice (before and after scaling)."""
+    on a fresh sampling at a fine spacing: every kernel is sampled once,
+    at the finite-difference spacing."""
     spacings = []
     original = Kernel.sample_unit
 
@@ -61,7 +68,7 @@ def test_two_dimensional_dictionary_never_calls_mass(monkeypatch):
     monkeypatch.setattr(Kernel, "sample_unit", recorded)
     d = build_dictionary(N=2, M=2, h=2.0 ** -4, count=2, n=2)
     assert d.phi is d.kernels[0]
-    assert spacings == [2.0 ** -4] * 4
+    assert spacings == [2.0 ** -4] * 2
 
 
 def test_too_many_kernels_requested():
@@ -216,9 +223,7 @@ def test_dictionary_phi_is_its_first_kernel(dictionary_1d):
     from slicehardy.kernels import MollifierDictionary
 
     rest = MollifierDictionary(order=3, kernels=dictionary_1d.kernels[1:],
-                               scales=dictionary_1d.scales,
-                               h=dictionary_1d.h)
+                               scales=dictionary_1d.scales)
     assert rest.phi is dictionary_1d.kernels[1]
     with pytest.raises(PreconditionError, match="at least one kernel"):
-        MollifierDictionary(order=3, kernels=[], scales=dictionary_1d.scales,
-                            h=dictionary_1d.h)
+        MollifierDictionary(order=3, kernels=[], scales=dictionary_1d.scales)

@@ -23,8 +23,8 @@ from slicehardy.slice_norms import SliceParams, slice_norm
 
 
 @pytest.fixture
-def bump(dictionary_1d):
-    h = dictionary_1d.h
+def bump(h_1d):
+    h = h_1d
     return GridFunction.from_callable(
         lambda x: np.exp(-30 * (x - 0.5) ** 2), (0.0,), h, (int(1 / h),))
 
@@ -34,9 +34,9 @@ def _on_ladder(dictionary, ladder, a=1.0):
     return MaximalParams(dataclasses.replace(dictionary, scales=ladder), a=a)
 
 
-def test_radial_spike_matches_enumeration(dictionary_1d):
+def test_radial_spike_matches_enumeration(dictionary_1d, h_1d):
     """A single-cell spike convolves to lam * h * psi_s(x - x0)."""
-    h = dictionary_1d.h
+    h = h_1d
     vals = np.zeros(64)
     vals[20] = 3.0
     f = GridFunction((0.0,), h, vals)
@@ -77,8 +77,7 @@ def test_grand_with_single_kernel_collapses(bump, dictionary_1d):
 
     single = MollifierDictionary(order=dictionary_1d.order,
                                  kernels=[dictionary_1d.phi],
-                                 scales=dictionary_1d.scales,
-                                 h=dictionary_1d.h)
+                                 scales=dictionary_1d.scales)
     fields = maximal_fields([bump], MaximalParams(single, a=1.0))[0]
     assert np.array_equal(fields["grand"].values,
                           fields["nontangential"].values)
@@ -89,8 +88,7 @@ def test_grand_monotone_in_dictionary(bump, dictionary_1d):
 
     small = MollifierDictionary(order=dictionary_1d.order,
                                 kernels=dictionary_1d.kernels[:1],
-                                scales=dictionary_1d.scales,
-                                h=dictionary_1d.h)
+                                scales=dictionary_1d.scales)
     g_small = grand_maximal(bump, small, pad_cells=100)
     g_full = grand_maximal(bump, dictionary_1d, pad_cells=100)
     assert np.all(g_full.values >= g_small.values - 1e-300)
@@ -373,10 +371,12 @@ def test_maximal_params_name_a_non_finite_peetre_exponent(bump,
 
 
 def _grand(f, dictionary, ladder, pad, peetre, b, eps_cut):
-    """The plain grand maximal function, or with peetre its Peetre-swept
-    one: the op maximal_fields applies for "grand_peetre"."""
+    """The plain grand maximal function, of the dictionary's kernels on
+    the ladder, or with peetre its Peetre-swept one: the op maximal_fields
+    applies for "grand_peetre"."""
     if not peetre:
-        return grand_maximal(f, dictionary, ladder, pad_cells=pad)
+        return grand_maximal(f, dataclasses.replace(dictionary, scales=ladder),
+                             pad_cells=pad)
     return _one_scale_max(f, list(dictionary), ladder, pad,
                           partial(_peetre_sweep, b=b, eps_cut=eps_cut))
 
@@ -418,7 +418,7 @@ def _each_alone(f, params):
                                                   pad),
         "nontangential": peetre_reference.window_maximal(
             f, d.phi, params.a, ladder, pad),
-        "grand": grand_maximal(f, d, ladder, pad_cells=pad),
+        "grand": grand_maximal(f, d, pad_cells=pad),
         "peetre": peetre_maximal(f, d.phi, params.b, ladder, params.eps_cut,
                                  pad),
         "grand_peetre": peetre_reference.grand_per_kernel(
@@ -428,19 +428,18 @@ def _each_alone(f, params):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_maximal_fields_is_each_function_alone_bit_for_bit(maximal_params,
-                                                          n):
+                                                          h_1d, n):
     """One convolution per kernel and scale gives the five fields the five
     functions give alone at the same pad, whether the params make the
     Peetre field or already keep it."""
     if n == 1:
-        params = maximal_params
+        params, h = maximal_params, h_1d
         shape = (150,)
     else:
         h = 2.0 ** -3
         params = MaximalParams(build_dictionary(N=6, M=1, h=h, count=3, n=2),
                                a=1.5, b=5.0)
         shape = (6, 5)
-    h = params.dictionary.h
     f = GridFunction((0.25,) * n, h,
                      np.random.default_rng(n).normal(size=shape))
     alone = _each_alone(f, params)
@@ -463,17 +462,16 @@ def params_2d():
 @settings(max_examples=12, deadline=None)
 @given(n=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 16),
        budget=st.sampled_from([1, 700, 3000, 1 << 14]), data=st.data())
-def test_family_fields_are_each_member_alone(dictionary_1d, params_2d, n,
-                                             seed, budget, data):
+def test_family_fields_are_each_member_alone(dictionary_1d, h_1d, params_2d,
+                                             n, seed, budget, data):
     """maximal_fields and peetre_fields of a family, with members of two
     extents, whole-cell translates of some, a zero member, in a drawn
     order and stacks cut at a drawn cell budget (1: a member a stack; a
     padded member takes about 300 cells in 1-D, 1,400 in 2-D), give every
     member the five fields it has alone, at its own origin."""
     rng = np.random.default_rng(seed)
-    params = _on_ladder(dictionary_1d, [0.25, 0.125]) if n == 1 \
-        else params_2d
-    h = params.dictionary.h
+    params, h = (_on_ladder(dictionary_1d, [0.25, 0.125]), h_1d) if n == 1 \
+        else (params_2d, 2.0 ** -3)
     shapes = [(40,), (57,)] if n == 1 else [(6, 5), (4, 7)]
     family = [GridFunction((0.25 * i,) * n, h,
                            rng.normal(size=shapes[i % 2]))
@@ -497,14 +495,14 @@ def test_family_fields_are_each_member_alone(dictionary_1d, params_2d, n,
 
 
 def test_peetre_fields_fill_the_memo_that_peetre_field_reads(
-        maximal_params, peetre_builds):
+        maximal_params, h_1d, peetre_builds):
     """One peetre_fields pass over a family and a whole-cell translate of
     its first member makes each distinct sample array's field once; a
     later peetre_field(f) hands back the same read-only array, placed at
     f's own origin."""
     from slicehardy.families import generate_family
 
-    h = maximal_params.dictionary.h
+    h = h_1d
     fam = generate_family("bumps:count=3", 11, h=h)
     far = GridFunction(fam[0].origin + 64 * h, h, fam[0].values.copy())
     fields = maximal_params.peetre_fields(fam + [far])
@@ -549,12 +547,12 @@ def dictionary_2d():
        shape=st.tuples(st.integers(1, 40), st.integers(1, 6)),
        b=st.floats(2.5, 12.0))
 def test_peetre_maximal_of_a_whole_cell_translate_moves_only_its_origin(
-        dictionary_1d, dictionary_2d, n, cells, start, seed, shape, b):
+        dictionary_1d, h_1d, dictionary_2d, n, cells, start, seed, shape, b):
     """Moving f by a whole number of cells changes no bit of its Peetre
     maximal function and moves its origin by as many cells: the
     convolutions and sweeps read sample values only."""
-    d = dictionary_1d if n == 1 else dictionary_2d
-    h, ladder = d.h, [0.5, 0.25]
+    d, h = (dictionary_1d, h_1d) if n == 1 else (dictionary_2d, 2.0 ** -3)
+    ladder = [0.5, 0.25]
     vals = np.random.default_rng(seed).normal(size=shape[:n])
     f = GridFunction((start * h,) * n, h, vals)
     moved = GridFunction(f.origin + cells * h, h, vals.copy())
@@ -587,8 +585,8 @@ def test_nontangential_two_dimensional_matches_enumeration():
     assert np.array_equal(m.values, expected)
 
 
-def test_zero_input_gives_zero(maximal_params, dictionary_1d):
-    h = dictionary_1d.h
+def test_zero_input_gives_zero(maximal_params, h_1d):
+    h = h_1d
     z = GridFunction.constant(0.0, (0.0,), h, (32,))
     fields = maximal_fields([z], maximal_params)[0]
     for g in fields.values():

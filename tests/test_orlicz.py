@@ -610,6 +610,7 @@ def test_blocked_gauges_are_the_one_shot_gauges_bit_for_bit(
            ["zero", "tiny", "subnormal"])), min_size=1, max_size=60),
        st.integers(0, 2 ** 32 - 1))
 @example(m=17, w=5, fill=1.0, kinds=["tiny"] * 8 + [0], seed=0)
+@example(m=17, w=33, fill=0.25, kinds=[243], seed=87567)
 def test_warm_started_gauges_are_the_cold_gauges(m, w, fill, kinds, seed):
     """Gauges warm started from the anchors' gauge-to-mass ratios against
     every row started at its L^1 mass, to 1e-13 relative, zeros exactly:

@@ -668,6 +668,31 @@ def test_reverse_superadditivity_rejects_signed_members():
         reverse_superadditivity_check([f], p)
 
 
+@settings(max_examples=150, deadline=None)
+@given(n=st.sampled_from([1, 2]),
+       tag=st.sampled_from(["power:2", "power:3", "log_damped"]),
+       q=st.sampled_from([0.5, 1.0, 2.0]), e=st.integers(-900, 900),
+       seed=st.integers(0, 2 ** 16))
+def test_slice_norm_is_homogeneous_under_powers_of_two(n, tag, q, e, seed):
+    """slice_norm(2^e f) is 2^e slice_norm(f), finite and without a NumPy
+    warning, for e in [-900, 900], where |f|^p and the q-th powers of the
+    window ratios would over- or underflow: exactly for power-type Phi,
+    whose scaled samples are f's bit for bit, and to 1e-13 for log_damped,
+    whose gauges of 2^e f are solved anew.  Samples lie in [1/2, 2], or
+    are 0, so none of 2^e f is subnormal."""
+    rng = np.random.default_rng(seed)
+    h, shape = (2.0 ** -4, (64,)) if n == 1 else (2.0 ** -3, (12, 12))
+    vals = rng.uniform(0.5, 2.0, shape) * rng.choice([-1.0, 0.0, 1.0], shape)
+    p = SliceParams(0.5, q, orlicz.from_tag(tag))
+    ref = slice_norm(GridFunction((0.0,) * n, h, vals), p)
+    got = slice_norm(GridFunction((0.0,) * n, h, np.ldexp(vals, e)), p)
+    assert math.isfinite(got)
+    if tag == "log_damped":
+        assert got == pytest.approx(math.ldexp(ref, e), rel=1e-13, abs=0)
+    else:
+        assert got == math.ldexp(ref, e)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("tag", ["power:2", "log_damped"])
 @pytest.mark.parametrize("n", [1, 2])
