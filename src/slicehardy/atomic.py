@@ -287,12 +287,31 @@ class CZParams:
             raise PreconditionError(f"tol_moment must be finite and "
                                     f"nonnegative: {self.tol_moment}")
 
-    def require_degree(self, n):
-        pmin = min(self.slice_params.phi.p_minus, self.slice_params.q, 1.0)
-        need = int(np.floor(n * (1.0 / pmin - 1.0)))
-        if self.d < need:
-            raise PreconditionError(
-                f"degree d={self.d} below the required {need}")
+
+def aggregation_cap(p_minus, q):
+    """min(p_minus, q, 1), the cap on s and the atoms' exponent p."""
+    return min(p_minus, q, 1.0)
+
+
+def require_aggregation(s, p_minus, q):
+    """The aggregation exponent's hypothesis: 0 < s < aggregation_cap."""
+    cap = aggregation_cap(p_minus, q)
+    if not 0 < s < cap:
+        raise PreconditionError(f"hypothesis s in (0, min(p_minus, q, 1)) "
+                                f"violated: s={s}, cap={cap}")
+
+
+def least_degree(n, p):
+    """floor(n(1/p - 1)), the least moment degree of atoms of exponent p."""
+    return int(np.floor(n * (1.0 / p - 1.0)))
+
+
+def require_degree(d, n, p):
+    """The atoms' moment hypothesis for exponent p: d >= least_degree."""
+    need = least_degree(n, p)
+    if not d >= need:
+        raise PreconditionError(f"hypothesis d >= floor(n(1/p - 1)) "
+                                f"violated: d={d} < {need}")
 
 
 @dataclass
@@ -421,19 +440,15 @@ def _crops(f, wins, A):
 
 
 def _moment_slack(g, cube, d):
-    """Worst relative moment of g against the tolerance scaling."""
+    """Worst moment of g against u^alpha, |alpha| <= d, u = (x - center) /
+    side of the cube, relative to the L^1 norm of g."""
     l1 = g.lp_norm(1)
     if l1 == 0:
         return 0.0
-    x = np.meshgrid(*map(g.axis_centers, range(g.n)), indexing="ij",
-                    sparse=True)
-    worst = 0.0
-    for alpha in multi_indices(g.n, d):
-        V = reduce(np.multiply, (x[i] ** a for i, a in enumerate(alpha) if a),
-                   1.0)
-        mom = float((g.values * V).sum() * g.cell_volume)
-        worst = max(worst, abs(mom) / (l1 * cube.side ** sum(alpha)))
-    return worst
+    idx = np.indices(g.extents).reshape(g.n, -1).T
+    V = _monomials(g.origin + (idx + 0.5) * g.h, cube.center, cube.side, d)
+    return max(abs(float((g.values.ravel() * v).sum() * g.cell_volume))
+               for v in V.T) / l1
 
 
 def _level_atoms(f, cubes, pieces, j, params):
@@ -451,14 +466,17 @@ def _level_atoms(f, cubes, pieces, j, params):
     out = []
     for (i, piece, sup), need_i in zip(crops, need):
         Q = cubes[keep[i]]
+        scale = max(params.c0, sup / 2.0 ** j) * 2.0 ** j
         side = max(params.c0 * Q.side, need_i)
-        if side < 1.0 and _moment_slack(piece, Cube(Q.center, side),
+        lam = scale * params.slice_params.cube_norm(side, f.h, f.n)
+        atom = piece / lam  # the slack validate_atom measures is the atom's
+        if side < 1.0 and _moment_slack(atom, Cube(Q.center, side),
                                         params.d) > params.tol_moment:
             side = max(1.0, need_i)
-        lam = max(params.c0, sup / 2.0 ** j) * 2.0 ** j \
-            * params.slice_params.cube_norm(side, f.h, f.n)
-        out.append(Atom(cube=Cube(Q.center, side), values=piece / lam,
-                        level=j, index=int(keep[i]), lam=lam))
+            lam = scale * params.slice_params.cube_norm(side, f.h, f.n)
+            atom = piece / lam
+        out.append(Atom(cube=Cube(Q.center, side), values=atom, level=j,
+                        index=int(keep[i]), lam=lam))
     return out
 
 
@@ -468,7 +486,8 @@ def cz_decompose(f, params):
     swallows the support box dilated to unit size; the remainder below it
     becomes unit-cube atoms.  Atom scales take their cube norms from
     params.slice_params.cube_norm."""
-    params.require_degree(f.n)
+    sp = params.slice_params
+    require_degree(params.d, f.n, aggregation_cap(sp.phi.p_minus, sp.q))
     require_finite(f)
     zero = GridFunction(f.origin, f.h, np.zeros(f.extents), check=False)
     if f.max_abs() == 0:
@@ -575,10 +594,7 @@ def atomic_quasinorm(dec, s):
     the atomic quasi-norm's functional for this decomposition, an upper
     bound for the infimum over all."""
     sp = dec.params.slice_params
-    s_cap = min(sp.phi.p_minus, sp.q, 1.0)
-    if not 0 < s < s_cap:
-        raise PreconditionError(
-            f"aggregation exponent s={s} outside (0, {s_cap})")
+    require_aggregation(s, sp.phi.p_minus, sp.q)
     if not dec.entries:
         return 0.0
     first = dec.entries[0].values

@@ -22,15 +22,15 @@ from . import orlicz
 from .atomic import atomic_quasinorm, cz_decompose, reconstruct, \
     validate_atom
 from .campanato import CampanatoParams, bmo_sweep_report, pairing_bounds
-from .config import load_config
+from .config import broken, load_config
 from .embeddings import hardy_embedding_check, star_to_muslog_check
-from .errors import ConfigError, SliceHardyError
+from .errors import ConfigError, SliceHardyError, require_resolution
 from .families import generate_family
 from .grid import GridFunction
-from .maximal import maximal_equivalence_report
+from .maximal import maximal_equivalence_report, require_hardy_amalgam
 from .reports import Report
 from .slice_norms import ball_indicator_ratio, fefferman_stein_check, \
-    slice_norm, star_norm
+    require_fefferman_stein, slice_norm, star_norm
 
 
 class Run:
@@ -178,58 +178,37 @@ def _check_bmo_facts(run, summary):
     return merged, abs(summary["bmo_phi"] - target) <= 1e-6
 
 
-# -- hypotheses: cfg -> [(key, message)] of those cfg breaks ----------------
-
-def _half_t(cfg):
-    """Slice norms at radius t/2, which must be at least 2h."""
-    if cfg.t < 4 * cfg.h:
-        return [("slice.t", f"t = {cfg.t} is below 4h = {4 * cfg.h}, and "
-                 f"the radius t/2 must be >= 2h")]
-    return []
-
-
-def _peetre_above_2n(cfg):
-    """The star and muslog outer norms of the Peetre function need b > 2n."""
-    if cfg.b <= 2 * cfg.n:
-        return [("maximal.b", f"b = {cfg.b} must exceed 2n = {2 * cfg.n}")]
-    return []
-
-
-def _fefferman_stein(cfg):
-    """The vector-valued maximal inequality needs lower type > 1, q > 1."""
-    broken = _half_t(cfg)
-    p_minus = cfg.phi().p_minus
-    if p_minus <= 1:
-        broken.append(("functional.tag",
-                       f"{cfg.functional_tag} has lower type {p_minus}, "
-                       f"which must exceed 1"))
-    if cfg.q <= 1:
-        broken.append(("slice.q", f"q = {cfg.q} must exceed 1"))
-    return broken
-
-
 @dataclass(frozen=True)
 class Check:
     """A check: called with (run, summary), it returns its report and a
-    verdict or None; hypotheses(cfg) lists the (key, message) of each of
-    its hypotheses that cfg breaks."""
+    verdict or None; hypotheses holds the (key, guard call on a config)
+    of each hypothesis it needs beyond the config's own validation."""
 
     check: object
-    hypotheses: object = lambda cfg: []
+    hypotheses: tuple = ()
 
     def __call__(self, run, summary):
         return self.check(run, summary)
 
 
+#: the slice norms at radius t/2 of maximal-equivalence and fefferman-stein
+_HALF_T = ("slice.t",
+           lambda c: require_resolution(c.t / 2, c.h, "slice radius"))
+
 CHECKS = {
     "norms": Check(_check_norms),
-    "maximal-equivalence": Check(_check_maximal_equivalence, _half_t),
+    "maximal-equivalence": Check(_check_maximal_equivalence, (_HALF_T,)),
     "cz-roundtrip": Check(_check_cz_roundtrip),
     "atom-validation": Check(_check_atom_validation),
     "duality": Check(_check_duality),
-    "embeddings": Check(_check_embeddings, _peetre_above_2n),
+    "embeddings": Check(_check_embeddings, (
+        ("maximal.b", lambda c: require_hardy_amalgam(c.b, c.n)),)),
     "lemma888": Check(_check_lemma888),
-    "fefferman-stein": Check(_check_fefferman_stein, _fefferman_stein),
+    "fefferman-stein": Check(_check_fefferman_stein, (
+        _HALF_T,
+        ("functional.tag",
+         lambda c: require_fefferman_stein(p_minus=c.phi().p_minus)),
+        ("slice.q", lambda c: require_fefferman_stein(q=c.q)))),
     "bmo-facts": Check(_check_bmo_facts),
 }
 
@@ -248,14 +227,14 @@ def _run(names, config_path, seed, out):
             raise SliceHardyError(f"unknown checks {unknown}")
         skipped = {}
         for name in names:
-            broken = CHECKS[name].hypotheses(cfg)
-            if broken and named:
-                key, message = broken[0]
+            failing = list(broken(CHECKS[name].hypotheses, cfg))
+            if failing and named:
+                key, message = failing[0]
                 raise ConfigError(
                     f"{key} breaks a hypothesis of {name}: {message}")
-            if broken:
+            if failing:
                 skipped[name] = "; ".join(f"{key}: {message}"
-                                          for key, message in broken)
+                                          for key, message in failing)
         run = Run(cfg, seed)
         os.makedirs(out, exist_ok=True)
         summary = Report(["check", "key", "value"])

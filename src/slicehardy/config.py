@@ -1,9 +1,9 @@
 """Scenario configuration: flat INI-style sections, validated at load.
 
-Every derived hypothesis of the computational definitions is checked in
-:meth:`ScenarioConfig.validate`; a violation raises :class:`ConfigError`
-naming the key and the hypothesis, so no operation can be reached with
-parameters outside its documented preconditions.
+:meth:`ScenarioConfig.validate` checks each key's domain, then calls the
+library guard of each derived hypothesis (HYPOTHESES, by key); a
+violation raises :class:`ConfigError` naming the key and the guard's own
+message, so no operation is reached outside its preconditions.
 """
 
 from __future__ import annotations
@@ -15,12 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import orlicz
-from .atomic import CZParams
+from .atomic import CZParams, aggregation_cap, least_degree, \
+    require_aggregation, require_degree
 from .campanato import cube_sweep
-from .errors import ConfigError
+from .errors import ConfigError, SliceHardyError, require_resolution
 from .families import generate_family, parse_spec
-from .kernels import build_dictionary, modulated_profiles
-from .maximal import MaximalParams
+from .kernels import build_dictionary, modulated_profiles, scale_ladder
+from .maximal import MaximalParams, require_grand_order, require_hardy
 from .slice_norms import SliceParams
 
 #: log2 of the most cells the largest cube of a sweep may hold
@@ -62,12 +63,11 @@ class ScenarioConfig:
     checks: tuple = ()
 
     def __post_init__(self):
-        phi = self.phi()
-        cap = min(phi.p_minus, self.q, 1.0)
+        cap = aggregation_cap(self.phi().p_minus, self.q)
         if self.s is None:
             self.s = 0.9 * cap
         if self.d is None and np.isfinite(self.s) and self.s > 0:
-            self.d = max(int(np.floor(self.n * (1.0 / self.s - 1.0))), 0)
+            self.d = max(least_degree(self.n, self.s), 0)
 
     # -- derived objects ---------------------------------------------------
 
@@ -109,7 +109,6 @@ class ScenarioConfig:
                 if isinstance(v, float) and not np.isfinite(v) \
                         and not (key == "r" and v == np.inf):
                     raise ConfigError(f"{section}.{key} must be finite: {v}")
-        phi = self.phi()
         for key in ("grid.h", "slice.q", "maximal.a", "atomic.r",
                     "atomic.c0", "sweep.center_step"):
             v = getattr(self, key.partition(".")[2])
@@ -120,39 +119,6 @@ class ScenarioConfig:
                 f"atomic.tol_moment must be nonnegative: {self.tol_moment}")
         if self.n not in (1, 2):
             raise ConfigError(f"grid.n must be 1 or 2: {self.n}")
-        if self.t < 2 * self.h:
-            raise ConfigError(f"slice.t: slice radius t = {self.t} must be "
-                              f"at least 2h = {2 * self.h}")
-        kernels = len(modulated_profiles(self.n))
-        if not 1 <= self.dict_size <= kernels:
-            raise ConfigError(
-                f"maximal.dict_size must be from 1 to the {kernels} "
-                f"built-in kernels in {self.n}-D: {self.dict_size}")
-        if self.ladder_depth < 0:
-            raise ConfigError("maximal.ladder_depth must be nonnegative")
-        if 2.0 ** -self.ladder_depth < 2 * self.h:
-            raise ConfigError(
-                f"maximal.ladder_depth: smallest ladder scale "
-                f"{2.0 ** -self.ladder_depth} below 2h = {2 * self.h}")
-        cap = min(phi.p_minus, self.q)
-        if self.b <= 2 * self.n / cap:
-            raise ConfigError(
-                f"maximal.b: hypothesis b > 2n/min(p_minus, q) violated: "
-                f"b={self.b} <= {2 * self.n / cap}")
-        if self.N < int(np.floor(self.b + 1)):
-            raise ConfigError(
-                f"maximal.N: hypothesis N >= floor(b+1) violated: "
-                f"N={self.N} < {int(np.floor(self.b + 1))}")
-        s_cap = min(phi.p_minus, self.q, 1.0)
-        if not 0 < self.s < s_cap:
-            raise ConfigError(
-                f"hypothesis atomic.s in (0, min(p_minus, q, 1)) violated: "
-                f"s={self.s}, cap={s_cap}")
-        need_d = int(np.floor(self.n * (1.0 / self.s - 1.0)))
-        if self.d < need_d:
-            raise ConfigError(
-                f"atomic.d: hypothesis d >= floor(n(1/s - 1)) violated: "
-                f"d={self.d} < {need_d}")
         if self.side_exp_lo >= 0:
             raise ConfigError(f"sweep.side_exp_lo must be negative, so the "
                               f"cube sweep straddles side length 1: "
@@ -192,7 +158,31 @@ class ScenarioConfig:
             parse_spec(self.family_spec, self.n)
         except ConfigError as exc:
             raise ConfigError(f"family.spec: {exc}") from exc
+        for key, message in broken(HYPOTHESES, self):
+            raise ConfigError(f"{key}: {message}")
         return self
+
+
+#: (key, guard call on a config) of each hypothesis of the keys, checked in
+#: order once every key is in its domain; the degree rule takes p = s
+HYPOTHESES = (
+    ("slice.t", lambda c: require_resolution(c.t, c.h, "slice radius")),
+    ("maximal.dict_size", lambda c: modulated_profiles(c.n, c.dict_size)),
+    ("maximal.ladder_depth", lambda c: scale_ladder(c.ladder_depth, c.h)),
+    ("maximal.b", lambda c: require_hardy(c.b, c.n, c.phi().p_minus, c.q)),
+    ("maximal.N", lambda c: require_grand_order(c.N, c.b)),
+    ("atomic.s", lambda c: require_aggregation(c.s, c.phi().p_minus, c.q)),
+    ("atomic.d", lambda c: require_degree(c.d, c.n, c.s)),
+)
+
+
+def broken(hypotheses, cfg):
+    """(key, message) of each (key, guard) whose guard(cfg) raises, lazily."""
+    for key, guard in hypotheses:
+        try:
+            guard(cfg)
+        except SliceHardyError as exc:
+            yield key, str(exc)
 
 
 _SECTIONS = {

@@ -8,7 +8,7 @@ never assert strictness.
 from __future__ import annotations
 
 from . import orlicz
-from .errors import PreconditionError
+from .maximal import require_hardy_amalgam
 from .reports import Report
 from .slice_norms import star_norm
 
@@ -49,10 +49,7 @@ def hardy_embedding_check(family, params):
     is never asserted.  The Peetre fields are params.peetre_fields of the
     nonzero members, made in one pass.
     """
-    n = family[0].n if family else 1
-    if params.b <= 2 * n:
-        raise PreconditionError(
-            f"Peetre exponent b={params.b} must exceed 2n = {2 * n}")
+    require_hardy_amalgam(params.b, family[0].n if family else 1)
     phi = orlicz.log_damped()
     theta = orlicz.musielak_log()
     report = Report(["index", "h_star", "h_log", "ratio"])

@@ -52,6 +52,12 @@ def require_positive(**values):
                                     f"{v}")
 
 
+def require_resolution(radius, h, name):
+    """Raise ResolutionError unless the radius called name is >= 2h."""
+    if not radius >= 2 * h:
+        raise ResolutionError(f"{name} {radius} below 2h = {2 * h}")
+
+
 def require_finite(f):
     """Raise InvalidDataError if a sample of grid function f is not finite."""
     if not np.all(np.isfinite(f.values)):

@@ -20,7 +20,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ConstructionError, PreconditionError, ResolutionError
+from .errors import ConstructionError, PreconditionError, require_resolution
 
 
 def bump_profile(x):
@@ -49,8 +49,7 @@ class Kernel:
 
         Returns a centered odd-length array (1-D) or square array (2-D).
         """
-        if s < 2 * h:
-            raise ResolutionError(f"scale {s} below 2h = {2 * h}")
+        require_resolution(s, h, "scale")
         k = int(np.ceil(s / h)) - 1
         return self(_centered_grid(2 * k + 1, h, self.n) / s) / s ** self.n
 
@@ -119,15 +118,20 @@ class MollifierDictionary:
         return len(self.kernels)
 
 
-def scale_ladder(M):
-    """Dyadic scales {2^-m : m = 0..M}, all inside (0, 1]."""
+def scale_ladder(M, h):
+    """Dyadic scales {2^-m : m = 0..M}, all inside (0, 1], under the
+    ladder depth's hypothesis: M >= 0, and 2^-M resolves on spacing h."""
+    if not M >= 0:
+        raise PreconditionError(f"ladder depth M must be nonnegative: {M}")
+    require_resolution(2.0 ** -M, h, "smallest ladder scale")
     return [2.0 ** -m for m in range(M + 1)]
 
 
-def modulated_profiles(n):
-    """The built-in kernels' (name, profile) pairs in dictionary order,
-    deterministic bump modulations: 1, x1, x1^2 - c, cos- and
-    sin-modulated, and in 2-D x2."""
+def modulated_profiles(n, count):
+    """The first count built-in kernels' (name, profile) pairs in
+    dictionary order, deterministic bump modulations: 1, x1, x1^2 - c,
+    cos- and sin-modulated, and in 2-D x2, under the dictionary size's
+    hypothesis: count from 1 to the built-in kernels."""
     profiles = [("bump", lambda p: bump_profile(p))]
     mods = [
         ("x1_bump", lambda p: np.atleast_2d(p)[..., 0] * bump_profile(p)),
@@ -142,12 +146,15 @@ def modulated_profiles(n):
         mods.append(("x2_bump",
                      lambda p: np.atleast_2d(p)[..., 1] * bump_profile(p)))
     profiles.extend(mods)
-    return profiles
+    if not 1 <= count <= len(profiles):
+        raise ConstructionError(f"dictionary size {count} outside 1 to "
+                                f"{len(profiles)}, the built-in kernels")
+    return profiles[:count]
 
 
 def build_dictionary(N, M, h, count, n=1):
-    """Build a deterministic dictionary of `count` normalized kernels on
-    the ladder scale_ladder(M), whose smallest scale is at least 2h.
+    """Build a deterministic dictionary of `count` normalized kernels
+    (modulated_profiles) on the ladder scale_ladder(M, h).
 
     The first kernel is the distinguished phi, of nonzero mass on its
     samples at the finite-difference spacing max(h, 1/256).  Each kernel's
@@ -156,15 +163,10 @@ def build_dictionary(N, M, h, count, n=1):
     """
     if N < 1:
         raise PreconditionError(f"grand order N must be >= 1: {N}")
-    if 2.0 ** -M < 2 * h:
-        raise ResolutionError("smallest ladder scale below 2h")
-    profiles = modulated_profiles(n)
-    if count > len(profiles):
-        raise ConstructionError(
-            f"at most {len(profiles)} built-in kernels available")
+    scales = scale_ladder(M, h)
     fd_h = max(h, 1.0 / 256)
     kernels = []
-    for name, prof in profiles[:count]:
+    for name, prof in modulated_profiles(n, count):
         _, vals = Kernel(prof, n).sample_unit(fd_h)
         bound = derivative_sup_bound(vals, fd_h, N, n)
         if bound <= 0:
@@ -172,8 +174,7 @@ def build_dictionary(N, M, h, count, n=1):
         if not kernels and vals.sum() == 0:
             raise ConstructionError("distinguished kernel has zero mass")
         kernels.append(Kernel(prof, n, name=name, scale=0.999 / bound))
-    return MollifierDictionary(order=N, kernels=kernels,
-                               scales=scale_ladder(M))
+    return MollifierDictionary(order=N, kernels=kernels, scales=scales)
 
 
 def convolve(values, h, kernel, s):

@@ -58,12 +58,6 @@ class MaximalParams:
     def pad_cells(self, h):
         return int(np.ceil(PAD_FACTOR * max(self.ladder) / h))
 
-    def require_hardy(self, n, p_minus, q):
-        if self.b <= 2 * n / min(p_minus, q):
-            raise PreconditionError(
-                f"Peetre exponent b={self.b} must exceed "
-                f"2n/min(p_minus, q) = {2 * n / min(p_minus, q)}")
-
     @cached_property
     def _peetre(self):
         return {}
@@ -98,11 +92,27 @@ class MaximalParams:
         """peetre_fields of the one member f."""
         return self.peetre_fields([f])[0]
 
-    def require_grand_comparison(self):
-        if self.N < int(np.floor(self.b + 1)):
-            raise PreconditionError(
-                f"grand order N={self.N} must be >= floor(b+1)="
-                f"{int(np.floor(self.b + 1))}")
+
+def require_hardy(b, n, p_minus, q):
+    """The slice Hardy quasi-norm's hypothesis b > 2n/min(p_minus, q)."""
+    bound = 2 * n / min(p_minus, q)
+    if not b > bound:
+        raise PreconditionError(f"hypothesis b > 2n/min(p_minus, q) "
+                                f"violated: b={b} <= {bound}")
+
+
+def require_hardy_amalgam(b, n):
+    """The amalgam and Musielak Hardy quasi-norms' hypothesis b > 2n."""
+    if not b > 2 * n:
+        raise PreconditionError(f"hypothesis b > 2n violated: b={b} <= "
+                                f"{2 * n}")
+
+
+def require_grand_order(N, b):
+    """The grand maximal comparison's hypothesis: N >= floor(b + 1)."""
+    if not N >= math.floor(b + 1):
+        raise PreconditionError(f"hypothesis N >= floor(b+1) violated: "
+                                f"N={N} < {math.floor(b + 1)}")
 
 
 #: padded cells per stack of _scale_max, five default members (3072 cells
@@ -362,10 +372,9 @@ def maximal_equivalence_report(family, params, phi, q, t_values):
     the fitted bands are empirical, as the equivalence constants are
     existential.
     """
-    params.require_grand_comparison()
+    require_grand_order(params.N, params.b)
     report = Report(["index", "t"] + list(_FIVE) + ["chain_ok"])
-    n = family[0].n if family else 1
-    params.require_hardy(n, phi.p_minus, q)
+    require_hardy(params.b, family[0].n if family else 1, phi.p_minus, q)
     ratios = {pair: [] for pair in combinations(_FIVE, 2)}
     nonzero = [(i, f) for i, f in enumerate(family) if f.max_abs() != 0]
     fields = maximal_fields([f for _, f in nonzero], params)

@@ -24,8 +24,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import orlicz
-from .errors import PreconditionError, ResolutionError, require_finite, \
-    require_positive
+from .errors import PreconditionError, require_finite, require_positive, \
+    require_resolution
 from .grid import Ball, GridFunction
 from .kernels import convolve_same
 from .reports import Report
@@ -148,8 +148,7 @@ def slice_norm(f, p):
     unit binade (_unit_binade), so no q-th power over- or underflows.
     """
     require_finite(f)
-    if f.h * 2 > p.t:
-        raise ResolutionError(f"slice radius {p.t} below 2h = {2 * f.h}")
+    require_resolution(p.t, f.h, "slice radius")
     mask = ball_mask(p.t, f.h, f.n)
     den = ball_indicator_gauge(p.phi, int(mask.sum()), f.cell_volume)
     if p.phi.power_exponent is not None:
@@ -219,8 +218,7 @@ def cube_indicator_slice_norm(p, side, h, n=1):
     the same for every cube of equal side (translation invariance).
     SliceParams.cube_norm memoizes it.
     """
-    if h * 2 > p.t:
-        raise ResolutionError(f"slice radius {p.t} below 2h = {2 * h}")
+    require_resolution(p.t, h, "slice radius")
     cells = max(int(np.round(side / h)), 1)
     mask = ball_mask(p.t, h, n)
     w = int(mask.sum())
@@ -278,11 +276,7 @@ def fefferman_stein_check(family, r, p, t_values=None):
     family, each maximal function on its member's box padded by 64 cells,
     and the r-aggregated family itself, per slice radius t.
     """
-    if r <= 1:
-        raise PreconditionError("aggregation exponent r must exceed 1")
-    if p.phi.p_minus <= 1 or p.q <= 1:
-        raise PreconditionError(
-            "Fefferman-Stein hypotheses need lower type > 1 and q > 1")
+    require_fefferman_stein(r=r, p_minus=p.phi.p_minus, q=p.q)
     t_values = t_values or [p.t]
     report = Report(["t", "lhs", "rhs", "ratio"])
     nonzero = [f for f in family if f.max_abs() > 0]
@@ -301,6 +295,14 @@ def fefferman_stein_check(family, r, p, t_values=None):
     report.summary["max_ratio"] = max(ratios)
     report.summary["t_spread"] = max(ratios) / min(ratios)
     return report
+
+
+def require_fefferman_stein(**values):
+    """Fefferman-Stein's hypotheses: each given r, p_minus or q > 1."""
+    for name, v in values.items():
+        if not v > 1:
+            raise PreconditionError(f"Fefferman-Stein hypothesis {name} > 1 "
+                                    f"violated: {v}")
 
 
 def _aggregate(family, r):
@@ -324,8 +326,7 @@ def ball_indicator_ratio(radii, h, n=1):
     phi = orlicz.log_damped()
     report = Report(["radius", "reference", "star_ratio", "orlicz_ratio"])
     for rad in radii:
-        if rad < 2 * h:
-            raise ResolutionError(f"radius {rad} below 2h = {2 * h}")
+        require_resolution(rad, h, "radius")
         measure = Ball((0.0,) * n, rad).volume
         ref = measure / np.log(np.e + 1.0 / measure)
         k = _half_width(rad, h)

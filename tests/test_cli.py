@@ -12,8 +12,16 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from slicehardy import orlicz
+from slicehardy.atomic import require_aggregation, require_degree
 from slicehardy.cli import CHECKS, main
-from slicehardy.config import load_config
+from slicehardy.config import broken, load_config
+from slicehardy.errors import ConfigError, SliceHardyError, \
+    require_resolution
+from slicehardy.kernels import modulated_profiles, scale_ladder
+from slicehardy.maximal import require_grand_order, require_hardy, \
+    require_hardy_amalgam
+from slicehardy.slice_norms import require_fefferman_stein
 
 FAST_CONFIG = """\
 [grid]
@@ -122,45 +130,25 @@ def test_bad_config_exits_2(runner, tmp_path, text):
     assert "error" in result.output
 
 
-@pytest.mark.parametrize("section,key,value", [
-    ("sweep", "center_step", "0"),
-    ("sweep", "center_step", "-1"),
-    ("sweep", "center_hi", "-5"),
-    ("maximal", "dict_size", "0"),
-    ("maximal", "ladder_depth", "-1"),
-    ("slice", "t", "nan"),
-    ("slice", "t", "inf"),
-    ("maximal", "b", "nan"),
-    ("sweep", "center_step", "nan"),
-    ("atomic", "s", "nan"),
-    ("slice", "q", "0"),
-    ("atomic", "s", "0"),
-    ("atomic", "r", "0"),
-    ("atomic", "r", "-1"),
-    ("maximal", "a", "0"),
-    ("maximal", "a", "-1"),
-    ("functional", "tag", "foo"),
-    ("functional", "tag", "power:abc"),
-    ("functional", "tag", "power:-1"),
-    ("functional", "tag", "musielak_log"),
-    ("grid", "n", "3"),
-    ("slice", "t", "0.02"),
-    ("maximal", "b", "1"),
-    ("maximal", "N", "2"),
-    ("atomic", "d", "-1"),
-    ("maximal", "ladder_depth", "6"),
-    ("sweep", "side_exp_lo", "0"),
-    ("sweep", "side_exp_lo", "-1075"),
-    ("sweep", "side_exp_hi", "40"),
-    ("sweep", "center_step", "1e-4"),
-    ("atomic", "tol_moment", "-1"),
-    ("atomic", "c0", "0"),
-    ("maximal", "dict_size", "9"),
-])
-def test_config_outside_its_hypotheses_exits_2(runner, tmp_path, section,
-                                                key, value):
-    """FAST_CONFIG with one key set: a config error naming the key, raised
-    before the output directory exists."""
+#: FAST_CONFIG (n = 1, h = 2^-6, power:2, q = 2, b = 2.5, N = 3, s = 0.9)
+#: with one key set outside its hypothesis, and the library guard's call
+#: on the same values
+CONFIG_HYPOTHESES = {
+    ("maximal", "dict_size", "0"): lambda: modulated_profiles(1, 0),
+    ("maximal", "ladder_depth", "-1"): lambda: scale_ladder(-1, 2.0 ** -6),
+    ("slice", "t", "0.02"):
+        lambda: require_resolution(0.02, 2.0 ** -6, "slice radius"),
+    ("maximal", "b", "1"): lambda: require_hardy(1.0, 1, 2.0, 2.0),
+    ("maximal", "N", "2"): lambda: require_grand_order(2, 2.5),
+    ("atomic", "s", "0"): lambda: require_aggregation(0.0, 2.0, 2.0),
+    ("atomic", "d", "-1"): lambda: require_degree(-1, 1, 0.9),
+    ("maximal", "ladder_depth", "6"): lambda: scale_ladder(6, 2.0 ** -6),
+    ("maximal", "dict_size", "9"): lambda: modulated_profiles(1, 9),
+}
+
+
+def _bad_config(tmp_path, section, key, value):
+    """FAST_CONFIG with section.key set to value, written to a file."""
     parser = configparser.ConfigParser()
     parser.optionxform = str
     parser.read_string(FAST_CONFIG)
@@ -170,6 +158,47 @@ def test_config_outside_its_hypotheses_exits_2(runner, tmp_path, section,
     bad = tmp_path / "bad.ini"
     with open(bad, "w") as fh:
         parser.write(fh)
+    return bad
+
+
+def _guard_message(call):
+    """str() of the named error the guard call raises."""
+    with pytest.raises(SliceHardyError) as exc:
+        call()
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("sweep", "center_step", "0"),
+    ("sweep", "center_step", "-1"),
+    ("sweep", "center_hi", "-5"),
+    ("slice", "t", "nan"),
+    ("slice", "t", "inf"),
+    ("maximal", "b", "nan"),
+    ("sweep", "center_step", "nan"),
+    ("atomic", "s", "nan"),
+    ("slice", "q", "0"),
+    ("atomic", "r", "0"),
+    ("atomic", "r", "-1"),
+    ("maximal", "a", "0"),
+    ("maximal", "a", "-1"),
+    ("functional", "tag", "foo"),
+    ("functional", "tag", "power:abc"),
+    ("functional", "tag", "power:-1"),
+    ("functional", "tag", "musielak_log"),
+    ("grid", "n", "3"),
+    ("sweep", "side_exp_lo", "0"),
+    ("sweep", "side_exp_lo", "-1075"),
+    ("sweep", "side_exp_hi", "40"),
+    ("sweep", "center_step", "1e-4"),
+    ("atomic", "tol_moment", "-1"),
+    ("atomic", "c0", "0"),
+] + list(CONFIG_HYPOTHESES))
+def test_config_outside_its_hypotheses_exits_2(runner, tmp_path, section,
+                                                key, value):
+    """FAST_CONFIG with one key set: a config error naming the key, raised
+    before the output directory exists."""
+    bad = _bad_config(tmp_path, section, key, value)
     result = runner.invoke(main, ["all", "--config", str(bad),
                                   "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
@@ -316,6 +345,46 @@ def test_default_check_outside_its_hypotheses_is_skipped(runner, tmp_path,
     status = {c: v for (c, k), v in rows.items() if k == "status"}
     assert set(status) == set(CHECKS) - {"norms"}
     assert set(status.values()) == {"pass", "skipped"}
+
+
+#: the library guard's call on the values of each BROKEN_HYPOTHESES config
+BROKEN_GUARDS = {
+    ("fefferman-stein", "functional.tag"):
+        lambda: require_fefferman_stein(p_minus=orlicz.log_damped().p_minus),
+    ("fefferman-stein", "slice.q"): lambda: require_fefferman_stein(q=1.0),
+    ("fefferman-stein", "slice.t"):
+        lambda: require_resolution(0.015625, 2.0 ** -6, "slice radius"),
+    ("maximal-equivalence", "slice.t"):
+        lambda: require_resolution(0.015625, 2.0 ** -6, "slice radius"),
+    ("embeddings", "maximal.b"): lambda: require_hardy_amalgam(3.0, 2),
+}
+
+
+@pytest.mark.parametrize("row", list(CONFIG_HYPOTHESES)
+                         + list(BROKEN_HYPOTHESES), ids="-".join)
+def test_hypothesis_message_is_the_library_guards(runner, tmp_path, row):
+    """Each hypothesis has one home, its library guard: the text after
+    "{key}: " in the config error, and in a skipped check's reason, is
+    exactly the guard's error on the same values, and a named check that
+    breaks it ends its error with that text."""
+    if len(row) == 3:
+        section, key, value = row
+        expected = _guard_message(CONFIG_HYPOTHESES[row])
+        with pytest.raises(ConfigError) as exc:
+            load_config(_bad_config(tmp_path, section, key, value))
+        assert str(exc.value) == f"{section}.{key}: {expected}"
+        return
+    check, key = row
+    expected = _guard_message(BROKEN_GUARDS[row])
+    bad = tmp_path / "bad.ini"
+    bad.write_text(BROKEN_HYPOTHESES[row])
+    assert dict(broken(CHECKS[check].hypotheses, load_config(bad)))[key] \
+        == expected
+    result = runner.invoke(main, [check, "--config", str(bad),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert result.output == (f"error: {key} breaks a hypothesis of "
+                             f"{check}: {expected}\n")
 
 
 @pytest.mark.parametrize("order", [1, -1])

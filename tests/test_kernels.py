@@ -22,7 +22,7 @@ def test_bump_supported_in_unit_ball():
 
 
 def test_scale_ladder_dyadic():
-    assert scale_ladder(3) == [1.0, 0.5, 0.25, 0.125]
+    assert scale_ladder(3, 2.0 ** -4) == [1.0, 0.5, 0.25, 0.125]
 
 
 def test_normalization_bound_below_one():
@@ -217,6 +217,24 @@ def test_convolve_same_on_a_stack_is_each_member_alone(n, members, seed,
 def test_build_dictionary_rejects_grand_order_below_one():
     with pytest.raises(PreconditionError, match="grand order"):
         build_dictionary(0, 3, 2.0 ** -8, 3)
+
+
+def test_build_dictionary_rejects_a_negative_ladder_depth_up_front(
+        monkeypatch):
+    """M = -1 gives no scale: build_dictionary raises the ladder guard's
+    named error before it samples a kernel or makes a dictionary, where
+    an empty ladder would fail later, in a maximal function's max()."""
+    from slicehardy import kernels
+
+    made = []
+    monkeypatch.setattr(Kernel, "sample_unit",
+                        lambda self, h: made.append("kernel"))
+    monkeypatch.setattr(kernels, "MollifierDictionary",
+                        lambda **kw: made.append("dictionary"))
+    with pytest.raises(PreconditionError, match="ladder depth M must be "
+                       "nonnegative: -1"):
+        build_dictionary(3, -1, 2.0 ** -8, 3)
+    assert made == []
 
 
 def test_dictionary_phi_is_its_first_kernel(dictionary_1d):

@@ -608,7 +608,8 @@ def test_hardy_quasinorm_hypothesis_guard(bump, dictionary_1d, precomputed):
     already."""
     weak = MaximalParams(dictionary_1d, b=0.5)
     with pytest.raises(PreconditionError):
-        weak.require_hardy(bump.n, _SLICE.phi.p_minus, _SLICE.q)
+        maximal.maximal_equivalence_report([bump], weak, _SLICE.phi,
+                                           _SLICE.q, [_SLICE.t])
     if precomputed:
         weak.peetre_field(bump)
     with pytest.raises(PreconditionError):
