@@ -109,13 +109,24 @@ class _Moments:
                             self.scale[rec, None], d)
 
 
+def _one_fit(V, vals, w):
+    """One fit of _fit; if its Gram matrix is singular, the minimum-norm
+    weighted least-squares fit, which solves the same moment equations."""
+    try:
+        return np.linalg.solve(V.T @ (V * w[:, None]), V.T @ (vals.T * w).T)
+    except np.linalg.LinAlgError:
+        r = np.sqrt(w)
+        return np.linalg.lstsq(V * r[:, None], (vals.T * r).T, rcond=None)[0]
+
+
 def _fit(V, w, count, vals):
     """(coeffs, values) of weighted moment fits: fit i takes the next
     count[i] rows of vals, V (monomials) and w (weights), and solves
     sum w (vals - P) u^alpha = 0 for each alpha from the Gram matrix
     V^T W V, one right-hand side per column of vals if it is 2-D.  The
-    fits of as many cells are stacked into one np.linalg.solve call; with
-    fewer cells than monomials the minimum-norm solution interpolates."""
+    fits of as many cells are stacked into one np.linalg.solve call, or,
+    if a Gram matrix of the stack is singular, solved one by one (_one_fit);
+    with fewer cells than monomials the minimum-norm solution interpolates."""
     first, cols = np.cumsum(count) - count, vals.shape[1:]
     coeffs = np.empty((count.size, V.shape[1]) + cols)
     values = np.empty(vals.shape)
@@ -133,9 +144,9 @@ def _fit(V, w, count, vals):
                     np.matmul(Vt, Ve * we[..., None]),
                     np.matmul(Vt, y.reshape(sel.size, c, -1) * we[..., None])
                 ).reshape((sel.size, V.shape[1]) + cols)
-            except np.linalg.LinAlgError as exc:
-                raise UnderdeterminedError("singular moment system") \
-                    from exc
+            except np.linalg.LinAlgError:
+                coeffs[sel] = [_one_fit(v, b, ww)
+                               for v, b, ww in zip(Ve, y, we)]
         Vx = Ve.reshape(Ve.shape + (1,) * len(cols))
         values[e] = sum(Vx[:, :, k] * coeffs[sel, k, None]
                         for k in range(V.shape[1]))
@@ -280,12 +291,21 @@ class CZParams:
     tol_moment: float = 1e-8
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise PreconditionError(f"size exponent r must be > 0: {self.r}")
+        require_size_exponent(self.r)
         require_positive(c0=self.c0)
-        if not 0 <= self.tol_moment < np.inf:
-            raise PreconditionError(f"tol_moment must be finite and "
-                                    f"nonnegative: {self.tol_moment}")
+        require_tol_moment(self.tol_moment)
+
+
+def require_size_exponent(r):
+    """The atoms' size exponent's domain: r > 0, inf included."""
+    if not r > 0:
+        raise PreconditionError(f"size exponent r must be > 0: {r}")
+
+
+def require_tol_moment(tol):
+    """The moment tolerance's domain: finite and nonnegative."""
+    if not 0 <= tol < np.inf:
+        raise PreconditionError(f"tol_moment must be finite and >= 0: {tol}")
 
 
 def aggregation_cap(p_minus, q):

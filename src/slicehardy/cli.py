@@ -220,11 +220,12 @@ def _run(names, config_path, seed, out):
     try:
         cfg = load_config(config_path)
         named = names is not None or bool(cfg.checks)
+        source = "--check" if names is not None else "checks.run"
         if names is None:
             names = list(cfg.checks) if cfg.checks else list(CHECKS)
         unknown = [s for s in names if s not in CHECKS]
         if unknown:
-            raise SliceHardyError(f"unknown checks {unknown}")
+            raise SliceHardyError(f"{source}: unknown checks {unknown}")
         skipped = {}
         for name in names:
             failing = list(broken(CHECKS[name].hypotheses, cfg))

@@ -1,9 +1,9 @@
 """Scenario configuration: flat INI-style sections, validated at load.
 
-:meth:`ScenarioConfig.validate` checks each key's domain, then calls the
-library guard of each derived hypothesis (HYPOTHESES, by key); a
-violation raises :class:`ConfigError` naming the key and the guard's own
-message, so no operation is reached outside its preconditions.
+:meth:`ScenarioConfig.validate` calls, by key, the library guard of each
+key's domain (DOMAINS) and of each derived hypothesis (HYPOTHESES); the
+first to fail raises :class:`ConfigError` reading "key: " and the guard's
+own message.  What no library object takes it checks itself.
 """
 
 from __future__ import annotations
@@ -16,9 +16,11 @@ import numpy as np
 
 from . import orlicz
 from .atomic import CZParams, aggregation_cap, least_degree, \
-    require_aggregation, require_degree
+    require_aggregation, require_degree, require_size_exponent, \
+    require_tol_moment
 from .campanato import cube_sweep
-from .errors import ConfigError, SliceHardyError, require_resolution
+from .errors import ConfigError, SliceHardyError, require_positive, \
+    require_resolution, require_spacing
 from .families import generate_family, parse_spec
 from .kernels import build_dictionary, modulated_profiles, scale_ladder
 from .maximal import MaximalParams, require_grand_order, require_hardy
@@ -103,22 +105,14 @@ class ScenarioConfig:
     # -- validation --------------------------------------------------------
 
     def validate(self):
-        for section, schema in _SECTIONS.items():
-            for key, spec in schema.items():
-                v = getattr(self, spec[0] if isinstance(spec, tuple) else key)
-                if isinstance(v, float) and not np.isfinite(v) \
-                        and not (key == "r" and v == np.inf):
-                    raise ConfigError(f"{section}.{key} must be finite: {v}")
-        for key in ("grid.h", "slice.q", "maximal.a", "atomic.r",
-                    "atomic.c0", "sweep.center_step"):
-            v = getattr(self, key.partition(".")[2])
-            if v <= 0:
-                raise ConfigError(f"{key} must be positive: {v}")
-        if self.tol_moment < 0:
-            raise ConfigError(
-                f"atomic.tol_moment must be nonnegative: {self.tol_moment}")
+        for key in ("atomic.tol_rec", "tolerances.pairing_slack",
+                    "sweep.center_lo", "sweep.center_hi"):
+            if not np.isfinite(v := getattr(self, key.partition(".")[2])):
+                raise ConfigError(f"{key} must be finite: {v}")
         if self.n not in (1, 2):
             raise ConfigError(f"grid.n must be 1 or 2: {self.n}")
+        for key, message in broken(DOMAINS + HYPOTHESES, self):
+            raise ConfigError(f"{key}: {message}")
         if self.side_exp_lo >= 0:
             raise ConfigError(f"sweep.side_exp_lo must be negative, so the "
                               f"cube sweep straddles side length 1: "
@@ -131,11 +125,10 @@ class ScenarioConfig:
             raise ConfigError(f"sweep.side_exp_hi must be nonnegative, so "
                               f"the cube sweep straddles side length 1: "
                               f"{self.side_exp_hi}")
-        if self.n * (self.side_exp_hi - np.log2(self.h)) > SWEEP_CELLS_LOG2:
+        if self.side_exp_hi > SWEEP_CELLS_LOG2 / self.n + math.log2(self.h):
             raise ConfigError(
-                f"sweep.side_exp_hi = {self.side_exp_hi}: the sweep's "
-                f"largest cube would hold more than 2^{SWEEP_CELLS_LOG2} "
-                f"cells")
+                f"sweep.side_exp_hi = {self.side_exp_hi}: the sweep's largest "
+                f"cube would hold more than 2^{SWEEP_CELLS_LOG2} cells")
         if self.center_hi < self.center_lo:
             raise ConfigError("sweep.center_hi is below sweep.center_lo")
         width = self.center_hi - self.center_lo + 2.0 ** self.side_exp_hi
@@ -154,17 +147,23 @@ class ScenarioConfig:
                 f"sweep.center_step = {self.center_step}, sweep.side_exp_lo "
                 f"= {self.side_exp_lo}: {centers:.6g} centers times {sides} "
                 f"side lengths exceed 2^{SWEEP_CUBES_LOG2} sweep cubes")
-        try:
-            parse_spec(self.family_spec, self.n)
-        except ConfigError as exc:
-            raise ConfigError(f"family.spec: {exc}") from exc
-        for key, message in broken(HYPOTHESES, self):
-            raise ConfigError(f"{key}: {message}")
         return self
 
 
-#: (key, guard call on a config) of each hypothesis of the keys, checked in
-#: order once every key is in its domain; the degree rule takes p = s
+#: (key, guard call on a config) of each key domain that the library guards
+DOMAINS = (
+    ("grid.h", lambda c: require_spacing(c.h)),
+    ("slice.t", lambda c: require_positive(t=c.t)),
+    ("slice.q", lambda c: require_positive(q=c.q)),
+    ("maximal.a", lambda c: require_positive(aperture=c.a)),
+    ("maximal.b", lambda c: require_positive(b=c.b)),
+    ("atomic.r", lambda c: require_size_exponent(c.r)),
+    ("atomic.c0", lambda c: require_positive(c0=c.c0)),
+    ("atomic.tol_moment", lambda c: require_tol_moment(c.tol_moment)),
+    ("sweep.center_step", lambda c: require_positive(step=c.center_step)),
+    ("family.spec", lambda c: parse_spec(c.family_spec, c.n)),
+)
+#: and of each hypothesis, checked after DOMAINS; the degree rule takes p = s
 HYPOTHESES = (
     ("slice.t", lambda c: require_resolution(c.t, c.h, "slice radius")),
     ("maximal.dict_size", lambda c: modulated_profiles(c.n, c.dict_size)),

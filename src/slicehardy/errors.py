@@ -52,6 +52,12 @@ def require_positive(**values):
                                     f"{v}")
 
 
+def require_spacing(h):
+    """Raise InvalidDataError unless the grid spacing h is finite and > 0."""
+    if not 0 < h < float("inf"):
+        raise InvalidDataError(f"spacing h must be finite and positive: {h}")
+
+
 def require_resolution(radius, h, name):
     """Raise ResolutionError unless the radius called name is >= 2h."""
     if not radius >= 2 * h:

@@ -22,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .errors import InvalidDataError, PreconditionError, \
-    require_positive
+    require_positive, require_spacing
 
 _ALIGN_TOL = 1e-9
 
@@ -115,9 +115,7 @@ class GridFunction:
         origin = np.asarray(origin, dtype=float).reshape(-1)
         if origin.size != values.ndim:
             raise InvalidDataError("origin dimension does not match values")
-        if not 0 < h < np.inf:
-            raise InvalidDataError(f"grid spacing must be finite and "
-                                   f"positive: {h}")
+        require_spacing(h)
         if not all(map(math.isfinite, origin.tolist())):
             raise InvalidDataError(f"grid origin must be finite: {origin}")
         if check and not np.all(np.isfinite(values)):

@@ -123,7 +123,7 @@ def scale_ladder(M, h):
     ladder depth's hypothesis: M >= 0, and 2^-M resolves on spacing h."""
     if not M >= 0:
         raise PreconditionError(f"ladder depth M must be nonnegative: {M}")
-    require_resolution(2.0 ** -M, h, "smallest ladder scale")
+    require_resolution(math.ldexp(1.0, -M), h, "smallest ladder scale")
     return [2.0 ** -m for m in range(M + 1)]
 
 

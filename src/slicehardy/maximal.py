@@ -51,9 +51,7 @@ class MaximalParams:
     ladder = property(lambda self: self.dictionary.scales)
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise PreconditionError(f"aperture a must be positive: {self.a}")
-        require_positive(b=self.b)
+        require_positive(aperture=self.a, b=self.b)
 
     def pad_cells(self, h):
         return int(np.ceil(PAD_FACTOR * max(self.ladder) / h))

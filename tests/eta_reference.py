@@ -32,7 +32,8 @@ def moment_fit(vals, w, pts, center, scale, d):
     """(c, P(pts)) for P = sum_k c[k] u^alpha_k, u = (pts - center) /
     scale, with sum w (vals - P) u^alpha = 0 for each alpha, from the Gram
     matrix V^T W V of the monomials, one right-hand side per column of
-    vals; with fewer cells than monomials the minimum-norm solution
+    vals, or, if it is singular, the minimum-norm weighted least-squares
+    fit; with fewer cells than monomials the minimum-norm solution
     interpolates vals."""
     V = _monomials(pts, center, scale, d)
     if len(w) < V.shape[1]:
@@ -40,8 +41,10 @@ def moment_fit(vals, w, pts, center, scale, d):
     else:
         try:
             c = np.linalg.solve(V.T @ (V * w[:, None]), V.T @ (vals.T * w).T)
-        except np.linalg.LinAlgError as exc:
-            raise UnderdeterminedError("singular moment system") from exc
+        except np.linalg.LinAlgError:
+            r = np.sqrt(w)
+            c = np.linalg.lstsq(V * r[:, None], (vals.T * r).T,
+                                rcond=None)[0]
     return c, _combine(V, c)
 
 
@@ -101,8 +104,9 @@ def slow_fit(V, w, count, vals):
         try:
             cf = np.linalg.lstsq(v, y, rcond=None)[0] if c < v.shape[1] \
                 else np.linalg.solve(v.T @ (v * ww[:, None]), v.T @ (y * ww))
-        except np.linalg.LinAlgError as exc:
-            raise UnderdeterminedError("singular moment system") from exc
+        except np.linalg.LinAlgError:
+            r = np.sqrt(ww)
+            cf = np.linalg.lstsq(v * r[:, None], y * r, rcond=None)[0]
         coeffs.append(cf)
         values[b:b + c] = _combine(v, cf)
         b += c

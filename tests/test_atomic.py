@@ -223,7 +223,8 @@ def _level_fit(eta, vals, d):
 
 def _assert_fit_is_slow_fit(eta, vals, d):
     """The level path fits vals as the per-call fit does, bits and errors:
-    a Gram matrix of cells on one line (2-D, d >= 1) is singular in both."""
+    a Gram matrix of cells on one line (2-D, d >= 1) is singular in both,
+    and both take the minimum-norm weighted least-squares fit."""
     try:
         (center, scale, _, coeffs), out = eta_reference.eta_fit(vals, eta, d)
     except UnderdeterminedError:
@@ -264,6 +265,23 @@ def test_moment_record_without_gram_matrix_interpolates(n, d, cells):
     _assert_fit_is_slow_fit(eta, vals, d)
     np.testing.assert_allclose(_level_fit(eta, vals, d)[3][w > 0],
                                vals[w > 0], rtol=0, atol=1e-12)
+
+
+def test_singular_gram_matrix_takes_the_least_squares_fit():
+    """A 4 x 4 box at d = 4 holds more cells (16) than monomials (15), but
+    x^4 and y^4 are cubics on its 4 abscissae, and at a uniform weight its
+    Gram matrix is singular (np.linalg.solve raises, as it did on a 2-D
+    degree-4 run): the fit is the minimum-norm weighted least-squares
+    one, as in the per-call fit, and f - P has vanishing moments."""
+    eta = GridFunction((0.0, 0.0), 0.125, np.full((4, 4), 0.5))
+    vals = np.random.default_rng(5).normal(size=(4, 4))
+    m = _record(eta, 4)
+    assert m.V.shape == (16, 15) and np.linalg.matrix_rank(m.V) == 13
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(m.V.T @ (m.V * m.w[:, None]), m.V.T @ m.w)
+    residual = (vals - _level_fit(eta, vals, 4)[3]).ravel()[m.at]
+    np.testing.assert_allclose(m.V.T @ (m.w * residual), 0.0, atol=1e-12)
+    _assert_fit_is_slow_fit(eta, vals, 4)
 
 
 @st.composite

@@ -13,11 +13,13 @@ import pytest
 from click.testing import CliRunner
 
 from slicehardy import orlicz
-from slicehardy.atomic import require_aggregation, require_degree
+from slicehardy.atomic import require_aggregation, require_degree, \
+    require_size_exponent, require_tol_moment
 from slicehardy.cli import CHECKS, main
 from slicehardy.config import broken, load_config
 from slicehardy.errors import ConfigError, SliceHardyError, \
-    require_resolution
+    require_positive, require_resolution, require_spacing
+from slicehardy.families import parse_spec
 from slicehardy.kernels import modulated_profiles, scale_ladder
 from slicehardy.maximal import require_grand_order, require_hardy, \
     require_hardy_amalgam
@@ -145,6 +147,31 @@ CONFIG_HYPOTHESES = {
     ("maximal", "ladder_depth", "6"): lambda: scale_ladder(6, 2.0 ** -6),
     ("maximal", "dict_size", "9"): lambda: modulated_profiles(1, 9),
 }
+
+
+#: the library guard of each key domain, the one the object that takes the
+#: value calls, as a call on the value
+DOMAIN_GUARDS = {
+    ("grid", "h"): require_spacing,
+    ("slice", "t"): lambda v: require_positive(t=v),
+    ("slice", "q"): lambda v: require_positive(q=v),
+    ("maximal", "a"): lambda v: require_positive(aperture=v),
+    ("maximal", "b"): lambda v: require_positive(b=v),
+    ("atomic", "r"): require_size_exponent,
+    ("atomic", "c0"): lambda v: require_positive(c0=v),
+    ("atomic", "tol_moment"): require_tol_moment,
+    ("sweep", "center_step"): lambda v: require_positive(step=v),
+}
+
+#: FAST_CONFIG with one key set outside its domain, NaN and an infinity
+#: among the values, and the call of the key's library guard on the value
+CONFIG_DOMAINS = {
+    (section, key, value): lambda guard=guard, value=value: guard(float(value))
+    for (section, key), guard in DOMAIN_GUARDS.items()
+    for value in ("-1", "nan", "-inf" if key == "r" else "inf")
+}
+CONFIG_DOMAINS["family", "spec", "sawtooth:count=3"] = \
+    lambda: parse_spec("sawtooth:count=3", 1)
 
 
 def _bad_config(tmp_path, section, key, value):
@@ -360,16 +387,17 @@ BROKEN_GUARDS = {
 }
 
 
-@pytest.mark.parametrize("row", list(CONFIG_HYPOTHESES)
-                         + list(BROKEN_HYPOTHESES), ids="-".join)
+@pytest.mark.parametrize("row", list(CONFIG_DOMAINS)
+                         + list(CONFIG_HYPOTHESES) + list(BROKEN_HYPOTHESES),
+                         ids="-".join)
 def test_hypothesis_message_is_the_library_guards(runner, tmp_path, row):
-    """Each hypothesis has one home, its library guard: the text after
-    "{key}: " in the config error, and in a skipped check's reason, is
-    exactly the guard's error on the same values, and a named check that
-    breaks it ends its error with that text."""
+    """Each key domain and each hypothesis has one home, its library guard:
+    the text after "{key}: " in the config error, and in a skipped check's
+    reason, is exactly the guard's error on the same values, and a named
+    check that breaks it ends its error with that text."""
     if len(row) == 3:
         section, key, value = row
-        expected = _guard_message(CONFIG_HYPOTHESES[row])
+        expected = _guard_message({**CONFIG_DOMAINS, **CONFIG_HYPOTHESES}[row])
         with pytest.raises(ConfigError) as exc:
             load_config(_bad_config(tmp_path, section, key, value))
         assert str(exc.value) == f"{section}.{key}: {expected}"

@@ -1,9 +1,12 @@
 """Deterministic family generators and config loading/validation."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from slicehardy.config import ScenarioConfig, load_config
+from slicehardy.config import _SECTIONS, ScenarioConfig, load_config
 from slicehardy.errors import ConfigError
 from slicehardy.families import generate_family, parse_spec
 
@@ -215,3 +218,14 @@ def test_validation_bounds_the_sweep_cube_count(step, side_exp_lo, ok):
     else:
         with pytest.raises(ConfigError, match="sweep.center_step"):
             cfg.validate()
+
+
+def test_readme_domain_table_lists_every_config_key():
+    """The README's domain table has a row for each key the config reads,
+    and no other."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| key | default | domain | library guard |")[1]
+    rows = re.findall(r"^\| (`[^|]*) \|", table.split("\n\n")[0], re.M)
+    keys = {key for row in rows for key in re.findall(r"`([^`]+)`", row)}
+    assert keys == {f"{section}.{key}" for section, schema in
+                    _SECTIONS.items() for key in schema}

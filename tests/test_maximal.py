@@ -105,10 +105,10 @@ def test_maximal_params_read_order_and_ladder_from_the_dictionary(
         params.b = 5.0
 
 
-@pytest.mark.parametrize("a", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("a", [0.0, -1.0, np.nan, np.inf])
 def test_maximal_params_reject_a_nonpositive_aperture(dictionary_1d, a):
     """maximal_fields takes the nontangential aperture from the params,
-    so they guard it."""
+    so they guard it: finite and positive, as the config's maximal.a."""
     with pytest.raises(PreconditionError, match="aperture"):
         MaximalParams(dictionary_1d, a=a)
 
