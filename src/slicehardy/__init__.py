@@ -3,7 +3,7 @@
 Submodules
 ----------
 grid
-    Sampled functions on uniform grids; cubes, balls, quadrature.
+    Sampled functions on uniform grids; cubes, quadrature, p-means.
 orlicz
     Orlicz / Musielak-Orlicz functionals, modulars, Luxemburg norms.
 slice_norms
@@ -23,13 +23,13 @@ families, config, cli
 """
 
 from .errors import SliceHardyError
-from .grid import Ball, Cube, GridFunction
+from .grid import Cube, GridFunction
 from .orlicz import OrliczFunction, log_damped, luxemburg_norm, \
     musielak_log, musielak_norm, power
 from .slice_norms import SliceParams, slice_norm, star_norm
 
 __all__ = [
-    "Ball", "Cube", "GridFunction", "OrliczFunction", "SliceHardyError",
+    "Cube", "GridFunction", "OrliczFunction", "SliceHardyError",
     "SliceParams", "log_damped", "luxemburg_norm", "musielak_log",
     "musielak_norm", "power", "slice_norm", "star_norm",
 ]

@@ -23,7 +23,8 @@ import numpy as np
 from .errors import ConstructionError, DecompositionRangeError, \
     NoBoundaryError, PreconditionError, UnderdeterminedError, \
     require_finite, require_positive
-from .grid import Cube, GridFunction
+from .grid import Cube, GridFunction, p_mean
+from .kernels import bump_profile
 from .maximal import MaximalParams, grand_maximal
 from .reports import Report
 from .slice_norms import SliceParams, slice_norm
@@ -215,16 +216,9 @@ def whitney_decompose(O):
     return cubes
 
 
-def _axis_bump(u):
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-    return out
-
-
 def _partition(cubes, O):
     """partition_of_unity's etas as (wins, eta): eta_k on box k, the cells
-    where its bump, a product of profiles on (9/8)Q taken per axis for all
+    where its bump, a product of bump_profile's on (9/8)Q per axis for all
     cubes at once, is nonzero.  The bumps are summed in cube order, and
     dividing by the sum makes it exactly 1 on O and exactly 0 off it."""
     mask = O.values.ravel() > 0
@@ -237,8 +231,8 @@ def _partition(cubes, O):
         b = np.minimum(np.ceil((c + rho - o) / O.h).astype(int) + 1,
                        O.extents[d])
         win = _Windows(a[:, None], (b - a)[:, None])
-        p = _axis_bump((O.axis_centers(d)[win.cells[:, 0]] - c[win.win])
-                       / rho[win.win])
+        p = bump_profile(((O.axis_centers(d)[win.cells[:, 0]] - c[win.win])
+                          / rho[win.win])[:, None])
         nz = np.flatnonzero(p)
         first = nz[np.searchsorted(nz, win.start[:-1])]
         lo.append(win.cells[first, 0])
@@ -322,8 +316,13 @@ def require_aggregation(s, p_minus, q):
 
 
 def least_degree(n, p):
-    """floor(n(1/p - 1)), the least moment degree of atoms of exponent p."""
-    return int(np.floor(n * (1.0 / p - 1.0)))
+    """floor(n(1/p - 1)), the least moment degree of atoms of exponent p,
+    under its hypothesis: that degree is finite."""
+    try:
+        return int(np.floor(n * (1.0 / p - 1.0)))
+    except (ArithmeticError, ValueError):
+        raise PreconditionError(f"moment degree floor(n(1/p - 1)) must be "
+                                f"finite: n={n}, p={p}") from None
 
 
 def require_degree(d, n, p):
@@ -597,7 +596,8 @@ def validate_atom(atom, params):
         bound = 1.0 / cube_norm
     else:
         size = g.lp_norm(params.r)
-        bound = atom.cube.volume ** (1.0 / params.r) / cube_norm
+        # |Q|^(1/r), the L^r norm of 1_Q, by the rule of every p-mean
+        bound = p_mean(np.ones(1), params.r, atom.cube.volume) / cube_norm
     report.add("size", size, bound, size <= bound * (1 + 1e-6))
     if atom.cube.side < 1.0:
         slack = _moment_slack(g, atom.cube, params.d)

@@ -9,6 +9,7 @@ own message.  What no library object takes it checks itself.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -19,8 +20,8 @@ from .atomic import CZParams, aggregation_cap, least_degree, \
     require_aggregation, require_degree, require_size_exponent, \
     require_tol_moment
 from .campanato import cube_sweep
-from .errors import ConfigError, SliceHardyError, require_positive, \
-    require_resolution, require_spacing
+from .errors import ConfigError, PreconditionError, SliceHardyError, \
+    require_positive, require_resolution, require_spacing
 from .families import generate_family, parse_spec
 from .kernels import build_dictionary, modulated_profiles, scale_ladder
 from .maximal import MaximalParams, require_grand_order, require_hardy
@@ -44,16 +45,16 @@ class ScenarioConfig:
     functional_tag: str = "power:2"
     t: float = 1.0
     q: float = 2.0
-    a: float = 1.0
-    b: float = 2.5
+    a: float = MaximalParams.a
+    b: float = MaximalParams.b
     N: int = 3
     dict_size: int = 3
     ladder_depth: int = 3
     d: int = None
-    r: float = np.inf
+    r: float = CZParams.r
     s: float = None
-    c0: float = 4.5
-    tol_moment: float = 1e-8
+    c0: float = CZParams.c0
+    tol_moment: float = CZParams.tol_moment
     tol_rec: float = 1e-6
     pairing_slack: float = 0.01
     side_exp_lo: int = -6
@@ -68,8 +69,9 @@ class ScenarioConfig:
         cap = aggregation_cap(self.phi().p_minus, self.q)
         if self.s is None:
             self.s = 0.9 * cap
-        if self.d is None and np.isfinite(self.s) and self.s > 0:
-            self.d = max(least_degree(self.n, self.s), 0)
+        if self.d is None:  # a degree that is not finite: validate names s
+            with contextlib.suppress(PreconditionError):
+                self.d = max(least_degree(self.n, self.s), 0)
 
     # -- derived objects ---------------------------------------------------
 
@@ -171,6 +173,7 @@ HYPOTHESES = (
     ("maximal.b", lambda c: require_hardy(c.b, c.n, c.phi().p_minus, c.q)),
     ("maximal.N", lambda c: require_grand_order(c.N, c.b)),
     ("atomic.s", lambda c: require_aggregation(c.s, c.phi().p_minus, c.q)),
+    ("atomic.s", lambda c: least_degree(c.n, c.s)),
     ("atomic.d", lambda c: require_degree(c.d, c.n, c.s)),
 )
 

@@ -1,4 +1,4 @@
-"""Sampled functions on uniform grids, with cubes, balls and quadrature.
+"""Sampled functions on uniform grids, with cubes and quadrature.
 
 A :class:`GridFunction` represents a compactly supported function on R^n
 (n = 1 or 2) sampled at the centers of uniform axis-aligned cells; the
@@ -10,29 +10,22 @@ A region holds the cells whose centers lie in it.  A cube holds the cells
 with lo - 1e-9 side <= x < hi - 1e-9 side on every axis: one index box,
 which :meth:`GridFunction.cube_boxes` finds for many cubes at once, the
 only code that decides a cube's cells (:meth:`Cube.contains_points` is
-its pointwise reference).
+its pointwise reference).  A ball's cells are slice_norms.ball_mask's.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .errors import InvalidDataError, PreconditionError, \
+from .errors import InvalidDataError, NumericFailure, PreconditionError, \
     require_positive, require_spacing
 
 _ALIGN_TOL = 1e-9
-
-
-def _set_center(region):
-    """Store a frozen region's center as a tuple of finite floats."""
-    center = tuple(float(c) for c in region.center)
-    if not all(map(math.isfinite, center)):
-        raise PreconditionError(f"center must be finite: {center}")
-    object.__setattr__(region, "center", center)
 
 
 @dataclass(frozen=True)
@@ -48,7 +41,10 @@ class Cube:
 
     def __post_init__(self):
         require_positive(side=self.side)
-        _set_center(self)
+        center = tuple(float(c) for c in self.center)
+        if not all(map(math.isfinite, center)):
+            raise PreconditionError(f"center must be finite: {center}")
+        object.__setattr__(self, "center", center)
 
     @property
     def n(self):
@@ -66,10 +62,6 @@ class Cube:
     def volume(self):
         return self.side ** self.n
 
-    def scaled(self, factor):
-        """Dilate about the center, keeping the center fixed."""
-        return Cube(self.center, self.side * factor)
-
     def contains_points(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         lo = np.asarray(self.lo)
@@ -78,31 +70,23 @@ class Cube:
                       & (pts < hi - _ALIGN_TOL * self.side), axis=-1)
 
 
-@dataclass(frozen=True)
-class Ball:
-    """Open Euclidean ball B(center, radius)."""
-
-    center: tuple
-    radius: float
-
-    def __post_init__(self):
-        require_positive(radius=self.radius)
-        _set_center(self)
-
-    @property
-    def n(self):
-        return len(self.center)
-
-    @property
-    def volume(self):
-        if self.n == 1:
-            return 2 * self.radius
-        return np.pi * self.radius ** 2
-
-    def contains_points(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d = np.linalg.norm(pts - np.asarray(self.center), axis=-1)
-        return d < self.radius
+def p_mean(a, p, weight, mult=1):
+    """(sum of mult a^p, times weight)^(1/p) for nonnegative a and finite
+    p > 0, as a float: the plain sum and root, unless that sum is 0 for a
+    nonzero a, or is not finite, or its root overflows; then the sum is
+    taken over max(a), so a large p gives about max(a), finite and nonzero,
+    with no warning.  A value past the float range raises NumericFailure."""
+    with np.errstate(over="ignore"):
+        total = float((mult * a ** p).sum() * weight)
+    with contextlib.suppress(OverflowError):
+        if 0 < total < math.inf or not a.any():
+            return total ** (1.0 / p)
+    top = float(a.max())
+    scaled = float((mult * (a / top) ** p).sum() * weight)
+    with contextlib.suppress(OverflowError):
+        if (value := top * scaled ** (1.0 / p)) < math.inf:
+            return value
+    raise NumericFailure(f"p-mean at p = {p} passes the float range")
 
 
 class GridFunction:
@@ -165,10 +149,9 @@ class GridFunction:
         return cls(origin, h, np.full(extents, float(value)))
 
     @classmethod
-    def indicator(cls, region, origin, h, extents):
+    def indicator(cls, cube, origin, h, extents):
         g = cls(origin, h, np.zeros(extents))
-        mask = g.cell_mask(region)
-        g.values[mask] = 1.0
+        g.values[g.cell_mask(cube)] = 1.0
         return g
 
     # -- grid compatibility ------------------------------------------------
@@ -276,7 +259,7 @@ class GridFunction:
                     for a, b in zip(origin, hi))
         return origin, ext
 
-    # -- regions and quadrature --------------------------------------------
+    # -- cubes and quadrature ----------------------------------------------
 
     def unit_cubes(self):
         """The unit cubes k + [0, 1)^n, k integer, over the support box,
@@ -305,27 +288,25 @@ class GridFunction:
         """The index box of the cells whose centers lie in Q (cube_boxes)."""
         return self.cube_boxes([Q])[0]
 
-    def cell_mask(self, region):
-        """Boolean mask of cells whose centers lie in the region."""
-        if region is None:
+    def cell_mask(self, cube):
+        """Boolean mask of the cells whose centers lie in the cube (all of
+        them for None)."""
+        if cube is None:
             return np.ones(self.extents, dtype=bool)
-        if isinstance(region, Cube):
-            mask = np.zeros(self.extents, dtype=bool)
-            mask[self.cube_slices(region)] = True
-            return mask
-        pts = self.centers().reshape(-1, self.n)
-        return region.contains_points(pts).reshape(self.extents)
+        mask = np.zeros(self.extents, dtype=bool)
+        mask[self.cube_slices(cube)] = True
+        return mask
 
-    def integrate(self, region=None):
-        """Midpoint-rule integral over a Cube, Ball or the whole box."""
-        if region is None:
+    def integrate(self, cube=None):
+        """Midpoint-rule integral over a Cube or, for None, the whole box."""
+        if cube is None:
             return float(self.values.sum() * self.cell_volume)
-        mask = self.cell_mask(region)
+        mask = self.cell_mask(cube)
         return float(self.values[mask].sum() * self.cell_volume)
 
-    def restrict(self, region):
-        """Pointwise multiply by the region indicator."""
-        out = np.where(self.cell_mask(region), self.values, 0.0)
+    def restrict(self, cube):
+        """Pointwise multiply by the cube's indicator."""
+        out = np.where(self.cell_mask(cube), self.values, 0.0)
         return GridFunction(self.origin, self.h, out, check=False)
 
     def pad(self, cells):
@@ -354,8 +335,7 @@ class GridFunction:
     def lp_norm(self, p):
         if np.isinf(p):
             return self.max_abs()
-        return float((np.abs(self.values) ** p).sum()
-                     * self.cell_volume) ** (1.0 / p)
+        return p_mean(np.abs(self.values), p, self.cell_volume)
 
     def __repr__(self):
         return (f"GridFunction(n={self.n}, origin={tuple(self.origin)}, "

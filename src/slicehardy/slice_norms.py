@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import orlicz
 from .errors import PreconditionError, require_finite, require_positive, \
     require_resolution
-from .grid import Ball, GridFunction
+from .grid import GridFunction, p_mean
 from .kernels import convolve_same
 from .reports import Report
 
@@ -47,15 +47,14 @@ class SliceParams:
         return {}
 
     def cube_norm(self, side, h, n):
-        """cube_indicator_slice_norm(self, side, h, n), memoized by (side
-        in cells, h, n) for as long as these parameters live: a run that
-        shares one SliceParams solves each cube size once."""
+        """cube_indicator_slice_norm(self, cells, h, n) of the one rounding
+        of a side to cells, max(round(side / h), 1), memoized by (cells, h,
+        n) while these parameters live: a run that shares one SliceParams
+        solves each cube size once."""
         key = max(int(np.round(side / h)), 1), h, n
-        norm = self._cube_norms.get(key)
-        if norm is None:
-            norm = self._cube_norms[key] = cube_indicator_slice_norm(
-                self, key[0] * h, h, n)
-        return norm
+        if key not in self._cube_norms:
+            self._cube_norms[key] = cube_indicator_slice_norm(self, *key)
+        return self._cube_norms[key]
 
 
 def _half_width(r, h):
@@ -144,8 +143,8 @@ def slice_norm(f, p):
     """The Orlicz-slice quasi-norm of f for parameters p.
 
     The outer integral runs over the support box dilated by t; beyond it
-    the integrand vanishes.  The window ratios enter the q-mean in their
-    unit binade (_unit_binade), so no q-th power over- or underflows.
+    the integrand vanishes.  The window ratios enter the q-mean (p_mean)
+    in their unit binade (_unit_binade).
     """
     require_finite(f)
     require_resolution(p.t, f.h, "slice radius")
@@ -157,8 +156,7 @@ def slice_norm(f, p):
         num = orlicz.luxemburg_norm_rows(p.phi, _Windows(f.values, mask),
                                          f.cell_volume)
     ratio, e = _unit_binade(num / den)
-    return math.ldexp(float((ratio ** p.q).sum() * f.cell_volume)
-                      ** (1.0 / p.q), e)
+    return math.ldexp(p_mean(ratio, p.q, f.cell_volume), e)
 
 
 def _unit_binade(a):
@@ -207,8 +205,8 @@ def _power_window_norms(f, mask, power):
     return np.ldexp(sums ** (1.0 / power) * f.cell_volume ** (1.0 / power), e)
 
 
-def cube_indicator_slice_norm(p, side, h, n=1):
-    """Slice norm of a grid-aligned cube indicator, in closed form.
+def cube_indicator_slice_norm(p, cells, h, n):
+    """Slice norm of a cube indicator of cells^n grid cells, in closed form.
 
     A window that holds c cells of the cube has the gauge
     ball_indicator_gauge(phi, c, h^n), so the norm needs only how many
@@ -219,7 +217,6 @@ def cube_indicator_slice_norm(p, side, h, n=1):
     SliceParams.cube_norm memoizes it.
     """
     require_resolution(p.t, h, "slice radius")
-    cells = max(int(np.round(side / h)), 1)
     mask = ball_mask(p.t, h, n)
     w = int(mask.sum())
     cube = np.ones((cells,) * n, dtype=np.int64)
@@ -227,8 +224,7 @@ def cube_indicator_slice_norm(p, side, h, n=1):
     counts, mult = np.unique(windows[windows > 0], return_counts=True)
     vol = h ** n
     gauges = ball_indicator_gauge(p.phi, np.append(counts, w), vol)
-    ratio = gauges[:-1] / gauges[-1]
-    return float((mult * ratio ** p.q).sum() * vol) ** (1.0 / p.q)
+    return p_mean(gauges[:-1] / gauges[-1], p.q, vol, mult)
 
 
 def star_norm(f, phi):
@@ -327,7 +323,7 @@ def ball_indicator_ratio(radii, h, n=1):
     report = Report(["radius", "reference", "star_ratio", "orlicz_ratio"])
     for rad in radii:
         require_resolution(rad, h, "radius")
-        measure = Ball((0.0,) * n, rad).volume
+        measure = 2 * rad if n == 1 else np.pi * rad ** 2
         ref = measure / np.log(np.e + 1.0 / measure)
         k = _half_width(rad, h)
         ind = GridFunction((-(k + 0.5) * h,) * n, h,

@@ -50,7 +50,7 @@ def branches(g, p):
     small = large = 0.0
     for Q, mean in sweep(g, p.sweep, p.d, p.r):
         value = Q.volume / cube_indicator_slice_norm(
-            p.slice_params, Q.side, g.h, g.n) * mean
+            p.slice_params, max(round(Q.side / g.h), 1), g.h, g.n) * mean
         if Q.side < 1.0:
             small = max(small, value)
         else:

@@ -13,9 +13,10 @@ import numpy as np
 
 from eta_reference import _combine
 from slicehardy import atomic
-from slicehardy.atomic import WHITNEY_DILATION, _axis_bump, _monomials
+from slicehardy.atomic import WHITNEY_DILATION, _monomials
 from slicehardy.errors import ConstructionError, UnderdeterminedError
 from slicehardy.grid import GridFunction
+from slicehardy.kernels import bump_profile
 
 
 def weighted_projection(g, eta, d, pts):
@@ -51,7 +52,8 @@ def partition_of_unity(cubes, O):
         rho = WHITNEY_DILATION * Q.side / 2
         b = np.ones(O.extents)
         for d in range(O.n):
-            b = b * _axis_bump((pts[..., d] - Q.center[d]) / rho)
+            u = (pts[..., d] - Q.center[d]) / rho
+            b = b * bump_profile(u[..., None])
         betas.append(b)
     total = np.sum(betas, axis=0)
     if np.any(mask & (total <= 0)):

@@ -17,9 +17,10 @@ from math import comb
 import numpy as np
 
 from slicehardy import atomic
-from slicehardy.atomic import WHITNEY_DILATION, _axis_bump, _monomials
+from slicehardy.atomic import WHITNEY_DILATION, _monomials
 from slicehardy.errors import ConstructionError, UnderdeterminedError
 from slicehardy.grid import GridFunction
+from slicehardy.kernels import bump_profile
 
 
 def _combine(V, coeffs):
@@ -152,7 +153,8 @@ def partition_of_unity(cubes, O):
         rho = WHITNEY_DILATION * Q.side / 2
         b, box = np.ones(()), ()
         for d in range(O.n):
-            p = _axis_bump((O.axis_centers(d) - Q.center[d]) / rho)
+            u = (O.axis_centers(d) - Q.center[d]) / rho
+            p = bump_profile(u[:, None])
             nz = np.flatnonzero(p)
             box += (slice(nz[0], nz[-1] + 1),)
             b = np.multiply.outer(b, p[box[-1]])

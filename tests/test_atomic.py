@@ -145,7 +145,7 @@ def _polynomial_fits(draw):
                    for c, alpha in zip(coeffs, alphas))
 
     def bump(*x):
-        return np.prod([atomic._axis_bump((xi - c) / radius)
+        return np.prod([bump_profile(((xi - c) / radius)[..., None])
                         for xi, c in zip(x, center)], axis=0)
 
     ext = (int(2 / h),) * n
@@ -429,7 +429,8 @@ def test_whitney_bounded_overlap():
     cubes = whitney_decompose(O)
     counts = np.zeros(O.extents)
     for Q in cubes:
-        counts += O.cell_mask(Q.scaled(9 / 8)).astype(float)
+        dilated = Cube(Q.center, Q.side * (9 / 8))
+        counts += O.cell_mask(dilated).astype(float)
     assert counts.max() <= _overlap_max(1)
 
 
@@ -588,7 +589,8 @@ def test_partition_of_unity_supports():
     O = _interval_set(h, 128, 0.25, 1.25)
     cubes = whitney_decompose(O)
     for Q, eta in zip(cubes, partition_of_unity(cubes, O)):
-        out = eta.values - eta.restrict(Q.scaled(9 / 8)).values
+        dilated = Cube(Q.center, Q.side * (9 / 8))
+        out = eta.values - eta.restrict(dilated).values
         assert np.abs(out).max(initial=0.0) == 0.0
 
 
@@ -946,7 +948,7 @@ def test_atomic_quasinorm_single_atom(cz_setup):
     """lambda = ||1_Q|| collapses the functional to ||1_Q|| itself."""
     h = 2.0 ** -7
     sp = cz_setup.slice_params
-    norm_1q = cube_indicator_slice_norm(sp, 1.0, h)
+    norm_1q = cube_indicator_slice_norm(sp, int(1 / h), h, 1)
     vals = GridFunction.indicator(Cube((0.5,), 1.0), (0.0,), h,
                                   (int(1 / h),)) / norm_1q
     atom = Atom(cube=Cube((0.5,), 1.0), values=vals, level=0, index=0,
@@ -970,7 +972,7 @@ def test_atomic_quasinorm_exponent_range(bump_dec):
 def test_validate_atom_flags_size_violation(cz_setup):
     h = 2.0 ** -7
     sp = cz_setup.slice_params
-    norm_1q = cube_indicator_slice_norm(sp, 1.0, h)
+    norm_1q = cube_indicator_slice_norm(sp, int(1 / h), h, 1)
     vals = GridFunction.indicator(Cube((0.5,), 1.0), (0.0,), h,
                                   (int(1 / h),)) * (2.0 / norm_1q)
     atom = Atom(cube=Cube((0.5,), 1.0), values=vals, level=0, index=0,

@@ -54,6 +54,34 @@ def _summary(out_dir):
     return rows
 
 
+@pytest.mark.parametrize("check", ["norms", "cz-roundtrip"])
+def test_huge_q_writes_finite_cells(runner, tmp_path, check):
+    """[slice] q = 1e300 takes each q-mean's max limit: the run passes
+    with finite cells and no warning (the cube norms of cz-roundtrip's
+    atom scales are not 0)."""
+    path = tmp_path / "scenario.ini"
+    path.write_text(FAST_CONFIG + "[slice]\nq = 1e300\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, [check, "--config", str(path), "--out",
+                                  str(out)])
+    assert result.exit_code == 0, result.output
+    with open(out / f"{check}.csv") as fh:
+        cells = [float(c) for row in list(csv.reader(fh))[1:] for c in row]
+    assert cells and np.all(np.isfinite(cells))
+
+
+def test_size_exponent_past_the_float_range_is_named(runner, tmp_path):
+    """[atomic] r = 1e-10: the atoms' L^r sizes pass the float range, a
+    named error, exit 2."""
+    path = tmp_path / "scenario.ini"
+    path.write_text(FAST_CONFIG + "[atomic]\nr = 1e-10\n")
+    result = runner.invoke(main, ["atom-validation", "--config", str(path),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "error: p-mean at p = 1e-10 passes the float range" \
+        in result.output
+
+
 def test_bmo_facts_writes_expected_value(runner, config_path, tmp_path):
     out = tmp_path / "out"
     result = runner.invoke(main, ["bmo-facts", "--config", config_path,
@@ -585,19 +613,19 @@ def test_atom_validation_evaluates_one_cube_norm_per_side(config_path,
 
     run = cli.Run(load_config(config_path), 0)
     h = run.cfg.h
-    sides = []
+    solved = []
     solve = slice_norms.cube_indicator_slice_norm
 
-    def counted(p, side, h, n=1):
-        sides.append(side)
-        return solve(p, side, h, n)
+    def counted(p, cells, h, n):
+        solved.append(cells)
+        return solve(p, cells, h, n)
 
     monkeypatch.setattr(slice_norms, "cube_indicator_slice_norm", counted)
     atoms = [atom for _, dec in run.decompositions() for atom in dec.entries]
     report, _ = CHECKS["atom-validation"](run, {})
     cells = {max(round(atom.cube.side / h), 1) for atom in atoms}
     assert len(atoms) > len(cells) > 1
-    assert sorted(round(side / h) for side in sides) == sorted(cells)
+    assert sorted(solved) == sorted(cells)
     monkeypatch.undo()
     params = run.cfg.cz_params(run.maximal)
     alone = [row for atom in atoms
@@ -616,9 +644,9 @@ def test_default_run_solves_each_cube_side_once(runner, tmp_path,
     cells = []
     solve = slice_norms.cube_indicator_slice_norm
 
-    def counted(p, side, h, n=1):
-        cells.append(round(side / h))
-        return solve(p, side, h, n)
+    def counted(p, side_cells, h, n):
+        cells.append(side_cells)
+        return solve(p, side_cells, h, n)
 
     monkeypatch.setattr(slice_norms, "cube_indicator_slice_norm", counted)
     result = runner.invoke(main, ["all", "--out", str(tmp_path / "out")])

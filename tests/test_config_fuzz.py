@@ -147,6 +147,8 @@ SINGULAR = {
     "tolerances.pairing_slack": 0.01, "sweep.side_exp_lo": -6,
     "sweep.side_exp_hi": 0, "sweep.center_lo": -4.0, "sweep.center_hi": 4.0,
     "sweep.center_step": 1.0, "family.spec": "bumps:count=1"}
+#: SINGULAR with atomic.d left to its default, derived from atomic.s
+DERIVED = {key: v for key, v in SINGULAR.items() if key != "atomic.d"}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,
@@ -159,6 +161,10 @@ SINGULAR = {
           0)).via("OverflowError in the largest-cube cap")
 @example(({**SINGULAR, "maximal.ladder_depth": HUGE}, "maximal.ladder_depth",
           0)).via("OverflowError in scale_ladder")
+@example(({**DERIVED, "atomic.s": 5e-324}, "atomic.s", 0)).via(
+    "OverflowError deriving d from a tiny s")
+@example(({**DERIVED, "grid.n": HUGE}, "grid.n", 0)).via(
+    "OverflowError deriving d from a huge n")
 def test_drawn_config_exits_cleanly_and_repeats(drawn):
     """Exit 0 or 1, or exit 2 naming a key with no output directory; a
     key out of its domain is exit 2 naming it.  A rerun writes the same

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicehardy.errors import InvalidDataError, PreconditionError
-from slicehardy.grid import Ball, Cube, GridFunction
+from slicehardy.errors import InvalidDataError, NumericFailure, \
+    PreconditionError
+from slicehardy.grid import Cube, GridFunction
 
 
 def test_cube_membership_half_open():
@@ -17,31 +18,13 @@ def test_cube_membership_half_open():
     assert not Q.contains_points([[-0.001]])[0]
 
 
-def test_cube_scaled_keeps_center():
-    Q = Cube((1.0, -2.0), 0.5).scaled(9 / 8)
-    assert Q.center == (1.0, -2.0)
-    assert Q.side == pytest.approx(0.5625)
-
-
-def test_ball_membership_strict():
-    B = Ball((0.0,), 1.0)
-    assert B.contains_points([[0.99]])[0]
-    assert not B.contains_points([[1.0]])[0]
-
-
 @pytest.mark.parametrize("side", [0.0, -1.0, np.nan, np.inf])
 def test_degenerate_cube_rejected(side):
     with pytest.raises(PreconditionError):
         Cube((0.0,), side)
 
 
-@pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
-def test_degenerate_ball_rejected(radius):
-    with pytest.raises(PreconditionError):
-        Ball((0.0,), radius)
-
-
-@pytest.mark.parametrize("region", [Cube, Ball])
+@pytest.mark.parametrize("region", [Cube])
 @pytest.mark.parametrize("center", [(np.nan,), (0.0, np.inf)])
 def test_nonfinite_center_rejected(region, center):
     with pytest.raises(PreconditionError):
@@ -134,6 +117,25 @@ def test_lp_norms():
     f = GridFunction((0.0,), 0.5, [3.0, -4.0])
     assert f.lp_norm(np.inf) == 4.0
     assert f.lp_norm(2) == pytest.approx(np.sqrt(12.5))
+
+
+def _gaussian():
+    """exp(-x^2) on [-4, 4) at h = 2^-6."""
+    return GridFunction.from_callable(lambda x: np.exp(-x * x), (-4.0,),
+                                      2.0 ** -6, (512,))
+
+
+def test_lp_norm_at_a_huge_exponent_is_the_max():
+    """p = 1e300 gives the max limit, finite and nonzero with no warning
+    (the plain sum of |f|^p underflows to 0)."""
+    f = _gaussian()
+    assert f.lp_norm(1e300) == f.max_abs() > 0
+
+
+def test_lp_norm_past_the_float_range_is_named():
+    """At p = 1e-10 the norm, about 8^(1e10), passes the float range."""
+    with pytest.raises(NumericFailure, match="float range"):
+        _gaussian().lp_norm(1e-10)
 
 
 def test_embed_rejects_smaller_box():

@@ -16,8 +16,8 @@ from scipy import ndimage
 import gauge_reference
 import scipy_reference
 from slicehardy import orlicz
-from slicehardy.errors import InvalidDataError, PreconditionError, \
-    ResolutionError
+from slicehardy.errors import InvalidDataError, NumericFailure, \
+    PreconditionError, ResolutionError
 from slicehardy.grid import Cube, GridFunction
 from slicehardy.slice_norms import SliceParams, _power_window_norms, \
     _Windows, ball_indicator_gauge, ball_indicator_ratio, ball_mask, \
@@ -390,13 +390,13 @@ def test_ball_indicator_gauge_power():
 
 
 def test_cube_indicator_norm_cached_and_translation_invariant():
-    """SliceParams.cube_norm is cube_indicator_slice_norm bit for bit in
-    1-D and 2-D, solved once per (side in cells, h, n) for as long as the
-    params live; equal params hold their own memo."""
+    """SliceParams.cube_norm is cube_indicator_slice_norm of the side in
+    cells bit for bit in 1-D and 2-D, solved once per (cells, h, n) for as
+    long as the params live; equal params hold their own memo."""
     p = SliceParams(1.0, 1.0, orlicz.log_damped())
     h = 2.0 ** -6
-    v1 = cube_indicator_slice_norm(p, 0.5, h)
-    v2 = cube_indicator_slice_norm(p, 0.5, h)
+    v1 = cube_indicator_slice_norm(p, 32, h, 1)
+    v2 = cube_indicator_slice_norm(p, 32, h, 1)
     assert v1 == v2
     f = GridFunction.indicator(Cube((7.25,), 0.5), (7.0,), h, (32,))
     assert slice_norm(f, p) == pytest.approx(v1, rel=1e-10)
@@ -411,20 +411,24 @@ def test_cube_indicator_norm_cached_and_translation_invariant():
         for n, hh in [(1, h), (2, 4 * h), (1, 2 * h)]:
             for side in sides:
                 assert p.cube_norm(side, hh, n) == \
-                    cube_indicator_slice_norm(p, side, hh, n)
+                    cube_indicator_slice_norm(p, _cells(side, hh), hh, n)
         assert SliceParams(1.0, 1.0, p.phi) == p
         SliceParams(1.0, 1.0, p.phi).cube_norm(0.5, h, 1)
-    once = [(cells * hh, hh, n) for n, hh in [(1, h), (2, 4 * h), (1, 2 * h)]
-            for cells in dict.fromkeys(max(round(side / hh), 1)
-                                       for side in sides)]
-    assert calls == once + [(0.5, h, 1)]
+    once = [(cells, hh, n) for n, hh in [(1, h), (2, 4 * h), (1, 2 * h)]
+            for cells in dict.fromkeys(_cells(side, hh) for side in sides)]
+    assert calls == once + [(32, h, 1)]
+
+
+def _cells(side, h):
+    """A cube's cells per axis, as SliceParams.cube_norm rounds its side."""
+    return max(int(np.round(side / h)), 1)
 
 
 def _trapezoid_norm(p, side, h):
     """cube_indicator_slice_norm in 1-D from the trapezoid of window
     counts: 1 .. min(w, cells) cells, each seen from two outer points but
     the largest, seen from |w - cells| + 1."""
-    cells = max(int(np.round(side / h)), 1)
+    cells = _cells(side, h)
     w = int(ball_mask(p.t, h, 1).sum())
     counts = np.arange(1, min(w, cells) + 1)
     mult = np.append(np.full(counts.size - 1, 2), abs(w - cells) + 1)
@@ -444,7 +448,7 @@ def test_cube_indicator_counts_are_the_1d_trapezoid_bit_for_bit(tag):
             continue
         p = SliceParams(t, q, phi)
         for side in [2.0 ** -8, 0.3, 1.0, 6.0, 32.0]:
-            assert cube_indicator_slice_norm(p, side, h, 1) == \
+            assert cube_indicator_slice_norm(p, _cells(side, h), h, 1) == \
                 _trapezoid_norm(p, side, h), (h, t, q, side)
 
 
@@ -457,12 +461,12 @@ def test_cube_indicator_closed_form_matches_materialized(tag, n, h, sides):
     """The closed form against the slice norm of the indicator itself."""
     phi = orlicz.from_tag(tag)
     for side in sides:
-        cells = max(int(round(side / h)), 1)
+        cells = _cells(side, h)
         g = GridFunction((0.0,) * n, h, np.ones((cells,) * n))
         for t in (2 * h, 0.5, 1.0):
             for q in (0.5, 1.0, 2.0):
                 p = SliceParams(t, q, phi)
-                assert cube_indicator_slice_norm(p, side, h, n) == \
+                assert cube_indicator_slice_norm(p, cells, h, n) == \
                     pytest.approx(slice_norm(g, p), rel=1e-9)
 
 
@@ -478,7 +482,7 @@ def test_cube_indicator_norm_follows_each_new_functional():
     for i in range(30):
         tag = tags[i % len(tags)]
         p = SliceParams(0.5, 1.0, orlicz.from_tag(tag))
-        assert cube_indicator_slice_norm(p, 0.5, h) == \
+        assert cube_indicator_slice_norm(p, 16, h, 1) == \
             pytest.approx(expected[tag], rel=1e-10)
         del p
 
@@ -488,7 +492,43 @@ def test_cube_indicator_resolution_guard(n):
     h = 2.0 ** -4
     p = SliceParams(1.5 * h, 1.0, orlicz.log_damped())
     with pytest.raises(ResolutionError):
-        cube_indicator_slice_norm(p, 0.5, h, n)
+        cube_indicator_slice_norm(p, 8, h, n)
+
+
+def _gaussian():
+    """exp(-x^2) on [-4, 4) at h = 2^-6."""
+    return GridFunction.from_callable(lambda x: np.exp(-x * x), (-4.0,),
+                                      2.0 ** -6, (512,))
+
+
+def test_slice_norm_at_a_huge_q_is_the_largest_window_ratio():
+    """q = 1e300 gives the max limit: the largest ratio of a window's L^2
+    norm to the ball indicator's, finite, with no warning (the plain
+    q-mean overflows)."""
+    f, phi = _gaussian(), orlicz.power(2.0)
+    mask = ball_mask(1.0, f.h, 1)
+    k = mask.size // 2
+    sums = sliding_window_view(np.pad(f.values ** 2, k), mask.size).sum(-1)
+    ratio = np.sqrt(sums * f.h) / ball_indicator_gauge(phi, mask.size, f.h)
+    assert slice_norm(f, SliceParams(1.0, 1e300, phi)) == pytest.approx(
+        ratio.max(), rel=1e-12)
+
+
+def test_slice_norm_past_the_float_range_is_named():
+    """At q = 1e-10 the q-mean passes the float range."""
+    p = SliceParams(1.0, 1e-10, orlicz.power(2.0))
+    with pytest.raises(NumericFailure, match="float range"):
+        slice_norm(_gaussian(), p)
+
+
+def test_cube_indicator_norm_at_a_huge_q_is_the_largest_ratio():
+    """q = 1e300: a 16-cell cube inside a 127-cell ball has the norm of
+    its fullest window, sqrt(16 / 127) for power:2, not 0 (the plain
+    q-mean underflows)."""
+    h = 2.0 ** -6
+    p = SliceParams(1.0, 1e300, orlicz.power(2.0))
+    assert cube_indicator_slice_norm(p, 16, h, 1) == pytest.approx(
+        math.sqrt(16 / 127), rel=1e-12)
 
 
 def test_star_norm_single_unit_cube_is_luxemburg(rng):
