@@ -101,24 +101,28 @@ def _bmo_weight(variant, Q):
     return w + np.log(np.e + far)
 
 
-def bmo_sweep_report(g, variant, sweep):
-    """Per-cube weighted mean-oscillation/mean values for one variant:
-    the d = 0, r = 1 Campanato sweep, weighted by _bmo_weight."""
-    if variant not in _BMO_VARIANTS:
-        raise PreconditionError(f"unknown bmo variant {variant!r}")
+def bmo_sweep_report(g, sweep):
+    """Per-cube weighted mean-oscillation/mean values, three weights
+    (_bmo_weight) on one d = 0, r = 1 Campanato sweep: rows variant by
+    variant in _BMO_VARIANTS order, each variant's norm in the summary."""
     report = Report(["variant", "side", "center", "branch", "value"])
     frame, stack = _stack([g], sweep)
-    for Q, (mean,) in _sweep(frame, stack, sweep, 0, 1.0):
-        branch = "oscillation" if Q.side < 1.0 else "mean"
-        report.add(variant, Q.side, Q.center, branch,
-                   _bmo_weight(variant, Q) * float(mean))
-    report.summary["norm"] = max(report.column("value"), default=0.0)
+    means = [(Q, float(mean))
+             for Q, (mean,) in _sweep(frame, stack, sweep, 0, 1.0)]
+    for variant in _BMO_VARIANTS:
+        values = [_bmo_weight(variant, Q) * mean for Q, mean in means]
+        for (Q, _), value in zip(means, values):
+            branch = "oscillation" if Q.side < 1.0 else "mean"
+            report.add(variant, Q.side, Q.center, branch, value)
+        report.summary[variant] = max(values, default=0.0)
     return report
 
 
 def bmo_variant_norm(g, variant, sweep):
     """Sweep supremum of the variant's weighted two-branch functional."""
-    return bmo_sweep_report(g, variant, sweep).summary["norm"]
+    if variant not in _BMO_VARIANTS:
+        raise PreconditionError(f"unknown bmo variant {variant!r}")
+    return bmo_sweep_report(g, sweep).summary[variant]
 
 
 def _pairings(a, frame, stack):

@@ -138,10 +138,9 @@ def _check_embeddings(run, summary):
     summary["modular_fitted_C"] = rep1.summary["fitted_C_modular"]
     summary["hardy_fitted_C"] = rep2.summary["fitted_C"]
     merged = Report(["check", "index", "lhs", "rhs", "ratio"])
-    for idx, star, mus, ratio, _ in rep1.rows:
-        merged.add("lebesgue", idx, mus, star, ratio)
-    for idx, h_star, h_log, ratio in rep2.rows:
-        merged.add("hardy", idx, h_log, h_star, ratio)
+    for check, rep in (("lebesgue", rep1), ("hardy", rep2)):
+        for idx, star, mus, ratio, _ in rep.rows:
+            merged.add(check, idx, mus, star, ratio)
     return merged, np.isfinite(
         [rep1.summary["fitted_C"], rep2.summary["fitted_C"]]).all()
 
@@ -168,14 +167,10 @@ def _check_bmo_facts(run, summary):
     cells = int(round(2 * half / cfg.h))
     one = GridFunction.constant(1.0, (-half,) * cfg.n, cfg.h,
                                 (cells,) * cfg.n)
-    sweep = cfg.sweep_cubes()
-    merged = Report(["variant", "side", "center", "branch", "value"])
-    for variant in ("bmo", "bmo_phi", "bmo_log"):
-        rep = bmo_sweep_report(one, variant, sweep)
-        merged.rows.extend(rep.rows)
-        summary[variant] = rep.summary["norm"]
+    report = bmo_sweep_report(one, cfg.sweep_cubes())
+    summary.update(report.summary)
     summary["bmo_phi_expected"] = target = np.log(1.0 + np.e)
-    return merged, abs(summary["bmo_phi"] - target) <= 1e-6
+    return report, abs(summary["bmo_phi"] - target) <= 1e-6
 
 
 @dataclass(frozen=True)

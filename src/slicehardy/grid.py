@@ -72,14 +72,17 @@ class Cube:
 
 def p_mean(a, p, weight, mult=1):
     """(sum of mult a^p, times weight)^(1/p) for nonnegative a and finite
-    p > 0, as a float: the plain sum and root, unless that sum is 0 for a
-    nonzero a, or is not finite, or its root overflows; then the sum is
-    taken over max(a), so a large p gives about max(a), finite and nonzero,
-    with no warning.  A value past the float range raises NumericFailure."""
+    p > 0, as a float: the plain sum and root, unless that sum is below
+    (number of terms, mult included) 2^(53 - 1022) for a nonzero a, where
+    subnormal terms may have lost bits, or is not finite, or its root
+    overflows; then the sum is taken over max(a), so a large p gives about
+    max(a), finite and nonzero, with no warning.  A value past the float
+    range raises NumericFailure."""
     with np.errstate(over="ignore"):
         total = float((mult * a ** p).sum() * weight)
+    terms = a.size * mult if np.isscalar(mult) else np.sum(mult)
     with contextlib.suppress(OverflowError):
-        if 0 < total < math.inf or not a.any():
+        if terms * 2.0 ** (53 - 1022) <= total < math.inf or not a.any():
             return total ** (1.0 / p)
     top = float(a.max())
     scaled = float((mult * (a / top) ** p).sum() * weight)
@@ -156,22 +159,32 @@ class GridFunction:
 
     # -- grid compatibility ------------------------------------------------
 
-    def compatible_with(self, other):
-        if self.n != other.n:
-            return False
-        if abs(self.h - other.h) > _ALIGN_TOL * self.h:
-            return False
-        off = (self.origin - other.origin) / self.h
-        return np.all(np.abs(off - np.round(off)) < 1e-6)
+    def _cells_from(self, origin):
+        """Whole cells from origin to this grid's origin, per axis: the one
+        rounding of grid offsets.  An offset more than 1e-6 cell from a
+        whole number raises InvalidDataError."""
+        off = (self.origin - np.asarray(origin, dtype=float)) / self.h
+        cells = np.round(off)
+        if not np.all(np.abs(off - cells) < 1e-6):
+            raise InvalidDataError("incompatible grids (spacing or alignment)")
+        return cells.astype(int)
 
     def _require_compatible(self, other):
-        if not self.compatible_with(other):
+        """_cells_from(other.origin), for a grid of this n and h."""
+        if self.n != other.n or abs(self.h - other.h) > _ALIGN_TOL * self.h:
             raise InvalidDataError("incompatible grids (spacing or alignment)")
+        return self._cells_from(other.origin)
+
+    def compatible_with(self, other):
+        try:
+            self._require_compatible(other)
+        except InvalidDataError:
+            return False
+        return True
 
     def embed(self, origin, extents):
         """Re-sample onto a larger aligned box, padding with zeros."""
-        origin = np.asarray(origin, dtype=float)
-        off = np.round((self.origin - origin) / self.h).astype(int)
+        off = self._cells_from(origin)
         if np.any(off < 0) or np.any(off + np.array(self.extents) > extents):
             raise InvalidDataError("target box does not contain this box")
         out = np.zeros(extents)
@@ -182,8 +195,7 @@ class GridFunction:
     def overlap(self, other):
         """Index boxes (in self, in other) of the cells two aligned grids
         share, or None when their boxes are disjoint."""
-        self._require_compatible(other)
-        off = np.round((other.origin - self.origin) / self.h).astype(int)
+        off = -self._require_compatible(other)
         lo = np.maximum(off, 0)
         hi = np.minimum(off + other.extents, self.extents)
         if np.any(lo >= hi):
@@ -191,12 +203,10 @@ class GridFunction:
         return tuple(map(slice, lo, hi)), tuple(map(slice, lo - off, hi - off))
 
     def union_box(self, other):
-        self._require_compatible(other)
+        off = -self._require_compatible(other)
         lo = np.minimum(self.origin, other.origin)
-        hi = np.maximum(self.origin + np.array(self.extents) * self.h,
-                        other.origin + np.array(other.extents) * other.h)
-        ext = tuple(int(np.round((b - a) / self.h)) for a, b in zip(lo, hi))
-        return lo, ext
+        hi = np.maximum(off + other.extents, self.extents)
+        return lo, tuple((hi - np.minimum(off, 0)).tolist())
 
     def _binary(self, other, op):
         if np.isscalar(other):

@@ -8,8 +8,8 @@ for a Musielak one).  The gauges, the Musielak gauge and the inverse of
 Phi all call that solver.  The gauges of many rows are warm started:
 every 8th row is solved first, and the others start from those rows'
 gauge-to-mass ratios, interpolated along the row order.  Power
-functionals take the closed form in luxemburg_norm_rows (the gauge is
-the plain L^p quadrature norm).
+functionals take the closed form in luxemburg_norm_rows: the gauge is
+the L^p quadrature norm, grid.p_mean of each row.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InvalidDataError, NumericFailure, PreconditionError, \
     require_finite, require_positive
+from .grid import p_mean
 
 DEFAULT_TOL = 1e-10
 _INVERSE_TOL = 1e-14
@@ -301,11 +302,9 @@ def luxemburg_norm_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
     an upper bound of the gauge when Phi(tau) <= tau (as for log_damped);
     _warm_gauges solves every 8th row from it and starts the others from
     the interpolated gauge-to-mass ratios.  A power Phi = tau^p takes the
-    closed form instead: the row sums of |row|^p, then the root of each
-    row as a Python float (NumPy's array power can differ from it in the
-    last bit); a finite row whose sum overflows is summed over its max.
-    A non-finite sample raises InvalidDataError; rows of width 0 have
-    gauge 0."""
+    closed form instead, each row's grid.p_mean, so its gauge is
+    GridFunction.lp_norm bit for bit.  A non-finite sample raises
+    InvalidDataError; rows of width 0 have gauge 0."""
     step = max(_BLOCK_CELLS // max(rows.shape[1], 1), 1)
     p = phi.power_exponent
 
@@ -327,7 +326,7 @@ def luxemburg_norm_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
     out, mass = np.zeros(rows.shape[0]), np.zeros(rows.shape[0])
     with np.errstate(over="ignore"):
         for at, tau in blocks(np.arange(rows.shape[0])):
-            mass[at] = (tau if p is None else tau ** p).sum(axis=1)
+            mass[at] = tau.sum(axis=1)
         start = np.minimum(mass * cell_volume, _FLOAT_MAX)
     # a NaN sample makes its row's mass NaN, an inf one makes it inf; a
     # finite row can overflow its mass too, so inf masses look at the row,
@@ -337,14 +336,8 @@ def luxemburg_norm_rows(phi, rows, cell_volume, tol=DEFAULT_TOL):
                      or not np.isfinite(rows[big]).all()):
         raise InvalidDataError("non-finite sample in rows")
     if p is not None:
-        out = np.array([float(m) ** (1.0 / p)
-                        for m in (mass * cell_volume).tolist()])
-        if big.size:  # |row|^p overflowed: take the rows over their max
-            tau = np.abs(rows[big])
-            top = tau.max(axis=1)
-            with np.errstate(over="ignore"):
-                out[big] = top * (((tau / top[:, None]) ** p).sum(axis=1)
-                                  * cell_volume) ** (1.0 / p)
+        for at, tau in blocks(np.arange(rows.shape[0])):
+            out[at] = [p_mean(row, p, cell_volume) for row in tau]
         return out
     act = np.flatnonzero(mass)  # a sum of |samples| is 0 only if all are
     if act.size:

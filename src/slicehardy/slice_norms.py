@@ -16,6 +16,7 @@ rows of a strided view, 2-D ones by a cell index).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,8 +25,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import orlicz
-from .errors import PreconditionError, require_finite, require_positive, \
-    require_resolution
+from .errors import NumericFailure, PreconditionError, require_finite, \
+    require_positive, require_resolution
 from .grid import GridFunction, p_mean
 from .kernels import convolve_same
 from .reports import Report
@@ -144,7 +145,8 @@ def slice_norm(f, p):
 
     The outer integral runs over the support box dilated by t; beyond it
     the integrand vanishes.  The window ratios enter the q-mean (p_mean)
-    in their unit binade (_unit_binade).
+    in their unit binade (_unit_binade); a norm past the float range
+    raises NumericFailure.
     """
     require_finite(f)
     require_resolution(p.t, f.h, "slice radius")
@@ -156,7 +158,9 @@ def slice_norm(f, p):
         num = orlicz.luxemburg_norm_rows(p.phi, _Windows(f.values, mask),
                                          f.cell_volume)
     ratio, e = _unit_binade(num / den)
-    return math.ldexp(p_mean(ratio, p.q, f.cell_volume), e)
+    with contextlib.suppress(OverflowError):
+        return math.ldexp(p_mean(ratio, p.q, f.cell_volume), e)
+    raise NumericFailure("slice norm passes the float range")
 
 
 def _unit_binade(a):
@@ -302,13 +306,17 @@ def require_fefferman_stein(**values):
 
 
 def _aggregate(family, r):
+    """(sum of |f|^r)^(1/r) over the family, its r-th powers taken in the
+    unit binade of its largest |sample| (exact, as in _unit_binade) and
+    scaled back after the root, so a large finite family cannot overflow."""
+    e = math.frexp(max(f.max_abs() for f in family))[1] - 1
     acc = None
     for f in family:
-        term = GridFunction(f.origin, f.h, np.abs(f.values) ** r,
-                            check=False)
+        term = GridFunction(f.origin, f.h, np.ldexp(np.abs(f.values), -e)
+                            ** r, check=False)
         acc = term if acc is None else acc + term
-    return GridFunction(acc.origin, acc.h, acc.values ** (1.0 / r),
-                        check=False)
+    return GridFunction(acc.origin, acc.h,
+                        np.ldexp(acc.values ** (1.0 / r), e), check=False)
 
 
 def ball_indicator_ratio(radii, h, n=1):

@@ -63,12 +63,12 @@ def test_hardy_embedding_one_peetre_function_per_member(
     params = dataclasses.replace(maximal_params)  # keeps no field yet
     peetre_builds.clear()
     rep = hardy_embedding_check(fam, params)
-    assert list(zip(rep.column("h_star"), rep.column("h_log"))) == expected
+    assert list(zip(rep.column("star"), rep.column("muslog"))) == expected
     assert len(peetre_builds) == len(fam)
     assert all(a is f for a, f in zip(peetre_builds, fam))
     peetre_builds.clear()
     rep = hardy_embedding_check(fam, params)
-    assert list(zip(rep.column("h_star"), rep.column("h_log"))) == expected
+    assert list(zip(rep.column("star"), rep.column("muslog"))) == expected
     assert peetre_builds == []
 
 

@@ -1,5 +1,6 @@
 """Orlicz functionals, modulars and Luxemburg gauges."""
 
+import math
 import tracemalloc
 import warnings
 from unittest.mock import patch
@@ -28,6 +29,38 @@ def test_power_gauge_is_lp_norm(p, rng):
     phi = orlicz.power(p)
     assert orlicz.luxemburg_norm(phi, f) == pytest.approx(f.lp_norm(p),
                                                           rel=1e-12)
+
+
+_BUMP = np.exp(-(np.arange(256) * 2.0 ** -6 + 2.0 ** -7 - 2.0) ** 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+       k=st.integers(-1010, 1019))
+@example(p=2.0, k=-536)
+@example(p=2.0, k=-1010)
+def test_power_gauge_is_lp_norm_and_homogeneous(p, k):
+    """The power-Phi gauge is lp_norm bit for bit, and both scale by 2^k
+    to 1e-13 across the normal range: exp(-(x - 2)^2) on [0, 4) at
+    h = 2^-6 lies in [2^-6, 1], so 2^k times it is never subnormal, while
+    its p-th powers over- or underflow at the ends."""
+    f = GridFunction((0.0,), 2.0 ** -6, _BUMP)
+    g = GridFunction((0.0,), 2.0 ** -6, np.ldexp(_BUMP, k))
+    phi = orlicz.power(p)
+    got = orlicz.luxemburg_norm(phi, g)
+    assert got == g.lp_norm(p)
+    assert got == pytest.approx(math.ldexp(f.lp_norm(p), k), rel=1e-13,
+                                abs=0)
+
+
+def test_power_gauge_of_tiny_samples_is_not_zero():
+    """256 cells of 1e-200 at h = 2^-8: the squares underflow to 0, but
+    the gauge, lp_norm and star_norm are 1e-200."""
+    f = GridFunction.constant(1e-200, (0.0,), 2.0 ** -8, (256,))
+    phi = orlicz.power(2.0)
+    assert orlicz.luxemburg_norm(phi, f) == f.lp_norm(2) \
+        == pytest.approx(1e-200, rel=1e-15, abs=0)
+    assert star_norm(f, phi) == pytest.approx(1e-200, rel=1e-15, abs=0)
 
 
 def test_generic_bisection_matches_power_shortcut(rng):

@@ -521,6 +521,16 @@ def test_slice_norm_past_the_float_range_is_named():
         slice_norm(_gaussian(), p)
 
 
+def test_slice_norm_of_samples_near_the_float_max_is_named():
+    """1e308 on [0, 64) at t = 1, q = 1: the q-mean of the window ratios,
+    71.9 in the top binade, scales back past the float range, and that
+    raises NumericFailure, not a bare OverflowError."""
+    f = GridFunction.constant(1e308, (0.0,), 2.0 ** -6, (4096,))
+    p = SliceParams(1.0, 1.0, orlicz.power(2.0))
+    with pytest.raises(NumericFailure, match="float range"):
+        slice_norm(f, p)
+
+
 def test_cube_indicator_norm_at_a_huge_q_is_the_largest_ratio():
     """q = 1e300: a 16-cell cube inside a 127-cell ball has the norm of
     its fullest window, sqrt(16 / 127) for power:2, not 0 (the plain
@@ -644,6 +654,19 @@ def test_fefferman_stein_ratio_at_least_one(rng):
     rep = fefferman_stein_check(fam, 2.0, p)
     # the maximal function dominates the function pointwise
     assert rep.summary["max_ratio"] >= 1.0
+
+
+def test_fefferman_stein_on_a_large_finite_family():
+    """1e200 exp(-(x - 2)^2): every sample is finite, and the aggregate's
+    squares, taken in the unit binade, neither overflow (a RuntimeWarning
+    is an error in this suite) nor make the ratio move from amplitude 1."""
+    bump = GridFunction.from_callable(lambda x: np.exp(-(x - 2.0) ** 2),
+                                      (0.0,), 2.0 ** -6, (256,))
+    p = SliceParams(1.0, 2.0, orlicz.power(2.0))
+    ref = fefferman_stein_check([bump], 2.0, p)
+    big = fefferman_stein_check([bump * 1e200], 2.0, p)
+    assert big.summary["max_ratio"] == pytest.approx(
+        ref.summary["max_ratio"], rel=1e-14)
 
 
 def test_ball_indicator_ratio_band():
