@@ -25,7 +25,7 @@ from .errors import ConstructionError, DecompositionRangeError, \
     require_finite, require_positive
 from .grid import Cube, GridFunction, p_mean
 from .kernels import bump_profile
-from .maximal import MaximalParams, grand_maximal
+from .maximal import MaximalParams
 from .reports import Report
 from .slice_norms import SliceParams, slice_norm
 
@@ -503,15 +503,15 @@ def cz_decompose(f, params):
     """Decompose f into local atoms along dyadic maximal-function levels,
     from the top threshold down to the first level whose superlevel set
     swallows the support box dilated to unit size; the remainder below it
-    becomes unit-cube atoms.  Atom scales take their cube norms from
-    params.slice_params.cube_norm."""
+    becomes unit-cube atoms.  Levels are of params.maximal.grand_fields,
+    atom scales take their cube norms from params.slice_params.cube_norm."""
     sp = params.slice_params
     require_degree(params.d, f.n, aggregation_cap(sp.phi.p_minus, sp.q))
     require_finite(f)
     zero = GridFunction(f.origin, f.h, np.zeros(f.extents), check=False)
     if f.max_abs() == 0:
         return Decomposition([], 0, -1, zero, params)
-    m = grand_maximal(f, params.maximal.dictionary).pad(2)
+    m = params.maximal.grand_fields([f])[0].pad(2)
     j_hi = int(np.ceil(np.log2(m.max_abs()))) - 1
     target = _unit_dilated_support_mask(f, m)
     j_lo = next((j for j in range(j_hi, j_hi - MAX_LEVELS - 1, -1)

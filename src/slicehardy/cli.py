@@ -36,10 +36,10 @@ from .slice_norms import ball_indicator_ratio, fefferman_stein_check, \
 class Run:
     """One run: the config, the seed, the family and the parameters its
     checks share: one MaximalParams (the run's one kernel dictionary,
-    which keeps each Peetre field) and one SliceParams (which keeps each
-    cube-indicator norm), the latter that of the run's CZParams.  Each
-    member's CZ decomposition is computed by whichever check asks first,
-    so the order of the checks changes no result."""
+    which keeps each Peetre and grand field) and one SliceParams (which
+    keeps each cube-indicator norm), the latter that of the run's CZParams.
+    The decompositions are made, after one grand-field pass, by whichever
+    check asks first, so the order of the checks changes no result."""
 
     def __init__(self, cfg, seed):
         self.cfg = cfg
@@ -53,8 +53,10 @@ class Run:
     def decompositions(self):
         """(member, decomposition) for every nonzero member."""
         if self._decompositions is None:
+            nonzero = [f for f in self.family if f.max_abs() != 0]
+            self.maximal.grand_fields(nonzero)  # one pass for the family
             self._decompositions = [(f, cz_decompose(f, self.cz_params))
-                                    for f in self.family if f.max_abs() != 0]
+                                    for f in nonzero]
         return self._decompositions
 
 

@@ -33,6 +33,9 @@ SWEEP_CELLS_LOG2 = 26
 SWEEP_BOX_CELLS_LOG2 = 27
 #: log2 of the most cubes a sweep may hold (side lengths times centers)
 SWEEP_CUBES_LOG2 = 14
+#: log2 of the most cells of a ball's arrays: ball_reduce pads a field padded
+#: by k = 2t/h (2t, the largest radius a check takes) by k again
+BALL_CELLS_LOG2 = 27
 _LEAST_FLOAT_EXP = -1074  # 2.0 ** -1074 is the least positive float
 
 
@@ -115,6 +118,10 @@ class ScenarioConfig:
             raise ConfigError(f"grid.n must be 1 or 2: {self.n}")
         for key, message in broken(DOMAINS + HYPOTHESES, self):
             raise ConfigError(f"{key}: {message}")
+        if self.n * math.log2(8 * self.t / self.h + 1) > BALL_CELLS_LOG2:
+            raise ConfigError(f"slice.t = {self.t}, grid.h = {self.h}: the "
+                              f"arrays of a ball of radius 2t would hold more "
+                              f"than 2^{BALL_CELLS_LOG2} cells")
         if self.side_exp_lo >= 0:
             raise ConfigError(f"sweep.side_exp_lo must be negative, so the "
                               f"cube sweep straddles side length 1: "

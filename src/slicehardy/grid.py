@@ -192,16 +192,6 @@ class GridFunction:
         out[sl] = self.values
         return GridFunction(origin, self.h, out, check=False)
 
-    def overlap(self, other):
-        """Index boxes (in self, in other) of the cells two aligned grids
-        share, or None when their boxes are disjoint."""
-        off = -self._require_compatible(other)
-        lo = np.maximum(off, 0)
-        hi = np.minimum(off + other.extents, self.extents)
-        if np.any(lo >= hi):
-            return None
-        return tuple(map(slice, lo, hi)), tuple(map(slice, lo - off, hi - off))
-
     def union_box(self, other):
         off = -self._require_compatible(other)
         lo = np.minimum(self.origin, other.origin)

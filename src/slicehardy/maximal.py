@@ -57,38 +57,43 @@ class MaximalParams:
         return int(np.ceil(PAD_FACTOR * max(self.ladder) / h))
 
     @cached_property
-    def _peetre(self):
+    def _kept(self):
         return {}
 
     def peetre_fields(self, members):
-        """The Peetre maximal functions of members that maximal_fields and
-        the Hardy quasi-norms use: phi, b, ladder and eps_cut on the shared
-        pad, bit for bit peetre_maximal's, computed once per sample array
-        for as long as these parameters live: those not yet kept in one
-        _scale_max pass, stacked along a batch axis up to _STACK_CELLS
-        cells a stack (the budget bounds peak RSS).  The key is a member's
-        values, never its identity, so a whole-cell translate shares the
-        read-only values, placed on its own padded grid as GridFunction.pad
-        places them."""
-        keys = [(f.h, f.values.shape, f.values.tobytes()) for f in members]
+        """The Peetre fields of members (phi, b, ladder and eps_cut, on the
+        shared pad), bit for bit peetre_maximal's; see _fields."""
+        return self._fields(members, "peetre", [self.dictionary.phi],
+                            self.pad_cells, (partial(
+                                _peetre_sweep, b=self.b,
+                                eps_cut=self.eps_cut), True))
+
+    def grand_fields(self, members):
+        """The grand fields of members that cz_decompose reads, bit for bit
+        grand_maximal's at its pad of 2 max(ladder) / h; see _fields."""
+        return self._fields(
+            members, "grand", self.dictionary,
+            lambda h: int(np.ceil(2.0 * max(self.ladder) / h)),
+            (partial(_window_max, a=1.0), True))
+
+    def _fields(self, members, name, kernels, pad, op):
+        """The op's field of each member, kept read-only by sample array (not
+        identity) while these parameters live, the missing ones made in one
+        _scale_max pass; each is placed on its member's own padded grid."""
+        keys = [(name, f.h, f.values.shape, f.values.tobytes())
+                for f in members]
         missing = {}
         for key, f in zip(keys, members):
-            if key not in self._peetre:
+            if key not in self._kept:
                 missing.setdefault(key, f)
-        sweep = partial(_peetre_sweep, b=self.b, eps_cut=self.eps_cut)
-        fields = _scale_max(list(missing.values()), [self.dictionary.phi],
-                            self.ladder, self.pad_cells,
-                            {"peetre": (sweep, True)})
-        for key, field in zip(missing, fields):
-            field["peetre"].values.flags.writeable = False
-            self._peetre[key] = field["peetre"].values
-        return [GridFunction(f.origin - self.pad_cells(f.h) * f.h, f.h,
-                             self._peetre[key], check=False)
-                for key, f in zip(keys, members)]
-
-    def peetre_field(self, f):
-        """peetre_fields of the one member f."""
-        return self.peetre_fields([f])[0]
+        if missing:
+            fields = _scale_max(list(missing.values()), list(kernels),
+                                self.ladder, pad, {name: op})
+            for key, field in zip(missing, fields):
+                field[name].values.flags.writeable = False
+                self._kept[key] = field[name].values
+        return [GridFunction(f.origin - pad(f.h) * f.h, f.h, self._kept[key],
+                             check=False) for key, f in zip(keys, members)]
 
 
 def require_hardy(b, n, p_minus, q):

@@ -1,19 +1,36 @@
-"""Per-field reference for the stacked Campanato pass.
+"""References for the Campanato pass of `slicehardy.campanato`.
 
-Each call embeds one field on its own covering box, refits the
-minimizing polynomial of every small cube for that field alone (the
+The per-field reference embeds one field on its own covering box, refits
+the minimizing polynomial of every small cube for that field alone (the
 unit-weight `eta_reference.moment_fit`, not atomic's stacked solver), and
 re-runs the whole sweep (base cubes plus the atoms' cubes) for every
 (decomposition, field) pair: the direct form of the definitions, which
-the stacked pass in `slicehardy.campanato` must match.
+the stacked pass must match.
+
+The per-cube loop (`loop_pairing_bounds`, `loop_bmo_means`) is the
+stacked pass as it was before cubes and atoms were grouped by box shape:
+one cube, one atom overlap at a time, on the same stack.  The grouped
+pass must match it bit for bit at d = 0.
 """
 
 import numpy as np
 
 from eta_reference import moment_fit
-from slicehardy.campanato import CampanatoParams
+from slicehardy.atomic import _unit_fit
+from slicehardy.campanato import CampanatoParams, _stack
 from slicehardy.reports import Report
 from slicehardy.slice_norms import cube_indicator_slice_norm
+
+
+def overlap(f, g):
+    """Index boxes (in f, in g) of the cells two aligned grids share, or
+    None when their boxes are disjoint."""
+    off = -f._require_compatible(g)
+    lo = np.maximum(off, 0)
+    hi = np.minimum(off + g.extents, f.extents)
+    if np.any(lo >= hi):
+        return None
+    return tuple(map(slice, lo, hi)), tuple(map(slice, lo - off, hi - off))
 
 
 def _cube_mean(values, r):
@@ -40,7 +57,7 @@ def sweep(g, cubes, d, r):
 
 def dual_pairing(f, g):
     """int f g over the cells the two boxes share."""
-    boxes = f.overlap(g)
+    boxes = overlap(f, g)
     return 0.0 if boxes is None else float(
         (f.values[boxes[0]] * g.values[boxes[1]]).sum() * f.cell_volume)
 
@@ -81,3 +98,63 @@ def pairing_bound_check(dec, g, p, slack=0.01):
     report.summary["max_ratio"] = max(ratios) if ratios else 0.0
     report.summary["ok"] = all(r <= 1.0 + slack for r in ratios)
     return report
+
+
+# -- the per-cube loop -------------------------------------------------------
+
+def _loop_sweep(frame, stack, cubes, d, r):
+    """(Q, r-means) for each cube Q that holds a frame cell, one per field,
+    one cube at a time."""
+    for Q, box in zip(cubes, frame.cube_boxes(cubes)):
+        vals = stack[(slice(None),) + box].reshape(len(stack), -1)
+        if not vals.size:
+            continue
+        if Q.side < 1.0 and d == 0:
+            vals = vals - vals.mean(axis=1, keepdims=True)
+        elif Q.side < 1.0:
+            vals = vals - _unit_fit(frame.centers(box).reshape(-1, frame.n),
+                                    Q, d, vals.T)[1].T
+        vals = np.abs(vals)
+        yield Q, vals.max(axis=1) if np.isinf(r) \
+            else (vals ** r).mean(axis=1) ** (1.0 / r)
+
+
+def _loop_branches(frame, stack, cubes, p):
+    out = np.zeros((2, len(stack)))
+    for Q, means in _loop_sweep(frame, stack, cubes, p.d, p.r):
+        row = out[int(Q.side >= 1.0)]
+        norm = p.slice_params.cube_norm(Q.side, frame.h, frame.n)
+        np.maximum(row, Q.volume / norm * means, out=row)
+    return out
+
+
+def _loop_pairings(a, frame, stack):
+    boxes = overlap(a, frame)
+    if boxes is None:
+        return np.zeros(len(stack))
+    prod = a.values[boxes[0]] * stack[(slice(None),) + boxes[1]]
+    return prod.reshape(len(stack), -1).sum(axis=1) * a.cell_volume
+
+
+def loop_pairing_bounds(decs, fields, p):
+    """campanato.pairing_bounds, one cube and one atom at a time."""
+    atom_cubes = [[a.cube for a in dec.entries] for dec in decs]
+    frame, stack = _stack(fields, list(p.sweep) + sum(atom_cubes, []))
+    base = _loop_branches(frame, stack, p.sweep, p)
+    out = []
+    for dec, cubes in zip(decs, atom_cubes):
+        norms = np.maximum(base, _loop_branches(frame, stack, cubes, p)
+                           ).sum(axis=0)
+        pairs = np.array([_loop_pairings(a.values, frame, stack)
+                          for a in dec.entries]).reshape(-1, len(stack))
+        with np.errstate(divide="ignore"):
+            out.append((norms, pairs, np.divide(
+                abs(pairs), norms, np.zeros_like(pairs), where=pairs != 0)))
+    return out
+
+
+def loop_bmo_means(g, sweep):
+    """(Q, mean) of bmo_sweep_report's d = 0, r = 1 sweep, cube by cube."""
+    frame, stack = _stack([g], sweep)
+    return [(Q, float(mean))
+            for Q, (mean,) in _loop_sweep(frame, stack, sweep, 0, 1.0)]

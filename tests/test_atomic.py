@@ -1123,7 +1123,7 @@ def _step_maximal(monkeypatch, h, values):
     """Make cz_decompose's maximal function the given samples on [0, 4),
     so the test chooses every level set."""
     m = GridFunction((0.0,), h, values)
-    monkeypatch.setattr(atomic, "grand_maximal", lambda *_: m)
+    monkeypatch.setattr(MaximalParams, "grand_fields", lambda *_: [m])
     return m.pad(2)
 
 

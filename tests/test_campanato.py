@@ -281,6 +281,42 @@ def test_bmo_sweep_matches_per_field_reference(rng, n):
         _close([row[4] for row in rows], [mean for _, mean in want])
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("r", [1.0, 2.0, np.inf])
+def test_grouped_pass_matches_the_per_cube_loop(rng, slice_params, n, d, r):
+    """Cubes grouped by side and box shape, and atoms by overlap shape, give
+    the norms, pairings and ratios of the loop over one cube and one atom
+    at a time: bit for bit at d = 0, to 1e-12 relative at d = 1, where
+    each cube's fit sees its values in another layout."""
+    h = 2.0 ** -4 if n == 2 else 2.0 ** -6
+    fields, decs = _fields(rng, n, h), _decompositions(rng, n, h)
+    p = CampanatoParams(slice_params, r=r, d=d,
+                        sweep=cube_sweep(range(-3, 3),
+                                         np.arange(-1.0, 2.5, 0.75), n))
+    for got, want in zip(pairing_bounds(decs, fields, p),
+                         ref.loop_pairing_bounds(decs, fields, p)):
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            if d == 0:
+                assert a.tobytes() == b.tobytes()
+            else:
+                _close(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_grouped_bmo_sweep_matches_the_per_cube_loop(rng, n):
+    h = 2.0 ** -4 if n == 2 else 2.0 ** -6
+    sweep = cube_sweep(range(-3, 3), np.arange(-1.0, 2.5, 0.75), n) \
+        + [Cube((0.5 + h / 4,) * n, h / 2)]  # it holds no cell center
+    for g in _fields(rng, n, h):
+        rows = [row for row in bmo_sweep_report(g, sweep).rows
+                if row[0] == "bmo"]
+        assert [(row[1], row[2], row[4]) for row in rows] == \
+            [(Q.side, Q.center, mean) for Q, mean in ref.loop_bmo_means(g,
+                                                                      sweep)]
+
+
 @pytest.mark.parametrize("d", [0, 1])
 def test_check_duality_rows_match_per_pair_reference(d):
     from slicehardy import cli

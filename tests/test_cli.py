@@ -491,8 +491,8 @@ def test_run_shares_one_peetre_field_between_whole_cell_translates(
     run = cli.Run(load_config(config_path), 0)
     mp = run.maximal
     near, far = generate_family("translates:R=0,16", 0, run.cfg.h)
-    first = mp.peetre_field(near)
-    shared = mp.peetre_field(far)
+    first = mp.peetre_fields([near])[0]
+    shared = mp.peetre_fields([far])[0]
     for f, m in ((near, first), (far, shared)):
         alone = maximal.peetre_maximal(f, mp.dictionary.phi, mp.b,
                                        mp.ladder, mp.eps_cut,

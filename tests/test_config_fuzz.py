@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from slicehardy import orlicz
 from slicehardy.cli import CHECKS, main
-from slicehardy.config import _SECTIONS
+from slicehardy.config import BALL_CELLS_LOG2, _SECTIONS
 
 #: every config key, "section.key"
 KEYS = [f"{section}.{key}" for section, schema in _SECTIONS.items()
@@ -46,7 +46,9 @@ def configs(draw):
     lo, hi = draw(st.sampled_from([(-4.0, 4.0), (-1.0, 1.0), (0.0, 0.0)]))
     cfg = {
         "grid.n": n, "grid.h": h, "functional.tag": tag,
-        "slice.t": draw(st.sampled_from([2 * h, 4 * h, 0.5, 1.0])),
+        # up to 64 cells: a general-Phi slice norm costs cells x ball cells
+        "slice.t": draw(st.sampled_from([2 * h, 4 * h, 16 * h, 64 * h, 0.5,
+                                         1.0])),
         "slice.q": q, "maximal.a": draw(st.sampled_from([0.5, 1.0, 2.0])),
         "maximal.b": b, "maximal.N": N,
         "maximal.dict_size": draw(st.integers(1, 3)),
@@ -76,7 +78,9 @@ def configs(draw):
         "grid.n": [0, 3],
         "grid.h": [0, -h, "nan", "inf"],
         "functional.tag": ["foo", "power:-1", "power:abc", "power:nan"],
-        "slice.t": [h, 0, "nan", "inf"],
+        # past the ball bound, (8t/h + 1)^n > 2^BALL_CELLS_LOG2
+        "slice.t": [h, 0, "nan", "inf", 1e300,
+                    h * 2.0 ** (BALL_CELLS_LOG2 / n - 2)],
         "slice.q": [0, -1, "nan", "inf"],
         "maximal.a": [0, -1, "nan", "inf"],
         "maximal.b": [bound, 0, "nan", "inf"],

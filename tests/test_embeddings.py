@@ -59,7 +59,7 @@ def test_hardy_embedding_one_peetre_function_per_member(
     fam = generate_family("bumps:count=3", 11, h=h_1d)
     expected = [(star_norm(m, orlicz.log_damped()),
                  orlicz.musielak_norm(orlicz.musielak_log(), m))
-                for m in map(maximal_params.peetre_field, fam)]
+                for m in maximal_params.peetre_fields(fam)]
     params = dataclasses.replace(maximal_params)  # keeps no field yet
     peetre_builds.clear()
     rep = hardy_embedding_check(fam, params)

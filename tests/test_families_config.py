@@ -220,6 +220,21 @@ def test_validation_bounds_the_sweep_cube_count(step, side_exp_lo, ok):
             cfg.validate()
 
 
+@pytest.mark.parametrize("n, t, ok", [
+    (1, 65535.0, True), (1, 65537.0, False), (1, 1e6, False),
+    (1, 1e300, False), (2, 5.6, True), (2, 5.7, False)])
+def test_validation_bounds_the_ball_arrays(n, t, ok):
+    """At most 2^27 cells, (8t/h + 1)^n, in the arrays of the largest ball
+    a check takes, of radius 2t, at the default h = 2^-8: checked by
+    validate, so a huge slice.t allocates nothing."""
+    cfg = ScenarioConfig(n=n, t=t)
+    if ok:
+        cfg.validate()
+    else:
+        with pytest.raises(ConfigError, match="slice.t"):
+            cfg.validate()
+
+
 def test_readme_domain_table_lists_every_config_key():
     """The README's domain table has a row for each key the config reads,
     and no other."""

@@ -139,7 +139,7 @@ def test_lp_norm_past_the_float_range_is_named():
 
 
 def test_embed_rounds_to_whole_cells_or_names_the_misalignment():
-    """embed, overlap, sums and compatible_with share one offset rule: an
+    """embed, sums and compatible_with share one offset rule: an
     origin within 1e-6 cell of the grid's lattice is taken at the whole
     cell, and one 0.4 cell off raises rather than shifting the samples."""
     f = GridFunction((0.0,), 0.25, [1.0, 2.0, 3.0])
@@ -148,8 +148,6 @@ def test_embed_rounds_to_whole_cells_or_names_the_misalignment():
     with pytest.raises(InvalidDataError, match="alignment"):
         f.embed((-0.6,), (8,))
     off = GridFunction((-0.6,), 0.25, np.zeros(8))
-    with pytest.raises(InvalidDataError, match="alignment"):
-        f.overlap(off)
     with pytest.raises(InvalidDataError, match="alignment"):
         f + off
     assert not f.compatible_with(off)

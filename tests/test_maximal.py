@@ -367,7 +367,7 @@ def test_peetre_maximal_names_a_bad_parameter(bump, dictionary_1d, b,
 def test_maximal_params_name_a_non_finite_peetre_exponent(bump,
                                                           dictionary_1d):
     with pytest.raises(PreconditionError, match="^b must"):
-        MaximalParams(dictionary_1d, b=np.nan).peetre_field(bump)
+        MaximalParams(dictionary_1d, b=np.nan).peetre_fields([bump])
 
 
 def _grand(f, dictionary, ladder, pad, peetre, b, eps_cut):
@@ -498,7 +498,7 @@ def test_peetre_fields_fill_the_memo_that_peetre_field_reads(
         maximal_params, h_1d, peetre_builds):
     """One peetre_fields pass over a family and a whole-cell translate of
     its first member makes each distinct sample array's field once; a
-    later peetre_field(f) hands back the same read-only array, placed at
+    later peetre_fields([f]) hands back the same read-only array, placed at
     f's own origin."""
     from slicehardy.families import generate_family
 
@@ -509,12 +509,59 @@ def test_peetre_fields_fill_the_memo_that_peetre_field_reads(
     assert peetre_builds == fam
     assert fields[3].values is fields[0].values
     for f, m in zip(fam + [far], fields):
-        again = maximal_params.peetre_field(f)
+        [again] = maximal_params.peetre_fields([f])
         assert again.values is m.values and not m.values.flags.writeable
         assert np.array_equal(again.origin, m.origin)
         assert np.array_equal(m.origin, f.pad(maximal_params.pad_cells(
             h)).origin)
     assert len(peetre_builds) == 3
+
+
+def _grand_family(n):
+    """(family, dictionary): at n = 1 more members than one _scale_max
+    stack holds, of three extents, with a zero member and a whole-cell
+    translate of the first; at n = 2 members of two extents, a zero one
+    and a translate."""
+    from slicehardy.families import generate_family
+
+    h = 2.0 ** -7 if n == 1 else 2.0 ** -3
+    dictionary = build_dictionary(N=3, M=3 if n == 1 else 1, h=h, count=3,
+                                  n=n)
+    rng = np.random.default_rng(7)
+    if n == 1:
+        fam = generate_family("bumps:count=12", 5, h=h) \
+            + generate_family("indicator-ladder:M=2", 0, h=h) \
+            + [GridFunction((1.0,), h, rng.normal(size=40))]
+    else:
+        fam = [GridFunction((0.0, 0.5), h, rng.normal(size=(5, 6))),
+               GridFunction((1.0, 0.0), h, rng.normal(size=(7, 3))),
+               GridFunction((0.0, 0.0), h, rng.normal(size=(5, 6)))]
+    zero = GridFunction(fam[0].origin, h, np.zeros(fam[0].extents))
+    far = GridFunction(fam[0].origin + 64 * h, h, fam[0].values.copy())
+    return fam + [zero, far], dictionary
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_grand_fields_are_grand_maximal_bit_for_bit(n):
+    """One grand_fields pass over a family is, member by member, the
+    grand_maximal of each alone at its default pad, bit for bit, read-only
+    and on the member's own padded grid; a translate shares its values."""
+    fam, dictionary = _grand_family(n)
+    params = MaximalParams(dictionary)
+    if n == 1:
+        pad = int(np.ceil(2.0 * max(dictionary.scales) / fam[0].h))
+        assert sum(np.prod(np.add(f.extents, 2 * pad)) for f in fam) \
+            > maximal._STACK_CELLS
+    fields = params.grand_fields(fam)
+    for f, m in zip(fam, fields):
+        alone = grand_maximal(f, dictionary)
+        assert np.array_equal(m.origin, alone.origin)
+        assert m.values.tobytes() == alone.values.tobytes()
+        assert not m.values.flags.writeable
+    assert fields[-1].values is fields[0].values
+    assert not np.any(fields[-2].values)
+    again = params.grand_fields(fam[::-1])
+    assert all(a.values is m.values for a, m in zip(again, fields[::-1]))
 
 
 def test_peetre_weights_are_kept_read_only_by_value():
@@ -598,7 +645,7 @@ _SLICE = SliceParams(1.0, 2.0, orlicz.power(2.0))
 
 
 def test_hardy_quasinorm_positive(bump, maximal_params):
-    assert slice_norm(maximal_params.peetre_field(bump), _SLICE) > 0
+    assert slice_norm(maximal_params.peetre_fields([bump])[0], _SLICE) > 0
 
 
 @pytest.mark.parametrize("precomputed", [False, True])
@@ -611,25 +658,25 @@ def test_hardy_quasinorm_hypothesis_guard(bump, dictionary_1d, precomputed):
         maximal.maximal_equivalence_report([bump], weak, _SLICE.phi,
                                            _SLICE.q, [_SLICE.t])
     if precomputed:
-        weak.peetre_field(bump)
+        weak.peetre_fields([bump])
     with pytest.raises(PreconditionError):
         hardy_embedding_check([bump], weak)
 
 
 def test_hardy_quasinorm_tags_share_one_maximal_function(bump,
                                                         maximal_params):
-    """peetre_field is peetre_maximal at the params' phi, b, ladder and
+    """peetre_fields is peetre_maximal at the params' phi, b, ladder and
     eps_cut, bit for bit and read-only, made once per sample array: every
     outer norm of a run reads that one field."""
     m = peetre_maximal(bump, maximal_params.dictionary.phi,
                        maximal_params.b, maximal_params.ladder,
                        maximal_params.eps_cut)
-    field = maximal_params.peetre_field(bump)
+    [field] = maximal_params.peetre_fields([bump])
     assert np.array_equal(field.origin, m.origin)
     assert np.array_equal(field.values, m.values)
     assert not field.values.flags.writeable
     copy = GridFunction(bump.origin, bump.h, bump.values.copy())
-    assert maximal_params.peetre_field(copy).values is field.values
+    assert maximal_params.peetre_fields([copy])[0].values is field.values
     assert slice_norm(field, _SLICE) == slice_norm(m, _SLICE)
 
 
@@ -637,5 +684,5 @@ def test_hardy_quasinorm_monotone_on_indicator_ladder(maximal_params):
     from slicehardy.families import generate_family
 
     fam = generate_family("indicator-ladder:M=3", 0, h=2.0 ** -7)
-    vals = [slice_norm(maximal_params.peetre_field(f), _SLICE) for f in fam]
+    vals = [slice_norm(m, _SLICE) for m in maximal_params.peetre_fields(fam)]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))

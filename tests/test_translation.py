@@ -139,8 +139,8 @@ def test_slice_norms_and_peetre_fields_ignore_whole_cell_translates(
     g = _translate(f, cells)
     sp, mp = cfg.slice_params(), cfg.maximal_params()
     assert slice_norm(g, sp) == slice_norm(f, sp)
-    field = mp.peetre_field(f)
-    moved = dataclasses.replace(mp).peetre_field(g)
+    field = mp.peetre_fields([f])[0]
+    moved = dataclasses.replace(mp).peetre_fields([g])[0]
     assert moved.values is not field.values
     assert moved.values.tobytes() == field.values.tobytes()
     assert np.array_equal(moved.origin, field.origin + np.multiply(cells,
