@@ -217,10 +217,11 @@ def whitney_decompose(O):
 
 
 def _partition(cubes, O):
-    """partition_of_unity's etas as (wins, eta): eta_k on box k, the cells
-    where its bump, a product of bump_profile's on (9/8)Q per axis for all
-    cubes at once, is nonzero.  The bumps are summed in cube order, and
-    dividing by the sum makes it exactly 1 on O and exactly 0 off it."""
+    """The cubes' partition of unity on O as (wins, eta): eta_k on box k,
+    the cells where its bump, a product of bump_profile's on (9/8)Q per
+    axis for all cubes at once, is nonzero.  The bumps are summed in cube
+    order, and dividing by the sum makes it exactly 1 on O and exactly 0
+    off it."""
     mask = O.values.ravel() > 0
     centers = np.reshape([Q.center for Q in cubes], (-1, O.n))
     rho = WHITNEY_DILATION * np.array([Q.side for Q in cubes]) / 2
@@ -247,16 +248,6 @@ def _partition(cubes, O):
         raise ConstructionError("partition of unity has an uncovered cell")
     safe = np.where(total > 0, total, 1.0)
     return wins, np.where(mask[cell], bump / safe[cell], 0.0)
-
-
-def partition_of_unity(cubes, O):
-    """Smooth bumps on the dilated cubes, normalized to sum to 1_O: each
-    eta on the index box of the cells where its bump is nonzero, with its
-    own origin (see _partition)."""
-    wins, eta = _partition(cubes, O)
-    return [GridFunction(o, O.h, eta[a:b].reshape(e), check=False)
-            for o, a, b, e in zip(O.origin + wins.lo * O.h, wins.start[:-1],
-                                  wins.start[1:], wins.ext)]
 
 
 # -- atoms and decompositions -----------------------------------------------

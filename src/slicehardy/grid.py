@@ -9,8 +9,9 @@ cell-aligned regions integrate exactly.
 A region holds the cells whose centers lie in it.  A cube holds the cells
 with lo - 1e-9 side <= x < hi - 1e-9 side on every axis: one index box,
 which :meth:`GridFunction.cube_boxes` finds for many cubes at once, the
-only code that decides a cube's cells (:meth:`Cube.contains_points` is
-its pointwise reference).  A ball's cells are slice_norms.ball_mask's.
+only code that decides a cube's cells (tests/grid_reference.py keeps the
+pointwise test, ``contains_points``).  A ball's cells are
+slice_norms.ball_mask's.
 """
 
 from __future__ import annotations
@@ -61,13 +62,6 @@ class Cube:
     @property
     def volume(self):
         return self.side ** self.n
-
-    def contains_points(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return np.all((pts >= lo - _ALIGN_TOL * self.side)
-                      & (pts < hi - _ALIGN_TOL * self.side), axis=-1)
 
 
 def p_mean(a, p, weight, mult=1):
@@ -151,12 +145,6 @@ class GridFunction:
     def constant(cls, value, origin, h, extents):
         return cls(origin, h, np.full(extents, float(value)))
 
-    @classmethod
-    def indicator(cls, cube, origin, h, extents):
-        g = cls(origin, h, np.zeros(extents))
-        g.values[g.cell_mask(cube)] = 1.0
-        return g
-
     # -- grid compatibility ------------------------------------------------
 
     def _cells_from(self, origin):
@@ -174,13 +162,6 @@ class GridFunction:
         if self.n != other.n or abs(self.h - other.h) > _ALIGN_TOL * self.h:
             raise InvalidDataError("incompatible grids (spacing or alignment)")
         return self._cells_from(other.origin)
-
-    def compatible_with(self, other):
-        try:
-            self._require_compatible(other)
-        except InvalidDataError:
-            return False
-        return True
 
     def embed(self, origin, extents):
         """Re-sample onto a larger aligned box, padding with zeros."""
@@ -230,10 +211,6 @@ class GridFunction:
     def __neg__(self):
         return GridFunction(self.origin, self.h, -self.values, check=False)
 
-    def copy(self):
-        return GridFunction(self.origin.copy(), self.h, self.values.copy(),
-                            check=False)
-
     def box_view(self, box):
         """The samples of an index box as a grid function (values: a view)."""
         start = np.array([s.start for s in box])
@@ -274,8 +251,9 @@ class GridFunction:
 
     def cube_boxes(self, cubes):
         """Index box (one slice per axis, maybe empty) of the cells whose
-        centers lie in each cube: bisection with Cube.contains_points'
-        comparisons, one searchsorted per axis for all the cubes."""
+        centers lie in each cube: bisection with the comparisons of the
+        pointwise test (tests/grid_reference.py's contains_points), one
+        searchsorted per axis for all the cubes."""
         center = np.array([Q.center for Q in cubes]).reshape(-1, self.n)
         side = np.array([Q.side for Q in cubes])
         half, tol = side / 2, _ALIGN_TOL * side
@@ -289,25 +267,10 @@ class GridFunction:
         return self.cube_boxes([Q])[0]
 
     def cell_mask(self, cube):
-        """Boolean mask of the cells whose centers lie in the cube (all of
-        them for None)."""
-        if cube is None:
-            return np.ones(self.extents, dtype=bool)
+        """Boolean mask of the cells whose centers lie in the cube."""
         mask = np.zeros(self.extents, dtype=bool)
         mask[self.cube_slices(cube)] = True
         return mask
-
-    def integrate(self, cube=None):
-        """Midpoint-rule integral over a Cube or, for None, the whole box."""
-        if cube is None:
-            return float(self.values.sum() * self.cell_volume)
-        mask = self.cell_mask(cube)
-        return float(self.values[mask].sum() * self.cell_volume)
-
-    def restrict(self, cube):
-        """Pointwise multiply by the cube's indicator."""
-        out = np.where(self.cell_mask(cube), self.values, 0.0)
-        return GridFunction(self.origin, self.h, out, check=False)
 
     def pad(self, cells):
         """Extend the box by `cells` zero cells on every side."""

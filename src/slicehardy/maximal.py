@@ -69,8 +69,10 @@ class MaximalParams:
                                 eps_cut=self.eps_cut), True))
 
     def grand_fields(self, members):
-        """The grand fields of members that cz_decompose reads, bit for bit
-        grand_maximal's at its pad of 2 max(ladder) / h; see _fields."""
+        """The grand fields of members that cz_decompose reads: the max over
+        the dictionary's kernels of the window maxima over |x - y| < s, on
+        the pad 2 max(ladder) / h, each bit for bit the one its member has
+        alone; see _fields."""
         return self._fields(
             members, "grand", self.dictionary,
             lambda h: int(np.ceil(2.0 * max(self.ladder) / h)),
@@ -175,12 +177,6 @@ def _stacks(members, pad):
             yield ix[lo:lo + step]
 
 
-def _one_scale_max(f, kernels, ladder, pad_cells, op):
-    """_scale_max of one op over all the kernels, for the one member f."""
-    return _scale_max([f], kernels, ladder, lambda h: pad_cells,
-                      {"": (op, True)})[0][""]
-
-
 def _window_max(values, s, h, n, a, floor=None):
     """max over |y - x| < a s, per grid point, with zeros outside the box
     (slice_norms.ball_reduce with np.maximum; a max is exact in any
@@ -211,8 +207,9 @@ def peetre_maximal(f, kernel, b, ladder, eps_cut=DEFAULT_EPS_CUT,
         raise PreconditionError(f"eps_cut must lie in (0, 1]: {eps_cut}")
     if pad_cells is None:
         pad_cells = int(np.ceil(PAD_FACTOR * max(ladder) / f.h))
-    return _one_scale_max(f, [kernel], ladder, pad_cells,
-                          partial(_peetre_sweep, b=b, eps_cut=eps_cut))
+    op = partial(_peetre_sweep, b=b, eps_cut=eps_cut)
+    return _scale_max([f], [kernel], ladder, lambda h: pad_cells,
+                      {"": (op, True)})[0][""]
 
 
 #: cells per tile, and tile pairs per product block (of 512 KB), of the
@@ -314,17 +311,6 @@ def _tile_sweep(absc, w, floor):
     return out.reshape(nr, -1)[:, :m]
 
 
-def grand_maximal(f, dictionary, pad_cells=None):
-    """max over the dictionary's kernels of the convolution maxima over the
-    window |x - y| < s, s on the dictionary's ladder (its scales), on f's
-    grid padded by pad_cells (default 2 max(s) / h).  The max over kernels
-    is taken before the window, once per scale."""
-    if pad_cells is None:
-        pad_cells = int(np.ceil(2.0 * max(dictionary.scales) / f.h))
-    return _one_scale_max(f, list(dictionary), dictionary.scales, pad_cells,
-                          partial(_window_max, a=1.0))
-
-
 _FIVE = ("radial", "nontangential", "grand", "peetre", "grand_peetre")
 
 
@@ -332,9 +318,9 @@ def maximal_fields(members, params):
     """The five maximal functions of each member on one padded grid: the
     radial and nontangential maxima of |f * phi_s| over the windows of
     aperture 0 and a, the grand one, and the Peetre and grand Peetre
-    sweeps, a dict per member.  The grand and Peetre fields are bit for
-    bit grand_maximal's and peetre_maximal's at that pad, and every field
-    is the one the member has alone.
+    sweeps, a dict per member.  The Peetre fields are bit for bit
+    peetre_maximal's at that pad, and every field is the one the member
+    has alone.
 
     Each dictionary kernel is convolved once per scale and stack of
     members (see _scale_max): |f * phi_s|, phi being the first kernel,

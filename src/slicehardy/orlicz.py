@@ -175,13 +175,6 @@ def from_tag(tag):
 
 # -- modulars and norms -----------------------------------------------------
 
-def modular(phi, f, lam):
-    """Quadrature value of the Orlicz modular of f at scale lam."""
-    require_positive(lam=lam)
-    require_finite(f)
-    return float(phi(np.abs(f.values) / lam).sum() * f.cell_volume)
-
-
 def musielak_modular(theta, f, lam):
     require_positive(lam=lam)
     require_finite(f)

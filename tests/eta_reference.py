@@ -5,11 +5,12 @@ atomic._fit stacked the systems; `eta_fit` is the eta-weighted fit as it
 ran once per call through it, rebuilding eta's bounds, centers,
 monomials and Gram matrix each time, and
 `partition_of_unity` builds each cube's bump profiles in a loop over the
-cubes.  The fast paths must match them bit for bit.  `use_slow_fit`
-swaps in `SlowMoments`, which builds each record from its eta as a grid
-function, and `slow_fit`, which solves each fit alone with eta_fit's
-arithmetic, for atomic's level-wide records and stacked solves, so
-`cz_decompose` runs its usual levels on them.
+cubes.  The fast paths must match them bit for bit; `local_etas` hands
+atomic._partition's etas out as grid functions, each on its own box, for
+the comparison.  `use_slow_fit` swaps in `SlowMoments`, which builds each
+record from its eta as a grid function, and `slow_fit`, which solves each
+fit alone with eta_fit's arithmetic, for atomic's level-wide records and
+stacked solves, so `cz_decompose` runs its usual levels on them.
 """
 
 from math import comb
@@ -134,6 +135,14 @@ def record_fits(wins, eta, origin, h, d, mom, recs, vals):
         values
 
 
+def local_etas(cubes, O):
+    """The etas of atomic._partition(cubes, O), each a grid function on
+    its own index box."""
+    wins, eta = atomic._partition(cubes, O)
+    origin = O.origin + wins.lo * O.h
+    return [box_eta(wins, eta, origin, O.h, k) for k in range(len(cubes))]
+
+
 def use_slow_fit(monkeypatch):
     """Build atomic's moment records eta by eta and solve each fit alone."""
     monkeypatch.setattr(atomic, "_Moments", SlowMoments)
@@ -141,7 +150,7 @@ def use_slow_fit(monkeypatch):
 
 
 def partition_of_unity(cubes, O):
-    """atomic.partition_of_unity with one cube's profiles at a time."""
+    """local_etas with one cube's profiles at a time."""
     mask = O.values > 0
     if not cubes:
         if mask.any():

@@ -114,7 +114,7 @@ def test_dual_pairing_bilinear(rng):
 
 
 def test_dual_pairing_half_oracle():
-    f = GridFunction.indicator(Cube((0.5,), 1.0), (0.0,), H, (int(1 / H),))
+    f = GridFunction.constant(1.0, (0.0,), H, (int(1 / H),))  # 1 on [0, 1)
     g = GridFunction.from_callable(lambda x: x, (0.0,), H, (int(1 / H),))
     assert _pairing(f, g) == pytest.approx(0.5, abs=H ** 2)
     assert _pairing(f, g) == pytest.approx(ref.dual_pairing(f, g),
@@ -134,7 +134,7 @@ def test_dual_pairing_matches_product_integral(rng, n, shift, ext):
     f = GridFunction((0.25,) * n, H, rng.standard_normal((10,) * n))
     g = GridFunction((0.25 + shift * H,) * n, H,
                      rng.standard_normal((ext,) * n))
-    expected = (f * g).integrate()
+    expected = (f * g).values.sum() * f.cell_volume
     assert ref.dual_pairing(f, g) == pytest.approx(expected, rel=1e-14,
                                                    abs=0.0)
     assert _pairing(f, g) == pytest.approx(expected, rel=1e-14, abs=0.0)

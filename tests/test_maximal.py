@@ -16,8 +16,8 @@ from slicehardy.embeddings import hardy_embedding_check
 from slicehardy.errors import PreconditionError
 from slicehardy.grid import GridFunction
 from slicehardy.kernels import build_dictionary, convolve
-from slicehardy.maximal import MaximalParams, _one_scale_max, _peetre_sweep, \
-    _peetre_weights, _window_max, grand_maximal, maximal_fields, \
+from slicehardy.maximal import MaximalParams, _peetre_sweep, \
+    _peetre_weights, _scale_max, _window_max, maximal_fields, \
     peetre_maximal, peetre_reach, pointwise_chain_ok
 from slicehardy.slice_norms import SliceParams, slice_norm
 
@@ -32,6 +32,14 @@ def bump(h_1d):
 def _on_ladder(dictionary, ladder, a=1.0):
     """MaximalParams of the dictionary's kernels on another ladder."""
     return MaximalParams(dataclasses.replace(dictionary, scales=ladder), a=a)
+
+
+def _alone(f, kernels, ladder, pad, op=partial(_window_max, a=1.0)):
+    """The one-member _scale_max pass of op over all the kernels on f's
+    grid padded by pad cells: by default the grand maximal function, the
+    max over kernels of the window maxima over |x - y| < s."""
+    return _scale_max([f], list(kernels), ladder, lambda h: pad,
+                      {"": (op, True)})[0][""]
 
 
 def test_radial_spike_matches_enumeration(dictionary_1d, h_1d):
@@ -89,8 +97,8 @@ def test_grand_monotone_in_dictionary(bump, dictionary_1d):
     small = MollifierDictionary(order=dictionary_1d.order,
                                 kernels=dictionary_1d.kernels[:1],
                                 scales=dictionary_1d.scales)
-    g_small = grand_maximal(bump, small, pad_cells=100)
-    g_full = grand_maximal(bump, dictionary_1d, pad_cells=100)
+    g_small = _alone(bump, small, small.scales, 100)
+    g_full = _alone(bump, dictionary_1d, dictionary_1d.scales, 100)
     assert np.all(g_full.values >= g_small.values - 1e-300)
 
 
@@ -375,10 +383,9 @@ def _grand(f, dictionary, ladder, pad, peetre, b, eps_cut):
     the ladder, or with peetre its Peetre-swept one: the op maximal_fields
     applies for "grand_peetre"."""
     if not peetre:
-        return grand_maximal(f, dataclasses.replace(dictionary, scales=ladder),
-                             pad_cells=pad)
-    return _one_scale_max(f, list(dictionary), ladder, pad,
-                          partial(_peetre_sweep, b=b, eps_cut=eps_cut))
+        return _alone(f, dictionary, ladder, pad)
+    return _alone(f, dictionary, ladder, pad,
+                  partial(_peetre_sweep, b=b, eps_cut=eps_cut))
 
 
 @pytest.mark.parametrize("peetre", [False, True])
@@ -418,7 +425,7 @@ def _each_alone(f, params):
                                                   pad),
         "nontangential": peetre_reference.window_maximal(
             f, d.phi, params.a, ladder, pad),
-        "grand": grand_maximal(f, d, pad_cells=pad),
+        "grand": _alone(f, d, ladder, pad),
         "peetre": peetre_maximal(f, d.phi, params.b, ladder, params.eps_cut,
                                  pad),
         "grand_peetre": peetre_reference.grand_per_kernel(
@@ -542,19 +549,20 @@ def _grand_family(n):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_grand_fields_are_grand_maximal_bit_for_bit(n):
+def test_grand_fields_are_one_member_passes_bit_for_bit(n):
     """One grand_fields pass over a family is, member by member, the
-    grand_maximal of each alone at its default pad, bit for bit, read-only
-    and on the member's own padded grid; a translate shares its values."""
+    one-member pass of each alone at the pad 2 max(ladder) / h, bit for
+    bit, read-only and on the member's own padded grid; a translate shares
+    its values."""
     fam, dictionary = _grand_family(n)
     params = MaximalParams(dictionary)
+    pad = int(np.ceil(2.0 * max(dictionary.scales) / fam[0].h))
     if n == 1:
-        pad = int(np.ceil(2.0 * max(dictionary.scales) / fam[0].h))
         assert sum(np.prod(np.add(f.extents, 2 * pad)) for f in fam) \
             > maximal._STACK_CELLS
     fields = params.grand_fields(fam)
     for f, m in zip(fam, fields):
-        alone = grand_maximal(f, dictionary)
+        alone = _alone(f, dictionary, dictionary.scales, pad)
         assert np.array_equal(m.origin, alone.origin)
         assert m.values.tobytes() == alone.values.tobytes()
         assert not m.values.flags.writeable

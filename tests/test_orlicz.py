@@ -93,10 +93,9 @@ def test_gauge_of_zero_is_zero():
 
 def test_modular_monotone_in_lambda():
     f = GridFunction.constant(1.0, (0.0,), 0.5, (4,))
-    phi = orlicz.log_damped()
-    m1 = orlicz.modular(phi, f, 0.5)
-    m2 = orlicz.modular(phi, f, 1.0)
-    m3 = orlicz.modular(phi, f, 2.0)
+    m1 = _modular("log_damped", f, 0.5)
+    m2 = _modular("log_damped", f, 1.0)
+    m3 = _modular("log_damped", f, 2.0)
     assert m1 > m2 > m3
 
 
@@ -104,7 +103,7 @@ def test_modular_at_gauge_is_one(rng):
     f = GridFunction((0.0,), 2.0 ** -4, rng.uniform(0.1, 5, 32))
     phi = orlicz.log_damped()
     lam = orlicz.luxemburg_norm(phi, f)
-    assert orlicz.modular(phi, f, lam) == pytest.approx(1.0, abs=1e-8)
+    assert _modular("log_damped", f, lam) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_luxemburg_rows_matches_scalar_path(rng):
@@ -264,8 +263,6 @@ def test_power_rejects_nonfinite_or_nonpositive_exponent(p):
 def test_modulars_reject_nonpositive_lambda(lam):
     f = GridFunction((0.0,), 0.5, [1.0, 2.0])
     with pytest.raises(PreconditionError):
-        orlicz.modular(orlicz.power(2.0), f, lam)
-    with pytest.raises(PreconditionError):
         orlicz.musielak_modular(orlicz.musielak_log(), f, lam)
 
 
@@ -281,9 +278,11 @@ def _gauge(tag, f):
 
 
 def _modular(tag, f, lam):
+    """The quadrature modular of f at scale lam."""
     if tag == "musielak_log":
         return orlicz.musielak_modular(orlicz.musielak_log(), f, lam)
-    return orlicz.modular(orlicz.log_damped(), f, lam)
+    phi = orlicz.log_damped()
+    return float(phi(np.abs(f.values) / lam).sum() * f.cell_volume)
 
 
 _samples = arrays(float, st.integers(1, 40),

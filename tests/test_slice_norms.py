@@ -15,6 +15,7 @@ from scipy import ndimage
 
 import gauge_reference
 import scipy_reference
+from grid_reference import contains_points
 from slicehardy import orlicz
 from slicehardy.errors import InvalidDataError, NumericFailure, \
     PreconditionError, ResolutionError
@@ -398,7 +399,7 @@ def test_cube_indicator_norm_cached_and_translation_invariant():
     v1 = cube_indicator_slice_norm(p, 32, h, 1)
     v2 = cube_indicator_slice_norm(p, 32, h, 1)
     assert v1 == v2
-    f = GridFunction.indicator(Cube((7.25,), 0.5), (7.0,), h, (32,))
+    f = GridFunction.constant(1.0, (7.0,), h, (32,))  # 1 on [7, 7.5)
     assert slice_norm(f, p) == pytest.approx(v1, rel=1e-10)
     calls = []
 
@@ -575,7 +576,7 @@ def test_star_norm_two_dimensional_sums_unit_cubes(vals, origin, shift, tag):
     expected = 0.0
     for corner in product(range(-7, 13), repeat=2):
         Q = Cube((corner[0] + 0.5, corner[1] + 0.5), 1.0)
-        mask = Q.contains_points(pts).reshape(f.extents)
+        mask = contains_points(Q, pts).reshape(f.extents)
         if np.any(f.values[mask]):
             piece = GridFunction(f.origin, h, np.where(mask, f.values, 0.0))
             expected += orlicz.luxemburg_norm(phi, piece)
@@ -629,7 +630,7 @@ def test_hl_maximal_dominates_function(rng):
 
 def test_hl_maximal_decays_off_support():
     h = 2.0 ** -5
-    f = GridFunction.indicator(Cube((0.5,), 1.0), (0.0,), h, (32,))
+    f = GridFunction.constant(1.0, (0.0,), h, (32,))  # 1 on [0, 1)
     m = hl_maximal(f, pad_cells=128)
     inside = m.values[m.extents[0] // 2]
     edge = m.values[0]
