@@ -211,7 +211,7 @@ def test_criterion_07_maximal_equivalence(capsys):
     bands = {}
     chain_ok = True
     for t in (0.5, 1.0, 2.0):
-        rep = maximal_equivalence_report(family, mp, phi, 2.0, [t])
+        rep = maximal_equivalence_report(family, mp, phi, 1.5, [t])
         chain_ok = chain_ok and rep.summary["chain_all_ok"]
         for key, value in rep.summary.items():
             if key.startswith("band:"):
@@ -260,7 +260,7 @@ def test_criterion_09_embedding(capsys):
 
 def test_criterion_10_fefferman_stein(capsys):
     h = 2.0 ** -6
-    p = SliceParams(1.0, 2.0, orlicz.power(2.0))
+    p = SliceParams(1.0, 1.5, orlicz.power(2.0))
     worst_spread = worst_ratio = 0.0
     finite = True
     for seed in range(100, 120):

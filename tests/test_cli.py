@@ -2,7 +2,6 @@
 
 import configparser
 import csv
-import importlib.util
 import json
 import os
 import subprocess
@@ -672,18 +671,6 @@ def test_default_run_builds_one_kernel_dictionary(runner, tmp_path,
     result = runner.invoke(main, ["all", "--out", str(tmp_path / "out")])
     assert result.exit_code == 0, result.output
     assert len(calls) == 1
-
-
-def test_benchmark_probe_runs_on_the_default_config():
-    """perfbench/scenario.py's Peetre probe reads the ladder, b, eps_cut
-    and dictionary.phi of cfg.maximal_params()."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                        "scenario.py")
-    spec = importlib.util.spec_from_file_location("perfbench_scenario", path)
-    scenario = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(scenario)
-    probe = scenario._probe(load_config())
-    assert probe["ok"], probe["error"]
 
 
 def _python(code, *args):
